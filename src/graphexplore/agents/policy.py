@@ -25,16 +25,15 @@ from ..tensor import (
     MLP,
     Tensor,
     concat,
+    embed_lookup,
     exp,
     load_params,
     log,
     no_grad,
     save_params,
-    reduce_max,
     reduce_sum,
     reshape,
     slice_,
-    softmax,
     tanh,
 )
 
@@ -55,25 +54,24 @@ def _pick(t, i):
 
 
 def masked_log_probs(logits, mask):
-    """Log-probabilities with invalid entries pinned near MASK_OFFSET. Returns
-    (log_probs, probs); probs are exactly 0 on masked-out entries."""
+    """Log-probabilities over the last axis of (A,) or (D, A) logits, with
+    invalid entries pinned near MASK_OFFSET. Returns (log_probs, probs); probs
+    are exp(log_probs), exactly 0 on masked-out entries."""
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
+        if not mask.any(axis=-1).all():
             raise ValueError("all actions are masked")
-        offset = np.where(mask, 0.0, MASK_OFFSET)
-        logits = logits + Tensor(offset)
-    m = reduce_max(logits)
-    shifted = logits - m
-    log_z = log(reduce_sum(exp(shifted)))
-    log_probs = shifted - log_z
-    probs = softmax(logits, axis=0)
-    return log_probs, probs
+        logits = logits + Tensor(np.where(mask, 0.0, MASK_OFFSET))
+    # A constant shift: log-softmax is invariant to it, so it needs no gradient.
+    shifted = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
+    log_z = log(reduce_sum(exp(shifted), axis=-1))
+    log_probs = shifted - reshape(log_z, log_z.data.shape + (1,))
+    return log_probs, exp(log_probs)
 
 
 def _entropy(log_probs, probs):
     # 0 * MASK_OFFSET-ish = -0.0 on masked entries, so the sum stays exact.
-    return -reduce_sum(probs * log_probs)
+    return -reduce_sum(probs * log_probs, axis=-1)
 
 
 def sample_index(probs, rng):
@@ -104,8 +102,14 @@ class CategoricalHead:
             )
 
     def score(self, F, action, mask=None):
+        """(log-probability of the taken action, entropy) per row: F is (w,)
+        with one action and an (A,) mask, or (D, w) with D actions and a
+        (D, A) mask."""
         log_probs, probs = masked_log_probs(self.out(F), mask)
-        return _pick(log_probs, int(action)), _entropy(log_probs, probs)
+        actions = np.asarray(action, dtype=np.intp)
+        rows = np.arange(actions.size).reshape(actions.shape)
+        taken = embed_lookup(reshape(log_probs, (-1,)), rows * self.n_actions + actions)
+        return taken, _entropy(log_probs, probs)
 
     def encode_action_width(self):
         return None  # finite actions use the history encoder's embedding table
@@ -320,11 +324,13 @@ class GridDecoder:
 
 
 class ValueHead:
+    """Value estimate: (w,) -> scalar, or (D, w) -> (D,)."""
+
     def __init__(self, params, name, in_width, hidden=32):
         self.net = MLP(params, name, [in_width, hidden, 1])
 
     def __call__(self, F):
-        return reshape(self.net(F), ())
+        return reshape(self.net(F), F.data.shape[:-1])
 
 
 @dataclass
@@ -369,31 +375,19 @@ def learned_act(F_ht, head_config, params, rng, mode="sample", mask=None):
 
 class LearnedPolicy:
     """run_episode adapter: folds the history incrementally through the
-    encoder and acts through one head (or a per-decision bank of heads).
+    encoder and acts through the head.
 
     The incremental state is reset whenever a fresh history (single record) is
     seen, so one policy instance can serve many sequential episodes.
     """
 
-    def __init__(self, encoder, head, value_head, mode="sample", head_bank=None, value_bank=None):
+    def __init__(self, encoder, head, value_head, mode="sample"):
         self.encoder = encoder
         self.head = head
         self.value_head = value_head
-        self.head_bank = head_bank  # optional list: decision index -> head
-        self.value_bank = value_bank
         self.mode = mode
         self._state = None
         self._consumed = 0
-
-    def head_for(self, t):
-        if self.head_bank is not None:
-            return self.head_bank[min(t, len(self.head_bank) - 1)]
-        return self.head
-
-    def value_for(self, t):
-        if self.value_bank is not None:
-            return self.value_bank[min(t, len(self.value_bank) - 1)]
-        return self.value_head
 
     def __call__(self, history, env, rng):
         with no_grad():
@@ -405,10 +399,9 @@ class LearnedPolicy:
                     self._state, self.encoder.summary(rec, history.program)
                 )
                 self._consumed += 1
-            t = self._consumed - 1  # decision index: 0 for the first action
             mask = env.action_mask() if hasattr(env, "action_mask") else None
-            out = self.head_for(t).act(F, rng, mode=self.mode, mask=mask)
-            out.value_estimate = float(self.value_for(t)(F).data)
+            out = self.head.act(F, rng, mode=self.mode, mask=mask)
+            out.value_estimate = float(self.value_head(F).data)
         return out.action, {
             "logprob": out.log_probability,
             "value": out.value_estimate,
@@ -419,37 +412,18 @@ class LearnedPolicy:
 
 class PolicyModel:
     """Bundle of everything a learned agent needs: the parameter store, the
-    history encoder, and the action/value heads (optionally per-decision
-    banks). Rollout workers make disposable LearnedPolicy adapters from it;
-    the trainer replays episodes through score() on the tape."""
+    history encoder, and the action/value heads. Rollout workers make
+    disposable LearnedPolicy adapters from it; the trainer scores a whole
+    batch of decisions through score() on the tape."""
 
-    def __init__(self, params, encoder, head, value_head, head_bank=None, value_bank=None):
+    def __init__(self, params, encoder, head, value_head):
         self.params = params
         self.encoder = encoder
         self.head = head
         self.value_head = value_head
-        self.head_bank = head_bank
-        self.value_bank = value_bank
-
-    def head_for(self, t):
-        if self.head_bank is not None:
-            return self.head_bank[min(t, len(self.head_bank) - 1)]
-        return self.head
-
-    def value_for(self, t):
-        if self.value_bank is not None:
-            return self.value_bank[min(t, len(self.value_bank) - 1)]
-        return self.value_head
 
     def policy(self, mode="sample"):
-        return LearnedPolicy(
-            self.encoder,
-            self.head,
-            self.value_head,
-            mode=mode,
-            head_bank=self.head_bank,
-            value_bank=self.value_bank,
-        )
+        return LearnedPolicy(self.encoder, self.head, self.value_head, mode=mode)
 
     def save(self, path, meta=None):
         save_params(path, self.params.snapshot(), meta=meta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphnet import GraphObservation
+from .graphnet import GraphObservation, union_observation
 from .tensor import (
     Embedding,
     LSTMCell,
@@ -26,6 +26,7 @@ from .tensor import (
     no_grad,
     reduce_mean,
     reshape,
+    segment_aggregate,
     slice_,
 )
 
@@ -169,19 +170,21 @@ class HistoryEncoder:
         self.config = config
         self.net = graph_net
         self.d = graph_net.config.d
+        # The action table is an attribute, not captured in a closure, so a
+        # deep copy of the model reads and trains its own copy of it.
+        self.action_encoder = action_encoder
+        self.actions = None
         if action_encoder is not None:
-            self.encode_action = action_encoder
             self.null_action = params.get_or_init(
                 f"{name}/null_action", (config.action_width,), init="normal"
             )
         elif config.action_vocab > 0:
-            table = Embedding(params, f"{name}/actions", config.action_vocab + 1, config.action_width)
-            self.encode_action = lambda a: _row(table([int(a)]))
-            self.null_action = table.table  # row [vocab] is the null action
-            self._null_row = config.action_vocab
+            # Row [action_vocab] is the null action of record 0.
+            self.actions = Embedding(
+                params, f"{name}/actions", config.action_vocab + 1, config.action_width
+            )
         else:
             raise ValueError("need either an action_encoder or a positive action_vocab")
-        self._external_encoder = action_encoder is not None
         if config.program_conditioning in ("bow", "bilstm"):
             if config.token_vocab <= 0:
                 raise ValueError("bow/bilstm conditioning needs token_vocab > 0")
@@ -207,38 +210,61 @@ class HistoryEncoder:
 
     # -- pieces -------------------------------------------------------------
 
-    def action_part(self, record):
-        if record.action is None:
-            if self._external_encoder:
-                return self.null_action
-            return _row(embed_lookup(self.null_action, [self._null_row]))
-        return self.encode_action(record.action)
+    def action_rows(self, records):
+        """(R, action_width) g_x(action) rows; record 0's None action maps to
+        the learned null action."""
+        if self.actions is not None:
+            null = self.config.action_vocab
+            ids = [null if rec.action is None else int(rec.action) for rec in records]
+            return self.actions(ids)
+        width = self.config.action_width
+        return concat(
+            [reshape(self.null_action if rec.action is None else self.action_encoder(rec.action),
+                     (1, width)) for rec in records],
+            axis=0,
+        )
 
-    def conditioning_part(self, obs, program):
+    def conditioning_rows(self, records, programs):
+        """(R, d) conditioning parts; programs[i] is record i's static program."""
         mode = self.config.program_conditioning
+        R = len(records)
         if mode in ("uncond", "envcond"):
-            return Tensor(np.zeros(self.d))
-        if mode == "bow":
-            return self._bow(program)
-        if mode == "bilstm":
-            return self._bilstm(program)
+            return Tensor(np.zeros((R, self.d)))
+        if mode in ("bow", "bilstm"):
+            # One program vector per distinct program, broadcast to its records.
+            encode = self._bow if mode == "bow" else self._bilstm
+            slot = {}
+            for p in programs:
+                slot.setdefault(id(p), (len(slot), p))
+            table = concat([reshape(encode(p), (1, self.d)) for _, p in slot.values()], axis=0)
+            return embed_lookup(table, [slot[id(p)][0] for p in programs])
         # gnn: condition on the coverage graph per `conditioning`
+        observations = [rec.observation for rec in records]
         cond = self.config.conditioning
-        if obs.is_empty():
-            if cond == "graph":
-                return self.net.empty_vec
-            return Tensor(np.zeros(self.d))
         if cond == "graph":
-            return self.net.encode(obs).graph_vector
-        feats = self.net.project_features(obs)
-        if cond == "node":
-            if obs.current_node is None:
-                raise ValueError("node conditioning needs a designated current node")
-            return _row(embed_lookup(feats, [obs.current_node]))
-        covered = np.flatnonzero(np.asarray(obs.coverage) > 0)
-        if covered.size == 0:
-            return Tensor(np.zeros(self.d))
-        return reduce_mean(embed_lookup(feats, covered), axis=0)
+            return self.net.encode_batch(observations)
+        # node / pool: pick pre-message-passing rows of the union and average
+        # them per record; a record with no picked row (an empty graph, or
+        # nothing covered) gets zeros.
+        full = [i for i, obs in enumerate(observations) if not obs.is_empty()]
+        if not full:
+            return Tensor(np.zeros((R, self.d)))
+        union, _ = union_observation([observations[i] for i in full])
+        feats = self.net.project_features(union)
+        picked, owner = [], []
+        offset = 0
+        for i in full:
+            obs = observations[i]
+            if cond == "node":
+                if obs.current_node is None:
+                    raise ValueError("node conditioning needs a designated current node")
+                rows = [obs.current_node]
+            else:
+                rows = np.flatnonzero(np.asarray(obs.coverage) > 0)
+            picked.extend(offset + r for r in rows)
+            owner.extend([i] * len(rows))
+            offset += obs.node_count
+        return segment_aggregate(embed_lookup(feats, picked), owner, R, reduce="mean")
 
     def _tokens(self, program):
         if program is None:
@@ -265,11 +291,17 @@ class HistoryEncoder:
             hb, cb = self.bwd(r, (hb, cb))
         return self.prog_out(concat([hf, hb], axis=0))
 
-    def summary(self, record, program=None):
-        parts = [self.conditioning_part(record.observation, program), self.action_part(record)]
+    def summaries(self, records, programs):
+        """(R, summary_width) summaries of `records`, built with one batched
+        graph encode and one action lookup; programs[i] is the static program
+        of record i's episode (None outside program environments)."""
+        parts = [self.conditioning_rows(records, programs), self.action_rows(records)]
         if self.config.program_conditioning == "envcond":
-            parts.append(Tensor(np.asarray([record.reward])))
-        return concat(parts, axis=0)
+            parts.append(Tensor(np.asarray([[rec.reward] for rec in records], dtype=np.float64)))
+        return concat(parts, axis=1)
+
+    def summary(self, record, program=None):
+        return _row(self.summaries([record], [program]))
 
     # -- temporal fold ------------------------------------------------------
 

@@ -6,6 +6,13 @@ The encoder consumes a GraphObservation: the currently known subgraph together
 with a per-node coverage bit. The coverage bit is appended to the raw node
 features before any learned transformation, so the same encoder weights serve
 both "what does the graph look like" and "what is left to visit".
+
+Many observations are encoded at once as their disjoint union (as in PyG's
+batching): node rows are stacked, edges are offset into them, message
+passing runs once on the union, and the readout's attention softmax and
+weighted sum run per graph through segment operations. Since no edge crosses
+graphs, each graph's vector equals its own encoding; a single observation is
+the union of one.
 """
 
 from __future__ import annotations
@@ -29,8 +36,9 @@ from .tensor import (
     no_grad,
     optimizer_step,
     reduce_sum,
+    reshape,
     segment_aggregate,
-    softmax,
+    segment_softmax,
     transpose,
 )
 
@@ -48,7 +56,7 @@ class GraphObservation:
 
     node_count: int
     node_features: np.ndarray  # (node_count, d_in)
-    edges: list  # of (u, v, k)
+    edges: list  # of (u, v, k); a union holds them as an (m, 3) int array
     coverage: np.ndarray  # (node_count,) of 0/1
     num_edge_types: int
     current_node: int | None = None
@@ -165,13 +173,39 @@ class GraphNet:
             h = self.gru(msg, h)
         return h
 
-    def readout(self, node_embeddings):
-        """(graph_vector, attention_weights) from final node states."""
-        if node_embeddings.data.shape[0] == 0:
-            return self.empty_vec, Tensor(np.zeros(0))
+    def readout(self, node_embeddings, graph_ids, num_graphs):
+        """(graph_vectors (num_graphs, d), attention_weights (n,)) from final
+        node states; graph_ids[i] is the graph node i belongs to, and the
+        attention softmax runs within each graph."""
         scores = matmul(node_embeddings, self.w_att)
-        alpha = softmax(scores, axis=0)
-        return matmul(alpha, node_embeddings), alpha
+        alpha = segment_softmax(scores, graph_ids, num_graphs)
+        weighted = reshape(alpha, (alpha.data.shape[0], 1)) * node_embeddings
+        return segment_aggregate(weighted, graph_ids, num_graphs), alpha
+
+    def _encode_union(self, observations):
+        """(graph vectors (R, d), node states (N, d), attention (N,)): the
+        non-empty observations are encoded as one disjoint union and empty
+        ones get the learned empty-graph row. With no non-empty observation,
+        node states and attention are None."""
+        d = self.config.d
+        full = [i for i, obs in enumerate(observations) if not obs.is_empty()]
+        vectors = h = alpha = None
+        if full:
+            union, graph_ids = union_observation([observations[i] for i in full])
+            h = self.propagate(self.project_features(union), union)
+            vectors, alpha = self.readout(h, graph_ids, len(full))
+        if len(full) < len(observations):
+            rows = np.full(len(observations), len(full))  # the empty-graph row
+            rows[full] = np.arange(len(full))
+            empty = reshape(self.empty_vec, (1, d))
+            table = empty if vectors is None else concat([vectors, empty], axis=0)
+            vectors = embed_lookup(table, rows)
+        return vectors, h, alpha
+
+    def encode_batch(self, observations):
+        """(R, d) graph vectors, one row per observation, from one message
+        passing run over the disjoint union of all of them."""
+        return self._encode_union(observations)[0]
 
     def encode(self, obs):
         if obs.is_empty():
@@ -180,9 +214,33 @@ class GraphNet:
                 graph_vector=self.empty_vec,
                 attention_weights=Tensor(np.zeros(0)),
             )
-        h = self.propagate(self.project_features(obs), obs)
-        g, alpha = self.readout(h)
-        return GraphEmbedding(node_embeddings=h, graph_vector=g, attention_weights=alpha)
+        vectors, h, alpha = self._encode_union([obs])
+        return GraphEmbedding(node_embeddings=h, graph_vector=reshape(vectors, (self.config.d,)),
+                              attention_weights=alpha)
+
+
+def union_observation(observations):
+    """Disjoint union of observations that share an edge-type count: node rows
+    stacked in order, edges offset into them. Returns (union, graph_ids) where
+    graph_ids[i] is the index of the observation node i came from."""
+    if len(observations) == 1:  # the rollout case: nothing to stack
+        return observations[0], np.zeros(observations[0].node_count, dtype=np.intp)
+    kinds = {obs.num_edge_types for obs in observations}
+    if len(kinds) != 1:
+        raise ValueError(f"observations mix edge-type counts {sorted(kinds)}")
+    counts = [obs.node_count for obs in observations]
+    offsets = np.cumsum([0] + counts[:-1])
+    edges = [np.asarray(obs.edges, dtype=np.intp).reshape(-1, 3) + [off, off, 0]
+             for obs, off in zip(observations, offsets)]
+    union = GraphObservation(
+        node_count=int(sum(counts)),
+        node_features=np.concatenate([obs.node_features for obs in observations], axis=0),
+        edges=np.concatenate(edges, axis=0),
+        coverage=np.concatenate([np.asarray(obs.coverage, dtype=np.float64)
+                                 for obs in observations]),
+        num_edge_types=kinds.pop(),
+    )
+    return union, np.repeat(np.arange(len(observations)), counts)
 
 
 def message_pass(obs, net):
@@ -190,7 +248,8 @@ def message_pass(obs, net):
 
 
 def attention_readout(node_embeddings, net):
-    return net.readout(node_embeddings)
+    vectors, alpha = net.readout(node_embeddings, np.zeros(node_embeddings.data.shape[0], np.intp), 1)
+    return reshape(vectors, (net.config.d,)), alpha
 
 
 def encode_graph(obs, net):

@@ -19,6 +19,7 @@ from .core import (
     relu,
     reshape,
     segment_aggregate,
+    segment_softmax,
     sigmoid,
     slice_,
     softmax,

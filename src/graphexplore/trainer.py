@@ -5,6 +5,12 @@ a barrier aligns them, and a single learner step replays the batch on the
 gradient tape. Returns are undiscounted suffix sums (finite-horizon coverage
 objective), advantages are returns minus the value baseline, and the update
 clips the global gradient norm.
+
+The learner step is batched across the whole update: every recorded
+observation is encoded in one GraphNet pass over the disjoint union of the
+graphs, the history LSTM folds all episodes in parallel (one row per
+episode), one head call and one value call score every decision, and one
+backward pass runs over a tape of a few ops per decision.
 """
 
 from __future__ import annotations
@@ -20,9 +26,13 @@ from .tensor import (
     GradientError,
     OptimizerState,
     Tape,
+    Tensor,
     clip_global_norm,
+    concat,
+    embed_lookup,
     no_grad,
     optimizer_step,
+    reduce_sum,
 )
 
 
@@ -109,50 +119,69 @@ def episode_returns(episode):
     return returns
 
 
+def _decision_masks(episodes):
+    """(D, A) action masks of every decision, or None when no decision has
+    one; a decision without a mask may take any action."""
+    masks = [m for ep in episodes
+             for m in (ep.masks or [None] * (len(ep.history.records) - 1))]
+    width = next((len(m) for m in masks if m is not None), None)
+    if width is None:
+        return None
+    return np.stack([np.ones(width, dtype=bool) if m is None else np.asarray(m, dtype=bool)
+                     for m in masks])
+
+
 def batch_loss(model, batch, config):
     """Actor-critic loss over the batch (per-episode sums, averaged over
-    episodes), built on the active tape. Returns (loss, components dict)."""
+    episodes), built on the active tape. Returns (loss, components dict).
+
+    Decision t of an episode is made from F(h_t), the fold of the summaries
+    of records 0..t. All summaries are built at once, the LSTM folds every
+    episode in parallel (episodes are rows; a finished episode repeats its
+    last summary, and those padded outputs are never read), and one head and
+    one value call score every decision."""
     if not batch.episodes:
         raise ValueError("empty batch")
-    total = None
-    pol_sum = val_sum = ent_sum = 0.0
-    n_steps = 0
-    for ep in batch.episodes:
-        records = ep.history.records
-        if len(records) < 2:
-            continue
-        returns = episode_returns(ep)
-        masks = ep.masks if ep.masks else [None] * len(returns)
-        state = model.encoder.init_state()
-        ep_loss = None
-        for t, rec in enumerate(records[1:]):
-            F, state = model.encoder.fold(
-                state, model.encoder.summary(records[t], ep.history.program)
-            )
-            logprob, entropy = model.head_for(t).score(F, rec.action, mask=masks[t])
-            value = model.value_for(t)(F)
-            advantage = returns[t] - float(value.data)
-            err = value - returns[t]
-            term = (
-                logprob * (-advantage)
-                + (err * err) * config.value_coef
-                + entropy * (-config.entropy_coef)
-            )
-            ep_loss = term if ep_loss is None else ep_loss + term
-            pol_sum += -advantage * float(logprob.data)
-            val_sum += float(err.data) ** 2
-            ent_sum += float(entropy.data)
-            n_steps += 1
-        if ep_loss is not None:
-            total = ep_loss if total is None else total + ep_loss
-    if total is None:
+    episodes = [ep for ep in batch.episodes if len(ep.history.records) >= 2]
+    if not episodes:
         raise ValueError("batch contains no decisions to learn from")
+    encoder = model.encoder
+    lengths = np.array([len(ep.history.records) - 1 for ep in episodes])
+    starts = np.cumsum(lengths) - lengths
+    records = [rec for ep in episodes for rec in ep.history.records[:-1]]
+    programs = [ep.history.program for ep, n in zip(episodes, lengths) for _ in range(n)]
+    summaries = encoder.summaries(records, programs)
+    E, T = len(episodes), int(lengths.max())
+    state = encoder.init_state()
+    if state is not None:
+        state = tuple(Tensor(np.zeros((E,) + part.data.shape)) for part in state)
+    outputs = []
+    for t in range(T):
+        rows = starts + np.minimum(t, lengths - 1)
+        F_t, state = encoder.fold(state, embed_lookup(summaries, rows))
+        outputs.append(F_t)
+    # Decision t of episode e is row t * E + e of the stacked outputs.
+    step = np.concatenate([np.arange(n) for n in lengths])
+    owner = np.repeat(np.arange(E), lengths)
+    F = embed_lookup(concat(outputs, axis=0), step * E + owner)
+
+    actions = [rec.action for ep in episodes for rec in ep.history.records[1:]]
+    logprob, entropy = model.head.score(F, actions, mask=_decision_masks(episodes))
+    value = model.value_head(F)
+    returns = np.concatenate([episode_returns(ep) for ep in episodes])
+    advantage = returns - value.data
+    err = value - Tensor(returns)
+    terms = (
+        logprob * Tensor(-advantage)
+        + (err * err) * config.value_coef
+        + entropy * (-config.entropy_coef)
+    )
     n_ep = len(batch.episodes)
-    loss = total * (1.0 / n_ep)
+    loss = reduce_sum(terms) * (1.0 / n_ep)
     components = {
-        "policy_loss": pol_sum / n_ep,
-        "value_loss": val_sum / n_ep,
-        "entropy": ent_sum / max(n_steps, 1),
+        "policy_loss": float(np.sum(-advantage * logprob.data)) / n_ep,
+        "value_loss": float(np.sum(err.data ** 2)) / n_ep,
+        "entropy": float(np.sum(entropy.data)) / len(actions),
     }
     return loss, components
 
@@ -240,7 +269,9 @@ def fine_tune(model, env, config, updates, eval_envs=None, eval_every=None, targ
     model and the list of per-eval coverages; stops early once `target`
     coverage is reached if one is given."""
     tuned = copy.deepcopy(model)
-    sampler = lambda rng: env  # noqa: E731 - the fine-tune distribution is this one env
+    # The fine-tune distribution is this one env; every episode gets its own
+    # copy, since rollout threads step their envs concurrently.
+    sampler = lambda rng: copy.deepcopy(env)  # noqa: E731
     opt_state = OptimizerState(lr=config.learning_rate)
     curve = []
     for u in range(updates):

@@ -276,6 +276,36 @@ def test_encode_history_function_signature():
     assert out.data.shape == (5,)
 
 
+def varied_records(seed):
+    rng = np.random.default_rng(seed)
+    records = [StepRecord(action=None, observation=empty_observation(1, 2), reward=0.0)]
+    for i, n in enumerate((3, 1, 5, 4)):
+        edges = [(u, v, int(rng.integers(1, 3))) for u in range(n) for v in range(n)
+                 if u != v and rng.random() < 0.5]
+        obs = obs_of((rng.random(n) < 0.5).astype(float) if i != 1 else [0.0], edges=edges,
+                     current=int(rng.integers(n)))
+        obs.node_features = rng.normal(size=(n, 1))
+        records.append(StepRecord(action=int(rng.integers(4)), observation=obs, reward=0.1 * i))
+    return records
+
+
+@pytest.mark.parametrize("conditioning,program", [
+    ("graph", "gnn"), ("node", "gnn"), ("pool", "gnn"),
+    ("graph", "uncond"), ("graph", "envcond"), ("graph", "bow"), ("graph", "bilstm"),
+])
+def test_summaries_rows_equal_per_record_summaries(conditioning, program):
+    _, _, enc = encoder_fixture(temporal="last_step", conditioning=conditioning,
+                                program=program, seed=6, token_vocab=10)
+    records = varied_records(seed=6)
+    programs = [{"tokens": [1, 2, 3]}, {"tokens": [4, 5]}]
+    per_record = [programs[i % 2] for i in range(len(records))]
+    with no_grad():
+        batched = enc.summaries(records, per_record).data
+        single = np.stack([enc.summary(r, p).data for r, p in zip(records, per_record)])
+    assert batched.shape == (len(records), enc.summary_width())
+    assert np.allclose(batched, single, rtol=0.0, atol=1e-12)
+
+
 def test_history_encoder_rejects_bad_enums():
     params, net, _ = encoder_fixture()
     with pytest.raises(ValueError, match="temporal_mode"):

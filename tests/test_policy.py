@@ -277,7 +277,7 @@ def test_build_head_rejects_unknown_kind():
         build_head(ParamSet(seed=0), "p", HeadConfig(kind="mystery", in_width=3))
 
 
-def make_learned_policy(params, seed=0, mode="sample", bank=False):
+def make_learned_policy(params, seed=0, mode="sample"):
     net = GraphNet(params, "gnn", GraphNetConfig(d=8, rounds=2, feature_width=1))
     enc_cfg = HistoryEncoderConfig(
         temporal_mode="autoregressive",
@@ -288,11 +288,6 @@ def make_learned_policy(params, seed=0, mode="sample", bank=False):
     )
     encoder = HistoryEncoder(params, "hist", enc_cfg, net)
     width = encoder.output_width()
-    if bank:
-        heads = [CategoricalHead(params, f"head{t}", width, 4) for t in range(3)]
-        values = [ValueHead(params, f"value{t}", width) for t in range(3)]
-        return LearnedPolicy(encoder, heads[0], values[0], mode=mode,
-                             head_bank=heads, value_bank=values)
     head = CategoricalHead(params, "head", width, 4)
     value = ValueHead(params, "value", width)
     return LearnedPolicy(encoder, head, value, mode=mode)
@@ -331,14 +326,3 @@ def test_learned_policy_reusable_across_episodes():
     h1, _ = run_episode(env, policy, budget=6, seed=1)
     h2, _ = run_episode(env, policy, budget=6, seed=1)
     assert [r.action for r in h1.records[1:]] == [r.action for r in h2.records[1:]]
-
-
-def test_learned_policy_head_bank_indexing():
-    params = ParamSet(seed=24)
-    policy = make_learned_policy(params, bank=True)
-    assert policy.head_for(0) is policy.head_bank[0]
-    assert policy.head_for(2) is policy.head_bank[2]
-    assert policy.head_for(7) is policy.head_bank[2]  # clamps to the last head
-    env = MazeEnv(generate_maze(3, 3, 0.1, seed=7), budget=6)
-    history, traj = run_episode(env, policy, budget=6, seed=2)
-    assert len(traj.logprobs) == len(history.records) - 1

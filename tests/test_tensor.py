@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphexplore.tensor import (
     GradientError,
@@ -21,12 +23,13 @@ from graphexplore.tensor import (
     relu,
     save_params,
     segment_aggregate,
+    segment_softmax,
     sigmoid,
     slice_,
     softmax,
     tanh,
 )
-from graphexplore.tensor.core import embed_lookup, exp, log, reduce_max
+from graphexplore.tensor.core import _scatter_rows, embed_lookup, exp, log, reduce_max
 
 
 def scalar(x):
@@ -211,6 +214,10 @@ def _fd_case(op_name, rng):
         return {"x": x}, lambda p: reduce_sum(
             segment_aggregate(p["x"], seg, 3, reduce=mode) * w_for((3, 2), rng)
         )
+    if op_name == "segment_softmax":
+        x = Tensor(rng.normal(size=7), requires_grad=True)
+        seg = rng.integers(0, 3, size=7)
+        return {"x": x}, lambda p: reduce_sum(segment_softmax(p["x"], seg, 3) * w_for((7,), rng))
     if op_name == "embed_lookup":
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         ids = rng.integers(0, 5, size=4)
@@ -246,6 +253,7 @@ ALL_OPS = [
     "reduce_mean",
     "reduce_max",
     "segment_aggregate",
+    "segment_softmax",
     "embed_lookup",
 ]
 
@@ -256,6 +264,51 @@ def test_primitive_gradients_match_finite_differences(op_name):
     for _ in range(100):
         params, fn = _fd_case(op_name, rng)
         assert grad_check(fn, params, eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("mode", ["sum", "mean", "max"])
+def test_segment_aggregate_gradients_with_empty_segments(mode):
+    # Segments 1 and 4 receive no rows; max ties are broken by the first row.
+    rng = np.random.default_rng(3)
+    seg = np.array([0, 2, 2, 3, 0, 3, 3])
+    for _ in range(20):
+        x = Tensor(rng.normal(size=(7, 2)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(5, 2)))
+        fn = lambda p: reduce_sum(segment_aggregate(p["x"], seg, 5, reduce=mode) * weights)  # noqa: E731
+        assert grad_check(fn, {"x": x}, eps=1e-5) < 1e-4
+
+
+def test_segment_max_gradient_goes_to_the_first_tied_row():
+    x = Tensor(np.array([[1.0, 2.0], [1.0, 5.0], [0.0, 5.0], [3.0, 3.0]]), requires_grad=True)
+    with Tape() as tape:
+        loss = reduce_sum(segment_aggregate(x, [0, 0, 0, 2], 3, reduce="max"))
+    grad = tape.gradients(loss, params=[x])[x].data
+    assert np.array_equal(grad, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+def test_segment_softmax_matches_softmax_per_segment():
+    rng = np.random.default_rng(4)
+    scores = rng.normal(size=9) * 30
+    seg = np.array([2, 0, 2, 2, 0, 3, 3, 3, 3])
+    out = segment_softmax(Tensor(scores), seg, 4).data
+    for k in (0, 2, 3):
+        assert np.allclose(out[seg == k], softmax(Tensor(scores[seg == k])).data, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(0, 40),
+    segments=st.integers(1, 12),
+    width=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bincount_scatter_equals_add_at(rows, segments, width, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-8, 9, size=(rows, width))
+    ids = rng.integers(0, segments, size=rows)
+    expected = np.zeros((segments, width))
+    np.add.at(expected, ids, values)
+    assert np.array_equal(_scatter_rows(ids, values, (segments, width)), expected)
 
 
 def test_softmax_sums_to_one_and_positive():

@@ -1,10 +1,13 @@
 """Actor-critic trainer: rollout collection, update math, protocols."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from graphexplore.agents import CategoricalHead, ValueHead
 from graphexplore.agents.policy import PolicyModel
+from graphexplore.envs.appgraph import AppEnv, generate_er_app
 from graphexplore.envs.maze import Maze, MazeEnv, generate_maze
 from graphexplore.episode import (
     EpisodeHistory,
@@ -16,7 +19,7 @@ from graphexplore.episode import (
     run_episode,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig, GraphObservation
-from graphexplore.tensor import ParamSet
+from graphexplore.tensor import ParamSet, Tape
 from graphexplore.trainer import (
     METRICS_HEADER,
     TrainConfig,
@@ -136,6 +139,97 @@ def test_zero_advantage_kills_policy_term():
         _, parts = batch_loss(model, TrajectoryBatch(episodes=[traj]), cfg)
     assert parts["policy_loss"] == 0.0
     assert parts["value_loss"] == 0.0
+
+
+# ------------------------------------------------- batched learner step
+
+
+def reference_loss(model, batch, config):
+    """The A2C loss replayed one record at a time through the public
+    summary, fold, score and value calls."""
+    total = None
+    pol = val = ent = 0.0
+    n_steps = 0
+    for ep in batch.episodes:
+        records = ep.history.records
+        if len(records) < 2:
+            continue
+        returns = episode_returns(ep)
+        masks = ep.masks or [None] * len(returns)
+        state = model.encoder.init_state()
+        for t, rec in enumerate(records[1:]):
+            F, state = model.encoder.fold(
+                state, model.encoder.summary(records[t], ep.history.program))
+            logprob, entropy = model.head.score(F, rec.action, mask=masks[t])
+            value = model.value_head(F)
+            advantage = returns[t] - float(value.data)
+            err = value - returns[t]
+            term = (logprob * (-advantage) + (err * err) * config.value_coef
+                    + entropy * (-config.entropy_coef))
+            total = term if total is None else total + term
+            pol += -advantage * float(logprob.data)
+            val += float(err.data) ** 2
+            ent += float(entropy.data)
+            n_steps += 1
+    n_ep = len(batch.episodes)
+    parts = {"policy_loss": pol / n_ep, "value_loss": val / n_ep, "entropy": ent / n_steps}
+    return total * (1.0 / n_ep), parts
+
+
+def mixed_batch(kind, model):
+    """Episodes with masked actions, an early-terminated episode, one with a
+    single record, one without masks, all starting from an empty graph."""
+    if kind == "maze":
+        envs = [MazeEnv(generate_maze(4, 4, 0.18, s), budget=10) for s in (1, 2)]
+        envs += [MazeEnv(generate_maze(2, 2, 1.0, 3), budget=10),  # covered early
+                 MazeEnv(generate_maze(1, 1, 0.0, 0), budget=5)]  # no decision
+    else:
+        envs = [AppEnv(generate_er_app(8, p=0.3, seed=s), budget=8, num_actions=7)
+                for s in (1, 2)]
+        envs += [AppEnv(generate_er_app(3, p=1.0, seed=3), budget=8, num_actions=7),
+                 AppEnv(generate_er_app(5, p=0.0, seed=4), budget=8, num_actions=7)]
+    episodes = [run_episode(env, model.policy("sample"), budget=env.budget, seed=i)[1]
+                for i, env in enumerate(envs)]
+    first_valid = lambda history, env, rng: int(np.flatnonzero(env.action_mask())[0])  # noqa: E731
+    env = copy.deepcopy(envs[0])
+    episodes.append(run_episode(env, first_valid, budget=env.budget, seed=9)[1])
+    batch = TrajectoryBatch(episodes=episodes)
+    assert any(ep.terminated_early and len(ep.history.records) > 2 for ep in episodes)
+    assert any(len(ep.history.records) < 2 for ep in episodes)
+    assert any(not ep.masks for ep in episodes)
+    assert any(not m.all() for ep in episodes for m in ep.masks)
+    assert all(ep.history.records[0].observation.is_empty() for ep in episodes)
+    return batch
+
+
+@pytest.mark.parametrize("kind", ["maze", "app"])
+def test_batch_loss_matches_per_record_reference(kind):
+    model = tiny_model(seed=11, n_actions=4 if kind == "maze" else 7)
+    cfg = small_config()
+    batch = mixed_batch(kind, model)
+    with Tape() as tape:
+        loss, parts = batch_loss(model, batch, cfg)
+    grads = model.params.gradients(tape, loss)
+    with Tape() as tape:
+        ref_loss, ref_parts = reference_loss(model, batch, cfg)
+    ref_grads = model.params.gradients(tape, ref_loss)
+    assert abs(float(loss.data) - float(ref_loss.data)) <= 1e-9
+    for name in ref_grads:
+        assert np.max(np.abs(grads[name].data - ref_grads[name].data)) <= 1e-9, name
+    assert parts.keys() == ref_parts.keys()
+    for key in parts:
+        assert parts[key] == pytest.approx(ref_parts[key], abs=1e-9)
+
+
+def test_batch_loss_rejects_batches_without_decisions():
+    model = tiny_model()
+    cfg = small_config()
+    with pytest.raises(ValueError, match="empty batch"):
+        batch_loss(model, TrajectoryBatch(episodes=[]), cfg)
+    env = MazeEnv(generate_maze(1, 1, 0.0, 0), budget=5)
+    _, traj = run_episode(env, model.policy("sample"), budget=5, seed=0)
+    with pytest.raises(ValueError, match="no decisions"):
+        batch_loss(model, TrajectoryBatch(episodes=[traj]), cfg)
 
 
 # ------------------------------------------------------------------ collection
@@ -329,6 +423,29 @@ def test_fine_tune_never_mutates_caller_model():
         not np.array_equal(tuned.params.snapshot()[k], before[k]) for k in before
     )
     assert diff
+
+
+def test_update_on_deep_copy_trains_its_own_action_rows():
+    model = tiny_model()
+    before = model.params.snapshot()
+    tuned = copy.deepcopy(model)
+    cfg = small_config(workers=1, episodes_per_worker=4)
+    batch = collect_rollouts(tuned, maze_sampler, cfg)
+    tuned, stats = a2c_update(tuned, batch, cfg)
+    assert not stats.skipped
+    taken = sorted({rec.action for ep in batch.episodes for rec in ep.history.records[1:]})
+    name = "hist/actions/table"
+    moved = tuned.params[name].data[taken] != before[name][taken]
+    assert moved.any(axis=1).all()
+    after = model.params.snapshot()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+def test_fine_tune_gives_each_rollout_thread_its_own_env():
+    model = tiny_model()
+    env = heldout_envs(1)[0]
+    for seed in range(10):
+        fine_tune(model, env, small_config(seed=seed, workers=4), updates=1)
 
 
 def test_evaluate_validates_inputs():
