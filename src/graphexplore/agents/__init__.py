@@ -12,12 +12,9 @@ from .baselines import (
 )
 from .policy import (
     CategoricalHead,
-    CharSeqDecoder,
     GridAction,
     GridDecoder,
-    HeadConfig,
     LearnedPolicy,
     PolicyOutput,
     ValueHead,
-    learned_act,
 )

@@ -1,9 +1,8 @@
 """Learned policy heads on top of the history encoding F(h_t).
 
-Three action modes: a masked categorical over a fixed action set, an
-autoregressive character-sequence decoder for string inputs, and an
+Two action modes: a masked categorical over a fixed action set, and an
 autoregressive grid decoder (size prefix, then row-major cell tokens) for
-grid-world inputs. All heads expose the same pair of entry points: act() for
+grid-world inputs. Both heads expose the same pair of entry points: act() for
 sampling during rollouts and score() for re-evaluating a stored action on the
 gradient tape.
 
@@ -14,7 +13,7 @@ entropy terms contribute exactly 0 instead of NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,8 +82,6 @@ def sample_index(probs, rng):
 class CategoricalHead:
     """Masked softmax over a fixed action set."""
 
-    kind = "categorical"
-
     def __init__(self, params, name, in_width, n_actions):
         self.out = Linear(params, f"{name}/logits", in_width, n_actions)
         self.n_actions = n_actions
@@ -111,13 +108,10 @@ class CategoricalHead:
         taken = embed_lookup(reshape(log_probs, (-1,)), rows * self.n_actions + actions)
         return taken, _entropy(log_probs, probs)
 
-    def encode_action_width(self):
-        return None  # finite actions use the history encoder's embedding table
-
 
 class _Decoder:
-    """Shared LSTM machinery for the sequence heads: the conditioning vector F
-    seeds the initial state and rides along with every step's input."""
+    """LSTM machinery of the grid head: the conditioning vector F seeds the
+    initial state and rides along with every step's input."""
 
     def __init__(self, params, name, in_width, hidden, n_rows, out_dim):
         self.hidden = hidden
@@ -131,93 +125,8 @@ class _Decoder:
         return tanh(self.init_h(F)), tanh(self.init_c(F))
 
     def advance(self, state, token_row, F):
-        x = concat([_row(self.embed([token_row])), F], axis=0)
+        x = concat([reshape(self.embed([token_row]), (self.hidden,)), F], axis=0)
         return self.cell(x, state)
-
-
-def _row(t):
-    return reshape(t, (t.data.shape[1],))
-
-
-PRINTABLE = [chr(i) for i in range(32, 127)]  # 95 characters
-CHAR_EOS = len(PRINTABLE)  # 95
-CHAR_BOS = CHAR_EOS + 1  # embedding row only, never emitted
-
-
-class CharSeqDecoder:
-    """Autoregressive printable-character decoder; emits until the stop token
-    or max_len characters. The action is the decoded string; g_x(action) is
-    the decoder's final hidden state."""
-
-    kind = "charseq"
-
-    def __init__(self, params, name, in_width, hidden=32, max_len=64):
-        self.max_len = max_len
-        self.dec = _Decoder(params, name, in_width, hidden, CHAR_BOS + 1, CHAR_EOS + 1)
-        self.hidden = hidden
-
-    def _tokens_of(self, text):
-        ids = [PRINTABLE.index(ch) if ch in _PRINTABLE_SET else None for ch in text]
-        if any(i is None for i in ids):
-            raise ValueError("string contains non-printable characters")
-        if len(text) < self.max_len:
-            ids.append(CHAR_EOS)
-        return ids
-
-    def _walk(self, F, rng=None, mode="sample", forced=None):
-        state = self.dec.start(F)
-        prev = CHAR_BOS
-        total_lp, total_ent = None, None
-        emitted = []
-        steps = len(forced) if forced is not None else self.max_len + 1
-        for i in range(steps):
-            h, c = self.dec.advance(state, prev, F)
-            state = (h, c)
-            log_probs, probs = masked_log_probs(self.dec.out(h), None)
-            if forced is not None:
-                tok = forced[i]
-            elif mode == "greedy":
-                tok = int(np.argmax(probs.data))
-            else:
-                tok = sample_index(probs.data, rng)
-            lp = _pick(log_probs, tok)
-            ent = _entropy(log_probs, probs)
-            total_lp = lp if total_lp is None else total_lp + lp
-            total_ent = ent if total_ent is None else total_ent + ent
-            if forced is None:
-                if tok == CHAR_EOS:
-                    break
-                emitted.append(tok)
-                if len(emitted) == self.max_len:
-                    break
-            prev = tok
-        text = "".join(PRINTABLE[t] for t in (forced or emitted) if t != CHAR_EOS)
-        return text, total_lp, total_ent, state[0]
-
-    def act(self, F, rng, mode="sample", mask=None):
-        with no_grad():
-            text, lp, ent, _ = self._walk(F, rng=rng, mode=mode)
-        return PolicyOutput(
-            action=text,
-            log_probability=float(lp.data),
-            value_estimate=0.0,
-            entropy=float(ent.data),
-        )
-
-    def score(self, F, action, mask=None):
-        _, lp, ent, _ = self._walk(F, forced=self._tokens_of(action))
-        return lp, ent
-
-    def encode_action(self, F, action):
-        """g_x: final hidden state after consuming the whole string."""
-        _, _, _, h = self._walk(F, forced=self._tokens_of(action))
-        return h
-
-    def encode_action_width(self):
-        return self.hidden
-
-
-_PRINTABLE_SET = set(PRINTABLE)
 
 
 @dataclass(frozen=True)
@@ -236,8 +145,6 @@ class GridDecoder:
     cell tokens. Exactly one hero token is enforced by masking: hero tokens are
     masked out after one is placed, and everything else is masked out when the
     last cell would otherwise leave the grid without a hero."""
-
-    kind = "grid"
 
     def __init__(self, params, name, in_width, vocab, hero_ids, sizes=(4, 5, 6, 7, 8), hidden=32):
         self.vocab = list(vocab)
@@ -331,46 +238,6 @@ class ValueHead:
 
     def __call__(self, F):
         return reshape(self.net(F), F.data.shape[:-1])
-
-
-@dataclass
-class HeadConfig:
-    kind: str  # categorical | charseq | grid
-    in_width: int
-    n_actions: int = 0
-    hidden: int = 32
-    max_len: int = 64
-    sizes: tuple = (4, 5, 6, 7, 8)
-    vocab: tuple = ()
-    hero_ids: tuple = ()
-
-
-def build_head(params, name, config):
-    if config.kind == "categorical":
-        return CategoricalHead(params, name, config.in_width, config.n_actions)
-    if config.kind == "charseq":
-        return CharSeqDecoder(params, name, config.in_width, config.hidden, config.max_len)
-    if config.kind == "grid":
-        return GridDecoder(
-            params,
-            name,
-            config.in_width,
-            config.vocab,
-            config.hero_ids,
-            sizes=config.sizes,
-            hidden=config.hidden,
-        )
-    raise ValueError(f"unknown head kind {config.kind!r}")
-
-
-def learned_act(F_ht, head_config, params, rng, mode="sample", mask=None):
-    """One action from a policy head plus the value estimate, as plain floats."""
-    head = build_head(params, "policy", head_config)
-    value = ValueHead(params, "value", head_config.in_width)
-    out = head.act(F_ht, rng, mode=mode, mask=mask)
-    with no_grad():
-        out.value_estimate = float(value(F_ht).data)
-    return out
 
 
 class LearnedPolicy:

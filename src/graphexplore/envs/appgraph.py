@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graphnet import GraphObservation, empty_observation, structural_embeddings
+from ..graphnet import BeliefNodes, belief_feature_width, belief_observation, empty_observation
+from ..oracles import er_adjacency
 
 logger = logging.getLogger(__name__)
 
@@ -89,12 +90,7 @@ def generate_er_app(n, p=0.1, seed=0):
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    adj = {i: [] for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                adj[i].append(j)
-                adj[j].append(i)
+    adj = er_adjacency(n, p, rng)
     start = int(rng.integers(n))
     component = {start}
     queue = [start]
@@ -221,29 +217,21 @@ def synthesize_walk_log(graph, path, walks=20, steps=30, seed=0):
 
 
 @dataclass
-class AppState:
+class AppState(BeliefNodes):
+    """Exploration state. Screens are admitted as nodes in visit order."""
+
     current: str
     visited: set
-    node_ids: dict  # screen -> observation node id, in visit order
-    node_order: list
     experienced: list = field(default_factory=list)  # (src, action, dst), first-take order
     known: set = field(default_factory=set)  # (src, action) pairs already taken
     last_arrival: tuple = None  # (prev screen, landing screen) of the latest step
     steps: int = 0
 
-    def admit(self, screen):
-        if screen not in self.node_ids:
-            self.node_ids[screen] = len(self.node_order)
-            self.node_order.append(screen)
-
 
 def initial_state(graph):
-    return AppState(
-        current=graph.start,
-        visited={graph.start},
-        node_ids={graph.start: 0},
-        node_order=[graph.start],
-    )
+    state = AppState(current=graph.start, visited={graph.start})
+    state.admit(graph.start)
+    return state
 
 
 def step(graph, state, action_index):
@@ -281,34 +269,8 @@ def observe(state, feature_provider=None):
     edges.extend(
         (v, u, 2) for u, v in sorted(forward) if (v, u) not in forward
     )
-    coverage = np.ones(n)
-    is_current = np.zeros((n, 1))
-    is_current[state.node_ids[state.current], 0] = 1.0
-    if feature_provider is not None:
-        bare = GraphObservation(
-            node_count=n,
-            node_features=np.zeros((n, 1)),
-            edges=edges,
-            coverage=coverage,
-            num_edge_types=NUM_EDGE_TYPES,
-        )
-        features = np.concatenate([feature_provider(bare), is_current], axis=1)
-    else:
-        features = is_current
-    return GraphObservation(
-        node_count=n,
-        node_features=features,
-        edges=edges,
-        coverage=coverage,
-        num_edge_types=NUM_EDGE_TYPES,
-    )
-
-
-def screen_features(observed, pretrain):
-    """Structural embeddings of the observed subgraph, one row per screen,
-    from the unsupervised pretrainer; input features are ignored so only the
-    discovered topology matters."""
-    return structural_embeddings(pretrain, observed)
+    return belief_observation(edges, np.ones(n), state.node_ids[state.current], NUM_EDGE_TYPES,
+                              feature_provider)
 
 
 class AppEnv:
@@ -349,8 +311,7 @@ class AppEnv:
         self.reward_normalizer = float(len(graph.screens))
 
     def feature_width(self):
-        extra = self.feature_provider.width if self.feature_provider is not None else 0
-        return extra + 1  # + is-current column
+        return belief_feature_width(self.feature_provider)
 
     def reset(self, rng):
         if callable(self.source):

@@ -11,11 +11,11 @@ step_cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lang import ACTIONS, KarelProgram
+from .lang import ACTIONS
 
 FACINGS = "NESW"
 _DELTA = {"N": (-1, 0), "E": (0, 1), "S": (1, 0), "W": (0, -1)}

@@ -9,11 +9,11 @@ the agent can tell which action leads along which edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphnet import GraphObservation, empty_observation
+from ..graphnet import BeliefNodes, belief_feature_width, belief_observation, empty_observation
 
 N, E, S, W = 0, 1, 2, 3
 DIRECTIONS = (N, E, S, W)
@@ -88,21 +88,14 @@ def generate_maze(width, height, loop_prob, seed):
 
 
 @dataclass
-class MazeState:
-    """Exploration state. node_ids gives every seen cell a stable id in
-    discovery order (start=0, then sightings in N,E,S,W order)."""
+class MazeState(BeliefNodes):
+    """Exploration state. Every seen cell is admitted as a node in discovery
+    order (start=0, then sightings in N,E,S,W order)."""
 
     position: tuple
     visited: set
     frontier: set
     steps: int = 0
-    node_ids: dict = field(default_factory=dict)
-    node_order: list = field(default_factory=list)
-
-    def admit(self, cell):
-        if cell not in self.node_ids:
-            self.node_ids[cell] = len(self.node_order)
-            self.node_order.append(cell)
 
 
 def initial_state(maze):
@@ -166,28 +159,8 @@ def observe(maze, state, feature_provider=None):
             edges.append((u, v, d + 1))
             if other not in state.visited:  # frontier won't emit its own side
                 edges.append((v, u, OPPOSITE[d] + 1))
-    current = state.node_ids[state.position]
-    is_current = np.zeros((n, 1))
-    is_current[current, 0] = 1.0
-    if feature_provider is not None:
-        bare = GraphObservation(
-            node_count=n,
-            node_features=np.zeros((n, 1)),
-            edges=edges,
-            coverage=coverage,
-            num_edge_types=NUM_EDGE_TYPES,
-        )
-        features = np.concatenate([feature_provider(bare), is_current], axis=1)
-    else:
-        features = is_current
-    return GraphObservation(
-        node_count=n,
-        node_features=features,
-        edges=edges,
-        coverage=coverage,
-        num_edge_types=NUM_EDGE_TYPES,
-        current_node=current,
-    )
+    return belief_observation(edges, coverage, state.node_ids[state.position], NUM_EDGE_TYPES,
+                              feature_provider)
 
 
 def coverage_fraction(maze, state):
@@ -311,8 +284,7 @@ class MazeEnv:
         self.state = None
 
     def feature_width(self):
-        extra = self.feature_provider.width if self.feature_provider is not None else 0
-        return extra + 1  # + is-current column
+        return belief_feature_width(self.feature_provider)
 
     def reset(self, rng):
         self.maze = self.source(rng) if callable(self.source) else self.source

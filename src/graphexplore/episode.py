@@ -39,14 +39,11 @@ def _row(t):
 @dataclass
 class StepRecord:
     """One history entry (x_t, G_t, c_t, r_t). action is the raw environment
-    action (None for the initial record); action_encoding optionally caches
-    the rollout-time g_x(x_t) vector for encoders that want it without a
-    parameter pass."""
+    action (None for the initial record)."""
 
     action: object
     observation: GraphObservation
     reward: float
-    action_encoding: np.ndarray | None = None
 
 
 @dataclass
@@ -333,12 +330,6 @@ class HistoryEncoder:
         if self.config.temporal_mode == "last_step":
             return self.summary(history.records[-1], history.program)
         return self.encode_prefixes(history)[-1]
-
-
-def encode_history(history, config, params, graph_encoder, action_encoder=None):
-    """One-shot F(h_t) with encoder blocks materialized from `params`."""
-    enc = HistoryEncoder(params, "hist", config, graph_encoder, action_encoder)
-    return enc.encode(history)
 
 
 # ------------------------------------------------------------ rollout loop

@@ -88,6 +88,58 @@ def empty_observation(feature_width, num_edge_types):
     )
 
 
+# ------------------------------------------- belief graphs of maze and app
+
+
+@dataclass
+class BeliefNodes:
+    """Stable node ids of a growing belief graph: a key (a maze cell, an app
+    screen) gets the next id when it is first admitted and keeps it, so
+    coverage bits line up from one observation to the next. Env states
+    extend this class."""
+
+    node_ids: dict = field(default_factory=dict, kw_only=True)  # key -> node id
+    node_order: list = field(default_factory=list, kw_only=True)  # node id -> key
+
+    def admit(self, key):
+        if key not in self.node_ids:
+            self.node_ids[key] = len(self.node_order)
+            self.node_order.append(key)
+
+
+def belief_feature_width(provider):
+    """Raw node-feature width of a belief observation: the provider's
+    embedding width (0 without a provider) plus the is-current column."""
+    return (provider.width if provider is not None else 0) + 1
+
+
+def belief_observation(edges, coverage, current, num_edge_types, provider=None):
+    """Observation of a belief graph with len(coverage) nodes and the agent
+    on node `current`. Features are the provider's embedding of the bare
+    topology (if there is a provider) plus an is-current column."""
+    n = len(coverage)
+    is_current = np.zeros((n, 1))
+    is_current[current, 0] = 1.0
+    features = is_current
+    if provider is not None:
+        bare = GraphObservation(
+            node_count=n,
+            node_features=np.zeros((n, 1)),
+            edges=edges,
+            coverage=coverage,
+            num_edge_types=num_edge_types,
+        )
+        features = np.concatenate([provider(bare), is_current], axis=1)
+    return GraphObservation(
+        node_count=n,
+        node_features=features,
+        edges=edges,
+        coverage=coverage,
+        num_edge_types=num_edge_types,
+        current_node=current,
+    )
+
+
 def pad_coverage_bit(obs):
     """Node features with the coverage bit appended as one extra column."""
     col = np.asarray(obs.coverage, dtype=np.float64).reshape(-1, 1)
@@ -242,59 +294,6 @@ def union_observation(observations):
     )
     return union, np.repeat(np.arange(len(observations)), counts)
 
-
-def message_pass(obs, net):
-    return net.propagate(net.project_features(obs), obs)
-
-
-def attention_readout(node_embeddings, net):
-    vectors, alpha = net.readout(node_embeddings, np.zeros(node_embeddings.data.shape[0], np.intp), 1)
-    return reshape(vectors, (net.config.d,)), alpha
-
-
-def encode_graph(obs, net):
-    return net.encode(obs)
-
-
-# ------------------------------------------------------- text serialization
-
-
-def obs_to_text(obs):
-    lines = [f"nodes={obs.node_count} edge_types={obs.num_edge_types}"]
-    for i in range(obs.node_count):
-        feats = " ".join(repr(float(x)) for x in obs.node_features[i])
-        lines.append(f"v {int(obs.coverage[i])} {feats}".rstrip())
-    for u, v, k in obs.edges:
-        lines.append(f"e {u} {v} {k}")
-    return "\n".join(lines) + "\n"
-
-
-def obs_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = dict(part.split("=") for part in lines[0].split())
-    n, num_types = int(header["nodes"]), int(header["edge_types"])
-    coverage, features, edges = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "v":
-            coverage.append(int(parts[1]))
-            features.append([float(x) for x in parts[2:]])
-        elif parts[0] == "e":
-            edges.append((int(parts[1]), int(parts[2]), int(parts[3])))
-        else:
-            raise ValueError(f"unrecognized line {ln!r}")
-    if len(coverage) != n:
-        raise ValueError(f"expected {n} node lines, found {len(coverage)}")
-    width = len(features[0]) if features else 0
-    if any(len(f) != width for f in features):
-        raise ValueError("inconsistent feature widths across node lines")
-    return GraphObservation(
-        node_count=n,
-        node_features=np.asarray(features, dtype=np.float64).reshape(n, width),
-        edges=edges,
-        coverage=np.asarray(coverage, dtype=np.float64),
-        num_edge_types=num_types,
-    ).validate()
 
 
 # ------------------------------------------------------------- pretraining

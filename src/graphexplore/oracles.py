@@ -193,14 +193,3 @@ def brute_force_karel_input(program, grid_side, budget, seed=0):
         nodes_expanded=tried,
         exhausted=exhausted,
     )
-
-
-def dump_oracle(path, result, label="oracle"):
-    """Trajectory-style dump with a trailing witness section."""
-    with open(path, "w") as f:
-        if isinstance(result.witness, list):
-            for t, node in enumerate(result.witness, start=1):
-                f.write(f"0\t{t}\t{node}\t0\t0\n")
-        f.write(f"# {label}: coverage={result.best_coverage}")
-        f.write(f" expanded={result.nodes_expanded} exhausted={result.exhausted}\n")
-        f.write(f"witness {result.witness!r}\n")

@@ -7,7 +7,6 @@ from .core import (
     concat,
     embed_lookup,
     exp,
-    forward_primitive,
     log,
     matmul,
     mul,

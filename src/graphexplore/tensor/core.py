@@ -520,36 +520,3 @@ def embed_lookup(table, ids):
         return (_scatter_rows(idx, g, table.data.shape),)
 
     return _emit(out, (table,), backward)
-
-
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "concat": lambda *ts, axis=0: concat(ts, axis=axis),
-    "slice": slice_,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "softmax": softmax,
-    "log": log,
-    "reduce_sum": reduce_sum,
-    "reduce_mean": reduce_mean,
-    "reduce_max": reduce_max,
-    "segment_aggregate": segment_aggregate,
-    "segment_softmax": segment_softmax,
-    "embed_lookup": embed_lookup,
-    "sub": sub,
-    "neg": neg,
-    "exp": exp,
-    "transpose": transpose,
-}
-
-
-def forward_primitive(op, *inputs, **kwargs):
-    """Name-based dispatch over the primitive op set."""
-    try:
-        fn = _PRIMITIVES[op]
-    except KeyError:
-        raise ValueError(f"unknown primitive {op!r}") from None
-    return fn(*inputs, **kwargs)

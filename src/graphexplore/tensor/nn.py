@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 
-from .core import Tensor, concat, embed_lookup, matmul, relu, sigmoid, slice_, tanh
+from .core import Tensor, embed_lookup, matmul, relu, sigmoid, slice_, tanh
 
 
 class ParamSet:
@@ -34,7 +34,7 @@ class ParamSet:
             np.random.SeedSequence([self.seed, zlib.crc32(name.encode())])
         )
         if init == "glorot":
-            fan_in = shape[0] if len(shape) > 1 else shape[0]
+            fan_in = shape[0]
             fan_out = shape[-1]
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             data = rng.uniform(-limit, limit, size=shape)
@@ -62,12 +62,6 @@ class ParamSet:
 
     def tensors(self):
         return list(self._params.values())
-
-    def name_of(self, tensor):
-        for name, p in self._params.items():
-            if p is tensor:
-                return name
-        return None
 
     def gradients(self, tape, loss):
         """Backward pass returning name-keyed grads; params the loss never
@@ -105,22 +99,19 @@ class Linear:
 
 
 class MLP:
-    """Stack of linear layers with relu between them; final layer is linear
-    unless final_activation is given."""
+    """Stack of linear layers with relu between them; the final layer is
+    linear."""
 
-    def __init__(self, params, name, sizes, final_activation=None):
+    def __init__(self, params, name, sizes):
         self.layers = [
             Linear(params, f"{name}/l{i}", sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)
         ]
-        self.final_activation = final_activation
 
     def __call__(self, x):
         for i, layer in enumerate(self.layers):
             x = layer(x)
             if i < len(self.layers) - 1:
                 x = relu(x)
-        if self.final_activation is not None:
-            x = self.final_activation(x)
         return x
 
 
@@ -184,10 +175,3 @@ class Embedding:
 
     def __call__(self, ids):
         return embed_lookup(self.table, ids)
-
-
-def concat_features(parts, axis=-1):
-    """Concatenate a list of tensors along the feature axis."""
-    if len(parts) == 1:
-        return parts[0]
-    return concat(parts, axis=axis)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,11 @@ class UpdateStats:
     value_loss: float
     entropy: float
     grad_norm: float
-    skipped: bool = False  # non-finite loss or gradient; parameters untouched
+    skip_reason: str = ""  # why the step was skipped, parameters untouched; "" if applied
+
+    @property
+    def skipped(self):
+        return bool(self.skip_reason)
 
     def validate(self):
         for name in ("mean_return", "policy_loss", "value_loss", "entropy", "grad_norm"):
@@ -188,8 +192,8 @@ def batch_loss(model, batch, config):
 
 def a2c_update(model, batch, config, opt_state=None):
     """One synchronized gradient step from a collected batch. Returns
-    (model, UpdateStats); a non-finite loss or gradient skips the step and
-    leaves every parameter untouched."""
+    (model, UpdateStats); a non-finite loss or gradient skips the step,
+    leaves every parameter untouched and names the cause in skip_reason."""
     if opt_state is None:
         # Bare calls without an explicit optimizer keep Adam moments on the
         # model so repeated updates still accelerate.
@@ -203,17 +207,17 @@ def a2c_update(model, batch, config, opt_state=None):
         if not np.isfinite(loss.data):
             return model, UpdateStats(
                 mean_return=mean_return, policy_loss=0.0, value_loss=0.0,
-                entropy=0.0, grad_norm=0.0, skipped=True,
+                entropy=0.0, grad_norm=0.0, skip_reason=f"non-finite loss {float(loss.data)}",
             )
         grads = model.params.gradients(tape, loss)
     grads, norm = clip_global_norm(grads, config.clip_norm)
     try:
         optimizer_step(model.params.named(), grads, opt_state)
-    except GradientError:
+    except GradientError as e:
         return model, UpdateStats(
             mean_return=mean_return, policy_loss=parts["policy_loss"],
             value_loss=parts["value_loss"], entropy=parts["entropy"],
-            grad_norm=0.0, skipped=True,
+            grad_norm=0.0, skip_reason=f"non-finite gradient for parameter {e.param_name!r}",
         )
     stats = UpdateStats(
         mean_return=mean_return,

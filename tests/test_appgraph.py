@@ -15,12 +15,11 @@ from graphexplore.envs.appgraph import (
     initial_state,
     load_transition_log,
     observe,
-    screen_features,
     step,
     synthesize_walk_log,
 )
 from graphexplore.episode import EpisodeStepError, episode_objective, run_episode
-from graphexplore.graphnet import PretrainConfig, pretrain_structural
+from graphexplore.graphnet import PretrainConfig, pretrain_structural, structural_embeddings
 from graphexplore.oracles import brute_force_coverage
 
 
@@ -411,30 +410,30 @@ def tiny_pretrain():
     return pretrain_structural(mixed, PretrainConfig(d=5, rounds=2, steps=30, batch=2, seed=0))
 
 
-def test_screen_features_single_node_fixed_point(tiny_pretrain):
+def test_structural_embeddings_single_node_fixed_point(tiny_pretrain):
     g = line_graph()
     obs = observe(initial_state(g))
-    feats = screen_features(obs, tiny_pretrain)
+    feats = structural_embeddings(tiny_pretrain, obs)
     assert feats.shape == (1, 5)
     other = observe(initial_state(generate_er_app(15, 0.1, seed=2)))
-    assert np.allclose(feats, screen_features(other, tiny_pretrain))
+    assert np.allclose(feats, structural_embeddings(tiny_pretrain, other))
 
 
-def test_screen_features_symmetric_screens_match(tiny_pretrain):
+def test_structural_embeddings_symmetric_screens_match(tiny_pretrain):
     g = generate_er_app(2, 1.0, seed=0)
     state = initial_state(g)
     step(g, state, 0)
     step(g, state, 0)  # both directions experienced: nodes are interchangeable
-    feats = screen_features(observe(state), tiny_pretrain)
+    feats = structural_embeddings(tiny_pretrain, observe(state))
     assert np.allclose(feats[0], feats[1], atol=1e-6)
 
 
-def test_screen_features_change_on_discovery(tiny_pretrain):
+def test_structural_embeddings_change_on_discovery(tiny_pretrain):
     g = line_graph()
     state = initial_state(g)
-    before = screen_features(observe(state), tiny_pretrain)
+    before = structural_embeddings(tiny_pretrain, observe(state))
     step(g, state, 0)
-    after = screen_features(observe(state), tiny_pretrain)
+    after = structural_embeddings(tiny_pretrain, observe(state))
     assert not np.allclose(before[0], after[0], atol=1e-6)
 
 

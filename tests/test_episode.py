@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphexplore.agents import RandomPolicy
+from graphexplore.envs.appgraph import AppEnv, heldout_er_apps
 from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.episode import (
     CoverageRegressionError,
@@ -12,7 +13,6 @@ from graphexplore.episode import (
     TrajectoryBatch,
     compute_reward,
     dump_trajectories,
-    encode_history,
     episode_objective,
     run_episode,
     validate_history,
@@ -218,6 +218,24 @@ def test_node_conditioning_requires_current_node():
         enc.summary(rec, None)
 
 
+def test_node_conditioning_encodes_an_app_episode():
+    # App observations name the agent's screen, as maze observations name its cell.
+    apps, seeds = heldout_er_apps(count=1)
+    env = AppEnv(apps[0], budget=15)
+    history, _ = run_episode(env, RandomPolicy(), budget=15, seed=seeds[0])
+    params = ParamSet(seed=0)
+    net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=1, feature_width=env.feature_width()))
+    config = HistoryEncoderConfig(conditioning="node", recurrent_width=5, action_width=3,
+                                  action_vocab=env.num_actions)
+    with no_grad():
+        out = HistoryEncoder(params, "hist", config, net).encode(history)
+    assert out.data.shape == (5,)
+    assert np.all(np.isfinite(out.data))
+    last = history.last().observation
+    assert last.current_node == env.current_node()
+    assert last.node_features[last.current_node, -1] == 1.0
+
+
 def test_autoregressive_consumes_every_record():
     params, net, enc = encoder_fixture(seed=3)
     full = short_history(n_steps=3)
@@ -228,7 +246,7 @@ def test_autoregressive_consumes_every_record():
     assert not np.allclose(a.data, b.data)
 
 
-def test_encode_history_one_shot_matches_incremental():
+def test_encode_matches_incremental_fold():
     params, net, enc = encoder_fixture(seed=4)
     h = short_history(n_steps=3)
     with no_grad():
@@ -261,7 +279,7 @@ def test_bow_conditioning_static_program_embedding():
     assert not np.allclose(a.data[:6], c.data[:6])
 
 
-def test_encode_history_function_signature():
+def test_fresh_encoder_output_width():
     params, net, _ = encoder_fixture(seed=5)
     config = HistoryEncoderConfig(
         temporal_mode="autoregressive",
@@ -272,7 +290,7 @@ def test_encode_history_function_signature():
     )
     h = short_history(n_steps=2)
     with no_grad():
-        out = encode_history(h, config, params, net)
+        out = HistoryEncoder(params, "hist", config, net).encode(h)
     assert out.data.shape == (5,)
 
 

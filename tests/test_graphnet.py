@@ -7,14 +7,9 @@ from graphexplore.graphnet import (
     GraphObservation,
     PretrainConfig,
     adjacency,
-    attention_readout,
     edge_auc,
     empty_observation,
     feature_provider,
-    encode_graph,
-    message_pass,
-    obs_from_text,
-    obs_to_text,
     pad_coverage_bit,
     pretrain_structural,
     structural_embeddings,
@@ -65,7 +60,7 @@ def test_single_node_matches_handrolled_gru():
     # One node, no edges: each round applies the GRU to (zero message, state).
     params, net = make_net()
     obs = make_obs(1, [])
-    out = message_pass(obs, net).data
+    out = net.propagate(net.project_features(obs), obs).data
 
     h = net.project_features(obs)
     zero = Tensor(np.zeros((1, net.config.d)))
@@ -78,7 +73,7 @@ def test_permutation_equivariance_of_node_embeddings():
     params, net = make_net(seed=4)
     edges = both_ways([(0, 1), (1, 2), (2, 3)]) + both_ways([(0, 3)], k=2)
     obs = make_obs(4, edges, coverage=[1, 0, 0, 1], seed=4)
-    out = message_pass(obs, net).data
+    out = net.propagate(net.project_features(obs), obs).data
 
     perm = np.array([2, 0, 3, 1])  # new index of each old node
     inv = np.argsort(perm)
@@ -89,7 +84,7 @@ def test_permutation_equivariance_of_node_embeddings():
         coverage=obs.coverage[inv],
         num_edge_types=obs.num_edge_types,
     )
-    out_perm = message_pass(permuted, net).data
+    out_perm = net.propagate(net.project_features(permuted), permuted).data
     assert np.allclose(out_perm, out[inv], atol=1e-12)
 
 
@@ -105,7 +100,7 @@ def test_one_round_sees_one_hop_only():
     params, net = make_net(rounds=1)
     obs = make_obs(3, both_ways([(0, 1), (1, 2)]))
     obs.node_features = np.ones((3, 3))
-    out = message_pass(obs, net).data
+    out = net.propagate(net.project_features(obs), obs).data
     assert np.allclose(out[0], out[2], atol=1e-12)  # symmetric ends
     assert not np.allclose(out[0], out[1], atol=1e-6)
 
@@ -124,8 +119,8 @@ def test_receptive_field_limited_by_rounds():
             num_edge_types=base.num_edge_types,
         )
         bumped.node_features[0] += 1.0
-        a = message_pass(base, net).data
-        b = message_pass(bumped, net).data
+        a = net.propagate(net.project_features(base), base).data
+        b = net.propagate(net.project_features(bumped), bumped).data
         changed = ~np.all(np.isclose(a, b, atol=1e-12), axis=1)
         for v in range(5):
             if v > rounds:
@@ -137,13 +132,13 @@ def test_unknown_edge_type_errors():
     params, net = make_net()
     obs = make_obs(2, [(0, 1, 5)], num_edge_types=2)
     with pytest.raises(ValueError, match="edge type"):
-        message_pass(obs, net)
+        net.propagate(net.project_features(obs), obs)
 
 
 def test_readout_identical_embeddings_symmetric():
     params, net = make_net()
     emb = Tensor(np.tile(np.arange(8.0), (2, 1)))
-    g, alpha = attention_readout(emb, net)
+    g, alpha = net.readout(emb, np.zeros(2, np.intp), 1)
     assert np.allclose(alpha.data, [0.5, 0.5])
     assert np.allclose(g.data, emb.data[0])
 
@@ -151,7 +146,7 @@ def test_readout_identical_embeddings_symmetric():
 def test_readout_single_node():
     params, net = make_net()
     emb = Tensor(np.random.default_rng(2).normal(size=(1, 8)))
-    g, alpha = attention_readout(emb, net)
+    g, alpha = net.readout(emb, np.zeros(1, np.intp), 1)
     assert np.allclose(alpha.data, [1.0])
     assert np.allclose(g.data, emb.data[0])
 
@@ -161,7 +156,7 @@ def test_attention_weights_nonnegative_sum_to_one():
     rng = np.random.default_rng(10)
     for n in (1, 3, 11):
         emb = Tensor(rng.normal(scale=3.0, size=(n, 8)))
-        _, alpha = attention_readout(emb, net)
+        _, alpha = net.readout(emb, np.zeros(n, np.intp), 1)
         assert np.all(alpha.data >= 0.0)
         assert abs(float(alpha.data.sum()) - 1.0) < 1e-6
 
@@ -170,7 +165,7 @@ def test_graph_vector_permutation_invariant():
     params, net = make_net(seed=5)
     edges = both_ways([(0, 1), (1, 2), (0, 2), (2, 3)])
     obs = make_obs(4, edges, coverage=[0, 1, 0, 1], seed=5)
-    g1 = encode_graph(obs, net).graph_vector.data
+    g1 = net.encode(obs).graph_vector.data
 
     perm = np.array([3, 1, 0, 2])
     inv = np.argsort(perm)
@@ -181,13 +176,13 @@ def test_graph_vector_permutation_invariant():
         coverage=obs.coverage[inv],
         num_edge_types=obs.num_edge_types,
     )
-    g2 = encode_graph(permuted, net).graph_vector.data
+    g2 = net.encode(permuted).graph_vector.data
     assert np.allclose(g1, g2, atol=1e-9)
 
 
 def test_empty_graph_uses_learned_constant():
     params, net = make_net()
-    emb = encode_graph(empty_observation(3, 2), net)
+    emb = net.encode(empty_observation(3, 2))
     assert emb.graph_vector is net.empty_vec
     assert emb.node_embeddings.data.shape == (0, 8)
 
@@ -197,16 +192,16 @@ def test_coverage_mask_changes_graph_vector():
     edges = both_ways([(0, 1), (1, 2)])
     a = make_obs(3, edges, coverage=[0, 0, 0], seed=6)
     b = make_obs(3, edges, coverage=[1, 0, 1], seed=6)
-    ga = encode_graph(a, net).graph_vector.data
-    gb = encode_graph(b, net).graph_vector.data
+    ga = net.encode(a).graph_vector.data
+    gb = net.encode(b).graph_vector.data
     assert np.linalg.norm(ga - gb) > 0.0
 
 
-def test_encode_graph_deterministic():
+def test_encode_deterministic():
     params, net = make_net(seed=7)
     obs = make_obs(4, both_ways([(0, 1), (1, 2), (2, 3)]), coverage=[1, 0, 0, 0], seed=7)
-    a = encode_graph(obs, net)
-    b = encode_graph(obs, net)
+    a = net.encode(obs)
+    b = net.encode(obs)
     assert np.array_equal(a.graph_vector.data, b.graph_vector.data)
     assert np.array_equal(a.node_embeddings.data, b.node_embeddings.data)
 
@@ -230,7 +225,7 @@ def test_encoder_gradients_match_finite_differences():
         )
 
         def fn(p):
-            emb = encode_graph(obs, net)
+            emb = net.encode(obs)
             return reduce_sum(sigmoid(emb.graph_vector))
 
         err = grad_check(fn, params.named(), eps=1e-5)
@@ -242,30 +237,9 @@ def test_aggregate_modes_differ():
     outs = {}
     for mode in ("sum", "mean", "max"):
         params, net = make_net(seed=13, aggregate=mode)
-        outs[mode] = message_pass(obs, net).data
+        outs[mode] = net.propagate(net.project_features(obs), obs).data
     assert not np.allclose(outs["sum"], outs["mean"])
     assert not np.allclose(outs["sum"], outs["max"])
-
-
-def test_text_serialization_roundtrip():
-    obs = make_obs(3, [(0, 1, 1), (1, 0, 1), (1, 2, 2)], coverage=[1, 0, 1], seed=14)
-    text = obs_to_text(obs)
-    lines = text.splitlines()
-    assert lines[0] == "nodes=3 edge_types=2"
-    assert lines[1].startswith("v 1 ")
-    assert lines[-1] == "e 1 2 2"
-    back = obs_from_text(text)
-    assert back.node_count == 3
-    assert np.array_equal(back.coverage, obs.coverage)
-    assert np.array_equal(back.node_features, obs.node_features)
-    assert back.edges == obs.edges
-
-
-def test_text_rejects_malformed():
-    with pytest.raises(ValueError):
-        obs_from_text("nodes=2 edge_types=1\nv 0 0.0\n")  # missing a node line
-    with pytest.raises(ValueError):
-        obs_from_text("nodes=1 edge_types=1\nx what\n")
 
 
 # ------------------------------------------------------------- pretraining

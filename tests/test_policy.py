@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 
 from graphexplore.agents.policy import (
-    CHAR_BOS,
     CategoricalHead,
-    CharSeqDecoder,
     GridAction,
     GridDecoder,
-    HeadConfig,
     LearnedPolicy,
-    PRINTABLE,
     ValueHead,
-    build_head,
-    learned_act,
     masked_log_probs,
     sample_index,
 )
@@ -126,79 +120,6 @@ def test_categorical_score_matches_act():
         assert out.entropy >= 0.0
 
 
-# ------------------------------------------------------------- charseq head
-
-
-def charseq_fixture(seed=0, hidden=12, max_len=8):
-    params = ParamSet(seed=seed)
-    head = CharSeqDecoder(params, "policy", in_width=5, hidden=hidden, max_len=max_len)
-    F = Tensor(rng_of(seed + 100).normal(size=5))
-    return params, head, F
-
-
-def test_charseq_score_matches_act():
-    _, head, F = charseq_fixture(seed=7)
-    for seed in range(8):
-        out = head.act(F, rng_of(seed))
-        with no_grad():
-            lp, ent = head.score(F, out.action)
-        assert abs(float(lp.data) - out.log_probability) < 1e-9
-        assert abs(float(ent.data) - out.entropy) < 1e-9
-        assert out.log_probability <= 0.0
-        assert out.entropy >= 0.0
-
-
-def test_charseq_logprob_equals_manual_token_accumulation():
-    # Recompute the reported log-probability by stepping the decoder cell by
-    # hand and summing per-token log-softmax terms in plain numpy.
-    _, head, F = charseq_fixture(seed=8)
-    out = head.act(F, rng_of(42))
-    tokens = head._tokens_of(out.action)
-    with no_grad():
-        state = head.dec.start(F)
-        prev = CHAR_BOS
-        total = 0.0
-        for tok in tokens:
-            h, c = head.dec.advance(state, prev, F)
-            state = (h, c)
-            logits = head.dec.out(h).data
-            shifted = logits - logits.max()
-            log_probs = shifted - np.log(np.exp(shifted).sum())
-            total += log_probs[tok]
-            prev = tok
-    assert abs(total - out.log_probability) < 1e-9
-
-
-def test_charseq_respects_max_len():
-    _, head, F = charseq_fixture(seed=9, max_len=5)
-    for seed in range(20):
-        out = head.act(F, rng_of(seed))
-        assert len(out.action) <= 5
-        assert all(ch in PRINTABLE for ch in out.action)
-
-
-def test_charseq_rejects_non_printable():
-    _, head, F = charseq_fixture(seed=10)
-    with pytest.raises(ValueError, match="printable"):
-        head.score(F, "ok\nbad")
-
-
-def test_charseq_greedy_deterministic():
-    _, head, F = charseq_fixture(seed=11)
-    a = head.act(F, rng_of(0), mode="greedy")
-    b = head.act(F, rng_of(99), mode="greedy")
-    assert a.action == b.action
-    assert a.log_probability == b.log_probability
-
-
-def test_charseq_encode_action_width_and_value():
-    _, head, F = charseq_fixture(seed=12, hidden=7)
-    assert head.encode_action_width() == 7
-    with no_grad():
-        g = head.encode_action(F, "abc")
-    assert g.data.shape == (7,)
-
-
 # ---------------------------------------------------------------- grid head
 
 
@@ -255,26 +176,7 @@ def test_grid_action_repr():
     assert str(a) == "2x2:0,2,1,0"
 
 
-# ----------------------------------------------------- learned_act and policy
-
-
-def test_learned_act_fills_value_and_masks():
-    params = ParamSet(seed=17)
-    cfg = HeadConfig(kind="categorical", in_width=6, n_actions=4)
-    F = Tensor(rng_of(20).normal(size=6))
-    out = learned_act(F, cfg, params, rng_of(0), mask=[True, True, False, False])
-    assert out.action in (0, 1)
-    assert out.log_probability <= 0.0
-    assert isinstance(out.value_estimate, float)
-    # Same params, greedy: deterministic.
-    g1 = learned_act(F, cfg, params, rng_of(1), mode="greedy", mask=None)
-    g2 = learned_act(F, cfg, params, rng_of(2), mode="greedy", mask=None)
-    assert g1.action == g2.action
-
-
-def test_build_head_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        build_head(ParamSet(seed=0), "p", HeadConfig(kind="mystery", in_width=3))
+# ------------------------------------------------------------- learned policy
 
 
 def make_learned_policy(params, seed=0, mode="sample"):

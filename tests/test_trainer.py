@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from graphexplore import trainer
 from graphexplore.agents import CategoricalHead, ValueHead
 from graphexplore.agents.policy import PolicyModel
 from graphexplore.envs.appgraph import AppEnv, generate_er_app
@@ -19,7 +20,7 @@ from graphexplore.episode import (
     run_episode,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig, GraphObservation
-from graphexplore.tensor import ParamSet, Tape
+from graphexplore.tensor import GradientError, ParamSet, Tape
 from graphexplore.trainer import (
     METRICS_HEADER,
     TrainConfig,
@@ -310,6 +311,24 @@ def test_update_skips_on_non_finite_rewards():
     before = model.params.snapshot()
     model, stats = a2c_update(model, batch, cfg)
     assert stats.skipped
+    assert stats.skip_reason == "non-finite loss nan"
+    after = model.params.snapshot()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+def test_update_skip_reason_names_the_gradient_parameter(monkeypatch):
+    model = tiny_model()
+    cfg = small_config(workers=1)
+    batch = collect_rollouts(model, maze_sampler, cfg)
+    before = model.params.snapshot()
+
+    def failing_step(params, grads, state):
+        raise GradientError("pi/logits/W")
+
+    monkeypatch.setattr(trainer, "optimizer_step", failing_step)
+    model, stats = a2c_update(model, batch, cfg)
+    assert stats.skipped
+    assert stats.skip_reason == "non-finite gradient for parameter 'pi/logits/W'"
     after = model.params.snapshot()
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
