@@ -279,9 +279,9 @@ class LearnedPolicy:
 
 class PolicyModel:
     """Bundle of everything a learned agent needs: the parameter store, the
-    history encoder, and the action/value heads. Rollout workers make
-    disposable LearnedPolicy adapters from it; the trainer scores a whole
-    batch of decisions through score() on the tape."""
+    history encoder, and the action/value heads. Rollouts make a fresh
+    LearnedPolicy adapter per episode; the trainer scores a whole batch of
+    decisions through score() on the tape."""
 
     def __init__(self, params, encoder, head, value_head):
         self.params = params

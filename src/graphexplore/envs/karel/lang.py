@@ -280,39 +280,20 @@ def sample_program(rng, max_depth=4, max_statements=20):
             budget[0] -= 1
             roll = rng.random()
             if depth >= max_depth or roll < 0.55:
-                stmts.append(("action", ACTIONS[int(rng.integers(len(ACTIONS)))]))
+                stmts.append(Stmt(ACTIONS[int(rng.integers(len(ACTIONS)))], 0))
             elif roll < 0.70:
-                stmts.append(("if", cond(), block(depth + 1)))
+                stmts.append(Stmt("if", 0, cond=cond(), body=block(depth + 1)))
             elif roll < 0.80:
-                stmts.append(("ifElse", cond(), block(depth + 1), block(depth + 1)))
+                # keyword arguments evaluate left to right: cond, body, orelse
+                stmts.append(Stmt("ifElse", 0, cond=cond(), body=block(depth + 1),
+                                  orelse=block(depth + 1)))
             elif roll < 0.90:
-                stmts.append(("while", cond(), block(depth + 1)))
+                stmts.append(Stmt("while", 0, cond=cond(), body=block(depth + 1)))
             else:
-                stmts.append(("repeat", int(rng.integers(2, 6)), block(depth + 1)))
+                stmts.append(Stmt("repeat", 0, count=int(rng.integers(2, 6)),
+                                  body=block(depth + 1)))
         # budget exhaustion can leave a block empty; that is grammatical
-        return stmts
+        return tuple(stmts)
 
-    def render(stmts, indent):
-        pad = "  " * indent
-        lines = []
-        for s in stmts:
-            if s[0] == "action":
-                lines.append(pad + s[1])
-            elif s[0] == "repeat":
-                lines.append(pad + f"repeat ({s[1]}) {{")
-                lines.extend(render(s[2], indent + 1))
-                lines.append(pad + "}")
-            elif s[0] == "ifElse":
-                lines.append(pad + f"ifElse ({_render_cond(s[1])}) {{")
-                lines.extend(render(s[2], indent + 1))
-                lines.append(pad + "} {")
-                lines.extend(render(s[3], indent + 1))
-                lines.append(pad + "}")
-            else:
-                lines.append(pad + f"{s[0]} ({_render_cond(s[1])}) {{")
-                lines.extend(render(s[2], indent + 1))
-                lines.append(pad + "}")
-        return lines
-
-    text = "def run() {\n" + "\n".join(render(block(1), 1)) + "\n}\n"
-    return parse(text)
+    # Placeholder ids; parsing the canonical text assigns the pre-order ones.
+    return parse(render_program(KarelProgram(block(1), 0, 0)))

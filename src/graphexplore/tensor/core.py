@@ -5,14 +5,13 @@ Tape is active and some input requires grad, records a backward closure on
 that tape. Tapes are plain ordered lists, so reverse iteration is already a
 valid topological order and backward visits each node exactly once.
 
-Tapes are single-threaded. Parameters (leaf tensors) may be shared read-only
-across threads; each thread gets its own active-tape stack.
+Tapes are single-threaded: one module-level stack holds the active tapes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -151,13 +150,7 @@ class Tape:
         return result
 
 
-class _TapeState(threading.local):
-    def __init__(self):
-        self.stack = []
-        self.disabled = 0
-
-
-_STATE = _TapeState()
+_STATE = SimpleNamespace(stack=[], disabled=0)
 
 
 def active_tape():

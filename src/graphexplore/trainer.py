@@ -1,10 +1,10 @@
 """Synchronized advantage actor-critic over a distribution of environments.
 
-Workers collect full on-policy episodes from a read-only parameter snapshot,
-a barrier aligns them, and a single learner step replays the batch on the
-gradient tape. Returns are undiscounted suffix sums (finite-horizon coverage
-objective), advantages are returns minus the value baseline, and the update
-clips the global gradient norm.
+Each update collects one batch of full on-policy episodes, one after another,
+with the current parameters, and then a single learner step replays the batch
+on the gradient tape. Returns are undiscounted suffix sums (finite-horizon
+coverage objective), advantages are returns minus the value baseline, and the
+update clips the global gradient norm.
 
 The learner step is batched across the whole update: every recorded
 observation is encoded in one GraphNet pass over the disjoint union of the
@@ -16,7 +16,6 @@ backward pass runs over a tape of a few ops per decision.
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .tensor import (
     clip_global_norm,
     concat,
     embed_lookup,
-    no_grad,
     optimizer_step,
     reduce_sum,
 )
@@ -39,7 +37,9 @@ from .tensor import (
 @dataclass
 class TrainConfig:
     """Knobs for the training loop. env_sampler is a callable rng -> fresh
-    environment instance; seed fully determines the run."""
+    environment instance; seed fully determines the run. workers and
+    episodes_per_worker only set the batch size (their product) and the
+    layout of the per-episode seed streams; episodes always run serially."""
 
     seed: int
     env_sampler: object = None
@@ -88,28 +88,18 @@ def _episode_seeds(config, round_index, worker, episode):
 
 
 def collect_rollouts(model, env_sampler, config, round_index=0):
-    """Each worker samples fresh environments and runs full episodes from a
-    read-only snapshot of the model. The returned batch is ordered by
-    (worker, episode) regardless of completion order, so aggregation is
-    deterministic. A worker failure aborts the whole collection."""
-
-    def worker_task(w):
-        episodes = []
+    """Sample fresh environments and run full episodes, one at a time, from
+    the model's current parameters. The batch is ordered by (worker, episode)
+    and every episode draws from its own seed stream. A failure aborts the
+    whole collection."""
+    episodes = []
+    for w in range(config.workers):
         for e in range(config.episodes_per_worker):
             env_seed, ep_seed = _episode_seeds(config, round_index, w, e)
             env = env_sampler(np.random.default_rng(env_seed))
-            policy = model.policy(mode="sample")
-            _, traj = run_episode(env, policy, budget=env.budget, seed=ep_seed)
+            _, traj = run_episode(env, model.policy(mode="sample"), budget=env.budget, seed=ep_seed)
             episodes.append(traj)
-        return episodes
-
-    if config.workers == 1:
-        collected = [worker_task(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            collected = list(pool.map(worker_task, range(config.workers)))
-    batch = TrajectoryBatch(episodes=[ep for group in collected for ep in group])
-    return batch.validate()
+    return TrajectoryBatch(episodes=episodes).validate()
 
 
 def episode_returns(episode):
@@ -255,15 +245,14 @@ def zero_shot_coverage(model, env_set, config):
     """Greedy single episode per environment, no parameter change."""
     covs = []
     policy = model.policy(mode="greedy")
-    with no_grad():
-        for i, env in enumerate(env_set):
-            seed = int(np.random.SeedSequence([config.seed, 900_000 + i]).generate_state(1)[0])
-            history, _ = run_episode(env, policy, budget=env.budget, seed=seed)
-            covs.append(
-                env.coverage_fraction()
-                if hasattr(env, "coverage_fraction")
-                else history.covered_count() / history.normalizer
-            )
+    for i, env in enumerate(env_set):
+        seed = int(np.random.SeedSequence([config.seed, 900_000 + i]).generate_state(1)[0])
+        history, _ = run_episode(env, policy, budget=env.budget, seed=seed)
+        covs.append(
+            env.coverage_fraction()
+            if hasattr(env, "coverage_fraction")
+            else history.covered_count() / history.normalizer
+        )
     return float(np.mean(covs))
 
 
@@ -273,9 +262,8 @@ def fine_tune(model, env, config, updates, eval_envs=None, eval_every=None, targ
     model and the list of per-eval coverages; stops early once `target`
     coverage is reached if one is given."""
     tuned = copy.deepcopy(model)
-    # The fine-tune distribution is this one env; every episode gets its own
-    # copy, since rollout threads step their envs concurrently.
-    sampler = lambda rng: copy.deepcopy(env)  # noqa: E731
+    # Episodes run one at a time, and run_episode resets the env first.
+    sampler = lambda rng: env  # noqa: E731
     opt_state = OptimizerState(lr=config.learning_rate)
     curve = []
     for u in range(updates):

@@ -1,0 +1,82 @@
+"""Karel program coverage: properties of the DSL, worlds and the interpreter."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphexplore.envs.karel import (
+    WorldConfig,
+    execute,
+    mask_from_report,
+    merge_reports,
+    parse,
+    program_to_graph,
+    render_program,
+    sample_program,
+    sample_world,
+    tokens_to_world,
+    world_from_text,
+    world_to_text,
+    world_to_tokens,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+configs = st.builds(
+    WorldConfig,
+    grid_side=st.integers(1, 8),
+    wall_density=st.floats(0.0, 0.9),
+    marker_density=st.floats(0.0, 1.0),
+    max_marker_count=st.integers(1, 9),
+)
+
+
+def program_for(seed):
+    return sample_program(np.random.default_rng(seed))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_parse_inverts_render(seed):
+    program = program_for(seed)
+    again = parse(render_program(program))
+    assert again == program
+    assert again.source == program.source
+
+
+@settings(max_examples=50, deadline=None)
+@given(configs, seeds)
+def test_world_token_and_text_forms_round_trip(config, seed):
+    world = sample_world(config, seed)
+    assert tokens_to_world(world.side, world_to_tokens(world)) == world
+    assert world_from_text(world_to_text(world)) == world
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, configs, seeds)
+def test_coverage_mask_sums_to_covered_units(program_seed, config, world_seed):
+    program = program_for(program_seed)
+    report = execute(program, sample_world(config, world_seed))
+    assert mask_from_report(program_to_graph(program), report).sum() == report.covered()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, configs, st.lists(seeds, min_size=1, max_size=5))
+def test_merge_reports_is_monotone(program_seed, config, world_seeds):
+    program = program_for(program_seed)
+    reports = [execute(program, sample_world(config, s)) for s in world_seeds]
+    merged = merge_reports(reports)
+    for r in reports:
+        assert (merged.stmt_hit >= r.stmt_hit).all()
+        assert (merged.branch_hit >= r.branch_hit).all()
+    assert merged.covered() >= max(r.covered() for r in reports)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, configs, seeds, st.one_of(st.integers(1, 50), st.just(1000)))
+def test_execute_stays_within_its_step_cap(program_seed, config, world_seed, step_cap):
+    program = program_for(program_seed)
+    world = sample_world(config, world_seed)
+    report = execute(program, world, step_cap=step_cap)
+    assert report.steps <= step_cap
+    assert report.error in (None, "wall_crash", "no_marker", "marker_overflow", "step_cap")
+    assert report.world is not None and report.world.side == world.side

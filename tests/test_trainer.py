@@ -236,21 +236,22 @@ def test_batch_loss_rejects_batches_without_decisions():
 # ------------------------------------------------------------------ collection
 
 
-def test_single_worker_single_episode_matches_direct_run():
+@pytest.mark.parametrize("workers, episodes_per_worker", [(1, 1), (3, 2)])
+def test_single_worker_single_episode_matches_direct_run(workers, episodes_per_worker):
     model = tiny_model()
-    cfg = small_config(workers=1, episodes_per_worker=1)
+    cfg = small_config(workers=workers, episodes_per_worker=episodes_per_worker)
     batch = collect_rollouts(model, maze_sampler, cfg, round_index=0)
-    assert len(batch) == 1
+    assert len(batch) == workers * episodes_per_worker
 
-    env_seed, ep_seed = _episode_seeds(cfg, 0, 0, 0)
-    env = maze_sampler(np.random.default_rng(env_seed))
-    _, direct = run_episode(env, model.policy("sample"), budget=env.budget, seed=ep_seed)
-
-    got, want = batch.episodes[0], direct
-    assert [r.action for r in got.history.records] == [r.action for r in want.history.records]
-    assert got.rewards() == want.rewards()
-    assert got.logprobs == want.logprobs
-    assert got.values == want.values
+    layout = [(w, e) for w in range(workers) for e in range(episodes_per_worker)]
+    for got, (w, e) in zip(batch.episodes, layout):
+        env_seed, ep_seed = _episode_seeds(cfg, 0, w, e)
+        env = maze_sampler(np.random.default_rng(env_seed))
+        _, want = run_episode(env, model.policy("sample"), budget=env.budget, seed=ep_seed)
+        assert [r.action for r in got.history.records] == [r.action for r in want.history.records]
+        assert got.rewards() == want.rewards()
+        assert got.logprobs == want.logprobs
+        assert got.values == want.values
 
 
 def test_collection_is_deterministic():
@@ -460,7 +461,7 @@ def test_update_on_deep_copy_trains_its_own_action_rows():
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
-def test_fine_tune_gives_each_rollout_thread_its_own_env():
+def test_fine_tune_with_several_workers():
     model = tiny_model()
     env = heldout_envs(1)[0]
     for seed in range(10):
