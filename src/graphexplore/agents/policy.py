@@ -152,7 +152,6 @@ class GridDecoder:
         if not self.hero_ids:
             raise ValueError("grid decoder needs at least one hero token id")
         self.sizes = tuple(sizes)
-        self.hidden = hidden
         n_vocab = len(self.vocab)
         # Embedding rows: cell tokens, then one row per size choice, then BOS.
         self.bos_row = n_vocab + len(self.sizes)
@@ -204,11 +203,11 @@ class GridDecoder:
             tokens.append(tok)
             prev = tok
         action = forced if forced is not None else GridAction(size=size, tokens=tuple(tokens))
-        return action, total_lp, total_ent, state[0]
+        return action, total_lp, total_ent
 
     def act(self, F, rng, mode="sample", mask=None):
         with no_grad():
-            action, lp, ent, _ = self._walk(F, rng=rng, mode=mode)
+            action, lp, ent = self._walk(F, rng=rng, mode=mode)
         return PolicyOutput(
             action=action,
             log_probability=float(lp.data),
@@ -219,15 +218,8 @@ class GridDecoder:
     def score(self, F, action, mask=None):
         if action.size not in self.sizes:
             raise ValueError(f"size {action.size} not among {self.sizes}")
-        _, lp, ent, _ = self._walk(F, forced=action)
+        _, lp, ent = self._walk(F, forced=action)
         return lp, ent
-
-    def encode_action(self, F, action):
-        _, _, _, h = self._walk(F, forced=action)
-        return h
-
-    def encode_action_width(self):
-        return self.hidden
 
 
 class ValueHead:
@@ -266,7 +258,7 @@ class LearnedPolicy:
                     self._state, self.encoder.summary(rec, history.program)
                 )
                 self._consumed += 1
-            mask = env.action_mask() if hasattr(env, "action_mask") else None
+            mask = env.action_mask()
             out = self.head.act(F, rng, mode=self.mode, mask=mask)
             out.value_estimate = float(self.value_head(F).data)
         return out.action, {

@@ -285,7 +285,6 @@ class AppEnv:
     defaults to its own max out-degree."""
 
     num_edge_types = NUM_EDGE_TYPES
-    constant_graph = False
 
     def __init__(self, source, budget=15, feature_provider=None, num_actions=None):
         self.source = source

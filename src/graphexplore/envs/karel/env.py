@@ -12,30 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...graphnet import GraphObservation
-from .lang import parse, KarelProgram, _tokenize
-from .machine import KarelWorld, execute, tokens_to_world, merge_reports
+from .lang import parse, KarelProgram
+from .machine import KarelWorld, execute, tokens_to_world
 from .graph import NUM_EDGE_TYPES, FEATURE_WIDTH, program_to_graph, mask_from_report
-
-# Source-text token vocabulary for bag-of-words / sequence program encoders.
-# All integer literals collapse onto the single <int> id.
-TEXT_TOKENS = (
-    "def", "run", "(", ")", "{", "}",
-    "move", "turnLeft", "turnRight", "putMarker", "pickMarker",
-    "if", "ifElse", "while", "repeat", "not",
-    "frontIsClear", "leftIsClear", "rightIsClear",
-    "markersPresent", "noMarkersPresent",
-    "<int>",
-)
-TEXT_VOCAB = len(TEXT_TOKENS)
-
-
-def program_token_ids(source):
-    ids = []
-    for tok in _tokenize(source):
-        if tok.kind == "eof":
-            break
-        ids.append(TEXT_TOKENS.index("<int>" if tok.kind == "int" else tok.text))
-    return ids
 
 
 class KarelEnv:
@@ -47,7 +26,6 @@ class KarelEnv:
     before the fault still counts.
     """
 
-    constant_graph = True
     num_edge_types = NUM_EDGE_TYPES
 
     def __init__(self, source, budget=5, step_cap=1000):
@@ -60,16 +38,14 @@ class KarelEnv:
         # degenerate unit-free programs keep reward arithmetic finite
         self.reward_normalizer = float(max(self.units, 1))
         # token form feeds sequence-based program conditioning
-        self.program = {"tokens": tuple(program_token_ids(program.source)), "source": program.source}
+        self.program = {"tokens": program.token_ids, "source": program.source}
         self._mask = np.zeros(self.graph.node_count)
-        self._reports = []
 
     def feature_width(self):
         return FEATURE_WIDTH
 
     def reset(self, rng=None):
         self._mask = np.zeros(self.graph.node_count)
-        self._reports = []
         return self._observe()
 
     def _observe(self):
@@ -85,7 +61,6 @@ class KarelEnv:
     def step(self, action):
         world = self._to_world(action)
         report = execute(self.karel_program, world, step_cap=self.step_cap)
-        self._reports.append(report)
         self._mask = np.maximum(self._mask, mask_from_report(self.graph, report))
         return self._observe()
 
@@ -102,11 +77,8 @@ class KarelEnv:
     def action_mask(self):
         return None  # structured action space; masking lives in the decoder
 
-    def joint_report(self):
-        """Union coverage report over the worlds proposed so far."""
-        if not self._reports:
-            raise ValueError("no inputs proposed yet")
-        return merge_reports(self._reports)
+    def coverage_fraction(self):
+        return self._mask.sum() / self.reward_normalizer
 
 
 def random_world_policy(config):

@@ -63,16 +63,6 @@ class KarelGraph:
     def node_count(self):
         return len(self.node_kinds)
 
-    def unit_mask(self):
-        """Boolean mask of nodes that carry a coverage unit."""
-        mask = np.zeros(self.node_count, dtype=bool)
-        for idx in self.stmt_node.values():
-            mask[idx] = True
-        for t, f in self.anchor_node.values():
-            mask[t] = True
-            mask[f] = True
-        return mask
-
 
 def _feature_row(kind, repeat_count=0):
     row = np.zeros(FEATURE_WIDTH)

@@ -30,6 +30,19 @@ TESTS = (
 )
 CONTROL = ("if", "ifElse", "while", "repeat")
 
+# Source-text token vocabulary for bag-of-words / sequence program encoders.
+# All integer literals collapse onto the single <int> id.
+TEXT_TOKENS = (
+    "def", "run", "(", ")", "{", "}",
+    "move", "turnLeft", "turnRight", "putMarker", "pickMarker",
+    "if", "ifElse", "while", "repeat", "not",
+    "frontIsClear", "leftIsClear", "rightIsClear",
+    "markersPresent", "noMarkersPresent",
+    "<int>",
+)
+TEXT_VOCAB = len(TEXT_TOKENS)
+_TEXT_IDS = {tok: i for i, tok in enumerate(TEXT_TOKENS)}
+
 
 class ParseError(ValueError):
     def __init__(self, line, col, message):
@@ -63,6 +76,7 @@ class KarelProgram:
     n_statements: int
     n_branches: int
     source: str = field(compare=False, default="")
+    token_ids: tuple = field(compare=False, default=())  # TEXT_TOKENS ids of source
 
 
 @dataclass
@@ -146,6 +160,8 @@ class _Parser:
             n_statements=self.next_stmt_id,
             n_branches=self.next_branch_id,
             source=source,
+            token_ids=tuple(_TEXT_IDS["<int>" if t.kind == "int" else t.text]
+                            for t in self.tokens[:-1]),
         )
 
     def parse_block(self):

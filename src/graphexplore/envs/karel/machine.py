@@ -335,14 +335,3 @@ def merge_reports(reports):
         steps=sum(r.steps for r in reports),
         world=None,
     )
-
-
-def report_to_text(report):
-    """Frozen dump: 'stmt <id> <0|1>' per statement, 'branch <id> <t> <f>'
-    per condition site, then 'score <real>'."""
-    lines = [f"stmt {i} {int(v)}" for i, v in enumerate(report.stmt_hit)]
-    lines.extend(
-        f"branch {b} {int(t)} {int(f)}" for b, (t, f) in enumerate(report.branch_hit)
-    )
-    lines.append(f"score {coverage_score(report)!r}")
-    return "\n".join(lines) + "\n"

@@ -1,16 +1,13 @@
-"""World distributions: training sampler, the valid-execution rejection
-heuristic, and the tiny-grid space the brute-force input search enumerates."""
+"""World distributions: the training sampler and the valid-execution
+rejection heuristic."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .machine import FACINGS, MAX_MARKERS, WALL, KarelWorld, execute, coverage_score
-
-ORACLE_MAX_SIDE = 4  # 3 cell states ** 16 cells is the enumeration ceiling
 
 
 @dataclass(frozen=True)
@@ -74,48 +71,3 @@ def valid_execution_heuristic(program, config, seed, max_tries=50):
         if score > best_score:
             best, best_score = world, score
     return best
-
-
-class _WorldSpace:
-    """All worlds on a tiny grid with cells in {wall, empty, one marker}, the
-    hero on any open cell, any facing. `size` is the 3**cells * cells * 4
-    upper bound; the generator skips hero-on-wall placements."""
-
-    def __init__(self, side):
-        self.side = side
-        self.size = (3 ** (side * side)) * side * side * 4
-
-    def all_worlds(self):
-        side = self.side
-        cells = side * side
-        for values in itertools.product((WALL, 0, 1), repeat=cells):
-            grid = np.array(values, dtype=np.int8).reshape(side, side)
-            for idx in range(cells):
-                r, c = divmod(idx, side)
-                if grid[r, c] == WALL:
-                    continue
-                for facing in FACINGS:
-                    yield KarelWorld(grid, (r, c), facing)
-
-
-def enumerate_worlds(grid_side):
-    if not (1 <= grid_side <= ORACLE_MAX_SIDE):
-        raise ValueError(
-            f"grid_side must be in 1..{ORACLE_MAX_SIDE} to enumerate, got {grid_side}"
-        )
-    return _WorldSpace(grid_side)
-
-
-def sample_oracle_world(grid_side, rng):
-    """One draw from the enumeration space: per-cell wall 0.2 / marker 0.25 /
-    empty 0.55, hero uniform over open cells."""
-    side = grid_side
-    roll = rng.random((side, side))
-    grid = np.zeros((side, side), dtype=np.int8)
-    grid[roll < 0.2] = WALL
-    grid[(roll >= 0.2) & (roll < 0.45)] = 1
-    if (grid == WALL).all():
-        grid[rng.integers(side), rng.integers(side)] = 0
-    open_cells = np.argwhere(grid != WALL)
-    r, c = open_cells[rng.integers(len(open_cells))]
-    return KarelWorld(grid, (int(r), int(c)), FACINGS[rng.integers(4)])

@@ -269,7 +269,6 @@ class MazeEnv:
 
     num_actions = 4
     num_edge_types = NUM_EDGE_TYPES
-    constant_graph = False
 
     def __init__(self, source, budget, feature_provider=None, hide_destinations=False):
         self.source = source

@@ -1,4 +1,5 @@
-"""Graph encoder: gated message passing over typed directed edges, attention
+"""Graph encoder: gated message passing over typed directed edges, with the
+messages into a node summed (as in Li et al.'s gated graph networks), attention
 readout to a fixed-width graph vector, plus an unsupervised link-prediction
 pretrainer that turns bare graph structure into node features.
 
@@ -157,34 +158,27 @@ class GraphEmbedding:
 class GraphNetConfig:
     d: int = 64
     rounds: int = 5
-    aggregate: str = "sum"  # sum | mean | max
-    message_hidden: tuple = ()  # hidden layer sizes of the message MLP
     feature_width: int = 1  # raw width, before the coverage bit
 
 
 class GraphNet:
     """Message-passing encoder with shared weights across rounds.
 
-    Per round, each edge (u, v, k) contributes MLP([mu_v, mu_u, onehot(k)]) to
-    node v's incoming message; messages aggregate per node (sum/mean/max,
-    empty neighborhoods give zero) and a GRU folds the message into the node
-    state. Readout is an attention-weighted sum of final node states.
+    Per round, each edge (u, v, k) contributes a linear map of
+    [mu_v, mu_u, onehot(k)] to node v's incoming message; messages are summed
+    per node (empty neighborhoods give zero) and a GRU folds the message into
+    the node state. Readout is an attention-weighted sum of final node states.
     """
 
     def __init__(self, params, name, config):
         if config.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {config.rounds}")
-        if config.aggregate not in ("sum", "mean", "max"):
-            raise ValueError(f"unknown aggregate {config.aggregate!r}")
         self.config = config
         self.name = name
         d = config.d
         in_width = config.feature_width + 1  # + coverage bit
-        self.project = (
-            Linear(params, f"{name}/project", in_width, d) if in_width != d else None
-        )
-        msg_sizes = [2 * d + MAX_EDGE_TYPES, *config.message_hidden, d]
-        self.message_mlp = MLP(params, f"{name}/message", msg_sizes)
+        self.project = Linear(params, f"{name}/project", in_width, d)
+        self.message_mlp = MLP(params, f"{name}/message", [2 * d + MAX_EDGE_TYPES, d])
         self.gru = GRUCell(params, f"{name}/gru", d, d)
         self.w_att = params.get_or_init(f"{name}/readout/W_att", (d,), init="normal")
         self.empty_vec = params.get_or_init(f"{name}/empty_graph", (d,), init="normal")
@@ -194,10 +188,7 @@ class GraphNet:
     def project_features(self, obs):
         """Raw features + coverage bit, linearly mapped to width d. These are
         the pre-message-passing node states (round 0)."""
-        x = Tensor(pad_coverage_bit(obs))
-        if self.project is not None:
-            return self.project(x)
-        return x
+        return self.project(Tensor(pad_coverage_bit(obs)))
 
     def propagate(self, h0, obs):
         """L message-passing rounds from initial node states h0 (n, d)."""
@@ -221,7 +212,7 @@ class GraphNet:
         for _ in range(self.config.rounds):
             inputs = concat([embed_lookup(h, dst), embed_lookup(h, src), onehot], axis=1)
             per_edge = self.message_mlp(inputs)
-            msg = segment_aggregate(per_edge, dst, n, reduce=self.config.aggregate)
+            msg = segment_aggregate(per_edge, dst, n)
             h = self.gru(msg, h)
         return h
 
@@ -303,12 +294,10 @@ def union_observation(observations):
 class PretrainConfig:
     d: int = 16
     rounds: int = 3
-    aggregate: str = "sum"
     steps: int = 2000
     batch: int = 16
     lr: float = 1e-3
     seed: int = 0
-    log_every: int = 100
 
 
 @dataclass
@@ -344,9 +333,7 @@ def pretrain_structural(sampler, config):
     """
     rng = np.random.default_rng(config.seed)
     params = ParamSet(seed=config.seed)
-    net_config = GraphNetConfig(
-        d=config.d, rounds=config.rounds, aggregate=config.aggregate, feature_width=1
-    )
+    net_config = GraphNetConfig(d=config.d, rounds=config.rounds, feature_width=1)
     net = GraphNet(params, "pretrain", net_config)
     w_dec = params.get_or_init("pretrain/W_dec", (config.d, config.d), init="normal")
     state = OptimizerState(lr=config.lr)

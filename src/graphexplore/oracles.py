@@ -1,6 +1,5 @@
 """Exact reference solvers used to anchor the learned agents and tests:
-tree traversal optimum, brute-force budgeted coverage on small graphs, and
-exhaustive/stochastic best-input search for tiny grid programs.
+tree traversal optimum and brute-force budgeted coverage on small graphs.
 
 Graphs here are plain adjacency lists (list of neighbor lists); converting
 from richer observation types is the caller's job.
@@ -10,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 MAX_NODES = 14
 MAX_BUDGET = 14  # full coverage of any tree with n <= 8 needs at most 2*7-1 = 13 steps
 
@@ -19,9 +16,8 @@ MAX_BUDGET = 14  # full coverage of any tree with n <= 8 needs at most 2*7-1 = 1
 @dataclass
 class OracleResult:
     best_coverage: int
-    witness: object  # node sequence for walks; input object for program search
+    witness: list  # node sequence of a best walk
     nodes_expanded: int
-    exhausted: bool
 
 
 def _check_tree(adj):
@@ -97,7 +93,6 @@ def brute_force_coverage(adj, start, budget):
         best_coverage=gain + 1,
         witness=list(path),
         nodes_expanded=expanded,
-        exhausted=True,
     )
 
 
@@ -156,40 +151,3 @@ def er_adjacency(n, p, rng, connected_from=None):
                     stack.append(v)
         if len(seen) == n:
             return adj
-
-
-# ------------------------------------------------------- program input search
-
-
-def brute_force_karel_input(program, grid_side, budget, seed=0):
-    """Best single-input statement coverage for a grid program, searching over
-    worlds with cells in {wall, empty, one marker}, all hero positions, and 4
-    facings. Exhaustive when the space fits in the budget, else seeded uniform
-    sampling of `budget` candidates."""
-    from .envs.karel import coverage_score, enumerate_worlds, execute, sample_oracle_world
-
-    if grid_side > 4:
-        raise ValueError(f"grid side {grid_side} exceeds oracle bound 4")
-    space = enumerate_worlds(grid_side)
-    best_cov, best_world, tried = -1.0, None, 0
-    if space.size <= budget:
-        candidates = space.all_worlds()
-        exhausted = True
-    else:
-        rng = np.random.default_rng(seed)
-        candidates = (sample_oracle_world(grid_side, rng) for _ in range(budget))
-        exhausted = False
-    for world in candidates:
-        tried += 1
-        report = execute(program, world)
-        cov = coverage_score(report)
-        if cov > best_cov:
-            best_cov, best_world = cov, world
-            if best_cov == 1.0:
-                break
-    return OracleResult(
-        best_coverage=best_cov,
-        witness=best_world,
-        nodes_expanded=tried,
-        exhausted=exhausted,
-    )

@@ -12,7 +12,6 @@ from .core import (
     mul,
     neg,
     no_grad,
-    reduce_max,
     reduce_mean,
     reduce_sum,
     relu,

@@ -42,17 +42,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def values(self):
-        """Flat value list view (row-major)."""
-        return self.data.reshape(-1)
-
-    def item(self):
-        return float(self.data)
-
-    def copy(self):
-        return Tensor(self.data.copy(), self.requires_grad)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -393,23 +382,6 @@ def reduce_mean(a, axis=None):
     return _emit(out, (a,), backward)
 
 
-def reduce_max(a, axis=None):
-    a = as_tensor(a)
-    out = a.data.max(axis=axis)
-
-    def backward(g):
-        # Subgradient: route to the first argmax only, keeping backward deterministic.
-        full = np.zeros_like(a.data)
-        if axis is None:
-            full.reshape(-1)[int(a.data.argmax())] = float(g)
-        else:
-            idx = np.expand_dims(a.data.argmax(axis=axis), axis)
-            np.put_along_axis(full, idx, np.expand_dims(g, axis), axis)
-        return (full,)
-
-    return _emit(out, (a,), backward)
-
-
 def _scatter_rows(ids, values, shape):
     """Array of `shape` whose row r sums the rows values[i] with ids[i] == r.
 
@@ -425,52 +397,31 @@ def _scatter_rows(ids, values, shape):
 
 
 def segment_aggregate(values, segment_ids, num_segments, reduce="sum"):
-    """Per-segment reduction over the leading axis.
+    """Per-segment sum or mean over the leading axis.
 
     values: (n, ...) tensor; segment_ids: int array of length n with entries in
-    [0, num_segments). Empty segments produce zeros for every reduction.
+    [0, num_segments). Empty segments produce zeros for both reductions.
     """
     values = as_tensor(values)
     seg = np.asarray(segment_ids, dtype=np.intp)
     if seg.shape != (values.data.shape[0],):
         raise ShapeError("segment_aggregate", values.shape, seg.shape)
-    out_shape = (num_segments,) + values.data.shape[1:]
-    if reduce == "sum" or reduce == "mean":
-        out = _scatter_rows(seg, values.data, out_shape)
-        if reduce == "mean":
-            counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
-            safe = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (values.data.ndim - 1))
-            out = out / safe
-
-            def backward(g):
-                return (g[seg] / safe[seg],)
-
-        else:
-
-            def backward(g):
-                return (g[seg],)
-
-    elif reduce == "max":
-        out = np.zeros(out_shape)
-        filled = np.bincount(seg, minlength=num_segments) > 0
-        neg_inf = np.full(out_shape, -np.inf)
-        np.maximum.at(neg_inf, seg, values.data)
-        out[filled] = neg_inf[filled]
-        data = values.data
+    if reduce not in ("sum", "mean"):
+        raise ValueError(f"segment_aggregate: unknown reduction {reduce!r}")
+    out = _scatter_rows(seg, values.data, (num_segments,) + values.data.shape[1:])
+    if reduce == "mean":
+        counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
+        safe = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (values.data.ndim - 1))
+        out = out / safe
 
         def backward(g):
-            # Route each (segment, position) to its first winning row only, so
-            # ties stay deterministic. np.nonzero lists winners row by row and
-            # np.unique(return_index=True) keeps a key's first occurrence.
-            winner = (neg_inf[seg] == data).reshape(len(seg), math.prod(data.shape[1:]))
-            rows, cols = np.nonzero(winner)
-            _, first = np.unique(seg[rows] * winner.shape[1] + cols, return_index=True)
-            mask = np.zeros(winner.shape, dtype=bool)
-            mask[rows[first], cols[first]] = True
-            return (g[seg] * mask.reshape(data.shape),)
+            return (g[seg] / safe[seg],)
 
     else:
-        raise ValueError(f"segment_aggregate: unknown reduction {reduce!r}")
+
+        def backward(g):
+            return (g[seg],)
+
     return _emit(out, (values,), backward)
 
 

@@ -40,8 +40,6 @@ class ParamSet:
             data = rng.uniform(-limit, limit, size=shape)
         elif init == "zeros":
             data = np.zeros(shape)
-        elif init == "ones":
-            data = np.ones(shape)
         elif init == "normal":
             data = rng.normal(0.0, 0.1, size=shape)
         else:
@@ -87,15 +85,12 @@ class ParamSet:
 
 
 class Linear:
-    def __init__(self, params, name, n_in, n_out, bias=True):
+    def __init__(self, params, name, n_in, n_out):
         self.W = params.get_or_init(f"{name}/W", (n_in, n_out))
-        self.b = params.get_or_init(f"{name}/b", (n_out,), init="zeros") if bias else None
+        self.b = params.get_or_init(f"{name}/b", (n_out,), init="zeros")
 
     def __call__(self, x):
-        out = matmul(x, self.W)
-        if self.b is not None:
-            out = out + self.b
-        return out
+        return matmul(x, self.W) + self.b
 
 
 class MLP:

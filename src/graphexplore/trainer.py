@@ -180,17 +180,12 @@ def batch_loss(model, batch, config):
     return loss, components
 
 
-def a2c_update(model, batch, config, opt_state=None):
-    """One synchronized gradient step from a collected batch. Returns
-    (model, UpdateStats); a non-finite loss or gradient skips the step,
-    leaves every parameter untouched and names the cause in skip_reason."""
-    if opt_state is None:
-        # Bare calls without an explicit optimizer keep Adam moments on the
-        # model so repeated updates still accelerate.
-        opt_state = getattr(model, "_opt_state", None)
-        if opt_state is None or opt_state.lr != config.learning_rate:
-            opt_state = OptimizerState(lr=config.learning_rate)
-        model._opt_state = opt_state
+def a2c_update(model, batch, config, opt_state):
+    """One synchronized gradient step from a collected batch, applied through
+    the caller's Adam state `opt_state`, which carries the moments from one
+    update to the next. Returns (model, UpdateStats); a non-finite loss or
+    gradient skips the step, leaves every parameter untouched and names the
+    cause in skip_reason."""
     mean_return = float(np.mean([sum(ep.rewards()) for ep in batch.episodes]))
     with Tape() as tape:
         loss, parts = batch_loss(model, batch, config)
@@ -247,12 +242,8 @@ def zero_shot_coverage(model, env_set, config):
     policy = model.policy(mode="greedy")
     for i, env in enumerate(env_set):
         seed = int(np.random.SeedSequence([config.seed, 900_000 + i]).generate_state(1)[0])
-        history, _ = run_episode(env, policy, budget=env.budget, seed=seed)
-        covs.append(
-            env.coverage_fraction()
-            if hasattr(env, "coverage_fraction")
-            else history.covered_count() / history.normalizer
-        )
+        run_episode(env, policy, budget=env.budget, seed=seed)
+        covs.append(env.coverage_fraction())
     return float(np.mean(covs))
 
 

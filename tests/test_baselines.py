@@ -7,9 +7,12 @@ from graphexplore.agents import (
     RandDfsPolicy,
     RandomPolicy,
     q_act,
+    q_train,
     q_update,
     random_act,
 )
+from graphexplore.agents.baselines import q_evaluate
+from graphexplore.envs.appgraph import AppEnv, generate_er_app
 from graphexplore.envs.maze import Maze, MazeEnv, generate_maze
 from graphexplore.episode import run_episode
 from graphexplore.oracles import tree_optimal_steps
@@ -196,3 +199,23 @@ def test_q_unknown_state_initializes_zeros():
     table = QTable(num_actions=4)
     assert q_act(table, "never_seen", [2, 3]) == 2  # ties break to first valid
     assert np.all(table.values["never_seen"] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["maze", "app"])
+def test_q_train_is_seeded_and_returns_its_best_snapshot(kind):
+    # On both graphs the last evaluation scores below the best one, so the
+    # returned table must be the restored snapshot, not the final one.
+    def make_env():
+        if kind == "maze":
+            return MazeEnv(generate_maze(3, 3, 0.18, 6), budget=9)
+        return AppEnv(generate_er_app(8, 0.3, seed=1), budget=8)
+
+    config = QConfig(episodes=400, anneal_episodes=200, eval_every=100, eval_episodes=2)
+    budget = make_env().budget
+    (table, best), (again, best_again) = [q_train(make_env(), budget, config, seed=5)
+                                          for _ in range(2)]
+    assert best == best_again
+    assert table.values.keys() == again.values.keys()
+    assert all(np.array_equal(table.values[s], again.values[s]) for s in table.values)
+    assert q_evaluate(make_env(), table, budget, config.eval_episodes) == best
+    assert 0.0 < best <= 1.0

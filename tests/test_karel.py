@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphexplore.envs.karel import (
+    TEXT_TOKENS,
+    KarelEnv,
     WorldConfig,
     execute,
     mask_from_report,
     merge_reports,
     parse,
     program_to_graph,
+    random_world_policy,
     render_program,
     sample_program,
     sample_world,
@@ -19,6 +22,8 @@ from graphexplore.envs.karel import (
     world_to_text,
     world_to_tokens,
 )
+from graphexplore.envs.karel.lang import _tokenize
+from graphexplore.episode import run_episode
 
 seeds = st.integers(0, 2**32 - 1)
 configs = st.builds(
@@ -41,6 +46,16 @@ def test_parse_inverts_render(seed):
     again = parse(render_program(program))
     assert again == program
     assert again.source == program.source
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_token_ids_map_the_source_tokens(seed):
+    program = program_for(seed)
+    reference = [TEXT_TOKENS.index("<int>" if tok.kind == "int" else tok.text)
+                 for tok in _tokenize(program.source)[:-1]]
+    assert list(program.token_ids) == reference
+    assert KarelEnv(program).program["tokens"] == program.token_ids
 
 
 @settings(max_examples=50, deadline=None)
@@ -80,3 +95,11 @@ def test_execute_stays_within_its_step_cap(program_seed, config, world_seed, ste
     assert report.steps <= step_cap
     assert report.error in (None, "wall_crash", "no_marker", "marker_overflow", "step_cap")
     assert report.world is not None and report.world.side == world.side
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, configs, seeds)
+def test_coverage_fraction_is_the_episode_coverage(program_seed, config, episode_seed):
+    env = KarelEnv(program_for(program_seed))
+    _, traj = run_episode(env, random_world_policy(config), budget=env.budget, seed=episode_seed)
+    assert env.coverage_fraction() == traj.final_coverage

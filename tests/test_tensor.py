@@ -1,3 +1,4 @@
+import inspect
 import zlib
 
 import numpy as np
@@ -30,7 +31,16 @@ from graphexplore.tensor import (
     softmax,
     tanh,
 )
-from graphexplore.tensor.core import _scatter_rows, embed_lookup, exp, log, reduce_max
+from graphexplore.tensor import core
+from graphexplore.tensor.core import (
+    _scatter_rows,
+    embed_lookup,
+    exp,
+    log,
+    neg,
+    reshape,
+    transpose,
+)
 
 
 def scalar(x):
@@ -67,7 +77,7 @@ def test_segment_sum_matches_loop():
 
 
 def test_segment_empty_segments_are_zero():
-    out = segment_aggregate(Tensor([[1.0, 2.0]]), [2], 4, reduce="max")
+    out = segment_aggregate(Tensor([[1.0, 2.0]]), [2], 4, reduce="sum")
     assert np.array_equal(out.data[0], [0.0, 0.0])
     assert np.array_equal(out.data[2], [1.0, 2.0])
     out = segment_aggregate(Tensor([[1.0, 2.0]]), [2], 4, reduce="mean")
@@ -174,9 +184,18 @@ def _fd_case(op_name, rng):
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         other = Tensor(rng.normal(size=(2, 3)))
         return {"x": x}, lambda p: reduce_sum(concat([p["x"], other], axis=1) * w_for((2, 6), rng))
+    if op_name == "neg":
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        return {"x": x}, lambda p: reduce_sum(neg(p["x"]) * w_for((2, 3), rng))
     if op_name == "slice":
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         return {"x": x}, lambda p: reduce_sum(slice_(p["x"], 1, 4) * w_for((3, 3), rng))
+    if op_name == "reshape":
+        x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        return {"x": x}, lambda p: reduce_sum(reshape(p["x"], (3, 4)) * w_for((3, 4), rng))
+    if op_name == "transpose":
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        return {"x": x}, lambda p: reduce_sum(transpose(p["x"]) * w_for((2, 3), rng))
     if op_name in ("sigmoid", "tanh", "exp"):
         fn = {"sigmoid": sigmoid, "tanh": tanh, "exp": exp}[op_name]
         x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
@@ -198,13 +217,10 @@ def _fd_case(op_name, rng):
     if op_name == "reduce_mean":
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         return {"x": x}, lambda p: reduce_sum(reduce_mean(p["x"], axis=0) * w_for((4,), rng))
-    if op_name == "reduce_max":
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return {"x": x}, lambda p: reduce_sum(reduce_max(p["x"], axis=1) * w_for((3,), rng))
     if op_name == "segment_aggregate":
         x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         seg = rng.integers(0, 3, size=6)
-        mode = ["sum", "mean", "max"][int(rng.integers(0, 3))]
+        mode = ["sum", "mean"][int(rng.integers(0, 2))]
         return {"x": x}, lambda p: reduce_sum(
             segment_aggregate(p["x"], seg, 3, reduce=mode) * w_for((3, 2), rng)
         )
@@ -235,8 +251,11 @@ ALL_OPS = [
     "add",
     "mul",
     "sub",
+    "neg",
     "concat",
     "slice",
+    "reshape",
+    "transpose",
     "sigmoid",
     "tanh",
     "relu",
@@ -245,7 +264,6 @@ ALL_OPS = [
     "softmax",
     "reduce_sum",
     "reduce_mean",
-    "reduce_max",
     "segment_aggregate",
     "segment_softmax",
     "embed_lookup",
@@ -260,9 +278,17 @@ def test_primitive_gradients_match_finite_differences(op_name):
         assert grad_check(fn, params, eps=1e-5) < 1e-4
 
 
-@pytest.mark.parametrize("mode", ["sum", "mean", "max"])
+def test_finite_difference_sweep_covers_every_primitive():
+    public = {
+        name for name, fn in inspect.getmembers(core, inspect.isfunction)
+        if fn.__module__ == core.__name__ and not name.startswith("_")
+    } - {"as_tensor", "active_tape"}
+    assert {"slice" if name == "slice_" else name for name in public} == set(ALL_OPS)
+
+
+@pytest.mark.parametrize("mode", ["sum", "mean"])
 def test_segment_aggregate_gradients_with_empty_segments(mode):
-    # Segments 1 and 4 receive no rows; max ties are broken by the first row.
+    # Segments 1 and 4 receive no rows.
     rng = np.random.default_rng(3)
     seg = np.array([0, 2, 2, 3, 0, 3, 3])
     for _ in range(20):
@@ -270,14 +296,6 @@ def test_segment_aggregate_gradients_with_empty_segments(mode):
         weights = Tensor(rng.normal(size=(5, 2)))
         fn = lambda p: reduce_sum(segment_aggregate(p["x"], seg, 5, reduce=mode) * weights)  # noqa: E731
         assert grad_check(fn, {"x": x}, eps=1e-5) < 1e-4
-
-
-def test_segment_max_gradient_goes_to_the_first_tied_row():
-    x = Tensor(np.array([[1.0, 2.0], [1.0, 5.0], [0.0, 5.0], [3.0, 3.0]]), requires_grad=True)
-    with Tape() as tape:
-        loss = reduce_sum(segment_aggregate(x, [0, 0, 0, 2], 3, reduce="max"))
-    grad = tape.gradients(loss, params=[x])[x].data
-    assert np.array_equal(grad, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
 
 def test_segment_softmax_matches_softmax_per_segment():

@@ -20,7 +20,7 @@ from graphexplore.episode import (
     run_episode,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig, GraphObservation
-from graphexplore.tensor import GradientError, ParamSet, Tape
+from graphexplore.tensor import GradientError, OptimizerState, ParamSet, Tape
 from graphexplore.trainer import (
     METRICS_HEADER,
     TrainConfig,
@@ -295,7 +295,7 @@ def test_update_changes_params_and_reports_finite_stats():
     cfg = small_config(workers=2, episodes_per_worker=2)
     before = model.params.snapshot()
     batch = collect_rollouts(model, maze_sampler, cfg)
-    model, stats = a2c_update(model, batch, cfg)
+    model, stats = a2c_update(model, batch, cfg, OptimizerState(lr=cfg.learning_rate))
     stats.validate()
     assert not stats.skipped
     assert stats.grad_norm > 0
@@ -310,7 +310,7 @@ def test_update_skips_on_non_finite_rewards():
     batch = collect_rollouts(model, maze_sampler, cfg)
     batch.episodes[0].history.records[1].reward = float("nan")
     before = model.params.snapshot()
-    model, stats = a2c_update(model, batch, cfg)
+    model, stats = a2c_update(model, batch, cfg, OptimizerState(lr=cfg.learning_rate))
     assert stats.skipped
     assert stats.skip_reason == "non-finite loss nan"
     after = model.params.snapshot()
@@ -327,7 +327,7 @@ def test_update_skip_reason_names_the_gradient_parameter(monkeypatch):
         raise GradientError("pi/logits/W")
 
     monkeypatch.setattr(trainer, "optimizer_step", failing_step)
-    model, stats = a2c_update(model, batch, cfg)
+    model, stats = a2c_update(model, batch, cfg, OptimizerState(lr=cfg.learning_rate))
     assert stats.skipped
     assert stats.skip_reason == "non-finite gradient for parameter 'pi/logits/W'"
     after = model.params.snapshot()
@@ -339,9 +339,10 @@ def test_training_is_deterministic_end_to_end():
     for _ in range(2):
         model = tiny_model(seed=3)
         cfg = small_config(workers=2, episodes_per_worker=1, total_updates=3)
+        opt_state = OptimizerState(lr=cfg.learning_rate)
         for u in range(cfg.total_updates):
             batch = collect_rollouts(model, maze_sampler, cfg, round_index=u)
-            model, _ = a2c_update(model, batch, cfg)
+            model, _ = a2c_update(model, batch, cfg, opt_state)
         covs.append(model.params.snapshot())
     for k in covs[0]:
         assert np.array_equal(covs[0][k], covs[1][k])
@@ -390,10 +391,11 @@ def test_bandit_learns_rewarding_arm_and_entropy_trends_down():
     cfg = TrainConfig(seed=9, env_sampler=lambda rng: BanditEnv(), workers=4,
                       episodes_per_worker=1, learning_rate=0.02, total_updates=150,
                       eval_every=0)
+    opt_state = OptimizerState(lr=cfg.learning_rate)
     entropies = []
     for u in range(cfg.total_updates):
         batch = collect_rollouts(model, cfg.env_sampler, cfg, round_index=u)
-        model, stats = a2c_update(model, batch, cfg)
+        model, stats = a2c_update(model, batch, cfg, opt_state)
         entropies.append(stats.entropy)
         if u >= 30 and stats.entropy < 0.05:
             break
@@ -451,7 +453,7 @@ def test_update_on_deep_copy_trains_its_own_action_rows():
     tuned = copy.deepcopy(model)
     cfg = small_config(workers=1, episodes_per_worker=4)
     batch = collect_rollouts(tuned, maze_sampler, cfg)
-    tuned, stats = a2c_update(tuned, batch, cfg)
+    tuned, stats = a2c_update(tuned, batch, cfg, OptimizerState(lr=cfg.learning_rate))
     assert not stats.skipped
     taken = sorted({rec.action for ep in batch.episodes for rec in ep.history.records[1:]})
     name = "hist/actions/table"
