@@ -210,14 +210,14 @@ def q_train(env, budget, config, seed=0):
         epsilon = config.eps_start + frac * (config.eps_end - config.eps_start)
         env.reset(rng)
         for _ in range(budget):
+            if env.fully_explored():  # nothing left, and maybe no action to take
+                break
             s = env.q_state()
             a = q_act(table, s, env.valid_action_list(), rng, epsilon)
             before = env.covered_count()
             env.step(a)
             r = (env.covered_count() - before) / env.reward_normalizer
             q_update(table, s, a, r, env.q_state())
-            if env.fully_explored():
-                break
         if (ep + 1) % config.eval_every == 0:
             cov = q_evaluate(env, table, budget, config.eval_episodes, seed=10_000 + ep)
             if cov > best_coverage:
@@ -233,9 +233,8 @@ def q_evaluate(env, table, budget, episodes, seed=0):
     for _ in range(episodes):
         env.reset(rng)
         for _ in range(budget):
-            a = q_act(table, env.q_state(), env.valid_action_list())
-            env.step(a)
             if env.fully_explored():
                 break
+            env.step(q_act(table, env.q_state(), env.valid_action_list()))
         total += env.coverage_fraction()
     return total / episodes

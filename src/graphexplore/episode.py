@@ -93,22 +93,18 @@ def episode_objective(history):
     return covered / history.normalizer
 
 
-def validate_history(history, constant_graph=False):
+def validate_history(history):
     """Checks the structural invariants of a completed history: rewards in
-    [0,1], monotone coverage, and either monotone node sets (growing-graph
-    setting) or a fixed node set (constant-graph setting)."""
+    [0,1], node sets that never shrink, and monotone coverage."""
     prev = None
     for rec in history.records:
         if not (0.0 <= rec.reward <= 1.0):
             raise ValueError(f"reward {rec.reward} outside [0, 1]")
         obs = rec.observation
         if prev is not None:
-            if constant_graph:
-                if obs.node_count != prev.node_count:
-                    raise ValueError("node set changed in constant-graph setting")
-            elif obs.node_count < prev.node_count:
+            if obs.node_count < prev.node_count:
                 raise ValueError("node set shrank")
-            for i in range(min(prev.node_count, obs.node_count)):
+            for i in range(prev.node_count):
                 if prev.coverage[i] > obs.coverage[i]:
                     raise ValueError(f"coverage regressed at node {i}")
         prev = obs
@@ -132,7 +128,7 @@ class HistoryEncoderConfig:
     program_conditioning: str = "gnn"  # gnn = defer to `conditioning` on the coverage graph
     recurrent_width: int = 64
     action_width: int = 16
-    action_vocab: int = 0  # > 0 enables the finite-action embedding table
+    action_vocab: int = 0  # size of the action embedding table; must be >= 1
     token_vocab: int = 0  # > 0 enables bow/bilstm program-token encoders
 
     def validate(self):
@@ -144,6 +140,8 @@ class HistoryEncoderConfig:
             raise ValueError(
                 f"program_conditioning {self.program_conditioning!r} not in {PROGRAM_CONDITIONING}"
             )
+        if self.action_vocab < 1:
+            raise ValueError(f"action_vocab must be >= 1, got {self.action_vocab}")
         return self
 
 
@@ -160,28 +158,23 @@ class HistoryEncoder:
 
     temporal_mode last_step returns the newest summary; autoregressive folds
     summaries through an LSTM whose hidden state is F(h_t).
+
+    Rollouts fold one record at a time (summary + fold, from init_state); the
+    learner encodes every prefix of a whole batch of episodes at once with
+    prefix_encodings, which folds the episodes in parallel.
     """
 
-    def __init__(self, params, name, config, graph_net, action_encoder=None):
+    def __init__(self, params, name, config, graph_net):
         config.validate()
         self.config = config
         self.net = graph_net
         self.d = graph_net.config.d
         # The action table is an attribute, not captured in a closure, so a
-        # deep copy of the model reads and trains its own copy of it.
-        self.action_encoder = action_encoder
-        self.actions = None
-        if action_encoder is not None:
-            self.null_action = params.get_or_init(
-                f"{name}/null_action", (config.action_width,), init="normal"
-            )
-        elif config.action_vocab > 0:
-            # Row [action_vocab] is the null action of record 0.
-            self.actions = Embedding(
-                params, f"{name}/actions", config.action_vocab + 1, config.action_width
-            )
-        else:
-            raise ValueError("need either an action_encoder or a positive action_vocab")
+        # deep copy of the model reads and trains its own copy of it. Row
+        # [action_vocab] is the null action of record 0.
+        self.actions = Embedding(
+            params, f"{name}/actions", config.action_vocab + 1, config.action_width
+        )
         if config.program_conditioning in ("bow", "bilstm"):
             if config.token_vocab <= 0:
                 raise ValueError("bow/bilstm conditioning needs token_vocab > 0")
@@ -210,16 +203,8 @@ class HistoryEncoder:
     def action_rows(self, records):
         """(R, action_width) g_x(action) rows; record 0's None action maps to
         the learned null action."""
-        if self.actions is not None:
-            null = self.config.action_vocab
-            ids = [null if rec.action is None else int(rec.action) for rec in records]
-            return self.actions(ids)
-        width = self.config.action_width
-        return concat(
-            [reshape(self.null_action if rec.action is None else self.action_encoder(rec.action),
-                     (1, width)) for rec in records],
-            axis=0,
-        )
+        null = self.config.action_vocab
+        return self.actions([null if rec.action is None else int(rec.action) for rec in records])
 
     def conditioning_rows(self, records, programs):
         """(R, d) conditioning parts; programs[i] is record i's static program."""
@@ -314,22 +299,34 @@ class HistoryEncoder:
             return h, (h, c)
         return summ, summ
 
-    def encode_prefixes(self, history):
-        """[F(h_0), ..., F(h_t)]: the encoding after each record. The decision
-        that produced record τ's action was made from F(h_{τ-1})."""
-        outs = []
+    def prefix_encodings(self, sequences, programs):
+        """(R, output_width) encodings of every prefix of every record
+        sequence: row k of sequence e is F(h_k), the fold of its records
+        0..k; rows run sequence by sequence, step by step. programs[e] is the
+        static program of sequence e. All summaries are built at once and
+        the fold runs over every sequence in parallel (sequences are rows; a
+        finished sequence repeats its last summary, and those padded outputs
+        are never read)."""
+        if not sequences or not all(sequences):
+            raise ValueError("cannot encode an empty sequence")
+        lengths = np.array([len(seq) for seq in sequences])
+        starts = np.cumsum(lengths) - lengths
+        records = [rec for seq in sequences for rec in seq]
+        summaries = self.summaries(
+            records, [p for p, n in zip(programs, lengths) for _ in range(n)])
+        E, T = len(sequences), int(lengths.max())
         state = self.init_state()
-        for rec in history.records:
-            f, state = self.fold(state, self.summary(rec, history.program))
-            outs.append(f)
-        return outs
-
-    def encode(self, history):
-        if not history.records:
-            raise ValueError("cannot encode an empty history")
-        if self.config.temporal_mode == "last_step":
-            return self.summary(history.records[-1], history.program)
-        return self.encode_prefixes(history)[-1]
+        if state is not None:
+            state = tuple(Tensor(np.zeros((E,) + part.data.shape)) for part in state)
+        outputs = []
+        for t in range(T):
+            rows = starts + np.minimum(t, lengths - 1)
+            F_t, state = self.fold(state, embed_lookup(summaries, rows))
+            outputs.append(F_t)
+        # Row k of sequence e is row k * E + e of the stacked outputs.
+        step = np.concatenate([np.arange(n) for n in lengths])
+        owner = np.repeat(np.arange(E), lengths)
+        return embed_lookup(concat(outputs, axis=0), step * E + owner)
 
 
 # ------------------------------------------------------------ rollout loop

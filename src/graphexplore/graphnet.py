@@ -8,12 +8,14 @@ with a per-node coverage bit. The coverage bit is appended to the raw node
 features before any learned transformation, so the same encoder weights serve
 both "what does the graph look like" and "what is left to visit".
 
-Many observations are encoded at once as their disjoint union (as in PyG's
-batching): node rows are stacked, edges are offset into them, message
-passing runs once on the union, and the readout's attention softmax and
-weighted sum run per graph through segment operations. Since no edge crosses
-graphs, each graph's vector equals its own encoding; a single observation is
-the union of one.
+GraphNet.encode_batch is the one encoding entry point, used by rollouts and
+the learner alike. It encodes many observations at once as their disjoint
+union (as in PyG's batching): node rows are stacked, edges are offset into
+them, message passing runs once on the union, and the readout's attention
+softmax and weighted sum run per graph through segment operations. Since no
+edge crosses graphs, each graph's vector equals its own encoding; a single
+observation is the union of one. Callers that need node states or readout
+attention run the stages (project_features, propagate, readout) themselves.
 """
 
 from __future__ import annotations
@@ -148,13 +150,6 @@ def pad_coverage_bit(obs):
 
 
 @dataclass
-class GraphEmbedding:
-    node_embeddings: Tensor  # (n, d)
-    graph_vector: Tensor  # (d,)
-    attention_weights: Tensor  # (n,)
-
-
-@dataclass
 class GraphNetConfig:
     d: int = 64
     rounds: int = 5
@@ -225,41 +220,23 @@ class GraphNet:
         weighted = reshape(alpha, (alpha.data.shape[0], 1)) * node_embeddings
         return segment_aggregate(weighted, graph_ids, num_graphs), alpha
 
-    def _encode_union(self, observations):
-        """(graph vectors (R, d), node states (N, d), attention (N,)): the
-        non-empty observations are encoded as one disjoint union and empty
-        ones get the learned empty-graph row. With no non-empty observation,
-        node states and attention are None."""
-        d = self.config.d
+    def encode_batch(self, observations):
+        """(R, d) graph vectors, one row per observation: the non-empty
+        observations are encoded by one message passing run over their
+        disjoint union, and empty ones get the learned empty-graph row."""
         full = [i for i, obs in enumerate(observations) if not obs.is_empty()]
-        vectors = h = alpha = None
+        vectors = None
         if full:
             union, graph_ids = union_observation([observations[i] for i in full])
             h = self.propagate(self.project_features(union), union)
-            vectors, alpha = self.readout(h, graph_ids, len(full))
+            vectors, _ = self.readout(h, graph_ids, len(full))
         if len(full) < len(observations):
             rows = np.full(len(observations), len(full))  # the empty-graph row
             rows[full] = np.arange(len(full))
-            empty = reshape(self.empty_vec, (1, d))
+            empty = reshape(self.empty_vec, (1, self.config.d))
             table = empty if vectors is None else concat([vectors, empty], axis=0)
             vectors = embed_lookup(table, rows)
-        return vectors, h, alpha
-
-    def encode_batch(self, observations):
-        """(R, d) graph vectors, one row per observation, from one message
-        passing run over the disjoint union of all of them."""
-        return self._encode_union(observations)[0]
-
-    def encode(self, obs):
-        if obs.is_empty():
-            return GraphEmbedding(
-                node_embeddings=Tensor(np.zeros((0, self.config.d))),
-                graph_vector=self.empty_vec,
-                attention_weights=Tensor(np.zeros(0)),
-            )
-        vectors, h, alpha = self._encode_union([obs])
-        return GraphEmbedding(node_embeddings=h, graph_vector=reshape(vectors, (self.config.d,)),
-                              attention_weights=alpha)
+        return vectors
 
 
 def union_observation(observations):

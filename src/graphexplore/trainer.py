@@ -6,11 +6,12 @@ on the gradient tape. Returns are undiscounted suffix sums (finite-horizon
 coverage objective), advantages are returns minus the value baseline, and the
 update clips the global gradient norm.
 
-The learner step is batched across the whole update: every recorded
-observation is encoded in one GraphNet pass over the disjoint union of the
-graphs, the history LSTM folds all episodes in parallel (one row per
-episode), one head call and one value call score every decision, and one
-backward pass runs over a tape of a few ops per decision.
+The learner step is batched across the whole update: one
+HistoryEncoder.prefix_encodings call encodes every decision's history (one
+GraphNet pass over the disjoint union of all recorded graphs, the history
+LSTM folding all episodes in parallel), one head call and one value call
+score every decision, and one backward pass runs over a tape of a few ops per
+decision.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .tensor import (
     Tape,
     Tensor,
     clip_global_norm,
-    concat,
-    embed_lookup,
     optimizer_step,
     reduce_sum,
 )
@@ -130,35 +129,16 @@ def batch_loss(model, batch, config):
     episodes), built on the active tape. Returns (loss, components dict).
 
     Decision t of an episode is made from F(h_t), the fold of the summaries
-    of records 0..t. All summaries are built at once, the LSTM folds every
-    episode in parallel (episodes are rows; a finished episode repeats its
-    last summary, and those padded outputs are never read), and one head and
-    one value call score every decision."""
+    of records 0..t, so the encoder's prefix encodings of every episode's
+    records but the last give one row per decision; one head and one value
+    call score them all."""
     if not batch.episodes:
         raise ValueError("empty batch")
     episodes = [ep for ep in batch.episodes if len(ep.history.records) >= 2]
     if not episodes:
         raise ValueError("batch contains no decisions to learn from")
-    encoder = model.encoder
-    lengths = np.array([len(ep.history.records) - 1 for ep in episodes])
-    starts = np.cumsum(lengths) - lengths
-    records = [rec for ep in episodes for rec in ep.history.records[:-1]]
-    programs = [ep.history.program for ep, n in zip(episodes, lengths) for _ in range(n)]
-    summaries = encoder.summaries(records, programs)
-    E, T = len(episodes), int(lengths.max())
-    state = encoder.init_state()
-    if state is not None:
-        state = tuple(Tensor(np.zeros((E,) + part.data.shape)) for part in state)
-    outputs = []
-    for t in range(T):
-        rows = starts + np.minimum(t, lengths - 1)
-        F_t, state = encoder.fold(state, embed_lookup(summaries, rows))
-        outputs.append(F_t)
-    # Decision t of episode e is row t * E + e of the stacked outputs.
-    step = np.concatenate([np.arange(n) for n in lengths])
-    owner = np.repeat(np.arange(E), lengths)
-    F = embed_lookup(concat(outputs, axis=0), step * E + owner)
-
+    F = model.encoder.prefix_encodings([ep.history.records[:-1] for ep in episodes],
+                                       [ep.history.program for ep in episodes])
     actions = [rec.action for ep in episodes for rec in ep.history.records[1:]]
     logprob, entropy = model.head.score(F, actions, mask=_decision_masks(episodes))
     value = model.value_head(F)

@@ -219,3 +219,13 @@ def test_q_train_is_seeded_and_returns_its_best_snapshot(kind):
     assert all(np.array_equal(table.values[s], again.values[s]) for s in table.values)
     assert q_evaluate(make_env(), table, budget, config.eval_episodes) == best
     assert 0.0 < best <= 1.0
+
+
+def test_q_train_ends_episodes_on_a_screen_without_actions():
+    # The start screen of this app has no outgoing action, so every episode
+    # is over at reset; Q must end it there, as run_episode does.
+    env = AppEnv(generate_er_app(8, 0.3, seed=4), budget=8)
+    config = QConfig(episodes=400, anneal_episodes=200, eval_every=100, eval_episodes=2)
+    table, best = q_train(env, env.budget, config, seed=0)
+    assert best == q_evaluate(env, table, env.budget, config.eval_episodes) == 1.0
+    assert env.coverage_fraction() == 1.0

@@ -165,13 +165,18 @@ def short_history(n_steps=3, current=0):
     return EpisodeHistory(records=records, budget=8, normalizer=3.0)
 
 
+def final_encoding(enc, history):
+    """F of the whole history: the last of its prefix encodings."""
+    return enc.prefix_encodings([history.records], [history.program]).data[-1]
+
+
 def test_last_step_mode_t1_equals_step_summary():
     params, net, enc = encoder_fixture(temporal="last_step")
     h = short_history(n_steps=1)
     with no_grad():
-        out = enc.encode(h)
+        out = final_encoding(enc, h)
         summ = enc.summary(h.records[-1], None)
-    assert np.array_equal(out.data, summ.data)
+    assert np.array_equal(out, summ.data)
 
 
 def test_autoregressive_zero_weights_depend_only_on_bias():
@@ -180,9 +185,9 @@ def test_autoregressive_zero_weights_depend_only_on_bias():
         if name.startswith("hist/fold/"):
             p.data[:] = 0.0
     with no_grad():
-        a = enc.encode(short_history(n_steps=1))
-        b = enc.encode(short_history(n_steps=3))
-    assert np.allclose(a.data, b.data)
+        a = final_encoding(enc, short_history(n_steps=1))
+        b = final_encoding(enc, short_history(n_steps=3))
+    assert np.allclose(a, b)
 
 
 def test_pool_equals_node_on_identical_embeddings():
@@ -228,9 +233,9 @@ def test_node_conditioning_encodes_an_app_episode():
     config = HistoryEncoderConfig(conditioning="node", recurrent_width=5, action_width=3,
                                   action_vocab=env.num_actions)
     with no_grad():
-        out = HistoryEncoder(params, "hist", config, net).encode(history)
-    assert out.data.shape == (5,)
-    assert np.all(np.isfinite(out.data))
+        out = final_encoding(HistoryEncoder(params, "hist", config, net), history)
+    assert out.shape == (5,)
+    assert np.all(np.isfinite(out))
     last = history.last().observation
     assert last.current_node == env.current_node()
     assert last.node_features[last.current_node, -1] == 1.0
@@ -241,20 +246,20 @@ def test_autoregressive_consumes_every_record():
     full = short_history(n_steps=3)
     truncated = EpisodeHistory(records=full.records[:-1], budget=8, normalizer=3.0)
     with no_grad():
-        a = enc.encode(full)
-        b = enc.encode(truncated)
-    assert not np.allclose(a.data, b.data)
+        a = final_encoding(enc, full)
+        b = final_encoding(enc, truncated)
+    assert not np.allclose(a, b)
 
 
 def test_encode_matches_incremental_fold():
     params, net, enc = encoder_fixture(seed=4)
     h = short_history(n_steps=3)
     with no_grad():
-        full = enc.encode(h)
+        full = final_encoding(enc, h)
         state = enc.init_state()
         for rec in h.records:
             f, state = enc.fold(state, enc.summary(rec, None))
-    assert np.allclose(full.data, f.data, atol=1e-12)
+    assert np.allclose(full, f.data, atol=1e-12)
 
 
 def test_envcond_appends_reward_and_zeroes_graph():
@@ -290,8 +295,8 @@ def test_fresh_encoder_output_width():
     )
     h = short_history(n_steps=2)
     with no_grad():
-        out = HistoryEncoder(params, "hist", config, net).encode(h)
-    assert out.data.shape == (5,)
+        out = final_encoding(HistoryEncoder(params, "hist", config, net), h)
+    assert out.shape == (5,)
 
 
 def varied_records(seed):
@@ -324,9 +329,36 @@ def test_summaries_rows_equal_per_record_summaries(conditioning, program):
     assert np.allclose(batched, single, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("temporal", ["autoregressive", "last_step"])
+@pytest.mark.parametrize("conditioning", ["graph", "node"])
+def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
+    _, _, enc = encoder_fixture(temporal=temporal, conditioning=conditioning, seed=7)
+    sequences = [varied_records(seed)[:n] for seed, n in ((7, 1), (8, 2), (9, 4))]
+    with no_grad():
+        batched = enc.prefix_encodings(sequences, [None] * len(sequences)).data
+        reference = []
+        for seq in sequences:
+            state = enc.init_state()
+            for rec in seq:
+                f, state = enc.fold(state, enc.summary(rec, None))
+                reference.append(f.data)
+    assert batched.shape == (1 + 2 + 4, enc.output_width())
+    assert np.allclose(batched, np.stack(reference), rtol=0.0, atol=1e-12)
+
+
+def test_prefix_encodings_reject_empty_sequences():
+    _, _, enc = encoder_fixture()
+    with pytest.raises(ValueError, match="empty"):
+        enc.prefix_encodings([short_history().records, []], [None, None])
+    with pytest.raises(ValueError, match="empty"):
+        enc.prefix_encodings([], [])
+
+
 def test_history_encoder_rejects_bad_enums():
     params, net, _ = encoder_fixture()
     with pytest.raises(ValueError, match="temporal_mode"):
         HistoryEncoderConfig(temporal_mode="sometimes").validate()
     with pytest.raises(ValueError, match="conditioning"):
         HistoryEncoderConfig(conditioning="vibes").validate()
+    with pytest.raises(ValueError, match="action_vocab"):
+        HistoryEncoderConfig(action_vocab=0).validate()

@@ -165,7 +165,7 @@ def test_graph_vector_permutation_invariant():
     params, net = make_net(seed=5)
     edges = both_ways([(0, 1), (1, 2), (0, 2), (2, 3)])
     obs = make_obs(4, edges, coverage=[0, 1, 0, 1], seed=5)
-    g1 = net.encode(obs).graph_vector.data
+    g1 = net.encode_batch([obs]).data[0]
 
     perm = np.array([3, 1, 0, 2])
     inv = np.argsort(perm)
@@ -176,15 +176,28 @@ def test_graph_vector_permutation_invariant():
         coverage=obs.coverage[inv],
         num_edge_types=obs.num_edge_types,
     )
-    g2 = net.encode(permuted).graph_vector.data
+    g2 = net.encode_batch([permuted]).data[0]
     assert np.allclose(g1, g2, atol=1e-9)
 
 
 def test_empty_graph_uses_learned_constant():
     params, net = make_net()
-    emb = net.encode(empty_observation(3, 2))
-    assert emb.graph_vector is net.empty_vec
-    assert emb.node_embeddings.data.shape == (0, 8)
+    vectors = net.encode_batch([empty_observation(3, 2)])
+    assert np.array_equal(vectors.data, net.empty_vec.data.reshape(1, 8))
+
+
+def test_encode_batch_rows_equal_single_encodes():
+    params, net = make_net(seed=8)
+    observations = [
+        make_obs(4, both_ways([(0, 1), (1, 2), (2, 3)]), coverage=[1, 0, 0, 1], seed=1),
+        empty_observation(3, 2),
+        make_obs(1, [], coverage=[1], seed=2),
+        make_obs(3, both_ways([(0, 2)], k=2), coverage=[0, 1, 0], seed=3),
+    ]
+    batched = net.encode_batch(observations).data
+    assert batched.shape == (4, 8)
+    for row, obs in zip(batched, observations):
+        assert np.allclose(row, net.encode_batch([obs]).data[0], rtol=0.0, atol=1e-12)
 
 
 def test_coverage_mask_changes_graph_vector():
@@ -192,18 +205,20 @@ def test_coverage_mask_changes_graph_vector():
     edges = both_ways([(0, 1), (1, 2)])
     a = make_obs(3, edges, coverage=[0, 0, 0], seed=6)
     b = make_obs(3, edges, coverage=[1, 0, 1], seed=6)
-    ga = net.encode(a).graph_vector.data
-    gb = net.encode(b).graph_vector.data
+    ga = net.encode_batch([a]).data[0]
+    gb = net.encode_batch([b]).data[0]
     assert np.linalg.norm(ga - gb) > 0.0
 
 
 def test_encode_deterministic():
     params, net = make_net(seed=7)
     obs = make_obs(4, both_ways([(0, 1), (1, 2), (2, 3)]), coverage=[1, 0, 0, 0], seed=7)
-    a = net.encode(obs)
-    b = net.encode(obs)
-    assert np.array_equal(a.graph_vector.data, b.graph_vector.data)
-    assert np.array_equal(a.node_embeddings.data, b.node_embeddings.data)
+    a = net.encode_batch([obs]).data
+    b = net.encode_batch([obs]).data
+    assert np.array_equal(a, b)
+    ha = net.propagate(net.project_features(obs), obs).data
+    hb = net.propagate(net.project_features(obs), obs).data
+    assert np.array_equal(ha, hb)
 
 
 def test_encoder_gradients_match_finite_differences():
@@ -223,8 +238,7 @@ def test_encoder_gradients_match_finite_differences():
         )
 
         def fn(p):
-            emb = net.encode(obs)
-            return reduce_sum(sigmoid(emb.graph_vector))
+            return reduce_sum(sigmoid(net.encode_batch([obs])))
 
         err = grad_check(fn, params.named(), eps=1e-5)
         assert err < 1e-4, f"trial {trial}: {err}"

@@ -479,6 +479,29 @@ def test_evaluate_validates_inputs():
         evaluate(model, heldout_envs(1), "both", cfg)
 
 
+def test_train_checkpoint_loads_back_into_a_fresh_model(tmp_path, monkeypatch):
+    model = tiny_model()
+    saved = []  # (meta, parameters) at each save
+    save = model.save
+
+    def recording_save(path, meta=None):
+        saved.append((meta, model.params.snapshot()))
+        save(path, meta=meta)
+
+    monkeypatch.setattr(model, "save", recording_save)
+    cfg = small_config(workers=1, total_updates=3, eval_every=1)
+    path = tmp_path / "best.ckpt"
+    train(model, cfg, eval_envs=heldout_envs(2), checkpoint_path=str(path))
+    assert path.exists() and saved
+    meta, params = saved[-1]
+    fresh = tiny_model(seed=1)
+    assert any(not np.array_equal(fresh.params[k].data, params[k]) for k in params)
+    assert fresh.load(str(path)) == meta
+    loaded = fresh.params.snapshot()
+    assert loaded.keys() == params.keys()
+    assert all(np.array_equal(loaded[k], params[k]) for k in params)
+
+
 def test_train_writes_metrics_csv(tmp_path):
     model = tiny_model()
     cfg = small_config(workers=1, episodes_per_worker=1, total_updates=3, eval_every=2)
