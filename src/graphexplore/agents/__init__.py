@@ -14,7 +14,6 @@ from .policy import (
     CategoricalHead,
     GridAction,
     GridDecoder,
-    LearnedPolicy,
     PolicyOutput,
     ValueHead,
 )

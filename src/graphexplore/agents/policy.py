@@ -3,8 +3,8 @@
 Two action modes: a masked categorical over a fixed action set, and an
 autoregressive grid decoder (size prefix, then row-major cell tokens) for
 grid-world inputs. Both heads expose the same pair of entry points: act() for
-sampling during rollouts and score() for re-evaluating a stored action on the
-gradient tape.
+choosing one action per row of a (K, w) batch during lockstep rollouts, and
+score() for re-evaluating stored actions on the gradient tape.
 
 Masking uses a -1e30 logit offset: large enough that exp() underflows to an
 exact 0 probability, small enough that log-space arithmetic stays finite, so
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..episode import advance_episode, begin_episode
 from ..tensor import (
     Embedding,
     Linear,
@@ -43,7 +44,6 @@ MASK_OFFSET = -1e30
 class PolicyOutput:
     action: object
     log_probability: float
-    value_estimate: float
     entropy: float
 
 
@@ -73,6 +73,16 @@ def _entropy(log_probs, probs):
     return -reduce_sum(probs * log_probs, axis=-1)
 
 
+def stack_masks(masks):
+    """(K, A) boolean rows of per-row action masks, or None when no row has
+    one; a row without a mask may take any action."""
+    width = next((len(m) for m in masks if m is not None), None)
+    if width is None:
+        return None
+    return np.stack([np.ones(width, dtype=bool) if m is None else np.asarray(m, dtype=bool)
+                     for m in masks])
+
+
 def sample_index(probs, rng):
     c = np.cumsum(probs)
     c[-1] = 1.0
@@ -86,17 +96,19 @@ class CategoricalHead:
         self.out = Linear(params, f"{name}/logits", in_width, n_actions)
         self.n_actions = n_actions
 
-    def act(self, F, rng, mode="sample", mask=None):
+    def act(self, F, rngs, mode="sample", masks=None):
+        """One action per row of F (K, w): row k samples from rngs[k] (greedy:
+        takes the argmax) among the actions masks[k] allows (None: any).
+        Returns K PolicyOutputs."""
         with no_grad():
-            log_probs, probs = masked_log_probs(self.out(F), mask)
-            p = probs.data
-            a = int(np.argmax(p)) if mode == "greedy" else sample_index(p, rng)
-            return PolicyOutput(
-                action=a,
-                log_probability=float(log_probs.data[a]),
-                value_estimate=0.0,
-                entropy=float(_entropy(log_probs, probs).data),
-            )
+            log_probs, probs = masked_log_probs(self.out(F), stack_masks(masks or ()))
+            entropy = _entropy(log_probs, probs).data
+        outs = []
+        for k, p in enumerate(probs.data):
+            a = int(np.argmax(p)) if mode == "greedy" else sample_index(p, rngs[k])
+            outs.append(PolicyOutput(action=a, log_probability=float(log_probs.data[k, a]),
+                                     entropy=float(entropy[k])))
+        return outs
 
     def score(self, F, action, mask=None):
         """(log-probability of the taken action, entropy) per row: F is (w,)
@@ -205,15 +217,17 @@ class GridDecoder:
         action = forced if forced is not None else GridAction(size=size, tokens=tuple(tokens))
         return action, total_lp, total_ent
 
-    def act(self, F, rng, mode="sample", mask=None):
+    def act(self, F, rngs, mode="sample", masks=None):
+        """One grid per row of F (K, w), row k decoded with rngs[k]; masks
+        are unused, since the decoder masks its own tokens."""
+        outs = []
         with no_grad():
-            action, lp, ent = self._walk(F, rng=rng, mode=mode)
-        return PolicyOutput(
-            action=action,
-            log_probability=float(lp.data),
-            value_estimate=0.0,
-            entropy=float(ent.data),
-        )
+            for k in range(F.data.shape[0]):
+                row = reshape(slice_(F, k, k + 1, axis=0), F.data.shape[1:])
+                action, lp, ent = self._walk(row, rng=rngs[k], mode=mode)
+                outs.append(PolicyOutput(action=action, log_probability=float(lp.data),
+                                         entropy=float(ent.data)))
+        return outs
 
     def score(self, F, action, mask=None):
         if action.size not in self.sizes:
@@ -232,48 +246,11 @@ class ValueHead:
         return reshape(self.net(F), F.data.shape[:-1])
 
 
-class LearnedPolicy:
-    """run_episode adapter: folds the history incrementally through the
-    encoder and acts through the head.
-
-    The incremental state is reset whenever a fresh history (single record) is
-    seen, so one policy instance can serve many sequential episodes.
-    """
-
-    def __init__(self, encoder, head, value_head, mode="sample"):
-        self.encoder = encoder
-        self.head = head
-        self.value_head = value_head
-        self.mode = mode
-        self._state = None
-        self._consumed = 0
-
-    def __call__(self, history, env, rng):
-        with no_grad():
-            if len(history.records) == 1:
-                self._state = self.encoder.init_state()
-                self._consumed = 0
-            for rec in history.records[self._consumed :]:
-                F, self._state = self.encoder.fold(
-                    self._state, self.encoder.summary(rec, history.program)
-                )
-                self._consumed += 1
-            mask = env.action_mask()
-            out = self.head.act(F, rng, mode=self.mode, mask=mask)
-            out.value_estimate = float(self.value_head(F).data)
-        return out.action, {
-            "logprob": out.log_probability,
-            "value": out.value_estimate,
-            "entropy": out.entropy,
-            "mask": mask,
-        }
-
-
 class PolicyModel:
     """Bundle of everything a learned agent needs: the parameter store, the
-    history encoder, and the action/value heads. Rollouts make a fresh
-    LearnedPolicy adapter per episode; the trainer scores a whole batch of
-    decisions through score() on the tape."""
+    history encoder, and the action/value heads. run_episodes is the agent's
+    one rollout path, stepping a batch of episodes in lockstep; the trainer
+    scores a whole batch of decisions through score() on the tape."""
 
     def __init__(self, params, encoder, head, value_head):
         self.params = params
@@ -281,8 +258,49 @@ class PolicyModel:
         self.head = head
         self.value_head = value_head
 
-    def policy(self, mode="sample"):
-        return LearnedPolicy(self.encoder, self.head, self.value_head, mode=mode)
+    def run_episodes(self, envs, seeds, mode="sample"):
+        """Roll one episode per env in lockstep and return their K
+        EpisodeTrajectory objects in env order. Episode k resets envs[k] with,
+        and draws its actions from, its own default_rng(seeds[k]) and runs
+        until full coverage or envs[k].budget decisions, so it takes the same
+        actions in any batch. Each step serves every live episode with one
+        summaries call (one GraphNet pass over the union of their newest
+        graphs), one fold of their history states as rows, one head call and
+        one value call; the envs then step one by one, and an episode that
+        ends leaves the live set. mode is "sample" or "greedy"."""
+        if len(envs) != len(seeds):
+            raise ValueError(f"{len(envs)} envs but {len(seeds)} seeds")
+        first = {}
+        for k, env in enumerate(envs):
+            j = first.setdefault(id(env), k)
+            if j != k:
+                raise ValueError(f"envs {j} and {k} are the same object; "
+                                 f"each episode needs its own env")
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        starts = [begin_episode(env, rng, env.budget, seed)
+                  for env, rng, seed in zip(envs, rngs, seeds)]
+        trajs = [traj for traj, _ in starts]
+        live = [k for k, (_, over) in enumerate(starts) if not over]
+        state = self.encoder.init_state(len(live))
+        with no_grad():
+            while live:
+                histories = [trajs[k].history for k in live]
+                F, state = self.encoder.fold(state, self.encoder.summaries(
+                    [h.last() for h in histories], [h.program for h in histories]))
+                masks = [envs[k].action_mask() for k in live]
+                outs = self.head.act(F, [rngs[k] for k in live], mode=mode, masks=masks)
+                values = self.value_head(F).data
+                kept = []
+                for row, (k, out, mask) in enumerate(zip(live, outs, masks)):
+                    info = {"logprob": out.log_probability, "value": float(values[row]),
+                            "entropy": out.entropy, "mask": mask}
+                    if not advance_episode(envs[k], trajs[k], out.action, info):
+                        kept.append(row)
+                if len(kept) < len(live):
+                    live = [live[row] for row in kept]
+                    if state is not None:
+                        state = tuple(Tensor(part.data[kept]) for part in state)
+        return trajs
 
     def save(self, path, meta=None):
         save_params(path, self.params.snapshot(), meta=meta)

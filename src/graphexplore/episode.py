@@ -159,9 +159,11 @@ class HistoryEncoder:
     temporal_mode last_step returns the newest summary; autoregressive folds
     summaries through an LSTM whose hidden state is F(h_t).
 
-    Rollouts fold one record at a time (summary + fold, from init_state); the
-    learner encodes every prefix of a whole batch of episodes at once with
-    prefix_encodings, which folds the episodes in parallel.
+    Both callers fold episodes as rows of one (K, H) state. Rollouts step K
+    episodes in lockstep (PolicyModel.run_episodes): each step builds the
+    newest record's summary of every live episode with one summaries call and
+    folds them with one fold call. The learner encodes every prefix of a
+    whole batch of episodes at once with prefix_encodings.
     """
 
     def __init__(self, params, name, config, graph_net):
@@ -287,17 +289,23 @@ class HistoryEncoder:
 
     # -- temporal fold ------------------------------------------------------
 
-    def init_state(self):
-        if self.config.temporal_mode == "autoregressive":
-            return self.cell.zero_state()
-        return None
+    def init_state(self, rows=None):
+        """Zero fold state: (H,) parts, or (rows, H) parts that fold `rows`
+        sequences in parallel; None in last_step mode."""
+        if self.config.temporal_mode != "autoregressive":
+            return None
+        state = self.cell.zero_state()
+        if rows is None:
+            return state
+        return tuple(Tensor(np.zeros((rows,) + part.data.shape)) for part in state)
 
     def fold(self, state, summ):
-        """Consume one summary; returns (F, new state)."""
+        """Consume one summary; returns (F, new state). The state is an
+        (h, c) pair, or None in last_step mode, which keeps no state."""
         if self.config.temporal_mode == "autoregressive":
             h, c = self.cell(summ, state)
             return h, (h, c)
-        return summ, summ
+        return summ, None
 
     def prefix_encodings(self, sequences, programs):
         """(R, output_width) encodings of every prefix of every record
@@ -315,9 +323,7 @@ class HistoryEncoder:
         summaries = self.summaries(
             records, [p for p, n in zip(programs, lengths) for _ in range(n)])
         E, T = len(sequences), int(lengths.max())
-        state = self.init_state()
-        if state is not None:
-            state = tuple(Tensor(np.zeros((E,) + part.data.shape)) for part in state)
+        state = self.init_state(E)
         outputs = []
         for t in range(T):
             rows = starts + np.minimum(t, lengths - 1)
@@ -340,6 +346,7 @@ class EpisodeTrajectory:
     history: EpisodeHistory
     logprobs: list = field(default_factory=list)
     values: list = field(default_factory=list)
+    entropies: list = field(default_factory=list)  # policy entropy at each decision
     masks: list = field(default_factory=list)  # per-decision action masks (or None)
     terminated_early: bool = False  # full coverage before the budget ran out
     seed: int | None = None
@@ -367,7 +374,7 @@ class TrajectoryBatch:
             if abs(sum(ep.rewards()) - ep.final_coverage) > 1e-9:
                 raise ValueError("reward sum does not telescope to final coverage")
             n = len(ep.history.records) - 1
-            for seq in (ep.logprobs, ep.values, ep.masks):
+            for seq in (ep.logprobs, ep.values, ep.entropies, ep.masks):
                 if len(seq) not in (0, n):
                     raise ValueError("policy outputs misaligned with records")
         return self
@@ -379,12 +386,12 @@ class EpisodeStepError(RuntimeError):
         self.step = step
 
 
-def run_episode(env, policy, budget, seed):
-    """Roll one episode. `policy(history, env, rng)` returns an action or an
-    (action, info) pair where info may carry 'logprob' and 'value' floats.
-    Stops after the budget is spent or as soon as the environment reports full
-    coverage following a step."""
-    rng = np.random.default_rng(seed)
+def begin_episode(env, rng, budget, seed):
+    """Reset `env` with `rng`; returns (the trajectory holding record 0,
+    whether the episode is already over). An env that is fully explored on
+    arrival (e.g. a single-cell world whose start is covered by arrival)
+    needs no valid action, so the episode ends at t=0 and is marked
+    terminated early; so does one with no budget, unmarked."""
     obs0 = env.reset(rng)
     history = EpisodeHistory(
         records=[StepRecord(action=None, observation=obs0, reward=0.0)],
@@ -393,31 +400,50 @@ def run_episode(env, policy, budget, seed):
         program=getattr(env, "program", None),
     )
     traj = EpisodeTrajectory(history=history, seed=seed)
-    if env.fully_explored():
-        # Nothing left to discover (e.g. a single-cell world whose start is
-        # covered by arrival); no valid action need exist, so stop at t=0.
-        traj.terminated_early = True
-        return history, traj
+    traj.terminated_early = env.fully_explored()
+    return traj, traj.terminated_early or budget < 1
+
+
+_INFO_FIELDS = (("logprob", "logprobs"), ("value", "values"),
+                ("entropy", "entropies"), ("mask", "masks"))
+
+
+def advance_episode(env, traj, action, info):
+    """Take decision `action` in `env` and record it in `traj`: the step's
+    reward, the policy outputs present in `info` ('logprob', 'value',
+    'entropy', 'mask'), and whether the env is now fully explored. Returns
+    True when the episode is over: full coverage or the budget spent."""
+    history = traj.history
+    t = len(history.records)
+    try:
+        obs = env.step(action)
+    except Exception as e:
+        raise EpisodeStepError(t, e) from e
+    reward = compute_reward(history.last().observation, obs, history.normalizer)
+    history.records.append(StepRecord(action=action, observation=obs, reward=reward))
+    for key, attr in _INFO_FIELDS:
+        if key in info:
+            getattr(traj, attr).append(info[key])
+    traj.terminated_early = env.fully_explored()
+    return traj.terminated_early or t >= history.budget
+
+
+def run_episode(env, policy, budget, seed):
+    """Roll one episode of a callable policy (baselines, Karel world
+    policies). `policy(history, env, rng)` returns an action or an
+    (action, info) pair where info may carry 'logprob', 'value', 'entropy'
+    and 'mask'. Stops after the budget is spent or as soon as the environment
+    reports full coverage following a step. The learned agent rolls its
+    episodes in lockstep through PolicyModel.run_episodes, on the same
+    begin_episode / advance_episode bookkeeping."""
+    rng = np.random.default_rng(seed)
+    traj, done = begin_episode(env, rng, budget, seed)
     with no_grad():
-        for t in range(1, budget + 1):
-            out = policy(history, env, rng)
+        while not done:
+            out = policy(traj.history, env, rng)
             action, info = out if isinstance(out, tuple) else (out, {})
-            try:
-                obs = env.step(action)
-            except Exception as e:
-                raise EpisodeStepError(t, e) from e
-            reward = compute_reward(history.last().observation, obs, history.normalizer)
-            history.records.append(StepRecord(action=action, observation=obs, reward=reward))
-            if "logprob" in info:
-                traj.logprobs.append(info["logprob"])
-            if "value" in info:
-                traj.values.append(info["value"])
-            if "mask" in info:
-                traj.masks.append(info["mask"])
-            if env.fully_explored():
-                traj.terminated_early = True
-                break
-    return history, traj
+            done = advance_episode(env, traj, action, info)
+    return traj.history, traj
 
 
 def dump_trajectories(path, batch):

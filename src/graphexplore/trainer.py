@@ -1,8 +1,10 @@
 """Synchronized advantage actor-critic over a distribution of environments.
 
-Each update collects one batch of full on-policy episodes, one after another,
-with the current parameters, and then a single learner step replays the batch
-on the gradient tape. Returns are undiscounted suffix sums (finite-horizon
+Each update collects one batch of full on-policy episodes with the current
+parameters, stepping them in lockstep (PolicyModel.run_episodes: one union
+GraphNet encode, one history fold, one head call and one value call per step
+for all live episodes), and then a single learner step replays the batch on
+the gradient tape. Returns are undiscounted suffix sums (finite-horizon
 coverage objective), advantages are returns minus the value baseline, and the
 update clips the global gradient norm.
 
@@ -21,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episode import TrajectoryBatch, run_episode
+from .agents.policy import stack_masks
+from .episode import TrajectoryBatch
+from .episode import run_episode  # noqa: F401  perfbench/layers.py wraps trainer.run_episode by name
 from .tensor import (
     GradientError,
     OptimizerState,
@@ -38,7 +42,8 @@ class TrainConfig:
     """Knobs for the training loop. env_sampler is a callable rng -> fresh
     environment instance; seed fully determines the run. workers and
     episodes_per_worker only set the batch size (their product) and the
-    layout of the per-episode seed streams; episodes always run serially."""
+    layout of the per-episode seed streams; a batch's episodes always run
+    in lockstep in one process."""
 
     seed: int
     env_sampler: object = None
@@ -87,18 +92,18 @@ def _episode_seeds(config, round_index, worker, episode):
 
 
 def collect_rollouts(model, env_sampler, config, round_index=0):
-    """Sample fresh environments and run full episodes, one at a time, from
-    the model's current parameters. The batch is ordered by (worker, episode)
-    and every episode draws from its own seed stream. A failure aborts the
+    """Sample fresh environments and run one full episode on each from the
+    model's current parameters, all in lockstep. The batch is ordered by
+    (worker, episode) and every episode draws from its own seed stream, so an
+    episode does not depend on the rest of the batch. A failure aborts the
     whole collection."""
-    episodes = []
+    envs, seeds = [], []
     for w in range(config.workers):
         for e in range(config.episodes_per_worker):
             env_seed, ep_seed = _episode_seeds(config, round_index, w, e)
-            env = env_sampler(np.random.default_rng(env_seed))
-            _, traj = run_episode(env, model.policy(mode="sample"), budget=env.budget, seed=ep_seed)
-            episodes.append(traj)
-    return TrajectoryBatch(episodes=episodes).validate()
+            envs.append(env_sampler(np.random.default_rng(env_seed)))
+            seeds.append(ep_seed)
+    return TrajectoryBatch(episodes=model.run_episodes(envs, seeds, mode="sample")).validate()
 
 
 def episode_returns(episode):
@@ -115,13 +120,8 @@ def episode_returns(episode):
 def _decision_masks(episodes):
     """(D, A) action masks of every decision, or None when no decision has
     one; a decision without a mask may take any action."""
-    masks = [m for ep in episodes
-             for m in (ep.masks or [None] * (len(ep.history.records) - 1))]
-    width = next((len(m) for m in masks if m is not None), None)
-    if width is None:
-        return None
-    return np.stack([np.ones(width, dtype=bool) if m is None else np.asarray(m, dtype=bool)
-                     for m in masks])
+    return stack_masks([m for ep in episodes
+                        for m in (ep.masks or [None] * (len(ep.history.records) - 1))])
 
 
 def batch_loss(model, batch, config):
@@ -217,14 +217,13 @@ class MetricsWriter:
 
 
 def zero_shot_coverage(model, env_set, config):
-    """Greedy single episode per environment, no parameter change."""
-    covs = []
-    policy = model.policy(mode="greedy")
-    for i, env in enumerate(env_set):
-        seed = int(np.random.SeedSequence([config.seed, 900_000 + i]).generate_state(1)[0])
-        run_episode(env, policy, budget=env.budget, seed=seed)
-        covs.append(env.coverage_fraction())
-    return float(np.mean(covs))
+    """Greedy single episode per environment, all in lockstep, no parameter
+    change."""
+    env_set = list(env_set)
+    seeds = [int(np.random.SeedSequence([config.seed, 900_000 + i]).generate_state(1)[0])
+             for i in range(len(env_set))]
+    model.run_episodes(env_set, seeds, mode="greedy")
+    return float(np.mean([env.coverage_fraction() for env in env_set]))
 
 
 def fine_tune(model, env, config, updates, eval_envs=None, eval_every=None, target=None):
@@ -233,8 +232,9 @@ def fine_tune(model, env, config, updates, eval_envs=None, eval_every=None, targ
     model and the list of per-eval coverages; stops early once `target`
     coverage is reached if one is given."""
     tuned = copy.deepcopy(model)
-    # Episodes run one at a time, and run_episode resets the env first.
-    sampler = lambda rng: env  # noqa: E731
+    # Every episode of a lockstep batch needs its own env; reset rebuilds all
+    # of a copy's state, so seeded results do not depend on the copying.
+    sampler = lambda rng: copy.deepcopy(env)  # noqa: E731
     opt_state = OptimizerState(lr=config.learning_rate)
     curve = []
     for u in range(updates):

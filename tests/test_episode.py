@@ -117,6 +117,26 @@ def test_run_episode_seed_determinism():
     assert runs[0] == runs[1]
 
 
+def test_run_episode_keeps_the_policy_outputs_of_each_decision():
+    def policy(history, env, rng):
+        t = len(history.records)
+        mask = env.action_mask()
+        action = int(rng.choice(np.flatnonzero(mask)))
+        return action, {"logprob": -0.1 * t, "value": 0.2 * t, "entropy": 0.3 * t, "mask": mask}
+
+    env = MazeEnv(generate_maze(4, 4, 0.1, seed=2), budget=6)
+    history, traj = run_episode(env, policy, budget=6, seed=3)
+    steps = range(1, len(history.records))
+    assert traj.logprobs == [-0.1 * t for t in steps]
+    assert traj.values == [0.2 * t for t in steps]
+    assert traj.entropies == [0.3 * t for t in steps]
+    assert len(traj.masks) == len(steps)
+    TrajectoryBatch(episodes=[traj]).validate()
+    traj.entropies.pop()
+    with pytest.raises(ValueError, match="misaligned"):
+        TrajectoryBatch(episodes=[traj]).validate()
+
+
 def test_trajectory_batch_validation_and_dump(tmp_path):
     env = MazeEnv(generate_maze(4, 4, 0.1, seed=2), budget=10)
     episodes = []

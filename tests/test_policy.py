@@ -5,7 +5,7 @@ from graphexplore.agents.policy import (
     CategoricalHead,
     GridAction,
     GridDecoder,
-    LearnedPolicy,
+    PolicyModel,
     ValueHead,
     masked_log_probs,
     sample_index,
@@ -16,7 +16,6 @@ from graphexplore.episode import (
     HistoryEncoderConfig,
     TrajectoryBatch,
     episode_objective,
-    run_episode,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig
 from graphexplore.tensor import ParamSet, Tensor, no_grad
@@ -81,8 +80,8 @@ def test_categorical_uniform_after_zeroing():
     params = ParamSet(seed=1)
     head = CategoricalHead(params, "policy", in_width=6, n_actions=4)
     zero_params(params, "policy")
-    F = Tensor(rng_of(0).normal(size=6))
-    out = head.act(F, rng_of(1), mask=[True, False, True, False])
+    F = Tensor(rng_of(0).normal(size=(1, 6)))
+    [out] = head.act(F, [rng_of(1)], masks=[[True, False, True, False]])
     assert out.action in (0, 2)
     assert out.log_probability == pytest.approx(np.log(0.5))
 
@@ -90,17 +89,32 @@ def test_categorical_uniform_after_zeroing():
 def test_categorical_sampling_respects_mask():
     params = ParamSet(seed=2)
     head = CategoricalHead(params, "policy", in_width=4, n_actions=4)
-    F = Tensor(rng_of(3).normal(size=4))
+    F = Tensor(rng_of(3).normal(size=(1, 4)))
     r = rng_of(4)
-    actions = {head.act(F, r, mask=[False, True, False, True]).action for _ in range(200)}
+    actions = {head.act(F, [r], masks=[[False, True, False, True]])[0].action
+               for _ in range(200)}
     assert actions <= {1, 3}
+
+
+def test_categorical_rows_draw_from_their_own_rng_and_mask():
+    params = ParamSet(seed=2)
+    head = CategoricalHead(params, "policy", in_width=4, n_actions=4)
+    F = Tensor(rng_of(3).normal(size=(3, 4)))
+    masks = [[True, True, False, False], None, [False, False, False, True]]
+    outs = head.act(F, [rng_of(10 + k) for k in range(3)], masks=masks)
+    for k, out in enumerate(outs):
+        [alone] = head.act(Tensor(F.data[k:k + 1]), [rng_of(10 + k)], masks=[masks[k]])
+        assert out.action == alone.action
+        assert abs(out.log_probability - alone.log_probability) <= 1e-12
+        assert abs(out.entropy - alone.entropy) <= 1e-12
+    assert outs[0].action in (0, 1) and outs[2].action == 3
 
 
 def test_categorical_greedy_deterministic():
     params = ParamSet(seed=3)
     head = CategoricalHead(params, "policy", in_width=5, n_actions=6)
-    F = Tensor(rng_of(5).normal(size=5))
-    outs = [head.act(F, rng_of(s), mode="greedy") for s in range(5)]
+    F = Tensor(rng_of(5).normal(size=(1, 5)))
+    outs = [head.act(F, [rng_of(s)], mode="greedy")[0] for s in range(5)]
     assert len({o.action for o in outs}) == 1
     assert len({o.log_probability for o in outs}) == 1
 
@@ -111,7 +125,7 @@ def test_categorical_score_matches_act():
     F = Tensor(rng_of(6).normal(size=5))
     mask = [True, True, False, True]
     for seed in range(10):
-        out = head.act(F, rng_of(seed), mask=mask)
+        [out] = head.act(Tensor(F.data[None]), [rng_of(seed)], masks=[mask])
         with no_grad():
             lp, ent = head.score(F, out.action, mask=mask)
         assert abs(float(lp.data) - out.log_probability) < 1e-9
@@ -135,7 +149,7 @@ def grid_fixture(seed=0, sizes=(2, 3)):
 def test_grid_exactly_one_hero_always():
     _, head, F = grid_fixture(seed=13)
     for seed in range(30):
-        out = head.act(F, rng_of(seed))
+        [out] = head.act(Tensor(F.data[None]), [rng_of(seed)])
         grid = out.action
         assert grid.size in (2, 3)
         assert len(grid.tokens) == grid.size * grid.size
@@ -145,7 +159,7 @@ def test_grid_exactly_one_hero_always():
 def test_grid_score_matches_act():
     _, head, F = grid_fixture(seed=14)
     for seed in range(8):
-        out = head.act(F, rng_of(seed))
+        [out] = head.act(Tensor(F.data[None]), [rng_of(seed)])
         with no_grad():
             lp, ent = head.score(F, out.action)
         assert abs(float(lp.data) - out.log_probability) < 1e-9
@@ -176,10 +190,10 @@ def test_grid_action_repr():
     assert str(a) == "2x2:0,2,1,0"
 
 
-# ------------------------------------------------------------- learned policy
+# ------------------------------------------------------- learned rollouts
 
 
-def make_learned_policy(params, seed=0, mode="sample"):
+def make_learned_model(params):
     net = GraphNet(params, "gnn", GraphNetConfig(d=8, rounds=2, feature_width=1))
     enc_cfg = HistoryEncoderConfig(
         temporal_mode="autoregressive",
@@ -192,39 +206,51 @@ def make_learned_policy(params, seed=0, mode="sample"):
     width = encoder.output_width()
     head = CategoricalHead(params, "head", width, 4)
     value = ValueHead(params, "value", width)
-    return LearnedPolicy(encoder, head, value, mode=mode)
+    return PolicyModel(params, encoder, head, value)
 
 
-def test_learned_policy_runs_episode_with_masking():
+def test_run_episodes_runs_episode_with_masking():
     params = ParamSet(seed=21)
-    policy = make_learned_policy(params)
+    model = make_learned_model(params)
     maze = generate_maze(4, 4, 0.1, seed=3)
     env = MazeEnv(maze, budget=12)
-    history, traj = run_episode(env, policy, budget=12, seed=5)
+    [traj] = model.run_episodes([env], [5])
+    history = traj.history
     n_steps = len(history.records) - 1
     assert n_steps >= 1
     assert len(traj.logprobs) == n_steps
     assert len(traj.values) == n_steps
+    assert len(traj.entropies) == n_steps
     assert all(lp <= 0.0 for lp in traj.logprobs)
+    assert all(ent >= 0.0 for ent in traj.entropies)
     assert episode_objective(history) > 0.0
     TrajectoryBatch(episodes=[traj]).validate()
 
 
-def test_learned_policy_seed_determinism():
+def test_run_episodes_seed_determinism():
     runs = []
     for _ in range(2):
         params = ParamSet(seed=22)
-        policy = make_learned_policy(params)
+        model = make_learned_model(params)
         env = MazeEnv(generate_maze(4, 4, 0.1, seed=4), budget=10)
-        history, _ = run_episode(env, policy, budget=10, seed=9)
-        runs.append([r.action for r in history.records[1:]])
+        [traj] = model.run_episodes([env], [9])
+        runs.append([r.action for r in traj.history.records[1:]])
     assert runs[0] == runs[1]
 
 
-def test_learned_policy_reusable_across_episodes():
+def test_run_episodes_reusable_across_calls():
     params = ParamSet(seed=23)
-    policy = make_learned_policy(params)
+    model = make_learned_model(params)
     env = MazeEnv(generate_maze(3, 3, 0.0, seed=6), budget=6)
-    h1, _ = run_episode(env, policy, budget=6, seed=1)
-    h2, _ = run_episode(env, policy, budget=6, seed=1)
-    assert [r.action for r in h1.records[1:]] == [r.action for r in h2.records[1:]]
+    [t1] = model.run_episodes([env], [1])
+    [t2] = model.run_episodes([env], [1])
+    assert [r.action for r in t1.history.records[1:]] == [r.action for r in t2.history.records[1:]]
+
+
+def test_run_episodes_rejects_a_shared_env():
+    model = make_learned_model(ParamSet(seed=24))
+    envs = [MazeEnv(generate_maze(3, 3, 0.0, seed=s), budget=6) for s in range(2)]
+    with pytest.raises(ValueError, match="envs 0 and 2 are the same object"):
+        model.run_episodes([envs[0], envs[1], envs[0]], [1, 2, 3])
+    with pytest.raises(ValueError, match="2 envs but 1 seeds"):
+        model.run_episodes(envs, [1])

@@ -131,8 +131,8 @@ def test_zero_advantage_kills_policy_term():
     cfg = small_config()
     maze = generate_maze(2, 2, 1.0, seed=0)
     env = MazeEnv(maze, budget=3)
-    history, traj = run_episode(env, model.policy("sample"), budget=3, seed=1)
-    for rec in history.records:
+    [traj] = model.run_episodes([env], [1])
+    for rec in traj.history.records:
         rec.reward = 0.0
     from graphexplore.tensor import Tape
 
@@ -189,8 +189,7 @@ def mixed_batch(kind, model):
                 for s in (1, 2)]
         envs += [AppEnv(generate_er_app(3, p=1.0, seed=3), budget=8, num_actions=7),
                  AppEnv(generate_er_app(5, p=0.0, seed=4), budget=8, num_actions=7)]
-    episodes = [run_episode(env, model.policy("sample"), budget=env.budget, seed=i)[1]
-                for i, env in enumerate(envs)]
+    episodes = model.run_episodes(envs, list(range(len(envs))))
     first_valid = lambda history, env, rng: int(np.flatnonzero(env.action_mask())[0])  # noqa: E731
     env = copy.deepcopy(envs[0])
     episodes.append(run_episode(env, first_valid, budget=env.budget, seed=9)[1])
@@ -228,7 +227,7 @@ def test_batch_loss_rejects_batches_without_decisions():
     with pytest.raises(ValueError, match="empty batch"):
         batch_loss(model, TrajectoryBatch(episodes=[]), cfg)
     env = MazeEnv(generate_maze(1, 1, 0.0, 0), budget=5)
-    _, traj = run_episode(env, model.policy("sample"), budget=5, seed=0)
+    [traj] = model.run_episodes([env], [0])
     with pytest.raises(ValueError, match="no decisions"):
         batch_loss(model, TrajectoryBatch(episodes=[traj]), cfg)
 
@@ -247,11 +246,65 @@ def test_single_worker_single_episode_matches_direct_run(workers, episodes_per_w
     for got, (w, e) in zip(batch.episodes, layout):
         env_seed, ep_seed = _episode_seeds(cfg, 0, w, e)
         env = maze_sampler(np.random.default_rng(env_seed))
-        _, want = run_episode(env, model.policy("sample"), budget=env.budget, seed=ep_seed)
+        [want] = model.run_episodes([env], [ep_seed])
         assert [r.action for r in got.history.records] == [r.action for r in want.history.records]
         assert got.rewards() == want.rewards()
-        assert got.logprobs == want.logprobs
-        assert got.values == want.values
+        # The batched matmuls of a larger lockstep batch may differ in the
+        # last bit from a batch of one.
+        assert_close(got.logprobs, want.logprobs, 1e-9)
+        assert_close(got.values, want.values, 1e-9)
+
+
+def lockstep_envs(kind):
+    """Eight fresh envs: six ordinary ones, one covered before its budget runs
+    out and one with no decision to make."""
+    if kind == "maze":
+        envs = [MazeEnv(generate_maze(4, 4, 0.18, s), budget=10) for s in range(1, 7)]
+        return envs + [MazeEnv(generate_maze(2, 2, 1.0, 3), budget=10),
+                       MazeEnv(generate_maze(1, 1, 0.0, 0), budget=5)]
+    envs = [AppEnv(generate_er_app(8, p=0.3, seed=s), budget=8, num_actions=7)
+            for s in range(1, 7)]
+    return envs + [AppEnv(generate_er_app(3, p=1.0, seed=3), budget=8, num_actions=7),
+                   AppEnv(generate_er_app(5, p=0.0, seed=4), budget=8, num_actions=7)]
+
+
+def assert_close(got, want, tol):
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("kind", ["maze", "app"])
+def test_batch_composition_does_not_change_an_episode(kind):
+    model = tiny_model(seed=11, n_actions=4 if kind == "maze" else 7)
+    seeds = [100 + k for k in range(8)]
+    batch = model.run_episodes(lockstep_envs(kind), seeds)
+    assert any(ep.terminated_early and len(ep.history.records) > 2 for ep in batch)
+    assert any(len(ep.history.records) == 1 for ep in batch)
+    for k, got in enumerate(batch):
+        [want] = model.run_episodes([lockstep_envs(kind)[k]], [seeds[k]])
+        assert [r.action for r in got.history.records] == [r.action for r in want.history.records]
+        assert got.rewards() == want.rewards()
+        assert got.terminated_early == want.terminated_early
+        assert len(got.masks) == len(want.masks)
+        assert all(np.array_equal(a, b) for a, b in zip(got.masks, want.masks))
+        assert_close(got.logprobs, want.logprobs, 1e-9)
+        assert_close(got.values, want.values, 1e-9)
+        assert_close(got.entropies, want.entropies, 1e-9)
+    TrajectoryBatch(episodes=batch).validate()
+
+
+def test_greedy_zero_shot_equals_mean_of_single_env_runs():
+    model = tiny_model(seed=12)
+    cfg = small_config()
+    envs = lockstep_envs("maze")[2:]
+    cov = zero_shot_coverage(model, envs, cfg)
+    singles = []
+    for i in range(len(envs)):
+        env = lockstep_envs("maze")[2 + i]
+        seed = int(np.random.SeedSequence([cfg.seed, 900_000 + i]).generate_state(1)[0])
+        model.run_episodes([env], [seed], mode="greedy")
+        singles.append(env.coverage_fraction())
+    assert cov == float(np.mean(singles))
 
 
 def test_collection_is_deterministic():
@@ -400,7 +453,7 @@ def test_bandit_learns_rewarding_arm_and_entropy_trends_down():
         if u >= 30 and stats.entropy < 0.05:
             break
     env = BanditEnv()
-    run_episode(env, model.policy("greedy"), budget=1, seed=0)
+    model.run_episodes([env], [0], mode="greedy")
     assert env.done, "greedy policy failed to pick the rewarding action"
     # 10-update moving average decreases in trend: late window below early.
     kernel = np.ones(10) / 10
@@ -461,6 +514,19 @@ def test_update_on_deep_copy_trains_its_own_action_rows():
     assert moved.any(axis=1).all()
     after = model.params.snapshot()
     assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+def test_fine_tune_repeats_exactly_with_several_workers():
+    runs = []
+    for _ in range(2):
+        env = heldout_envs(1)[0]
+        tuned, curve = fine_tune(tiny_model(), env, small_config(seed=3, workers=4),
+                                 updates=2, eval_every=1)
+        runs.append((curve, tuned.params.snapshot()))
+    assert len(runs[0][0]) == 2
+    assert runs[0][0] == runs[1][0]
+    for name, value in runs[0][1].items():
+        assert np.array_equal(value, runs[1][1][name]), name
 
 
 def test_fine_tune_with_several_workers():
