@@ -5,11 +5,20 @@ current cell: adjacent open cells appear as frontier nodes (coverage bit 0)
 whose own walls stay unknown until visited. Observations carry no coordinates;
 node identity is discovery order, and edges are typed by compass direction so
 the agent can tell which action leads along which edge.
+
+A Maze is immutable once built: its passage array is read-only and each
+cell's open directions are tabled at construction. The exploration
+state keeps the belief graph's edges as one block per visited cell, so a step
+costs O(1) in bookkeeping however long the episode: a cell's block is built on
+its first visit, when the blocks of its visited neighbours are rebuilt too
+(their reverse edges into it go), and a step onto a visited cell changes no
+block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -21,20 +30,40 @@ DIR_NAMES = "NESW"
 DELTAS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 OPPOSITE = (S, W, N, E)
 NUM_EDGE_TYPES = 4  # edge type = direction + 1
+# Open directions of each possible uint8 passage mask.
+_DIRS_OF_MASK = tuple(tuple(d for d in DIRECTIONS if bits >> d & 1) for bits in range(256))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Maze:
     width: int
     height: int
     passages: np.ndarray  # (height, width) uint8, bit d set = open toward DELTAS[d]
     start: tuple
 
+    def __post_init__(self):
+        # A read-only copy, so the direction table built from it cannot go stale.
+        passages = np.array(self.passages, dtype=np.uint8)
+        passages.flags.writeable = False
+        object.__setattr__(self, "passages", passages)
+        # _dirs[r][c]: the open directions of (r, c), in N, E, S, W order.
+        object.__setattr__(self, "_dirs", [[_DIRS_OF_MASK[bits] for bits in row]
+                                           for row in passages.tolist()])
+
+    def __reduce__(self):
+        # Copies and pickles go through the constructor, which re-freezes the
+        # passages and rebuilds the direction table.
+        return Maze, (self.width, self.height, self.passages, self.start)
+
     def is_open(self, r, c, d):
-        return bool(self.passages[r, c] >> d & 1)
+        return d in self._dirs[r][c]
 
     def open_dirs(self, r, c):
-        return [d for d in DIRECTIONS if self.is_open(r, c, d)]
+        return list(self._dirs[r][c])
+
+    def exits(self, r, c):
+        """[(direction, neighbour cell), ...] of the open sides of (r, c)."""
+        return [(d, (r + DELTAS[d][0], c + DELTAS[d][1])) for d in self._dirs[r][c]]
 
     def cells(self):
         return self.width * self.height
@@ -90,28 +119,47 @@ def generate_maze(width, height, loop_prob, seed):
 @dataclass
 class MazeState(BeliefNodes):
     """Exploration state. Every seen cell is admitted as a node in discovery
-    order (start=0, then sightings in N,E,S,W order)."""
+    order (start=0, then sightings in N,E,S,W order). blocks maps each
+    visited cell's node id to its edges in the belief graph (see
+    observe)."""
 
     position: tuple
     visited: set
-    frontier: set
     steps: int = 0
+    blocks: dict = field(default_factory=dict)
 
 
 def initial_state(maze):
-    state = MazeState(position=maze.start, visited={maze.start}, frontier=set())
+    state = MazeState(position=maze.start, visited=set())
     state.admit(maze.start)
-    _look_around(maze, state)
+    _visit(maze, state, maze.start)
     return state
 
 
-def _look_around(maze, state):
-    r, c = state.position
-    for d in maze.open_dirs(r, c):
-        cell = (r + DELTAS[d][0], c + DELTAS[d][1])
-        state.admit(cell)
-        if cell not in state.visited:
-            state.frontier.add(cell)
+def _visit(maze, state, cell):
+    """First visit of `cell`: admit its neighbours, build its edge block and
+    rebuild the blocks of its visited neighbours, whose reverse edges into
+    `cell` are gone now that it emits its own side."""
+    state.visited.add(cell)
+    for _, other in maze.exits(*cell):
+        state.admit(other)
+        if other in state.visited:
+            state.blocks[state.node_ids[other]] = _edge_block(maze, state, other)
+    state.blocks[state.node_ids[cell]] = _edge_block(maze, state, cell)
+
+
+def _edge_block(maze, state, cell):
+    """Edges of visited `cell`: (u, v, d+1) per open side, plus (v, u,
+    opposite+1) while the neighbour v is unvisited (a frontier node emits no
+    edges of its own)."""
+    u = state.node_ids[cell]
+    block = []
+    for d, other in maze.exits(*cell):
+        v = state.node_ids[other]
+        block.append((u, v, d + 1))
+        if other not in state.visited:
+            block.append((v, u, OPPOSITE[d] + 1))
+    return block
 
 
 def valid_actions(maze, state):
@@ -128,37 +176,28 @@ def step(maze, state, direction):
     if not maze.is_open(r, c, direction):
         raise ValueError(f"blocked direction {DIR_NAMES[direction]} from {(r, c)}")
     dest = (r + DELTAS[direction][0], c + DELTAS[direction][1])
-    delta = 0 if dest in state.visited else 1
     state.position = dest
-    state.visited.add(dest)
-    state.frontier.discard(dest)
     state.steps += 1
-    _look_around(maze, state)
-    return state, delta
+    if dest in state.visited:
+        return state, 0
+    _visit(maze, state, dest)
+    return state, 1
 
 
 def observe(maze, state, feature_provider=None):
     """Belief graph: visited + frontier nodes, direction-typed edges for every
-    passage incident to a visited cell. Features are the provider's structural
-    embedding (if any) plus an is-current column; the coverage bit rides in the
-    observation's coverage mask."""
-    n = len(state.node_order)
-    coverage = np.zeros(n)
-    edges = []
-    for cell in state.node_order:
-        if cell not in state.visited:
-            continue
-        u = state.node_ids[cell]
-        coverage[u] = 1.0
-        r, c = cell
-        for d in maze.open_dirs(r, c):
-            other = (r + DELTAS[d][0], c + DELTAS[d][1])
-            v = state.node_ids.get(other)
-            if v is None:
-                continue
-            edges.append((u, v, d + 1))
-            if other not in state.visited:  # frontier won't emit its own side
-                edges.append((v, u, OPPOSITE[d] + 1))
+    passage incident to a visited cell. The edges are the state's per-cell
+    blocks joined in node-id order: for each visited cell u and each open
+    side d toward node v, (u, v, d+1), then (v, u, opposite+1) while v is
+    unvisited. Blocks change only on a cell's first visit (initial_state,
+    step), so observing costs the size of the graph, not its history.
+    Features are the provider's structural embedding (if any) plus an
+    is-current column; the coverage bit rides in the observation's coverage
+    mask."""
+    ids = sorted(state.blocks)
+    coverage = np.zeros(len(state.node_order))
+    coverage[ids] = 1.0
+    edges = list(chain.from_iterable([state.blocks[u] for u in ids]))
     return belief_observation(edges, coverage, state.node_ids[state.position], NUM_EDGE_TYPES,
                               feature_provider)
 
@@ -321,13 +360,10 @@ class MazeEnv:
         return self.state.node_ids[self.state.position]
 
     def outgoing(self):
-        r, c = self.state.position
+        exits = self.maze.exits(*self.state.position)
         if self.hide_destinations:
-            return [(d, None) for d in self.maze.open_dirs(r, c)]
-        return [
-            (d, self.state.node_ids[(r + DELTAS[d][0], c + DELTAS[d][1])])
-            for d in self.maze.open_dirs(r, c)
-        ]
+            return [(d, None) for d, _ in exits]
+        return [(d, self.state.node_ids[other]) for d, other in exits]
 
     def reverse_action(self, direction):
         return OPPOSITE[direction]

@@ -67,18 +67,25 @@ class CoverageRegressionError(ValueError):
     pass
 
 
-def compute_reward(prev, nxt, normalizer):
-    """Newly covered node count over the normalizer. Node ids are stable, so
-    coverage may only switch 0 -> 1; anything else is an invariant breach."""
+def check_coverage_growth(prev, nxt):
+    """Raises CoverageRegressionError unless observation `nxt` keeps every
+    node of `prev` and every coverage bit `prev` set; the message names the
+    first regressed node. Node ids are stable, so coverage may only switch
+    0 -> 1."""
     n_prev = prev.node_count
     if nxt.node_count < n_prev:
-        raise CoverageRegressionError(
-            f"node set shrank: {n_prev} -> {nxt.node_count}"
-        )
-    for i in range(n_prev):
-        if prev.coverage[i] > nxt.coverage[i]:
-            raise CoverageRegressionError(f"coverage regressed at node {i}")
-    gained = float(np.sum(nxt.coverage) - np.sum(prev.coverage))
+        raise CoverageRegressionError(f"node set shrank: {n_prev} -> {nxt.node_count}")
+    regressed = np.asarray(prev.coverage) > np.asarray(nxt.coverage)[:n_prev]
+    if regressed.any():
+        raise CoverageRegressionError(f"coverage regressed at node {int(np.argmax(regressed))}")
+
+
+def compute_reward(prev, nxt, normalizer):
+    """Newly covered node count over the normalizer; a shrinking node set or
+    a coverage bit switched off is an invariant breach (see
+    check_coverage_growth)."""
+    check_coverage_growth(prev, nxt)
+    gained = float(np.asarray(nxt.coverage).sum() - np.asarray(prev.coverage).sum())
     return gained / normalizer
 
 
@@ -100,14 +107,9 @@ def validate_history(history):
     for rec in history.records:
         if not (0.0 <= rec.reward <= 1.0):
             raise ValueError(f"reward {rec.reward} outside [0, 1]")
-        obs = rec.observation
         if prev is not None:
-            if obs.node_count < prev.node_count:
-                raise ValueError("node set shrank")
-            for i in range(prev.node_count):
-                if prev.coverage[i] > obs.coverage[i]:
-                    raise ValueError(f"coverage regressed at node {i}")
-        prev = obs
+            check_coverage_growth(prev, rec.observation)
+        prev = rec.observation
     if len(history.records) > history.budget + 1:
         raise ValueError(f"history length {len(history.records)} exceeds budget+1")
     return history

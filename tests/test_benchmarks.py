@@ -35,6 +35,13 @@ def test_smoke_means_are_reasonable():
     assert bm.random_baseline_coverage(count=50) == r
 
 
+def test_maze_baseline_means_frozen():
+    # The full 1000-maze protocol; these are the frozen published values
+    # (exact replay, not a tolerance band).
+    assert bm.random_baseline_coverage() == 0.3023333333333333
+    assert bm.randdfs_baseline_coverage() == 0.5132777777777778
+
+
 def test_eval_env_distribution_matches_protocol():
     rng = np.random.default_rng(0)
     env = bm.maze_eval_env(8001)

@@ -57,6 +57,21 @@ def test_compute_reward_rejects_regression():
         compute_reward(obs_of([1, 1]), obs_of([1]), 2.0)
 
 
+def test_reward_and_history_checks_name_the_first_regressed_node():
+    prev, nxt = obs_of([1, 0, 1, 1]), obs_of([1, 0, 0, 0, 1])
+    with pytest.raises(CoverageRegressionError, match="coverage regressed at node 2$"):
+        compute_reward(prev, nxt, 5.0)
+    history = EpisodeHistory(
+        records=[StepRecord(action=None, observation=prev, reward=0.0),
+                 StepRecord(action=0, observation=nxt, reward=0.0)],
+        budget=1, normalizer=5.0)
+    with pytest.raises(CoverageRegressionError, match="coverage regressed at node 2$"):
+        validate_history(history)
+    history.records[1] = StepRecord(action=0, observation=obs_of([1, 1]), reward=0.0)
+    with pytest.raises(CoverageRegressionError, match="node set shrank: 4 -> 2"):
+        validate_history(history)
+
+
 def history_from_masks(masks, normalizer, budget=None):
     records = [StepRecord(action=None, observation=obs_of(masks[0]), reward=0.0)]
     for i in range(1, len(masks)):

@@ -1,8 +1,16 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphexplore.envs.maze import (
+    DELTAS,
+    DIRECTIONS,
     E,
+    OPPOSITE,
     Maze,
     MazeEnv,
     N,
@@ -193,3 +201,120 @@ def test_env_mask_matches_valid_actions():
     env.reset(np.random.default_rng(0))
     mask = env.action_mask()
     assert set(np.flatnonzero(mask)) == set(env.valid_action_list())
+
+
+def test_passages_are_read_only_once_built():
+    passages = np.zeros((1, 2), dtype=np.uint8)
+    passages[0, 0] |= 1 << E
+    passages[0, 1] |= 1 << W
+    maze = Maze(width=2, height=1, passages=passages, start=(0, 0))
+    with pytest.raises(ValueError, match="read-only"):
+        maze.passages[0, 0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        maze.passages = np.zeros((1, 2), dtype=np.uint8)
+    # The maze keeps its own copy: the builder's array stays writable and
+    # writing it does not reach the maze.
+    passages[0, 0] = 0
+    assert maze.is_open(0, 0, E) and maze.open_dirs(0, 0) == [E]
+
+
+def test_deepcopy_of_a_mid_episode_env_steps_like_the_original():
+    env = MazeEnv(generate_maze(5, 5, 0.3, seed=3), budget=40)
+    env.reset(np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for _ in range(6):
+        acts = env.valid_action_list()
+        env.step(acts[int(rng.integers(len(acts)))])
+    twin = copy.deepcopy(env)
+    assert not twin.maze.passages.flags.writeable
+    for _ in range(20):
+        acts = env.valid_action_list()
+        assert twin.valid_action_list() == acts
+        assert np.array_equal(twin.action_mask(), env.action_mask())
+        assert twin.outgoing() == env.outgoing()
+        a = acts[int(rng.integers(len(acts)))]
+        mine, theirs = env.step(a), twin.step(a)
+        assert theirs.edges == mine.edges
+        assert np.array_equal(theirs.coverage, mine.coverage)
+        assert np.array_equal(theirs.node_features, mine.node_features)
+        assert theirs.current_node == mine.current_node
+    # The copy has its own state: stepping it leaves the original alone.
+    steps = env.state.steps
+    twin.step(twin.valid_action_list()[0])
+    assert env.state.steps == steps and twin.state.steps == steps + 1
+
+
+def reference_observation(maze, walk):
+    """From-scratch belief graph after walking `walk` from the start: node
+    ids by discovery order (a cell's open neighbours are sighted in N, E, S,
+    W order each time it is the current cell), and, for every visited cell in
+    node-id order, (u, v, d+1) per open side plus (v, u, opposite+1) while v
+    is unvisited. Returns (edges, coverage, current node id, node ids)."""
+    node_ids = {}
+
+    def arrive(cell):
+        node_ids.setdefault(cell, len(node_ids))
+        for d in DIRECTIONS:
+            if maze.is_open(*cell, d):
+                node_ids.setdefault((cell[0] + DELTAS[d][0], cell[1] + DELTAS[d][1]),
+                                    len(node_ids))
+
+    pos = maze.start
+    visited = {pos}
+    arrive(pos)
+    for d in walk:
+        pos = (pos[0] + DELTAS[d][0], pos[1] + DELTAS[d][1])
+        visited.add(pos)
+        arrive(pos)
+    order = sorted(node_ids, key=node_ids.get)
+    coverage = np.zeros(len(order))
+    edges = []
+    for cell in order:
+        if cell not in visited:
+            continue
+        u = node_ids[cell]
+        coverage[u] = 1.0
+        for d in DIRECTIONS:
+            if not maze.is_open(*cell, d):
+                continue
+            other = (cell[0] + DELTAS[d][0], cell[1] + DELTAS[d][1])
+            v = node_ids[other]
+            edges.append((u, v, d + 1))
+            if other not in visited:
+                edges.append((v, u, OPPOSITE[d] + 1))
+    return edges, coverage, node_ids[pos], node_ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 7),
+    height=st.integers(1, 7),
+    loop_prob=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+    hide=st.booleans(),
+    choices=st.lists(st.integers(0, 3), max_size=60),
+)
+def test_incremental_observe_matches_a_from_scratch_rebuild(width, height, loop_prob, seed, hide,
+                                                             choices):
+    env = MazeEnv(generate_maze(width, height, loop_prob, seed), budget=len(choices),
+                  hide_destinations=hide)
+    env.reset(np.random.default_rng(0))
+    walk = []
+    obs = env.observe()
+    for k in range(len(choices) + 1):
+        edges, coverage, current, node_ids = reference_observation(env.maze, walk)
+        assert obs.edges == edges
+        assert np.array_equal(obs.coverage, coverage)
+        assert obs.current_node == current == env.current_node()
+        features = np.zeros((len(coverage), 1))
+        features[current, 0] = 1.0
+        assert np.array_equal(obs.node_features, features)
+        pos = env.state.position
+        exits = [(d, (pos[0] + DELTAS[d][0], pos[1] + DELTAS[d][1]))
+                 for d in DIRECTIONS if env.maze.is_open(*pos, d)]
+        assert env.outgoing() == [(d, None if hide else node_ids[cell]) for d, cell in exits]
+        if k == len(choices) or not exits:
+            break
+        d = exits[choices[k] % len(exits)][0]
+        walk.append(d)
+        obs = env.step(d)
