@@ -86,7 +86,12 @@ def stack_masks(masks):
 def sample_index(probs, rng):
     c = np.cumsum(probs)
     c[-1] = 1.0
-    return int(np.searchsorted(c, rng.random(), side="right"))
+    i = int(np.searchsorted(c, rng.random(), side="right"))
+    if probs[i] == 0.0:
+        # The draw fell in the rounding gap that c[-1] = 1.0 hands to a masked
+        # last action; it belongs to the last action with positive probability.
+        i = int(np.flatnonzero(probs)[-1])
+    return i
 
 
 class CategoricalHead:

@@ -246,6 +246,8 @@ def parse_ascii(text):
         for c in range(w):
             ch = rows[2 * r + 1][2 * c + 1]
             if ch == "@":
+                if start is not None:
+                    raise ValueError(f"rendering has more than one agent cell: {start} and {(r, c)}")
                 start = (r, c)
                 visited.add((r, c))
             elif ch == "*":
@@ -280,6 +282,9 @@ def load_maze(path):
         cells = f.read().split()
     if len(cells) != w * h:
         raise ValueError(f"expected {w * h} cell masks, found {len(cells)}")
+    bad = [x for x in cells if int(x, 16) >> len(DIRECTIONS)]
+    if bad:
+        raise ValueError(f"cell masks {bad} set bits beyond W")
     passages = np.array([int(x, 16) for x in cells], dtype=np.uint8).reshape(h, w)
     maze = Maze(width=w, height=h, passages=passages, start=(sr, sc))
     _check_symmetric(maze)

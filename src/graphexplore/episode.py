@@ -11,6 +11,7 @@ keeps the reward sum exactly equal to the coverage objective.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -449,12 +450,13 @@ def run_episode(env, policy, budget, seed):
 
 
 def dump_trajectories(path, batch):
-    """Tab-separated episode dump: episode_id, t, action_repr, reward,
-    cumulative_coverage."""
+    """JSON-lines episode dump, one object per record: episode_id, t,
+    action_repr (None for record 0), reward, cumulative_coverage."""
     with open(path, "w") as f:
         for ep_id, ep in enumerate(batch.episodes):
             cum = 0.0
             for t, rec in enumerate(ep.history.records):
                 cum += rec.reward
-                action_repr = "-" if rec.action is None else str(rec.action)
-                f.write(f"{ep_id}\t{t}\t{action_repr}\t{rec.reward:.10g}\t{cum:.10g}\n")
+                action_repr = None if rec.action is None else str(rec.action)
+                f.write(json.dumps({"episode_id": ep_id, "t": t, "action_repr": action_repr,
+                                    "reward": rec.reward, "cumulative_coverage": cum}) + "\n")

@@ -1,46 +1,38 @@
-"""Versioned parameter checkpoints.
+"""Parameter checkpoints as .npz archives.
 
-Layout: magic line "GEXP-CKPT-1", a decimal header-length line, a JSON header
-listing (name, shape) in storage order, then one little-endian float64 blob
-holding each parameter's flat values back to back.
+Each parameter is one float64 array of the archive, stored under its name;
+the meta dict is stored as JSON text under the reserved key META_KEY. A
+checkpoint loads with np.load(path, allow_pickle=False).
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 
-MAGIC = b"GEXP-CKPT-1"
+META_KEY = "__meta__"
 
 
 def save_params(path, arrays, meta=None):
     """Write a name -> ndarray map (or ParamSet snapshot) to path. `meta` is an
-    optional JSON-serializable dict stored alongside the shapes."""
-    entries = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
-    header = json.dumps({"params": entries, "meta": meta or {}}).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC + b"\n")
-        f.write(str(len(header)).encode("ascii") + b"\n")
-        f.write(header)
-        for arr in arrays.values():
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    optional JSON-serializable dict stored alongside the arrays."""
+    with open(path, "wb") as f:  # a file handle, so np.savez appends no .npz suffix
+        np.savez(f, **{name: np.asarray(arr, dtype="<f8") for name, arr in arrays.items()},
+                 **{META_KEY: np.array(json.dumps(meta or {}))})
 
 
 def load_params(path):
-    """Read a checkpoint; returns (name -> float64 ndarray map, meta dict)."""
-    with open(path, "rb") as f:
-        magic = f.readline().rstrip(b"\n")
-        if magic != MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic[:32]!r}")
-        header_len = int(f.readline())
-        header = json.loads(f.read(header_len).decode("utf-8"))
-        arrays = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"checkpoint truncated reading {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return arrays, header.get("meta", {})
+    """Read a checkpoint; returns (name -> float64 ndarray map, meta dict).
+    A file that is not a checkpoint raises ValueError naming the path."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with archive:
+            meta = json.loads(archive[META_KEY].item())
+            arrays = {name: archive[name] for name in archive.files if name != META_KEY}
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path} is not a checkpoint: {e}") from e
+    return arrays, meta

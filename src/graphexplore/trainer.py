@@ -14,12 +14,17 @@ GraphNet pass over the disjoint union of all recorded graphs, the history
 LSTM folding all episodes in parallel), one head call and one value call
 score every decision, and one backward pass runs over a tape of a few ops per
 decision.
+
+`train` is the one training loop, returning (and optionally streaming as JSON
+lines) one record per update; `fine_tune` runs it on a copy of the model.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import json
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -57,11 +62,12 @@ class TrainConfig:
     eval_every: int = 10
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        for name in ("entropy_coef", "value_coef", "clip_norm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name, low in (("workers", 1), ("episodes_per_worker", 1), ("total_updates", 0),
+                          ("eval_every", 0), ("entropy_coef", 0), ("value_coef", 0), ("clip_norm", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -108,13 +114,7 @@ def collect_rollouts(model, env_sampler, config, round_index=0):
 
 def episode_returns(episode):
     """Undiscounted suffix sums: R_t = r_t + R_{t+1}, R after the end = 0."""
-    rewards = episode.rewards()
-    returns = [0.0] * len(rewards)
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc += rewards[t]
-        returns[t] = acc
-    return returns
+    return np.cumsum(episode.rewards()[::-1])[::-1].tolist()
 
 
 def _decision_masks(episodes):
@@ -166,54 +166,20 @@ def a2c_update(model, batch, config, opt_state):
     update to the next. Returns (model, UpdateStats); a non-finite loss or
     gradient skips the step, leaves every parameter untouched and names the
     cause in skip_reason."""
-    mean_return = float(np.mean([sum(ep.rewards()) for ep in batch.episodes]))
     with Tape() as tape:
         loss, parts = batch_loss(model, batch, config)
+        mean_return = float(np.mean([sum(ep.rewards()) for ep in batch.episodes]))
         if not np.isfinite(loss.data):
-            return model, UpdateStats(
-                mean_return=mean_return, policy_loss=0.0, value_loss=0.0,
-                entropy=0.0, grad_norm=0.0, skip_reason=f"non-finite loss {float(loss.data)}",
-            )
+            return model, UpdateStats(mean_return, 0.0, 0.0, 0.0, 0.0,
+                                      skip_reason=f"non-finite loss {float(loss.data)}")
         grads = model.params.gradients(tape, loss)
     grads, norm = clip_global_norm(grads, config.clip_norm)
     try:
         optimizer_step(model.params.named(), grads, opt_state)
     except GradientError as e:
-        return model, UpdateStats(
-            mean_return=mean_return, policy_loss=parts["policy_loss"],
-            value_loss=parts["value_loss"], entropy=parts["entropy"],
-            grad_norm=0.0, skip_reason=f"non-finite gradient for parameter {e.param_name!r}",
-        )
-    stats = UpdateStats(
-        mean_return=mean_return,
-        policy_loss=parts["policy_loss"],
-        value_loss=parts["value_loss"],
-        entropy=parts["entropy"],
-        grad_norm=norm,
-    )
-    return model, stats.validate()
-
-
-METRICS_HEADER = "update,mean_return,policy_loss,value_loss,entropy,grad_norm,eval_coverage"
-
-
-class MetricsWriter:
-    """Line-per-update CSV stream; eval_coverage is blank off-cadence."""
-
-    def __init__(self, path):
-        self.f = open(path, "w")
-        self.f.write(METRICS_HEADER + "\n")
-
-    def write(self, update, stats, eval_coverage=None):
-        ev = "" if eval_coverage is None else f"{eval_coverage:.10g}"
-        self.f.write(
-            f"{update},{stats.mean_return:.10g},{stats.policy_loss:.10g},"
-            f"{stats.value_loss:.10g},{stats.entropy:.10g},{stats.grad_norm:.10g},{ev}\n"
-        )
-        self.f.flush()
-
-    def close(self):
-        self.f.close()
+        return model, UpdateStats(mean_return, **parts, grad_norm=0.0,
+                                  skip_reason=f"non-finite gradient for parameter {e.param_name!r}")
+    return model, UpdateStats(mean_return, **parts, grad_norm=norm).validate()
 
 
 def zero_shot_coverage(model, env_set, config):
@@ -226,58 +192,49 @@ def zero_shot_coverage(model, env_set, config):
     return float(np.mean([env.coverage_fraction() for env in env_set]))
 
 
-def fine_tune(model, env, config, updates, eval_envs=None, eval_every=None, target=None):
-    """Continue RL on one environment from the given initialization (the model
-    is deep-copied; the caller's parameters never move). Returns the tuned
-    model and the list of per-eval coverages; stops early once `target`
-    coverage is reached if one is given."""
-    tuned = copy.deepcopy(model)
+def fine_tune(model, env, config):
+    """Continue RL on one environment from the given initialization: `train`
+    on a deep copy of the model (the caller's parameters never move), every
+    episode on its own copy of env, evaluating greedily on env every
+    config.eval_every updates. Returns the tuned model and the eval curve,
+    the non-None eval_coverage values of its records."""
     # Every episode of a lockstep batch needs its own env; reset rebuilds all
     # of a copy's state, so seeded results do not depend on the copying.
-    sampler = lambda rng: copy.deepcopy(env)  # noqa: E731
-    opt_state = OptimizerState(lr=config.learning_rate)
-    curve = []
-    for u in range(updates):
-        batch = collect_rollouts(tuned, sampler, config, round_index=u)
-        tuned, _ = a2c_update(tuned, batch, config, opt_state=opt_state)
-        if eval_every and (u + 1) % eval_every == 0:
-            cov = zero_shot_coverage(tuned, eval_envs or [env], config)
-            curve.append(cov)
-            if target is not None and cov >= target:
-                break
-    return tuned, curve
+    tuned, records = train(copy.deepcopy(model),
+                           replace(config, env_sampler=lambda rng: copy.deepcopy(env)),
+                           eval_envs=[env])
+    return tuned, [r["eval_coverage"] for r in records if r["eval_coverage"] is not None]
 
 
-def evaluate(model, env_set, protocol, config, fine_tune_updates=None):
+def evaluate(model, env_set, protocol, config):
     """Held-out evaluation. zero_shot: greedy episodes with frozen parameters.
-    fine_tune: per-environment RL continuation (budget = fine_tune_updates,
-    default config.total_updates), then a greedy episode; the incoming model
-    is never mutated."""
+    fine_tune: per-environment RL continuation for config.total_updates
+    updates (no evaluation along the way), then a greedy episode; the
+    incoming model is never mutated."""
     env_set = list(env_set)
     if not env_set:
         raise ValueError("empty environment set")
     if protocol == "zero_shot":
         return zero_shot_coverage(model, env_set, config)
     if protocol == "fine_tune":
-        updates = config.total_updates if fine_tune_updates is None else fine_tune_updates
-        covs = []
-        for env in env_set:
-            tuned, _ = fine_tune(model, env, config, updates)
-            covs.append(zero_shot_coverage(tuned, [env], config))
-        return float(np.mean(covs))
+        tune_config = replace(config, eval_every=0)
+        return float(np.mean([zero_shot_coverage(fine_tune(model, env, tune_config)[0], [env], config)
+                              for env in env_set]))
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def train(model, config, eval_envs=None, metrics_path=None, checkpoint_path=None):
-    """Run the full loop: collect, update, periodically evaluate zero-shot on
-    eval_envs, stream metrics, and checkpoint the best eval model."""
+def train(model, config, eval_envs=None, records_path=None, checkpoint_path=None):
+    """Run the full loop: collect, update, evaluate zero-shot on eval_envs
+    every config.eval_every updates, and checkpoint the best eval model.
+    Returns (model, records): one dict per update with `update`, the
+    UpdateStats fields and `eval_coverage` (None off-cadence). With
+    records_path, each record is also streamed there as one JSON line."""
     if config.env_sampler is None:
         raise ValueError("config.env_sampler is required for training")
-    writer = MetricsWriter(metrics_path) if metrics_path else None
     opt_state = OptimizerState(lr=config.learning_rate)
-    history = []
+    records = []
     best = -1.0
-    try:
+    with open(records_path, "w") if records_path else nullcontext() as out:
         for u in range(config.total_updates):
             batch = collect_rollouts(model, config.env_sampler, config, round_index=u)
             model, stats = a2c_update(model, batch, config, opt_state=opt_state)
@@ -287,10 +244,8 @@ def train(model, config, eval_envs=None, metrics_path=None, checkpoint_path=None
                 if checkpoint_path and ev > best:
                     best = ev
                     model.save(checkpoint_path, meta={"update": str(u + 1), "eval": f"{ev:.6f}"})
-            if writer:
-                writer.write(u + 1, stats, ev)
-            history.append(stats)
-    finally:
-        if writer:
-            writer.close()
-    return model, history
+            records.append({"update": u + 1, **asdict(stats), "eval_coverage": ev})
+            if out:
+                out.write(json.dumps(records[-1]) + "\n")
+                out.flush()
+    return model, records

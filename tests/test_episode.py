@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -159,15 +161,15 @@ def test_trajectory_batch_validation_and_dump(tmp_path):
         _, traj = run_episode(env, RandomPolicy(), budget=10, seed=seed)
         episodes.append(traj)
     batch = TrajectoryBatch(episodes=episodes).validate()
-    path = tmp_path / "traj.tsv"
+    path = tmp_path / "traj.jsonl"
     dump_trajectories(path, batch)
-    lines = path.read_text().splitlines()
-    first = lines[0].split("\t")
-    assert first[0] == "0" and first[1] == "0" and first[2] == "-"
-    assert len(lines) == sum(len(ep.history.records) for ep in episodes)
-    # cumulative coverage in the last field is nondecreasing per episode
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert rows[0] == {"episode_id": 0, "t": 0, "action_repr": None, "reward": 0.0,
+                       "cumulative_coverage": 0.0}
+    assert len(rows) == sum(len(ep.history.records) for ep in episodes)
+    # cumulative coverage is nondecreasing per episode
     for ep_id in range(3):
-        cums = [float(l.split("\t")[4]) for l in lines if l.split("\t")[0] == str(ep_id)]
+        cums = [row["cumulative_coverage"] for row in rows if row["episode_id"] == ep_id]
         assert cums == sorted(cums)
 
 

@@ -181,6 +181,18 @@ def test_maze_file_rejects_asymmetry(tmp_path):
         load_maze(path)
 
 
+def test_parse_rejects_two_agent_cells():
+    with pytest.raises(ValueError, match="more than one agent cell"):
+        parse_ascii("#####\n#@.@#\n#####\n")
+
+
+def test_maze_file_rejects_mask_bits_beyond_w(tmp_path):
+    path = tmp_path / "bad.maze"
+    path.write_text("maze 2 1 0 0\n10 0\n")  # bit 4 opens nothing
+    with pytest.raises(ValueError, match="beyond W"):
+        load_maze(path)
+
+
 def test_heldout_set_is_stable():
     a = heldout_mazes(3)
     b = heldout_mazes(3)

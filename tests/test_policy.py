@@ -73,6 +73,30 @@ def test_sample_index_reproducible_and_in_support():
     assert seen == {0, 2}
 
 
+class StubRng:
+    """Draws a fixed u from random()."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sample_index_never_picks_a_masked_last_action():
+    # The unmasked probabilities sum to 1 - 1ulp: a draw in that gap used to
+    # pick the masked last action.
+    probs = np.array([0.25, np.nextafter(0.75, 0.0), 0.0, 0.0])
+    assert np.cumsum(probs)[-1] < 1.0
+    assert sample_index(probs, StubRng(np.nextafter(1.0, 0.0))) == 1
+    rng = rng_of(0)
+    for _ in range(200):
+        mask = np.array([True, True, True, False])
+        _, p = masked_log_probs(Tensor(rng.normal(size=4) * 3.0), mask)
+        i = sample_index(p.data, StubRng(np.nextafter(1.0, 0.0)))
+        assert p.data[i] > 0.0
+
+
 # --------------------------------------------------------- categorical head
 
 

@@ -1,4 +1,5 @@
 import inspect
+import re
 import zlib
 
 import numpy as np
@@ -443,12 +444,23 @@ def test_checkpoint_roundtrip(tmp_path):
     assert set(loaded) == set(arrays)
     for name in arrays:
         assert np.array_equal(loaded[name], arrays[name])
-    with open(path, "rb") as f:
-        assert f.readline().startswith(b"GEXP-CKPT-1")
+    with np.load(path, allow_pickle=False) as archive:
+        assert np.array_equal(archive["enc/W"], arrays["enc/W"])
 
 
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOT-A-CKPT\nrest")
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(ValueError, match="not a checkpoint"):
         load_params(path)
+
+
+def test_checkpoint_junk_or_truncated_file_names_the_path(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_params(path, {"w": np.ones((4, 4))}, meta={"update": "3"})
+    whole = path.read_bytes()
+    for name, content in (("junk.ckpt", b"\x00" * 64), ("cut.ckpt", whole[: len(whole) // 2])):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        with pytest.raises(ValueError, match=f"{re.escape(str(bad))} is not a checkpoint"):
+            load_params(bad)

@@ -1,6 +1,8 @@
 """Actor-critic trainer: rollout collection, update math, protocols."""
 
 import copy
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from graphexplore.episode import (
 from graphexplore.graphnet import GraphNet, GraphNetConfig, GraphObservation
 from graphexplore.tensor import GradientError, OptimizerState, ParamSet, Tape
 from graphexplore.trainer import (
-    METRICS_HEADER,
     TrainConfig,
     UpdateStats,
     a2c_update,
@@ -82,6 +83,18 @@ def test_config_validation():
         TrainConfig(seed=0, value_coef=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("episodes_per_worker", 0),
+    ("total_updates", -3),
+    ("eval_every", -1),
+    ("learning_rate", -1.0),
+    ("learning_rate", 0.0),
+])
+def test_config_rejects_settings_that_cannot_train(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(seed=0, **{field: value})
+
+
 def test_update_stats_rejects_non_finite():
     with pytest.raises(ValueError, match="value_loss"):
         UpdateStats(0.0, 0.0, float("nan"), 0.0, 0.0).validate()
@@ -101,6 +114,19 @@ def test_returns_suffix_recursion():
     for t in range(len(rewards)):
         nxt = returns[t + 1] if t + 1 < len(returns) else 0.0
         assert returns[t] == pytest.approx(rewards[t] + nxt)
+
+
+def test_returns_equal_the_suffix_loop_exactly():
+    rng = np.random.default_rng(4)
+    for n in range(40):
+        rewards = (rng.integers(0, 4, n) / rng.integers(1, 37)).tolist()
+        history = EpisodeHistory(records=[StepRecord(None, None, 0.0)], budget=n, normalizer=1.0)
+        history.records += [StepRecord(0, None, r) for r in rewards]
+        expected, acc = [0.0] * n, 0.0
+        for t in range(n - 1, -1, -1):
+            acc += rewards[t]
+            expected[t] = acc
+        assert episode_returns(EpisodeTrajectory(history=history)) == expected
 
 
 def test_hand_example_returns_and_advantages():
@@ -482,7 +508,7 @@ def test_fine_tune_zero_budget_equals_zero_shot():
     model = tiny_model()
     cfg = small_config()
     z = evaluate(model, heldout_envs(), "zero_shot", cfg)
-    f = evaluate(model, heldout_envs(), "fine_tune", cfg, fine_tune_updates=0)
+    f = evaluate(model, heldout_envs(), "fine_tune", replace(cfg, total_updates=0))
     assert f == pytest.approx(z)
 
 
@@ -491,7 +517,7 @@ def test_fine_tune_never_mutates_caller_model():
     cfg = small_config(workers=1, episodes_per_worker=2)
     before = model.params.snapshot()
     env = heldout_envs(1)[0]
-    tuned, _ = fine_tune(model, env, cfg, updates=2)
+    tuned, _ = fine_tune(model, env, cfg)
     after = model.params.snapshot()
     assert all(np.array_equal(before[k], after[k]) for k in before)
     diff = any(
@@ -520,8 +546,8 @@ def test_fine_tune_repeats_exactly_with_several_workers():
     runs = []
     for _ in range(2):
         env = heldout_envs(1)[0]
-        tuned, curve = fine_tune(tiny_model(), env, small_config(seed=3, workers=4),
-                                 updates=2, eval_every=1)
+        tuned, curve = fine_tune(tiny_model(), env,
+                                 small_config(seed=3, workers=4, eval_every=1))
         runs.append((curve, tuned.params.snapshot()))
     assert len(runs[0][0]) == 2
     assert runs[0][0] == runs[1][0]
@@ -533,7 +559,7 @@ def test_fine_tune_with_several_workers():
     model = tiny_model()
     env = heldout_envs(1)[0]
     for seed in range(10):
-        fine_tune(model, env, small_config(seed=seed, workers=4), updates=1)
+        fine_tune(model, env, small_config(seed=seed, workers=4, total_updates=1))
 
 
 def test_evaluate_validates_inputs():
@@ -568,15 +594,30 @@ def test_train_checkpoint_loads_back_into_a_fresh_model(tmp_path, monkeypatch):
     assert all(np.array_equal(loaded[k], params[k]) for k in params)
 
 
-def test_train_writes_metrics_csv(tmp_path):
+def test_train_writes_records_jsonl(tmp_path):
     model = tiny_model()
     cfg = small_config(workers=1, episodes_per_worker=1, total_updates=3, eval_every=2)
-    path = tmp_path / "metrics.csv"
-    model, history = train(model, cfg, eval_envs=heldout_envs(2), metrics_path=str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == METRICS_HEADER
-    assert len(lines) == 4
-    # update 2 evaluated, updates 1 and 3 leave the eval column blank
-    assert lines[1].endswith(",") and lines[3].endswith(",")
-    assert not lines[2].endswith(",")
-    assert len(history) == 3
+    path = tmp_path / "records.jsonl"
+    model, records = train(model, cfg, eval_envs=heldout_envs(2), records_path=str(path))
+    lines = path.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == records
+    assert len(records) == 3
+    assert [r["update"] for r in records] == [1, 2, 3]
+    # update 2 evaluated, updates 1 and 3 leave eval_coverage None
+    assert records[0]["eval_coverage"] is None and records[2]["eval_coverage"] is None
+    assert records[1]["eval_coverage"] is not None
+    assert all(r["skip_reason"] == "" for r in records)
+
+
+def test_fine_tune_curve_is_the_eval_coverage_of_train_records():
+    model = tiny_model()
+    cfg = small_config(workers=2, total_updates=4, eval_every=2)
+    env = heldout_envs(1)[0]
+    tuned, curve = fine_tune(model, env, cfg)
+    trained, records = train(copy.deepcopy(model),
+                             replace(cfg, env_sampler=lambda rng: copy.deepcopy(env)),
+                             eval_envs=[env])
+    assert len(curve) == 2
+    assert curve == [r["eval_coverage"] for r in records if r["eval_coverage"] is not None]
+    for name, value in tuned.params.snapshot().items():
+        assert np.array_equal(value, trained.params[name].data), name
