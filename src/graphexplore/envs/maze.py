@@ -282,6 +282,8 @@ def load_maze(path):
         cells = f.read().split()
     if len(cells) != w * h:
         raise ValueError(f"expected {w * h} cell masks, found {len(cells)}")
+    if not (0 <= sr < h and 0 <= sc < w):
+        raise ValueError(f"start {(sr, sc)} outside the {h}x{w} grid")
     bad = [x for x in cells if int(x, 16) >> len(DIRECTIONS)]
     if bad:
         raise ValueError(f"cell masks {bad} set bits beyond W")

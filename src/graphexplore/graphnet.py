@@ -16,6 +16,19 @@ softmax and weighted sum run per graph through segment operations. Since no
 edge crosses graphs, each graph's vector equals its own encoding; a single
 observation is the union of one. Callers that need node states or readout
 attention run the stages (project_features, propagate, readout) themselves.
+
+Messages are computed per node, not per edge. The message function is one
+linear layer W (rows W_dst, W_src, W_type) with bias b, so the sum of
+[h_v, h_u, onehot(k)] W + b over the in-edges (u, v, k) of v is
+
+    [deg_v h_v, sum_u h_u, typecounts_v] W + deg_v b
+
+where deg_v is v's in-degree and typecounts_v counts its in-edges per type.
+Linearity is what lets the sum move inside W: with a nonlinearity between
+layers, each edge's message would have to be formed on its own. Degrees and
+type counts are fixed for an encode, so a round costs one gather and one sum
+over the edges and one product on node rows; a node without in-edges gets an
+exactly zero message.
 """
 
 from __future__ import annotations
@@ -27,7 +40,6 @@ import numpy as np
 from .tensor import (
     GRUCell,
     Linear,
-    MLP,
     OptimizerState,
     ParamSet,
     Tape,
@@ -45,7 +57,7 @@ from .tensor import (
     transpose,
 )
 
-MAX_EDGE_TYPES = 8  # one-hot width of the message MLP's type input; environments declare K <= this
+MAX_EDGE_TYPES = 8  # width of the message layer's edge-type input; environments declare K <= this
 
 
 @dataclass
@@ -162,7 +174,10 @@ class GraphNet:
     Per round, each edge (u, v, k) contributes a linear map of
     [mu_v, mu_u, onehot(k)] to node v's incoming message; messages are summed
     per node (empty neighborhoods give zero) and a GRU folds the message into
-    the node state. Readout is an attention-weighted sum of final node states.
+    the node state. Because the map is linear, propagate forms each node's
+    sum directly as [deg_v mu_v, sum_u mu_u, typecounts_v] W + deg_v b (see
+    the module docstring); the per-edge form is kept as the reference in the
+    tests. Readout is an attention-weighted sum of final node states.
     """
 
     def __init__(self, params, name, config):
@@ -173,7 +188,7 @@ class GraphNet:
         d = config.d
         in_width = config.feature_width + 1  # + coverage bit
         self.project = Linear(params, f"{name}/project", in_width, d)
-        self.message_mlp = MLP(params, f"{name}/message", [2 * d + MAX_EDGE_TYPES, d])
+        self.message = Linear(params, f"{name}/message/l0", 2 * d + MAX_EDGE_TYPES, d)
         self.gru = GRUCell(params, f"{name}/gru", d, d)
         self.w_att = params.get_or_init(f"{name}/readout/W_att", (d,), init="normal")
         self.empty_vec = params.get_or_init(f"{name}/empty_graph", (d,), init="normal")
@@ -186,29 +201,30 @@ class GraphNet:
         return self.project(Tensor(pad_coverage_bit(obs)))
 
     def propagate(self, h0, obs):
-        """L message-passing rounds from initial node states h0 (n, d)."""
+        """L message-passing rounds from initial node states h0 (n, d).
+
+        Messages are formed per node (see the module docstring): the
+        in-degree and edge-type counts are fixed for the encode, so a round is
+        one gather of h by edge source, one sum of it by edge destination and
+        one (n, 2d + MAX_EDGE_TYPES) product with W."""
         n = obs.node_count
-        m = len(obs.edges)
-        h = h0
-        if m == 0:
-            zero_msg = Tensor(np.zeros((n, self.config.d)))
-            for _ in range(self.config.rounds):
-                h = self.gru(zero_msg, h)
-            return h
-        edges = np.asarray(obs.edges, dtype=np.intp)
+        edges = np.asarray(obs.edges, dtype=np.intp).reshape(-1, 3)
         src, dst, etype = edges[:, 0], edges[:, 1], edges[:, 2]
-        if etype.min() < 1 or etype.max() > obs.num_edge_types:
-            raise ValueError(
-                f"edge type outside 1..{obs.num_edge_types}: {int(etype.min())}..{int(etype.max())}"
-            )
-        onehot = np.zeros((m, MAX_EDGE_TYPES))
-        onehot[np.arange(m), etype - 1] = 1.0
-        onehot = Tensor(onehot)
+        if len(edges):
+            if edges[:, :2].min() < 0 or edges[:, :2].max() >= n:
+                raise ValueError(f"edge endpoint outside [0, {n})")
+            if etype.min() < 1 or etype.max() > obs.num_edge_types:
+                raise ValueError(f"edge type outside 1..{obs.num_edge_types}: "
+                                 f"{int(etype.min())}..{int(etype.max())}")
+        counts = np.bincount(dst * MAX_EDGE_TYPES + etype - 1,
+                             minlength=n * MAX_EDGE_TYPES).reshape(n, MAX_EDGE_TYPES)
+        degree, type_counts = Tensor(counts.sum(axis=1, keepdims=True)), Tensor(counts)
+        bias = degree * self.message.b
+        h = h0
         for _ in range(self.config.rounds):
-            inputs = concat([embed_lookup(h, dst), embed_lookup(h, src), onehot], axis=1)
-            per_edge = self.message_mlp(inputs)
-            msg = segment_aggregate(per_edge, dst, n)
-            h = self.gru(msg, h)
+            inputs = concat([degree * h, segment_aggregate(embed_lookup(h, src), dst, n),
+                             type_counts], axis=1)
+            h = self.gru(matmul(inputs, self.message.W) + bias, h)
         return h
 
     def readout(self, node_embeddings, graph_ids, num_graphs):

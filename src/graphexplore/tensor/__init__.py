@@ -7,6 +7,7 @@ from .core import (
     concat,
     embed_lookup,
     exp,
+    gru_cell,
     log,
     matmul,
     mul,

@@ -464,3 +464,51 @@ def embed_lookup(table, ids):
         return (_scatter_rows(idx, g, table.data.shape),)
 
     return _emit(out, (table,), backward)
+
+
+def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n):
+    """One gated-recurrent-unit step as a single tape op:
+
+        z, r = sigmoid(x Wx_zr + h Wh_zr + b_zr) split in halves
+        n    = tanh(x Wx_n + (r * h) Wh_n + b_n)
+        h'   = (1 - z) * n + z * h
+
+    x is (n_in,) or (rows, n_in) and h the matching (H,) or (rows, H). Runs
+    three products (x @ [Wx_zr | Wx_n], h @ Wh_zr, (r * h) @ Wh_n) and keeps
+    only the gates for its hand-written backward, where the composed ops would
+    record 17 nodes and their temporaries."""
+    x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n = (
+        as_tensor(t) for t in (x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n))
+    n_in, H = Wx_n.data.shape
+    if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != h.data.shape[:-1]
+            or x.data.shape[-1] != n_in or h.data.shape[-1] != H):
+        raise ShapeError("gru_cell", x.shape, h.shape)
+    xd, hd = x.data.reshape(-1, n_in), h.data.reshape(-1, H)
+    Wx = np.concatenate([Wx_zr.data, Wx_n.data], axis=1)
+    xw = xd @ Wx
+    zr = 1.0 / (1.0 + np.exp(-(xw[:, : 2 * H] + hd @ Wh_zr.data + b_zr.data)))
+    z, r = zr[:, :H], zr[:, H:]
+    rh = r * hd
+    n = np.tanh(xw[:, 2 * H :] + rh @ Wh_n.data + b_n.data)
+    out = (1.0 - z) * n + z * hd
+
+    def backward(g):
+        g = g.reshape(hd.shape)
+        dn = g * (1.0 - z) * (1.0 - n * n)
+        drh = dn @ Wh_n.data.T
+        dzr = np.concatenate([g * (hd - n), drh * hd], axis=1) * zr * (1.0 - zr)
+        dh = g * z + drh * r + dzr @ Wh_zr.data.T
+        dxw = np.concatenate([dzr, dn], axis=1)
+        dWx = xd.T @ dxw
+        return (
+            (dxw @ Wx.T).reshape(x.data.shape) if x.requires_grad else None,
+            dh.reshape(h.data.shape),
+            dWx[:, : 2 * H],
+            hd.T @ dzr,
+            dzr.sum(axis=0),
+            dWx[:, 2 * H :],
+            rh.T @ dn,
+            dn.sum(axis=0),
+        )
+
+    return _emit(out.reshape(h.data.shape), (x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n), backward)

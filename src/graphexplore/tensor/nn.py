@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 
-from .core import Tensor, embed_lookup, matmul, relu, sigmoid, slice_, tanh
+from .core import Tensor, embed_lookup, gru_cell, matmul, relu, sigmoid, slice_, tanh
 
 
 class ParamSet:
@@ -111,7 +111,9 @@ class MLP:
 
 
 class GRUCell:
-    """Gated recurrent unit. Update/reset gates share one matmul pair."""
+    """Gated recurrent unit over (n_in,) or (rows, n_in) inputs. The update
+    and reset gates share the Wx_zr/Wh_zr products; the whole step is the one
+    `gru_cell` tape op (see there for the formula)."""
 
     def __init__(self, params, name, n_in, n_hidden):
         self.n_hidden = n_hidden
@@ -123,13 +125,7 @@ class GRUCell:
         self.b_n = params.get_or_init(f"{name}/b_n", (n_hidden,), init="zeros")
 
     def __call__(self, x, h):
-        H = self.n_hidden
-        axis = 0 if h.data.ndim == 1 else 1
-        zr = sigmoid(matmul(x, self.Wx_zr) + matmul(h, self.Wh_zr) + self.b_zr)
-        z = slice_(zr, 0, H, axis=axis)
-        r = slice_(zr, H, 2 * H, axis=axis)
-        n = tanh(matmul(x, self.Wx_n) + matmul(r * h, self.Wh_n) + self.b_n)
-        return (1.0 - z) * n + z * h
+        return gru_cell(x, h, self.Wx_zr, self.Wh_zr, self.b_zr, self.Wx_n, self.Wh_n, self.b_n)
 
 
 class LSTMCell:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphexplore.graphnet import (
+    MAX_EDGE_TYPES,
     GraphNet,
     GraphNetConfig,
     GraphObservation,
@@ -14,7 +17,17 @@ from graphexplore.graphnet import (
     pretrain_structural,
     structural_embeddings,
 )
-from graphexplore.tensor import ParamSet, Tensor, grad_check, reduce_sum, sigmoid
+from graphexplore.tensor import (
+    ParamSet,
+    Tape,
+    Tensor,
+    concat,
+    embed_lookup,
+    grad_check,
+    reduce_sum,
+    segment_aggregate,
+    sigmoid,
+)
 
 
 def make_obs(n, edges, num_edge_types=2, feature_width=3, coverage=None, seed=0):
@@ -133,6 +146,64 @@ def test_unknown_edge_type_errors():
     obs = make_obs(2, [(0, 1, 5)], num_edge_types=2)
     with pytest.raises(ValueError, match="edge type"):
         net.propagate(net.project_features(obs), obs)
+
+
+@pytest.mark.parametrize("edge", [(0, 2, 1), (2, 0, 1), (-1, 0, 1), (0, -1, 1)])
+def test_edge_endpoint_outside_graph_errors(edge):
+    params, net = make_net()
+    obs = make_obs(2, [(0, 1, 1), edge])
+    with pytest.raises(ValueError, match="endpoint"):
+        net.propagate(net.project_features(obs), obs)
+
+
+def edge_level_propagate(net, h0, obs):
+    """Reference: every edge (u, v, k) sends [h_v, h_u, onehot(k)] W + b to v,
+    and the messages into a node are summed."""
+    n, m = obs.node_count, len(obs.edges)
+    edges = np.asarray(obs.edges, dtype=np.intp).reshape(-1, 3)
+    src, dst = edges[:, 0], edges[:, 1]
+    onehot = np.zeros((m, MAX_EDGE_TYPES))
+    onehot[np.arange(m), edges[:, 2] - 1] = 1.0
+    h = h0
+    for _ in range(net.config.rounds):
+        per_edge = net.message(concat([embed_lookup(h, dst), embed_lookup(h, src), Tensor(onehot)], axis=1))
+        h = net.gru(segment_aggregate(per_edge, dst, n), h)
+    return h
+
+
+@st.composite
+def typed_graphs(draw):
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.integers(1, MAX_EDGE_TYPES)), max_size=24))
+    return n, edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=typed_graphs(), seed=st.integers(0, 2**16))
+# Parallel edges and self-loops; no edges at all; every type (nodes 0, 2-4 get no in-edges).
+@example(graph=(3, [(0, 1, 2), (0, 1, 2), (1, 1, 5), (2, 2, 1), (1, 0, 3)]), seed=1)
+@example(graph=(4, []), seed=2)
+@example(graph=(5, [(0, 1, k) for k in range(1, MAX_EDGE_TYPES + 1)]), seed=3)
+def test_node_level_propagate_equals_edge_level(graph, seed):
+    n, edges = graph
+    params = ParamSet(seed=seed)
+    net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=3, feature_width=2))
+    for p in params.tensors():  # nonzero biases
+        p.data += np.random.default_rng(seed).normal(scale=0.3, size=p.data.shape)
+    obs = make_obs(n, edges, num_edge_types=MAX_EDGE_TYPES, feature_width=2,
+                   coverage=np.arange(n) % 2, seed=seed)
+    weights = Tensor(np.random.default_rng(seed + 1).normal(size=(n, 6)))
+    results = []
+    for propagate in (net.propagate, lambda h0, o: edge_level_propagate(net, h0, o)):
+        with Tape() as tape:
+            h = propagate(net.project_features(obs), obs)
+            loss = reduce_sum(sigmoid(h) * weights)
+        results.append((h.data, params.gradients(tape, loss)))
+    (got, got_grads), (want, want_grads) = results
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for name in want_grads:
+        assert np.max(np.abs(got_grads[name].data - want_grads[name].data)) <= 1e-9, name
 
 
 def test_readout_identical_embeddings_symmetric():

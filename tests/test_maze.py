@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,14 @@ def test_maze_file_rejects_asymmetry(tmp_path):
     path.write_text("maze 2 1 0 0\n2 0\n")  # east open, west side closed
     with pytest.raises(ValueError, match="asymmetric"):
         load_maze(path)
+
+
+def test_maze_file_rejects_start_outside_the_grid(tmp_path):
+    path = tmp_path / "bad.maze"
+    for start in ("5 5", "1 0", "0 2", "-1 0"):
+        path.write_text(f"maze 2 1 {start}\n2 8\n")
+        with pytest.raises(ValueError, match=re.escape(f"start ({start.replace(' ', ', ')})")):
+            load_maze(path)
 
 
 def test_parse_rejects_two_agent_cells():

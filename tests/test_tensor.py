@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphexplore.tensor import (
+    GRUCell,
     GradientError,
     OptimizerState,
     ParamSet,
@@ -37,6 +38,7 @@ from graphexplore.tensor.core import (
     _scatter_rows,
     embed_lookup,
     exp,
+    gru_cell,
     log,
     neg,
     reshape,
@@ -233,6 +235,16 @@ def _fd_case(op_name, rng):
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         ids = rng.integers(0, 5, size=4)
         return {"x": x}, lambda p: reduce_sum(embed_lookup(p["x"], ids) * w_for((4, 3), rng))
+    if op_name == "gru_cell":
+        # Alternate (rows, H) and (H,) states; every one of the 8 inputs is checked.
+        # Scale 0.5 keeps the gates off saturation, where gradients near 1e-10
+        # leave the finite-difference ratio to rounding noise.
+        lead = (3,) if rng.integers(0, 2) else ()
+        shapes = {"x": lead + (3,), "h": lead + (2,), "Wx_zr": (3, 4), "Wh_zr": (2, 4),
+                  "b_zr": (4,), "Wx_n": (3, 2), "Wh_n": (2, 2), "b_n": (2,)}
+        params = {k: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
+                  for k, shape in shapes.items()}
+        return params, lambda p: reduce_sum(gru_cell(*(p[k] for k in shapes)) * w_for(lead + (2,), rng))
     raise AssertionError(op_name)
 
 
@@ -268,6 +280,7 @@ ALL_OPS = [
     "segment_aggregate",
     "segment_softmax",
     "embed_lookup",
+    "gru_cell",
 ]
 
 
@@ -285,6 +298,47 @@ def test_finite_difference_sweep_covers_every_primitive():
         if fn.__module__ == core.__name__ and not name.startswith("_")
     } - {"as_tensor", "active_tape"}
     assert {"slice" if name == "slice_" else name for name in public} == set(ALL_OPS)
+
+
+@pytest.mark.parametrize("lead", [(5,), ()])
+def test_gru_cell_equals_composed_ops(lead):
+    params = ParamSet(seed=2)
+    cell = GRUCell(params, "gru", 3, 4)
+    for p in params.tensors():  # nonzero biases too
+        p.data += np.random.default_rng(3).normal(scale=0.5, size=p.data.shape)
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=lead + (3,)), requires_grad=True)
+    h = Tensor(rng.normal(size=lead + (4,)), requires_grad=True)
+    weights = Tensor(rng.normal(size=lead + (4,)))
+
+    def composed(x, h):
+        axis = len(lead)
+        zr = sigmoid(matmul(x, cell.Wx_zr) + matmul(h, cell.Wh_zr) + cell.b_zr)
+        z, r = slice_(zr, 0, 4, axis=axis), slice_(zr, 4, 8, axis=axis)
+        n = tanh(matmul(x, cell.Wx_n) + matmul(r * h, cell.Wh_n) + cell.b_n)
+        return (1.0 - z) * n + z * h
+
+    results = []
+    for step in (composed, cell):
+        with Tape() as tape:
+            out = step(x, h)
+            loss = reduce_sum(out * weights)
+        assert len(tape) == (1 if step is cell else 17) + 2
+        grads = tape.gradients(loss, params=params.tensors() + [x, h])
+        results.append((out.data, [grads[t].data for t in params.tensors() + [x, h]]))
+    (want, want_grads), (got, got_grads) = results
+    assert got.shape == lead + (4,)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for g, w in zip(got_grads, want_grads):
+        assert np.max(np.abs(g - w)) <= 1e-12
+
+
+def test_gru_cell_rejects_mismatched_rows():
+    cell = GRUCell(ParamSet(seed=0), "gru", 3, 2)
+    with pytest.raises(ShapeError, match="gru_cell"):
+        cell(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))))
+    with pytest.raises(ShapeError, match="gru_cell"):
+        cell(Tensor(np.ones(3)), Tensor(np.ones((1, 2))))
 
 
 @pytest.mark.parametrize("mode", ["sum", "mean"])

@@ -38,9 +38,9 @@ from graphexplore.trainer import (
 )
 
 
-def tiny_model(seed=0, width=12, n_actions=4, zero_value=False):
+def tiny_model(seed=0, width=12, n_actions=4, zero_value=False, rounds=1):
     params = ParamSet(seed=seed)
-    gnet = GraphNet(params, "gnn", GraphNetConfig(d=6, rounds=1, feature_width=1))
+    gnet = GraphNet(params, "gnn", GraphNetConfig(d=6, rounds=rounds, feature_width=1))
     enc = HistoryEncoder(
         params,
         "hist",
@@ -428,6 +428,115 @@ def test_training_is_deterministic_end_to_end():
 
 
 # ------------------------------------------------------------------ bandit
+
+
+def app_sampler(rng):
+    return AppEnv(generate_er_app(8, p=0.3, seed=int(rng.integers(2**31))), budget=8, num_actions=7)
+
+
+# Two seeded updates of seeded_two_updates(kind), recorded with the edge-level
+# message passing and the GRU composed of 17 tape ops that the node-level
+# messages and the fused gru_cell replaced. logprobs and values are flattened
+# over the update's episodes; stats are the UpdateStats fields mean_return,
+# policy_loss, value_loss, entropy and grad_norm.
+PARENT_RUNS = {
+    "maze": [
+        {
+            "actions": [[1, 3, 1, 2, 1, 1, 3, 3], [2, 0, 2, 0, 2, 3, 1, 0]],
+            "rewards": [[0.25, 0.0, 0.0, 0.125, 0.125, 0.125, 0.0, 0.0], [0.25, 0.0, 0.0, 0.0, 0.0,
+                        0.125, 0.0, 0.0]],
+            "logprobs": [0.0, -0.72600917683647, 0.0, -0.645753342417084, -1.4029769464234265,
+                         -0.6139443854968071, -1.2619309183865406, -0.8045884180338487, 0.0,
+                         -0.6631459703833688, 0.0, -0.6347925441546906, 0.0, -0.7686418679745084,
+                         -1.107868098530815, -0.6268829546645204],
+            "values": [-0.018790596927246356, 0.0027406166133276677, -0.00019678541007197257,
+                       0.003854365425924591, -0.0024087979854845384, -0.033565701440709944,
+                       -0.05977690150606063, -0.07069935592884519, -0.018790596927246356,
+                       0.0022649523359398235, -0.012967625469801517, -0.0021949406617591156,
+                       -0.01055844395728383, -0.0029936360042435196, -0.001423878960522285,
+                       -0.00013189868501814646],
+            "stats": [0.5, 0.6779498936705616, 0.5845495515442475, 0.5688881391056967,
+                      2.106143891201106],
+        },
+        {
+            "actions": [[1, 0, 2, 0, 2, 3, 1, 0], [3, 3, 2, 0, 2, 2, 1, 3]],
+            "rewards": [[0.25, 0.125, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.25, 0.125, 0.125, 0.0, 0.0,
+                        0.125, 0.125, 0.0]],
+            "logprobs": [0.0, -0.6675766676494409, -0.6947133329130714, -0.6407882771237519,
+                         -0.712050270389467, -0.7573568567093985, 0.0, -0.6408280446260354, 0.0,
+                         -0.6996573373504082, -0.6662926802305228, -0.676460917958022,
+                         -0.7067711941353474, -0.730861409328322, -0.6912989610267242,
+                         -1.5765266095508397],
+            "values": [-0.014679030652867913, 0.007617201418500835, 0.0077549894292066966,
+                       0.0042744005368449585, 0.0010252167019117618, 0.0011029603769731426,
+                       -0.02011736864005182, -0.008370580815910371, -0.014679030652867913,
+                       0.006599054416891741, -0.005384585279121305, -0.0308396108466181,
+                       -0.03274776047136106, -0.04934299633666567, -0.07791638326730806,
+                       -0.0855731618373637],
+            "stats": [0.5625, 0.7782354227249968, 0.7179880521614652, 0.605707934506961,
+                      2.418931747135651],
+        },
+    ],
+    "app": [
+        {
+            "actions": [[0, 3, 0, 1, 1, 0, 1, 3], [0, 0, 1, 0, 0, 1, 0, 0]],
+            "rewards": [[0.2857142857142857, 0.0, 0.0, 0.14285714285714285, 0.0,
+                        0.14285714285714285, 0.0, 0.0], [0.4, 0.0, 0.2, 0.0, 0.0, 0.2, 0.0, 0.0]],
+            "logprobs": [0.0, -1.3724933057168567, 0.0, -1.403813268620614, -1.139527638646144,
+                         -1.3888150167121973, -0.7068643826955957, -1.3938892164191894,
+                         -1.073027455139866, -0.6716550082408531, -1.118546377750037, 0.0,
+                         -1.0928265849541965, -0.7031822268776553, 0.0, -0.6854633649428667],
+            "values": [-0.005254691775373115, -0.0110933914401697, -0.010709710712961526,
+                       -0.01934405964370691, -0.030841610616447954, -0.02821909387095372,
+                       -0.0556178887738913, -0.047531794270950306, -0.005254691775373115,
+                       -0.0110933914401697, -0.016795529906734514, -0.03377090496295423,
+                       -0.03031542362801861, -0.050989902996102926, -0.07057541542174105,
+                       -0.07975317773417889],
+            "stats": [0.6857142857142857, 1.7329702181992102, 0.919779974507251, 0.794353289310371,
+                      4.072216298495757],
+        },
+        {
+            "actions": [[1, 1, 1, 1, 1, 2, 1, 0], [0, 3, 0, 1, 1, 2, 1, 2]],
+            "rewards": [[0.3333333333333333, 0.16666666666666666, 0.0, 0.0, 0.0,
+                        0.16666666666666666, 0.0, 0.0], [0.2857142857142857, 0.14285714285714285,
+                        0.0, 0.14285714285714285, 0.14285714285714285, 0.0, 0.0, 0.0]],
+            "logprobs": [-0.7132641549736602, -1.1312322121803187, -0.7234585593239754,
+                         -1.1542428348672888, -0.7277180490706188, -1.0499943770190108,
+                         -0.7258894234116037, -1.081116092031182, 0.0, -1.5873360967975865, 0.0,
+                         -1.6416184382001078, -0.7123988949828757, -1.0163435174625286,
+                         -0.7122689774424852, -1.0134677595998898],
+            "values": [-0.0004915010986184254, -0.006225221381427358, -0.04503050791075474,
+                       -0.04292069195405167, -0.07399366613596005, -0.06466695005331805,
+                       -0.09241813713840756, -0.07945934419538916, -0.0004915010986184254,
+                       -0.0012446776288382844, -0.022316488646003354, -0.018826979249300827,
+                       -0.048548578878062056, -0.08461323445895089, -0.0996564231397209,
+                       -0.11779354893045346],
+            "stats": [0.6904761904761905, 1.7104945330593475, 0.8631545451883358,
+                      0.8725109592020859, 3.5571743846551307],
+        },
+    ],
+}
+
+
+def seeded_two_updates(kind):
+    model = tiny_model(seed=3, n_actions=4 if kind == "maze" else 7, rounds=2)
+    config = small_config(env_sampler=maze_sampler if kind == "maze" else app_sampler)
+    opt = OptimizerState(lr=config.learning_rate)
+    for u in range(2):
+        batch = collect_rollouts(model, config.env_sampler, config, round_index=u)
+        model, stats = a2c_update(model, batch, config, opt)
+        yield batch.episodes, stats
+
+
+@pytest.mark.parametrize("kind", ["maze", "app"])
+def test_seeded_updates_repeat_the_edge_level_run(kind):
+    for (episodes, stats), want in zip(seeded_two_updates(kind), PARENT_RUNS[kind], strict=True):
+        assert [[r.action for r in ep.history.records[1:]] for ep in episodes] == want["actions"]
+        assert [ep.rewards() for ep in episodes] == want["rewards"]
+        assert_close([x for ep in episodes for x in ep.logprobs], want["logprobs"], 1e-12)
+        assert_close([x for ep in episodes for x in ep.values], want["values"], 1e-12)
+        assert_close([stats.mean_return, stats.policy_loss, stats.value_loss, stats.entropy,
+                      stats.grad_norm], want["stats"], 1e-12)
 
 
 class BanditEnv:
