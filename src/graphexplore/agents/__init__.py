@@ -14,6 +14,5 @@ from .policy import (
     CategoricalHead,
     GridAction,
     GridDecoder,
-    PolicyOutput,
     ValueHead,
 )

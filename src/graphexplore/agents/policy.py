@@ -3,8 +3,10 @@
 Two action modes: a masked categorical over a fixed action set, and an
 autoregressive grid decoder (size prefix, then row-major cell tokens) for
 grid-world inputs. Both heads expose the same pair of entry points: act() for
-choosing one action per row of a (K, w) batch during lockstep rollouts, and
-score() for re-evaluating stored actions on the gradient tape.
+choosing one action per row of a (K, w) batch during lockstep rollouts, which
+also returns the taken actions' log-probabilities and the entropies as
+tensors (on the active tape, if any), and score() for re-evaluating given
+actions.
 
 Masking uses a -1e30 logit offset: large enough that exp() underflows to an
 exact 0 probability, small enough that log-space arithmetic stays finite, so
@@ -13,6 +15,7 @@ entropy terms contribute exactly 0 instead of NaN.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,25 +29,17 @@ from ..tensor import (
     Tensor,
     concat,
     embed_lookup,
-    exp,
+    entropy,
     load_params,
-    log,
+    log_softmax,
     no_grad,
     save_params,
-    reduce_sum,
     reshape,
     slice_,
     tanh,
 )
 
 MASK_OFFSET = -1e30
-
-
-@dataclass
-class PolicyOutput:
-    action: object
-    log_probability: float
-    entropy: float
 
 
 def _pick(t, i):
@@ -55,22 +50,16 @@ def _pick(t, i):
 def masked_log_probs(logits, mask):
     """Log-probabilities over the last axis of (A,) or (D, A) logits, with
     invalid entries pinned near MASK_OFFSET. Returns (log_probs, probs); probs
-    are exp(log_probs), exactly 0 on masked-out entries."""
+    are exp(log_probs), exactly 0 on masked-out entries, and carry no
+    gradient: they only pick actions (entropy() differentiates through
+    log_probs)."""
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
             raise ValueError("all actions are masked")
         logits = logits + Tensor(np.where(mask, 0.0, MASK_OFFSET))
-    # A constant shift: log-softmax is invariant to it, so it needs no gradient.
-    shifted = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
-    log_z = log(reduce_sum(exp(shifted), axis=-1))
-    log_probs = shifted - reshape(log_z, log_z.data.shape + (1,))
-    return log_probs, exp(log_probs)
-
-
-def _entropy(log_probs, probs):
-    # 0 * MASK_OFFSET-ish = -0.0 on masked entries, so the sum stays exact.
-    return -reduce_sum(probs * log_probs, axis=-1)
+    log_probs = log_softmax(logits)
+    return log_probs, Tensor(np.exp(log_probs.data))
 
 
 def stack_masks(masks):
@@ -104,26 +93,27 @@ class CategoricalHead:
     def act(self, F, rngs, mode="sample", masks=None):
         """One action per row of F (K, w): row k samples from rngs[k] (greedy:
         takes the argmax) among the actions masks[k] allows (None: any).
-        Returns K PolicyOutputs."""
-        with no_grad():
-            log_probs, probs = masked_log_probs(self.out(F), stack_masks(masks or ()))
-            entropy = _entropy(log_probs, probs).data
-        outs = []
-        for k, p in enumerate(probs.data):
-            a = int(np.argmax(p)) if mode == "greedy" else sample_index(p, rngs[k])
-            outs.append(PolicyOutput(action=a, log_probability=float(log_probs.data[k, a]),
-                                     entropy=float(entropy[k])))
-        return outs
+        Returns (K actions, (K,) log-probabilities of the taken actions,
+        (K,) entropies)."""
+        log_probs, probs = masked_log_probs(self.out(F), stack_masks(masks or ()))
+        if mode == "greedy":
+            actions = [int(np.argmax(p)) for p in probs.data]
+        else:
+            actions = [sample_index(p, rng) for p, rng in zip(probs.data, rngs)]
+        return actions, self._taken(log_probs, actions), entropy(log_probs)
 
     def score(self, F, action, mask=None):
         """(log-probability of the taken action, entropy) per row: F is (w,)
         with one action and an (A,) mask, or (D, w) with D actions and a
         (D, A) mask."""
-        log_probs, probs = masked_log_probs(self.out(F), mask)
-        actions = np.asarray(action, dtype=np.intp)
+        log_probs, _ = masked_log_probs(self.out(F), mask)
+        return self._taken(log_probs, action), entropy(log_probs)
+
+    def _taken(self, log_probs, actions):
+        """Entry actions[k] of row k of log_probs, gathered by one lookup."""
+        actions = np.asarray(actions, dtype=np.intp)
         rows = np.arange(actions.size).reshape(actions.shape)
-        taken = embed_lookup(reshape(log_probs, (-1,)), rows * self.n_actions + actions)
-        return taken, _entropy(log_probs, probs)
+        return embed_lookup(reshape(log_probs, (-1,)), rows * self.n_actions + actions)
 
 
 class _Decoder:
@@ -198,7 +188,7 @@ class GridDecoder:
         else:
             size_idx = sample_index(size_probs.data, rng)
         total_lp = _pick(size_log_probs, size_idx)
-        total_ent = _entropy(size_log_probs, size_probs)
+        total_ent = entropy(size_log_probs)
         size = self.sizes[size_idx]
         prev = len(self.vocab) + size_idx  # the size token's embedding row
         tokens = []
@@ -215,7 +205,7 @@ class GridDecoder:
             else:
                 tok = sample_index(probs.data, rng)
             total_lp = total_lp + _pick(log_probs, tok)
-            total_ent = total_ent + _entropy(log_probs, probs)
+            total_ent = total_ent + entropy(log_probs)
             hero_done = hero_done or tok in self.hero_ids
             tokens.append(tok)
             prev = tok
@@ -224,15 +214,13 @@ class GridDecoder:
 
     def act(self, F, rngs, mode="sample", masks=None):
         """One grid per row of F (K, w), row k decoded with rngs[k]; masks
-        are unused, since the decoder masks its own tokens."""
-        outs = []
-        with no_grad():
-            for k in range(F.data.shape[0]):
-                row = reshape(slice_(F, k, k + 1, axis=0), F.data.shape[1:])
-                action, lp, ent = self._walk(row, rng=rngs[k], mode=mode)
-                outs.append(PolicyOutput(action=action, log_probability=float(lp.data),
-                                         entropy=float(ent.data)))
-        return outs
+        are unused, since the decoder masks its own tokens. Returns (K grids,
+        (K,) log-probabilities, (K,) entropies)."""
+        walks = [self._walk(reshape(slice_(F, k, k + 1, axis=0), F.data.shape[1:]),
+                            rng=rngs[k], mode=mode) for k in range(F.data.shape[0])]
+        return ([action for action, _, _ in walks],
+                concat([reshape(lp, (1,)) for _, lp, _ in walks]),
+                concat([reshape(ent, (1,)) for _, _, ent in walks]))
 
     def score(self, F, action, mask=None):
         if action.size not in self.sizes:
@@ -255,7 +243,7 @@ class PolicyModel:
     """Bundle of everything a learned agent needs: the parameter store, the
     history encoder, and the action/value heads. run_episodes is the agent's
     one rollout path, stepping a batch of episodes in lockstep; the trainer
-    scores a whole batch of decisions through score() on the tape."""
+    backpropagates through the forward pass it records."""
 
     def __init__(self, params, encoder, head, value_head):
         self.params = params
@@ -272,7 +260,14 @@ class PolicyModel:
         summaries call (one GraphNet pass over the union of their newest
         graphs), one fold of their history states as rows, one head call and
         one value call; the envs then step one by one, and an episode that
-        ends leaves the live set. mode is "sample" or "greedy"."""
+        ends leaves the live set, its state rows dropped by a gather.
+
+        mode is "sample" or "greedy". Greedy rollouts record nothing. A
+        sample rollout inside an open Tape records its whole forward pass
+        there: the log-probability, entropy and value tensors of all its
+        decisions, step by step, which each episode's `forward` shares with
+        the rows of its own decisions. The learner backpropagates through
+        them without encoding anything again."""
         if len(envs) != len(seeds):
             raise ValueError(f"{len(envs)} envs but {len(seeds)} seeds")
         first = {}
@@ -287,24 +282,36 @@ class PolicyModel:
         trajs = [traj for traj, _ in starts]
         live = [k for k, (_, over) in enumerate(starts) if not over]
         state = self.encoder.init_state(len(live))
-        with no_grad():
+        steps = []  # (logprob, entropy, value) rows of each step's live episodes
+        rows = [[] for _ in envs]  # episode k's decisions: rows of the steps, stacked
+        offset = 0
+        with no_grad() if mode == "greedy" else nullcontext():
             while live:
                 histories = [trajs[k].history for k in live]
                 F, state = self.encoder.fold(state, self.encoder.summaries(
                     [h.last() for h in histories], [h.program for h in histories]))
                 masks = [envs[k].action_mask() for k in live]
-                outs = self.head.act(F, [rngs[k] for k in live], mode=mode, masks=masks)
-                values = self.value_head(F).data
+                actions, logprob, entropy = self.head.act(
+                    F, [rngs[k] for k in live], mode=mode, masks=masks)
+                value = self.value_head(F)
+                steps.append((logprob, entropy, value))
                 kept = []
-                for row, (k, out, mask) in enumerate(zip(live, outs, masks)):
-                    info = {"logprob": out.log_probability, "value": float(values[row]),
-                            "entropy": out.entropy, "mask": mask}
-                    if not advance_episode(envs[k], trajs[k], out.action, info):
+                for row, (k, action, mask) in enumerate(zip(live, actions, masks)):
+                    rows[k].append(offset + row)
+                    info = {"logprob": float(logprob.data[row]), "value": float(value.data[row]),
+                            "entropy": float(entropy.data[row]), "mask": mask}
+                    if not advance_episode(envs[k], trajs[k], action, info):
                         kept.append(row)
+                offset += len(live)
                 if len(kept) < len(live):
                     live = [live[row] for row in kept]
                     if state is not None:
-                        state = tuple(Tensor(part.data[kept]) for part in state)
+                        state = tuple(embed_lookup(part, kept) for part in state)
+            if steps and steps[0][2].requires_grad:  # recorded on a tape
+                stacked = tuple(concat(parts) for parts in zip(*steps))
+                for traj, r in zip(trajs, rows):
+                    if r:
+                        traj.forward = (stacked, np.asarray(r, dtype=np.intp))
         return trajs
 
     def save(self, path, meta=None):

@@ -162,11 +162,11 @@ class HistoryEncoder:
     temporal_mode last_step returns the newest summary; autoregressive folds
     summaries through an LSTM whose hidden state is F(h_t).
 
-    Both callers fold episodes as rows of one (K, H) state. Rollouts step K
-    episodes in lockstep (PolicyModel.run_episodes): each step builds the
-    newest record's summary of every live episode with one summaries call and
-    folds them with one fold call. The learner encodes every prefix of a
-    whole batch of episodes at once with prefix_encodings.
+    Rollouts fold episodes as rows of one (K, H) state, stepping K episodes
+    in lockstep (PolicyModel.run_episodes): each step builds the newest
+    record's summary of every live episode with one summaries call and folds
+    them with one fold call. The learner encodes nothing itself: it
+    backpropagates through this rollout forward, recorded on its tape.
     """
 
     def __init__(self, params, name, config, graph_net):
@@ -310,33 +310,6 @@ class HistoryEncoder:
             return h, (h, c)
         return summ, None
 
-    def prefix_encodings(self, sequences, programs):
-        """(R, output_width) encodings of every prefix of every record
-        sequence: row k of sequence e is F(h_k), the fold of its records
-        0..k; rows run sequence by sequence, step by step. programs[e] is the
-        static program of sequence e. All summaries are built at once and
-        the fold runs over every sequence in parallel (sequences are rows; a
-        finished sequence repeats its last summary, and those padded outputs
-        are never read)."""
-        if not sequences or not all(sequences):
-            raise ValueError("cannot encode an empty sequence")
-        lengths = np.array([len(seq) for seq in sequences])
-        starts = np.cumsum(lengths) - lengths
-        records = [rec for seq in sequences for rec in seq]
-        summaries = self.summaries(
-            records, [p for p, n in zip(programs, lengths) for _ in range(n)])
-        E, T = len(sequences), int(lengths.max())
-        state = self.init_state(E)
-        outputs = []
-        for t in range(T):
-            rows = starts + np.minimum(t, lengths - 1)
-            F_t, state = self.fold(state, embed_lookup(summaries, rows))
-            outputs.append(F_t)
-        # Row k of sequence e is row k * E + e of the stacked outputs.
-        step = np.concatenate([np.arange(n) for n in lengths])
-        owner = np.repeat(np.arange(E), lengths)
-        return embed_lookup(concat(outputs, axis=0), step * E + owner)
-
 
 # ------------------------------------------------------------ rollout loop
 
@@ -353,6 +326,11 @@ class EpisodeTrajectory:
     masks: list = field(default_factory=list)  # per-decision action masks (or None)
     terminated_early: bool = False  # full coverage before the budget ran out
     seed: int | None = None
+    # The forward a sample rollout recorded on its tape (PolicyModel.run_episodes
+    # inside a Tape): ((log-probability, entropy, value) tensors over every
+    # decision of the rollout, the rows of this episode's n decisions in them).
+    # None when no forward was recorded.
+    forward: tuple | None = None
 
     @property
     def final_coverage(self):
@@ -365,6 +343,9 @@ class EpisodeTrajectory:
 @dataclass
 class TrajectoryBatch:
     episodes: list = field(default_factory=list)
+    # The Tape holding the episodes' recorded forward; the update that
+    # backpropagates through it releases it (sets it to None).
+    tape: object = None
 
     def __len__(self):
         return len(self.episodes)
@@ -377,7 +358,8 @@ class TrajectoryBatch:
             if abs(sum(ep.rewards()) - ep.final_coverage) > 1e-9:
                 raise ValueError("reward sum does not telescope to final coverage")
             n = len(ep.history.records) - 1
-            for seq in (ep.logprobs, ep.values, ep.entropies, ep.masks):
+            for seq in (ep.logprobs, ep.values, ep.entropies, ep.masks,
+                        ep.forward[1] if ep.forward else ()):
                 if len(seq) not in (0, n):
                     raise ValueError("policy outputs misaligned with records")
         return self

@@ -8,13 +8,14 @@ with a per-node coverage bit. The coverage bit is appended to the raw node
 features before any learned transformation, so the same encoder weights serve
 both "what does the graph look like" and "what is left to visit".
 
-GraphNet.encode_batch is the one encoding entry point, used by rollouts and
-the learner alike. It encodes many observations at once as their disjoint
-union (as in PyG's batching): node rows are stacked, edges are offset into
-them, message passing runs once on the union, and the readout's attention
-softmax and weighted sum run per graph through segment operations. Since no
-edge crosses graphs, each graph's vector equals its own encoding; a single
-observation is the union of one. Callers that need node states or readout
+GraphNet.encode_batch is the one encoding entry point. Rollouts call it once
+per lockstep step, on the tape when training, and the learner backpropagates
+through those calls rather than encoding again. It encodes many observations
+at once as their disjoint union (as in PyG's batching): node rows are
+stacked, edges are offset into them, message passing runs once on the union,
+and the readout's attention softmax and weighted sum run per graph through
+segment operations. Since no edge crosses graphs, each graph's vector equals
+its own encoding; a single observation is the union of one. Callers that need node states or readout
 attention run the stages (project_features, propagate, readout) themselves.
 
 Messages are computed per node, not per edge. The message function is one
@@ -47,6 +48,7 @@ from .tensor import (
     clip_global_norm,
     concat,
     embed_lookup,
+    graph_message,
     matmul,
     no_grad,
     optimizer_step,
@@ -205,8 +207,9 @@ class GraphNet:
 
         Messages are formed per node (see the module docstring): the
         in-degree and edge-type counts are fixed for the encode, so a round is
-        one gather of h by edge source, one sum of it by edge destination and
-        one (n, 2d + MAX_EDGE_TYPES) product with W."""
+        one graph_message op (one gather of h by edge source, one sum of it by
+        edge destination and one (n, 2d + MAX_EDGE_TYPES) product with W) and
+        one gru_cell op."""
         n = obs.node_count
         edges = np.asarray(obs.edges, dtype=np.intp).reshape(-1, 3)
         src, dst, etype = edges[:, 0], edges[:, 1], edges[:, 2]
@@ -218,13 +221,13 @@ class GraphNet:
                                  f"{int(etype.min())}..{int(etype.max())}")
         counts = np.bincount(dst * MAX_EDGE_TYPES + etype - 1,
                              minlength=n * MAX_EDGE_TYPES).reshape(n, MAX_EDGE_TYPES)
-        degree, type_counts = Tensor(counts.sum(axis=1, keepdims=True)), Tensor(counts)
-        bias = degree * self.message.b
+        type_counts = counts.astype(np.float64)
+        degree = type_counts.sum(axis=1, keepdims=True)
         h = h0
         for _ in range(self.config.rounds):
-            inputs = concat([degree * h, segment_aggregate(embed_lookup(h, src), dst, n),
-                             type_counts], axis=1)
-            h = self.gru(matmul(inputs, self.message.W) + bias, h)
+            messages = graph_message(h, self.message.W, self.message.b, src, dst, degree,
+                                     type_counts)
+            h = self.gru(messages, h)
         return h
 
     def readout(self, node_embeddings, graph_ids, num_graphs):

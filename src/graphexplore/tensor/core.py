@@ -10,6 +10,7 @@ Tapes are single-threaded: one module-level stack holds the active tapes.
 
 from __future__ import annotations
 
+import gc
 import math
 from types import SimpleNamespace
 
@@ -93,12 +94,23 @@ class Tape:
         self._nodes.append((out, inputs, backward_fn))
 
     def __enter__(self):
+        if not _STATE.stack:
+            # Each recorded op keeps a few container objects alive (the node,
+            # its inputs, the backward closure and its cells) until the tape
+            # goes. They form no reference cycles, so reference counting frees
+            # them, and a cyclic collection would only rescan the growing
+            # tape: a rollout's recording triggered ~20 of them per update. So
+            # the collector pauses while the outermost tape records.
+            _STATE.gc_was_enabled = gc.isenabled()
+            gc.disable()
         _STATE.stack.append(self)
         return self
 
     def __exit__(self, *exc):
         popped = _STATE.stack.pop()
         assert popped is self
+        if not _STATE.stack and _STATE.gc_was_enabled:
+            gc.enable()
 
     def gradients(self, loss, params=None):
         """Backward pass from a scalar loss.
@@ -111,9 +123,15 @@ class Tape:
             raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
         grads = {id(loss): np.ones_like(loss.data)}
         keep = {id(loss): loss}
+        # Accumulators this pass allocated itself. Nothing else sees them until
+        # their tensor's node hands them on, so they may grow in place; a
+        # first piece may alias an upstream gradient and is never written to.
+        owned = set()
         for out, inputs, backward_fn in reversed(self._nodes):
-            g = grads.pop(id(out), None)
-            keep.pop(id(out), None)
+            oid = id(out)
+            g = grads.pop(oid, None)
+            keep.pop(oid, None)
+            owned.discard(oid)
             if g is None:
                 continue
             for t, piece in zip(inputs, backward_fn(g)):
@@ -122,12 +140,13 @@ class Tape:
                 tid = id(t)
                 acc = grads.get(tid)
                 if acc is None:
-                    # Store as-is; accumulation below is out-of-place, so aliasing
-                    # the upstream gradient array is safe.
                     grads[tid] = piece
                     keep[tid] = t
+                elif tid in owned:
+                    acc += piece
                 else:
                     grads[tid] = acc + piece
+                    owned.add(tid)
         result = {}
         for tid, t in keep.items():
             if t.requires_grad:
@@ -139,7 +158,7 @@ class Tape:
         return result
 
 
-_STATE = SimpleNamespace(stack=[], disabled=0)
+_STATE = SimpleNamespace(stack=[], disabled=0, gc_was_enabled=True)
 
 
 def active_tape():
@@ -149,7 +168,7 @@ def active_tape():
 
 
 class no_grad:
-    """Context manager that suppresses tape recording (rollout mode)."""
+    """Context manager that suppresses tape recording (greedy rollouts)."""
 
     def __enter__(self):
         _STATE.disabled += 1
@@ -162,9 +181,12 @@ class no_grad:
 def _emit(out_data, inputs, backward_fn):
     out = Tensor(out_data)
     tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape.record(out, inputs, backward_fn)
+    if tape is not None:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                tape.record(out, inputs, backward_fn)
+                break
     return out
 
 
@@ -254,14 +276,11 @@ def concat(tensors, axis=0):
         out = np.concatenate(datas, axis=axis)
     except ValueError:
         raise ShapeError("concat", datas[0].shape, datas[-1].shape) from None
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [d.shape[axis] for d in datas]).tolist()
+    lead = (slice(None),) * (axis % out.ndim)
 
-    def backward(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(datas))
-        )
+    def backward(g):  # views of g, one per input
+        return tuple(g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets, offsets[1:]))
 
     return _emit(out, tuple(tensors), backward)
 
@@ -357,6 +376,33 @@ def softmax(a, axis=-1):
     return _emit(out, (a,), backward)
 
 
+def log_softmax(a):
+    """Log-probabilities of a softmax over the last axis as one tape op:
+    shifted - log(sum(exp(shifted))), where shifted = a - max(a)."""
+    a = as_tensor(a)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1))[..., None]
+
+    def backward(g):
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
+
+    return _emit(out, (a,), backward)
+
+
+def entropy(log_probs):
+    """Entropy -sum(exp(lp) * lp) over the last axis of log-probabilities lp,
+    as one tape op; an entry whose exp(lp) is exactly 0 (a masked action)
+    contributes exactly 0."""
+    lp = as_tensor(log_probs)
+    p = np.exp(lp.data)
+    out = -(p * lp.data).sum(axis=-1)
+
+    def backward(g):
+        return (-g[..., None] * p * (lp.data + 1.0),)
+
+    return _emit(out, (lp,), backward)
+
+
 def reduce_sum(a, axis=None):
     a = as_tensor(a)
     out = a.data.sum(axis=axis)
@@ -425,6 +471,32 @@ def segment_aggregate(values, segment_ids, num_segments, reduce="sum"):
     return _emit(out, (values,), backward)
 
 
+def graph_message(h, W, b, src, dst, degree, type_counts):
+    """Summed incoming messages of every node as one tape op. Edge (u, v, k)
+    sends [h_v, h_u, onehot(k)] W + b to v; the sum over v's in-edges is
+
+        [degree_v h_v, sum_u h_u, type_counts_v] W + degree_v b
+
+    h is (n, d) and W (2d + K, d'); src and dst are the edge endpoints,
+    degree the (n, 1) in-degrees and type_counts the (n, K) per-type
+    in-degree counts. The backward keeps only the (n, 2d + K) input rows."""
+    h, W, b = as_tensor(h), as_tensor(W), as_tensor(b)
+    hd, Wd = h.data, W.data
+    if hd.ndim != 2 or Wd.shape[0] != 2 * hd.shape[1] + type_counts.shape[1]:
+        raise ShapeError("graph_message", h.shape, W.shape)
+    d = hd.shape[1]
+    neighbors = _scatter_rows(dst, hd[src], hd.shape)
+    inputs = np.concatenate([degree * hd, neighbors, type_counts], axis=1)
+    out = inputs @ Wd + degree * b.data
+
+    def backward(g):
+        d_in = g @ Wd.T
+        dh = d_in[:, :d] * degree + _scatter_rows(src, d_in[:, d : 2 * d][dst], hd.shape)
+        return (dh, inputs.T @ g, (g * degree).sum(axis=0))
+
+    return _emit(out, (h, W, b), backward)
+
+
 def segment_softmax(scores, segment_ids, num_segments):
     """Softmax of a (n,) score vector within each segment: entries sharing a
     segment id sum to 1. The per-segment max is subtracted first."""
@@ -476,7 +548,9 @@ def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n):
     x is (n_in,) or (rows, n_in) and h the matching (H,) or (rows, H). Runs
     three products (x @ [Wx_zr | Wx_n], h @ Wh_zr, (r * h) @ Wh_n) and keeps
     only the gates for its hand-written backward, where the composed ops would
-    record 17 nodes and their temporaries."""
+    record 17 nodes and their temporaries. The elementwise steps of both
+    passes run in place on the products' results, in the formula's operand
+    order, so they allocate almost nothing beyond the products."""
     x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n = (
         as_tensor(t) for t in (x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n))
     n_in, H = Wx_n.data.shape
@@ -484,24 +558,50 @@ def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n):
             or x.data.shape[-1] != n_in or h.data.shape[-1] != H):
         raise ShapeError("gru_cell", x.shape, h.shape)
     xd, hd = x.data.reshape(-1, n_in), h.data.reshape(-1, H)
-    Wx = np.concatenate([Wx_zr.data, Wx_n.data], axis=1)
-    xw = xd @ Wx
-    zr = 1.0 / (1.0 + np.exp(-(xw[:, : 2 * H] + hd @ Wh_zr.data + b_zr.data)))
+    xw = xd @ np.concatenate([Wx_zr.data, Wx_n.data], axis=1)
+    zr = hd @ Wh_zr.data
+    zr += xw[:, : 2 * H]
+    zr += b_zr.data
+    np.negative(zr, out=zr)
+    np.exp(zr, out=zr)
+    zr += 1.0
+    np.divide(1.0, zr, out=zr)
     z, r = zr[:, :H], zr[:, H:]
     rh = r * hd
-    n = np.tanh(xw[:, 2 * H :] + rh @ Wh_n.data + b_n.data)
-    out = (1.0 - z) * n + z * hd
+    n = rh @ Wh_n.data
+    n += xw[:, 2 * H :]
+    n += b_n.data
+    np.tanh(n, out=n)
+    out = 1.0 - z
+    out *= n
+    out += z * hd
 
     def backward(g):
         g = g.reshape(hd.shape)
-        dn = g * (1.0 - z) * (1.0 - n * n)
+        dxw = np.empty((hd.shape[0], 3 * H))
+        dzr, dn = dxw[:, : 2 * H], dxw[:, 2 * H :]
+        np.subtract(1.0, z, out=dn)
+        dn *= g
+        t = n * n
+        np.subtract(1.0, t, out=t)
+        dn *= t
         drh = dn @ Wh_n.data.T
-        dzr = np.concatenate([g * (hd - n), drh * hd], axis=1) * zr * (1.0 - zr)
-        dh = g * z + drh * r + dzr @ Wh_zr.data.T
-        dxw = np.concatenate([dzr, dn], axis=1)
+        np.subtract(hd, n, out=dzr[:, :H])
+        dzr[:, :H] *= g
+        np.multiply(drh, hd, out=dzr[:, H:])
+        dzr *= zr
+        t = 1.0 - zr
+        dzr *= t
+        dh = g * z
+        drh *= r
+        dh += drh
+        dh += dzr @ Wh_zr.data.T
         dWx = xd.T @ dxw
+        dx = None
+        if x.requires_grad:  # [Wx_zr | Wx_n] again: cheaper than keeping a copy per call
+            dx = (dxw @ np.concatenate([Wx_zr.data, Wx_n.data], axis=1).T).reshape(x.data.shape)
         return (
-            (dxw @ Wx.T).reshape(x.data.shape) if x.requires_grad else None,
+            dx,
             dh.reshape(h.data.shape),
             dWx[:, : 2 * H],
             hd.T @ dzr,
@@ -512,3 +612,53 @@ def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n):
         )
 
     return _emit(out.reshape(h.data.shape), (x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n), backward)
+
+
+def lstm_cell(x, h, c, Wx, Wh, b):
+    """One long short-term-memory step as a single tape op:
+
+        i, f, g, o = quarters of x Wx + h Wh + b, through sigmoid, sigmoid,
+                     tanh and sigmoid
+        c' = f * c + i * g
+        h' = o * tanh(c')
+
+    x is (n_in,) or (rows, n_in) and h, c the matching (H,) or (rows, H).
+    Returns h' and c' side by side as one (..., 2H) tensor, which LSTMCell
+    splits. The hand-written backward keeps only the gates and tanh(c'),
+    where the composed ops would record 17 nodes."""
+    x, h, c, Wx, Wh, b = (as_tensor(t) for t in (x, h, c, Wx, Wh, b))
+    n_in, H = Wx.data.shape[0], Wx.data.shape[1] // 4
+    if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != h.data.shape[:-1]
+            or c.data.shape != h.data.shape or x.data.shape[-1] != n_in
+            or h.data.shape[-1] != H):
+        raise ShapeError("lstm_cell", x.shape, h.shape)
+    a = x.data @ Wx.data + h.data @ Wh.data + b.data
+    i = 1.0 / (1.0 + np.exp(-a[..., :H]))
+    f = 1.0 / (1.0 + np.exp(-a[..., H : 2 * H]))
+    g = np.tanh(a[..., 2 * H : 3 * H])
+    o = 1.0 / (1.0 + np.exp(-a[..., 3 * H :]))
+    c_new = f * c.data + i * g
+    tc = np.tanh(c_new)
+    out = np.concatenate([o * tc, c_new], axis=-1)
+
+    def backward(gout):
+        gout = gout.reshape(-1, 2 * H)
+        i2, f2, g2, o2, tc2 = (t.reshape(-1, H) for t in (i, f, g, o, tc))
+        dh_new = gout[:, :H]
+        dc = gout[:, H:] + dh_new * o2 * (1.0 - tc2 * tc2)
+        da = np.empty((gout.shape[0], 4 * H))
+        da[:, :H] = dc * g2 * i2 * (1.0 - i2)
+        da[:, H : 2 * H] = dc * c.data.reshape(-1, H) * f2 * (1.0 - f2)
+        da[:, 2 * H : 3 * H] = dc * i2 * (1.0 - g2 * g2)
+        da[:, 3 * H :] = dh_new * tc2 * o2 * (1.0 - o2)
+        x2, h2 = x.data.reshape(-1, n_in), h.data.reshape(-1, H)
+        return (
+            (da @ Wx.data.T).reshape(x.data.shape) if x.requires_grad else None,
+            (da @ Wh.data.T).reshape(h.data.shape) if h.requires_grad else None,
+            (dc * f2).reshape(c.data.shape),
+            x2.T @ da,
+            h2.T @ da,
+            da.sum(axis=0),
+        )
+
+    return _emit(out, (x, h, c, Wx, Wh, b), backward)

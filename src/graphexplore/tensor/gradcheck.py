@@ -12,7 +12,13 @@ def grad_check(fn, params, eps=1e-5):
 
     fn takes the name-keyed parameter map and returns a scalar Tensor; it must
     be pure (same params, same value). Returns the max over all coordinates of
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    |analytic - numeric| / max(eps, |analytic| + |numeric|).
+
+    The floor eps keeps the score relative where the gradient is large and
+    makes it absolute where it is not: a central difference is only good to
+    about eps^2 (truncation) plus rounding / eps, so below eps the ratio of
+    two near-zero numbers (say a saturated gate's 1e-11 gradient) would
+    measure the rounding of the loss, not the gradient.
     """
     if eps == 0:
         raise ValueError("grad_check: eps must be nonzero")
@@ -36,7 +42,7 @@ def grad_check(fn, params, eps=1e-5):
                 raise ValueError(f"grad_check: fn returned non-finite value perturbing {name!r}")
             numeric = (hi - lo) / (2.0 * eps)
             ana = float(a.reshape(-1)[i])
-            err = abs(ana - numeric) / max(1e-8, abs(ana) + abs(numeric))
+            err = abs(ana - numeric) / max(abs(eps), abs(ana) + abs(numeric))
             if err > worst:
                 worst = err
     return worst

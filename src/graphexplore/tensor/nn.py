@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 
-from .core import Tensor, embed_lookup, gru_cell, matmul, relu, sigmoid, slice_, tanh
+from .core import Tensor, embed_lookup, gru_cell, lstm_cell, matmul, relu, slice_
 
 
 class ParamSet:
@@ -129,7 +129,9 @@ class GRUCell:
 
 
 class LSTMCell:
-    """LSTM with combined gate matmul; forget-gate bias starts at 1."""
+    """LSTM with combined gate matmul; forget-gate bias starts at 1. The step
+    is the one `lstm_cell` tape op (see there for the formula), whose joint
+    [h | c] output is split into the (h, c) state."""
 
     def __init__(self, params, name, n_in, n_hidden):
         self.n_hidden = n_hidden
@@ -143,15 +145,9 @@ class LSTMCell:
     def __call__(self, x, state):
         h, c = state
         H = self.n_hidden
-        axis = 0 if h.data.ndim == 1 else 1
-        gates = matmul(x, self.Wx) + matmul(h, self.Wh) + self.b
-        i = sigmoid(slice_(gates, 0, H, axis=axis))
-        f = sigmoid(slice_(gates, H, 2 * H, axis=axis))
-        g = tanh(slice_(gates, 2 * H, 3 * H, axis=axis))
-        o = sigmoid(slice_(gates, 3 * H, 4 * H, axis=axis))
-        c_new = f * c + i * g
-        h_new = o * tanh(c_new)
-        return h_new, c_new
+        hc = lstm_cell(x, h, c, self.Wx, self.Wh, self.b)
+        axis = hc.data.ndim - 1
+        return slice_(hc, 0, H, axis=axis), slice_(hc, H, 2 * H, axis=axis)
 
     def zero_state(self):
         return (

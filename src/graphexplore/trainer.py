@@ -3,17 +3,18 @@
 Each update collects one batch of full on-policy episodes with the current
 parameters, stepping them in lockstep (PolicyModel.run_episodes: one union
 GraphNet encode, one history fold, one head call and one value call per step
-for all live episodes), and then a single learner step replays the batch on
-the gradient tape. Returns are undiscounted suffix sums (finite-horizon
-coverage objective), advantages are returns minus the value baseline, and the
-update clips the global gradient norm.
+for all live episodes), and then makes a single gradient step. Returns are
+undiscounted suffix sums (finite-horizon coverage objective), advantages are
+returns minus the value baseline, and the update clips the global gradient
+norm.
 
-The learner step is batched across the whole update: one
-HistoryEncoder.prefix_encodings call encodes every decision's history (one
-GraphNet pass over the disjoint union of all recorded graphs, the history
-LSTM folding all episodes in parallel), one head call and one value call
-score every decision, and one backward pass runs over a tape of a few ops per
-decision.
+A2C steps once per batch with the parameters that collected it, so the
+learner's forward pass would repeat the rollout's exactly. Instead the
+rollout runs on the gradient tape (collect_rollouts opens it), each episode
+keeps the log-probability, entropy and value tensors of its decisions, and
+the learner builds the loss from them and runs only the backward pass, as
+A3C-style learners backpropagate through the rollout's own forward (Mnih et
+al., 1602.01783). The update then releases the tape.
 
 `train` is the one training loop, returning (and optionally streaming as JSON
 lines) one record per update; `fine_tune` runs it on a copy of the model.
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .agents.policy import stack_masks
 from .episode import TrajectoryBatch
 from .episode import run_episode  # noqa: F401  perfbench/layers.py wraps trainer.run_episode by name
 from .tensor import (
@@ -37,6 +37,7 @@ from .tensor import (
     Tape,
     Tensor,
     clip_global_norm,
+    embed_lookup,
     optimizer_step,
     reduce_sum,
 )
@@ -99,7 +100,8 @@ def _episode_seeds(config, round_index, worker, episode):
 
 def collect_rollouts(model, env_sampler, config, round_index=0):
     """Sample fresh environments and run one full episode on each from the
-    model's current parameters, all in lockstep. The batch is ordered by
+    model's current parameters, all in lockstep, recording the forward pass
+    on a new Tape that the returned batch carries. The batch is ordered by
     (worker, episode) and every episode draws from its own seed stream, so an
     episode does not depend on the rest of the batch. A failure aborts the
     whole collection."""
@@ -109,7 +111,9 @@ def collect_rollouts(model, env_sampler, config, round_index=0):
             env_seed, ep_seed = _episode_seeds(config, round_index, w, e)
             envs.append(env_sampler(np.random.default_rng(env_seed)))
             seeds.append(ep_seed)
-    return TrajectoryBatch(episodes=model.run_episodes(envs, seeds, mode="sample")).validate()
+    with Tape() as tape:
+        episodes = model.run_episodes(envs, seeds, mode="sample")
+    return TrajectoryBatch(episodes=episodes, tape=tape).validate()
 
 
 def episode_returns(episode):
@@ -117,45 +121,45 @@ def episode_returns(episode):
     return np.cumsum(episode.rewards()[::-1])[::-1].tolist()
 
 
-def _decision_masks(episodes):
-    """(D, A) action masks of every decision, or None when no decision has
-    one; a decision without a mask may take any action."""
-    return stack_masks([m for ep in episodes
-                        for m in (ep.masks or [None] * (len(ep.history.records) - 1))])
-
-
-def batch_loss(model, batch, config):
+def batch_loss(batch, config):
     """Actor-critic loss over the batch (per-episode sums, averaged over
-    episodes), built on the active tape. Returns (loss, components dict).
-
-    Decision t of an episode is made from F(h_t), the fold of the summaries
-    of records 0..t, so the encoder's prefix encodings of every episode's
-    records but the last give one row per decision; one head and one value
-    call score them all."""
+    episodes), built on the batch's tape from the log-probability, entropy
+    and value tensors that its one recorded rollout (PolicyModel.run_episodes
+    inside the tape) left for every decision. Returns (loss, components
+    dict)."""
     if not batch.episodes:
         raise ValueError("empty batch")
     episodes = [ep for ep in batch.episodes if len(ep.history.records) >= 2]
     if not episodes:
         raise ValueError("batch contains no decisions to learn from")
-    F = model.encoder.prefix_encodings([ep.history.records[:-1] for ep in episodes],
-                                       [ep.history.program for ep in episodes])
-    actions = [rec.action for ep in episodes for rec in ep.history.records[1:]]
-    logprob, entropy = model.head.score(F, actions, mask=_decision_masks(episodes))
-    value = model.value_head(F)
-    returns = np.concatenate([episode_returns(ep) for ep in episodes])
-    advantage = returns - value.data
-    err = value - Tensor(returns)
-    terms = (
-        logprob * Tensor(-advantage)
-        + (err * err) * config.value_coef
-        + entropy * (-config.entropy_coef)
-    )
-    n_ep = len(batch.episodes)
-    loss = reduce_sum(terms) * (1.0 / n_ep)
+    for i, ep in enumerate(batch.episodes):
+        if len(ep.history.records) >= 2 and ep.forward is None:
+            raise ValueError(f"episode {i} has no recorded forward: only PolicyModel.run_episodes "
+                             f"in sample mode inside a Tape records one")
+    recorded = {id(ep.forward[0]): ep.forward[0] for ep in episodes}
+    if len(recorded) > 1:
+        raise ValueError(f"episodes come from {len(recorded)} recorded rollouts, not one")
+    if batch.tape is None:
+        raise ValueError("batch has no tape: an update already backpropagated through it and "
+                         "released it, or the batch was built without its rollout's Tape")
+    [step_tensors] = recorded.values()
+    rows = np.concatenate([ep.forward[1] for ep in episodes])
+    with batch.tape:
+        logprob, entropy, value = (embed_lookup(t, rows) for t in step_tensors)
+        returns = np.concatenate([episode_returns(ep) for ep in episodes])
+        advantage = returns - value.data
+        err = value - Tensor(returns)
+        terms = (
+            logprob * Tensor(-advantage)
+            + (err * err) * config.value_coef
+            + entropy * (-config.entropy_coef)
+        )
+        n_ep = len(batch.episodes)
+        loss = reduce_sum(terms) * (1.0 / n_ep)
     components = {
         "policy_loss": float(np.sum(-advantage * logprob.data)) / n_ep,
         "value_loss": float(np.sum(err.data ** 2)) / n_ep,
-        "entropy": float(np.sum(entropy.data)) / len(actions),
+        "entropy": float(np.sum(entropy.data)) / len(returns),
     }
     return loss, components
 
@@ -163,16 +167,20 @@ def batch_loss(model, batch, config):
 def a2c_update(model, batch, config, opt_state):
     """One synchronized gradient step from a collected batch, applied through
     the caller's Adam state `opt_state`, which carries the moments from one
-    update to the next. Returns (model, UpdateStats); a non-finite loss or
+    update to the next. The backward pass runs through the batch's recorded
+    rollout forward, and the batch's tape is released afterwards, so a batch
+    serves one update. Returns (model, UpdateStats); a non-finite loss or
     gradient skips the step, leaves every parameter untouched and names the
     cause in skip_reason."""
-    with Tape() as tape:
-        loss, parts = batch_loss(model, batch, config)
+    try:
+        loss, parts = batch_loss(batch, config)
         mean_return = float(np.mean([sum(ep.rewards()) for ep in batch.episodes]))
         if not np.isfinite(loss.data):
             return model, UpdateStats(mean_return, 0.0, 0.0, 0.0, 0.0,
                                       skip_reason=f"non-finite loss {float(loss.data)}")
-        grads = model.params.gradients(tape, loss)
+        grads = model.params.gradients(batch.tape, loss)
+    finally:
+        batch.tape = None
     grads, norm = clip_global_norm(grads, config.clip_norm)
     try:
         optimizer_step(model.params.named(), grads, opt_state)

@@ -20,7 +20,7 @@ from graphexplore.episode import (
     validate_history,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig, GraphObservation, empty_observation
-from graphexplore.tensor import ParamSet, no_grad
+from graphexplore.tensor import ParamSet, embed_lookup, no_grad
 
 
 def obs_of(coverage, edges=(), feature_width=1, current=None, n_types=2):
@@ -203,8 +203,14 @@ def short_history(n_steps=3, current=0):
 
 
 def final_encoding(enc, history):
-    """F of the whole history: the last of its prefix encodings."""
-    return enc.prefix_encodings([history.records], [history.program]).data[-1]
+    """F of the whole history, as a rollout computes it: one summaries call
+    for its records, folded one (1, w) row at a time."""
+    records = history.records
+    summaries = enc.summaries(records, [history.program] * len(records))
+    state = enc.init_state(1)
+    for t in range(len(records)):
+        F, state = enc.fold(state, embed_lookup(summaries, [t]))
+    return F.data[0]
 
 
 def test_last_step_mode_t1_equals_step_summary():
@@ -369,26 +375,34 @@ def test_summaries_rows_equal_per_record_summaries(conditioning, program):
 @pytest.mark.parametrize("temporal", ["autoregressive", "last_step"])
 @pytest.mark.parametrize("conditioning", ["graph", "node"])
 def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
+    # The encoding of every prefix of several sequences, computed as
+    # PolicyModel.run_episodes computes it: the sequences fold as rows of one
+    # state, one summaries call per step, and a finished sequence's rows are
+    # dropped by a gather.
     _, _, enc = encoder_fixture(temporal=temporal, conditioning=conditioning, seed=7)
-    sequences = [varied_records(seed)[:n] for seed, n in ((7, 1), (8, 2), (9, 4))]
+    sequences = [varied_records(seed)[:n] for seed, n in ((7, 4), (8, 1), (9, 2))]
+    lockstep = {}
     with no_grad():
-        batched = enc.prefix_encodings(sequences, [None] * len(sequences)).data
-        reference = []
-        for seq in sequences:
+        live, state = [0, 1, 2], enc.init_state(3)
+        for t in range(4):
+            F, state = enc.fold(state, enc.summaries([sequences[e][t] for e in live],
+                                                     [None] * len(live)))
+            lockstep.update(((e, t), F.data[row]) for row, e in enumerate(live))
+            kept = [row for row, e in enumerate(live) if t + 1 < len(sequences[e])]
+            live = [live[row] for row in kept]
+            if state is not None:
+                state = tuple(embed_lookup(part, kept) for part in state)
+        assert not live
+        reference = {}
+        for e, seq in enumerate(sequences):
             state = enc.init_state()
-            for rec in seq:
+            for t, rec in enumerate(seq):
                 f, state = enc.fold(state, enc.summary(rec, None))
-                reference.append(f.data)
-    assert batched.shape == (1 + 2 + 4, enc.output_width())
-    assert np.allclose(batched, np.stack(reference), rtol=0.0, atol=1e-12)
-
-
-def test_prefix_encodings_reject_empty_sequences():
-    _, _, enc = encoder_fixture()
-    with pytest.raises(ValueError, match="empty"):
-        enc.prefix_encodings([short_history().records, []], [None, None])
-    with pytest.raises(ValueError, match="empty"):
-        enc.prefix_encodings([], [])
+                reference[e, t] = f.data
+    assert lockstep.keys() == reference.keys() and len(reference) == 4 + 1 + 2
+    for key, want in reference.items():
+        assert lockstep[key].shape == (enc.output_width(),)
+        assert np.allclose(lockstep[key], want, rtol=0.0, atol=1e-12), key
 
 
 def test_history_encoder_rejects_bad_enums():

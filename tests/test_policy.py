@@ -18,7 +18,7 @@ from graphexplore.episode import (
     episode_objective,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig
-from graphexplore.tensor import ParamSet, Tensor, no_grad
+from graphexplore.tensor import ParamSet, Tape, Tensor, no_grad, reduce_sum
 
 
 def rng_of(seed):
@@ -105,9 +105,9 @@ def test_categorical_uniform_after_zeroing():
     head = CategoricalHead(params, "policy", in_width=6, n_actions=4)
     zero_params(params, "policy")
     F = Tensor(rng_of(0).normal(size=(1, 6)))
-    [out] = head.act(F, [rng_of(1)], masks=[[True, False, True, False]])
-    assert out.action in (0, 2)
-    assert out.log_probability == pytest.approx(np.log(0.5))
+    [action], log_prob, _ = head.act(F, [rng_of(1)], masks=[[True, False, True, False]])
+    assert action in (0, 2)
+    assert log_prob.data[0] == pytest.approx(np.log(0.5))
 
 
 def test_categorical_sampling_respects_mask():
@@ -115,7 +115,7 @@ def test_categorical_sampling_respects_mask():
     head = CategoricalHead(params, "policy", in_width=4, n_actions=4)
     F = Tensor(rng_of(3).normal(size=(1, 4)))
     r = rng_of(4)
-    actions = {head.act(F, [r], masks=[[False, True, False, True]])[0].action
+    actions = {head.act(F, [r], masks=[[False, True, False, True]])[0][0]
                for _ in range(200)}
     assert actions <= {1, 3}
 
@@ -125,22 +125,24 @@ def test_categorical_rows_draw_from_their_own_rng_and_mask():
     head = CategoricalHead(params, "policy", in_width=4, n_actions=4)
     F = Tensor(rng_of(3).normal(size=(3, 4)))
     masks = [[True, True, False, False], None, [False, False, False, True]]
-    outs = head.act(F, [rng_of(10 + k) for k in range(3)], masks=masks)
-    for k, out in enumerate(outs):
-        [alone] = head.act(Tensor(F.data[k:k + 1]), [rng_of(10 + k)], masks=[masks[k]])
-        assert out.action == alone.action
-        assert abs(out.log_probability - alone.log_probability) <= 1e-12
-        assert abs(out.entropy - alone.entropy) <= 1e-12
-    assert outs[0].action in (0, 1) and outs[2].action == 3
+    actions, log_probs, entropies = head.act(F, [rng_of(10 + k) for k in range(3)], masks=masks)
+    assert log_probs.shape == entropies.shape == (3,)
+    for k, action in enumerate(actions):
+        [alone], log_prob, entropy = head.act(Tensor(F.data[k:k + 1]), [rng_of(10 + k)],
+                                              masks=[masks[k]])
+        assert action == alone
+        assert abs(log_probs.data[k] - log_prob.data[0]) <= 1e-12
+        assert abs(entropies.data[k] - entropy.data[0]) <= 1e-12
+    assert actions[0] in (0, 1) and actions[2] == 3
 
 
 def test_categorical_greedy_deterministic():
     params = ParamSet(seed=3)
     head = CategoricalHead(params, "policy", in_width=5, n_actions=6)
     F = Tensor(rng_of(5).normal(size=(1, 5)))
-    outs = [head.act(F, [rng_of(s)], mode="greedy")[0] for s in range(5)]
-    assert len({o.action for o in outs}) == 1
-    assert len({o.log_probability for o in outs}) == 1
+    outs = [head.act(F, [rng_of(s)], mode="greedy") for s in range(5)]
+    assert len({actions[0] for actions, _, _ in outs}) == 1
+    assert len({float(log_prob.data[0]) for _, log_prob, _ in outs}) == 1
 
 
 def test_categorical_score_matches_act():
@@ -149,13 +151,13 @@ def test_categorical_score_matches_act():
     F = Tensor(rng_of(6).normal(size=5))
     mask = [True, True, False, True]
     for seed in range(10):
-        [out] = head.act(Tensor(F.data[None]), [rng_of(seed)], masks=[mask])
+        [action], act_lp, act_ent = head.act(Tensor(F.data[None]), [rng_of(seed)], masks=[mask])
         with no_grad():
-            lp, ent = head.score(F, out.action, mask=mask)
-        assert abs(float(lp.data) - out.log_probability) < 1e-9
-        assert abs(float(ent.data) - out.entropy) < 1e-9
-        assert out.log_probability <= 0.0
-        assert out.entropy >= 0.0
+            lp, ent = head.score(F, action, mask=mask)
+        assert abs(float(lp.data) - act_lp.data[0]) < 1e-9
+        assert abs(float(ent.data) - act_ent.data[0]) < 1e-9
+        assert act_lp.data[0] <= 0.0
+        assert act_ent.data[0] >= 0.0
 
 
 # ---------------------------------------------------------------- grid head
@@ -173,8 +175,7 @@ def grid_fixture(seed=0, sizes=(2, 3)):
 def test_grid_exactly_one_hero_always():
     _, head, F = grid_fixture(seed=13)
     for seed in range(30):
-        [out] = head.act(Tensor(F.data[None]), [rng_of(seed)])
-        grid = out.action
+        [grid], _, _ = head.act(Tensor(F.data[None]), [rng_of(seed)])
         assert grid.size in (2, 3)
         assert len(grid.tokens) == grid.size * grid.size
         assert sum(1 for t in grid.tokens if t == 2) == 1
@@ -183,11 +184,28 @@ def test_grid_exactly_one_hero_always():
 def test_grid_score_matches_act():
     _, head, F = grid_fixture(seed=14)
     for seed in range(8):
-        [out] = head.act(Tensor(F.data[None]), [rng_of(seed)])
+        [grid], act_lp, act_ent = head.act(Tensor(F.data[None]), [rng_of(seed)])
         with no_grad():
-            lp, ent = head.score(F, out.action)
-        assert abs(float(lp.data) - out.log_probability) < 1e-9
-        assert abs(float(ent.data) - out.entropy) < 1e-9
+            lp, ent = head.score(F, grid)
+        assert abs(float(lp.data) - act_lp.data[0]) < 1e-9
+        assert abs(float(ent.data) - act_ent.data[0]) < 1e-9
+
+
+def test_grid_act_on_a_tape_records_the_walk_it_scores():
+    # A sampled decode inside a Tape is its own forward pass: the gradients
+    # of its log-probability and entropy equal those of scoring the grid.
+    params, head, F = grid_fixture(seed=17)
+    with Tape() as tape:
+        [grid], lp, ent = head.act(Tensor(F.data[None]), [rng_of(3)])
+        loss = reduce_sum(lp + ent)
+    got = params.gradients(tape, loss)
+    with Tape() as tape:
+        lp, ent = head.score(F, grid)
+        loss = lp + ent
+    want = params.gradients(tape, loss)
+    assert any(np.any(g.data != 0.0) for g in want.values())
+    for name, g in want.items():
+        assert np.max(np.abs(got[name].data - g.data)) <= 1e-12, name
 
 
 def test_grid_two_heroes_scores_as_impossible():

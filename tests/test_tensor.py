@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graphexplore.tensor import (
     GRUCell,
     GradientError,
+    LSTMCell,
     OptimizerState,
     ParamSet,
     ShapeError,
@@ -37,9 +38,13 @@ from graphexplore.tensor import core
 from graphexplore.tensor.core import (
     _scatter_rows,
     embed_lookup,
+    entropy,
     exp,
+    graph_message,
     gru_cell,
     log,
+    log_softmax,
+    lstm_cell,
     neg,
     reshape,
     transpose,
@@ -214,6 +219,13 @@ def _fd_case(op_name, rng):
     if op_name == "softmax":
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         return {"x": x}, lambda p: reduce_sum(softmax(p["x"], axis=1) * w_for((3, 4), rng))
+    if op_name == "log_softmax":
+        x = Tensor(rng.normal(size=(3, 4)) * 3.0, requires_grad=True)
+        return {"x": x}, lambda p: reduce_sum(log_softmax(p["x"]) * w_for((3, 4), rng))
+    if op_name == "entropy":
+        data = rng.normal(size=(3, 4))
+        x = Tensor(data - np.log(np.exp(data).sum(axis=1, keepdims=True)), requires_grad=True)
+        return {"x": x}, lambda p: reduce_sum(entropy(p["x"]) * w_for((3,), rng))
     if op_name == "reduce_sum":
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         return {"x": x}, lambda p: reduce_sum(reduce_sum(p["x"], axis=1) * w_for((3,), rng))
@@ -235,17 +247,38 @@ def _fd_case(op_name, rng):
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         ids = rng.integers(0, 5, size=4)
         return {"x": x}, lambda p: reduce_sum(embed_lookup(p["x"], ids) * w_for((4, 3), rng))
+    if op_name == "graph_message":
+        # 5 nodes, 8 typed edges of 2 types; node 4 receives none.
+        src, dst = rng.integers(0, 5, size=8), rng.integers(0, 4, size=8)
+        type_counts = np.zeros((5, 2))
+        np.add.at(type_counts, (dst, rng.integers(0, 2, size=8)), 1.0)
+        degree = type_counts.sum(axis=1, keepdims=True)
+        params = {k: Tensor(rng.normal(size=shape), requires_grad=True)
+                  for k, shape in (("h", (5, 3)), ("W", (8, 4)), ("b", (4,)))}
+        return params, lambda p: reduce_sum(
+            graph_message(p["h"], p["W"], p["b"], src, dst, degree, type_counts) * w_for((5, 4), rng))
     if op_name == "gru_cell":
-        # Alternate (rows, H) and (H,) states; every one of the 8 inputs is checked.
-        # Scale 0.5 keeps the gates off saturation, where gradients near 1e-10
-        # leave the finite-difference ratio to rounding noise.
+        return _gru_case(rng, scale=0.5)
+    if op_name == "lstm_cell":
+        # Alternate (rows, H) and (H,) states; every one of the 6 inputs is
+        # checked, through both halves of the joint [h' | c'] output.
         lead = (3,) if rng.integers(0, 2) else ()
-        shapes = {"x": lead + (3,), "h": lead + (2,), "Wx_zr": (3, 4), "Wh_zr": (2, 4),
-                  "b_zr": (4,), "Wx_n": (3, 2), "Wh_n": (2, 2), "b_n": (2,)}
-        params = {k: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
+        shapes = {"x": lead + (3,), "h": lead + (2,), "c": lead + (2,), "Wx": (3, 8),
+                  "Wh": (2, 8), "b": (8,)}
+        params = {k: Tensor(rng.normal(size=shape), requires_grad=True)
                   for k, shape in shapes.items()}
-        return params, lambda p: reduce_sum(gru_cell(*(p[k] for k in shapes)) * w_for(lead + (2,), rng))
+        return params, lambda p: reduce_sum(lstm_cell(*(p[k] for k in shapes)) * w_for(lead + (4,), rng))
     raise AssertionError(op_name)
+
+
+def _gru_case(rng, scale):
+    # Alternate (rows, H) and (H,) states; every one of the 8 inputs is checked.
+    lead = (3,) if rng.integers(0, 2) else ()
+    shapes = {"x": lead + (3,), "h": lead + (2,), "Wx_zr": (3, 4), "Wh_zr": (2, 4),
+              "b_zr": (4,), "Wx_n": (3, 2), "Wh_n": (2, 2), "b_n": (2,)}
+    params = {k: Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
+              for k, shape in shapes.items()}
+    return params, lambda p: reduce_sum(gru_cell(*(p[k] for k in shapes)) * w_for(lead + (2,), rng))
 
 
 _W_CACHE = {}
@@ -275,12 +308,16 @@ ALL_OPS = [
     "exp",
     "log",
     "softmax",
+    "log_softmax",
+    "entropy",
     "reduce_sum",
     "reduce_mean",
     "segment_aggregate",
     "segment_softmax",
     "embed_lookup",
+    "graph_message",
     "gru_cell",
+    "lstm_cell",
 ]
 
 
@@ -331,6 +368,97 @@ def test_gru_cell_equals_composed_ops(lead):
     assert np.max(np.abs(got - want)) <= 1e-12
     for g, w in zip(got_grads, want_grads):
         assert np.max(np.abs(g - w)) <= 1e-12
+
+
+def gru_reference(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n, g):
+    """gru_cell's forward and backward formulas on (rows, n) arrays, with a
+    fresh array for every intermediate: (output, the 8 input gradients)."""
+    H = h.shape[1]
+    Wx = np.concatenate([Wx_zr, Wx_n], axis=1)
+    xw = x @ Wx
+    zr = 1.0 / (1.0 + np.exp(-(xw[:, : 2 * H] + h @ Wh_zr + b_zr)))
+    z, r = zr[:, :H], zr[:, H:]
+    rh = r * h
+    n = np.tanh(xw[:, 2 * H :] + rh @ Wh_n + b_n)
+    out = (1.0 - z) * n + z * h
+    dn = g * (1.0 - z) * (1.0 - n * n)
+    drh = dn @ Wh_n.T
+    dzr = np.concatenate([g * (h - n), drh * h], axis=1) * zr * (1.0 - zr)
+    dh = g * z + drh * r + dzr @ Wh_zr.T
+    dxw = np.concatenate([dzr, dn], axis=1)
+    dWx = x.T @ dxw
+    return out, [dxw @ Wx.T, dh, dWx[:, : 2 * H], h.T @ dzr, dzr.sum(axis=0), dWx[:, 2 * H :],
+                 rh.T @ dn, dn.sum(axis=0)]
+
+
+@pytest.mark.parametrize("rows", [1, 36, 84, 2937])
+def test_gru_cell_in_place_steps_equal_the_reference_bit_for_bit(rows):
+    # Same formulas in the same operand order: working in place may not move
+    # a single bit of the output or of any gradient.
+    rng = np.random.default_rng(rows)
+    H = 64
+    arrays = [rng.normal(size=(rows, H)), rng.normal(size=(rows, H))]
+    arrays += [rng.normal(scale=0.2, size=shape)
+               for shape in ((H, 2 * H), (H, 2 * H), (2 * H,), (H, H), (H, H), (H,))]
+    g = rng.normal(size=(rows, H))
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = gru_cell(*inputs)
+        loss = reduce_sum(out * Tensor(g))
+    grads = tape.gradients(loss, params=inputs)
+    want, want_grads = gru_reference(*arrays, g)
+    assert np.array_equal(out.data, want)
+    for t, w in zip(inputs, want_grads):
+        assert np.array_equal(grads[t].data, w)
+
+
+@pytest.mark.parametrize("lead", [(5,), ()])
+def test_lstm_cell_equals_composed_ops(lead):
+    params = ParamSet(seed=2)
+    cell = LSTMCell(params, "lstm", 3, 4)
+    assert cell.b.data.tolist() == [0.0] * 4 + [1.0] * 4 + [0.0] * 8  # forget bias 1
+    for p in params.tensors():  # nonzero biases too
+        p.data += np.random.default_rng(3).normal(scale=0.5, size=p.data.shape)
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=lead + (3,)), requires_grad=True)
+    h = Tensor(rng.normal(size=lead + (4,)), requires_grad=True)
+    c = Tensor(rng.normal(size=lead + (4,)), requires_grad=True)
+    w_h, w_c = Tensor(rng.normal(size=lead + (4,))), Tensor(rng.normal(size=lead + (4,)))
+
+    def composed(x, state):
+        h, c = state
+        axis = len(lead)
+        gates = matmul(x, cell.Wx) + matmul(h, cell.Wh) + cell.b
+        i = sigmoid(slice_(gates, 0, 4, axis=axis))
+        f = sigmoid(slice_(gates, 4, 8, axis=axis))
+        g = tanh(slice_(gates, 8, 12, axis=axis))
+        o = sigmoid(slice_(gates, 12, 16, axis=axis))
+        c_new = f * c + i * g
+        return o * tanh(c_new), c_new
+
+    results = []
+    for step in (composed, cell):
+        with Tape() as tape:
+            h_new, c_new = step(x, (h, c))
+            loss = reduce_sum(h_new * w_h) + reduce_sum(c_new * w_c)
+        # lstm_cell and the two slices that split its output, against 17 ops;
+        # the loss adds 5.
+        assert len(tape) == (3 if step is cell else 17) + 5
+        grads = tape.gradients(loss, params=params.tensors() + [x, h, c])
+        results.append(([h_new.data, c_new.data],
+                        [grads[t].data for t in params.tensors() + [x, h, c]]))
+    (want, want_grads), (got, got_grads) = results
+    for g, w in zip(got + got_grads, want + want_grads):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12
+
+
+def test_lstm_cell_rejects_mismatched_state():
+    cell = LSTMCell(ParamSet(seed=0), "lstm", 3, 2)
+    with pytest.raises(ShapeError, match="lstm_cell"):
+        cell(Tensor(np.ones((4, 3))), (Tensor(np.ones((5, 2))), Tensor(np.ones((5, 2)))))
+    with pytest.raises(ShapeError, match="lstm_cell"):
+        cell(Tensor(np.ones((4, 3))), (Tensor(np.ones((4, 2))), Tensor(np.ones((4, 3)))))
 
 
 def test_gru_cell_rejects_mismatched_rows():
@@ -448,6 +576,44 @@ def test_grad_check_quadratic():
         return reduce_sum(matmul(matmul(p["x"], Tensor(A)), Tensor(A.T)) * p["x"])
 
     assert grad_check(fn, {"x": x}, eps=1e-5) < 1e-6
+
+
+def _scaled_backward(t, factor):
+    """Identity on t whose backward scales the gradient by factor: a
+    deliberately wrong derivative."""
+    return core._emit(t.data.copy(), (t,), lambda g: (factor * g,))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+def test_grad_check_fails_a_gradient_one_percent_off(scale):
+    # Gradients near 1 and near 1e-3: both lie far above the eps floor, so
+    # both are still judged relative to their size.
+    x = Tensor(np.random.default_rng(5).normal(size=(2, 3)), requires_grad=True)
+    w = Tensor(np.random.default_rng(6).normal(size=(2, 3)) * scale)
+    assert grad_check(lambda p: reduce_sum(tanh(p["x"]) * w), {"x": x}) < 1e-6
+    assert grad_check(lambda p: reduce_sum(_scaled_backward(tanh(p["x"]), 1.01) * w), {"x": x}) > 1e-3
+
+
+def saturated_gru_case():
+    """Draw 33 of the gru_cell sweep's stream at scale 1: its gates saturate,
+    and its smallest gradients are a few 1e-12."""
+    rng = np.random.default_rng(zlib.crc32(b"gru_cell"))
+    for _ in range(34):
+        params, fn = _gru_case(rng, scale=1.0)
+    return params, fn
+
+
+def test_grad_check_judges_saturated_gates_by_the_gradient():
+    # Scored relative to |a| + |n| alone, this case read 1.66e-4: the ratio
+    # of two finite-difference roundings, not a gradient error.
+    params, fn = saturated_gru_case()
+    with Tape() as tape:
+        loss = fn(params)
+    grads = tape.gradients(loss, params=params.values())
+    assert min(np.abs(grads[p].data).min() for p in params.values()) < 1e-10
+    assert grad_check(fn, params, eps=1e-5) < 1e-4
+    # The floor does not hide a wrong gradient on the same case.
+    assert grad_check(lambda p: _scaled_backward(fn(p), 1.01), params, eps=1e-5) > 1e-3
 
 
 def test_grad_check_zero_eps_errors():

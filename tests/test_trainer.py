@@ -129,24 +129,32 @@ def test_returns_equal_the_suffix_loop_exactly():
         assert episode_returns(EpisodeTrajectory(history=history)) == expected
 
 
+def recorded_batch(model, envs, seeds=None):
+    """The model's sample episodes on envs with their forward recorded on a
+    tape the batch carries, as collect_rollouts records them."""
+    with Tape() as tape:
+        episodes = model.run_episodes(envs, seeds or list(range(len(envs))))
+    return TrajectoryBatch(episodes=episodes, tape=tape)
+
+
 def test_hand_example_returns_and_advantages():
     # Walk a 3-cell corridor east twice (T-normalized rewards, T=2): rewards
     # (1.0, 0.5), returns (1.5, 0.5); with a zero value head the squared-error
-    # sum is 1.5^2 + 0.5^2.
+    # sum is 1.5^2 + 0.5^2. A logit bias of 50 on east makes the sampled
+    # policy walk east with probability 1 - 1e-20.
     model = tiny_model(zero_value=True)
+    model.params["pi/logits/b"].data[1] = 50.0
     cfg = small_config(workers=1)
     maze = Maze(width=3, height=1,
                 passages=np.array([[2, 2 | 8, 8]], dtype=np.uint8), start=(0, 0))
     env = MazeEnv(maze, budget=2)
-    scripted = lambda history, env_, rng: 1  # east
-    history, traj = run_episode(env, scripted, budget=2, seed=0)
+    batch = recorded_batch(model, [env])
+    [traj] = batch.episodes
+    assert [rec.action for rec in traj.history.records[1:]] == [1, 1]  # east
     assert traj.rewards() == [pytest.approx(1.0), pytest.approx(0.5)]
     returns = episode_returns(traj)
     assert returns == [pytest.approx(1.5), pytest.approx(0.5)]
-    from graphexplore.tensor import Tape
-
-    with Tape():
-        _, parts = batch_loss(model, TrajectoryBatch(episodes=[traj]), cfg)
+    _, parts = batch_loss(batch, cfg)
     assert parts["value_loss"] == pytest.approx(1.5**2 + 0.5**2)
 
 
@@ -156,14 +164,10 @@ def test_zero_advantage_kills_policy_term():
     model = tiny_model(zero_value=True)
     cfg = small_config()
     maze = generate_maze(2, 2, 1.0, seed=0)
-    env = MazeEnv(maze, budget=3)
-    [traj] = model.run_episodes([env], [1])
-    for rec in traj.history.records:
+    batch = recorded_batch(model, [MazeEnv(maze, budget=3)], [1])
+    for rec in batch.episodes[0].history.records:
         rec.reward = 0.0
-    from graphexplore.tensor import Tape
-
-    with Tape():
-        _, parts = batch_loss(model, TrajectoryBatch(episodes=[traj]), cfg)
+    _, parts = batch_loss(batch, cfg)
     assert parts["policy_loss"] == 0.0
     assert parts["value_loss"] == 0.0
 
@@ -203,9 +207,18 @@ def reference_loss(model, batch, config):
     return total * (1.0 / n_ep), parts
 
 
+class UnmaskedApp(AppEnv):
+    """An app on which every action is valid at every screen, and which
+    hands the policy no mask."""
+
+    def action_mask(self):
+        return None
+
+
 def mixed_batch(kind, model):
     """Episodes with masked actions, an early-terminated episode, one with a
-    single record, one without masks, all starting from an empty graph."""
+    single record, and (app) one without masks, all starting from an empty
+    graph, rolled out by one run_episodes call on a tape."""
     if kind == "maze":
         envs = [MazeEnv(generate_maze(4, 4, 0.18, s), budget=10) for s in (1, 2)]
         envs += [MazeEnv(generate_maze(2, 2, 1.0, 3), budget=10),  # covered early
@@ -214,28 +227,30 @@ def mixed_batch(kind, model):
         envs = [AppEnv(generate_er_app(8, p=0.3, seed=s), budget=8, num_actions=7)
                 for s in (1, 2)]
         envs += [AppEnv(generate_er_app(3, p=1.0, seed=3), budget=8, num_actions=7),
-                 AppEnv(generate_er_app(5, p=0.0, seed=4), budget=8, num_actions=7)]
-    episodes = model.run_episodes(envs, list(range(len(envs))))
-    first_valid = lambda history, env, rng: int(np.flatnonzero(env.action_mask())[0])  # noqa: E731
-    env = copy.deepcopy(envs[0])
-    episodes.append(run_episode(env, first_valid, budget=env.budget, seed=9)[1])
-    batch = TrajectoryBatch(episodes=episodes)
+                 AppEnv(generate_er_app(5, p=0.0, seed=4), budget=8, num_actions=7),
+                 # A complete graph on 8 screens: every action leads somewhere.
+                 UnmaskedApp(generate_er_app(8, p=1.0, seed=5), budget=6, num_actions=7)]
+    batch = recorded_batch(model, envs)
+    episodes = batch.episodes
     assert any(ep.terminated_early and len(ep.history.records) > 2 for ep in episodes)
     assert any(len(ep.history.records) < 2 for ep in episodes)
-    assert any(not ep.masks for ep in episodes)
-    assert any(not m.all() for ep in episodes for m in ep.masks)
+    assert any(m is not None and not m.all() for ep in episodes for m in ep.masks)
+    if kind == "app":
+        assert any(len(ep.history.records) > 1 and all(m is None for m in ep.masks)
+                   for ep in episodes)
     assert all(ep.history.records[0].observation.is_empty() for ep in episodes)
     return batch
 
 
 @pytest.mark.parametrize("kind", ["maze", "app"])
 def test_batch_loss_matches_per_record_reference(kind):
+    # The loss built from the rollout's own recorded forward, and its
+    # gradients, equal a per-record replay through the public encoder calls.
     model = tiny_model(seed=11, n_actions=4 if kind == "maze" else 7)
     cfg = small_config()
     batch = mixed_batch(kind, model)
-    with Tape() as tape:
-        loss, parts = batch_loss(model, batch, cfg)
-    grads = model.params.gradients(tape, loss)
+    loss, parts = batch_loss(batch, cfg)
+    grads = model.params.gradients(batch.tape, loss)
     with Tape() as tape:
         ref_loss, ref_parts = reference_loss(model, batch, cfg)
     ref_grads = model.params.gradients(tape, ref_loss)
@@ -247,15 +262,60 @@ def test_batch_loss_matches_per_record_reference(kind):
         assert parts[key] == pytest.approx(ref_parts[key], abs=1e-9)
 
 
+def test_batch_loss_names_an_episode_without_a_recorded_forward():
+    model = tiny_model()
+    cfg = small_config()
+    first_valid = lambda history, env, rng: int(np.flatnonzero(env.action_mask())[0])  # noqa: E731
+    env = MazeEnv(generate_maze(4, 4, 0.18, 1), budget=6)
+    _, scripted = run_episode(env, first_valid, budget=env.budget, seed=9)
+    [untaped] = model.run_episodes([MazeEnv(generate_maze(4, 4, 0.18, 2), budget=6)], [3])
+    recorded = recorded_batch(model, [MazeEnv(generate_maze(4, 4, 0.18, 3), budget=6)])
+    for i, episodes in ((0, [scripted]), (1, recorded.episodes + [untaped])):
+        batch = TrajectoryBatch(episodes=episodes, tape=recorded.tape)
+        with pytest.raises(ValueError, match=f"episode {i} has no recorded forward"):
+            batch_loss(batch, cfg)
+    with pytest.raises(ValueError, match="batch has no tape"):
+        batch_loss(TrajectoryBatch(episodes=recorded.episodes), cfg)
+    with recorded.tape:
+        [other] = model.run_episodes([MazeEnv(generate_maze(4, 4, 0.18, 4), budget=6)], [5])
+    with pytest.raises(ValueError, match="2 recorded rollouts"):
+        batch_loss(TrajectoryBatch(episodes=recorded.episodes + [other], tape=recorded.tape), cfg)
+
+
+def test_a_batch_serves_one_update():
+    model = tiny_model()
+    cfg = small_config(workers=2)
+    opt = OptimizerState(lr=cfg.learning_rate)
+    batch = collect_rollouts(model, maze_sampler, cfg)
+    model, stats = a2c_update(model, batch, cfg, opt)
+    assert not stats.skipped and batch.tape is None
+    before = model.params.snapshot()
+    with pytest.raises(ValueError, match="batch has no tape"):
+        a2c_update(model, batch, cfg, opt)
+    after = model.params.snapshot()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+def test_greedy_rollouts_record_nothing_on_an_open_tape():
+    model = tiny_model()
+    cfg = small_config()
+    with Tape() as tape:
+        episodes = model.run_episodes(heldout_envs(3), [1, 2, 3], mode="greedy")
+        cov = zero_shot_coverage(model, heldout_envs(), cfg)
+    assert len(tape) == 0
+    assert 0.0 <= cov <= 1.0
+    assert all(ep.forward is None for ep in episodes)
+    assert any(len(ep.history.records) > 1 for ep in episodes)
+
+
 def test_batch_loss_rejects_batches_without_decisions():
     model = tiny_model()
     cfg = small_config()
     with pytest.raises(ValueError, match="empty batch"):
-        batch_loss(model, TrajectoryBatch(episodes=[]), cfg)
-    env = MazeEnv(generate_maze(1, 1, 0.0, 0), budget=5)
-    [traj] = model.run_episodes([env], [0])
+        batch_loss(TrajectoryBatch(episodes=[]), cfg)
+    batch = recorded_batch(model, [MazeEnv(generate_maze(1, 1, 0.0, 0), budget=5)])
     with pytest.raises(ValueError, match="no decisions"):
-        batch_loss(model, TrajectoryBatch(episodes=[traj]), cfg)
+        batch_loss(batch, cfg)
 
 
 # ------------------------------------------------------------------ collection
