@@ -1,5 +1,5 @@
-"""Non-learned reference policies: uniform random, randomized depth-first
-search, and tabular Q-learning over ground-truth node ids.
+"""Non-learned reference policies: uniform random and randomized depth-first
+search.
 
 Environments drive these through three hooks: current_node() -> stable node
 id, outgoing() -> [(action, destination id or None when unknown)], and
@@ -12,8 +12,6 @@ answer as the frame's return ticket for when it backtracks later.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 
 def random_act(valid_actions, rng):
@@ -143,98 +141,3 @@ class RandDfsPolicy:
                 return_action=ticket,
             )
         )
-
-
-# ----------------------------------------------------------------- tabular Q
-
-
-@dataclass
-class QTable:
-    num_actions: int
-    alpha: float = 0.1
-    gamma: float = 0.95
-    values: dict = field(default_factory=dict)
-
-    def row(self, s):
-        v = self.values.get(s)
-        if v is None:
-            v = np.zeros(self.num_actions)
-            self.values[s] = v
-        return v
-
-
-def q_update(table, s, a, r, s_next):
-    """One-step TD backup Q(s,a) += alpha * (r + gamma * max Q(s') - Q(s,a))."""
-    row = table.row(s)
-    target = r + table.gamma * float(np.max(table.row(s_next)))
-    row[a] += table.alpha * (target - row[a])
-    return row[a]
-
-
-def q_act(table, s, valid_actions, rng=None, epsilon=0.0):
-    """Epsilon-greedy over valid actions; greedy ties break to the lowest
-    action id so the frozen policy is deterministic."""
-    actions = list(valid_actions)
-    if not actions:
-        raise ValueError("no valid actions")
-    if epsilon > 0.0 and rng is not None and rng.random() < epsilon:
-        return actions[int(rng.integers(len(actions)))]
-    row = table.row(s)
-    best = actions[0]
-    for a in actions:
-        if row[a] > row[best]:
-            best = a
-    return best
-
-
-@dataclass
-class QConfig:
-    episodes: int = 20000
-    anneal_episodes: int = 5000
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    alpha: float = 0.1
-    gamma: float = 0.95
-    eval_every: int = 500
-    eval_episodes: int = 5
-
-
-def q_train(env, budget, config, seed=0):
-    """Train a Q-table on one fixed graph; keeps the best greedy-evaluation
-    snapshot seen across training (best-checkpoint reporting)."""
-    rng = np.random.default_rng(seed)
-    table = QTable(num_actions=env.num_actions, alpha=config.alpha, gamma=config.gamma)
-    best_coverage, best_values = -1.0, {}
-    for ep in range(config.episodes):
-        frac = min(1.0, ep / max(1, config.anneal_episodes))
-        epsilon = config.eps_start + frac * (config.eps_end - config.eps_start)
-        env.reset(rng)
-        for _ in range(budget):
-            if env.fully_explored():  # nothing left, and maybe no action to take
-                break
-            s = env.q_state()
-            a = q_act(table, s, env.valid_action_list(), rng, epsilon)
-            before = env.covered_count()
-            env.step(a)
-            r = (env.covered_count() - before) / env.reward_normalizer
-            q_update(table, s, a, r, env.q_state())
-        if (ep + 1) % config.eval_every == 0:
-            cov = q_evaluate(env, table, budget, config.eval_episodes, seed=10_000 + ep)
-            if cov > best_coverage:
-                best_coverage = cov
-                best_values = {s: v.copy() for s, v in table.values.items()}
-    table.values = best_values or table.values
-    return table, best_coverage
-
-
-def q_evaluate(env, table, budget, episodes, seed=0):
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(episodes):
-        env.reset(rng)
-        for _ in range(budget):
-            if env.fully_explored():
-                break
-            env.step(q_act(table, env.q_state(), env.valid_action_list()))
-        total += env.coverage_fraction()
-    return total / episodes

@@ -78,14 +78,12 @@ def app_eval_set(count=APP_EVAL_COUNT):
     return heldout_er_apps(count, start_seed=APP_EVAL_SEED_BASE, min_screens=APP_MIN_SCREENS)
 
 
-def app_coverage(policy_factory, stream, count=APP_EVAL_COUNT, budget=APP_BUDGET,
-                 feature_provider=None):
+def app_coverage(policy_factory, stream, count=APP_EVAL_COUNT, budget=APP_BUDGET):
     """Mean coverage of a policy over the fixed evaluation apps."""
     apps, seeds = app_eval_set(count)
     covs = []
     for seed, graph in zip(seeds, apps):
-        env = AppEnv(graph, budget=budget, feature_provider=feature_provider,
-                     num_actions=APP_ACTION_WIDTH)
+        env = AppEnv(graph, budget=budget, num_actions=APP_ACTION_WIDTH)
         run_episode(env, policy_factory(), budget=budget, seed=episode_seed(seed, stream))
         covs.append(env.coverage_fraction())
     return float(np.mean(covs))

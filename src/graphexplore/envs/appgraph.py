@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graphnet import BeliefNodes, belief_feature_width, belief_observation, empty_observation
+from ..graphnet import BeliefNodes, belief_observation, empty_observation
 from ..oracles import er_adjacency
 
 logger = logging.getLogger(__name__)
@@ -256,7 +256,7 @@ def step(graph, state, action_index):
     return newly
 
 
-def observe(state, feature_provider=None):
+def observe(state):
     """Belief graph: visited screens plus experienced transitions. Every node
     carries the coverage bit (visited implies covered here); a synthetic
     reverse edge (type 2) backs any one-way experienced transition so messages
@@ -269,8 +269,7 @@ def observe(state, feature_provider=None):
     edges.extend(
         (v, u, 2) for u, v in sorted(forward) if (v, u) not in forward
     )
-    return belief_observation(edges, np.ones(n), state.node_ids[state.current], NUM_EDGE_TYPES,
-                              feature_provider)
+    return belief_observation(edges, np.ones(n), state.node_ids[state.current], NUM_EDGE_TYPES)
 
 
 class AppEnv:
@@ -286,10 +285,9 @@ class AppEnv:
 
     num_edge_types = NUM_EDGE_TYPES
 
-    def __init__(self, source, budget=15, feature_provider=None, num_actions=None):
+    def __init__(self, source, budget=15, num_actions=None):
         self.source = source
         self.budget = budget
-        self.feature_provider = feature_provider
         self.graph = None if callable(source) else source
         if num_actions is None:
             if self.graph is None:
@@ -310,7 +308,7 @@ class AppEnv:
         self.reward_normalizer = float(len(graph.screens))
 
     def feature_width(self):
-        return belief_feature_width(self.feature_provider)
+        return 1  # the is-current column
 
     def reset(self, rng):
         if callable(self.source):
@@ -319,7 +317,7 @@ class AppEnv:
         return empty_observation(self.feature_width(), NUM_EDGE_TYPES)
 
     def observe(self):
-        return observe(self.state, self.feature_provider)
+        return observe(self.state)
 
     def step(self, action_index):
         step(self.graph, self.state, action_index)
@@ -368,9 +366,6 @@ class AppEnv:
             if dst == prev:
                 return i
         return None
-
-    def q_state(self):
-        return self.state.current
 
 
 def er_app_for_seed(seed):

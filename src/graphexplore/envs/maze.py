@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..graphnet import BeliefNodes, belief_feature_width, belief_observation, empty_observation
+from ..graphnet import BeliefNodes, belief_observation, empty_observation
 
 N, E, S, W = 0, 1, 2, 3
 DIRECTIONS = (N, E, S, W)
@@ -184,22 +184,20 @@ def step(maze, state, direction):
     return state, 1
 
 
-def observe(maze, state, feature_provider=None):
+def observe(maze, state):
     """Belief graph: visited + frontier nodes, direction-typed edges for every
     passage incident to a visited cell. The edges are the state's per-cell
     blocks joined in node-id order: for each visited cell u and each open
     side d toward node v, (u, v, d+1), then (v, u, opposite+1) while v is
     unvisited. Blocks change only on a cell's first visit (initial_state,
     step), so observing costs the size of the graph, not its history.
-    Features are the provider's structural embedding (if any) plus an
-    is-current column; the coverage bit rides in the observation's coverage
-    mask."""
+    The one feature column marks the current node; the coverage bit rides in
+    the observation's coverage mask."""
     ids = sorted(state.blocks)
     coverage = np.zeros(len(state.node_order))
     coverage[ids] = 1.0
     edges = list(chain.from_iterable([state.blocks[u] for u in ids]))
-    return belief_observation(edges, coverage, state.node_ids[state.position], NUM_EDGE_TYPES,
-                              feature_provider)
+    return belief_observation(edges, coverage, state.node_ids[state.position], NUM_EDGE_TYPES)
 
 
 def coverage_fraction(maze, state):
@@ -316,10 +314,9 @@ class MazeEnv:
     num_actions = 4
     num_edge_types = NUM_EDGE_TYPES
 
-    def __init__(self, source, budget, feature_provider=None, hide_destinations=False):
+    def __init__(self, source, budget, hide_destinations=False):
         self.source = source
         self.budget = budget
-        self.feature_provider = feature_provider
         # hide_destinations withholds neighbor ids from outgoing(), so walker
         # baselines must probe doors to learn where they lead. The benchmark
         # protocol evaluates the depth-first walker this way.
@@ -329,7 +326,7 @@ class MazeEnv:
         self.state = None
 
     def feature_width(self):
-        return belief_feature_width(self.feature_provider)
+        return 1  # the is-current column
 
     def reset(self, rng):
         self.maze = self.source(rng) if callable(self.source) else self.source
@@ -337,7 +334,7 @@ class MazeEnv:
         return empty_observation(self.feature_width(), NUM_EDGE_TYPES)
 
     def observe(self):
-        return observe(self.maze, self.state, self.feature_provider)
+        return observe(self.maze, self.state)
 
     def step(self, direction):
         step(self.maze, self.state, direction)
@@ -374,10 +371,6 @@ class MazeEnv:
 
     def reverse_action(self, direction):
         return OPPOSITE[direction]
-
-    def q_state(self):
-        r, c = self.state.position
-        return r * self.maze.width + c
 
 
 def heldout_mazes(count=100, width=6, height=6, loop_prob=0.18, start_seed=7001):

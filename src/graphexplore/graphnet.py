@@ -1,7 +1,7 @@
 """Graph encoder: gated message passing over typed directed edges, with the
 messages into a node summed (as in Li et al.'s gated graph networks), attention
-readout to a fixed-width graph vector, plus an unsupervised link-prediction
-pretrainer that turns bare graph structure into node features.
+readout to a fixed-width graph vector, and the belief-graph observations the
+maze and app environments hand to it.
 
 The encoder consumes a GraphObservation: the currently known subgraph together
 with a per-node coverage bit. The coverage bit is appended to the raw node
@@ -41,22 +41,14 @@ import numpy as np
 from .tensor import (
     GRUCell,
     Linear,
-    OptimizerState,
-    ParamSet,
-    Tape,
     Tensor,
-    clip_global_norm,
     concat,
     embed_lookup,
     graph_message,
     matmul,
-    no_grad,
-    optimizer_step,
-    reduce_sum,
     reshape,
     segment_aggregate,
     segment_softmax,
-    transpose,
 )
 
 MAX_EDGE_TYPES = 8  # width of the message layer's edge-type input; environments declare K <= this
@@ -124,32 +116,15 @@ class BeliefNodes:
             self.node_order.append(key)
 
 
-def belief_feature_width(provider):
-    """Raw node-feature width of a belief observation: the provider's
-    embedding width (0 without a provider) plus the is-current column."""
-    return (provider.width if provider is not None else 0) + 1
-
-
-def belief_observation(edges, coverage, current, num_edge_types, provider=None):
+def belief_observation(edges, coverage, current, num_edge_types):
     """Observation of a belief graph with len(coverage) nodes and the agent
-    on node `current`. Features are the provider's embedding of the bare
-    topology (if there is a provider) plus an is-current column."""
+    on node `current`. The one feature column marks the current node."""
     n = len(coverage)
     is_current = np.zeros((n, 1))
     is_current[current, 0] = 1.0
-    features = is_current
-    if provider is not None:
-        bare = GraphObservation(
-            node_count=n,
-            node_features=np.zeros((n, 1)),
-            edges=edges,
-            coverage=coverage,
-            num_edge_types=num_edge_types,
-        )
-        features = np.concatenate([provider(bare), is_current], axis=1)
     return GraphObservation(
         node_count=n,
-        node_features=features,
+        node_features=is_current,
         edges=edges,
         coverage=coverage,
         num_edge_types=num_edge_types,
@@ -280,122 +255,3 @@ def union_observation(observations):
         num_edge_types=kinds.pop(),
     )
     return union, np.repeat(np.arange(len(observations)), counts)
-
-
-
-# ------------------------------------------------------------- pretraining
-
-
-@dataclass
-class PretrainConfig:
-    d: int = 16
-    rounds: int = 3
-    steps: int = 2000
-    batch: int = 16
-    lr: float = 1e-3
-    seed: int = 0
-
-
-@dataclass
-class PretrainResult:
-    params: ParamSet
-    net: GraphNet
-    w_dec: Tensor
-    losses: list = field(default_factory=list)
-
-
-def adjacency(obs):
-    a = np.zeros((obs.node_count, obs.node_count))
-    for u, v, _ in obs.edges:
-        a[u, v] = 1.0
-    return a
-
-
-def reconstruction_loss(net, w_dec, obs):
-    """Squared error between the adjacency matrix and the bilinear edge scores
-    H W H^T of the encoded nodes."""
-    h = net.propagate(net.project_features(obs), obs)
-    scores = matmul(matmul(h, w_dec), transpose(h))
-    diff = scores - Tensor(adjacency(obs))
-    return reduce_sum(diff * diff)
-
-
-def pretrain_structural(sampler, config):
-    """Fit encoder + bilinear decoder so node embeddings reconstruct adjacency.
-
-    sampler(rng) must yield featureless GraphObservations (zero node features,
-    zero coverage). Returns PretrainResult; raises RuntimeError on a non-finite
-    loss with the step number in the message.
-    """
-    rng = np.random.default_rng(config.seed)
-    params = ParamSet(seed=config.seed)
-    net_config = GraphNetConfig(d=config.d, rounds=config.rounds, feature_width=1)
-    net = GraphNet(params, "pretrain", net_config)
-    w_dec = params.get_or_init("pretrain/W_dec", (config.d, config.d), init="normal")
-    state = OptimizerState(lr=config.lr)
-    losses = []
-    for step in range(config.steps):
-        graphs = [sampler(rng) for _ in range(config.batch)]
-        with Tape() as tape:
-            total = reconstruction_loss(net, w_dec, graphs[0])
-            for g in graphs[1:]:
-                total = total + reconstruction_loss(net, w_dec, g)
-            loss = total * (1.0 / config.batch)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise RuntimeError(f"pretraining diverged: non-finite loss at step {step}")
-        losses.append(value)
-        grads = params.gradients(tape, loss)
-        grads, _ = clip_global_norm(grads, 1.0)
-        optimizer_step(params.named(), grads, state)
-    return PretrainResult(params=params, net=net, w_dec=w_dec, losses=losses)
-
-
-def structural_embeddings(result, obs):
-    """Node embeddings of a featureless graph under pretrained weights."""
-    if obs.node_count == 0:
-        return np.zeros((0, result.net.config.d))
-    bare = GraphObservation(
-        node_count=obs.node_count,
-        node_features=np.zeros((obs.node_count, 1)),
-        edges=obs.edges,
-        coverage=np.zeros(obs.node_count),
-        num_edge_types=obs.num_edge_types,
-    )
-    with no_grad():
-        h = result.net.propagate(result.net.project_features(bare), bare)
-    return h.data
-
-
-def feature_provider(result):
-    """Adapt a PretrainResult into an env feature provider: a frozen callable
-    mapping any GraphObservation to an (n, d) array of structural embeddings
-    of its bare topology (input features and coverage are ignored)."""
-
-    def provide(obs):
-        return structural_embeddings(result, obs)
-
-    provide.width = result.net.config.d
-    return provide
-
-
-def edge_auc(result, graphs):
-    """AUC of bilinear edge scores ranking true (unordered) edges above
-    non-edges, pooled over the given featureless graphs."""
-    pos, neg = [], []
-    for obs in graphs:
-        h = structural_embeddings(result, obs)
-        scores = h @ result.w_dec.data @ h.T
-        a = adjacency(obs)
-        sym = np.maximum(a, a.T)
-        for i in range(obs.node_count):
-            for j in range(i + 1, obs.node_count):
-                s = 0.5 * (scores[i, j] + scores[j, i])
-                (pos if sym[i, j] > 0 else neg).append(s)
-    if not pos or not neg:
-        raise ValueError("AUC needs at least one edge and one non-edge")
-    pos, neg = np.asarray(pos), np.asarray(neg)
-    wins = 0.0
-    for s in pos:
-        wins += np.sum(s > neg) + 0.5 * np.sum(s == neg)
-    return float(wins / (len(pos) * len(neg)))

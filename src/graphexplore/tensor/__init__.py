@@ -7,7 +7,6 @@ from .core import (
     concat,
     embed_lookup,
     entropy,
-    exp,
     graph_message,
     gru_cell,
     log,
@@ -28,7 +27,6 @@ from .core import (
     softmax,
     sub,
     tanh,
-    transpose,
 )
 from .checkpoint import load_params, save_params
 from .gradcheck import grad_check

@@ -340,16 +340,6 @@ def relu(a):
     return _emit(out, (a,), backward)
 
 
-def exp(a):
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return _emit(out, (a,), backward)
-
-
 def log(a):
     a = as_tensor(a)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -514,16 +504,6 @@ def segment_softmax(scores, segment_ids, num_segments):
         return (out * (g - dot[seg]),)
 
     return _emit(out, (scores,), backward)
-
-
-def transpose(a):
-    a = as_tensor(a)
-    out = a.data.T.copy()
-
-    def backward(g):
-        return (g.T.copy(),)
-
-    return _emit(out, (a,), backward)
 
 
 def embed_lookup(table, ids):

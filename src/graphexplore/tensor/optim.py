@@ -30,12 +30,14 @@ class OptimizerState:
 
 def clip_global_norm(grads, max_norm=1.0):
     """Scale the whole gradient map so its global L2 norm is at most max_norm.
-    Returns (scaled grads, pre-clip norm). Never mutates the inputs."""
+    Returns (scaled grads, pre-clip norm). Never mutates the inputs. A
+    non-finite norm leaves the grads unscaled, so that optimizer_step names
+    the parameter at fault rather than the first one a NaN scale spoiled."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g.data * g.data))
     norm = float(np.sqrt(total))
-    if norm <= max_norm or norm == 0.0:
+    if norm <= max_norm or not np.isfinite(norm):
         return grads, norm
     scale = max_norm / norm
     from .core import Tensor

@@ -19,7 +19,6 @@ from graphexplore.envs.appgraph import (
     synthesize_walk_log,
 )
 from graphexplore.episode import EpisodeStepError, episode_objective, run_episode
-from graphexplore.graphnet import PretrainConfig, pretrain_structural, structural_embeddings
 from graphexplore.oracles import brute_force_coverage
 
 
@@ -289,9 +288,11 @@ def test_reward_normalizer_is_screen_count():
 def test_observation_tracks_experienced_subgraph():
     g = line_graph()
     env = AppEnv(g, budget=5)
+    assert env.feature_width() == 1  # the is-current column
     rng = np.random.default_rng(0)
     obs0 = env.reset(rng)
     assert obs0.node_count == 0  # setting 1: starts empty
+    assert obs0.node_features.shape == (0, 1)
     # before any step the belief graph is just the start screen
     pre = env.observe()
     assert pre.node_count == 1 and pre.edges == [] and pre.coverage.tolist() == [1.0]
@@ -300,6 +301,7 @@ def test_observation_tracks_experienced_subgraph():
     assert obs1.node_count == 2
     assert (0, 1, 1) in obs1.edges and (1, 0, 2) in obs1.edges
     assert obs1.coverage.tolist() == [1.0, 1.0]
+    assert obs1.node_features.tolist() == [[0.0], [1.0]]  # current marker on the landing screen
     # back at "a" the tried action now shows its destination
     env.step(0)
     assert env.outgoing() == [(0, 1)]
@@ -386,66 +388,3 @@ def test_coverage_bounded_by_brute_force_optimum():
             env = AppEnv(g, budget=budget)
             run_episode(env, policy, budget=budget, seed=ep_seed)
             assert env.covered_count() <= oracle.best_coverage
-
-
-# ----------------------------------------------------------- node features
-
-
-@pytest.fixture(scope="module")
-def tiny_pretrain():
-    def sampler(rng):
-        return observe(initial_state(generate_er_app(8, 0.3, seed=int(rng.integers(2 ** 62)))))
-
-    # train on single-node beliefs plus small ER topologies
-    def mixed(rng):
-        g = generate_er_app(6, 0.4, seed=int(rng.integers(2 ** 62)))
-        state = initial_state(g)
-        for _ in range(int(rng.integers(0, 5))):
-            out = g.outgoing(state.current)
-            if not out:
-                break
-            step(g, state, int(rng.integers(len(out))))
-        return observe(state)
-
-    return pretrain_structural(mixed, PretrainConfig(d=5, rounds=2, steps=30, batch=2, seed=0))
-
-
-def test_structural_embeddings_single_node_fixed_point(tiny_pretrain):
-    g = line_graph()
-    obs = observe(initial_state(g))
-    feats = structural_embeddings(tiny_pretrain, obs)
-    assert feats.shape == (1, 5)
-    other = observe(initial_state(generate_er_app(15, 0.1, seed=2)))
-    assert np.allclose(feats, structural_embeddings(tiny_pretrain, other))
-
-
-def test_structural_embeddings_symmetric_screens_match(tiny_pretrain):
-    g = generate_er_app(2, 1.0, seed=0)
-    state = initial_state(g)
-    step(g, state, 0)
-    step(g, state, 0)  # both directions experienced: nodes are interchangeable
-    feats = structural_embeddings(tiny_pretrain, observe(state))
-    assert np.allclose(feats[0], feats[1], atol=1e-6)
-
-
-def test_structural_embeddings_change_on_discovery(tiny_pretrain):
-    g = line_graph()
-    state = initial_state(g)
-    before = structural_embeddings(tiny_pretrain, observe(state))
-    step(g, state, 0)
-    after = structural_embeddings(tiny_pretrain, observe(state))
-    assert not np.allclose(before[0], after[0], atol=1e-6)
-
-
-def test_env_feature_provider_wiring(tiny_pretrain):
-    from graphexplore.graphnet import feature_provider
-
-    provider = feature_provider(tiny_pretrain)
-    g = line_graph()
-    env = AppEnv(g, budget=5, feature_provider=provider)
-    assert env.feature_width() == 6  # embedding + is-current
-    obs = env.reset(np.random.default_rng(0))
-    assert obs.node_features.shape == (0, 6)
-    obs = env.step(0)
-    assert obs.node_features.shape == (2, 6)
-    assert obs.node_features[1, -1] == 1.0  # current marker on the landing screen

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from graphexplore.agents import (
-    QConfig,
-    QTable,
-    RandDfsPolicy,
-    RandomPolicy,
-    q_act,
-    q_train,
-    q_update,
-    random_act,
-)
-from graphexplore.agents.baselines import q_evaluate
+from graphexplore.agents import RandDfsPolicy, RandomPolicy, random_act
 from graphexplore.envs.appgraph import AppEnv, generate_er_app
 from graphexplore.envs.maze import Maze, MazeEnv, generate_maze
 from graphexplore.episode import run_episode
@@ -167,65 +157,3 @@ def test_randdfs_optimal_on_trees_is_bounded_by_oracle():
         history, _ = run_episode(env, RandDfsPolicy(), budget=64, seed=seed)
         steps_used = len(history.records) - 1
         assert opt <= steps_used <= 2 * (maze.cells() - 1)
-
-
-# ------------------------------------------------------------------ tabular Q
-
-
-def test_q_update_arithmetic():
-    table = QTable(num_actions=2, alpha=0.5, gamma=1.0)
-    q_update(table, "s", 0, 1.0, "t")
-    assert table.values["s"][0] == 0.5
-
-
-def test_q_zero_rewards_stay_zero():
-    table = QTable(num_actions=3)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        s, a, s2 = int(rng.integers(5)), int(rng.integers(3)), int(rng.integers(5))
-        q_update(table, s, a, 0.0, s2)
-    for row in table.values.values():
-        assert np.all(row == 0.0)
-
-
-def test_q_greedy_is_stationary():
-    table = QTable(num_actions=4)
-    table.row(3)[:] = [0.1, 0.9, 0.3, 0.2]
-    picks = [q_act(table, 3, [0, 1, 2, 3]) for _ in range(10)]
-    assert picks == [1] * 10
-
-
-def test_q_unknown_state_initializes_zeros():
-    table = QTable(num_actions=4)
-    assert q_act(table, "never_seen", [2, 3]) == 2  # ties break to first valid
-    assert np.all(table.values["never_seen"] == 0.0)
-
-
-@pytest.mark.parametrize("kind", ["maze", "app"])
-def test_q_train_is_seeded_and_returns_its_best_snapshot(kind):
-    # On both graphs the last evaluation scores below the best one, so the
-    # returned table must be the restored snapshot, not the final one.
-    def make_env():
-        if kind == "maze":
-            return MazeEnv(generate_maze(3, 3, 0.18, 6), budget=9)
-        return AppEnv(generate_er_app(8, 0.3, seed=1), budget=8)
-
-    config = QConfig(episodes=400, anneal_episodes=200, eval_every=100, eval_episodes=2)
-    budget = make_env().budget
-    (table, best), (again, best_again) = [q_train(make_env(), budget, config, seed=5)
-                                          for _ in range(2)]
-    assert best == best_again
-    assert table.values.keys() == again.values.keys()
-    assert all(np.array_equal(table.values[s], again.values[s]) for s in table.values)
-    assert q_evaluate(make_env(), table, budget, config.eval_episodes) == best
-    assert 0.0 < best <= 1.0
-
-
-def test_q_train_ends_episodes_on_a_screen_without_actions():
-    # The start screen of this app has no outgoing action, so every episode
-    # is over at reset; Q must end it there, as run_episode does.
-    env = AppEnv(generate_er_app(8, 0.3, seed=4), budget=8)
-    config = QConfig(episodes=400, anneal_episodes=200, eval_every=100, eval_episodes=2)
-    table, best = q_train(env, env.budget, config, seed=0)
-    assert best == q_evaluate(env, table, env.budget, config.eval_episodes) == 1.0
-    assert env.coverage_fraction() == 1.0

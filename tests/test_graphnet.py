@@ -8,14 +8,8 @@ from graphexplore.graphnet import (
     GraphNet,
     GraphNetConfig,
     GraphObservation,
-    PretrainConfig,
-    adjacency,
-    edge_auc,
     empty_observation,
-    feature_provider,
     pad_coverage_bit,
-    pretrain_structural,
-    structural_embeddings,
 )
 from graphexplore.tensor import (
     ParamSet,
@@ -313,90 +307,3 @@ def test_encoder_gradients_match_finite_differences():
 
         err = grad_check(fn, params.named(), eps=1e-5)
         assert err < 1e-4, f"trial {trial}: {err}"
-
-
-# ------------------------------------------------------------- pretraining
-
-
-def featureless(n, edges, num_edge_types=1):
-    return GraphObservation(
-        node_count=n,
-        node_features=np.zeros((n, 1)),
-        edges=edges,
-        coverage=np.zeros(n),
-        num_edge_types=num_edge_types,
-    )
-
-
-def test_pretrain_path_graph_loss_drops():
-    path = featureless(3, both_ways([(0, 1), (1, 2)]))
-    config = PretrainConfig(d=6, rounds=2, steps=200, batch=2, lr=3e-3, seed=0)
-    result = pretrain_structural(lambda rng: path, config)
-    assert result.losses[-1] < result.losses[0]
-
-
-def test_pretrain_complete_graph_symmetry():
-    k4 = featureless(4, both_ways([(i, j) for i in range(4) for j in range(i + 1, 4)]))
-    config = PretrainConfig(d=6, rounds=2, steps=50, batch=1, lr=1e-3, seed=1)
-    result = pretrain_structural(lambda rng: k4, config)
-    h = structural_embeddings(result, k4)
-    for i in range(1, 4):
-        assert np.allclose(h[0], h[i], atol=1e-6)
-
-
-def test_adjacency_helper():
-    obs = featureless(3, [(0, 1, 1), (1, 0, 1), (2, 0, 1)])
-    a = adjacency(obs)
-    assert a[0, 1] == 1.0 and a[1, 0] == 1.0 and a[2, 0] == 1.0 and a[0, 2] == 0.0
-
-
-def random_featureless_er(rng, lo=7, hi=10, p=0.3):
-    n = int(rng.integers(lo, hi + 1))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.extend([(i, j, 1), (j, i, 1)])
-    return featureless(n, edges)
-
-
-def test_pretrain_held_out_edge_auc():
-    config = PretrainConfig(d=8, rounds=2, steps=150, batch=4, lr=3e-3, seed=3)
-    result = pretrain_structural(random_featureless_er, config)
-    assert result.losses[-1] < result.losses[0]
-    heldout_rng = np.random.default_rng(999)
-    heldout = [random_featureless_er(heldout_rng) for _ in range(20)]
-    assert edge_auc(result, heldout) > 0.6
-
-
-def test_pretrain_aborts_on_non_finite_loss():
-    bad = GraphObservation(
-        node_count=1,
-        node_features=np.array([[np.nan]]),
-        edges=[],
-        coverage=np.zeros(1),
-        num_edge_types=1,
-    )
-    config = PretrainConfig(d=4, rounds=1, steps=5, batch=1, seed=0)
-    with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
-        pretrain_structural(lambda rng: bad, config)
-
-
-def test_feature_provider_shape_and_determinism():
-    path = featureless(3, both_ways([(0, 1), (1, 2)]))
-    config = PretrainConfig(d=6, rounds=2, steps=20, batch=1, seed=0)
-    result = pretrain_structural(lambda rng: path, config)
-    provide = feature_provider(result)
-    assert provide.width == 6
-    # ignores input features and coverage: only topology matters
-    dressed = GraphObservation(
-        node_count=3,
-        node_features=np.ones((3, 5)),
-        edges=path.edges,
-        coverage=np.ones(3),
-        num_edge_types=1,
-    )
-    a, b = provide(path), provide(dressed)
-    assert a.shape == (3, 6)
-    assert np.array_equal(a, b)
-    assert provide(featureless(0, [])).shape == (0, 6)

@@ -110,8 +110,8 @@ def test_observe_full_coverage():
 
 
 def test_observe_features_have_no_coordinates():
-    # Feature width is exactly the is-current column when no provider is set:
-    # nothing in the schema can carry (row, col).
+    # Feature width is exactly the is-current column: nothing in the schema
+    # can carry (row, col).
     maze = open_grid(3, 3, start=(1, 1))
     state = initial_state(maze)
     obs = observe(maze, state)

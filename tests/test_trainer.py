@@ -473,6 +473,28 @@ def test_update_skip_reason_names_the_gradient_parameter(monkeypatch):
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
+def test_update_skip_reason_names_the_parameter_with_a_nan_gradient(monkeypatch):
+    # The NaN makes the global norm NaN; clipping must leave the other
+    # gradients finite so that the skip names this parameter, not the first.
+    model = tiny_model()
+    cfg = small_config(workers=1)
+    batch = collect_rollouts(model, maze_sampler, cfg)
+    before = model.params.snapshot()
+    name = list(model.params.named())[-1]
+    real_gradients = model.params.gradients
+
+    def poisoned(tape, loss):
+        grads = real_gradients(tape, loss)
+        grads[name].data.flat[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(model.params, "gradients", poisoned)
+    model, stats = a2c_update(model, batch, cfg, OptimizerState(lr=cfg.learning_rate))
+    assert stats.skip_reason == f"non-finite gradient for parameter {name!r}"
+    after = model.params.snapshot()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
 def test_training_is_deterministic_end_to_end():
     covs = []
     for _ in range(2):
