@@ -1,12 +1,11 @@
 """Non-learned reference policies: uniform random and randomized depth-first
 search.
 
-Environments drive these through three hooks: current_node() -> stable node
-id, outgoing() -> [(action, destination id or None when unknown)], and
-reverse_action(a) -> the undoing action or None when the edge is one-way.
-reverse_action is only queried right after the move it undoes (position-aware
-environments answer for their latest transition); the walker stores the
-answer as the frame's return ticket for when it backtracks later.
+Both walk an environment through the walker hooks of the env contract
+(graphexplore.episode) and draw their actions from outgoing(). reverse_action
+is only queried right after the move it undoes (position-aware environments
+answer for their latest transition); the walker stores the answer as the
+frame's return ticket for when it backtracks later.
 """
 
 from __future__ import annotations
@@ -14,19 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-def random_act(valid_actions, rng):
-    """Uniform choice among valid actions."""
-    actions = list(valid_actions)
+def random_act(actions, rng):
+    """Uniform choice from a sequence of valid actions."""
     if not actions:
         raise ValueError("no valid actions to choose from")
     return actions[int(rng.integers(len(actions)))]
 
 
 class RandomPolicy:
-    """run_episode adapter around random_act."""
+    """run_episode adapter: random_act over the actions of env.outgoing()."""
 
     def __call__(self, history, env, rng):
-        return random_act(env.valid_action_list(), rng)
+        return random_act([a for a, _ in env.outgoing()], rng)
 
 
 # ------------------------------------------------------------------ RandDFS
@@ -126,7 +124,7 @@ class RandDfsPolicy:
         if action is None:
             # Root exhausted. Take a random step; the next call restarts the
             # stack from wherever that lands.
-            action = random_act(env.valid_action_list(), rng)
+            action = random_act([a for a, _ in env.outgoing()], rng)
         self.last_action = action
         return action
 

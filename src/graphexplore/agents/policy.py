@@ -298,9 +298,12 @@ class PolicyModel:
                 kept = []
                 for row, (k, action, mask) in enumerate(zip(live, actions, masks)):
                     rows[k].append(offset + row)
-                    info = {"logprob": float(logprob.data[row]), "value": float(value.data[row]),
-                            "entropy": float(entropy.data[row]), "mask": mask}
-                    if not advance_episode(envs[k], trajs[k], action, info):
+                    traj = trajs[k]
+                    traj.logprobs.append(float(logprob.data[row]))
+                    traj.values.append(float(value.data[row]))
+                    traj.entropies.append(float(entropy.data[row]))
+                    traj.masks.append(mask)
+                    if not advance_episode(envs[k], traj, action):
                         kept.append(row)
                 offset += len(live)
                 if len(kept) < len(live):

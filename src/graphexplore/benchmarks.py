@@ -12,6 +12,9 @@ App transition graphs hide destinations by construction (an untried action's
 target is unknown until taken), so the same walker needs no flag there. The
 held-out app set was likewise frozen after choosing the dataset seed base that
 puts the depth-first walker nearest its reference mean.
+
+The constants below are fixed, not defaults: callers choose only how many
+evaluation mazes to run (`count`) and whether a maze env hides destinations.
 """
 
 from __future__ import annotations
@@ -39,31 +42,28 @@ def episode_seed(maze_seed, stream):
     return int(np.random.SeedSequence([maze_seed, stream]).generate_state(1)[0])
 
 
-def maze_eval_env(maze_seed, loop_prob=MAZE_LOOP_PROB, budget=MAZE_BUDGET, hide_destinations=False):
-    maze = generate_maze(MAZE_SIZE, MAZE_SIZE, loop_prob, maze_seed)
-    return MazeEnv(maze, budget=budget, hide_destinations=hide_destinations)
+def maze_eval_env(maze_seed, hide_destinations=False):
+    maze = generate_maze(MAZE_SIZE, MAZE_SIZE, MAZE_LOOP_PROB, maze_seed)
+    return MazeEnv(maze, budget=MAZE_BUDGET, hide_destinations=hide_destinations)
 
 
-def maze_coverage(policy_factory, stream, count=MAZE_EVAL_COUNT, loop_prob=MAZE_LOOP_PROB,
-                  budget=MAZE_BUDGET, hide_destinations=False):
-    """Mean coverage of a policy over the fixed evaluation mazes."""
+def maze_coverage(policy_factory, stream, count=MAZE_EVAL_COUNT, hide_destinations=False):
+    """Mean coverage of a policy over the first `count` evaluation mazes."""
     covs = []
     for i in range(count):
         seed = MAZE_EVAL_SEED_BASE + i
-        env = maze_eval_env(seed, loop_prob, budget, hide_destinations)
-        run_episode(env, policy_factory(), budget=budget, seed=episode_seed(seed, stream))
+        env = maze_eval_env(seed, hide_destinations)
+        run_episode(env, policy_factory(), budget=MAZE_BUDGET, seed=episode_seed(seed, stream))
         covs.append(env.coverage_fraction())
     return float(np.mean(covs))
 
 
-def random_baseline_coverage(count=MAZE_EVAL_COUNT, loop_prob=MAZE_LOOP_PROB):
-    return maze_coverage(RandomPolicy, POLICY_STREAM["random"], count, loop_prob)
+def random_baseline_coverage(count=MAZE_EVAL_COUNT):
+    return maze_coverage(RandomPolicy, POLICY_STREAM["random"], count)
 
 
-def randdfs_baseline_coverage(count=MAZE_EVAL_COUNT, loop_prob=MAZE_LOOP_PROB):
-    return maze_coverage(
-        RandDfsPolicy, POLICY_STREAM["randdfs"], count, loop_prob, hide_destinations=True
-    )
+def randdfs_baseline_coverage(count=MAZE_EVAL_COUNT):
+    return maze_coverage(RandDfsPolicy, POLICY_STREAM["randdfs"], count, hide_destinations=True)
 
 
 APP_BUDGET = 15
@@ -78,20 +78,20 @@ def app_eval_set(count=APP_EVAL_COUNT):
     return heldout_er_apps(count, start_seed=APP_EVAL_SEED_BASE, min_screens=APP_MIN_SCREENS)
 
 
-def app_coverage(policy_factory, stream, count=APP_EVAL_COUNT, budget=APP_BUDGET):
+def app_coverage(policy_factory, stream):
     """Mean coverage of a policy over the fixed evaluation apps."""
-    apps, seeds = app_eval_set(count)
+    apps, seeds = app_eval_set()
     covs = []
     for seed, graph in zip(seeds, apps):
-        env = AppEnv(graph, budget=budget, num_actions=APP_ACTION_WIDTH)
-        run_episode(env, policy_factory(), budget=budget, seed=episode_seed(seed, stream))
+        env = AppEnv(graph, budget=APP_BUDGET, num_actions=APP_ACTION_WIDTH)
+        run_episode(env, policy_factory(), budget=APP_BUDGET, seed=episode_seed(seed, stream))
         covs.append(env.coverage_fraction())
     return float(np.mean(covs))
 
 
-def app_random_coverage(count=APP_EVAL_COUNT):
-    return app_coverage(RandomPolicy, POLICY_STREAM["random"], count)
+def app_random_coverage():
+    return app_coverage(RandomPolicy, POLICY_STREAM["random"])
 
 
-def app_randdfs_coverage(count=APP_EVAL_COUNT):
-    return app_coverage(RandDfsPolicy, POLICY_STREAM["randdfs"], count)
+def app_randdfs_coverage():
+    return app_coverage(RandDfsPolicy, POLICY_STREAM["randdfs"])

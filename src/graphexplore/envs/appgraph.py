@@ -273,46 +273,33 @@ def observe(state):
 
 
 class AppEnv:
-    """Episode adapter. `source` is a fixed TransitionGraph or a
-    callable(rng) -> TransitionGraph sampled fresh each reset. The initial
+    """Episode adapter over one fixed TransitionGraph, implementing the env
+    contract of graphexplore.episode, walker hooks included. The initial
     observation is the empty graph; the start screen's coverage is earned by
     the first step's reward. Rewards normalize by the screen count.
 
-    num_actions fixes the policy-facing action width: action i means the i-th
-    entry of the current screen's sorted outgoing list, with the mask covering
-    i >= out-degree. Sampled sources must state it up front; a fixed graph
-    defaults to its own max out-degree."""
+    num_actions fixes the policy-facing action width (default and minimum:
+    the graph's max out-degree): action i means the i-th entry of the current
+    screen's sorted outgoing list, with the mask covering i >= out-degree."""
 
-    num_edge_types = NUM_EDGE_TYPES
-
-    def __init__(self, source, budget=15, num_actions=None):
-        self.source = source
-        self.budget = budget
-        self.graph = None if callable(source) else source
+    def __init__(self, graph, budget=15, num_actions=None):
         if num_actions is None:
-            if self.graph is None:
-                raise ValueError("num_actions is required for sampled graph sources")
-            num_actions = self.graph.max_out_degree()
-        self.num_actions = num_actions
-        self.state = None
-        if self.graph is not None:
-            self._adopt(self.graph)
-
-    def _adopt(self, graph):
-        if graph.max_out_degree() > self.num_actions:
+            num_actions = graph.max_out_degree()
+        if graph.max_out_degree() > num_actions:
             raise ValueError(
                 f"graph max out-degree {graph.max_out_degree()} exceeds "
-                f"action width {self.num_actions}"
+                f"action width {num_actions}"
             )
         self.graph = graph
+        self.budget = budget
+        self.num_actions = num_actions
         self.reward_normalizer = float(len(graph.screens))
+        self.state = None
 
     def feature_width(self):
         return 1  # the is-current column
 
     def reset(self, rng):
-        if callable(self.source):
-            self._adopt(self.source(rng))
         self.state = initial_state(self.graph)
         return empty_observation(self.feature_width(), NUM_EDGE_TYPES)
 
@@ -338,13 +325,7 @@ class AppEnv:
     def coverage_fraction(self):
         return len(self.state.visited) / len(self.graph.screens)
 
-    def covered_count(self):
-        return len(self.state.visited)
-
-    # Hooks for the non-learned policies.
-
-    def valid_action_list(self):
-        return list(range(self.graph.out_degree(self.state.current)))
+    # Walker hooks.
 
     def current_node(self):
         return self.state.node_ids[self.state.current]

@@ -22,7 +22,6 @@ from .machine import (
     KarelWorld,
     coverage_score,
     execute,
-    merge_reports,
     tokens_to_world,
     world_from_text,
     world_to_text,
@@ -66,7 +65,6 @@ __all__ = [
     "KarelWorld",
     "coverage_score",
     "execute",
-    "merge_reports",
     "tokens_to_world",
     "world_from_text",
     "world_to_text",

@@ -23,10 +23,9 @@ class KarelEnv:
     Actions are input worlds: either a KarelWorld or any object with `size`
     and `tokens` fields (a grid decoder emission). Runtime faults during
     execution are part of the semantics, not step failures; coverage earned
-    before the fault still counts.
+    before the fault still counts. Implements the episode-loop part of the
+    env contract (graphexplore.episode); the walker hooks do not apply.
     """
-
-    num_edge_types = NUM_EDGE_TYPES
 
     def __init__(self, source, budget=5, step_cap=1000):
         program = source if isinstance(source, KarelProgram) else parse(source)

@@ -310,28 +310,3 @@ def coverage_score(report):
     if units == 0:
         return 1.0
     return report.covered() / units
-
-
-def merge_reports(reports):
-    """Bitwise union of reports for the same program (joint coverage of an
-    input set). The merged report carries no world or error."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("need at least one report")
-    src = reports[0].program_source
-    for r in reports[1:]:
-        if r.program_source != src:
-            raise ValueError("cannot merge reports for different programs")
-    stmt = np.zeros_like(reports[0].stmt_hit)
-    branch = np.zeros_like(reports[0].branch_hit)
-    for r in reports:
-        stmt |= r.stmt_hit
-        branch |= r.branch_hit
-    return CoverageReport(
-        program_source=src,
-        stmt_hit=stmt,
-        branch_hit=branch,
-        error=None,
-        steps=sum(r.steps for r in reports),
-        world=None,
-    )

@@ -162,11 +162,6 @@ def _edge_block(maze, state, cell):
     return block
 
 
-def valid_actions(maze, state):
-    r, c = state.position
-    return maze.open_dirs(r, c)
-
-
 def step(maze, state, direction):
     """Move one cell along an open passage (in place). Returns (state, delta)
     where delta is 1 when the destination was unvisited, else 0."""
@@ -307,29 +302,27 @@ def _check_symmetric(maze):
 
 
 class MazeEnv:
-    """Episode adapter. `source` is a fixed Maze or a callable(rng) -> Maze
-    sampled fresh each reset. The initial observation is the empty graph; the
-    start cell's coverage is earned by the first step's reward."""
+    """Episode adapter over one fixed Maze, implementing the env contract of
+    graphexplore.episode, walker hooks included. Actions are directions N, E,
+    S, W (0..3). The initial observation is the empty graph; the start cell's
+    coverage is earned by the first step's reward."""
 
     num_actions = 4
-    num_edge_types = NUM_EDGE_TYPES
 
-    def __init__(self, source, budget, hide_destinations=False):
-        self.source = source
+    def __init__(self, maze, budget, hide_destinations=False):
+        self.maze = maze
         self.budget = budget
         # hide_destinations withholds neighbor ids from outgoing(), so walker
         # baselines must probe doors to learn where they lead. The benchmark
         # protocol evaluates the depth-first walker this way.
         self.hide_destinations = hide_destinations
         self.reward_normalizer = float(budget)
-        self.maze = None
         self.state = None
 
     def feature_width(self):
         return 1  # the is-current column
 
     def reset(self, rng):
-        self.maze = self.source(rng) if callable(self.source) else self.source
         self.state = initial_state(self.maze)
         return empty_observation(self.feature_width(), NUM_EDGE_TYPES)
 
@@ -342,8 +335,7 @@ class MazeEnv:
 
     def action_mask(self):
         mask = np.zeros(4, dtype=bool)
-        for d in valid_actions(self.maze, self.state):
-            mask[d] = True
+        mask[self.maze.open_dirs(*self.state.position)] = True
         return mask
 
     def fully_explored(self):
@@ -352,13 +344,7 @@ class MazeEnv:
     def coverage_fraction(self):
         return coverage_fraction(self.maze, self.state)
 
-    def covered_count(self):
-        return len(self.state.visited)
-
-    # Hooks for the non-learned policies.
-
-    def valid_action_list(self):
-        return valid_actions(self.maze, self.state)
+    # Walker hooks.
 
     def current_node(self):
         return self.state.node_ids[self.state.position]

@@ -7,6 +7,19 @@ Episode layout: record 0 is always (null action, initial observation, reward
 is made on that empty graph via the encoder's learned empty-graph vector; the
 start position's coverage is then counted in the first step's reward, which
 keeps the reward sum exactly equal to the coverage objective.
+
+The env contract. MazeEnv, AppEnv and KarelEnv each wrap one fixed instance;
+training gets a fresh env per episode from TrainConfig.env_sampler. The
+episode loop (run_episode, PolicyModel.run_episodes) reads:
+- budget and reward_normalizer;
+- reset(rng) and step(action), each returning a GraphObservation;
+- action_mask(): (num_actions,) bool, or None for structured actions (Karel);
+- fully_explored(), coverage_fraction(), and program if the env has one.
+The walkers (agents.baselines) also read three hooks, which maze and app have:
+- current_node(): the stable node id of the agent's position;
+- outgoing(): [(action, destination id or None when unknown)] in ascending
+  action order, listing exactly the actions action_mask() allows;
+- reverse_action(a): the action undoing the latest step a, or None.
 """
 
 from __future__ import annotations
@@ -68,24 +81,17 @@ class CoverageRegressionError(ValueError):
     pass
 
 
-def check_coverage_growth(prev, nxt):
-    """Raises CoverageRegressionError unless observation `nxt` keeps every
-    node of `prev` and every coverage bit `prev` set; the message names the
-    first regressed node. Node ids are stable, so coverage may only switch
-    0 -> 1."""
+def compute_reward(prev, nxt, normalizer):
+    """Newly covered node count over the normalizer. Node ids are stable, so a
+    step may only add nodes and switch coverage bits 0 -> 1; anything else
+    raises CoverageRegressionError naming the first regressed node. Every
+    step of every episode passes through this check."""
     n_prev = prev.node_count
     if nxt.node_count < n_prev:
         raise CoverageRegressionError(f"node set shrank: {n_prev} -> {nxt.node_count}")
     regressed = np.asarray(prev.coverage) > np.asarray(nxt.coverage)[:n_prev]
     if regressed.any():
         raise CoverageRegressionError(f"coverage regressed at node {int(np.argmax(regressed))}")
-
-
-def compute_reward(prev, nxt, normalizer):
-    """Newly covered node count over the normalizer; a shrinking node set or
-    a coverage bit switched off is an invariant breach (see
-    check_coverage_growth)."""
-    check_coverage_growth(prev, nxt)
     gained = float(np.asarray(nxt.coverage).sum() - np.asarray(prev.coverage).sum())
     return gained / normalizer
 
@@ -99,21 +105,6 @@ def episode_objective(history):
         # the fallback normalizer degenerate as well.
         return 0.0
     return covered / history.normalizer
-
-
-def validate_history(history):
-    """Checks the structural invariants of a completed history: rewards in
-    [0,1], node sets that never shrink, and monotone coverage."""
-    prev = None
-    for rec in history.records:
-        if not (0.0 <= rec.reward <= 1.0):
-            raise ValueError(f"reward {rec.reward} outside [0, 1]")
-        if prev is not None:
-            check_coverage_growth(prev, rec.observation)
-        prev = rec.observation
-    if len(history.records) > history.budget + 1:
-        raise ValueError(f"history length {len(history.records)} exceeds budget+1")
-    return history
 
 
 # --------------------------------------------------------- history encoding
@@ -389,15 +380,11 @@ def begin_episode(env, rng, budget, seed):
     return traj, traj.terminated_early or budget < 1
 
 
-_INFO_FIELDS = (("logprob", "logprobs"), ("value", "values"),
-                ("entropy", "entropies"), ("mask", "masks"))
-
-
-def advance_episode(env, traj, action, info):
+def advance_episode(env, traj, action):
     """Take decision `action` in `env` and record it in `traj`: the step's
-    reward, the policy outputs present in `info` ('logprob', 'value',
-    'entropy', 'mask'), and whether the env is now fully explored. Returns
-    True when the episode is over: full coverage or the budget spent."""
+    reward and whether the env is now fully explored. Returns True when the
+    episode is over: full coverage or the budget spent. A failing step
+    raises EpisodeStepError naming the step."""
     history = traj.history
     t = len(history.records)
     try:
@@ -406,28 +393,22 @@ def advance_episode(env, traj, action, info):
         raise EpisodeStepError(t, e) from e
     reward = compute_reward(history.last().observation, obs, history.normalizer)
     history.records.append(StepRecord(action=action, observation=obs, reward=reward))
-    for key, attr in _INFO_FIELDS:
-        if key in info:
-            getattr(traj, attr).append(info[key])
     traj.terminated_early = env.fully_explored()
     return traj.terminated_early or t >= history.budget
 
 
 def run_episode(env, policy, budget, seed):
     """Roll one episode of a callable policy (baselines, Karel world
-    policies). `policy(history, env, rng)` returns an action or an
-    (action, info) pair where info may carry 'logprob', 'value', 'entropy'
-    and 'mask'. Stops after the budget is spent or as soon as the environment
-    reports full coverage following a step. The learned agent rolls its
-    episodes in lockstep through PolicyModel.run_episodes, on the same
+    policies): `policy(history, env, rng)` returns an action. Stops after the
+    budget is spent or as soon as the environment reports full coverage
+    following a step. Returns (history, trajectory). The learned agent rolls
+    its episodes in lockstep through PolicyModel.run_episodes, on the same
     begin_episode / advance_episode bookkeeping."""
     rng = np.random.default_rng(seed)
     traj, done = begin_episode(env, rng, budget, seed)
     with no_grad():
         while not done:
-            out = policy(traj.history, env, rng)
-            action, info = out if isinstance(out, tuple) else (out, {})
-            done = advance_episode(env, traj, action, info)
+            done = advance_episode(env, traj, policy(traj.history, env, rng))
     return traj.history, traj
 
 

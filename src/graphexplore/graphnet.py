@@ -58,8 +58,9 @@ MAX_EDGE_TYPES = 8  # width of the message layer's edge-type input; environments
 class GraphObservation:
     """A (sub)graph plus coverage mask.
 
-    Edges are directed (u, v, k) with type k in 1..num_edge_types; undirected
-    environments insert both directions. current_node marks the agent's
+    Edges are directed (u, v, k) with type k in 1..num_edge_types, and k at
+    most MAX_EDGE_TYPES (GraphNet.propagate checks endpoints and types);
+    undirected environments insert both directions. current_node marks the agent's
     position when the environment has one (None otherwise).
     """
 
@@ -69,19 +70,6 @@ class GraphObservation:
     coverage: np.ndarray  # (node_count,) of 0/1
     num_edge_types: int
     current_node: int | None = None
-
-    def validate(self):
-        n = self.node_count
-        if self.node_features.shape[0] != n:
-            raise ValueError(f"node_features rows {self.node_features.shape[0]} != node_count {n}")
-        if len(self.coverage) != n:
-            raise ValueError(f"coverage length {len(self.coverage)} != node_count {n}")
-        for u, v, k in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) endpoint outside [0, {n})")
-            if not (1 <= k <= self.num_edge_types):
-                raise ValueError(f"edge type {k} outside 1..{self.num_edge_types}")
-        return self
 
     def is_empty(self):
         return self.node_count == 0
@@ -191,9 +179,10 @@ class GraphNet:
         if len(edges):
             if edges[:, :2].min() < 0 or edges[:, :2].max() >= n:
                 raise ValueError(f"edge endpoint outside [0, {n})")
-            if etype.min() < 1 or etype.max() > obs.num_edge_types:
-                raise ValueError(f"edge type outside 1..{obs.num_edge_types}: "
-                                 f"{int(etype.min())}..{int(etype.max())}")
+            top = min(obs.num_edge_types, MAX_EDGE_TYPES)
+            if etype.min() < 1 or etype.max() > top:
+                raise ValueError(f"edge type outside 1..{top} (num_edge_types {obs.num_edge_types}, "
+                                 f"MAX_EDGE_TYPES {MAX_EDGE_TYPES}): {etype.min()}..{etype.max()}")
         counts = np.bincount(dst * MAX_EDGE_TYPES + etype - 1,
                              minlength=n * MAX_EDGE_TYPES).reshape(n, MAX_EDGE_TYPES)
         type_counts = counts.astype(np.float64)

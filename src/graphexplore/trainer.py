@@ -192,8 +192,10 @@ def a2c_update(model, batch, config, opt_state):
 
 def zero_shot_coverage(model, env_set, config):
     """Greedy single episode per environment, all in lockstep, no parameter
-    change."""
+    change. Returns the mean coverage; an empty env_set is an error."""
     env_set = list(env_set)
+    if not env_set:
+        raise ValueError("zero_shot_coverage needs at least one environment: env_set is empty")
     seeds = [int(np.random.SeedSequence([config.seed, 900_000 + i]).generate_state(1)[0])
              for i in range(len(env_set))]
     model.run_episodes(env_set, seeds, mode="greedy")

@@ -318,13 +318,10 @@ def test_action_mask_pads_to_width():
     assert env.action_mask().tolist() == [True, True, False, False]
 
 
-def test_sampled_source_requires_action_width():
-    with pytest.raises(ValueError, match="num_actions"):
-        AppEnv(lambda rng: line_graph(), budget=5)
-    env = AppEnv(lambda rng: line_graph(), budget=5, num_actions=2)
-    env.reset(np.random.default_rng(0))
-    assert env.graph == line_graph()
-    with pytest.raises(ValueError, match="exceeds"):
+def test_action_width_defaults_to_and_must_fit_the_max_out_degree():
+    assert AppEnv(line_graph(), budget=5).num_actions == 2
+    assert AppEnv(line_graph(), budget=5, num_actions=2).num_actions == 2
+    with pytest.raises(ValueError, match="out-degree 5 exceeds action width 3"):
         AppEnv(generate_er_app(6, 1.0, seed=0), budget=5, num_actions=3)
 
 
@@ -387,4 +384,4 @@ def test_coverage_bounded_by_brute_force_optimum():
         for policy, ep_seed in ((RandomPolicy(), 0), (RandDfsPolicy(), 1)):
             env = AppEnv(g, budget=budget)
             run_episode(env, policy, budget=budget, seed=ep_seed)
-            assert env.covered_count() <= oracle.best_coverage
+            assert len(env.state.visited) <= oracle.best_coverage

@@ -1,0 +1,61 @@
+"""The env contract (graphexplore.episode): every environment has the
+members the episode loop reads, the maze and app envs have the walker hooks,
+and the walkers' one action source, outgoing(), lists exactly the actions
+action_mask() allows."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphexplore.envs.appgraph import AppEnv, generate_er_app
+from graphexplore.envs.karel import KarelEnv, sample_program
+from graphexplore.envs.maze import MazeEnv, generate_maze
+
+EPISODE_LOOP = ("budget", "reward_normalizer", "reset", "step", "action_mask",
+                "fully_explored", "coverage_fraction")
+WALKER_HOOKS = ("current_node", "outgoing", "reverse_action")
+DELETED = ("source", "_adopt", "valid_action_list", "covered_count", "num_edge_types")
+
+ENVS = {
+    "maze": lambda: MazeEnv(generate_maze(3, 3, 0.2, seed=1), budget=9),
+    "app": lambda: AppEnv(generate_er_app(6, 0.5, seed=2), budget=6),
+    "karel": lambda: KarelEnv(sample_program(np.random.default_rng(0))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENVS))
+def test_env_has_the_contract_members_and_none_of_the_deleted(kind):
+    env = ENVS[kind]()
+    env.reset(np.random.default_rng(0))
+    assert [name for name in EPISODE_LOOP if not hasattr(env, name)] == []
+    hooks = [name for name in WALKER_HOOKS if callable(getattr(env, name, None))]
+    assert hooks == ([] if kind == "karel" else list(WALKER_HOOKS))
+    assert [name for name in DELETED if hasattr(env, name)] == []
+
+
+@st.composite
+def walker_envs(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.sampled_from(["maze", "app"])) == "maze":
+        maze = generate_maze(draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+                             draw(st.floats(0.0, 1.0)), seed)
+        return MazeEnv(maze, budget=40, hide_destinations=draw(st.booleans()))
+    graph = generate_er_app(draw(st.integers(1, 12)), draw(st.floats(0.0, 1.0)), seed)
+    return AppEnv(graph, budget=40,
+                  num_actions=graph.max_out_degree() + draw(st.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(env=walker_envs(), episode_seed=st.integers(0, 2**31 - 1))
+def test_outgoing_lists_exactly_the_masked_actions_at_every_step(env, episode_seed):
+    # The walkers draw from outgoing() and the learned agent from the mask;
+    # the frozen baseline values rest on the two agreeing, in ascending order.
+    rng = np.random.default_rng(episode_seed)
+    env.reset(rng)
+    for _ in range(env.budget):
+        actions = [a for a, _ in env.outgoing()]
+        assert actions == np.flatnonzero(env.action_mask()).tolist()
+        if not actions:
+            break
+        env.step(actions[int(rng.integers(len(actions)))])

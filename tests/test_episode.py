@@ -17,7 +17,6 @@ from graphexplore.episode import (
     dump_trajectories,
     episode_objective,
     run_episode,
-    validate_history,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig, GraphObservation, empty_observation
 from graphexplore.tensor import ParamSet, embed_lookup, no_grad
@@ -60,18 +59,13 @@ def test_compute_reward_rejects_regression():
 
 
 def test_reward_and_history_checks_name_the_first_regressed_node():
+    # compute_reward runs at every step of every episode, so it is the one
+    # place a history's growth invariant is checked.
     prev, nxt = obs_of([1, 0, 1, 1]), obs_of([1, 0, 0, 0, 1])
     with pytest.raises(CoverageRegressionError, match="coverage regressed at node 2$"):
         compute_reward(prev, nxt, 5.0)
-    history = EpisodeHistory(
-        records=[StepRecord(action=None, observation=prev, reward=0.0),
-                 StepRecord(action=0, observation=nxt, reward=0.0)],
-        budget=1, normalizer=5.0)
-    with pytest.raises(CoverageRegressionError, match="coverage regressed at node 2$"):
-        validate_history(history)
-    history.records[1] = StepRecord(action=0, observation=obs_of([1, 1]), reward=0.0)
     with pytest.raises(CoverageRegressionError, match="node set shrank: 4 -> 2"):
-        validate_history(history)
+        compute_reward(prev, obs_of([1, 1]), 5.0)
 
 
 def history_from_masks(masks, normalizer, budget=None):
@@ -102,7 +96,8 @@ def test_objective_telescopes_on_random_rollouts():
         history, _ = run_episode(env, RandomPolicy(), budget=20, seed=seed)
         total = sum(rec.reward for rec in history.records)
         assert abs(total - episode_objective(history)) < 1e-9
-        validate_history(history)
+        assert all(0.0 <= rec.reward <= 1.0 for rec in history.records)
+        assert len(history.records) <= history.budget + 1
 
 
 def test_run_episode_budget_zero():
@@ -132,26 +127,6 @@ def test_run_episode_seed_determinism():
         history, _ = run_episode(env, RandomPolicy(), budget=36, seed=123)
         runs.append([rec.action for rec in history.records[1:]])
     assert runs[0] == runs[1]
-
-
-def test_run_episode_keeps_the_policy_outputs_of_each_decision():
-    def policy(history, env, rng):
-        t = len(history.records)
-        mask = env.action_mask()
-        action = int(rng.choice(np.flatnonzero(mask)))
-        return action, {"logprob": -0.1 * t, "value": 0.2 * t, "entropy": 0.3 * t, "mask": mask}
-
-    env = MazeEnv(generate_maze(4, 4, 0.1, seed=2), budget=6)
-    history, traj = run_episode(env, policy, budget=6, seed=3)
-    steps = range(1, len(history.records))
-    assert traj.logprobs == [-0.1 * t for t in steps]
-    assert traj.values == [0.2 * t for t in steps]
-    assert traj.entropies == [0.3 * t for t in steps]
-    assert len(traj.masks) == len(steps)
-    TrajectoryBatch(episodes=[traj]).validate()
-    traj.entropies.pop()
-    with pytest.raises(ValueError, match="misaligned"):
-        TrajectoryBatch(episodes=[traj]).validate()
 
 
 def test_trajectory_batch_validation_and_dump(tmp_path):

@@ -142,6 +142,17 @@ def test_unknown_edge_type_errors():
         net.propagate(net.project_features(obs), obs)
 
 
+@pytest.mark.parametrize("edge", [(0, 1, MAX_EDGE_TYPES + 1), (0, 2, MAX_EDGE_TYPES + 1)])
+def test_edge_type_above_the_message_layer_width_errors(edge):
+    # An observation may declare more edge types than the message layer has
+    # type columns; an edge of such a type must not be counted under another
+    # node's or another type's column (or fail inside numpy for the last node).
+    params, net = make_net()
+    obs = make_obs(3, [(1, 2, 1), edge], num_edge_types=MAX_EDGE_TYPES + 1)
+    with pytest.raises(ValueError, match=f"MAX_EDGE_TYPES {MAX_EDGE_TYPES}"):
+        net.propagate(net.project_features(obs), obs)
+
+
 @pytest.mark.parametrize("edge", [(0, 2, 1), (2, 0, 1), (-1, 0, 1), (0, -1, 1)])
 def test_edge_endpoint_outside_graph_errors(edge):
     params, net = make_net()

@@ -10,7 +10,6 @@ from graphexplore.envs.karel import (
     WorldConfig,
     execute,
     mask_from_report,
-    merge_reports,
     parse,
     program_to_graph,
     random_world_policy,
@@ -72,18 +71,6 @@ def test_coverage_mask_sums_to_covered_units(program_seed, config, world_seed):
     program = program_for(program_seed)
     report = execute(program, sample_world(config, world_seed))
     assert mask_from_report(program_to_graph(program), report).sum() == report.covered()
-
-
-@settings(max_examples=50, deadline=None)
-@given(seeds, configs, st.lists(seeds, min_size=1, max_size=5))
-def test_merge_reports_is_monotone(program_seed, config, world_seeds):
-    program = program_for(program_seed)
-    reports = [execute(program, sample_world(config, s)) for s in world_seeds]
-    merged = merge_reports(reports)
-    for r in reports:
-        assert (merged.stmt_hit >= r.stmt_hit).all()
-        assert (merged.branch_hit >= r.branch_hit).all()
-    assert merged.covered() >= max(r.covered() for r in reports)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,9 +1,11 @@
 """Packaging metadata: every console script declared in pyproject.toml names
-an importable callable, and no module under src/ keeps an import it does not
-use."""
+an importable callable, no module under src/ keeps an import it does not use,
+and every top-level function and class under src/ is referenced by the
+program or kept for a stated reason."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,78 @@ def unused_imports(path):
 )
 def test_module_imports_are_used(path):
     assert unused_imports(path) == []
+
+
+PERFBENCH = PYPROJECT.parent / "perfbench"
+
+# Top-level functions and classes under src/ that nothing in src/ or in
+# perfbench's modules references, each kept for the reason given. Anything
+# else without a reference is dead code: delete it with its tests.
+_ORACLE = "exact reference solver of the walker and oracle tests (ROADMAP item 7)"
+_TRANSITION_LOG = "the route to real-app graphs; kept until the CLI decides (ROADMAP item 7)"
+_MAZE_FORMAT = "maze file and text formats, round-tripped by the maze tests"
+_WORLD_TEXT = "Karel world text format, round-tripped by the Karel tests"
+_REFERENCE_OP = "reference formula of the fused tape primitives' tests (ROADMAP item 7)"
+KEPT = {
+    "oracles.tree_optimal_steps": _ORACLE,
+    "oracles.full_coverage_budget": _ORACLE,
+    "oracles.replay_walk": _ORACLE,
+    "oracles.random_tree": _ORACLE,
+    "envs.appgraph.load_transition_log": _TRANSITION_LOG,
+    "envs.appgraph.dump_transition_log": _TRANSITION_LOG,
+    "envs.appgraph.synthesize_walk_log": _TRANSITION_LOG,
+    "envs.maze.save_maze": _MAZE_FORMAT,
+    "envs.maze.load_maze": _MAZE_FORMAT,
+    "envs.maze.parse_ascii": _MAZE_FORMAT,
+    "envs.maze.render_ascii": "maze rendering of the trace CLI (ROADMAP item 5)",
+    "envs.karel.machine.world_to_text": _WORLD_TEXT,
+    "envs.karel.machine.world_from_text": _WORLD_TEXT,
+    "envs.karel.machine.world_to_tokens": "input of the Karel agent's grid encoder (ROADMAP item 4)",
+    "agents.policy.GridDecoder": "the Karel agent's action head (ROADMAP item 4)",
+    "episode.dump_trajectories": "the episode dump of the trace CLI (ROADMAP item 5)",
+    "trainer.evaluate": "the held-out zero-shot and fine-tune protocols (ROADMAP item 1)",
+    "tensor.gradcheck.grad_check": "the finite-difference gate every tape primitive passes",
+    "tensor.core.sigmoid": _REFERENCE_OP,
+    "tensor.core.softmax": _REFERENCE_OP,
+}
+
+
+def referenced_names(tree, strings=False):
+    """Counts of the names a tree reads, as bare names or as attributes, and,
+    with strings, of its string constants (perfbench patches by name). Import
+    statements bind names without reading them, so re-exports do not count."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
+    return names
+
+
+def unreferenced_definitions():
+    """Top-level functions and classes of src/ that no code references
+    outside their own definitions: not in src/, not in a non-test perfbench
+    module."""
+    package = SRC / "graphexplore"
+    references = Counter()
+    definitions = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        references.update(referenced_names(tree))
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        definitions.extend((module, node) for node in tree.body
+                           if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        if not path.name.startswith("test_"):
+            references.update(referenced_names(ast.parse(path.read_text()), strings=True))
+    return sorted(f"{module}.{node.name}" for module, node in definitions
+                  if references[node.name] <= referenced_names(node)[node.name])
+
+
+def test_every_definition_is_referenced_or_kept_for_a_reason():
+    unreferenced = unreferenced_definitions()
+    assert [name for name in unreferenced if name not in KEPT] == []
+    assert [name for name in KEPT if name not in unreferenced] == [], "stale KEPT entries"

@@ -269,6 +269,27 @@ def test_run_episodes_runs_episode_with_masking():
     TrajectoryBatch(episodes=[traj]).validate()
 
 
+def test_run_episodes_keeps_the_policy_outputs_of_each_decision():
+    model = make_learned_model(ParamSet(seed=25))
+    envs = [MazeEnv(generate_maze(4, 4, 0.1, seed=s), budget=6) for s in (2, 3)]
+    with Tape():
+        trajs = model.run_episodes(envs, [3, 4])
+    for traj in trajs:
+        records = traj.history.records[1:]
+        assert records
+        for outputs in (traj.logprobs, traj.values, traj.entropies, traj.masks):
+            assert len(outputs) == len(records)
+        assert all(mask[rec.action] for mask, rec in zip(traj.masks, records))
+        (logprob, entropy, value), rows = traj.forward
+        assert traj.logprobs == logprob.data[rows].tolist()
+        assert traj.entropies == entropy.data[rows].tolist()
+        assert traj.values == value.data[rows].tolist()
+    TrajectoryBatch(episodes=trajs).validate()
+    trajs[1].entropies.pop()
+    with pytest.raises(ValueError, match="misaligned"):
+        TrajectoryBatch(episodes=trajs).validate()
+
+
 def test_run_episodes_seed_determinism():
     runs = []
     for _ in range(2):

@@ -753,6 +753,11 @@ def test_fine_tune_with_several_workers():
         fine_tune(model, env, small_config(seed=seed, workers=4, total_updates=1))
 
 
+def test_zero_shot_on_no_environments_names_the_empty_set():
+    with pytest.raises(ValueError, match="env_set is empty"):
+        zero_shot_coverage(tiny_model(), [], small_config())
+
+
 def test_evaluate_validates_inputs():
     model = tiny_model()
     cfg = small_config()
