@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graphnet import BeliefNodes, belief_observation, empty_observation
+from ..graphnet import BELIEF_FEATURE_WIDTH, BeliefNodes, belief_observation, empty_observation
 from ..oracles import er_adjacency
 
 logger = logging.getLogger(__name__)
@@ -218,10 +218,11 @@ def synthesize_walk_log(graph, path, walks=20, steps=30, seed=0):
 
 @dataclass
 class AppState(BeliefNodes):
-    """Exploration state. Screens are admitted as nodes in visit order."""
+    """Exploration state. A screen is admitted as a node when it is first
+    visited, so node_order lists exactly the visited screens, in visit
+    order."""
 
     current: str
-    visited: set
     experienced: list = field(default_factory=list)  # (src, action, dst), first-take order
     known: set = field(default_factory=set)  # (src, action) pairs already taken
     last_arrival: tuple = None  # (prev screen, landing screen) of the latest step
@@ -229,7 +230,7 @@ class AppState(BeliefNodes):
 
 
 def initial_state(graph):
-    state = AppState(current=graph.start, visited={graph.start})
+    state = AppState(current=graph.start)
     state.admit(graph.start)
     return state
 
@@ -244,11 +245,10 @@ def step(graph, state, action_index):
             f"({len(out)} available)"
         )
     action, dst = out[action_index]
-    newly = 0 if dst in state.visited else 1
+    newly = 0 if dst in state.node_ids else 1
     if (state.current, action) not in state.known:
         state.known.add((state.current, action))
         state.experienced.append((state.current, action, dst))
-    state.visited.add(dst)
     state.admit(dst)
     state.last_arrival = (state.current, dst)
     state.current = dst
@@ -296,12 +296,9 @@ class AppEnv:
         self.reward_normalizer = float(len(graph.screens))
         self.state = None
 
-    def feature_width(self):
-        return 1  # the is-current column
-
     def reset(self, rng):
         self.state = initial_state(self.graph)
-        return empty_observation(self.feature_width(), NUM_EDGE_TYPES)
+        return empty_observation(BELIEF_FEATURE_WIDTH, NUM_EDGE_TYPES)
 
     def observe(self):
         return observe(self.state)
@@ -318,12 +315,12 @@ class AppEnv:
     def fully_explored(self):
         # A dead-end screen (offline logs of one-way flows) also ends the
         # episode: no action can change anything further.
-        return len(self.state.visited) == len(self.graph.screens) or (
+        return len(self.state.node_order) == len(self.graph.screens) or (
             self.graph.out_degree(self.state.current) == 0
         )
 
     def coverage_fraction(self):
-        return len(self.state.visited) / len(self.graph.screens)
+        return len(self.state.node_order) / len(self.graph.screens)
 
     # Walker hooks.
 

@@ -23,8 +23,6 @@ from .machine import (
     coverage_score,
     execute,
     tokens_to_world,
-    world_from_text,
-    world_to_text,
     world_to_tokens,
 )
 from .graph import (
@@ -66,8 +64,6 @@ __all__ = [
     "coverage_score",
     "execute",
     "tokens_to_world",
-    "world_from_text",
-    "world_to_text",
     "world_to_tokens",
     "FEATURE_WIDTH",
     "NODE_KINDS",

@@ -14,7 +14,7 @@ import numpy as np
 from ...graphnet import GraphObservation
 from .lang import parse, KarelProgram
 from .machine import KarelWorld, execute, tokens_to_world
-from .graph import NUM_EDGE_TYPES, FEATURE_WIDTH, program_to_graph, mask_from_report
+from .graph import NUM_EDGE_TYPES, program_to_graph, mask_from_report
 
 
 class KarelEnv:
@@ -39,9 +39,6 @@ class KarelEnv:
         # token form feeds sequence-based program conditioning
         self.program = {"tokens": program.token_ids, "source": program.source}
         self._mask = np.zeros(self.graph.node_count)
-
-    def feature_width(self):
-        return FEATURE_WIDTH
 
     def reset(self, rng=None):
         self._mask = np.zeros(self.graph.node_count)

@@ -23,7 +23,7 @@ _DELTA = {"N": (-1, 0), "E": (0, 1), "S": (1, 0), "W": (0, -1)}
 WALL = -1
 MAX_MARKERS = 9
 
-# One token per grid cell for serialization and for the grid decoder head.
+# One token per grid cell: the vocabulary of world_to_tokens and of the grid decoder head.
 # A hero token encodes facing; the cell under the hero holds no markers.
 CELL_TOKENS = (
     "empty",
@@ -101,39 +101,6 @@ def _cell_char(v):
     if v == 0:
         return "."
     return str(int(v))
-
-
-def world_to_text(world):
-    """Multi-line form: one character row per grid row ('#' wall, '.' empty,
-    '1'..'9' markers), then a final 'hero <row> <col> <facing>' line."""
-    rows = ["".join(_cell_char(v) for v in row) for row in world.grid]
-    r, c = world.hero
-    return "\n".join(rows) + f"\nhero {r} {c} {world.facing}\n"
-
-
-def world_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty world text")
-    hero_line = lines[-1].split()
-    if len(hero_line) != 4 or hero_line[0] != "hero":
-        raise ValueError(f"last line must be 'hero <row> <col> <facing>', got {lines[-1]!r}")
-    rows = lines[:-1]
-    side = len(rows)
-    grid = np.zeros((side, len(rows[0]) if rows else 0), dtype=np.int8)
-    for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise ValueError(f"row {i} has length {len(row)}, expected {len(rows[0])}")
-        for j, ch in enumerate(row):
-            if ch == "#":
-                grid[i, j] = WALL
-            elif ch == ".":
-                grid[i, j] = 0
-            elif ch.isdigit() and ch != "0":
-                grid[i, j] = int(ch)
-            else:
-                raise ValueError(f"row {i}: bad cell character {ch!r}")
-    return KarelWorld(grid, (int(hero_line[1]), int(hero_line[2])), hero_line[3])
 
 
 def world_to_tokens(world):

@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..graphnet import BeliefNodes, belief_observation, empty_observation
+from ..graphnet import BELIEF_FEATURE_WIDTH, BeliefNodes, belief_observation, empty_observation
 
 N, E, S, W = 0, 1, 2, 3
 DIRECTIONS = (N, E, S, W)
@@ -67,13 +67,6 @@ class Maze:
 
     def cells(self):
         return self.width * self.height
-
-    def passage_count(self):
-        return int(np.sum(np.unpackbits(self.passages.reshape(-1, 1), axis=1))) // 2
-
-
-def in_bounds(maze, r, c):
-    return 0 <= r < maze.height and 0 <= c < maze.width
 
 
 def generate_maze(width, height, loop_prob, seed):
@@ -225,79 +218,6 @@ def render_ascii(maze, state=None):
     return "\n".join("".join(row) for row in grid) + "\n"
 
 
-def parse_ascii(text):
-    """Inverse of render_ascii. Returns (Maze, visited set). The agent cell
-    counts as visited; a render without state yields visited = {start}."""
-    rows = [list(line) for line in text.splitlines() if line]
-    if len(rows) < 3 or len(rows) % 2 == 0 or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("malformed maze rendering")
-    h, w = len(rows) // 2, len(rows[0]) // 2
-    passages = np.zeros((h, w), dtype=np.uint8)
-    start = None
-    visited = set()
-    for r in range(h):
-        for c in range(w):
-            ch = rows[2 * r + 1][2 * c + 1]
-            if ch == "@":
-                if start is not None:
-                    raise ValueError(f"rendering has more than one agent cell: {start} and {(r, c)}")
-                start = (r, c)
-                visited.add((r, c))
-            elif ch == "*":
-                visited.add((r, c))
-            if c + 1 < w and rows[2 * r + 1][2 * c + 2] == ".":
-                passages[r, c] |= 1 << E
-                passages[r, c + 1] |= 1 << W
-            if r + 1 < h and rows[2 * r + 2][2 * c + 1] == ".":
-                passages[r, c] |= 1 << S
-                passages[r + 1, c] |= 1 << N
-    if start is None:
-        raise ValueError("rendering has no agent cell")
-    return Maze(width=w, height=h, passages=passages, start=start), visited
-
-
-# ---------------------------------------------------------------- maze files
-
-
-def save_maze(path, maze):
-    with open(path, "w") as f:
-        f.write(f"maze {maze.width} {maze.height} {maze.start[0]} {maze.start[1]}\n")
-        for r in range(maze.height):
-            f.write(" ".join(f"{maze.passages[r, c]:x}" for c in range(maze.width)) + "\n")
-
-
-def load_maze(path):
-    with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 5 or header[0] != "maze":
-            raise ValueError(f"bad maze header: {header}")
-        w, h, sr, sc = map(int, header[1:])
-        cells = f.read().split()
-    if len(cells) != w * h:
-        raise ValueError(f"expected {w * h} cell masks, found {len(cells)}")
-    if not (0 <= sr < h and 0 <= sc < w):
-        raise ValueError(f"start {(sr, sc)} outside the {h}x{w} grid")
-    bad = [x for x in cells if int(x, 16) >> len(DIRECTIONS)]
-    if bad:
-        raise ValueError(f"cell masks {bad} set bits beyond W")
-    passages = np.array([int(x, 16) for x in cells], dtype=np.uint8).reshape(h, w)
-    maze = Maze(width=w, height=h, passages=passages, start=(sr, sc))
-    _check_symmetric(maze)
-    return maze
-
-
-def _check_symmetric(maze):
-    for r in range(maze.height):
-        for c in range(maze.width):
-            for d in DIRECTIONS:
-                nr, nc = r + DELTAS[d][0], c + DELTAS[d][1]
-                if maze.is_open(r, c, d):
-                    if not in_bounds(maze, nr, nc):
-                        raise ValueError(f"cell {(r, c)} opens outward {DIR_NAMES[d]}")
-                    if not maze.is_open(nr, nc, OPPOSITE[d]):
-                        raise ValueError(f"asymmetric passage at {(r, c)} {DIR_NAMES[d]}")
-
-
 # ------------------------------------------------------------ env interface
 
 
@@ -319,12 +239,9 @@ class MazeEnv:
         self.reward_normalizer = float(budget)
         self.state = None
 
-    def feature_width(self):
-        return 1  # the is-current column
-
     def reset(self, rng):
         self.state = initial_state(self.maze)
-        return empty_observation(self.feature_width(), NUM_EDGE_TYPES)
+        return empty_observation(BELIEF_FEATURE_WIDTH, NUM_EDGE_TYPES)
 
     def observe(self):
         return observe(self.maze, self.state)

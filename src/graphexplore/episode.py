@@ -198,9 +198,14 @@ class HistoryEncoder:
 
     def action_rows(self, records):
         """(R, action_width) g_x(action) rows; record 0's None action maps to
-        the learned null action."""
+        the learned null action. Actions outside [0, action_vocab) raise,
+        since the table's row action_vocab is that null action."""
         null = self.config.action_vocab
-        return self.actions([null if rec.action is None else int(rec.action) for rec in records])
+        ids = [null if rec.action is None else int(rec.action) for rec in records]
+        for rec, i in zip(records, ids):
+            if rec.action is not None and not 0 <= i < null:
+                raise ValueError(f"action {rec.action} outside [0, {null}) (action_vocab {null})")
+        return self.actions(ids)
 
     def conditioning_rows(self, records, programs):
         """(R, d) conditioning parts; programs[i] is record i's static program."""

@@ -104,11 +104,14 @@ class BeliefNodes:
             self.node_order.append(key)
 
 
+BELIEF_FEATURE_WIDTH = 1  # a belief graph's one feature column: is the node current
+
+
 def belief_observation(edges, coverage, current, num_edge_types):
     """Observation of a belief graph with len(coverage) nodes and the agent
     on node `current`. The one feature column marks the current node."""
     n = len(coverage)
-    is_current = np.zeros((n, 1))
+    is_current = np.zeros((n, BELIEF_FEATURE_WIDTH))
     is_current[current, 0] = 1.0
     return GraphObservation(
         node_count=n,
@@ -226,8 +229,6 @@ def union_observation(observations):
     """Disjoint union of observations that share an edge-type count: node rows
     stacked in order, edges offset into them. Returns (union, graph_ids) where
     graph_ids[i] is the index of the observation node i came from."""
-    if len(observations) == 1:  # the rollout case: nothing to stack
-        return observations[0], np.zeros(observations[0].node_count, dtype=np.intp)
     kinds = {obs.num_edge_types for obs in observations}
     if len(kinds) != 1:
         raise ValueError(f"observations mix edge-type counts {sorted(kinds)}")

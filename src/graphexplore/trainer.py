@@ -64,11 +64,13 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("workers", 1), ("episodes_per_worker", 1), ("total_updates", 0),
-                          ("eval_every", 0), ("entropy_coef", 0), ("value_coef", 0), ("clip_norm", 0)):
+                          ("eval_every", 0), ("entropy_coef", 0), ("value_coef", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # A zero clip norm scales every gradient to zero, so nothing would train.
+        for name in ("learning_rate", "clip_norm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -62,7 +62,7 @@ def test_er_app_p_one_complete_graph_coverable_in_n_minus_one():
     def fresh_first(history, env, rng):
         out = env_graph.outgoing(env.state.current)
         for i, (_, dst) in enumerate(out):
-            if dst not in env.state.visited:
+            if dst not in env.state.node_ids:
                 return i
         raise AssertionError("no fresh screen available")
 
@@ -288,11 +288,10 @@ def test_reward_normalizer_is_screen_count():
 def test_observation_tracks_experienced_subgraph():
     g = line_graph()
     env = AppEnv(g, budget=5)
-    assert env.feature_width() == 1  # the is-current column
     rng = np.random.default_rng(0)
     obs0 = env.reset(rng)
     assert obs0.node_count == 0  # setting 1: starts empty
-    assert obs0.node_features.shape == (0, 1)
+    assert obs0.node_features.shape == (0, 1)  # the is-current column
     # before any step the belief graph is just the start screen
     pre = env.observe()
     assert pre.node_count == 1 and pre.edges == [] and pre.coverage.tolist() == [1.0]
@@ -384,4 +383,4 @@ def test_coverage_bounded_by_brute_force_optimum():
         for policy, ep_seed in ((RandomPolicy(), 0), (RandDfsPolicy(), 1)):
             env = AppEnv(g, budget=budget)
             run_episode(env, policy, budget=budget, seed=ep_seed)
-            assert len(env.state.visited) <= oracle.best_coverage
+            assert len(env.state.node_order) <= oracle.best_coverage

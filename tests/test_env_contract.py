@@ -15,7 +15,8 @@ from graphexplore.envs.maze import MazeEnv, generate_maze
 EPISODE_LOOP = ("budget", "reward_normalizer", "reset", "step", "action_mask",
                 "fully_explored", "coverage_fraction")
 WALKER_HOOKS = ("current_node", "outgoing", "reverse_action")
-DELETED = ("source", "_adopt", "valid_action_list", "covered_count", "num_edge_types")
+DELETED = ("source", "_adopt", "valid_action_list", "covered_count", "num_edge_types",
+           "feature_width")
 
 ENVS = {
     "maze": lambda: MazeEnv(generate_maze(3, 3, 0.2, seed=1), budget=9),

@@ -18,7 +18,13 @@ from graphexplore.episode import (
     episode_objective,
     run_episode,
 )
-from graphexplore.graphnet import GraphNet, GraphNetConfig, GraphObservation, empty_observation
+from graphexplore.graphnet import (
+    BELIEF_FEATURE_WIDTH,
+    GraphNet,
+    GraphNetConfig,
+    GraphObservation,
+    empty_observation,
+)
 from graphexplore.tensor import ParamSet, embed_lookup, no_grad
 
 
@@ -247,7 +253,7 @@ def test_node_conditioning_encodes_an_app_episode():
     env = AppEnv(apps[0], budget=15)
     history, _ = run_episode(env, RandomPolicy(), budget=15, seed=seeds[0])
     params = ParamSet(seed=0)
-    net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=1, feature_width=env.feature_width()))
+    net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=1, feature_width=BELIEF_FEATURE_WIDTH))
     config = HistoryEncoderConfig(conditioning="node", recurrent_width=5, action_width=3,
                                   action_vocab=env.num_actions)
     with no_grad():
@@ -388,3 +394,14 @@ def test_history_encoder_rejects_bad_enums():
         HistoryEncoderConfig(conditioning="vibes").validate()
     with pytest.raises(ValueError, match="action_vocab"):
         HistoryEncoderConfig(action_vocab=0).validate()
+
+
+@pytest.mark.parametrize("action", [-1, 4, 5])
+def test_action_rows_reject_actions_outside_the_vocabulary(action):
+    # action_vocab is 4, so row 4 of the table is the null action: action 4
+    # must not read it, -1 must not wrap onto it, and 5 names its cause.
+    _, _, enc = encoder_fixture()
+    records = [StepRecord(None, obs_of([0]), 0.0), StepRecord(action, obs_of([1]), 0.0)]
+    assert enc.action_rows(records[:1]).shape == (1, 3)
+    with pytest.raises(ValueError, match=rf"action {action} outside \[0, 4\)"):
+        enc.action_rows(records)

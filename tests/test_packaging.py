@@ -1,7 +1,7 @@
 """Packaging metadata: every console script declared in pyproject.toml names
 an importable callable, no module under src/ keeps an import it does not use,
-and every top-level function and class under src/ is referenced by the
-program or kept for a stated reason."""
+and every top-level function and class under src/, and every method of those
+classes, is referenced by the program or kept for a stated reason."""
 
 import ast
 import importlib
@@ -58,13 +58,11 @@ def test_module_imports_are_used(path):
 
 PERFBENCH = PYPROJECT.parent / "perfbench"
 
-# Top-level functions and classes under src/ that nothing in src/ or in
-# perfbench's modules references, each kept for the reason given. Anything
+# Top-level functions, classes and methods under src/ that nothing in src/ or
+# in perfbench's modules references, each kept for the reason given. Anything
 # else without a reference is dead code: delete it with its tests.
 _ORACLE = "exact reference solver of the walker and oracle tests (ROADMAP item 7)"
 _TRANSITION_LOG = "the route to real-app graphs; kept until the CLI decides (ROADMAP item 7)"
-_MAZE_FORMAT = "maze file and text formats, round-tripped by the maze tests"
-_WORLD_TEXT = "Karel world text format, round-tripped by the Karel tests"
 _REFERENCE_OP = "reference formula of the fused tape primitives' tests (ROADMAP item 7)"
 KEPT = {
     "oracles.tree_optimal_steps": _ORACLE,
@@ -74,12 +72,7 @@ KEPT = {
     "envs.appgraph.load_transition_log": _TRANSITION_LOG,
     "envs.appgraph.dump_transition_log": _TRANSITION_LOG,
     "envs.appgraph.synthesize_walk_log": _TRANSITION_LOG,
-    "envs.maze.save_maze": _MAZE_FORMAT,
-    "envs.maze.load_maze": _MAZE_FORMAT,
-    "envs.maze.parse_ascii": _MAZE_FORMAT,
     "envs.maze.render_ascii": "maze rendering of the trace CLI (ROADMAP item 5)",
-    "envs.karel.machine.world_to_text": _WORLD_TEXT,
-    "envs.karel.machine.world_from_text": _WORLD_TEXT,
     "envs.karel.machine.world_to_tokens": "input of the Karel agent's grid encoder (ROADMAP item 4)",
     "agents.policy.GridDecoder": "the Karel agent's action head (ROADMAP item 4)",
     "episode.dump_trajectories": "the episode dump of the trace CLI (ROADMAP item 5)",
@@ -105,23 +98,38 @@ def referenced_names(tree, strings=False):
     return names
 
 
+def definitions(module, tree):
+    """(qualified name, node) of the module's top-level functions and classes
+    and of its classes' methods; dunders are exempt, since Python calls them
+    by protocol rather than by name."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
 def unreferenced_definitions():
-    """Top-level functions and classes of src/ that no code references
-    outside their own definitions: not in src/, not in a non-test perfbench
-    module."""
+    """Definitions of src/ (see definitions) that no code references outside
+    their own bodies: not in src/, not in a non-test perfbench module. A
+    method counts as referenced when any code reads an attribute of its
+    name."""
     package = SRC / "graphexplore"
     references = Counter()
-    definitions = []
+    found = []
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text())
         references.update(referenced_names(tree))
         module = ".".join(path.relative_to(package).with_suffix("").parts)
-        definitions.extend((module, node) for node in tree.body
-                           if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        found.extend(definitions(module, tree))
     for path in sorted(PERFBENCH.glob("*.py")):
         if not path.name.startswith("test_"):
             references.update(referenced_names(ast.parse(path.read_text()), strings=True))
-    return sorted(f"{module}.{node.name}" for module, node in definitions
+    return sorted(name for name, node in found
                   if references[node.name] <= referenced_names(node)[node.name])
 
 

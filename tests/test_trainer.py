@@ -89,6 +89,8 @@ def test_config_validation():
     ("eval_every", -1),
     ("learning_rate", -1.0),
     ("learning_rate", 0.0),
+    ("clip_norm", 0.0),
+    ("clip_norm", -1.0),
 ])
 def test_config_rejects_settings_that_cannot_train(field, value):
     with pytest.raises(ValueError, match=field):
