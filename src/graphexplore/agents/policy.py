@@ -55,6 +55,9 @@ def masked_log_probs(logits, mask):
     log_probs)."""
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
+        if mask.shape[-1] != logits.data.shape[-1]:
+            raise ValueError(f"action mask width {mask.shape[-1]} does not match "
+                             f"the head width {logits.data.shape[-1]}")
         if not mask.any(axis=-1).all():
             raise ValueError("all actions are masked")
         logits = logits + Tensor(np.where(mask, 0.0, MASK_OFFSET))
@@ -277,8 +280,7 @@ class PolicyModel:
                 raise ValueError(f"envs {j} and {k} are the same object; "
                                  f"each episode needs its own env")
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        starts = [begin_episode(env, rng, env.budget, seed)
-                  for env, rng, seed in zip(envs, rngs, seeds)]
+        starts = [begin_episode(env, rng, env.budget) for env, rng in zip(envs, rngs)]
         trajs = [traj for traj, _ in starts]
         live = [k for k, (_, over) in enumerate(starts) if not over]
         state = self.encoder.init_state(len(live))

@@ -1,16 +1,14 @@
 """Frozen evaluation protocols for maze and app coverage baselines.
 
-The maze distribution knob (extra-opening probability) was calibrated once so
-the uniform-random walker and the depth-first walker land on their reference
-mean coverages, then frozen here. The depth-first walker is evaluated with
-destination-hidden doors: it must step through a door to learn where it leads,
-and undoes steps that land on its own stack. Episode seeds derive from the
-maze seed and a per-policy stream id, so adding policies never perturbs
-existing ones.
+The maze distribution is frozen in envs.maze (MAZE_SIZE, MAZE_LOOP_PROB). The
+depth-first walker is evaluated with destination-hidden doors: it must step
+through a door to learn where it leads, and undoes steps that land on its own
+stack. Episode seeds derive from the maze seed and a per-policy stream id, so
+adding policies never perturbs existing ones.
 
 App transition graphs hide destinations by construction (an untried action's
 target is unknown until taken), so the same walker needs no flag there. The
-held-out app set was likewise frozen after choosing the dataset seed base that
+held-out app set was frozen after choosing the dataset seed base that
 puts the depth-first walker nearest its reference mean.
 
 The constants below are fixed, not defaults: callers choose only how many
@@ -22,13 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from .agents import RandDfsPolicy, RandomPolicy
-from .envs.appgraph import AppEnv, heldout_er_apps
-from .envs.maze import MazeEnv, generate_maze
+from .envs.appgraph import AppEnv, er_app_for_seed
+from .envs.maze import MAZE_LOOP_PROB, MAZE_SIZE, MazeEnv, generate_maze
 from .episode import run_episode
 
-MAZE_LOOP_PROB = 0.18
 MAZE_BUDGET = 36
-MAZE_SIZE = 6
 # 1000-maze baseline benchmark set; disjoint from the 100-maze held-out set
 # (seeds 7001..7100) used to evaluate trained agents.
 MAZE_EVAL_SEED_BASE = 8001
@@ -75,7 +71,18 @@ APP_ACTION_WIDTH = 10
 
 
 def app_eval_set(count=APP_EVAL_COUNT):
-    return heldout_er_apps(count, start_seed=APP_EVAL_SEED_BASE, min_screens=APP_MIN_SCREENS)
+    """The fixed evaluation apps: walk seeds upward from APP_EVAL_SEED_BASE,
+    keeping apps that actually have APP_MIN_SCREENS+ reachable screens (sparse
+    draws whose start component is smaller are not representative apps).
+    Returns (apps, seeds); the seeds key per-episode randomness."""
+    apps, seeds, seed = [], [], APP_EVAL_SEED_BASE
+    while len(apps) < count:
+        graph = er_app_for_seed(seed)
+        if len(graph.screens) >= APP_MIN_SCREENS:
+            apps.append(graph)
+            seeds.append(seed)
+        seed += 1
+    return apps, seeds
 
 
 def app_coverage(policy_factory, stream):

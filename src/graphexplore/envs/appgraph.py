@@ -4,8 +4,8 @@ an offline simulator rebuilt from interaction logs.
 A TransitionGraph is a deterministic screen/action/target map. Episodes start
 knowing nothing: the observed subgraph holds only visited screens and the
 transitions actually taken, so the destination of an untried action is unknown
-until the agent commits to it. Coverage is visited screens over all screens,
-and the default interaction budget is 15 steps.
+until the agent commits to it. Coverage is visited screens over all screens;
+the evaluation protocol's budget is benchmarks.APP_BUDGET steps.
 
 reverse_action models a tester's back button: immediately after a transition
 the environment can name the action at the new screen that returns to the
@@ -58,15 +58,6 @@ class TransitionGraph:
     def max_out_degree(self):
         return max((len(p) for p in self._outgoing.values()), default=0)
 
-    def __eq__(self, other):
-        if not isinstance(other, TransitionGraph):
-            return NotImplemented
-        return (
-            self.screens == other.screens
-            and self.transitions == other.transitions
-            and self.start == other.start
-        )
-
 
 def _reachable(screens, transitions, start):
     seen = {start}
@@ -80,7 +71,7 @@ def _reachable(screens, transitions, start):
     return seen
 
 
-def generate_er_app(n, p=0.1, seed=0):
+def generate_er_app(n, p, seed):
     """Synthetic app: undirected edges drawn independently with probability p
     over n screens, restricted to the connected component of a uniformly
     chosen start screen. Action k at a screen leads to its k-th smallest
@@ -223,10 +214,8 @@ class AppState(BeliefNodes):
     order."""
 
     current: str
-    experienced: list = field(default_factory=list)  # (src, action, dst), first-take order
-    known: set = field(default_factory=set)  # (src, action) pairs already taken
-    last_arrival: tuple = None  # (prev screen, landing screen) of the latest step
-    steps: int = 0
+    taken: dict = field(default_factory=dict)  # (src, action) -> dst, first-take order
+    previous: str = None  # the screen the latest step left
 
 
 def initial_state(graph):
@@ -246,13 +235,10 @@ def step(graph, state, action_index):
         )
     action, dst = out[action_index]
     newly = 0 if dst in state.node_ids else 1
-    if (state.current, action) not in state.known:
-        state.known.add((state.current, action))
-        state.experienced.append((state.current, action, dst))
+    state.taken[(state.current, action)] = dst
     state.admit(dst)
-    state.last_arrival = (state.current, dst)
+    state.previous = state.current
     state.current = dst
-    state.steps += 1
     return newly
 
 
@@ -263,7 +249,7 @@ def observe(state):
     flow both directions."""
     n = len(state.node_order)
     forward = set()
-    for src, _, dst in state.experienced:
+    for (src, _), dst in state.taken.items():
         forward.add((state.node_ids[src], state.node_ids[dst]))
     edges = [(u, v, 1) for u, v in sorted(forward)]
     edges.extend(
@@ -282,7 +268,7 @@ class AppEnv:
     the graph's max out-degree): action i means the i-th entry of the current
     screen's sorted outgoing list, with the mask covering i >= out-degree."""
 
-    def __init__(self, graph, budget=15, num_actions=None):
+    def __init__(self, graph, budget, num_actions=None):
         if num_actions is None:
             num_actions = graph.max_out_degree()
         if graph.max_out_degree() > num_actions:
@@ -330,18 +316,17 @@ class AppEnv:
     def outgoing(self):
         pairs = []
         for i, (action, dst) in enumerate(self.graph.outgoing(self.state.current)):
-            known = (self.state.current, action) in self.state.known
+            known = (self.state.current, action) in self.state.taken
             pairs.append((i, self.state.node_ids[dst] if known else None))
         return pairs
 
     def reverse_action(self, action_index):
         """Index of the action at the current screen that returns to the
         screen the latest step came from; None when no edge leads back."""
-        if self.state.last_arrival is None:
+        if self.state.previous is None:
             return None
-        prev, _ = self.state.last_arrival
         for i, (_, dst) in enumerate(self.graph.outgoing(self.state.current)):
-            if dst == prev:
+            if dst == self.state.previous:
                 return i
         return None
 
@@ -354,17 +339,3 @@ def er_app_for_seed(seed):
     n = int(rng.integers(15, 21))
     return generate_er_app(n, 0.1, seed=int(rng.integers(2 ** 62)))
 
-
-def heldout_er_apps(count=100, start_seed=16001, min_screens=15):
-    """The fixed evaluation set: walk seeds upward from start_seed, keeping
-    apps that actually have min_screens+ reachable screens (sparse draws whose
-    start component is smaller are not representative apps). Returns (apps,
-    seeds); the seeds key per-episode randomness."""
-    apps, seeds, s = [], [], start_seed
-    while len(apps) < count:
-        g = er_app_for_seed(s)
-        if len(g.screens) >= min_screens:
-            apps.append(g)
-            seeds.append(s)
-        s += 1
-    return apps, seeds

@@ -43,38 +43,3 @@ from .env import (
     heuristic_world_policy,
     random_world_policy,
 )
-
-__all__ = [
-    "ACTIONS",
-    "CONTROL",
-    "TESTS",
-    "TEXT_TOKENS",
-    "TEXT_VOCAB",
-    "Cond",
-    "KarelProgram",
-    "ParseError",
-    "Stmt",
-    "parse",
-    "render_program",
-    "sample_program",
-    "CELL_TOKENS",
-    "HERO_TOKEN_IDS",
-    "CoverageReport",
-    "KarelWorld",
-    "coverage_score",
-    "execute",
-    "tokens_to_world",
-    "world_to_tokens",
-    "FEATURE_WIDTH",
-    "NODE_KINDS",
-    "NUM_EDGE_TYPES",
-    "KarelGraph",
-    "mask_from_report",
-    "program_to_graph",
-    "WorldConfig",
-    "sample_world",
-    "valid_execution_heuristic",
-    "KarelEnv",
-    "heuristic_world_policy",
-    "random_world_policy",
-]

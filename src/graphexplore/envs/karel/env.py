@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...graphnet import GraphObservation
-from .lang import parse, KarelProgram
 from .machine import KarelWorld, execute, tokens_to_world
 from .graph import NUM_EDGE_TYPES, program_to_graph, mask_from_report
 
@@ -25,19 +24,18 @@ class KarelEnv:
     execution are part of the semantics, not step failures; coverage earned
     before the fault still counts. Implements the episode-loop part of the
     env contract (graphexplore.episode); the walker hooks do not apply.
+    program (a KarelProgram) is also the static program that program
+    conditioning reads.
     """
 
-    def __init__(self, source, budget=5, step_cap=1000):
-        program = source if isinstance(source, KarelProgram) else parse(source)
-        self.karel_program = program
+    budget = 5  # proposed input worlds per episode
+
+    def __init__(self, program):
+        self.program = program
         self.graph = program_to_graph(program)
-        self.budget = int(budget)
-        self.step_cap = int(step_cap)
         self.units = program.n_statements + 2 * program.n_branches
         # degenerate unit-free programs keep reward arithmetic finite
         self.reward_normalizer = float(max(self.units, 1))
-        # token form feeds sequence-based program conditioning
-        self.program = {"tokens": program.token_ids, "source": program.source}
         self._mask = np.zeros(self.graph.node_count)
 
     def reset(self, rng=None):
@@ -56,7 +54,7 @@ class KarelEnv:
 
     def step(self, action):
         world = self._to_world(action)
-        report = execute(self.karel_program, world, step_cap=self.step_cap)
+        report = execute(self.program, world)
         self._mask = np.maximum(self._mask, mask_from_report(self.graph, report))
         return self._observe()
 
@@ -86,13 +84,13 @@ def random_world_policy(config):
     return policy
 
 
-def heuristic_world_policy(config, max_tries=20):
+def heuristic_world_policy(config):
     """Baseline: propose worlds screened by the valid-execution heuristic."""
     from .worlds import valid_execution_heuristic
 
     def policy(history, env, rng):
         seed = int(rng.integers(2**62))
-        return valid_execution_heuristic(env.karel_program, config, seed, max_tries)
+        return valid_execution_heuristic(env.program, config, seed)
 
     return policy
 

@@ -55,14 +55,12 @@ class ParseError(ValueError):
 class Cond:
     name: str  # one of TESTS, or "not"
     inner: object = None  # Cond when name == "not"
-    span: tuple = (0, 0)
 
 
 @dataclass(frozen=True)
 class Stmt:
     kind: str  # one of ACTIONS or CONTROL
     stmt_id: int
-    span: tuple = (0, 0)
     cond: object = None  # Cond for if/ifElse/while
     body: tuple = ()  # then-block or loop body
     orelse: tuple = ()  # ifElse only
@@ -177,11 +175,10 @@ class _Parser:
 
     def parse_stmt(self):
         tok = self.advance()
-        span = (tok.line, tok.col)
         stmt_id = self.next_stmt_id
         self.next_stmt_id += 1
         if tok.text in ACTIONS:
-            return Stmt(kind=tok.text, stmt_id=stmt_id, span=span)
+            return Stmt(kind=tok.text, stmt_id=stmt_id)
         if tok.text in ("if", "ifElse", "while"):
             branch_id = self.next_branch_id
             self.next_branch_id += 1
@@ -193,7 +190,6 @@ class _Parser:
             return Stmt(
                 kind=tok.text,
                 stmt_id=stmt_id,
-                span=span,
                 cond=cond,
                 body=body,
                 orelse=orelse,
@@ -211,21 +207,20 @@ class _Parser:
                 raise ParseError(count_tok.line, count_tok.col, "repeat count must be >= 1")
             self.expect(")")
             body = self.parse_block()
-            return Stmt(kind="repeat", stmt_id=stmt_id, span=span, body=body, count=count)
+            return Stmt(kind="repeat", stmt_id=stmt_id, body=body, count=count)
         expected = ", ".join(ACTIONS + CONTROL)
         got = repr(tok.text) if tok.kind != "eof" else "end of input"
         raise ParseError(tok.line, tok.col, f"expected a statement ({expected}), got {got}")
 
     def parse_cond(self):
         tok = self.advance()
-        span = (tok.line, tok.col)
         if tok.text == "not":
             self.expect("(")
             inner = self.parse_cond()
             self.expect(")")
-            return Cond(name="not", inner=inner, span=span)
+            return Cond(name="not", inner=inner)
         if tok.text in TESTS:
-            return Cond(name=tok.text, span=span)
+            return Cond(name=tok.text)
         expected = ", ".join(TESTS + ("not",))
         got = repr(tok.text) if tok.kind != "eof" else "end of input"
         raise ParseError(tok.line, tok.col, f"expected a condition ({expected}), got {got}")
@@ -273,12 +268,17 @@ def render_program(program):
     return "\n".join(lines) + "\n"
 
 
-def sample_program(rng, max_depth=4, max_statements=20):
-    """Random program in the frozen grammar: depth-limited control nesting,
-    a global statement budget, repeat counts 2..5, conditions uniform over the
-    five tests with an occasional not() wrapper. A stand-in distribution for
-    the published corpus, which is not bundled."""
-    budget = [int(rng.integers(2, max_statements + 1))]
+# The frozen program distribution: control nesting depth and statement budget.
+MAX_DEPTH = 4
+MAX_STATEMENTS = 20
+
+
+def sample_program(rng):
+    """Random program in the frozen grammar: control nesting up to MAX_DEPTH,
+    a global budget of 2..MAX_STATEMENTS statements, repeat counts 2..5,
+    conditions uniform over the five tests with an occasional not() wrapper. A
+    stand-in distribution for the published corpus, which is not bundled."""
+    budget = [int(rng.integers(2, MAX_STATEMENTS + 1))]
 
     def cond():
         name = TESTS[int(rng.integers(len(TESTS)))]
@@ -295,7 +295,7 @@ def sample_program(rng, max_depth=4, max_statements=20):
                 break
             budget[0] -= 1
             roll = rng.random()
-            if depth >= max_depth or roll < 0.55:
+            if depth >= MAX_DEPTH or roll < 0.55:
                 stmts.append(Stmt(ACTIONS[int(rng.integers(len(ACTIONS)))], 0))
             elif roll < 0.70:
                 stmts.append(Stmt("if", 0, cond=cond(), body=block(depth + 1)))

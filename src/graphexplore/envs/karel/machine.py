@@ -145,7 +145,6 @@ class CoverageReport:
     """stmt_hit[i] is 1 iff statement with pre-order id i was entered.
     branch_hit[b] is an [taken_true, taken_false] pair for condition site b."""
 
-    program_source: str
     stmt_hit: np.ndarray
     branch_hit: np.ndarray  # (n_branches, 2) int8
     error: str = None  # wall_crash | no_marker | marker_overflow | step_cap | None
@@ -261,7 +260,6 @@ def execute(program, world, step_cap=1000):
     except _Halt as halt:
         error = halt.error
     return CoverageReport(
-        program_source=program.source,
         stmt_hit=stmt_hit,
         branch_hit=branch_hit,
         error=error,

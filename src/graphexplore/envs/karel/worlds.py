@@ -54,15 +54,17 @@ def sample_world(config, seed):
     return KarelWorld(grid, (int(hr), int(hc)), facing)
 
 
-def valid_execution_heuristic(program, config, seed, max_tries=50):
+HEURISTIC_TRIES = 20
+
+
+def valid_execution_heuristic(program, config, seed):
     """Resample worlds until one executes without a runtime fault; if none of
-    max_tries does, return the try with the best single-input coverage."""
-    if max_tries < 1:
-        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
+    HEURISTIC_TRIES does, return the try with the best single-input
+    coverage."""
     rng = np.random.default_rng(seed)
     best = None
     best_score = -1.0
-    for _ in range(max_tries):
+    for _ in range(HEURISTIC_TRIES):
         world = sample_world(config, rng.integers(2**62))
         report = execute(program, world)
         if report.error is None:

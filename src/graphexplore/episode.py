@@ -65,7 +65,7 @@ class EpisodeHistory:
     records: list  # of StepRecord; records[0].action is None
     budget: int
     normalizer: float
-    program: object = None  # static program under test, for program-conditioned envs
+    program: object = None  # the KarelProgram under test, for program-conditioned envs
 
     def __len__(self):
         return len(self.records)
@@ -250,9 +250,7 @@ class HistoryEncoder:
         return segment_aggregate(embed_lookup(feats, picked), owner, R, reduce="mean")
 
     def _tokens(self, program):
-        if program is None:
-            return []
-        return list(program["tokens"]) if isinstance(program, dict) else list(program)
+        return [] if program is None else list(program.token_ids)
 
     def _bow(self, program):
         tokens = self._tokens(program)
@@ -321,7 +319,6 @@ class EpisodeTrajectory:
     entropies: list = field(default_factory=list)  # policy entropy at each decision
     masks: list = field(default_factory=list)  # per-decision action masks (or None)
     terminated_early: bool = False  # full coverage before the budget ran out
-    seed: int | None = None
     # The forward a sample rollout recorded on its tape (PolicyModel.run_episodes
     # inside a Tape): ((log-probability, entropy, value) tensors over every
     # decision of the rollout, the rows of this episode's n decisions in them).
@@ -367,7 +364,7 @@ class EpisodeStepError(RuntimeError):
         self.step = step
 
 
-def begin_episode(env, rng, budget, seed):
+def begin_episode(env, rng, budget):
     """Reset `env` with `rng`; returns (the trajectory holding record 0,
     whether the episode is already over). An env that is fully explored on
     arrival (e.g. a single-cell world whose start is covered by arrival)
@@ -380,7 +377,7 @@ def begin_episode(env, rng, budget, seed):
         normalizer=env.reward_normalizer,
         program=getattr(env, "program", None),
     )
-    traj = EpisodeTrajectory(history=history, seed=seed)
+    traj = EpisodeTrajectory(history=history)
     traj.terminated_early = env.fully_explored()
     return traj, traj.terminated_early or budget < 1
 
@@ -410,7 +407,7 @@ def run_episode(env, policy, budget, seed):
     its episodes in lockstep through PolicyModel.run_episodes, on the same
     begin_episode / advance_episode bookkeeping."""
     rng = np.random.default_rng(seed)
-    traj, done = begin_episode(env, rng, budget, seed)
+    traj, done = begin_episode(env, rng, budget)
     with no_grad():
         while not done:
             done = advance_episode(env, traj, policy(traj.history, env, rng))

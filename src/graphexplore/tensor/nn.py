@@ -58,9 +58,6 @@ class ParamSet:
         """dict name -> Tensor, insertion-ordered."""
         return dict(self._params)
 
-    def tensors(self):
-        return list(self._params.values())
-
     def gradients(self, tape, loss):
         """Backward pass returning name-keyed grads; params the loss never
         touched get zeros."""

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# Adam's moment decay rates and denominator floor.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class GradientError(ValueError):
     """A gradient contained NaN or Inf; names the offending parameter. The
@@ -15,14 +20,12 @@ class GradientError(ValueError):
 
 
 class OptimizerState:
-    """Per-parameter Adam moments plus hyperparameters. Parameter updates are
-    in place (the Tensor objects keep their identity); moments live here."""
+    """Per-parameter Adam moments plus the learning rate. Parameter updates
+    are in place (the Tensor objects keep their identity); moments live
+    here."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step = 0
         self.m = {}
         self.v = {}
@@ -56,9 +59,8 @@ def optimizer_step(params, grads, state):
         if not np.all(np.isfinite(grads[name].data)):
             raise GradientError(name)
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
+    bc1 = 1.0 - BETA1**state.step
+    bc2 = 1.0 - BETA2**state.step
     for name, p in params.items():
         g = grads[name].data
         m = state.m.get(name)
@@ -67,9 +69,9 @@ def optimizer_step(params, grads, state):
             state.m[name] = m
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
     return params, state

@@ -1,10 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from graphexplore.agents import RandomPolicy
-from graphexplore.envs.appgraph import AppEnv, heldout_er_apps
+from graphexplore.benchmarks import app_eval_set
+from graphexplore.envs.appgraph import AppEnv
 from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.episode import (
     CoverageRegressionError,
@@ -249,7 +251,7 @@ def test_node_conditioning_requires_current_node():
 
 def test_node_conditioning_encodes_an_app_episode():
     # App observations name the agent's screen, as maze observations name its cell.
-    apps, seeds = heldout_er_apps(count=1)
+    apps, seeds = app_eval_set(count=1)
     env = AppEnv(apps[0], budget=15)
     history, _ = run_episode(env, RandomPolicy(), budget=15, seed=seeds[0])
     params = ParamSet(seed=0)
@@ -301,9 +303,9 @@ def test_bow_conditioning_static_program_embedding():
     rec1 = StepRecord(action=1, observation=obs_of([1, 0]), reward=0.0)
     rec2 = StepRecord(action=1, observation=obs_of([1, 1]), reward=0.5)
     with no_grad():
-        a = enc.summary(rec1, {"tokens": [1, 2, 3]})
-        b = enc.summary(rec2, {"tokens": [1, 2, 3]})
-        c = enc.summary(rec1, {"tokens": [4, 5]})
+        a = enc.summary(rec1, SimpleNamespace(token_ids=(1, 2, 3)))
+        b = enc.summary(rec2, SimpleNamespace(token_ids=(1, 2, 3)))
+        c = enc.summary(rec1, SimpleNamespace(token_ids=(4, 5)))
     assert np.allclose(a.data[:6], b.data[:6])  # mask change invisible to bow
     assert not np.allclose(a.data[:6], c.data[:6])
 
@@ -344,7 +346,7 @@ def test_summaries_rows_equal_per_record_summaries(conditioning, program):
     _, _, enc = encoder_fixture(temporal="last_step", conditioning=conditioning,
                                 program=program, seed=6, token_vocab=10)
     records = varied_records(seed=6)
-    programs = [{"tokens": [1, 2, 3]}, {"tokens": [4, 5]}]
+    programs = [SimpleNamespace(token_ids=(1, 2, 3)), SimpleNamespace(token_ids=(4, 5))]
     per_record = [programs[i % 2] for i in range(len(records))]
     with no_grad():
         batched = enc.summaries(records, per_record).data

@@ -194,7 +194,7 @@ def test_node_level_propagate_equals_edge_level(graph, seed):
     n, edges = graph
     params = ParamSet(seed=seed)
     net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=3, feature_width=2))
-    for p in params.tensors():  # nonzero biases
+    for p in params.named().values():  # nonzero biases
         p.data += np.random.default_rng(seed).normal(scale=0.3, size=p.data.shape)
     obs = make_obs(n, edges, num_edge_types=MAX_EDGE_TYPES, feature_width=2,
                    coverage=np.arange(n) % 2, seed=seed)

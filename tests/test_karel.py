@@ -45,6 +45,11 @@ def test_parse_inverts_render(seed):
     assert again.source == program.source
 
 
+def test_parse_inverts_render_of_one_line_source():
+    program = parse("def run() { move if (frontIsClear) { turnLeft } }")
+    assert parse(render_program(program)) == program
+
+
 @settings(max_examples=50, deadline=None)
 @given(seeds)
 def test_token_ids_map_the_source_tokens(seed):
@@ -52,7 +57,7 @@ def test_token_ids_map_the_source_tokens(seed):
     reference = [TEXT_TOKENS.index("<int>" if tok.kind == "int" else tok.text)
                  for tok in _tokenize(program.source)[:-1]]
     assert list(program.token_ids) == reference
-    assert KarelEnv(program).program["tokens"] == program.token_ids
+    assert KarelEnv(program).program is program
 
 
 @settings(max_examples=50, deadline=None)

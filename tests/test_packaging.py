@@ -84,40 +84,44 @@ KEPT = {
 
 
 def referenced_names(tree, strings=False):
-    """Counts of the names a tree reads, as bare names or as attributes, and,
-    with strings, of its string constants (perfbench patches by name). Import
-    statements bind names without reading them, so re-exports do not count."""
+    """Counts of the names a tree reads, keyed (name, is_attribute): as bare
+    names (False) or as attributes (True). With strings, its string constants
+    (perfbench patches by name) count as both. Import statements bind names
+    without reading them, so re-exports do not count."""
     names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names[node.id] += 1
+            names[node.id, False] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            names[node.attr, True] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names[node.value] += 1
+            names[node.value, False] += 1
+            names[node.value, True] += 1
     return names
 
 
 def definitions(module, tree):
-    """(qualified name, node) of the module's top-level functions and classes
-    and of its classes' methods; dunders are exempt, since Python calls them
-    by protocol rather than by name."""
+    """(qualified name, node, reads that reference it) of the module's
+    top-level functions and classes, which any read of their name references,
+    and of its classes' methods, which only attribute reads do; dunders are
+    exempt, since Python calls them by protocol rather than by name."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        yield f"{module}.{node.name}", node
+        yield f"{module}.{node.name}", node, ((node.name, False), (node.name, True))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    yield f"{module}.{node.name}.{item.name}", item, ((item.name, True),)
 
 
 def unreferenced_definitions():
     """Definitions of src/ (see definitions) that no code references outside
     their own bodies: not in src/, not in a non-test perfbench module. A
     method counts as referenced when any code reads an attribute of its
-    name."""
+    name; a bare name of the same spelling (a local or a function) does
+    not."""
     package = SRC / "graphexplore"
     references = Counter()
     found = []
@@ -129,8 +133,12 @@ def unreferenced_definitions():
     for path in sorted(PERFBENCH.glob("*.py")):
         if not path.name.startswith("test_"):
             references.update(referenced_names(ast.parse(path.read_text()), strings=True))
-    return sorted(name for name, node in found
-                  if references[node.name] <= referenced_names(node)[node.name])
+    unreferenced = []
+    for name, node, reads in found:
+        own = referenced_names(node)
+        if sum(references[r] for r in reads) <= sum(own[r] for r in reads):
+            unreferenced.append(name)
+    return sorted(unreferenced)
 
 
 def test_every_definition_is_referenced_or_kept_for_a_reason():

@@ -10,6 +10,7 @@ from graphexplore.agents.policy import (
     masked_log_probs,
     sample_index,
 )
+from graphexplore.envs.appgraph import AppEnv, TransitionGraph
 from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.episode import (
     HistoryEncoder,
@@ -317,3 +318,13 @@ def test_run_episodes_rejects_a_shared_env():
         model.run_episodes([envs[0], envs[1], envs[0]], [1, 2, 3])
     with pytest.raises(ValueError, match="2 envs but 1 seeds"):
         model.run_episodes(envs, [1])
+
+
+def test_run_episodes_names_a_mask_narrower_than_the_head():
+    # Without num_actions an AppEnv's mask is as wide as the graph's largest
+    # out-degree (1 here), not the head's 4 actions.
+    graph = TransitionGraph(screens=("a", "b"), transitions={("a", "go"): "b", ("b", "back"): "a"},
+                            start="a")
+    model = make_learned_model(ParamSet(seed=26))
+    with pytest.raises(ValueError, match="action mask width 1 does not match the head width 4"):
+        model.run_episodes([AppEnv(graph, budget=3)], [0])

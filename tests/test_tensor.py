@@ -334,7 +334,7 @@ def test_finite_difference_sweep_covers_every_primitive():
 def test_gru_cell_equals_composed_ops(lead):
     params = ParamSet(seed=2)
     cell = GRUCell(params, "gru", 3, 4)
-    for p in params.tensors():  # nonzero biases too
+    for p in params.named().values():  # nonzero biases too
         p.data += np.random.default_rng(3).normal(scale=0.5, size=p.data.shape)
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=lead + (3,)), requires_grad=True)
@@ -354,8 +354,8 @@ def test_gru_cell_equals_composed_ops(lead):
             out = step(x, h)
             loss = reduce_sum(out * weights)
         assert len(tape) == (1 if step is cell else 17) + 2
-        grads = tape.gradients(loss, params=params.tensors() + [x, h])
-        results.append((out.data, [grads[t].data for t in params.tensors() + [x, h]]))
+        grads = tape.gradients(loss, params=[*params.named().values(), x, h])
+        results.append((out.data, [grads[t].data for t in [*params.named().values(), x, h]]))
     (want, want_grads), (got, got_grads) = results
     assert got.shape == lead + (4,)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -410,7 +410,7 @@ def test_lstm_cell_equals_composed_ops(lead):
     params = ParamSet(seed=2)
     cell = LSTMCell(params, "lstm", 3, 4)
     assert cell.b.data.tolist() == [0.0] * 4 + [1.0] * 4 + [0.0] * 8  # forget bias 1
-    for p in params.tensors():  # nonzero biases too
+    for p in params.named().values():  # nonzero biases too
         p.data += np.random.default_rng(3).normal(scale=0.5, size=p.data.shape)
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=lead + (3,)), requires_grad=True)
@@ -437,9 +437,9 @@ def test_lstm_cell_equals_composed_ops(lead):
         # lstm_cell and the two slices that split its output, against 17 ops;
         # the loss adds 5.
         assert len(tape) == (3 if step is cell else 17) + 5
-        grads = tape.gradients(loss, params=params.tensors() + [x, h, c])
+        grads = tape.gradients(loss, params=[*params.named().values(), x, h, c])
         results.append(([h_new.data, c_new.data],
-                        [grads[t].data for t in params.tensors() + [x, h, c]]))
+                        [grads[t].data for t in [*params.named().values(), x, h, c]]))
     (want, want_grads), (got, got_grads) = results
     for g, w in zip(got + got_grads, want + want_grads):
         assert g.shape == w.shape
