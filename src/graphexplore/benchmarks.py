@@ -49,8 +49,9 @@ def maze_coverage(policy_factory, stream, count=MAZE_EVAL_COUNT, hide_destinatio
     for i in range(count):
         seed = MAZE_EVAL_SEED_BASE + i
         env = maze_eval_env(seed, hide_destinations)
-        run_episode(env, policy_factory(), budget=MAZE_BUDGET, seed=episode_seed(seed, stream))
-        covs.append(env.coverage_fraction())
+        _, traj = run_episode(env, policy_factory(), budget=MAZE_BUDGET,
+                              seed=episode_seed(seed, stream))
+        covs.append(traj.final_coverage)
     return float(np.mean(covs))
 
 
@@ -91,8 +92,9 @@ def app_coverage(policy_factory, stream):
     covs = []
     for seed, graph in zip(seeds, apps):
         env = AppEnv(graph, budget=APP_BUDGET, num_actions=APP_ACTION_WIDTH)
-        run_episode(env, policy_factory(), budget=APP_BUDGET, seed=episode_seed(seed, stream))
-        covs.append(env.coverage_fraction())
+        _, traj = run_episode(env, policy_factory(), budget=APP_BUDGET,
+                              seed=episode_seed(seed, stream))
+        covs.append(traj.final_coverage)
     return float(np.mean(covs))
 
 

@@ -305,9 +305,6 @@ class AppEnv:
             self.graph.out_degree(self.state.current) == 0
         )
 
-    def coverage_fraction(self):
-        return len(self.state.node_order) / len(self.graph.screens)
-
     # Walker hooks.
 
     def current_node(self):

@@ -20,7 +20,6 @@ from .machine import (
     HERO_TOKEN_IDS,
     CoverageReport,
     KarelWorld,
-    coverage_score,
     execute,
     tokens_to_world,
     world_to_tokens,

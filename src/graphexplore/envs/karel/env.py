@@ -71,9 +71,6 @@ class KarelEnv:
     def action_mask(self):
         return None  # structured action space; masking lives in the decoder
 
-    def coverage_fraction(self):
-        return self._mask.sum() / self.reward_normalizer
-
 
 def random_world_policy(config):
     """Baseline: propose an iid world per step, program-blind."""

@@ -151,9 +151,6 @@ class CoverageReport:
     steps: int = 0
     world: KarelWorld = None  # state when execution stopped
 
-    def units(self):
-        return int(self.stmt_hit.shape[0] + 2 * self.branch_hit.shape[0])
-
     def covered(self):
         return int(self.stmt_hit.sum() + self.branch_hit.sum())
 
@@ -267,11 +264,3 @@ def execute(program, world, step_cap=1000):
         world=ex.world,
     )
 
-
-def coverage_score(report):
-    """Fraction of coverage units hit: one unit per statement plus two per
-    condition site. A program with no units scores 1.0."""
-    units = report.units()
-    if units == 0:
-        return 1.0
-    return report.covered() / units

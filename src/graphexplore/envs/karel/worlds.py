@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import FACINGS, MAX_MARKERS, WALL, KarelWorld, execute, coverage_score
+from .machine import FACINGS, MAX_MARKERS, WALL, KarelWorld, execute
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,16 @@ HEURISTIC_TRIES = 20
 
 def valid_execution_heuristic(program, config, seed):
     """Resample worlds until one executes without a runtime fault; if none of
-    HEURISTIC_TRIES does, return the try with the best single-input
-    coverage."""
+    HEURISTIC_TRIES does, return the first try with the most covered units."""
     rng = np.random.default_rng(seed)
     best = None
-    best_score = -1.0
+    best_score = -1
     for _ in range(HEURISTIC_TRIES):
         world = sample_world(config, rng.integers(2**62))
         report = execute(program, world)
         if report.error is None:
             return world
-        score = coverage_score(report)
+        score = report.covered()
         if score > best_score:
             best, best_score = world, score
     return best

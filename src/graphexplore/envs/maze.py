@@ -193,10 +193,6 @@ def observe(maze, state):
     return belief_observation(edges, coverage, state.node_ids[state.position], NUM_EDGE_TYPES)
 
 
-def coverage_fraction(maze, state):
-    return len(state.visited) / maze.cells()
-
-
 # ----------------------------------------------------------------- rendering
 
 
@@ -230,7 +226,8 @@ class MazeEnv:
     """Episode adapter over one fixed Maze, implementing the env contract of
     graphexplore.episode, walker hooks included. Actions are directions N, E,
     S, W (0..3). The initial observation is the empty graph; the start cell's
-    coverage is earned by the first step's reward."""
+    coverage is earned by the first step's reward. Rewards normalize by the
+    cell count."""
 
     num_actions = 4
 
@@ -241,7 +238,7 @@ class MazeEnv:
         # baselines must probe doors to learn where they lead. The benchmark
         # protocol evaluates the depth-first walker this way.
         self.hide_destinations = hide_destinations
-        self.reward_normalizer = float(budget)
+        self.reward_normalizer = float(maze.cells())
         self.state = None
 
     def reset(self, rng):
@@ -262,9 +259,6 @@ class MazeEnv:
 
     def fully_explored(self):
         return len(self.state.visited) == self.maze.cells()
-
-    def coverage_fraction(self):
-        return coverage_fraction(self.maze, self.state)
 
     # Walker hooks.
 

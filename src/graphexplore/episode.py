@@ -11,10 +11,12 @@ keeps the reward sum exactly equal to the coverage objective.
 The env contract. MazeEnv, AppEnv and KarelEnv each wrap one fixed instance;
 training gets a fresh env per episode from TrainConfig.env_sampler. The
 episode loop (run_episode, PolicyModel.run_episodes) reads:
-- budget and reward_normalizer;
+- budget, and reward_normalizer: the instance's unit count (maze cells, app
+  screens, Karel coverage units; at least 1), over which rewards and
+  coverage are counted;
 - reset(rng) and step(action), each returning a GraphObservation;
 - action_mask(): (num_actions,) bool, or None for structured actions (Karel);
-- fully_explored(), coverage_fraction(), and program if the env has one.
+- fully_explored(), and program if the env has one.
 The walkers (agents.baselines) also read three hooks, which maze and app have:
 - current_node(): the stable node id of the agent's position;
 - outgoing(): [(action, destination id or None when unknown)] in ascending
@@ -73,9 +75,6 @@ class EpisodeHistory:
     def last(self):
         return self.records[-1]
 
-    def covered_count(self):
-        return float(np.sum(self.records[-1].observation.coverage))
-
 
 class CoverageRegressionError(ValueError):
     pass
@@ -97,14 +96,11 @@ def compute_reward(prev, nxt, normalizer):
 
 
 def episode_objective(history):
-    """Final covered fraction, Σ_v c_T(v) / normalizer. Telescopes to the sum
-    of per-step rewards because record 0 has zero coverage."""
-    covered = history.covered_count()
-    if covered == 0:
-        # Covers the bare-initial-history case, where a budget of 0 may leave
-        # the fallback normalizer degenerate as well.
-        return 0.0
-    return covered / history.normalizer
+    """The episode's coverage, and the program's one definition of it: the
+    covered units of the latest observation, Σ_v c_T(v), over the env's unit
+    count (its reward_normalizer, at least 1). Telescopes to the sum of
+    per-step rewards because record 0 has zero coverage."""
+    return float(np.sum(history.last().observation.coverage)) / history.normalizer
 
 
 # --------------------------------------------------------- history encoding

@@ -9,7 +9,6 @@ from .core import (
     entropy,
     graph_message,
     gru_cell,
-    log,
     log_softmax,
     lstm_cell,
     matmul,

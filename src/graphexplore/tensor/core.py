@@ -340,17 +340,6 @@ def relu(a):
     return _emit(out, (a,), backward)
 
 
-def log(a):
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _emit(out, (a,), backward)
-
-
 def softmax(a, axis=-1):
     a = as_tensor(a)
     if a.data.shape[axis] == 0:

@@ -200,8 +200,8 @@ def zero_shot_coverage(model, env_set, config):
         raise ValueError("zero_shot_coverage needs at least one environment: env_set is empty")
     seeds = [int(np.random.SeedSequence([config.seed, 900_000 + i]).generate_state(1)[0])
              for i in range(len(env_set))]
-    model.run_episodes(env_set, seeds, mode="greedy")
-    return float(np.mean([env.coverage_fraction() for env in env_set]))
+    trajs = model.run_episodes(env_set, seeds, mode="greedy")
+    return float(np.mean([traj.final_coverage for traj in trajs]))
 
 
 def fine_tune(model, env, config):

@@ -48,8 +48,9 @@ def test_er_app_p_zero_single_screen_trivial_coverage():
     assert len(g.screens) == 1 and g.screens == (g.start,) and not g.transitions
     env = AppEnv(g, budget=15)
     history, traj = run_episode(env, RandomPolicy(), budget=15, seed=0)
-    assert env.coverage_fraction() == 1.0
     assert len(history.records) == 1  # born fully covered, no step taken
+    # No step earns a reward, so the coverage, which equals the reward sum, is 0.
+    assert traj.terminated_early and traj.final_coverage == 0.0
     assert episode_objective(history) == 0.0
 
 
@@ -68,8 +69,8 @@ def test_er_app_p_one_complete_graph_coverable_in_n_minus_one():
 
     env_graph = g
     env = AppEnv(g, budget=15)
-    history, _ = run_episode(env, fresh_first, budget=15, seed=0)
-    assert env.coverage_fraction() == 1.0
+    history, traj = run_episode(env, fresh_first, budget=15, seed=0)
+    assert traj.final_coverage == 1.0
     assert len(history.records) - 1 == n - 1  # one step per remaining screen
 
 
@@ -339,7 +340,7 @@ def test_dead_end_screen_ends_episode():
 
     history, traj = run_episode(env, policy, budget=15, seed=0)
     assert calls == ["a"]  # never consulted at the dead end
-    assert traj.terminated_early and env.coverage_fraction() == 1.0
+    assert traj.terminated_early and traj.final_coverage == 1.0
 
 
 def test_reverse_action_back_button():
@@ -365,8 +366,8 @@ def test_randdfs_covers_small_apps():
     for seed in (0, 1, 2):
         g = generate_er_app(8, 0.4, seed=seed)
         env = AppEnv(g, budget=60)
-        run_episode(env, RandDfsPolicy(), budget=60, seed=seed)
-        assert env.coverage_fraction() == 1.0
+        _, traj = run_episode(env, RandDfsPolicy(), budget=60, seed=seed)
+        assert traj.final_coverage == 1.0
 
 
 def test_coverage_bounded_by_brute_force_optimum():

@@ -62,7 +62,7 @@ def test_randdfs_path_graph_no_waste():
     for n in (2, 5, 9):
         env = MazeEnv(corridor_maze(n), budget=4 * n)
         history, traj = run_episode(env, RandDfsPolicy(), budget=4 * n, seed=0)
-        assert env.coverage_fraction() == 1.0
+        assert traj.final_coverage == 1.0
         assert len(history.records) - 1 == n - 1  # exactly n-1 moves
 
 
@@ -71,8 +71,8 @@ def test_randdfs_tree_within_edge_bound():
         maze = generate_maze(5, 5, 0.0, seed=seed)  # spanning tree
         n = maze.cells()
         env = MazeEnv(maze, budget=2 * (n - 1))
-        run_episode(env, RandDfsPolicy(), budget=2 * (n - 1), seed=seed)
-        assert env.coverage_fraction() == 1.0
+        _, traj = run_episode(env, RandDfsPolicy(), budget=2 * (n - 1), seed=seed)
+        assert traj.final_coverage == 1.0
 
 
 def test_randdfs_tree_revisits_only_backtrack():
@@ -120,8 +120,8 @@ def test_randdfs_hidden_corridor_completes_with_bounces():
     for n, seed in [(4, 0), (7, 1), (10, 2)]:
         maze = corridor_maze(n)
         env = MazeEnv(maze, budget=4 * n, hide_destinations=True)
-        history, _ = run_episode(env, RandDfsPolicy(), budget=4 * n, seed=seed)
-        assert env.coverage_fraction() == 1.0
+        history, traj = run_episode(env, RandDfsPolicy(), budget=4 * n, seed=seed)
+        assert traj.final_coverage == 1.0
         assert len(history.records) - 1 >= n - 1
 
 
@@ -132,8 +132,8 @@ def test_randdfs_hidden_loopy_maze_completes():
     for seed in range(5):
         maze = generate_maze(6, 6, 0.3, seed=seed)
         env = MazeEnv(maze, budget=800, hide_destinations=True)
-        run_episode(env, RandDfsPolicy(), budget=800, seed=seed)
-        assert env.coverage_fraction() == 1.0
+        _, traj = run_episode(env, RandDfsPolicy(), budget=800, seed=seed)
+        assert traj.final_coverage == 1.0
 
 
 def test_randdfs_coverage_monotone_in_budget():
@@ -141,8 +141,8 @@ def test_randdfs_coverage_monotone_in_budget():
     cov = []
     for budget in (5, 10, 20, 40, 70):
         env = MazeEnv(maze, budget=budget)
-        run_episode(env, RandDfsPolicy(), budget=budget, seed=11)
-        cov.append(env.coverage_fraction())
+        _, traj = run_episode(env, RandDfsPolicy(), budget=budget, seed=11)
+        cov.append(traj.final_coverage)
     assert cov == sorted(cov)
 
 

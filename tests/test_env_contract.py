@@ -1,22 +1,25 @@
 """The env contract (graphexplore.episode): every environment has the
 members the episode loop reads, the maze and app envs have the walker hooks,
-and the walkers' one action source, outgoing(), lists exactly the actions
-action_mask() allows."""
+the walkers' one action source, outgoing(), lists exactly the actions
+action_mask() allows, and an episode's coverage is its reward sum: the
+covered units over the env's unit count."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphexplore.agents import RandomPolicy
 from graphexplore.envs.appgraph import AppEnv, generate_er_app
-from graphexplore.envs.karel import KarelEnv, sample_program
+from graphexplore.envs.karel import KarelEnv, WorldConfig, random_world_policy, sample_program
 from graphexplore.envs.maze import MazeEnv, generate_maze
+from graphexplore.episode import run_episode
 
 EPISODE_LOOP = ("budget", "reward_normalizer", "reset", "step", "action_mask",
-                "fully_explored", "coverage_fraction")
+                "fully_explored")
 WALKER_HOOKS = ("current_node", "outgoing", "reverse_action")
 DELETED = ("source", "_adopt", "valid_action_list", "covered_count", "num_edge_types",
-           "feature_width")
+           "feature_width", "coverage_fraction")
 
 ENVS = {
     "maze": lambda: MazeEnv(generate_maze(3, 3, 0.2, seed=1), budget=9),
@@ -60,3 +63,51 @@ def test_outgoing_lists_exactly_the_masked_actions_at_every_step(env, episode_se
         if not actions:
             break
         env.step(actions[int(rng.integers(len(actions)))])
+
+
+def budget_against(draw, units):
+    """A budget below, equal to or above `units`."""
+    side = draw(st.sampled_from(["below", "equal", "above"]))
+    if side == "below":
+        return draw(st.integers(0, units - 1))
+    return units if side == "equal" else draw(st.integers(units + 1, 3 * units))
+
+
+@st.composite
+def episodes(draw):
+    """(env, policy) of a maze, an app or a Karel program."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    kind = draw(st.sampled_from(["maze", "app", "karel"]))
+    if kind == "maze":
+        maze = generate_maze(draw(st.integers(1, 5)), draw(st.integers(1, 5)),
+                             draw(st.floats(0.0, 1.0)), seed)
+        return MazeEnv(maze, budget=budget_against(draw, maze.cells())), RandomPolicy()
+    if kind == "app":
+        graph = generate_er_app(draw(st.integers(1, 12)), draw(st.floats(0.0, 1.0)), seed)
+        return AppEnv(graph, budget=budget_against(draw, len(graph.screens))), RandomPolicy()
+    return (KarelEnv(sample_program(np.random.default_rng(seed))),
+            random_world_policy(WorldConfig(grid_side=draw(st.integers(1, 8)))))
+
+
+def units_of(env):
+    """(covered units, total units) read from the env's own state."""
+    if isinstance(env, MazeEnv):
+        return len(env.state.visited), env.maze.cells()
+    if isinstance(env, AppEnv):
+        return len(env.state.node_order), len(env.graph.screens)
+    return int(env._mask.sum()), env.units
+
+
+@settings(max_examples=80, deadline=None)
+@given(episode=episodes(), episode_seed=st.integers(0, 2**31 - 1))
+def test_coverage_is_the_reward_sum_and_the_covered_share_of_the_units(episode, episode_seed):
+    env, policy = episode
+    history, traj = run_episode(env, policy, budget=env.budget, seed=episode_seed)
+    covered, total = units_of(env)
+    if len(history.records) == 1:
+        # The start is earned by the first step's reward; with no step, the
+        # episode covered nothing.
+        covered = 0
+    assert env.reward_normalizer == max(total, 1)
+    assert sum(traj.rewards()) == pytest.approx(traj.final_coverage, abs=1e-12)
+    assert traj.final_coverage == covered / max(total, 1) <= 1.0

@@ -119,12 +119,12 @@ def test_run_episode_budget_zero():
 
 def test_run_episode_single_node_env():
     # The lone cell is covered by arrival, so the episode ends at t=0 without
-    # ever consulting the policy (there is no valid action to take).
+    # ever consulting the policy (there is no valid action to take), and with
+    # nothing discovered its coverage, like its reward sum, is 0.
     env = MazeEnv(generate_maze(1, 1, 0.0, seed=0), budget=5)
     history, traj = run_episode(env, RandomPolicy(), budget=5, seed=0)
     assert len(history.records) == 1
-    assert env.coverage_fraction() == 1.0
-    assert traj.terminated_early
+    assert traj.terminated_early and traj.final_coverage == 0.0
 
 
 def test_run_episode_seed_determinism():

@@ -88,7 +88,16 @@ def test_execute_stays_within_its_step_cap(program_seed, config, world_seed, ste
 
 @settings(max_examples=30, deadline=None)
 @given(seeds, configs, seeds)
-def test_coverage_fraction_is_the_episode_coverage(program_seed, config, episode_seed):
-    env = KarelEnv(program_for(program_seed))
-    _, traj = run_episode(env, random_world_policy(config), budget=env.budget, seed=episode_seed)
-    assert env.coverage_fraction() == traj.final_coverage
+def test_final_coverage_is_the_joint_coverage_of_the_proposed_worlds(program_seed, config,
+                                                                    episode_seed):
+    program = program_for(program_seed)
+    env = KarelEnv(program)
+    history, traj = run_episode(env, random_world_policy(config), budget=env.budget,
+                                seed=episode_seed)
+    stmt_hit = np.zeros(program.n_statements, dtype=bool)
+    branch_hit = np.zeros((program.n_branches, 2), dtype=bool)
+    for report in (execute(program, rec.action) for rec in history.records[1:]):
+        stmt_hit |= report.stmt_hit.astype(bool)
+        branch_hit |= report.branch_hit.astype(bool)
+    units = program.n_statements + 2 * program.n_branches
+    assert traj.final_coverage == (stmt_hit.sum() + branch_hit.sum()) / max(units, 1)

@@ -83,59 +83,81 @@ KEPT = {
 }
 
 
-def referenced_names(tree, strings=False):
-    """Counts of the names a tree reads, keyed (name, is_attribute): as bare
-    names (False) or as attributes (True). With strings, its string constants
-    (perfbench patches by name) count as both. Import statements bind names
-    without reading them, so re-exports do not count."""
+def program_imports(tree):
+    """Names the tree's imports bind to modules or objects of the program:
+    relative imports (src/) and imports from graphexplore (perfbench)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "graphexplore"):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname or "graphexplore" for alias in node.names
+                         if alias.name.split(".")[0] == "graphexplore")
+    return names
+
+
+def referenced_names(tree, imports, strings=False):
+    """Counts of the names a tree reads, keyed (name, kind). kind is "name"
+    for a bare name, "attribute" for any attribute read, and "program" too
+    for an attribute read of a name in `imports` (see program_imports), such
+    as `core.log`, but not `np.log`. With strings, its string constants
+    (perfbench patches by name) count as all three. Import statements bind
+    names without reading them, so re-exports do not count."""
     names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names[node.id, False] += 1
+            names[node.id, "name"] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr, True] += 1
+            names[node.attr, "attribute"] += 1
+            if isinstance(node.value, ast.Name) and node.value.id in imports:
+                names[node.attr, "program"] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names[node.value, False] += 1
-            names[node.value, True] += 1
+            for kind in ("name", "attribute", "program"):
+                names[node.value, kind] += 1
     return names
 
 
 def definitions(module, tree):
     """(qualified name, node, reads that reference it) of the module's
-    top-level functions and classes, which any read of their name references,
-    and of its classes' methods, which only attribute reads do; dunders are
-    exempt, since Python calls them by protocol rather than by name."""
+    top-level functions and classes, which bare names and attribute reads of
+    program imports reference, and of its classes' methods, which any
+    attribute read does; dunders are exempt, since Python calls them by
+    protocol rather than by name."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        yield f"{module}.{node.name}", node, ((node.name, False), (node.name, True))
+        yield f"{module}.{node.name}", node, ((node.name, "name"), (node.name, "program"))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{module}.{node.name}.{item.name}", item, ((item.name, True),)
+                    yield f"{module}.{node.name}.{item.name}", item, ((item.name, "attribute"),)
 
 
 def unreferenced_definitions():
     """Definitions of src/ (see definitions) that no code references outside
     their own bodies: not in src/, not in a non-test perfbench module. A
-    method counts as referenced when any code reads an attribute of its
-    name; a bare name of the same spelling (a local or a function) does
-    not."""
+    top-level definition counts as referenced by a bare name or by an
+    attribute read of a program import (`core.log`, not `np.log`). A method
+    counts as referenced when any code reads an attribute of its name; a
+    bare name of the same spelling (a local or a function) does not."""
     package = SRC / "graphexplore"
     references = Counter()
     found = []
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text())
-        references.update(referenced_names(tree))
+        imports = program_imports(tree)
+        references.update(referenced_names(tree, imports))
         module = ".".join(path.relative_to(package).with_suffix("").parts)
-        found.extend(definitions(module, tree))
+        found.extend((name, node, reads, imports) for name, node, reads in definitions(module, tree))
     for path in sorted(PERFBENCH.glob("*.py")):
         if not path.name.startswith("test_"):
-            references.update(referenced_names(ast.parse(path.read_text()), strings=True))
+            tree = ast.parse(path.read_text())
+            references.update(referenced_names(tree, program_imports(tree), strings=True))
     unreferenced = []
-    for name, node, reads in found:
-        own = referenced_names(node)
+    for name, node, reads, imports in found:
+        own = referenced_names(node, imports)
         if sum(references[r] for r in reads) <= sum(own[r] for r in reads):
             unreferenced.append(name)
     return sorted(unreferenced)

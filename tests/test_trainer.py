@@ -140,10 +140,10 @@ def recorded_batch(model, envs, seeds=None):
 
 
 def test_hand_example_returns_and_advantages():
-    # Walk a 3-cell corridor east twice (T-normalized rewards, T=2): rewards
-    # (1.0, 0.5), returns (1.5, 0.5); with a zero value head the squared-error
-    # sum is 1.5^2 + 0.5^2. A logit bias of 50 on east makes the sampled
-    # policy walk east with probability 1 - 1e-20.
+    # Walk a 3-cell corridor east twice (rewards normalized by the 3 cells):
+    # rewards (2/3, 1/3), returns (1, 1/3); with a zero value head the
+    # squared-error sum is 1^2 + (1/3)^2. A logit bias of 50 on east makes the
+    # sampled policy walk east with probability 1 - 1e-20.
     model = tiny_model(zero_value=True)
     model.params["pi/logits/b"].data[1] = 50.0
     cfg = small_config(workers=1)
@@ -153,11 +153,11 @@ def test_hand_example_returns_and_advantages():
     batch = recorded_batch(model, [env])
     [traj] = batch.episodes
     assert [rec.action for rec in traj.history.records[1:]] == [1, 1]  # east
-    assert traj.rewards() == [pytest.approx(1.0), pytest.approx(0.5)]
+    assert traj.rewards() == [pytest.approx(2 / 3), pytest.approx(1 / 3)]
     returns = episode_returns(traj)
-    assert returns == [pytest.approx(1.5), pytest.approx(0.5)]
+    assert returns == [pytest.approx(1.0), pytest.approx(1 / 3)]
     _, parts = batch_loss(batch, cfg)
-    assert parts["value_loss"] == pytest.approx(1.5**2 + 0.5**2)
+    assert parts["value_loss"] == pytest.approx(1.0**2 + (1 / 3)**2)
 
 
 def test_zero_advantage_kills_policy_term():
@@ -390,8 +390,8 @@ def test_greedy_zero_shot_equals_mean_of_single_env_runs():
     for i in range(len(envs)):
         env = lockstep_envs("maze")[2 + i]
         seed = int(np.random.SeedSequence([cfg.seed, 900_000 + i]).generate_state(1)[0])
-        model.run_episodes([env], [seed], mode="greedy")
-        singles.append(env.coverage_fraction())
+        [traj] = model.run_episodes([env], [seed], mode="greedy")
+        singles.append(traj.final_coverage)
     assert cov == float(np.mean(singles))
 
 
@@ -522,13 +522,16 @@ def app_sampler(rng):
 # message passing and the GRU composed of 17 tape ops that the node-level
 # messages and the fused gru_cell replaced. logprobs and values are flattened
 # over the update's episodes; stats are the UpdateStats fields mean_return,
-# policy_loss, value_loss, entropy and grad_norm.
+# policy_loss, value_loss, entropy and grad_norm. The maze rewards, stats and
+# second-update logprobs and values were recorded again, with the node-level
+# code, when maze rewards moved from the budget (8) to the cell count (16) as
+# normalizer; every action and the first update's logprobs and values held.
 PARENT_RUNS = {
     "maze": [
         {
             "actions": [[1, 3, 1, 2, 1, 1, 3, 3], [2, 0, 2, 0, 2, 3, 1, 0]],
-            "rewards": [[0.25, 0.0, 0.0, 0.125, 0.125, 0.125, 0.0, 0.0], [0.25, 0.0, 0.0, 0.0, 0.0,
-                        0.125, 0.0, 0.0]],
+            "rewards": [[0.125, 0.0, 0.0, 0.0625, 0.0625, 0.0625, 0.0, 0.0],
+                        [0.125, 0.0, 0.0, 0.0, 0.0, 0.0625, 0.0, 0.0]],
             "logprobs": [0.0, -0.72600917683647, 0.0, -0.645753342417084, -1.4029769464234265,
                          -0.6139443854968071, -1.2619309183865406, -0.8045884180338487, 0.0,
                          -0.6631459703833688, 0.0, -0.6347925441546906, 0.0, -0.7686418679745084,
@@ -539,26 +542,26 @@ PARENT_RUNS = {
                        0.0022649523359398235, -0.012967625469801517, -0.0021949406617591156,
                        -0.01055844395728383, -0.0029936360042435196, -0.001423878960522285,
                        -0.00013189868501814646],
-            "stats": [0.5, 0.6779498936705616, 0.5845495515442475, 0.5688881391056967,
-                      2.106143891201106],
+            "stats": [0.25, 0.37789469933878383, 0.15628622800054387, 0.5688881391056967,
+                      1.1360615906699232],
         },
         {
             "actions": [[1, 0, 2, 0, 2, 3, 1, 0], [3, 3, 2, 0, 2, 2, 1, 3]],
-            "rewards": [[0.25, 0.125, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.25, 0.125, 0.125, 0.0, 0.0,
-                        0.125, 0.125, 0.0]],
-            "logprobs": [0.0, -0.6675766676494409, -0.6947133329130714, -0.6407882771237519,
-                         -0.712050270389467, -0.7573568567093985, 0.0, -0.6408280446260354, 0.0,
-                         -0.6996573373504082, -0.6662926802305228, -0.676460917958022,
-                         -0.7067711941353474, -0.730861409328322, -0.6912989610267242,
-                         -1.5765266095508397],
-            "values": [-0.014679030652867913, 0.007617201418500835, 0.0077549894292066966,
-                       0.0042744005368449585, 0.0010252167019117618, 0.0011029603769731426,
-                       -0.02011736864005182, -0.008370580815910371, -0.014679030652867913,
-                       0.006599054416891741, -0.005384585279121305, -0.0308396108466181,
-                       -0.03274776047136106, -0.04934299633666567, -0.07791638326730806,
-                       -0.0855731618373637],
-            "stats": [0.5625, 0.7782354227249968, 0.7179880521614652, 0.605707934506961,
-                      2.418931747135651],
+            "rewards": [[0.125, 0.0625, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                        [0.125, 0.0625, 0.0625, 0.0, 0.0, 0.0625, 0.0625, 0.0]],
+            "logprobs": [0.0, -0.6680160758539057, -0.6946461689317653, -0.641444393556782,
+                         -0.7120052743647233, -0.7564952764219373, 0.0, -0.6418135694120564, 0.0,
+                         -0.6993069940432848, -0.6662793493423833, -0.6766267879301262,
+                         -0.7067576529141443, -0.7307042536105487, -0.6911295134404898,
+                         -1.5744204395817873],
+            "values": [-0.014753759580552457, 0.007533582648479837, 0.007697795536431569,
+                       0.0040312273261798445, 0.0008920963149897539, 0.0008509443039099519,
+                       -0.0201817260389828, -0.008550475797294966, -0.014753759580552457,
+                       0.006546203107620433, -0.0053986614613987785, -0.03064584343478064,
+                       -0.03270747819255291, -0.04929196836458776, -0.07787666242740578,
+                       -0.08541100034256806],
+            "stats": [0.28125, 0.4536949551870246, 0.1996742907718847, 0.6057252123704664,
+                      1.3604592463946246],
         },
     ],
     "app": [
@@ -653,9 +656,6 @@ class BanditEnv:
 
     def action_mask(self):
         return np.array([True, True])
-
-    def coverage_fraction(self):
-        return 1.0 if self.done else 0.0
 
 
 def test_bandit_learns_rewarding_arm_and_entropy_trends_down():
