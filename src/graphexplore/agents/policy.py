@@ -60,7 +60,7 @@ def masked_log_probs(logits, mask):
                              f"the head width {logits.data.shape[-1]}")
         if not mask.any(axis=-1).all():
             raise ValueError("all actions are masked")
-        logits = logits + Tensor(np.where(mask, 0.0, MASK_OFFSET))
+        logits = logits + np.where(mask, 0.0, MASK_OFFSET)  # in the logits' dtype
     log_probs = log_softmax(logits)
     return log_probs, Tensor(np.exp(log_probs.data))
 

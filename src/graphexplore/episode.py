@@ -167,6 +167,7 @@ class HistoryEncoder:
         self.actions = Embedding(
             params, f"{name}/actions", config.action_vocab + 1, config.action_width
         )
+        self.dtype = params.dtype  # of the constant rows built beside the learned ones
         if config.program_conditioning in ("bow", "bilstm"):
             if config.token_vocab <= 0:
                 raise ValueError("bow/bilstm conditioning needs token_vocab > 0")
@@ -208,7 +209,7 @@ class HistoryEncoder:
         mode = self.config.program_conditioning
         R = len(records)
         if mode in ("uncond", "envcond"):
-            return Tensor(np.zeros((R, self.d)))
+            return Tensor(np.zeros((R, self.d), dtype=self.dtype))
         if mode in ("bow", "bilstm"):
             # One program vector per distinct program, broadcast to its records.
             encode = self._bow if mode == "bow" else self._bilstm
@@ -227,7 +228,7 @@ class HistoryEncoder:
         # nothing covered) gets zeros.
         full = [i for i, obs in enumerate(observations) if not obs.is_empty()]
         if not full:
-            return Tensor(np.zeros((R, self.d)))
+            return Tensor(np.zeros((R, self.d), dtype=self.dtype))
         union, _ = union_observation([observations[i] for i in full])
         feats = self.net.project_features(union)
         picked, owner = [], []
@@ -251,13 +252,13 @@ class HistoryEncoder:
     def _bow(self, program):
         tokens = self._tokens(program)
         if not tokens:
-            return Tensor(np.zeros(self.d))
+            return Tensor(np.zeros(self.d, dtype=self.dtype))
         return reduce_mean(self.token_embed(np.asarray(tokens, dtype=np.intp)), axis=0)
 
     def _bilstm(self, program):
         tokens = self._tokens(program)
         if not tokens:
-            return Tensor(np.zeros(self.d))
+            return Tensor(np.zeros(self.d, dtype=self.dtype))
         embs = self.token_embed(np.asarray(tokens, dtype=np.intp))
         rows = [_row(slice_(embs, i, i + 1, axis=0)) for i in range(len(tokens))]
         hf, cf = self.fwd.zero_state()
@@ -274,7 +275,7 @@ class HistoryEncoder:
         of record i's episode (None outside program environments)."""
         parts = [self.conditioning_rows(records, programs), self.action_rows(records)]
         if self.config.program_conditioning == "envcond":
-            parts.append(Tensor(np.asarray([[rec.reward] for rec in records], dtype=np.float64)))
+            parts.append(Tensor(np.asarray([[rec.reward] for rec in records], dtype=self.dtype)))
         return concat(parts, axis=1)
 
     def summary(self, record, program=None):
@@ -290,7 +291,8 @@ class HistoryEncoder:
         state = self.cell.zero_state()
         if rows is None:
             return state
-        return tuple(Tensor(np.zeros((rows,) + part.data.shape)) for part in state)
+        return tuple(Tensor(np.zeros((rows,) + part.data.shape, dtype=part.data.dtype))
+                     for part in state)
 
     def fold(self, state, summ):
         """Consume one summary; returns (F, new state). The state is an

@@ -123,10 +123,11 @@ def belief_observation(edges, coverage, current, num_edge_types):
     )
 
 
-def pad_coverage_bit(obs):
-    """Node features with the coverage bit appended as one extra column."""
-    col = np.asarray(obs.coverage, dtype=np.float64).reshape(-1, 1)
-    return np.concatenate([obs.node_features, col], axis=1)
+def pad_coverage_bit(obs, dtype=np.float64):
+    """Node features with the coverage bit appended as one extra column, in
+    `dtype`. Features and coverage are 0/1 values, exact in any float dtype."""
+    col = np.asarray(obs.coverage).reshape(-1, 1)
+    return np.concatenate([obs.node_features, col], axis=1, dtype=dtype)
 
 
 @dataclass
@@ -165,8 +166,9 @@ class GraphNet:
 
     def project_features(self, obs):
         """Raw features + coverage bit, linearly mapped to width d. These are
-        the pre-message-passing node states (round 0)."""
-        return self.project(Tensor(pad_coverage_bit(obs)))
+        the pre-message-passing node states (round 0), in the parameters'
+        dtype."""
+        return self.project(Tensor(pad_coverage_bit(obs, self.project.W.data.dtype)))
 
     def propagate(self, h0, obs):
         """L message-passing rounds from initial node states h0 (n, d).
@@ -188,7 +190,7 @@ class GraphNet:
                                  f"MAX_EDGE_TYPES {MAX_EDGE_TYPES}): {etype.min()}..{etype.max()}")
         counts = np.bincount(dst * MAX_EDGE_TYPES + etype - 1,
                              minlength=n * MAX_EDGE_TYPES).reshape(n, MAX_EDGE_TYPES)
-        type_counts = counts.astype(np.float64)
+        type_counts = counts.astype(self.message.W.data.dtype)  # small integers: exact
         degree = type_counts.sum(axis=1, keepdims=True)
         h = h0
         for _ in range(self.config.rounds):

@@ -1,8 +1,9 @@
 """Parameter checkpoints as .npz archives.
 
-Each parameter is one float64 array of the archive, stored under its name;
-the meta dict is stored as JSON text under the reserved key META_KEY. A
-checkpoint loads with np.load(path, allow_pickle=False).
+Each parameter is one array of the archive, stored under its name in the
+dtype it has (float32 for a default ParamSet); the meta dict is stored as
+JSON text under the reserved key META_KEY. A checkpoint loads with
+np.load(path, allow_pickle=False).
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ def save_params(path, arrays, meta=None):
     """Write a name -> ndarray map (or ParamSet snapshot) to path. `meta` is an
     optional JSON-serializable dict stored alongside the arrays."""
     with open(path, "wb") as f:  # a file handle, so np.savez appends no .npz suffix
-        np.savez(f, **{name: np.asarray(arr, dtype="<f8") for name, arr in arrays.items()},
+        np.savez(f, **{name: np.asarray(arr) for name, arr in arrays.items()},
                  **{META_KEY: np.array(json.dumps(meta or {}))})
 
 
 def load_params(path):
-    """Read a checkpoint; returns (name -> float64 ndarray map, meta dict).
+    """Read a checkpoint; returns (name -> ndarray map, each array in its
+    stored dtype, meta dict).
     A file that is not a checkpoint raises ValueError naming the path."""
     try:
         archive = np.load(path, allow_pickle=False)

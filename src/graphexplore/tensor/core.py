@@ -1,9 +1,15 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense floating-point tensors with reverse-mode automatic differentiation.
 
 Everything is eager: an op computes its numpy result immediately and, when a
 Tape is active and some input requires grad, records a backward closure on
 that tape. Tapes are plain ordered lists, so reverse iteration is already a
 valid topological order and backward visits each node exactly once.
+
+Every op computes in the floating dtype of its inputs, backward passes
+included, so the parameters choose the dtype: float32 parameters train in
+float32, and float64 ones (finite-difference checks, reference runs) repeat
+the float64 arithmetic bit for bit. A non-tensor operand of a binary op (a
+Python scalar, a constant array) takes the tensor operand's dtype.
 
 Tapes are single-threaded: one module-level stack holds the active tapes.
 """
@@ -27,16 +33,15 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array plus a requires_grad flag. Data is never dtype-cast
-    after construction; all math stays in 64-bit."""
+    """A dense floating-point array plus a requires_grad flag. A float array
+    keeps its dtype; anything else (a scalar, a list, an integer or bool
+    array) becomes float64."""
 
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
-        if isinstance(data, np.ndarray):
-            self.data = data if data.dtype == np.float64 else data.astype(np.float64)
-        else:
-            self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = requires_grad
 
     @property
@@ -73,9 +78,17 @@ class Tensor:
 
 
 def as_tensor(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operands(a, b):
+    """Both operands of a binary op as tensors; a non-tensor one takes the
+    other's dtype, so that `t * 0.5` stays in t's dtype."""
+    if isinstance(a, Tensor):
+        return a, b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(b, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return Tensor(a), Tensor(b)
 
 
 class Tape:
@@ -207,7 +220,7 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         out = a.data + b.data
     except ValueError:
@@ -220,7 +233,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         out = a.data - b.data
     except ValueError:
@@ -238,7 +251,7 @@ def neg(a):
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         out = a.data * b.data
     except ValueError:
@@ -418,7 +431,7 @@ def _scatter_rows(ids, values, shape):
     out = np.bincount(flat, weights=values.reshape(-1), minlength=shape[0] * width)
     if out.size != shape[0] * width:
         raise IndexError(f"row id outside [0, {shape[0]})")
-    return out.reshape(shape)
+    return out.astype(values.dtype, copy=False).reshape(shape)  # bincount sums in float64
 
 
 def segment_aggregate(values, segment_ids, num_segments, reduce="sum"):
@@ -435,7 +448,7 @@ def segment_aggregate(values, segment_ids, num_segments, reduce="sum"):
         raise ValueError(f"segment_aggregate: unknown reduction {reduce!r}")
     out = _scatter_rows(seg, values.data, (num_segments,) + values.data.shape[1:])
     if reduce == "mean":
-        counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
+        counts = np.bincount(seg, minlength=num_segments).astype(values.data.dtype)
         safe = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (values.data.ndim - 1))
         out = out / safe
 
@@ -483,13 +496,14 @@ def segment_softmax(scores, segment_ids, num_segments):
     seg = np.asarray(segment_ids, dtype=np.intp)
     if scores.data.ndim != 1 or seg.shape != scores.data.shape:
         raise ShapeError("segment_softmax", scores.shape, seg.shape)
-    top = np.full(num_segments, -np.inf)
+    dtype = scores.data.dtype
+    top = np.full(num_segments, -np.inf, dtype=dtype)
     np.maximum.at(top, seg, scores.data)
     e = np.exp(scores.data - top[seg])
-    out = e / np.bincount(seg, weights=e, minlength=num_segments)[seg]
+    out = e / np.bincount(seg, weights=e, minlength=num_segments).astype(dtype, copy=False)[seg]
 
     def backward(g):
-        dot = np.bincount(seg, weights=g * out, minlength=num_segments)
+        dot = np.bincount(seg, weights=g * out, minlength=num_segments).astype(dtype, copy=False)
         return (out * (g - dot[seg]),)
 
     return _emit(out, (scores,), backward)
@@ -532,7 +546,10 @@ def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n):
     zr += xw[:, : 2 * H]
     zr += b_zr.data
     np.negative(zr, out=zr)
-    np.exp(zr, out=zr)
+    # Below a = -88 in float32 (-709 in float64) exp(-a) overflows to inf, and
+    # 1 / (1 + inf) is the gate's exact limit 0: nothing to warn about.
+    with np.errstate(over="ignore"):
+        np.exp(zr, out=zr)
     zr += 1.0
     np.divide(1.0, zr, out=zr)
     z, r = zr[:, :H], zr[:, H:]
@@ -547,7 +564,7 @@ def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n):
 
     def backward(g):
         g = g.reshape(hd.shape)
-        dxw = np.empty((hd.shape[0], 3 * H))
+        dxw = np.empty((hd.shape[0], 3 * H), dtype=zr.dtype)
         dzr, dn = dxw[:, : 2 * H], dxw[:, 2 * H :]
         np.subtract(1.0, z, out=dn)
         dn *= g
@@ -602,10 +619,11 @@ def lstm_cell(x, h, c, Wx, Wh, b):
             or h.data.shape[-1] != H):
         raise ShapeError("lstm_cell", x.shape, h.shape)
     a = x.data @ Wx.data + h.data @ Wh.data + b.data
-    i = 1.0 / (1.0 + np.exp(-a[..., :H]))
-    f = 1.0 / (1.0 + np.exp(-a[..., H : 2 * H]))
+    with np.errstate(over="ignore"):  # an inf exp(-a) gives the exact limit 0, as in gru_cell
+        i = 1.0 / (1.0 + np.exp(-a[..., :H]))
+        f = 1.0 / (1.0 + np.exp(-a[..., H : 2 * H]))
+        o = 1.0 / (1.0 + np.exp(-a[..., 3 * H :]))
     g = np.tanh(a[..., 2 * H : 3 * H])
-    o = 1.0 / (1.0 + np.exp(-a[..., 3 * H :]))
     c_new = f * c.data + i * g
     tc = np.tanh(c_new)
     out = np.concatenate([o * tc, c_new], axis=-1)
@@ -615,7 +633,7 @@ def lstm_cell(x, h, c, Wx, Wh, b):
         i2, f2, g2, o2, tc2 = (t.reshape(-1, H) for t in (i, f, g, o, tc))
         dh_new = gout[:, :H]
         dc = gout[:, H:] + dh_new * o2 * (1.0 - tc2 * tc2)
-        da = np.empty((gout.shape[0], 4 * H))
+        da = np.empty((gout.shape[0], 4 * H), dtype=i.dtype)
         da[:, :H] = dc * g2 * i2 * (1.0 - i2)
         da[:, H : 2 * H] = dc * c.data.reshape(-1, H) * f2 * (1.0 - f2)
         da[:, 2 * H : 3 * H] = dc * i2 * (1.0 - g2 * g2)

@@ -11,7 +11,8 @@ def grad_check(fn, params, eps=1e-5):
     """Compare analytic gradients of fn against central finite differences.
 
     fn takes the name-keyed parameter map and returns a scalar Tensor; it must
-    be pure (same params, same value). Returns the max over all coordinates of
+    be pure (same params, same value), and every parameter float64. Returns
+    the max over all coordinates of
     |analytic - numeric| / max(eps, |analytic| + |numeric|).
 
     The floor eps keeps the score relative where the gradient is large and
@@ -22,6 +23,12 @@ def grad_check(fn, params, eps=1e-5):
     """
     if eps == 0:
         raise ValueError("grad_check: eps must be nonzero")
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
+            # Rounding moves a float32 loss by ~1e-7 of its size, which the
+            # 2e-5 wide difference turns into an error of ~5e-3 per unit.
+            raise ValueError(f"grad_check: parameter {name!r} is {p.data.dtype}, not float64; "
+                             f"finite differences need a float64 model")
     with Tape() as tape:
         loss = fn(params)
     if not np.all(np.isfinite(loss.data)):

@@ -16,10 +16,16 @@ class ParamSet:
     Each parameter is initialized from its own RNG stream derived from
     (seed, crc32(name)), so values do not depend on creation order. Names are
     slash-scoped, e.g. "policy/out/W".
+
+    Parameters are created in `dtype`, which every tape op follows: float32
+    trains a model, float64 checks its gradients and reproduces float64 runs
+    bit for bit. Initial values are drawn in float64 and then rounded, so
+    both dtypes start from the same draws.
     """
 
-    def __init__(self, seed=0):
+    def __init__(self, seed=0, dtype=np.float32):
         self.seed = int(seed)
+        self.dtype = np.dtype(dtype)
         self._params = {}
 
     def get_or_init(self, name, shape, init="glorot"):
@@ -44,7 +50,7 @@ class ParamSet:
             data = rng.normal(0.0, 0.1, size=shape)
         else:
             raise ValueError(f"unknown init {init!r}")
-        p = Tensor(data, requires_grad=True)
+        p = Tensor(data.astype(self.dtype, copy=False), requires_grad=True)
         self._params[name] = p
         return p
 
@@ -65,8 +71,9 @@ class ParamSet:
         return {name: by_tensor[p] for name, p in self._params.items()}
 
     def load_values(self, arrays):
-        """Overwrite parameter values from a name -> ndarray map. Unknown or
-        missing names are errors; shapes must match."""
+        """Overwrite parameter values from a name -> ndarray map, each cast to
+        its parameter's dtype. Unknown or missing names are errors; shapes
+        must match."""
         missing = set(self._params) - set(arrays)
         extra = set(arrays) - set(self._params)
         if missing or extra:
@@ -75,7 +82,7 @@ class ParamSet:
             p = self._params[name]
             if p.data.shape != arr.shape:
                 raise ValueError(f"parameter {name!r}: shape {arr.shape} != {p.data.shape}")
-            p.data = np.asarray(arr, dtype=np.float64).copy()
+            p.data = np.array(arr, dtype=p.data.dtype)
 
     def snapshot(self):
         return {name: p.data.copy() for name, p in self._params.items()}
@@ -147,10 +154,8 @@ class LSTMCell:
         return slice_(hc, 0, H, axis=axis), slice_(hc, H, 2 * H, axis=axis)
 
     def zero_state(self):
-        return (
-            Tensor(np.zeros(self.n_hidden)),
-            Tensor(np.zeros(self.n_hidden)),
-        )
+        zeros = np.zeros(self.n_hidden, dtype=self.Wx.data.dtype)
+        return Tensor(zeros), Tensor(zeros.copy())
 
 
 class Embedding:

@@ -35,7 +35,6 @@ from .tensor import (
     GradientError,
     OptimizerState,
     Tape,
-    Tensor,
     clip_global_norm,
     embed_lookup,
     optimizer_step,
@@ -150,9 +149,10 @@ def batch_loss(batch, config):
         logprob, entropy, value = (embed_lookup(t, rows) for t in step_tensors)
         returns = np.concatenate([episode_returns(ep) for ep in episodes])
         advantage = returns - value.data
-        err = value - Tensor(returns)
+        # The constant operands take the tensors' dtype (see tensor.core).
+        err = value - returns
         terms = (
-            logprob * Tensor(-advantage)
+            logprob * -advantage
             + (err * err) * config.value_coef
             + entropy * (-config.entropy_coef)
         )

@@ -159,8 +159,9 @@ def test_trajectory_batch_validation_and_dump(tmp_path):
 # ------------------------------------------------------------ history encoder
 
 
-def encoder_fixture(temporal="autoregressive", conditioning="graph", program="gnn", seed=0, **kw):
-    params = ParamSet(seed=seed)
+def encoder_fixture(temporal="autoregressive", conditioning="graph", program="gnn", seed=0,
+                    dtype=np.float32, **kw):
+    params = ParamSet(seed=seed, dtype=dtype)
     net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=1, feature_width=1))
     config = HistoryEncoderConfig(
         temporal_mode=temporal,
@@ -344,7 +345,7 @@ def varied_records(seed):
 ])
 def test_summaries_rows_equal_per_record_summaries(conditioning, program):
     _, _, enc = encoder_fixture(temporal="last_step", conditioning=conditioning,
-                                program=program, seed=6, token_vocab=10)
+                                program=program, seed=6, token_vocab=10, dtype=np.float64)
     records = varied_records(seed=6)
     programs = [SimpleNamespace(token_ids=(1, 2, 3)), SimpleNamespace(token_ids=(4, 5))]
     per_record = [programs[i % 2] for i in range(len(records))]

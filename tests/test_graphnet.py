@@ -43,8 +43,8 @@ def both_ways(pairs, k=1):
     return out
 
 
-def make_net(seed=0, **kwargs):
-    params = ParamSet(seed=seed)
+def make_net(seed=0, dtype=np.float32, **kwargs):
+    params = ParamSet(seed=seed, dtype=dtype)
     config = GraphNetConfig(**{"d": 8, "rounds": 2, "feature_width": 3, **kwargs})
     return params, GraphNet(params, "enc", config)
 
@@ -192,7 +192,7 @@ def typed_graphs(draw):
 @example(graph=(5, [(0, 1, k) for k in range(1, MAX_EDGE_TYPES + 1)]), seed=3)
 def test_node_level_propagate_equals_edge_level(graph, seed):
     n, edges = graph
-    params = ParamSet(seed=seed)
+    params = ParamSet(seed=seed, dtype=np.float64)
     net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=3, feature_width=2))
     for p in params.named().values():  # nonzero biases
         p.data += np.random.default_rng(seed).normal(scale=0.3, size=p.data.shape)
@@ -263,7 +263,7 @@ def test_empty_graph_uses_learned_constant():
 
 
 def test_encode_batch_rows_equal_single_encodes():
-    params, net = make_net(seed=8)
+    params, net = make_net(seed=8, dtype=np.float64)
     observations = [
         make_obs(4, both_ways([(0, 1), (1, 2), (2, 3)]), coverage=[1, 0, 0, 1], seed=1),
         empty_observation(3, 2),
@@ -300,7 +300,7 @@ def test_encode_deterministic():
 def test_encoder_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
     for trial in range(20):
-        params = ParamSet(seed=trial)
+        params = ParamSet(seed=trial, dtype=np.float64)
         net = GraphNet(params, "enc", GraphNetConfig(d=5, rounds=2, feature_width=2))
         n = 5
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]

@@ -1,5 +1,6 @@
 import inspect
 import re
+import warnings
 import zlib
 
 import numpy as np
@@ -11,6 +12,7 @@ from graphexplore.tensor import (
     GRUCell,
     GradientError,
     LSTMCell,
+    MLP,
     OptimizerState,
     ParamSet,
     ShapeError,
@@ -106,9 +108,7 @@ def test_backward_softmax_sum_is_zero_grad():
 
 
 def test_backward_mlp_finite_difference():
-    params = ParamSet(seed=7)
-    from graphexplore.tensor import MLP
-
+    params = ParamSet(seed=7, dtype=np.float64)
     mlp = MLP(params, "net", [4, 8, 1])
     x = np.random.default_rng(3).normal(size=4)
 
@@ -457,6 +457,34 @@ def test_gru_cell_rejects_mismatched_rows():
         cell(Tensor(np.ones(3)), Tensor(np.ones((1, 2))))
 
 
+def test_float32_gates_saturate_to_their_exact_limits_without_a_warning():
+    # Pre-activations of -100 overflow exp(-a) in float32; the gates must
+    # still come out exactly 0, and +100 exactly 1, with no RuntimeWarning.
+    f32 = np.float32
+    x = Tensor(np.array([[1.0], [-1.0]], dtype=f32), requires_grad=True)
+    h = Tensor(np.full((2, 1), 0.3, dtype=f32), requires_grad=True)
+    c = Tensor(np.full((2, 1), 0.7, dtype=f32), requires_grad=True)
+    # gru_cell: row 0 has z = 1 (h' = h), row 1 has z = 0 and r = 1 (h' = n).
+    gru = [np.array(a, dtype=f32) for a in ([[100.0, -100.0]], [[0.0, 0.0]], [0.0, 0.0],
+                                              [[0.5]], [[0.25]], [0.0])]
+    # lstm_cell gates (i, f, g, o): row 0 has i = 0, f = 1, o = 1; row 1 the opposite.
+    lstm = [np.array(a, dtype=f32) for a in ([[-100.0, 100.0, 0.5, 100.0]], [[0.0] * 4], [0.0] * 4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            h_gru = gru_cell(x, h, *(Tensor(a, requires_grad=True) for a in gru))
+            hc = lstm_cell(x, h, c, *(Tensor(a, requires_grad=True) for a in lstm))
+            loss = reduce_sum(h_gru) + reduce_sum(hc)
+        grads = tape.gradients(loss)
+    assert h_gru.data.dtype == hc.data.dtype == f32
+    assert h_gru.data[0, 0] == h.data[0, 0]
+    assert h_gru.data[1, 0] == np.tanh(h.data[1, 0] * f32(0.25) + f32(-0.5))
+    g = np.tanh(f32(0.5) * x.data[:, 0])  # the cell input's tanh gate per row
+    assert hc.data[0, 1] == c.data[0, 0] and hc.data[0, 0] == np.tanh(c.data[0, 0])
+    assert hc.data[1, 1] == g[1] and hc.data[1, 0] == 0.0
+    assert all(np.all(np.isfinite(grad.data)) for grad in grads.values())
+
+
 @pytest.mark.parametrize("mode", ["sum", "mean"])
 def test_segment_aggregate_gradients_with_empty_segments(mode):
     # Segments 1 and 4 receive no rows.
@@ -626,6 +654,13 @@ def test_grad_check_nonfinite_errors():
         grad_check(lambda p: p["x"] * np.inf, {"x": x}, eps=1e-5)
 
 
+def test_grad_check_names_a_parameter_that_is_not_float64():
+    params = {"x": Tensor(np.ones(3), requires_grad=True),
+              "w": Tensor(np.ones(3, dtype=np.float32), requires_grad=True)}
+    with pytest.raises(ValueError, match="parameter 'w' is float32, not float64"):
+        grad_check(lambda p: reduce_sum(p["x"] * p["w"]), params)
+
+
 # ----------------------------------------------------------------- paramset
 
 
@@ -643,6 +678,14 @@ def test_paramset_shape_conflict_errors():
     ps.get_or_init("w", (2, 2))
     with pytest.raises(ValueError, match="w"):
         ps.get_or_init("w", (3, 3))
+
+
+@pytest.mark.parametrize("init", ["glorot", "zeros", "normal"])
+def test_paramset_creates_float32_by_default_from_the_float64_draws(init):
+    single = ParamSet(seed=4).get_or_init("w", (3, 5), init=init).data
+    double = ParamSet(seed=4, dtype=np.float64).get_or_init("w", (3, 5), init=init).data
+    assert single.dtype == np.float32 and double.dtype == np.float64
+    assert np.array_equal(single, double.astype(np.float32))
 
 
 # ---------------------------------------------------------------- checkpoint
@@ -664,6 +707,27 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(loaded[name], arrays[name])
     with np.load(path, allow_pickle=False) as archive:
         assert np.array_equal(archive["enc/W"], arrays["enc/W"])
+
+
+def test_float32_checkpoint_loads_bit_exactly_and_stays_float32(tmp_path):
+    def model(seed):
+        params = ParamSet(seed=seed)
+        MLP(params, "net", [4, 8, 1])
+        LSTMCell(params, "cell", 3, 2)
+        return params
+
+    saved = model(seed=1)
+    path = tmp_path / "model.ckpt"
+    save_params(path, saved.snapshot())
+    arrays, _ = load_params(path)
+    assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+    fresh = model(seed=2)
+    fresh.load_values(arrays)
+    for name, p in fresh.named().items():
+        assert p.data.dtype == np.float32 and np.array_equal(p.data, saved[name].data), name
+    # A float64 array loads into the parameter's own dtype.
+    fresh.load_values({name: a.astype(np.float64) for name, a in arrays.items()})
+    assert {p.data.dtype for p in fresh.named().values()} == {np.dtype(np.float32)}
 
 
 def test_checkpoint_bad_magic(tmp_path):

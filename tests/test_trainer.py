@@ -22,7 +22,7 @@ from graphexplore.episode import (
     run_episode,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig, GraphObservation
-from graphexplore.tensor import GradientError, OptimizerState, ParamSet, Tape
+from graphexplore.tensor import GradientError, OptimizerState, ParamSet, Tape, core
 from graphexplore.trainer import (
     TrainConfig,
     UpdateStats,
@@ -38,8 +38,8 @@ from graphexplore.trainer import (
 )
 
 
-def tiny_model(seed=0, width=12, n_actions=4, zero_value=False, rounds=1):
-    params = ParamSet(seed=seed)
+def tiny_model(seed=0, width=12, n_actions=4, zero_value=False, rounds=1, dtype=np.float32):
+    params = ParamSet(seed=seed, dtype=dtype)
     gnet = GraphNet(params, "gnn", GraphNetConfig(d=6, rounds=rounds, feature_width=1))
     enc = HistoryEncoder(
         params,
@@ -248,7 +248,7 @@ def mixed_batch(kind, model):
 def test_batch_loss_matches_per_record_reference(kind):
     # The loss built from the rollout's own recorded forward, and its
     # gradients, equal a per-record replay through the public encoder calls.
-    model = tiny_model(seed=11, n_actions=4 if kind == "maze" else 7)
+    model = tiny_model(seed=11, n_actions=4 if kind == "maze" else 7, dtype=np.float64)
     cfg = small_config()
     batch = mixed_batch(kind, model)
     loss, parts = batch_loss(batch, cfg)
@@ -325,7 +325,7 @@ def test_batch_loss_rejects_batches_without_decisions():
 
 @pytest.mark.parametrize("workers, episodes_per_worker", [(1, 1), (3, 2)])
 def test_single_worker_single_episode_matches_direct_run(workers, episodes_per_worker):
-    model = tiny_model()
+    model = tiny_model(dtype=np.float64)
     cfg = small_config(workers=workers, episodes_per_worker=episodes_per_worker)
     batch = collect_rollouts(model, maze_sampler, cfg, round_index=0)
     assert len(batch) == workers * episodes_per_worker
@@ -363,7 +363,7 @@ def assert_close(got, want, tol):
 
 @pytest.mark.parametrize("kind", ["maze", "app"])
 def test_batch_composition_does_not_change_an_episode(kind):
-    model = tiny_model(seed=11, n_actions=4 if kind == "maze" else 7)
+    model = tiny_model(seed=11, n_actions=4 if kind == "maze" else 7, dtype=np.float64)
     seeds = [100 + k for k in range(8)]
     batch = model.run_episodes(lockstep_envs(kind), seeds)
     assert any(ep.terminated_early and len(ep.history.records) > 2 for ep in batch)
@@ -605,8 +605,8 @@ PARENT_RUNS = {
 }
 
 
-def seeded_two_updates(kind):
-    model = tiny_model(seed=3, n_actions=4 if kind == "maze" else 7, rounds=2)
+def seeded_two_updates(kind, dtype=np.float32):
+    model = tiny_model(seed=3, n_actions=4 if kind == "maze" else 7, rounds=2, dtype=dtype)
     config = small_config(env_sampler=maze_sampler if kind == "maze" else app_sampler)
     opt = OptimizerState(lr=config.learning_rate)
     for u in range(2):
@@ -617,13 +617,138 @@ def seeded_two_updates(kind):
 
 @pytest.mark.parametrize("kind", ["maze", "app"])
 def test_seeded_updates_repeat_the_edge_level_run(kind):
-    for (episodes, stats), want in zip(seeded_two_updates(kind), PARENT_RUNS[kind], strict=True):
+    runs = seeded_two_updates(kind, dtype=np.float64)
+    for (episodes, stats), want in zip(runs, PARENT_RUNS[kind], strict=True):
         assert [[r.action for r in ep.history.records[1:]] for ep in episodes] == want["actions"]
         assert [ep.rewards() for ep in episodes] == want["rewards"]
         assert_close([x for ep in episodes for x in ep.logprobs], want["logprobs"], 1e-12)
         assert_close([x for ep in episodes for x in ep.values], want["values"], 1e-12)
         assert_close([stats.mean_return, stats.policy_loss, stats.value_loss, stats.entropy,
                       stats.grad_norm], want["stats"], 1e-12)
+
+
+# The same two updates on the default float32 model. They take the actions
+# and earn the rewards of PARENT_RUNS; logprobs, values and stats are pinned
+# to 1e-6 relative to max(1, |x|), about eight float32 rounding steps at 1.
+FLOAT32_RUNS = {
+    "maze": [
+        {
+            "logprobs": [0.0, -0.72600919008255, 0.0, -0.6457533836364746, -1.4029768705368042,
+                         -0.613944411277771, -1.2619309425354004, -0.8045884370803833, 0.0,
+                         -0.6631459593772888, 0.0, -0.6347925662994385, 0.0, -0.7686418890953064,
+                         -1.1078680753707886, -0.6268829107284546],
+            "values": [-0.0187905952334404, 0.002740617375820875, -0.0001967884600162506,
+                       0.0038543669506907463, -0.002408800646662712, -0.0335657075047493,
+                       -0.0597769096493721, -0.07069936394691467, -0.0187905952334404,
+                       0.00226495205424726, -0.012967633083462715, -0.0021949438378214836,
+                       -0.010558449663221836, -0.0029936465434730053, -0.001423877663910389,
+                       -0.0001318957656621933],
+            "stats": [0.25, 0.3778947180451017, 0.15628623962402344, 0.5688881278038025,
+                      1.1360616098100227],
+        },
+        {
+            "logprobs": [0.0, -0.6680160760879517, -0.6946461796760559, -0.6414443850517273,
+                         -0.7120053172111511, -0.7564952969551086, 0.0, -0.6418135166168213, 0.0,
+                         -0.6993070244789124, -0.6662793159484863, -0.6766267418861389,
+                         -0.7067577242851257, -0.7307043075561523, -0.6911295652389526,
+                         -1.57442045211792],
+            "values": [-0.014753760769963264, 0.007533577270805836, 0.0076977889984846115,
+                       0.0040312171913683414, 0.0008920761756598949, 0.0008509205654263496,
+                       -0.02018178068101406, -0.008550547063350677, -0.014753760769963264,
+                       0.006546194665133953, -0.005398713983595371, -0.030645886436104774,
+                       -0.03270752727985382, -0.04929201304912567, -0.07787671685218811,
+                       -0.08541106432676315],
+            "stats": [0.28125, 0.4536951504977117, 0.1996743381023407, 0.6057251691818237,
+                      1.360459736649955],
+        },
+    ],
+    "app": [
+        {
+            "logprobs": [0.0, -1.3724932670593262, 0.0, -1.403813362121582, -1.1395275592803955,
+                         -1.388814926147461, -0.7068643569946289, -1.3938891887664795,
+                         -1.073027491569519, -0.671654999256134, -1.1185463666915894, 0.0,
+                         -1.0928266048431396, -0.7031822204589844, 0.0, -0.6854634284973145],
+            "values": [-0.005254692398011684, -0.011093394830822945, -0.010709712281823158,
+                       -0.01934405416250229, -0.030841603875160217, -0.02821909263730049,
+                       -0.055617883801460266, -0.04753180220723152, -0.005254692398011684,
+                       -0.011093394830822945, -0.016795530915260315, -0.03377089649438858,
+                       -0.03031543269753456, -0.050989896059036255, -0.07057541608810425,
+                       -0.07975317537784576],
+            "stats": [0.6857142857142857, 1.7329702265493623, 0.9197800755500793,
+                      0.7943533062934875, 4.072216298512987],
+        },
+        {
+            "logprobs": [-0.7132641673088074, -1.1312321424484253, -0.7234585285186768,
+                         -1.154242753982544, -0.7277180552482605, -1.0499943494796753,
+                         -0.7258894443511963, -1.0811161994934082, 0.0, -1.5873360633850098, 0.0,
+                         -1.6416184902191162, -0.7123988270759583, -1.0163434743881226,
+                         -0.7122690081596375, -1.0134676694869995],
+            "values": [-0.0004915001336485147, -0.006225241348147392, -0.045030541718006134,
+                       -0.04292073845863342, -0.07399371266365051, -0.06466701626777649,
+                       -0.09241819381713867, -0.07945941388607025, -0.0004915001336485147,
+                       -0.0012446771143004298, -0.022316517308354378, -0.018827030435204506,
+                       -0.0485486276447773, -0.08461328595876694, -0.09965647011995316,
+                       -0.11779360473155975],
+            "stats": [0.6904761904761905, 1.710494795142262, 0.8631547093391418,
+                      0.8725109100341797, 3.55717504632764],
+        },
+    ],
+}
+
+
+def assert_close_float32(got, want):
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 1e-6 * max(1.0, abs(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("kind", ["maze", "app"])
+def test_seeded_float32_updates_repeat_their_run(kind):
+    runs = list(seeded_two_updates(kind))
+    for (episodes, stats), want, parent in zip(runs, FLOAT32_RUNS[kind], PARENT_RUNS[kind],
+                                               strict=True):
+        assert [[r.action for r in ep.history.records[1:]] for ep in episodes] == parent["actions"]
+        assert [ep.rewards() for ep in episodes] == parent["rewards"]
+        assert_close_float32([x for ep in episodes for x in ep.logprobs], want["logprobs"])
+        assert_close_float32([x for ep in episodes for x in ep.values], want["values"])
+        assert_close_float32([stats.mean_return, stats.policy_loss, stats.value_loss,
+                              stats.entropy, stats.grad_norm], want["stats"])
+    # Before any step, float32 differs from the float64 run by rounding only.
+    (episodes, _), parent = runs[0], PARENT_RUNS[kind][0]
+    assert_close([x for ep in episodes for x in ep.logprobs], parent["logprobs"], 1e-5)
+    assert_close([x for ep in episodes for x in ep.values], parent["values"], 1e-5)
+
+
+@pytest.mark.parametrize("kind", ["maze", "app"])
+def test_a_default_model_never_leaves_float32(kind, monkeypatch):
+    # Every op output, forward and backward, of one seeded update and of a
+    # greedy rollout; then the Adam moments and the stepped parameters.
+    dtypes = set()
+    emit = core._emit
+
+    def checked_emit(out_data, inputs, backward_fn):
+        def checked_backward(g):
+            pieces = backward_fn(g)
+            dtypes.update(("backward", piece.dtype) for piece in pieces if piece is not None)
+            return pieces
+
+        dtypes.add(("forward", out_data.dtype))
+        return emit(out_data, inputs, checked_backward)
+
+    monkeypatch.setattr(core, "_emit", checked_emit)
+    model = tiny_model(seed=3, n_actions=4 if kind == "maze" else 7, rounds=2)
+    config = small_config(env_sampler=maze_sampler if kind == "maze" else app_sampler)
+    opt = OptimizerState(lr=config.learning_rate)
+    batch = collect_rollouts(model, config.env_sampler, config)
+    model, stats = a2c_update(model, batch, config, opt)
+    assert not stats.skipped
+    f32 = np.dtype(np.float32)
+    assert dtypes == {("forward", f32), ("backward", f32)}
+    assert {m.dtype for m in (*opt.m.values(), *opt.v.values())} == {f32}
+    assert {p.data.dtype for p in model.params.named().values()} == {f32}
+    dtypes.clear()
+    model.run_episodes([config.env_sampler(np.random.default_rng(s)) for s in range(3)],
+                       [0, 1, 2], mode="greedy")
+    assert dtypes == {("forward", f32)}
 
 
 class BanditEnv:
