@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphnet import BELIEF_FEATURE_WIDTH, BeliefNodes, belief_observation, empty_observation
-from ..oracles import er_adjacency
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +68,18 @@ def _reachable(screens, transitions, start):
                 seen.add(dst)
                 queue.append(dst)
     return seen
+
+
+def er_adjacency(n, p, rng):
+    """Erdos-Renyi adjacency list (list of neighbor lists): each of the
+    n(n-1)/2 undirected edges is drawn independently with probability p."""
+    adj = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adj[i].append(j)
+                adj[j].append(i)
+    return adj
 
 
 def generate_er_app(n, p, seed):

@@ -1,17 +1,15 @@
-"""Grid-robot program coverage: DSL, interpreter, coverage graphs, world
-distributions, and the constant-graph exploration environment."""
+"""Grid-robot program coverage: the DSL's AST, renderer and program sampler,
+interpreter, coverage graphs, world distributions, and the constant-graph
+exploration environment."""
 
 from .lang import (
     ACTIONS,
-    CONTROL,
     TESTS,
     TEXT_TOKENS,
     TEXT_VOCAB,
     Cond,
     KarelProgram,
-    ParseError,
     Stmt,
-    parse,
     render_program,
     sample_program,
 )

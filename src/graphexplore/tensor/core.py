@@ -323,16 +323,6 @@ def reshape(a, shape):
     return _emit(out.copy(), (a,), backward)
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _emit(out, (a,), backward)
-
-
 def tanh(a):
     a = as_tensor(a)
     out = np.tanh(a.data)
@@ -349,21 +339,6 @@ def relu(a):
 
     def backward(g):
         return (g * (a.data > 0.0),)
-
-    return _emit(out, (a,), backward)
-
-
-def softmax(a, axis=-1):
-    a = as_tensor(a)
-    if a.data.shape[axis] == 0:
-        raise ValueError(f"softmax: empty axis {axis} in shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
 
     return _emit(out, (a,), backward)
 

@@ -1,13 +1,99 @@
-"""Exact reference solvers used to anchor the learned agents and tests:
-tree traversal optimum and brute-force budgeted coverage on small graphs.
+"""Test-only references: the finite-difference gradient check, the composed
+tape ops that the fused primitives are checked against, and exact coverage
+solvers on small graphs.
 
-Graphs here are plain adjacency lists (list of neighbor lists); converting
-from richer observation types is the caller's job.
+Graphs in the solvers are plain adjacency lists (list of neighbor lists);
+converting from richer observation types is the caller's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+from graphexplore.tensor.core import Tape, _emit, as_tensor
+
+# ----------------------------------------------------------------- grad_check
+
+
+def grad_check(fn, params, eps=1e-5):
+    """Compare analytic gradients of fn against central finite differences.
+
+    fn takes the name-keyed parameter map and returns a scalar Tensor; it must
+    be pure (same params, same value), and every parameter float64. Returns
+    the max over all coordinates of
+    |analytic - numeric| / max(eps, |analytic| + |numeric|).
+
+    The floor eps keeps the score relative where the gradient is large and
+    makes it absolute where it is not: a central difference is only good to
+    about eps^2 (truncation) plus rounding / eps, so below eps the ratio of
+    two near-zero numbers (say a saturated gate's 1e-11 gradient) would
+    measure the rounding of the loss, not the gradient.
+    """
+    if eps == 0:
+        raise ValueError("grad_check: eps must be nonzero")
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
+            # Rounding moves a float32 loss by ~1e-7 of its size, which the
+            # 2e-5 wide difference turns into an error of ~5e-3 per unit.
+            raise ValueError(f"grad_check: parameter {name!r} is {p.data.dtype}, not float64; "
+                             f"finite differences need a float64 model")
+    with Tape() as tape:
+        loss = fn(params)
+    if not np.all(np.isfinite(loss.data)):
+        raise ValueError("grad_check: fn returned non-finite value")
+    analytic = tape.gradients(loss, params=params.values())
+    worst = 0.0
+    for name, p in params.items():
+        a = analytic[p].data
+        flat = p.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = float(fn(params).data)
+            flat[i] = orig - eps
+            lo = float(fn(params).data)
+            flat[i] = orig
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise ValueError(f"grad_check: fn returned non-finite value perturbing {name!r}")
+            numeric = (hi - lo) / (2.0 * eps)
+            ana = float(a.reshape(-1)[i])
+            err = abs(ana - numeric) / max(abs(eps), abs(ana) + abs(numeric))
+            if err > worst:
+                worst = err
+    return worst
+
+
+# ------------------------------------------------------------- reference ops
+
+
+def sigmoid(a):
+    a = as_tensor(a)
+    out = 1.0 / (1.0 + np.exp(-a.data))
+
+    def backward(g):
+        return (g * out * (1.0 - out),)
+
+    return _emit(out, (a,), backward)
+
+
+def softmax(a, axis=-1):
+    a = as_tensor(a)
+    if a.data.shape[axis] == 0:
+        raise ValueError(f"softmax: empty axis {axis} in shape {a.shape}")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - dot),)
+
+    return _emit(out, (a,), backward)
+
+
+# ------------------------------------------------------------- exact solvers
 
 MAX_NODES = 14
 MAX_BUDGET = 14  # full coverage of any tree with n <= 8 needs at most 2*7-1 = 13 steps
@@ -127,27 +213,3 @@ def random_tree(n, rng):
         adj[i].append(j)
         adj[j].append(i)
     return adj
-
-
-def er_adjacency(n, p, rng, connected_from=None):
-    """Erdos-Renyi adjacency list. With connected_from set, resamples until
-    that node's component spans the graph."""
-    while True:
-        adj = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    adj[i].append(j)
-                    adj[j].append(i)
-        if connected_from is None:
-            return adj
-        seen = {connected_from}
-        stack = [connected_from]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) == n:
-            return adj

@@ -19,7 +19,8 @@ from graphexplore.envs.appgraph import (
     synthesize_walk_log,
 )
 from graphexplore.episode import EpisodeStepError, episode_objective, run_episode
-from graphexplore.oracles import brute_force_coverage
+
+from reference import brute_force_coverage
 
 
 def write_log(tmp_path, lines, name="app.log"):

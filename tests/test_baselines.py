@@ -5,7 +5,8 @@ from graphexplore.agents import RandDfsPolicy, RandomPolicy, random_act
 from graphexplore.envs.appgraph import AppEnv, generate_er_app
 from graphexplore.envs.maze import Maze, MazeEnv, generate_maze
 from graphexplore.episode import run_episode
-from graphexplore.oracles import tree_optimal_steps
+
+from reference import tree_optimal_steps
 
 
 def test_random_act_single_choice():

@@ -17,11 +17,11 @@ from graphexplore.tensor import (
     Tensor,
     concat,
     embed_lookup,
-    grad_check,
     reduce_sum,
     segment_aggregate,
-    sigmoid,
 )
+
+from reference import grad_check, sigmoid
 
 
 def make_obs(n, edges, num_edge_types=2, feature_width=3, coverage=None, seed=0):

@@ -1,5 +1,7 @@
 """Karel program coverage: properties of the DSL, worlds and the interpreter."""
 
+import hashlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +11,8 @@ from graphexplore.envs.karel import (
     KarelEnv,
     WorldConfig,
     execute,
+    heuristic_world_policy,
     mask_from_report,
-    parse,
     program_to_graph,
     random_world_policy,
     render_program,
@@ -19,7 +21,6 @@ from graphexplore.envs.karel import (
     tokens_to_world,
     world_to_tokens,
 )
-from graphexplore.envs.karel.lang import _tokenize
 from graphexplore.episode import run_episode
 
 seeds = st.integers(0, 2**32 - 1)
@@ -36,28 +37,69 @@ def program_for(seed):
     return sample_program(np.random.default_rng(seed))
 
 
+def preorder(stmts):
+    for stmt in stmts:
+        yield stmt
+        yield from preorder(stmt.body)
+        yield from preorder(stmt.orelse)
+
+
 @settings(max_examples=50, deadline=None)
 @given(seeds)
-def test_parse_inverts_render(seed):
+def test_statement_and_branch_ids_number_the_program_in_preorder(seed):
     program = program_for(seed)
-    again = parse(render_program(program))
-    assert again == program
-    assert again.source == program.source
-
-
-def test_parse_inverts_render_of_one_line_source():
-    program = parse("def run() { move if (frontIsClear) { turnLeft } }")
-    assert parse(render_program(program)) == program
+    stmts = list(preorder(program.body))
+    assert [s.stmt_id for s in stmts] == list(range(program.n_statements))
+    is_site = [s.kind in ("if", "ifElse", "while") for s in stmts]
+    assert [s.branch_id for s, site in zip(stmts, is_site) if site] == list(range(program.n_branches))
+    assert all(s.branch_id == -1 for s, site in zip(stmts, is_site) if not site)
 
 
 @settings(max_examples=50, deadline=None)
 @given(seeds)
 def test_token_ids_map_the_source_tokens(seed):
     program = program_for(seed)
-    reference = [TEXT_TOKENS.index("<int>" if tok.kind == "int" else tok.text)
-                 for tok in _tokenize(program.source)[:-1]]
+    text = render_program(program)
+    for punct in "(){}":
+        text = text.replace(punct, f" {punct} ")
+    reference = [TEXT_TOKENS.index("<int>" if tok.isdigit() else tok) for tok in text.split()]
     assert list(program.token_ids) == reference
     assert KarelEnv(program).program is program
+
+
+def program_digest(count):
+    """SHA-256 over what sample_program draws for seeds 0..count-1: the
+    rendered text, every statement's (stmt_id, branch_id) in pre-order, the
+    counts, the token ids and the generator state the draw leaves behind."""
+    digest = hashlib.sha256()
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        program = sample_program(rng)
+        ids = [(s.stmt_id, s.branch_id) for s in preorder(program.body)]
+        digest.update(repr((render_program(program), ids, program.n_statements,
+                            program.n_branches, program.token_ids,
+                            rng.bit_generator.state)).encode())
+    return digest.hexdigest()
+
+
+def test_sampled_programs_are_pinned():
+    # Every Karel pin and protocol runs on these programs; a new digest changes them all.
+    assert program_digest(200) == "20502c5c16e971fcc7590304425836e544e6605a9bc9f7df9d21e7fc5078eed9"
+
+
+def world_policy_mean(make_policy, count=10):
+    rng = np.random.default_rng(0)
+    covs = []
+    for i in range(count):
+        env = KarelEnv(sample_program(rng))
+        _, traj = run_episode(env, make_policy(WorldConfig()), budget=env.budget, seed=i)
+        covs.append(traj.final_coverage)
+    return float(np.mean(covs))
+
+
+def test_world_policy_means_are_pinned():
+    assert world_policy_mean(random_world_policy) == 0.6807952069716776
+    assert world_policy_mean(heuristic_world_policy) == 0.6370452069716775
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from graphexplore.oracles import (
+from graphexplore.envs.appgraph import er_adjacency
+
+from reference import (
     brute_force_coverage,
-    er_adjacency,
     full_coverage_budget,
     random_tree,
     replay_walk,
@@ -29,6 +30,17 @@ def star_adj(leaves):
 
 def complete_adj(n):
     return [[j for j in range(n) if j != i] for i in range(n)]
+
+
+def reaches_every_node(adj, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(adj)
 
 
 def test_tree_path_from_endpoint():
@@ -78,7 +90,9 @@ def test_brute_force_beats_random_rollouts():
     matched = 0
     for trial in range(50):
         n = int(rng.integers(5, 11))
-        adj = er_adjacency(n, 0.35, rng, connected_from=0)
+        adj = er_adjacency(n, 0.35, rng)
+        while not reaches_every_node(adj, 0):
+            adj = er_adjacency(n, 0.35, rng)
         oracle = brute_force_coverage(adj, 0, 6)
         best_random = 0
         for _ in range(200):

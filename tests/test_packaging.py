@@ -61,14 +61,8 @@ PERFBENCH = PYPROJECT.parent / "perfbench"
 # Top-level functions, classes and methods under src/ that nothing in src/ or
 # in perfbench's modules references, each kept for the reason given. Anything
 # else without a reference is dead code: delete it with its tests.
-_ORACLE = "exact reference solver of the walker and oracle tests (ROADMAP item 7)"
 _TRANSITION_LOG = "the route to real-app graphs; kept until the CLI decides (ROADMAP item 7)"
-_REFERENCE_OP = "reference formula of the fused tape primitives' tests (ROADMAP item 7)"
 KEPT = {
-    "oracles.tree_optimal_steps": _ORACLE,
-    "oracles.full_coverage_budget": _ORACLE,
-    "oracles.replay_walk": _ORACLE,
-    "oracles.random_tree": _ORACLE,
     "envs.appgraph.load_transition_log": _TRANSITION_LOG,
     "envs.appgraph.dump_transition_log": _TRANSITION_LOG,
     "envs.appgraph.synthesize_walk_log": _TRANSITION_LOG,
@@ -77,9 +71,6 @@ KEPT = {
     "agents.policy.GridDecoder": "the Karel agent's action head (ROADMAP item 4)",
     "episode.dump_trajectories": "the episode dump of the trace CLI (ROADMAP item 5)",
     "trainer.evaluate": "the held-out zero-shot and fine-tune protocols (ROADMAP item 1)",
-    "tensor.gradcheck.grad_check": "the finite-difference gate every tape primitive passes",
-    "tensor.core.sigmoid": _REFERENCE_OP,
-    "tensor.core.softmax": _REFERENCE_OP,
 }
 
 
