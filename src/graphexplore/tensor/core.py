@@ -438,27 +438,46 @@ def segment_aggregate(values, segment_ids, num_segments, reduce="sum"):
     return _emit(out, (values,), backward)
 
 
-def graph_message(h, W, b, src, dst, degree, type_counts):
+def _block_products(blocks, x, transpose=False):
+    """Rows of x multiplied block by block: with consecutive square blocks A
+    tiling the rows, rows lo:hi of the result are A @ x[lo:hi] (A.T @ x[lo:hi]
+    when transposed)."""
+    out = np.empty(x.shape, dtype=x.dtype)
+    lo = 0
+    for A in blocks:
+        hi = lo + A.shape[0]
+        np.matmul(A.T if transpose else A, x[lo:hi], out=out[lo:hi])
+        lo = hi
+    return out
+
+
+def graph_message(h, W, b, blocks, degree, type_counts):
     """Summed incoming messages of every node as one tape op. Edge (u, v, k)
     sends [h_v, h_u, onehot(k)] W + b to v; the sum over v's in-edges is
 
         [degree_v h_v, sum_u h_u, type_counts_v] W + degree_v b
 
-    h is (n, d) and W (2d + K, d'); src and dst are the edge endpoints,
-    degree the (n, 1) in-degrees and type_counts the (n, K) per-type
-    in-degree counts. The backward keeps only the (n, 2d + K) input rows."""
+    h is (n, d) and W (2d + K, d'); degree holds the (n, 1) in-degrees and
+    type_counts the (n, K) per-type in-degree counts. blocks are square
+    arrays that tile the n nodes in order, the diagonal blocks of the in-edge
+    count matrix: block[v, u] counts the edges u -> v, in the block's own
+    node numbering. So sum_u h_u is one product per block (A.T in the
+    backward), and no edge may join two blocks. The backward keeps only the
+    (n, 2d + K) input rows."""
     h, W, b = as_tensor(h), as_tensor(W), as_tensor(b)
     hd, Wd = h.data, W.data
     if hd.ndim != 2 or Wd.shape[0] != 2 * hd.shape[1] + type_counts.shape[1]:
         raise ShapeError("graph_message", h.shape, W.shape)
+    if sum(A.shape[0] for A in blocks) != hd.shape[0]:
+        raise ShapeError("graph_message", h.shape, [A.shape for A in blocks])
     d = hd.shape[1]
-    neighbors = _scatter_rows(dst, hd[src], hd.shape)
-    inputs = np.concatenate([degree * hd, neighbors, type_counts], axis=1)
+    inputs = np.concatenate([degree * hd, _block_products(blocks, hd), type_counts], axis=1)
     out = inputs @ Wd + degree * b.data
 
     def backward(g):
         d_in = g @ Wd.T
-        dh = d_in[:, :d] * degree + _scatter_rows(src, d_in[:, d : 2 * d][dst], hd.shape)
+        dh = d_in[:, :d] * degree
+        dh += _block_products(blocks, d_in[:, d : 2 * d], transpose=True)
         return (dh, inputs.T @ g, (g * degree).sum(axis=0))
 
     return _emit(out, (h, W, b), backward)
@@ -496,27 +515,34 @@ def embed_lookup(table, ids):
     return _emit(out, (table,), backward)
 
 
-def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n):
+def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n, Wx=None):
     """One gated-recurrent-unit step as a single tape op:
 
         z, r = sigmoid(x Wx_zr + h Wh_zr + b_zr) split in halves
         n    = tanh(x Wx_n + (r * h) Wh_n + b_n)
         h'   = (1 - z) * n + z * h
 
-    x is (n_in,) or (rows, n_in) and h the matching (H,) or (rows, H). Runs
-    three products (x @ [Wx_zr | Wx_n], h @ Wh_zr, (r * h) @ Wh_n) and keeps
-    only the gates for its hand-written backward, where the composed ops would
-    record 17 nodes and their temporaries. The elementwise steps of both
-    passes run in place on the products' results, in the formula's operand
-    order, so they allocate almost nothing beyond the products."""
+    x is (n_in,) or (rows, n_in) and h the matching (H,) or (rows, H). Wx is
+    [Wx_zr | Wx_n] as one (n_in, 3H) array; a caller that steps the cell
+    several times with the same weights builds it once and passes it, and
+    otherwise it is built here. Runs three products (x @ Wx, h @ Wh_zr,
+    (r * h) @ Wh_n) and keeps only the gates for its hand-written backward,
+    where the composed ops would record 17 nodes and their temporaries. The
+    elementwise steps of both passes run in place on the products' results,
+    in the formula's operand order, so they allocate almost nothing beyond
+    the products."""
     x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n = (
         as_tensor(t) for t in (x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n))
     n_in, H = Wx_n.data.shape
     if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != h.data.shape[:-1]
             or x.data.shape[-1] != n_in or h.data.shape[-1] != H):
         raise ShapeError("gru_cell", x.shape, h.shape)
+    if Wx is None:
+        Wx = np.concatenate([Wx_zr.data, Wx_n.data], axis=1)
+    elif Wx.shape != (n_in, 3 * H):
+        raise ShapeError("gru_cell", Wx.shape, (n_in, 3 * H))
     xd, hd = x.data.reshape(-1, n_in), h.data.reshape(-1, H)
-    xw = xd @ np.concatenate([Wx_zr.data, Wx_n.data], axis=1)
+    xw = xd @ Wx
     zr = hd @ Wh_zr.data
     zr += xw[:, : 2 * H]
     zr += b_zr.data
@@ -559,8 +585,8 @@ def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n):
         dh += dzr @ Wh_zr.data.T
         dWx = xd.T @ dxw
         dx = None
-        if x.requires_grad:  # [Wx_zr | Wx_n] again: cheaper than keeping a copy per call
-            dx = (dxw @ np.concatenate([Wx_zr.data, Wx_n.data], axis=1).T).reshape(x.data.shape)
+        if x.requires_grad:  # the forward's Wx, shared by every call that was passed it
+            dx = (dxw @ Wx.T).reshape(x.data.shape)
         return (
             dx,
             dh.reshape(h.data.shape),

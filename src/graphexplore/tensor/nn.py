@@ -128,8 +128,14 @@ class GRUCell:
         self.Wh_n = params.get_or_init(f"{name}/Wh_n", (n_hidden, n_hidden))
         self.b_n = params.get_or_init(f"{name}/b_n", (n_hidden,), init="zeros")
 
-    def __call__(self, x, h):
-        return gru_cell(x, h, self.Wx_zr, self.Wh_zr, self.b_zr, self.Wx_n, self.Wh_n, self.b_n)
+    def input_weight(self):
+        """[Wx_zr | Wx_n] as one array: the `Wx` of `gru_cell`, for a caller
+        that steps the cell several times before the weights change."""
+        return np.concatenate([self.Wx_zr.data, self.Wx_n.data], axis=1)
+
+    def __call__(self, x, h, Wx=None):
+        return gru_cell(x, h, self.Wx_zr, self.Wh_zr, self.b_zr, self.Wx_n, self.Wh_n, self.b_n,
+                        Wx=Wx)
 
 
 class LSTMCell:

@@ -4,10 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphexplore.graphnet import (
+    BLOCK_NODES,
     MAX_EDGE_TYPES,
     GraphNet,
     GraphNetConfig,
     GraphObservation,
+    block_sizes,
     empty_observation,
     pad_coverage_bit,
 )
@@ -184,31 +186,75 @@ def typed_graphs(draw):
     return n, edges
 
 
+def encode_reference(net, observations):
+    """Reference of encode_batch: each graph propagated edge by edge on its
+    own, then read out on its own."""
+    rows = []
+    for obs in observations:
+        h = edge_level_propagate(net, net.project_features(obs), obs)
+        vector, _ = net.readout(h, np.zeros(obs.node_count, np.intp), 1)
+        rows.append(vector)
+    return concat(rows, axis=0)
+
+
+def chain(n):
+    return n, [(i, i + 1, 1 + i % MAX_EDGE_TYPES) for i in range(n - 1)]
+
+
 @settings(max_examples=100, deadline=None)
-@given(graph=typed_graphs(), seed=st.integers(0, 2**16))
+@given(graphs=st.lists(typed_graphs(), min_size=1, max_size=12), seed=st.integers(0, 2**16))
 # Parallel edges and self-loops; no edges at all; every type (nodes 0, 2-4 get no in-edges).
-@example(graph=(3, [(0, 1, 2), (0, 1, 2), (1, 1, 5), (2, 2, 1), (1, 0, 3)]), seed=1)
-@example(graph=(4, []), seed=2)
-@example(graph=(5, [(0, 1, k) for k in range(1, MAX_EDGE_TYPES + 1)]), seed=3)
-def test_node_level_propagate_equals_edge_level(graph, seed):
-    n, edges = graph
+@example(graphs=[(3, [(0, 1, 2), (0, 1, 2), (1, 1, 5), (2, 2, 1), (1, 0, 3)])], seed=1)
+@example(graphs=[(4, [])], seed=2)
+@example(graphs=[(5, [(0, 1, k) for k in range(1, MAX_EDGE_TYPES + 1)])], seed=3)
+# Above BLOCK_NODES: blocks of 70 + 40 and 30 + 60 nodes; the 40-node graph has no edges.
+@example(graphs=[chain(70), (40, []), chain(30), chain(60)], seed=4)
+# A block of exactly BLOCK_NODES nodes, then a block boundary between two graphs.
+@example(graphs=[chain(BLOCK_NODES - 3), (3, [(0, 2, 1), (2, 0, 2)]), (2, [(1, 0, 1)])], seed=5)
+def test_node_level_propagate_equals_edge_level(graphs, seed):
     params = ParamSet(seed=seed, dtype=np.float64)
     net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=3, feature_width=2))
     for p in params.named().values():  # nonzero biases
         p.data += np.random.default_rng(seed).normal(scale=0.3, size=p.data.shape)
-    obs = make_obs(n, edges, num_edge_types=MAX_EDGE_TYPES, feature_width=2,
-                   coverage=np.arange(n) % 2, seed=seed)
-    weights = Tensor(np.random.default_rng(seed + 1).normal(size=(n, 6)))
+    observations = [make_obs(n, edges, num_edge_types=MAX_EDGE_TYPES, feature_width=2,
+                             coverage=np.arange(n) % 2, seed=seed + i)
+                    for i, (n, edges) in enumerate(graphs)]
+    weights = Tensor(np.random.default_rng(seed + 1).normal(size=(len(graphs), 6)))
     results = []
-    for propagate in (net.propagate, lambda h0, o: edge_level_propagate(net, h0, o)):
+    for encode in (net.encode_batch, lambda obs: encode_reference(net, obs)):
         with Tape() as tape:
-            h = propagate(net.project_features(obs), obs)
-            loss = reduce_sum(sigmoid(h) * weights)
-        results.append((h.data, params.gradients(tape, loss)))
+            vectors = encode(observations)
+            loss = reduce_sum(sigmoid(vectors) * weights)
+        results.append((vectors.data, params.gradients(tape, loss)))
     (got, got_grads), (want, want_grads) = results
     assert np.max(np.abs(got - want)) <= 1e-12
     for name in want_grads:
         assert np.max(np.abs(got_grads[name].data - want_grads[name].data)) <= 1e-9, name
+
+
+def test_block_sizes_group_consecutive_graphs_up_to_the_limit():
+    assert block_sizes([70, 40, 30, 60]) == [110, 90]
+    assert block_sizes([BLOCK_NODES - 3, 3, 2]) == [BLOCK_NODES, 2]
+    assert block_sizes([5, BLOCK_NODES + 1, 5]) == [5, BLOCK_NODES + 1, 5]
+
+
+@pytest.mark.parametrize("node_counts, edge", [
+    ([3, 2], (1, 3, 2)),  # two graphs in one block
+    ([BLOCK_NODES, 2], (BLOCK_NODES + 1, 0, 1)),  # two graphs in two blocks
+])
+def test_edge_joining_two_graphs_of_a_union_errors(node_counts, edge):
+    params, net = make_net()
+    n = sum(node_counts)
+    union = make_obs(n, [(0, 1, 1), (n - 1, n - 2, 1), edge])
+    with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}, {edge[2]}\) joins graphs"):
+        net.propagate(net.project_features(union), union, node_counts)
+
+
+def test_node_counts_must_add_up_to_the_union():
+    params, net = make_net()
+    union = make_obs(5, [(0, 1, 1)])
+    with pytest.raises(ValueError, match="add up"):
+        net.propagate(net.project_features(union), union, [3, 3])
 
 
 def test_readout_identical_embeddings_symmetric():

@@ -238,15 +238,21 @@ def _fd_case(op_name, rng):
         ids = rng.integers(0, 5, size=4)
         return {"x": x}, lambda p: reduce_sum(embed_lookup(p["x"], ids) * w_for((4, 3), rng))
     if op_name == "graph_message":
-        # 5 nodes, 8 typed edges of 2 types; node 4 receives none.
-        src, dst = rng.integers(0, 5, size=8), rng.integers(0, 4, size=8)
+        # 5 nodes in two blocks (0-2 and 3-4), 8 typed edges of 2 types
+        # within them; node 4 receives none.
+        lo = 3 * rng.integers(0, 2, size=8)
+        src = lo + rng.integers(0, np.where(lo, 2, 3))
+        dst = lo + rng.integers(0, np.where(lo, 1, 3))
+        counts = np.zeros((5, 5))
+        np.add.at(counts, (dst, src), 1.0)
+        blocks = [counts[:3, :3], counts[3:, 3:]]
         type_counts = np.zeros((5, 2))
         np.add.at(type_counts, (dst, rng.integers(0, 2, size=8)), 1.0)
         degree = type_counts.sum(axis=1, keepdims=True)
         params = {k: Tensor(rng.normal(size=shape), requires_grad=True)
                   for k, shape in (("h", (5, 3)), ("W", (8, 4)), ("b", (4,)))}
         return params, lambda p: reduce_sum(
-            graph_message(p["h"], p["W"], p["b"], src, dst, degree, type_counts) * w_for((5, 4), rng))
+            graph_message(p["h"], p["W"], p["b"], blocks, degree, type_counts) * w_for((5, 4), rng))
     if op_name == "gru_cell":
         return _gru_case(rng, scale=0.5)
     if op_name == "lstm_cell":
