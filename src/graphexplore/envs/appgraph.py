@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graphnet import BELIEF_FEATURE_WIDTH, BeliefNodes, belief_observation, empty_observation
+from ..graphnet import BELIEF_FEATURE_WIDTH, BeliefNodes, empty_observation
 
 logger = logging.getLogger(__name__)
 
@@ -248,6 +248,7 @@ def step(graph, state, action_index):
     newly = 0 if dst in state.node_ids else 1
     state.taken[(state.current, action)] = dst
     state.admit(dst)
+    state.link(state.current, dst, 1, 2)
     state.previous = state.current
     state.current = dst
     return newly
@@ -258,15 +259,7 @@ def observe(state):
     carries the coverage bit (visited implies covered here); a synthetic
     reverse edge (type 2) backs any one-way experienced transition so messages
     flow both directions."""
-    n = len(state.node_order)
-    forward = set()
-    for (src, _), dst in state.taken.items():
-        forward.add((state.node_ids[src], state.node_ids[dst]))
-    edges = [(u, v, 1) for u, v in sorted(forward)]
-    edges.extend(
-        (v, u, 2) for u, v in sorted(forward) if (v, u) not in forward
-    )
-    return belief_observation(edges, np.ones(n), state.node_ids[state.current], NUM_EDGE_TYPES)
+    return state.observation(np.ones(len(state.node_order)), state.current, NUM_EDGE_TYPES)
 
 
 class AppEnv:

@@ -46,7 +46,7 @@ class KarelEnv:
         return GraphObservation(
             node_count=self.graph.node_count,
             node_features=self.graph.features.copy(),
-            edges=list(self.graph.edges),
+            edges=self.graph.edges,
             coverage=self._mask.copy(),
             num_edge_types=NUM_EDGE_TYPES,
             current_node=None,

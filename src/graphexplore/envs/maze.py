@@ -7,22 +7,16 @@ node identity is discovery order, and edges are typed by compass direction so
 the agent can tell which action leads along which edge.
 
 A Maze is immutable once built: its passage array is read-only and each
-cell's open directions are tabled at construction. The exploration
-state keeps the belief graph's edges as one block per visited cell, so a step
-costs O(1) in bookkeeping however long the episode: a cell's block is built on
-its first visit, when the blocks of its visited neighbours are rebuilt too
-(their reverse edges into it go), and a step onto a visited cell changes no
-block.
+cell's open directions are tabled at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphnet import BELIEF_FEATURE_WIDTH, BeliefNodes, belief_observation, empty_observation
+from ..graphnet import BELIEF_FEATURE_WIDTH, BeliefNodes, empty_observation
 
 N, E, S, W = 0, 1, 2, 3
 DIRECTIONS = (N, E, S, W)
@@ -119,13 +113,10 @@ def generate_maze(width, height, loop_prob, seed):
 @dataclass
 class MazeState(BeliefNodes):
     """Exploration state. Every seen cell is admitted as a node in discovery
-    order (start=0, then sightings in N,E,S,W order). blocks maps each
-    visited cell's node id to its edges in the belief graph (see
-    observe)."""
+    order (start=0, then sightings in N,E,S,W order)."""
 
     position: tuple
     visited: set
-    blocks: dict = field(default_factory=dict)
 
 
 def initial_state(maze):
@@ -136,29 +127,12 @@ def initial_state(maze):
 
 
 def _visit(maze, state, cell):
-    """First visit of `cell`: admit its neighbours, build its edge block and
-    rebuild the blocks of its visited neighbours, whose reverse edges into
-    `cell` are gone now that it emits its own side."""
+    """First visit of `cell`: admit its neighbours and link each open side d
+    both ways, typed d+1 outward and opposite+1 back."""
     state.visited.add(cell)
-    for _, other in maze.exits(*cell):
-        state.admit(other)
-        if other in state.visited:
-            state.blocks[state.node_ids[other]] = _edge_block(maze, state, other)
-    state.blocks[state.node_ids[cell]] = _edge_block(maze, state, cell)
-
-
-def _edge_block(maze, state, cell):
-    """Edges of visited `cell`: (u, v, d+1) per open side, plus (v, u,
-    opposite+1) while the neighbour v is unvisited (a frontier node emits no
-    edges of its own)."""
-    u = state.node_ids[cell]
-    block = []
     for d, other in maze.exits(*cell):
-        v = state.node_ids[other]
-        block.append((u, v, d + 1))
-        if other not in state.visited:
-            block.append((v, u, OPPOSITE[d] + 1))
-    return block
+        state.admit(other)
+        state.link(cell, other, d + 1, OPPOSITE[d] + 1)
 
 
 def step(maze, state, direction):
@@ -178,19 +152,13 @@ def step(maze, state, direction):
 
 
 def observe(maze, state):
-    """Belief graph: visited + frontier nodes, direction-typed edges for every
-    passage incident to a visited cell. The edges are the state's per-cell
-    blocks joined in node-id order: for each visited cell u and each open
-    side d toward node v, (u, v, d+1), then (v, u, opposite+1) while v is
-    unvisited. Blocks change only on a cell's first visit (initial_state,
-    step), so observing costs the size of the graph, not its history.
-    The one feature column marks the current node; the coverage bit rides in
-    the observation's coverage mask."""
-    ids = sorted(state.blocks)
+    """Belief graph: visited + frontier nodes, and both directions of every
+    passage incident to a visited cell, typed by compass direction. The one
+    feature column marks the current node; the coverage bit rides in the
+    observation's coverage mask."""
     coverage = np.zeros(len(state.node_order))
-    coverage[ids] = 1.0
-    edges = list(chain.from_iterable([state.blocks[u] for u in ids]))
-    return belief_observation(edges, coverage, state.node_ids[state.position], NUM_EDGE_TYPES)
+    coverage[[state.node_ids[cell] for cell in state.visited]] = 1.0
+    return state.observation(coverage, state.position, NUM_EDGE_TYPES)
 
 
 # ----------------------------------------------------------------- rendering

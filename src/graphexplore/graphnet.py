@@ -6,7 +6,10 @@ maze and app environments hand to it.
 The encoder consumes a GraphObservation: the currently known subgraph together
 with a per-node coverage bit. The coverage bit is appended to the raw node
 features before any learned transformation, so the same encoder weights serve
-both "what does the graph look like" and "what is left to visit".
+both "what does the graph look like" and "what is left to visit". Edges are an
+unordered collection of (u, v, k): propagate reads them only through per-node
+counts, so its result depends on the edge multiset, not on the order in which
+an environment lists it. A belief graph has at most one edge per (u, v).
 
 GraphNet.encode_batch is the one encoding entry point. Rollouts call it once
 per lockstep step, on the tape when training, and the learner backpropagates
@@ -37,6 +40,7 @@ without in-edges gets an exactly zero message.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,14 +76,15 @@ class GraphObservation:
 
     Edges are directed (u, v, k) with type k in 1..num_edge_types, and k at
     most MAX_EDGE_TYPES (GraphNet.propagate checks endpoints and types, and
-    that no edge joins two graphs of a union);
-    undirected environments insert both directions. current_node marks the agent's
-    position when the environment has one (None otherwise).
+    that no edge joins two graphs of a union); undirected environments insert
+    both directions. They form a multiset: their order means nothing.
+    current_node marks the agent's position when the environment has one
+    (None otherwise).
     """
 
     node_count: int
     node_features: np.ndarray  # (node_count, d_in)
-    edges: list  # of (u, v, k); a union holds them as an (m, 3) int array
+    edges: Sequence  # of (u, v, k), in no particular order; a union holds an (m, 3) int array
     coverage: np.ndarray  # (node_count,) of 0/1
     num_edge_types: int
     current_node: int | None = None
@@ -101,39 +106,48 @@ def empty_observation(feature_width, num_edge_types):
 # ------------------------------------------- belief graphs of maze and app
 
 
+BELIEF_FEATURE_WIDTH = 1  # a belief graph's one feature column: is the node current
+
+
 @dataclass
 class BeliefNodes:
-    """Stable node ids of a growing belief graph: a key (a maze cell, an app
-    screen) gets the next id when it is first admitted and keeps it, so
-    coverage bits line up from one observation to the next. Env states
-    extend this class."""
+    """A growing belief graph, the one builder of maze and app observations.
+    A key (a maze cell, an app screen) gets the next node id when it is first
+    admitted and keeps it, so coverage bits line up from one observation to
+    the next. links holds at most one edge type per ordered node pair. Env
+    states extend this class."""
 
     node_ids: dict = field(default_factory=dict, kw_only=True)  # key -> node id
     node_order: list = field(default_factory=list, kw_only=True)  # node id -> key
+    links: dict = field(default_factory=dict, kw_only=True)  # (u, v) -> edge type
 
     def admit(self, key):
         if key not in self.node_ids:
             self.node_ids[key] = len(self.node_order)
             self.node_order.append(key)
 
+    def link(self, a, b, k, back):
+        """Edge a -> b of type k between admitted keys, backed by b -> a of
+        type `back` unless b -> a is already an edge."""
+        u, v = self.node_ids[a], self.node_ids[b]
+        self.links[(u, v)] = k
+        self.links.setdefault((v, u), back)
 
-BELIEF_FEATURE_WIDTH = 1  # a belief graph's one feature column: is the node current
-
-
-def belief_observation(edges, coverage, current, num_edge_types):
-    """Observation of a belief graph with len(coverage) nodes and the agent
-    on node `current`. The one feature column marks the current node."""
-    n = len(coverage)
-    is_current = np.zeros((n, BELIEF_FEATURE_WIDTH))
-    is_current[current, 0] = 1.0
-    return GraphObservation(
-        node_count=n,
-        node_features=is_current,
-        edges=edges,
-        coverage=coverage,
-        num_edge_types=num_edge_types,
-        current_node=current,
-    )
+    def observation(self, coverage, current_key, num_edge_types):
+        """Observation of the graph with len(coverage) nodes and the agent on
+        `current_key`. The one feature column marks the current node."""
+        n = len(coverage)
+        current = self.node_ids[current_key]
+        is_current = np.zeros((n, BELIEF_FEATURE_WIDTH))
+        is_current[current, 0] = 1.0
+        return GraphObservation(
+            node_count=n,
+            node_features=is_current,
+            edges=[(u, v, k) for (u, v), k in self.links.items()],
+            coverage=coverage,
+            num_edge_types=num_edge_types,
+            current_node=current,
+        )
 
 
 def pad_coverage_bit(obs, dtype=np.float64):

@@ -1,6 +1,7 @@
 """Test-only references: the finite-difference gradient check, the composed
-tape ops that the fused primitives are checked against, and exact coverage
-solvers on small graphs.
+tape ops that the fused primitives are checked against, the app belief
+graph's edges rebuilt from scratch, and exact coverage solvers on small
+graphs.
 
 Graphs in the solvers are plain adjacency lists (list of neighbor lists);
 converting from richer observation types is the caller's job.
@@ -91,6 +92,21 @@ def softmax(a, axis=-1):
         return (out * (g - dot),)
 
     return _emit(out, (a,), backward)
+
+
+# ------------------------------------------------------- app belief graph
+
+
+def app_reference_edges(state):
+    """Edges of an app belief graph rebuilt from the taken transitions: one
+    type-1 edge per experienced (src, dst) screen pair, plus a type-2 reverse
+    (dst, src) where that reverse was never taken."""
+    forward = set()
+    for (src, _), dst in state.taken.items():
+        forward.add((state.node_ids[src], state.node_ids[dst]))
+    edges = [(u, v, 1) for u, v in sorted(forward)]
+    edges.extend((v, u, 2) for u, v in sorted(forward) if (v, u) not in forward)
+    return edges
 
 
 # ------------------------------------------------------------- exact solvers

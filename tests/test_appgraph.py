@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphexplore.agents import RandDfsPolicy, RandomPolicy
 from graphexplore.benchmarks import app_eval_set
@@ -20,7 +22,7 @@ from graphexplore.envs.appgraph import (
 )
 from graphexplore.episode import EpisodeStepError, episode_objective, run_episode
 
-from reference import brute_force_coverage
+from reference import app_reference_edges, brute_force_coverage
 
 
 def write_log(tmp_path, lines, name="app.log"):
@@ -308,6 +310,40 @@ def test_observation_tracks_experienced_subgraph():
     assert env.outgoing() == [(0, 1)]
     # width = per-graph max out-degree (screen "b" has two actions)
     assert env.action_mask().tolist() == [True, False]
+
+
+# A self-loop, two actions to one screen and a one-way exit to a dead end.
+HAND_APP = TransitionGraph(
+    screens=("a", "b", "c"),
+    transitions={("a", "loop"): "a", ("a", "x"): "b", ("a", "y"): "b",
+                 ("b", "back"): "a", ("b", "on"): "c"},
+    start="a",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=st.one_of(
+        st.just(HAND_APP),
+        st.builds(generate_er_app, st.integers(1, 12), st.floats(0.0, 1.0),
+                  st.integers(0, 2**31 - 1)),
+    ),
+    choices=st.lists(st.integers(0, 2**16), max_size=40),
+)
+def test_observe_matches_a_from_scratch_rebuild(graph, choices):
+    env = AppEnv(graph, budget=len(choices))
+    env.reset(np.random.default_rng(0))
+    for k in range(len(choices) + 1):
+        obs = env.observe()
+        n = len(env.state.node_order)
+        assert obs.node_count == n and np.array_equal(obs.coverage, np.ones(n))
+        assert obs.current_node == env.current_node()
+        assert obs.node_features[:, 0].tolist() == [float(i == obs.current_node) for i in range(n)]
+        assert sorted(obs.edges) == sorted(app_reference_edges(env.state))
+        width = graph.out_degree(env.state.current)
+        if k == len(choices) or width == 0:
+            break
+        env.step(choices[k] % width)
 
 
 def test_action_mask_pads_to_width():

@@ -65,6 +65,26 @@ def test_outgoing_lists_exactly_the_masked_actions_at_every_step(env, episode_se
         env.step(actions[int(rng.integers(len(actions)))])
 
 
+@settings(max_examples=60, deadline=None)
+@given(env=walker_envs(), episode_seed=st.integers(0, 2**31 - 1))
+def test_belief_edges_come_in_pairs_at_every_step(env, episode_seed):
+    # Messages flow both ways along every edge of a maze or app belief graph,
+    # and its edge map holds one type per ordered pair.
+    rng = np.random.default_rng(episode_seed)
+    env.reset(rng)
+    obs = env.observe()
+    for t in range(env.budget + 1):
+        pairs = {(u, v) for u, v, _ in obs.edges}
+        assert len(pairs) == len(obs.edges)
+        assert all((v, u) in pairs for u, v in pairs)
+        assert all(0 <= u < obs.node_count and 0 <= v < obs.node_count for u, v in pairs)
+        assert all(1 <= k <= obs.num_edge_types for _, _, k in obs.edges)
+        actions = [a for a, _ in env.outgoing()]
+        if t == env.budget or not actions:
+            break
+        obs = env.step(actions[int(rng.integers(len(actions)))])
+
+
 def budget_against(draw, units):
     """A budget below, equal to or above `units`."""
     side = draw(st.sampled_from(["below", "equal", "above"]))

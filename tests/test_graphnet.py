@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.graphnet import (
+    BELIEF_FEATURE_WIDTH,
     BLOCK_NODES,
     MAX_EDGE_TYPES,
     GraphNet,
@@ -364,3 +368,43 @@ def test_encoder_gradients_match_finite_differences():
 
         err = grad_check(fn, params.named(), eps=1e-5)
         assert err < 1e-4, f"trial {trial}: {err}"
+
+
+def maze_observations(rng, count):
+    """Belief graphs of `count` 6x6 mazes after random walks of 0-40 steps."""
+    observations = []
+    for _ in range(count):
+        env = MazeEnv(generate_maze(6, 6, 0.2, int(rng.integers(2**31))), budget=40)
+        env.reset(rng)
+        obs = env.observe()
+        for _ in range(int(rng.integers(41))):
+            exits = [d for d, _ in env.outgoing()]
+            obs = env.step(exits[int(rng.integers(len(exits)))])
+        observations.append(obs)
+    return observations
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_encoder_ignores_edge_order(dtype):
+    # Environments list their edges in whatever order their edge map holds
+    # them; the encoder reads a multiset, bit for bit, in both passes.
+    rng = np.random.default_rng(20)
+    for trial in range(4):
+        observations = maze_observations(rng, 6)
+        shuffled = [dataclasses.replace(obs, edges=[obs.edges[i]
+                                                    for i in rng.permutation(len(obs.edges))])
+                    for obs in observations]
+        assert any(a.edges != b.edges for a, b in zip(observations, shuffled))
+        params = ParamSet(seed=trial, dtype=dtype)
+        net = GraphNet(params, "enc", GraphNetConfig(d=16, rounds=3,
+                                                      feature_width=BELIEF_FEATURE_WIDTH))
+        runs = []
+        for batch in (observations, shuffled):
+            with Tape() as tape:
+                vectors = net.encode_batch(batch)
+                loss = reduce_sum(sigmoid(vectors))
+            runs.append((vectors.data, params.gradients(tape, loss)))
+        (v0, g0), (v1, g1) = runs
+        assert v0.dtype == dtype and np.array_equal(v0, v1)
+        for name in g0:
+            assert np.array_equal(g0[name].data, g1[name].data), name

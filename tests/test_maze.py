@@ -233,9 +233,9 @@ def test_deepcopy_of_a_mid_episode_env_steps_like_the_original():
 def reference_observation(maze, walk):
     """From-scratch belief graph after walking `walk` from the start: node
     ids by discovery order (a cell's open neighbours are sighted in N, E, S,
-    W order each time it is the current cell), and, for every visited cell in
-    node-id order, (u, v, d+1) per open side plus (v, u, opposite+1) while v
-    is unvisited. Returns (edges, coverage, current node id, node ids)."""
+    W order each time it is the current cell), and, for every visited cell,
+    (u, v, d+1) per open side plus (v, u, opposite+1) while v is unvisited.
+    Returns (edges, coverage, current node id, node ids)."""
     node_ids = {}
 
     def arrive(cell):
@@ -289,7 +289,10 @@ def test_incremental_observe_matches_a_from_scratch_rebuild(width, height, loop_
     obs = env.observe()
     for k in range(len(choices) + 1):
         edges, coverage, current, node_ids = reference_observation(env.maze, walk)
-        assert obs.edges == edges
+        # Edge order means nothing to the encoder: compare multisets, and a
+        # belief graph holds at most one edge per (u, v).
+        assert sorted(obs.edges) == sorted(edges)
+        assert len({(u, v) for u, v, _ in obs.edges}) == len(obs.edges)
         assert np.array_equal(obs.coverage, coverage)
         assert obs.current_node == current == env.current_node()
         features = np.zeros((len(coverage), 1))
