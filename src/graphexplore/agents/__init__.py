@@ -1,10 +1,4 @@
-from .baselines import (
-    DfsStack,
-    RandDfsPolicy,
-    RandomPolicy,
-    random_act,
-    randdfs_act,
-)
+from .baselines import RandDfsPolicy, RandomPolicy, random_act
 from .policy import (
     CategoricalHead,
     GridAction,

@@ -1,5 +1,4 @@
-"""Screen-transition exploration: synthetic apps sampled as random graphs and
-an offline simulator rebuilt from interaction logs.
+"""Screen-transition exploration over synthetic apps sampled as random graphs.
 
 A TransitionGraph is a deterministic screen/action/target map. Episodes start
 knowing nothing: the observed subgraph holds only visited screens and the
@@ -9,21 +8,17 @@ the evaluation protocol's budget is benchmarks.APP_BUDGET steps.
 
 reverse_action models a tester's back button: immediately after a transition
 the environment can name the action at the new screen that returns to the
-previous one (or None when the graph has no such edge, as offline logs of
-one-way flows may not).
+previous one (or None when the graph has no such edge, as in a one-way
+flow).
 """
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..graphnet import BELIEF_FEATURE_WIDTH, BeliefNodes, empty_observation
-
-logger = logging.getLogger(__name__)
 
 NUM_EDGE_TYPES = 2  # 1 = experienced transition, 2 = synthetic reverse orientation
 
@@ -33,8 +28,8 @@ class TransitionGraph:
     """Deterministic screen-transition map; immutable after construction.
 
     Screen ids and action keys are strings. At most one target per
-    (screen, action); every screen is reachable from start (the loaders drop
-    the rest).
+    (screen, action); every screen is reachable from start (generate_er_app
+    keeps only the start screen's component).
     """
 
     screens: tuple
@@ -56,18 +51,6 @@ class TransitionGraph:
 
     def max_out_degree(self):
         return max((len(p) for p in self._outgoing.values()), default=0)
-
-
-def _reachable(screens, transitions, start):
-    seen = {start}
-    queue = [start]
-    while queue:
-        u = queue.pop()
-        for (src, _), dst in transitions.items():
-            if src == u and dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    return seen
 
 
 def er_adjacency(n, p, rng):
@@ -108,111 +91,6 @@ def generate_er_app(n, p, seed):
             transitions[(str(u), str(k))] = str(v)
     screens = tuple(sorted(str(u) for u in component))
     return TransitionGraph(screens=screens, transitions=transitions, start=str(start))
-
-
-def load_transition_log(path):
-    """Rebuild a TransitionGraph from a UTF-8 file of JSON records, one per
-    line: {"src": str, "dst": str, "action": str}, optionally preceded by a
-    single {"start": str} record. Without one, the first record's src is the
-    start screen.
-
-    Exact duplicate records collapse silently; records that remap an already
-    seen (src, action) to a different target are dropped (first one wins) and
-    counted in a logged warning. Screens unreachable from start are dropped
-    with a warning. Malformed lines raise with their line number."""
-    start = None
-    mapping = {}
-    seen = set()
-    order = []
-    conflicts = 0
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"line {lineno}: not a valid record: {e.msg}") from None
-            if not isinstance(rec, dict):
-                raise ValueError(f"line {lineno}: expected an object record")
-            if set(rec) == {"start"}:
-                if mapping:
-                    raise ValueError(f"line {lineno}: start record after transitions")
-                if start is not None:
-                    raise ValueError(f"line {lineno}: duplicate start record")
-                if not isinstance(rec["start"], str):
-                    raise ValueError(f"line {lineno}: start must be a string")
-                start = rec["start"]
-                continue
-            if set(rec) != {"src", "dst", "action"}:
-                raise ValueError(
-                    f"line {lineno}: expected keys src/dst/action or start, got {sorted(rec)}"
-                )
-            for key in ("src", "dst", "action"):
-                if not isinstance(rec[key], str):
-                    raise ValueError(f"line {lineno}: {key} must be a string")
-            triple = (rec["src"], rec["action"], rec["dst"])
-            if triple in seen:
-                continue
-            seen.add(triple)
-            key = (rec["src"], rec["action"])
-            if key in mapping:
-                conflicts += 1
-                continue
-            mapping[key] = rec["dst"]
-            order.append(key)
-            if start is None:
-                start = rec["src"]
-    if start is None:
-        raise ValueError(f"empty transition log {path}: no start screen derivable")
-    if conflicts:
-        logger.warning(
-            "transition log %s: dropped %d conflicting duplicate record(s), kept first targets",
-            path,
-            conflicts,
-        )
-    screens = {start}
-    for (src, _), dst in mapping.items():
-        screens.add(src)
-        screens.add(dst)
-    reachable = _reachable(screens, mapping, start)
-    dropped = screens - reachable
-    if dropped:
-        logger.warning(
-            "transition log %s: dropped %d screen(s) unreachable from %r",
-            path,
-            len(dropped),
-            start,
-        )
-    kept = {k: v for k, v in mapping.items() if k[0] in reachable}
-    return TransitionGraph(screens=tuple(sorted(reachable)), transitions=kept, start=start)
-
-
-def dump_transition_log(graph, path):
-    """Write a graph as a reloadable transition log (start record first,
-    transitions sorted for determinism)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"start": graph.start}) + "\n")
-        for (src, action), dst in sorted(graph.transitions.items()):
-            f.write(json.dumps({"src": src, "dst": dst, "action": action}) + "\n")
-
-
-def synthesize_walk_log(graph, path, walks=20, steps=30, seed=0):
-    """Proxy for recorded user sessions: uniform random walks over a graph,
-    logged as transition records. The reloaded graph is the experienced
-    subgraph of the original."""
-    rng = np.random.default_rng(seed)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"start": graph.start}) + "\n")
-        for _ in range(walks):
-            cur = graph.start
-            for _ in range(steps):
-                out = graph.outgoing(cur)
-                if not out:
-                    break
-                action, dst = out[int(rng.integers(len(out)))]
-                f.write(json.dumps({"src": cur, "dst": dst, "action": action}) + "\n")
-                cur = dst
 
 
 # ------------------------------------------------------------------ episodes
@@ -303,7 +181,7 @@ class AppEnv:
         return mask
 
     def fully_explored(self):
-        # A dead-end screen (offline logs of one-way flows) also ends the
+        # A dead-end screen (the end of a one-way flow) also ends the
         # episode: no action can change anything further.
         return len(self.state.node_order) == len(self.graph.screens) or (
             self.graph.out_degree(self.state.current) == 0

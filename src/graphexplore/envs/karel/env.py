@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...graphnet import GraphObservation
+from . import worlds
 from .machine import KarelWorld, execute, tokens_to_world
 from .graph import NUM_EDGE_TYPES, program_to_graph, mask_from_report
 
@@ -76,23 +77,16 @@ def random_world_policy(config):
     """Baseline: propose an iid world per step, program-blind."""
 
     def policy(history, env, rng):
-        return sample_world_from(config, rng)
+        return worlds.sample_world(config, int(rng.integers(2**62)))
 
     return policy
 
 
 def heuristic_world_policy(config):
     """Baseline: propose worlds screened by the valid-execution heuristic."""
-    from .worlds import valid_execution_heuristic
 
     def policy(history, env, rng):
         seed = int(rng.integers(2**62))
-        return valid_execution_heuristic(env.program, config, seed)
+        return worlds.valid_execution_heuristic(env.program, config, seed)
 
     return policy
-
-
-def sample_world_from(config, rng):
-    from .worlds import sample_world
-
-    return sample_world(config, int(rng.integers(2**62)))

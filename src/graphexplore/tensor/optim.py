@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import Tensor
+
 # Adam's moment decay rates and denominator floor.
 BETA1 = 0.9
 BETA2 = 0.999
@@ -43,8 +45,6 @@ def clip_global_norm(grads, max_norm=1.0):
     if norm <= max_norm or not np.isfinite(norm):
         return grads, norm
     scale = max_norm / norm
-    from .core import Tensor
-
     return {name: Tensor(g.data * scale) for name, g in grads.items()}, norm
 
 

@@ -1,6 +1,3 @@
-import json
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,28 +8,15 @@ from graphexplore.benchmarks import app_eval_set
 from graphexplore.envs.appgraph import (
     AppEnv,
     TransitionGraph,
-    dump_transition_log,
     er_app_for_seed,
     generate_er_app,
     initial_state,
-    load_transition_log,
     observe,
     step,
-    synthesize_walk_log,
 )
 from graphexplore.episode import EpisodeStepError, episode_objective, run_episode
 
 from reference import app_reference_edges, brute_force_coverage
-
-
-def write_log(tmp_path, lines, name="app.log"):
-    path = tmp_path / name
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path)
-
-
-def rec(src, dst, action):
-    return json.dumps({"src": src, "dst": dst, "action": action})
 
 
 # -------------------------------------------------------------- generation
@@ -113,107 +97,6 @@ def test_heldout_er_apps_frozen_protocol():
     assert seeds == seeds2 and all(a == b for a, b in zip(apps, again))
     assert seeds[0] >= 16001 and sorted(seeds) == seeds
     assert all(len(g.screens) >= 15 for g in apps)
-
-
-# ----------------------------------------------------------------- loading
-
-
-def test_load_three_tuples(tmp_path):
-    path = write_log(tmp_path, [rec("a", "b", "tap"), rec("b", "c", "tap"), rec("c", "a", "back")])
-    g = load_transition_log(path)
-    assert g.screens == ("a", "b", "c")
-    assert len(g.transitions) == 3
-    assert g.start == "a"  # first record's src
-
-
-def test_load_duplicate_tuple_collapses(tmp_path):
-    path = write_log(tmp_path, [rec("a", "b", "tap"), rec("a", "b", "tap")])
-    g = load_transition_log(path)
-    assert g.transitions == {("a", "tap"): "b"}
-
-
-def test_load_conflicting_duplicate_keeps_first_and_warns(tmp_path, caplog):
-    path = write_log(tmp_path, [rec("a", "b", "tap"), rec("a", "c", "tap"), rec("b", "c", "go")])
-    with caplog.at_level(logging.WARNING, logger="graphexplore.envs.appgraph"):
-        g = load_transition_log(path)
-    assert g.transitions[("a", "tap")] == "b"
-    assert "1 conflicting duplicate" in caplog.text
-
-
-def test_load_malformed_lines_report_line_number(tmp_path):
-    path = write_log(tmp_path, [rec("a", "b", "t"), "not json"])
-    with pytest.raises(ValueError, match="line 2"):
-        load_transition_log(path)
-    path = write_log(tmp_path, [rec("a", "b", "t"), json.dumps({"src": "a"})])
-    with pytest.raises(ValueError, match="line 2.*src/dst/action"):
-        load_transition_log(path)
-    path = write_log(tmp_path, [json.dumps({"src": "a", "dst": 3, "action": "t"})])
-    with pytest.raises(ValueError, match="line 1: dst must be a string"):
-        load_transition_log(path)
-    path = write_log(tmp_path, [json.dumps(["a", "b"])])
-    with pytest.raises(ValueError, match="line 1"):
-        load_transition_log(path)
-
-
-def test_load_empty_file_errors(tmp_path):
-    path = tmp_path / "empty.log"
-    path.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="no start screen"):
-        load_transition_log(str(path))
-
-
-def test_load_start_record_rules(tmp_path):
-    path = write_log(tmp_path, [json.dumps({"start": "z"}), rec("a", "z", "t")])
-    g = load_transition_log(path)
-    assert g.start == "z"
-    path = write_log(tmp_path, [rec("a", "b", "t"), json.dumps({"start": "a"})])
-    with pytest.raises(ValueError, match="line 2: start record after transitions"):
-        load_transition_log(path)
-    path = write_log(tmp_path, [json.dumps({"start": "a"}), json.dumps({"start": "b"})])
-    with pytest.raises(ValueError, match="line 2: duplicate start"):
-        load_transition_log(path)
-
-
-def test_load_start_only_graph(tmp_path):
-    path = write_log(tmp_path, [json.dumps({"start": "solo"})])
-    g = load_transition_log(path)
-    assert g.screens == ("solo",) and not g.transitions
-
-
-def test_load_drops_unreachable_with_warning(tmp_path, caplog):
-    path = write_log(tmp_path, [rec("a", "b", "t"), rec("x", "y", "t")])
-    with caplog.at_level(logging.WARNING, logger="graphexplore.envs.appgraph"):
-        g = load_transition_log(path)
-    assert g.screens == ("a", "b")
-    assert ("x", "t") not in g.transitions
-    assert "unreachable" in caplog.text
-
-
-def test_dump_load_round_trip_identity(tmp_path):
-    path = write_log(
-        tmp_path, [rec("a", "b", "tap"), rec("b", "a", "back"), rec("b", "b", "loop")]
-    )
-    g = load_transition_log(path)
-    out = str(tmp_path / "dumped.log")
-    dump_transition_log(g, out)
-    assert load_transition_log(out) == g
-
-
-def test_er_app_survives_log_round_trip(tmp_path):
-    g = generate_er_app(12, 0.3, seed=9)
-    out = str(tmp_path / "er.log")
-    dump_transition_log(g, out)
-    assert load_transition_log(out) == g
-
-
-def test_walk_log_is_experienced_subgraph(tmp_path):
-    g = generate_er_app(12, 0.3, seed=5)
-    out = str(tmp_path / "walk.log")
-    synthesize_walk_log(g, out, walks=5, steps=10, seed=1)
-    sub = load_transition_log(out)
-    assert sub.start == g.start
-    assert set(sub.transitions.items()) <= set(g.transitions.items())
-    assert set(sub.screens) <= set(g.screens)
 
 
 # ---------------------------------------------------------------- episodes

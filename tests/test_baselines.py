@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphexplore.agents import RandDfsPolicy, RandomPolicy, random_act
-from graphexplore.envs.appgraph import AppEnv, generate_er_app
+from graphexplore.envs.appgraph import AppEnv, TransitionGraph, generate_er_app
 from graphexplore.envs.maze import Maze, MazeEnv, generate_maze
 from graphexplore.episode import run_episode
 
@@ -135,6 +135,32 @@ def test_randdfs_hidden_loopy_maze_completes():
         env = MazeEnv(maze, budget=800, hide_destinations=True)
         _, traj = run_episode(env, RandDfsPolicy(), budget=800, seed=seed)
         assert traj.final_coverage == 1.0
+
+
+def test_randdfs_cannot_backtrack_over_a_one_way_entry():
+    # a -x-> b is one-way and b's only action loops, so once b's loop is
+    # tried the walker must back out of b and has no return ticket. Seed 1
+    # takes x first; taking y first covers all three screens on reaching b,
+    # which ends the episode before the loop is tried.
+    g = TransitionGraph(
+        screens=("a", "b", "c"),
+        transitions={("a", "x"): "b", ("a", "y"): "c", ("b", "loop"): "b", ("c", "back"): "a"},
+        start="a",
+    )
+    with pytest.raises(ValueError, match="cannot backtrack: action 0 is irreversible"):
+        run_episode(AppEnv(g, budget=20), RandDfsPolicy(), budget=20, seed=1)
+
+
+def test_randdfs_cannot_undo_a_one_way_probe_onto_the_stack():
+    # a -go-> b -on-> c -jump-> a: the probe from c lands on the stack root,
+    # which has no edge back to c. Seed 1 takes go first (side is a dead end).
+    g = TransitionGraph(
+        screens=("a", "b", "c", "d"),
+        transitions={("a", "go"): "b", ("a", "side"): "d", ("b", "on"): "c", ("c", "jump"): "a"},
+        start="a",
+    )
+    with pytest.raises(ValueError, match="cannot return from node 0: action 0 is irreversible"):
+        run_episode(AppEnv(g, budget=20), RandDfsPolicy(), budget=20, seed=1)
 
 
 def test_randdfs_coverage_monotone_in_budget():

@@ -1,8 +1,8 @@
 """The env contract (graphexplore.episode): every environment has the
 members the episode loop reads, the maze and app envs have the walker hooks,
 the walkers' one action source, outgoing(), lists exactly the actions
-action_mask() allows, and an episode's coverage is its reward sum: the
-covered units over the env's unit count."""
+action_mask() allows, belief-graph node ids never shift, and an episode's
+coverage is its reward sum: the covered units over the env's unit count."""
 
 import numpy as np
 import pytest
@@ -83,6 +83,26 @@ def test_belief_edges_come_in_pairs_at_every_step(env, episode_seed):
         if t == env.budget or not actions:
             break
         obs = env.step(actions[int(rng.integers(len(actions)))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(env=walker_envs(), episode_seed=st.integers(0, 2**31 - 1))
+def test_node_ids_never_shift(env, episode_seed):
+    # A belief graph only grows: each step's node order extends the previous
+    # one, so a node keeps its id for the whole episode. compute_reward
+    # checks that coverage never shrinks, not that ids stay put.
+    rng = np.random.default_rng(episode_seed)
+    env.reset(rng)
+    before = list(env.state.node_order)
+    for _ in range(env.budget):
+        actions = [a for a, _ in env.outgoing()]
+        if not actions:
+            break
+        env.step(actions[int(rng.integers(len(actions)))])
+        after = env.state.node_order
+        assert after[:len(before)] == before
+        assert [env.state.node_ids[key] for key in after] == list(range(len(after)))
+        before = list(after)
 
 
 def budget_against(draw, units):

@@ -1,7 +1,8 @@
 """Packaging metadata: every console script declared in pyproject.toml names
-an importable callable, no module under src/ keeps an import it does not use,
-and every top-level function and class under src/, and every method of those
-classes, is referenced by the program or kept for a stated reason."""
+an importable callable, no module under src/ keeps an import it does not use
+or imports inside a function, and every top-level function and class under
+src/, and every method of those classes, is referenced by the program or kept
+for a stated reason."""
 
 import ast
 import importlib
@@ -56,16 +57,27 @@ def test_module_imports_are_used(path):
     assert unused_imports(path) == []
 
 
+def function_imports(path):
+    """Import statements inside the module's functions. An import belongs at
+    the top of its module, where unused_imports sees it."""
+    module = path.relative_to(SRC)
+    return sorted({f"{module} line {node.lineno}: {ast.unparse(node)}"
+                   for func in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_no_import_inside_a_function():
+    assert [found for path in sorted(SRC.rglob("*.py")) for found in function_imports(path)] == []
+
+
 PERFBENCH = PYPROJECT.parent / "perfbench"
 
 # Top-level functions, classes and methods under src/ that nothing in src/ or
 # in perfbench's modules references, each kept for the reason given. Anything
 # else without a reference is dead code: delete it with its tests.
-_TRANSITION_LOG = "the route to real-app graphs; kept until the CLI decides (ROADMAP item 7)"
 KEPT = {
-    "envs.appgraph.load_transition_log": _TRANSITION_LOG,
-    "envs.appgraph.dump_transition_log": _TRANSITION_LOG,
-    "envs.appgraph.synthesize_walk_log": _TRANSITION_LOG,
     "envs.maze.render_ascii": "maze rendering of the trace CLI (ROADMAP item 5)",
     "envs.karel.machine.world_to_tokens": "input of the Karel agent's grid encoder (ROADMAP item 4)",
     "agents.policy.GridDecoder": "the Karel agent's action head (ROADMAP item 4)",
