@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..episode import advance_episode, begin_episode
+from ..episode import TrajectoryBatch, advance_episode, begin_episode
 from ..tensor import (
     Embedding,
     Linear,
@@ -255,22 +255,23 @@ class PolicyModel:
         self.value_head = value_head
 
     def run_episodes(self, envs, seeds, mode="sample"):
-        """Roll one episode per env in lockstep and return their K
-        EpisodeTrajectory objects in env order. Episode k resets envs[k] with,
-        and draws its actions from, its own default_rng(seeds[k]) and runs
-        until full coverage or envs[k].budget decisions, so it takes the same
-        actions in any batch. Each step serves every live episode with one
-        summaries call (one GraphNet pass over the union of their newest
-        graphs), one fold of their history states as rows, one head call and
-        one value call; the envs then step one by one, and an episode that
-        ends leaves the live set, its state rows dropped by a gather.
+        """Roll one episode per env in lockstep and return the
+        TrajectoryBatch of their K episodes in env order. Episode k resets
+        envs[k] with, and draws its actions from, its own
+        default_rng(seeds[k]) and runs until full coverage or envs[k].budget
+        decisions, so it takes the same actions in any batch. Each step
+        serves every live episode with one summaries call (one GraphNet pass
+        over the union of their newest graphs), one fold of their history
+        states as rows, one head call and one value call; the envs then step
+        one by one, and an episode that ends leaves the live set, its state
+        rows dropped by a gather.
 
-        mode is "sample" or "greedy". Greedy rollouts record nothing. A
-        sample rollout inside an open Tape records its whole forward pass
-        there: the log-probability, entropy and value tensors of all its
-        decisions, step by step, which each episode's `forward` shares with
-        the rows of its own decisions. The learner backpropagates through
-        them without encoding anything again."""
+        mode is "sample" or "greedy". Either way the batch keeps the
+        log-probability, entropy and value of every decision once, as
+        `outputs` stacked step by step, and episode k's rows of them as
+        `rows[k]`. Greedy rollouts record nothing. A sample rollout inside an
+        open Tape records its whole forward pass there, so the learner
+        backpropagates through `outputs` without encoding anything again."""
         if len(envs) != len(seeds):
             raise ValueError(f"{len(envs)} envs but {len(seeds)} seeds")
         first = {}
@@ -298,26 +299,18 @@ class PolicyModel:
                 value = self.value_head(F)
                 steps.append((logprob, entropy, value))
                 kept = []
-                for row, (k, action, mask) in enumerate(zip(live, actions, masks)):
+                for row, (k, action) in enumerate(zip(live, actions)):
                     rows[k].append(offset + row)
-                    traj = trajs[k]
-                    traj.logprobs.append(float(logprob.data[row]))
-                    traj.values.append(float(value.data[row]))
-                    traj.entropies.append(float(entropy.data[row]))
-                    traj.masks.append(mask)
-                    if not advance_episode(envs[k], traj, action):
+                    if not advance_episode(envs[k], trajs[k], action):
                         kept.append(row)
                 offset += len(live)
                 if len(kept) < len(live):
                     live = [live[row] for row in kept]
                     if state is not None:
                         state = tuple(embed_lookup(part, kept) for part in state)
-            if steps and steps[0][2].requires_grad:  # recorded on a tape
-                stacked = tuple(concat(parts) for parts in zip(*steps))
-                for traj, r in zip(trajs, rows):
-                    if r:
-                        traj.forward = (stacked, np.asarray(r, dtype=np.intp))
-        return trajs
+            outputs = tuple(concat(parts) for parts in zip(*steps)) if steps else None
+        return TrajectoryBatch(episodes=trajs, outputs=outputs,
+                               rows=[np.asarray(r, dtype=np.intp) for r in rows])
 
     def save(self, path, meta=None):
         save_params(path, self.params.snapshot(), meta=meta)

@@ -308,20 +308,11 @@ class HistoryEncoder:
 
 @dataclass
 class EpisodeTrajectory:
-    """One episode's history plus the per-decision policy outputs, aligned
-    with records[1:]."""
+    """One episode's history. A learned agent's per-decision policy outputs
+    live once, on the batch of its rollout (TrajectoryBatch.outputs)."""
 
     history: EpisodeHistory
-    logprobs: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    entropies: list = field(default_factory=list)  # policy entropy at each decision
-    masks: list = field(default_factory=list)  # per-decision action masks (or None)
     terminated_early: bool = False  # full coverage before the budget ran out
-    # The forward a sample rollout recorded on its tape (PolicyModel.run_episodes
-    # inside a Tape): ((log-probability, entropy, value) tensors over every
-    # decision of the rollout, the rows of this episode's n decisions in them).
-    # None when no forward was recorded.
-    forward: tuple | None = None
 
     @property
     def final_coverage(self):
@@ -334,8 +325,13 @@ class EpisodeTrajectory:
 @dataclass
 class TrajectoryBatch:
     episodes: list = field(default_factory=list)
-    # The Tape holding the episodes' recorded forward; the update that
-    # backpropagates through it releases it (sets it to None).
+    # The (log-probability, entropy, value) tensors of every decision of the
+    # rollout (PolicyModel.run_episodes), stacked step by step; None when it
+    # made no decision. rows[k] holds the rows of episode k's decisions.
+    outputs: tuple | None = None
+    rows: list = field(default_factory=list)
+    # The Tape that recorded the outputs; the update that backpropagates
+    # through it releases it (sets it to None).
     tape: object = None
 
     def __len__(self):
@@ -348,11 +344,6 @@ class TrajectoryBatch:
         for ep in self.episodes:
             if abs(sum(ep.rewards()) - ep.final_coverage) > 1e-9:
                 raise ValueError("reward sum does not telescope to final coverage")
-            n = len(ep.history.records) - 1
-            for seq in (ep.logprobs, ep.values, ep.entropies, ep.masks,
-                        ep.forward[1] if ep.forward else ()):
-                if len(seq) not in (0, n):
-                    raise ValueError("policy outputs misaligned with records")
         return self
 
 

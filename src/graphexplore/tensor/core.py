@@ -515,7 +515,7 @@ def embed_lookup(table, ids):
     return _emit(out, (table,), backward)
 
 
-def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n, Wx=None):
+def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n, Wx):
     """One gated-recurrent-unit step as a single tape op:
 
         z, r = sigmoid(x Wx_zr + h Wh_zr + b_zr) split in halves
@@ -523,23 +523,20 @@ def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n, Wx=None):
         h'   = (1 - z) * n + z * h
 
     x is (n_in,) or (rows, n_in) and h the matching (H,) or (rows, H). Wx is
-    [Wx_zr | Wx_n] as one (n_in, 3H) array; a caller that steps the cell
-    several times with the same weights builds it once and passes it, and
-    otherwise it is built here. Runs three products (x @ Wx, h @ Wh_zr,
-    (r * h) @ Wh_n) and keeps only the gates for its hand-written backward,
-    where the composed ops would record 17 nodes and their temporaries. The
-    elementwise steps of both passes run in place on the products' results,
-    in the formula's operand order, so they allocate almost nothing beyond
-    the products."""
+    [Wx_zr | Wx_n] as one (n_in, 3H) array (GRUCell.input_weight), which a
+    caller that steps the cell several times with the same weights builds
+    once. Runs three products (x @ Wx, h @ Wh_zr, (r * h) @ Wh_n) and keeps
+    only the gates for its hand-written backward, where the composed ops
+    would record 17 nodes and their temporaries. The elementwise steps of
+    both passes run in place on the products' results, in the formula's
+    operand order, so they allocate almost nothing beyond the products."""
     x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n = (
         as_tensor(t) for t in (x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n))
     n_in, H = Wx_n.data.shape
     if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != h.data.shape[:-1]
             or x.data.shape[-1] != n_in or h.data.shape[-1] != H):
         raise ShapeError("gru_cell", x.shape, h.shape)
-    if Wx is None:
-        Wx = np.concatenate([Wx_zr.data, Wx_n.data], axis=1)
-    elif Wx.shape != (n_in, 3 * H):
+    if Wx.shape != (n_in, 3 * H):
         raise ShapeError("gru_cell", Wx.shape, (n_in, 3 * H))
     xd, hd = x.data.reshape(-1, n_in), h.data.reshape(-1, H)
     xw = xd @ Wx

@@ -133,9 +133,8 @@ class GRUCell:
         that steps the cell several times before the weights change."""
         return np.concatenate([self.Wx_zr.data, self.Wx_n.data], axis=1)
 
-    def __call__(self, x, h, Wx=None):
-        return gru_cell(x, h, self.Wx_zr, self.Wh_zr, self.b_zr, self.Wx_n, self.Wh_n, self.b_n,
-                        Wx=Wx)
+    def __call__(self, x, h, Wx):
+        return gru_cell(x, h, self.Wx_zr, self.Wh_zr, self.b_zr, self.Wx_n, self.Wh_n, self.b_n, Wx)
 
 
 class LSTMCell:

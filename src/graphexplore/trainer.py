@@ -10,11 +10,12 @@ norm.
 
 A2C steps once per batch with the parameters that collected it, so the
 learner's forward pass would repeat the rollout's exactly. Instead the
-rollout runs on the gradient tape (collect_rollouts opens it), each episode
-keeps the log-probability, entropy and value tensors of its decisions, and
-the learner builds the loss from them and runs only the backward pass, as
-A3C-style learners backpropagate through the rollout's own forward (Mnih et
-al., 1602.01783). The update then releases the tape.
+rollout runs on the gradient tape (collect_rollouts opens it), its batch
+keeps the log-probability, entropy and value tensors of every decision once
+(TrajectoryBatch.outputs, with each episode's rows), and the learner builds
+the loss from them and runs only the backward pass, as A3C-style learners
+backpropagate through the rollout's own forward (Mnih et al., 1602.01783).
+The update then releases the tape.
 
 `train` is the one training loop, returning (and optionally streaming as JSON
 lines) one record per update; `fine_tune` runs it on a copy of the model.
@@ -29,7 +30,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .episode import TrajectoryBatch
 from .episode import run_episode  # noqa: F401  perfbench/layers.py wraps trainer.run_episode by name
 from .tensor import (
     GradientError,
@@ -113,8 +113,9 @@ def collect_rollouts(model, env_sampler, config, round_index=0):
             envs.append(env_sampler(np.random.default_rng(env_seed)))
             seeds.append(ep_seed)
     with Tape() as tape:
-        episodes = model.run_episodes(envs, seeds, mode="sample")
-    return TrajectoryBatch(episodes=episodes, tape=tape).validate()
+        batch = model.run_episodes(envs, seeds, mode="sample")
+    batch.tape = tape
+    return batch.validate()
 
 
 def episode_returns(episode):
@@ -125,28 +126,30 @@ def episode_returns(episode):
 def batch_loss(batch, config):
     """Actor-critic loss over the batch (per-episode sums, averaged over
     episodes), built on the batch's tape from the log-probability, entropy
-    and value tensors that its one recorded rollout (PolicyModel.run_episodes
-    inside the tape) left for every decision. Returns (loss, components
-    dict)."""
+    and value tensors that its rollout (PolicyModel.run_episodes in sample
+    mode inside the tape) recorded for every decision. Returns (loss,
+    components dict)."""
     if not batch.episodes:
         raise ValueError("empty batch")
+    if len(batch.rows) != len(batch.episodes):
+        raise ValueError(f"batch has {len(batch.episodes)} episodes "
+                         f"but rows for {len(batch.rows)}")
     episodes = [ep for ep in batch.episodes if len(ep.history.records) >= 2]
     if not episodes:
         raise ValueError("batch contains no decisions to learn from")
-    for i, ep in enumerate(batch.episodes):
-        if len(ep.history.records) >= 2 and ep.forward is None:
-            raise ValueError(f"episode {i} has no recorded forward: only PolicyModel.run_episodes "
-                             f"in sample mode inside a Tape records one")
-    recorded = {id(ep.forward[0]): ep.forward[0] for ep in episodes}
-    if len(recorded) > 1:
-        raise ValueError(f"episodes come from {len(recorded)} recorded rollouts, not one")
-    if batch.tape is None:
-        raise ValueError("batch has no tape: an update already backpropagated through it and "
-                         "released it, or the batch was built without its rollout's Tape")
-    [step_tensors] = recorded.values()
-    rows = np.concatenate([ep.forward[1] for ep in episodes])
+    if batch.outputs is None:
+        cause = "it holds no policy outputs"
+    elif not batch.outputs[0].requires_grad:
+        cause = "its outputs were not recorded: a greedy rollout, or one outside a Tape"
+    elif batch.tape is None:
+        cause = "an update already backpropagated through its tape and released it"
+    else:
+        cause = ""
+    if cause:
+        raise ValueError(f"batch has no recorded forward: {cause}")
+    rows = np.concatenate(batch.rows)
     with batch.tape:
-        logprob, entropy, value = (embed_lookup(t, rows) for t in step_tensors)
+        logprob, entropy, value = (embed_lookup(t, rows) for t in batch.outputs)
         returns = np.concatenate([episode_returns(ep) for ep in episodes])
         advantage = returns - value.data
         # The constant operands take the tensors' dtype (see tensor.core).
@@ -200,8 +203,7 @@ def zero_shot_coverage(model, env_set, config):
         raise ValueError("zero_shot_coverage needs at least one environment: env_set is empty")
     seeds = [int(np.random.SeedSequence([config.seed, 900_000 + i]).generate_state(1)[0])
              for i in range(len(env_set))]
-    trajs = model.run_episodes(env_set, seeds, mode="greedy")
-    return float(np.mean([traj.final_coverage for traj in trajs]))
+    return model.run_episodes(env_set, seeds, mode="greedy").mean_coverage()
 
 
 def fine_tune(model, env, config):

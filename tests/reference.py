@@ -1,7 +1,7 @@
 """Test-only references: the finite-difference gradient check, the composed
-tape ops that the fused primitives are checked against, the app belief
-graph's edges rebuilt from scratch, and exact coverage solvers on small
-graphs.
+tape ops that the fused primitives are checked against, a rollout's
+per-episode policy outputs and action masks, the app belief graph's edges
+rebuilt from scratch, and exact coverage solvers on small graphs.
 
 Graphs in the solvers are plain adjacency lists (list of neighbor lists);
 converting from richer observation types is the caller's job.
@@ -9,6 +9,7 @@ converting from richer observation types is the caller's job.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,29 @@ def softmax(a, axis=-1):
         return (out * (g - dot),)
 
     return _emit(out, (a,), backward)
+
+
+# ------------------------------------------------------------ rollouts
+
+
+def episode_outputs(batch, k):
+    """Episode k's (log-probabilities, entropies, values) as float lists, read
+    from the step-stacked outputs of the batch's rollout."""
+    if batch.outputs is None:
+        return [], [], []
+    return tuple(t.data[batch.rows[k]].tolist() for t in batch.outputs)
+
+
+def replayed_masks(env, seed, episode):
+    """The action mask before each decision of `episode`, replayed on a fresh
+    copy of `env` reset as PolicyModel.run_episodes resets it."""
+    env = copy.deepcopy(env)
+    env.reset(np.random.default_rng(seed))
+    masks = []
+    for rec in episode.history.records[1:]:
+        masks.append(env.action_mask())
+        env.step(rec.action)
+    return masks
 
 
 # ------------------------------------------------------- app belief graph

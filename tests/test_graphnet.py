@@ -78,7 +78,7 @@ def test_single_node_matches_handrolled_gru():
     h = net.project_features(obs)
     zero = Tensor(np.zeros((1, net.config.d)))
     for _ in range(net.config.rounds):
-        h = net.gru(zero, h)
+        h = net.gru(zero, h, net.gru.input_weight())
     assert np.allclose(out, h.data, atol=1e-12)
 
 
@@ -178,7 +178,7 @@ def edge_level_propagate(net, h0, obs):
     h = h0
     for _ in range(net.config.rounds):
         per_edge = net.message(concat([embed_lookup(h, dst), embed_lookup(h, src), Tensor(onehot)], axis=1))
-        h = net.gru(segment_aggregate(per_edge, dst, n), h)
+        h = net.gru(segment_aggregate(per_edge, dst, n), h, net.gru.input_weight())
     return h
 
 

@@ -102,21 +102,27 @@ def program_imports(tree):
 
 def referenced_names(tree, imports, strings=False):
     """Counts of the names a tree reads, keyed (name, kind). kind is "name"
-    for a bare name, "attribute" for any attribute read, and "program" too
-    for an attribute read of a name in `imports` (see program_imports), such
-    as `core.log`, but not `np.log`. With strings, its string constants
-    (perfbench patches by name) count as all three. Import statements bind
-    names without reading them, so re-exports do not count."""
+    for a bare name, "attribute" for any attribute read, "method" too for an
+    attribute that is called (`x.m(...)`) or read through self or cls, and
+    "program" too for an attribute read of a name in `imports` (see
+    program_imports), such as `core.log`, but not `np.log`. With strings,
+    its string constants (perfbench patches by name) count as all four.
+    Import statements bind names without reading them, so re-exports do not
+    count."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id, "name"] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr, "attribute"] += 1
+            if id(node) in called or (isinstance(node.value, ast.Name)
+                                      and node.value.id in ("self", "cls")):
+                names[node.attr, "method"] += 1
             if isinstance(node.value, ast.Name) and node.value.id in imports:
                 names[node.attr, "program"] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            for kind in ("name", "attribute", "program"):
+            for kind in ("name", "attribute", "method", "program"):
                 names[node.value, kind] += 1
     return names
 
@@ -124,9 +130,9 @@ def referenced_names(tree, imports, strings=False):
 def definitions(module, tree):
     """(qualified name, node, reads that reference it) of the module's
     top-level functions and classes, which bare names and attribute reads of
-    program imports reference, and of its classes' methods, which any
-    attribute read does; dunders are exempt, since Python calls them by
-    protocol rather than by name."""
+    program imports reference, and of its classes' methods, which calls and
+    self/cls reads reference (a property: any attribute read); dunders are
+    exempt, since Python calls them by protocol rather than by name."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
@@ -135,29 +141,40 @@ def definitions(module, tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{module}.{node.name}.{item.name}", item, ((item.name, "attribute"),)
+                    prop = any(isinstance(d, ast.Name) and d.id == "property"
+                               for d in item.decorator_list)
+                    kind = "attribute" if prop else "method"
+                    yield f"{module}.{node.name}.{item.name}", item, ((item.name, kind),)
 
 
-def unreferenced_definitions():
-    """Definitions of src/ (see definitions) that no code references outside
-    their own bodies: not in src/, not in a non-test perfbench module. A
-    top-level definition counts as referenced by a bare name or by an
-    attribute read of a program import (`core.log`, not `np.log`). A method
-    counts as referenced when any code reads an attribute of its name; a
-    bare name of the same spelling (a local or a function) does not."""
+def program_trees():
+    """(module name, tree) of every module under src/graphexplore, and the
+    trees of perfbench's non-test modules."""
     package = SRC / "graphexplore"
+    modules = [(".".join(path.relative_to(package).with_suffix("").parts),
+                ast.parse(path.read_text())) for path in sorted(package.rglob("*.py"))]
+    perfbench = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))
+                 if not path.name.startswith("test_")]
+    return modules, perfbench
+
+
+def unreferenced_definitions(modules, perfbench):
+    """Definitions of `modules` (see definitions) that no code references
+    outside their own bodies: not in `modules`, not in the `perfbench`
+    trees. A top-level definition counts as referenced by a bare name or by
+    an attribute read of a program import (`core.log`, not `np.log`). A
+    method counts as referenced when it is called (`x.m(...)`), read as
+    `self.m` or `cls.m`, or named by a perfbench string; a property by any
+    attribute read. Reading `config.m` alone, or a bare name of the same
+    spelling (a local or a function), does not reference a method."""
     references = Counter()
     found = []
-    for path in sorted(package.rglob("*.py")):
-        tree = ast.parse(path.read_text())
+    for module, tree in modules:
         imports = program_imports(tree)
         references.update(referenced_names(tree, imports))
-        module = ".".join(path.relative_to(package).with_suffix("").parts)
         found.extend((name, node, reads, imports) for name, node, reads in definitions(module, tree))
-    for path in sorted(PERFBENCH.glob("*.py")):
-        if not path.name.startswith("test_"):
-            tree = ast.parse(path.read_text())
-            references.update(referenced_names(tree, program_imports(tree), strings=True))
+    for tree in perfbench:
+        references.update(referenced_names(tree, program_imports(tree), strings=True))
     unreferenced = []
     for name, node, reads, imports in found:
         own = referenced_names(node, imports)
@@ -167,6 +184,42 @@ def unreferenced_definitions():
 
 
 def test_every_definition_is_referenced_or_kept_for_a_reason():
-    unreferenced = unreferenced_definitions()
+    unreferenced = unreferenced_definitions(*program_trees())
     assert [name for name in unreferenced if name not in KEPT] == []
     assert [name for name in KEPT if name not in unreferenced] == [], "stale KEPT entries"
+
+
+PLANTED = """
+class Env:
+    def feature_width(self):
+        return 1
+
+    def step(self):
+        return self._advance()
+
+    def _advance(self):
+        return 2
+
+    @property
+    def size(self):
+        return 3
+
+    def by_name(self):
+        return 4
+
+
+def run(config, env):
+    return config.feature_width, env.step(), env.size
+
+
+run(None, Env())
+"""
+
+
+def test_a_method_read_only_as_an_attribute_of_something_else_is_unreferenced():
+    # step is called, _advance read through self, size a property and by_name
+    # named by a perfbench string; config.feature_width reads a config
+    # field, not the method.
+    perfbench = [ast.parse('PATCHED = ("by_name",)')]
+    found = unreferenced_definitions([("planted", ast.parse(PLANTED))], perfbench)
+    assert found == ["planted.Env.feature_width"]

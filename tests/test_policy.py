@@ -15,11 +15,11 @@ from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.episode import (
     HistoryEncoder,
     HistoryEncoderConfig,
-    TrajectoryBatch,
     episode_objective,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig
 from graphexplore.tensor import ParamSet, Tape, Tensor, no_grad, reduce_sum
+from reference import episode_outputs, replayed_masks
 
 
 def rng_of(seed):
@@ -257,38 +257,35 @@ def test_run_episodes_runs_episode_with_masking():
     model = make_learned_model(params)
     maze = generate_maze(4, 4, 0.1, seed=3)
     env = MazeEnv(maze, budget=12)
-    [traj] = model.run_episodes([env], [5])
+    batch = model.run_episodes([env], [5])
+    [traj] = batch.episodes
     history = traj.history
     n_steps = len(history.records) - 1
     assert n_steps >= 1
-    assert len(traj.logprobs) == n_steps
-    assert len(traj.values) == n_steps
-    assert len(traj.entropies) == n_steps
-    assert all(lp <= 0.0 for lp in traj.logprobs)
-    assert all(ent >= 0.0 for ent in traj.entropies)
+    logprobs, entropies, values = episode_outputs(batch, 0)
+    assert len(logprobs) == len(entropies) == len(values) == n_steps
+    assert all(lp <= 0.0 for lp in logprobs)
+    assert all(ent >= 0.0 for ent in entropies)
     assert episode_objective(history) > 0.0
-    TrajectoryBatch(episodes=[traj]).validate()
+    batch.validate()
 
 
 def test_run_episodes_keeps_the_policy_outputs_of_each_decision():
     model = make_learned_model(ParamSet(seed=25))
     envs = [MazeEnv(generate_maze(4, 4, 0.1, seed=s), budget=6) for s in (2, 3)]
+    seeds = [3, 4]
     with Tape():
-        trajs = model.run_episodes(envs, [3, 4])
-    for traj in trajs:
+        batch = model.run_episodes(envs, seeds)
+    assert all(t.requires_grad for t in batch.outputs)
+    # The episodes' rows partition the rows of the stacked outputs.
+    rows = np.concatenate(batch.rows)
+    assert sorted(rows.tolist()) == list(range(len(batch.outputs[0].data)))
+    for env, seed, traj, own in zip(envs, seeds, batch.episodes, batch.rows):
         records = traj.history.records[1:]
-        assert records
-        for outputs in (traj.logprobs, traj.values, traj.entropies, traj.masks):
-            assert len(outputs) == len(records)
-        assert all(mask[rec.action] for mask, rec in zip(traj.masks, records))
-        (logprob, entropy, value), rows = traj.forward
-        assert traj.logprobs == logprob.data[rows].tolist()
-        assert traj.entropies == entropy.data[rows].tolist()
-        assert traj.values == value.data[rows].tolist()
-    TrajectoryBatch(episodes=trajs).validate()
-    trajs[1].entropies.pop()
-    with pytest.raises(ValueError, match="misaligned"):
-        TrajectoryBatch(episodes=trajs).validate()
+        assert records and len(own) == len(records)
+        masks = replayed_masks(env, seed, traj)
+        assert all(mask[rec.action] for mask, rec in zip(masks, records))
+    batch.validate()
 
 
 def test_run_episodes_seed_determinism():
@@ -297,7 +294,7 @@ def test_run_episodes_seed_determinism():
         params = ParamSet(seed=22)
         model = make_learned_model(params)
         env = MazeEnv(generate_maze(4, 4, 0.1, seed=4), budget=10)
-        [traj] = model.run_episodes([env], [9])
+        [traj] = model.run_episodes([env], [9]).episodes
         runs.append([r.action for r in traj.history.records[1:]])
     assert runs[0] == runs[1]
 
@@ -306,8 +303,8 @@ def test_run_episodes_reusable_across_calls():
     params = ParamSet(seed=23)
     model = make_learned_model(params)
     env = MazeEnv(generate_maze(3, 3, 0.0, seed=6), budget=6)
-    [t1] = model.run_episodes([env], [1])
-    [t2] = model.run_episodes([env], [1])
+    [t1] = model.run_episodes([env], [1]).episodes
+    [t2] = model.run_episodes([env], [1]).episodes
     assert [r.action for r in t1.history.records[1:]] == [r.action for r in t2.history.records[1:]]
 
 

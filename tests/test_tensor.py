@@ -274,7 +274,14 @@ def _gru_case(rng, scale):
               "b_zr": (4,), "Wx_n": (3, 2), "Wh_n": (2, 2), "b_n": (2,)}
     params = {k: Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
               for k, shape in shapes.items()}
-    return params, lambda p: reduce_sum(gru_cell(*(p[k] for k in shapes)) * w_for(lead + (2,), rng))
+    return params, lambda p: reduce_sum(gru(*(p[k] for k in shapes)) * w_for(lead + (2,), rng))
+
+
+def gru(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n):
+    """gru_cell with its Wx built from the Wx_zr and Wx_n it is passed, so
+    that perturbing them moves Wx too."""
+    return gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n,
+                    np.concatenate([Wx_zr.data, Wx_n.data], axis=1))
 
 
 _W_CACHE = {}
@@ -349,12 +356,15 @@ def test_gru_cell_equals_composed_ops(lead):
         n = tanh(matmul(x, cell.Wx_n) + matmul(r * h, cell.Wh_n) + cell.b_n)
         return (1.0 - z) * n + z * h
 
+    def fused(x, h):
+        return cell(x, h, cell.input_weight())
+
     results = []
-    for step in (composed, cell):
+    for step in (composed, fused):
         with Tape() as tape:
             out = step(x, h)
             loss = reduce_sum(out * weights)
-        assert len(tape) == (1 if step is cell else 17) + 2
+        assert len(tape) == (1 if step is fused else 17) + 2
         grads = tape.gradients(loss, params=[*params.named().values(), x, h])
         results.append((out.data, [grads[t].data for t in [*params.named().values(), x, h]]))
     (want, want_grads), (got, got_grads) = results
@@ -397,7 +407,7 @@ def test_gru_cell_in_place_steps_equal_the_reference_bit_for_bit(rows):
     g = rng.normal(size=(rows, H))
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape() as tape:
-        out = gru_cell(*inputs)
+        out = gru(*inputs)
         loss = reduce_sum(out * Tensor(g))
     grads = tape.gradients(loss, params=inputs)
     want, want_grads = gru_reference(*arrays, g)
@@ -457,10 +467,13 @@ def test_lstm_cell_rejects_mismatched_state():
 
 def test_gru_cell_rejects_mismatched_rows():
     cell = GRUCell(ParamSet(seed=0), "gru", 3, 2)
+    Wx = cell.input_weight()
     with pytest.raises(ShapeError, match="gru_cell"):
-        cell(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))))
+        cell(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))), Wx)
     with pytest.raises(ShapeError, match="gru_cell"):
-        cell(Tensor(np.ones(3)), Tensor(np.ones((1, 2))))
+        cell(Tensor(np.ones(3)), Tensor(np.ones((1, 2))), Wx)
+    with pytest.raises(ShapeError, match="gru_cell"):
+        cell(Tensor(np.ones(3)), Tensor(np.ones(2)), Wx[:, :4])
 
 
 def test_float32_gates_saturate_to_their_exact_limits_without_a_warning():
@@ -471,14 +484,14 @@ def test_float32_gates_saturate_to_their_exact_limits_without_a_warning():
     h = Tensor(np.full((2, 1), 0.3, dtype=f32), requires_grad=True)
     c = Tensor(np.full((2, 1), 0.7, dtype=f32), requires_grad=True)
     # gru_cell: row 0 has z = 1 (h' = h), row 1 has z = 0 and r = 1 (h' = n).
-    gru = [np.array(a, dtype=f32) for a in ([[100.0, -100.0]], [[0.0, 0.0]], [0.0, 0.0],
-                                              [[0.5]], [[0.25]], [0.0])]
+    gru_weights = [np.array(a, dtype=f32) for a in ([[100.0, -100.0]], [[0.0, 0.0]], [0.0, 0.0],
+                                                      [[0.5]], [[0.25]], [0.0])]
     # lstm_cell gates (i, f, g, o): row 0 has i = 0, f = 1, o = 1; row 1 the opposite.
     lstm = [np.array(a, dtype=f32) for a in ([[-100.0, 100.0, 0.5, 100.0]], [[0.0] * 4], [0.0] * 4)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            h_gru = gru_cell(x, h, *(Tensor(a, requires_grad=True) for a in gru))
+            h_gru = gru(x, h, *(Tensor(a, requires_grad=True) for a in gru_weights))
             hc = lstm_cell(x, h, c, *(Tensor(a, requires_grad=True) for a in lstm))
             loss = reduce_sum(h_gru) + reduce_sum(hc)
         grads = tape.gradients(loss)

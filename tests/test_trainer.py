@@ -36,6 +36,7 @@ from graphexplore.trainer import (
     zero_shot_coverage,
     _episode_seeds,
 )
+from reference import episode_outputs, replayed_masks
 
 
 def tiny_model(seed=0, width=12, n_actions=4, zero_value=False, rounds=1, dtype=np.float32):
@@ -135,8 +136,9 @@ def recorded_batch(model, envs, seeds=None):
     """The model's sample episodes on envs with their forward recorded on a
     tape the batch carries, as collect_rollouts records them."""
     with Tape() as tape:
-        episodes = model.run_episodes(envs, seeds or list(range(len(envs))))
-    return TrajectoryBatch(episodes=episodes, tape=tape)
+        batch = model.run_episodes(envs, seeds or list(range(len(envs))))
+    batch.tape = tape
+    return batch
 
 
 def test_hand_example_returns_and_advantages():
@@ -177,18 +179,19 @@ def test_zero_advantage_kills_policy_term():
 # ------------------------------------------------- batched learner step
 
 
-def reference_loss(model, batch, config):
+def reference_loss(model, batch, config, envs, seeds):
     """The A2C loss replayed one record at a time through the public
-    summary, fold, score and value calls."""
+    summary, fold, score and value calls, with each step's action mask
+    replayed on a fresh copy of the episode's env (envs[k], seeds[k])."""
     total = None
     pol = val = ent = 0.0
     n_steps = 0
-    for ep in batch.episodes:
+    for env, seed, ep in zip(envs, seeds, batch.episodes):
         records = ep.history.records
         if len(records) < 2:
             continue
         returns = episode_returns(ep)
-        masks = ep.masks or [None] * len(returns)
+        masks = replayed_masks(env, seed, ep)
         state = model.encoder.init_state()
         for t, rec in enumerate(records[1:]):
             F, state = model.encoder.fold(
@@ -220,7 +223,8 @@ class UnmaskedApp(AppEnv):
 def mixed_batch(kind, model):
     """Episodes with masked actions, an early-terminated episode, one with a
     single record, and (app) one without masks, all starting from an empty
-    graph, rolled out by one run_episodes call on a tape."""
+    graph, rolled out by one run_episodes call on a tape with seeds
+    0, 1, ...; returns (batch, envs)."""
     if kind == "maze":
         envs = [MazeEnv(generate_maze(4, 4, 0.18, s), budget=10) for s in (1, 2)]
         envs += [MazeEnv(generate_maze(2, 2, 1.0, 3), budget=10),  # covered early
@@ -234,14 +238,15 @@ def mixed_batch(kind, model):
                  UnmaskedApp(generate_er_app(8, p=1.0, seed=5), budget=6, num_actions=7)]
     batch = recorded_batch(model, envs)
     episodes = batch.episodes
+    masks = [replayed_masks(env, seed, ep) for seed, (env, ep) in enumerate(zip(envs, episodes))]
     assert any(ep.terminated_early and len(ep.history.records) > 2 for ep in episodes)
     assert any(len(ep.history.records) < 2 for ep in episodes)
-    assert any(m is not None and not m.all() for ep in episodes for m in ep.masks)
+    assert any(m is not None and not m.all() for ep_masks in masks for m in ep_masks)
     if kind == "app":
-        assert any(len(ep.history.records) > 1 and all(m is None for m in ep.masks)
-                   for ep in episodes)
+        assert any(len(ep.history.records) > 1 and all(m is None for m in ep_masks)
+                   for ep, ep_masks in zip(episodes, masks))
     assert all(ep.history.records[0].observation.is_empty() for ep in episodes)
-    return batch
+    return batch, envs
 
 
 @pytest.mark.parametrize("kind", ["maze", "app"])
@@ -250,11 +255,11 @@ def test_batch_loss_matches_per_record_reference(kind):
     # gradients, equal a per-record replay through the public encoder calls.
     model = tiny_model(seed=11, n_actions=4 if kind == "maze" else 7, dtype=np.float64)
     cfg = small_config()
-    batch = mixed_batch(kind, model)
+    batch, envs = mixed_batch(kind, model)
     loss, parts = batch_loss(batch, cfg)
     grads = model.params.gradients(batch.tape, loss)
     with Tape() as tape:
-        ref_loss, ref_parts = reference_loss(model, batch, cfg)
+        ref_loss, ref_parts = reference_loss(model, batch, cfg, envs, range(len(envs)))
     ref_grads = model.params.gradients(tape, ref_loss)
     assert abs(float(loss.data) - float(ref_loss.data)) <= 1e-9
     for name in ref_grads:
@@ -264,24 +269,27 @@ def test_batch_loss_matches_per_record_reference(kind):
         assert parts[key] == pytest.approx(ref_parts[key], abs=1e-9)
 
 
-def test_batch_loss_names_an_episode_without_a_recorded_forward():
+def test_batch_loss_names_why_a_batch_has_no_recorded_forward():
     model = tiny_model()
     cfg = small_config()
+    envs = lambda: [MazeEnv(generate_maze(4, 4, 0.18, s), budget=6) for s in (1, 2)]  # noqa: E731
+    for mode in ("greedy", "sample"):  # neither inside a Tape
+        with pytest.raises(ValueError, match="outputs were not recorded: a greedy rollout, "
+                                             "or one outside a Tape"):
+            batch_loss(model.run_episodes(envs(), [3, 4], mode=mode), cfg)
     first_valid = lambda history, env, rng: int(np.flatnonzero(env.action_mask())[0])  # noqa: E731
-    env = MazeEnv(generate_maze(4, 4, 0.18, 1), budget=6)
-    _, scripted = run_episode(env, first_valid, budget=env.budget, seed=9)
-    [untaped] = model.run_episodes([MazeEnv(generate_maze(4, 4, 0.18, 2), budget=6)], [3])
-    recorded = recorded_batch(model, [MazeEnv(generate_maze(4, 4, 0.18, 3), budget=6)])
-    for i, episodes in ((0, [scripted]), (1, recorded.episodes + [untaped])):
-        batch = TrajectoryBatch(episodes=episodes, tape=recorded.tape)
-        with pytest.raises(ValueError, match=f"episode {i} has no recorded forward"):
-            batch_loss(batch, cfg)
-    with pytest.raises(ValueError, match="batch has no tape"):
-        batch_loss(TrajectoryBatch(episodes=recorded.episodes), cfg)
-    with recorded.tape:
-        [other] = model.run_episodes([MazeEnv(generate_maze(4, 4, 0.18, 4), budget=6)], [5])
-    with pytest.raises(ValueError, match="2 recorded rollouts"):
-        batch_loss(TrajectoryBatch(episodes=recorded.episodes + [other], tape=recorded.tape), cfg)
+    _, scripted = run_episode(envs()[0], first_valid, budget=6, seed=9)
+    rows = [np.arange(len(scripted.history.records) - 1)]
+    with pytest.raises(ValueError, match="batch has no recorded forward: it holds no policy "
+                                         "outputs"):
+        batch_loss(TrajectoryBatch(episodes=[scripted], rows=rows, tape=Tape()), cfg)
+    recorded = recorded_batch(model, envs())
+    with pytest.raises(ValueError, match="batch has 3 episodes but rows for 2"):
+        batch_loss(replace(recorded, episodes=recorded.episodes + [scripted]), cfg)
+    a2c_update(model, recorded, cfg, OptimizerState(lr=cfg.learning_rate))
+    with pytest.raises(ValueError, match="an update already backpropagated through its tape "
+                                         "and released it"):
+        batch_loss(recorded, cfg)
 
 
 def test_a_batch_serves_one_update():
@@ -292,7 +300,7 @@ def test_a_batch_serves_one_update():
     model, stats = a2c_update(model, batch, cfg, opt)
     assert not stats.skipped and batch.tape is None
     before = model.params.snapshot()
-    with pytest.raises(ValueError, match="batch has no tape"):
+    with pytest.raises(ValueError, match="released it"):
         a2c_update(model, batch, cfg, opt)
     after = model.params.snapshot()
     assert all(np.array_equal(before[k], after[k]) for k in before)
@@ -302,12 +310,12 @@ def test_greedy_rollouts_record_nothing_on_an_open_tape():
     model = tiny_model()
     cfg = small_config()
     with Tape() as tape:
-        episodes = model.run_episodes(heldout_envs(3), [1, 2, 3], mode="greedy")
+        batch = model.run_episodes(heldout_envs(3), [1, 2, 3], mode="greedy")
         cov = zero_shot_coverage(model, heldout_envs(), cfg)
     assert len(tape) == 0
     assert 0.0 <= cov <= 1.0
-    assert all(ep.forward is None for ep in episodes)
-    assert any(len(ep.history.records) > 1 for ep in episodes)
+    assert not any(t.requires_grad for t in batch.outputs)
+    assert any(len(ep.history.records) > 1 for ep in batch.episodes)
 
 
 def test_batch_loss_rejects_batches_without_decisions():
@@ -331,16 +339,17 @@ def test_single_worker_single_episode_matches_direct_run(workers, episodes_per_w
     assert len(batch) == workers * episodes_per_worker
 
     layout = [(w, e) for w in range(workers) for e in range(episodes_per_worker)]
-    for got, (w, e) in zip(batch.episodes, layout):
+    for k, (got, (w, e)) in enumerate(zip(batch.episodes, layout)):
         env_seed, ep_seed = _episode_seeds(cfg, 0, w, e)
         env = maze_sampler(np.random.default_rng(env_seed))
-        [want] = model.run_episodes([env], [ep_seed])
+        single = model.run_episodes([env], [ep_seed])
+        [want] = single.episodes
         assert [r.action for r in got.history.records] == [r.action for r in want.history.records]
         assert got.rewards() == want.rewards()
         # The batched matmuls of a larger lockstep batch may differ in the
         # last bit from a batch of one.
-        assert_close(got.logprobs, want.logprobs, 1e-9)
-        assert_close(got.values, want.values, 1e-9)
+        for a, b in zip(episode_outputs(batch, k), episode_outputs(single, 0), strict=True):
+            assert_close(a, b, 1e-9)
 
 
 def lockstep_envs(kind):
@@ -366,19 +375,17 @@ def test_batch_composition_does_not_change_an_episode(kind):
     model = tiny_model(seed=11, n_actions=4 if kind == "maze" else 7, dtype=np.float64)
     seeds = [100 + k for k in range(8)]
     batch = model.run_episodes(lockstep_envs(kind), seeds)
-    assert any(ep.terminated_early and len(ep.history.records) > 2 for ep in batch)
-    assert any(len(ep.history.records) == 1 for ep in batch)
-    for k, got in enumerate(batch):
-        [want] = model.run_episodes([lockstep_envs(kind)[k]], [seeds[k]])
+    assert any(ep.terminated_early and len(ep.history.records) > 2 for ep in batch.episodes)
+    assert any(len(ep.history.records) == 1 for ep in batch.episodes)
+    for k, got in enumerate(batch.episodes):
+        single = model.run_episodes([lockstep_envs(kind)[k]], [seeds[k]])
+        [want] = single.episodes
         assert [r.action for r in got.history.records] == [r.action for r in want.history.records]
         assert got.rewards() == want.rewards()
         assert got.terminated_early == want.terminated_early
-        assert len(got.masks) == len(want.masks)
-        assert all(np.array_equal(a, b) for a, b in zip(got.masks, want.masks))
-        assert_close(got.logprobs, want.logprobs, 1e-9)
-        assert_close(got.values, want.values, 1e-9)
-        assert_close(got.entropies, want.entropies, 1e-9)
-    TrajectoryBatch(episodes=batch).validate()
+        for a, b in zip(episode_outputs(batch, k), episode_outputs(single, 0), strict=True):
+            assert_close(a, b, 1e-9)
+    batch.validate()
 
 
 def test_greedy_zero_shot_equals_mean_of_single_env_runs():
@@ -390,7 +397,7 @@ def test_greedy_zero_shot_equals_mean_of_single_env_runs():
     for i in range(len(envs)):
         env = lockstep_envs("maze")[2 + i]
         seed = int(np.random.SeedSequence([cfg.seed, 900_000 + i]).generate_state(1)[0])
-        [traj] = model.run_episodes([env], [seed], mode="greedy")
+        [traj] = model.run_episodes([env], [seed], mode="greedy").episodes
         singles.append(traj.final_coverage)
     assert cov == float(np.mean(singles))
 
@@ -612,17 +619,24 @@ def seeded_two_updates(kind, dtype=np.float32):
     for u in range(2):
         batch = collect_rollouts(model, config.env_sampler, config, round_index=u)
         model, stats = a2c_update(model, batch, config, opt)
-        yield batch.episodes, stats
+        yield batch, stats
+
+
+def decision_outputs(batch, i):
+    """Output i (0: log-probability, 2: value) of every decision of the
+    batch, flattened over its episodes."""
+    return batch.outputs[i].data[np.concatenate(batch.rows)].tolist()
 
 
 @pytest.mark.parametrize("kind", ["maze", "app"])
 def test_seeded_updates_repeat_the_edge_level_run(kind):
     runs = seeded_two_updates(kind, dtype=np.float64)
-    for (episodes, stats), want in zip(runs, PARENT_RUNS[kind], strict=True):
+    for (batch, stats), want in zip(runs, PARENT_RUNS[kind], strict=True):
+        episodes = batch.episodes
         assert [[r.action for r in ep.history.records[1:]] for ep in episodes] == want["actions"]
         assert [ep.rewards() for ep in episodes] == want["rewards"]
-        assert_close([x for ep in episodes for x in ep.logprobs], want["logprobs"], 1e-12)
-        assert_close([x for ep in episodes for x in ep.values], want["values"], 1e-12)
+        assert_close(decision_outputs(batch, 0), want["logprobs"], 1e-12)
+        assert_close(decision_outputs(batch, 2), want["values"], 1e-12)
         assert_close([stats.mean_return, stats.policy_loss, stats.value_loss, stats.entropy,
                       stats.grad_norm], want["stats"], 1e-12)
 
@@ -704,18 +718,19 @@ def assert_close_float32(got, want):
 @pytest.mark.parametrize("kind", ["maze", "app"])
 def test_seeded_float32_updates_repeat_their_run(kind):
     runs = list(seeded_two_updates(kind))
-    for (episodes, stats), want, parent in zip(runs, FLOAT32_RUNS[kind], PARENT_RUNS[kind],
-                                               strict=True):
+    for (batch, stats), want, parent in zip(runs, FLOAT32_RUNS[kind], PARENT_RUNS[kind],
+                                            strict=True):
+        episodes = batch.episodes
         assert [[r.action for r in ep.history.records[1:]] for ep in episodes] == parent["actions"]
         assert [ep.rewards() for ep in episodes] == parent["rewards"]
-        assert_close_float32([x for ep in episodes for x in ep.logprobs], want["logprobs"])
-        assert_close_float32([x for ep in episodes for x in ep.values], want["values"])
+        assert_close_float32(decision_outputs(batch, 0), want["logprobs"])
+        assert_close_float32(decision_outputs(batch, 2), want["values"])
         assert_close_float32([stats.mean_return, stats.policy_loss, stats.value_loss,
                               stats.entropy, stats.grad_norm], want["stats"])
     # Before any step, float32 differs from the float64 run by rounding only.
-    (episodes, _), parent = runs[0], PARENT_RUNS[kind][0]
-    assert_close([x for ep in episodes for x in ep.logprobs], parent["logprobs"], 1e-5)
-    assert_close([x for ep in episodes for x in ep.values], parent["values"], 1e-5)
+    (batch, _), parent = runs[0], PARENT_RUNS[kind][0]
+    assert_close(decision_outputs(batch, 0), parent["logprobs"], 1e-5)
+    assert_close(decision_outputs(batch, 2), parent["values"], 1e-5)
 
 
 @pytest.mark.parametrize("kind", ["maze", "app"])
