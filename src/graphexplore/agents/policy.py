@@ -121,7 +121,7 @@ class CategoricalHead:
 
 class _Decoder:
     """LSTM machinery of the grid head: the conditioning vector F seeds the
-    initial state and rides along with every step's input."""
+    initial [h | c] state and rides along with every step's input."""
 
     def __init__(self, params, name, in_width, hidden, n_rows, out_dim):
         self.hidden = hidden
@@ -132,11 +132,13 @@ class _Decoder:
         self.out = Linear(params, f"{name}/out", hidden, out_dim)
 
     def start(self, F):
-        return tanh(self.init_h(F)), tanh(self.init_c(F))
+        return tanh(concat([self.init_h(F), self.init_c(F)], axis=0))
 
     def advance(self, state, token_row, F):
+        """(h, next state) after feeding `token_row`'s embedding."""
         x = concat([reshape(self.embed([token_row]), (self.hidden,)), F], axis=0)
-        return self.cell(x, state)
+        state = self.cell(x, state)
+        return slice_(state, 0, self.hidden), state
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,7 @@ class GridDecoder:
         return mask
 
     def _walk(self, F, rng=None, mode="sample", forced=None):
-        state = self.dec.start(F)
-        h, c = self.dec.advance(state, self.bos_row, F)
-        state = (h, c)
+        h, state = self.dec.advance(self.dec.start(F), self.bos_row, F)
         size_log_probs, size_probs = masked_log_probs(self.size_out(h), None)
         if forced is not None:
             size_idx = self.sizes.index(forced.size)
@@ -197,8 +197,7 @@ class GridDecoder:
         tokens = []
         hero_done = False
         for i in range(size * size):
-            h, c = self.dec.advance(state, prev, F)
-            state = (h, c)
+            h, state = self.dec.advance(state, prev, F)
             mask = self._cell_mask(hero_done, size * size - i)
             log_probs, probs = masked_log_probs(self.dec.out(h), mask)
             if forced is not None:
@@ -307,7 +306,7 @@ class PolicyModel:
                 if len(kept) < len(live):
                     live = [live[row] for row in kept]
                     if state is not None:
-                        state = tuple(embed_lookup(part, kept) for part in state)
+                        state = embed_lookup(state, kept)
             outputs = tuple(concat(parts) for parts in zip(*steps)) if steps else None
         return TrajectoryBatch(episodes=trajs, outputs=outputs,
                                rows=[np.asarray(r, dtype=np.intp) for r in rows])

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .envs.karel.lang import TEXT_VOCAB
 from .graphnet import GraphObservation, union_observation
 from .tensor import (
     Embedding,
@@ -107,29 +108,24 @@ def episode_objective(history):
 
 
 TEMPORAL_MODES = ("last_step", "autoregressive")
-CONDITIONING = ("node", "pool", "graph")
-PROGRAM_CONDITIONING = ("uncond", "envcond", "bow", "bilstm", "gnn")
+# graph, node and pool read the coverage graph; the program arms uncond,
+# envcond, bow and bilstm do not (bow and bilstm read the program's text).
+CONDITIONING = ("graph", "node", "pool", "uncond", "envcond", "bow", "bilstm")
 
 
 @dataclass
 class HistoryEncoderConfig:
     temporal_mode: str = "autoregressive"
     conditioning: str = "graph"
-    program_conditioning: str = "gnn"  # gnn = defer to `conditioning` on the coverage graph
     recurrent_width: int = 64
     action_width: int = 16
     action_vocab: int = 0  # size of the action embedding table; must be >= 1
-    token_vocab: int = 0  # > 0 enables bow/bilstm program-token encoders
 
     def validate(self):
         if self.temporal_mode not in TEMPORAL_MODES:
             raise ValueError(f"temporal_mode {self.temporal_mode!r} not in {TEMPORAL_MODES}")
         if self.conditioning not in CONDITIONING:
             raise ValueError(f"conditioning {self.conditioning!r} not in {CONDITIONING}")
-        if self.program_conditioning not in PROGRAM_CONDITIONING:
-            raise ValueError(
-                f"program_conditioning {self.program_conditioning!r} not in {PROGRAM_CONDITIONING}"
-            )
         if self.action_vocab < 1:
             raise ValueError(f"action_vocab must be >= 1, got {self.action_vocab}")
         return self
@@ -138,18 +134,19 @@ class HistoryEncoderConfig:
 class HistoryEncoder:
     """F(h_t): per-record summaries folded through time.
 
-    Summary = [conditioning part, g_x(action)], where the conditioning part is
-    one of: the current node's pre-message-passing features (node), the mean of
-    covered nodes' pre-message-passing features (pool), or the full
-    message-passing readout (graph). Program conditioning overrides the
-    conditioning part for program environments: uncond/envcond zero it (envcond
-    additionally appends the previous reward), bow/bilstm replace it with a
-    static program-text embedding, gnn keeps the graph-based part.
+    Summary = [conditioning part, g_x(action)], where `conditioning` picks
+    the conditioning part: the full message-passing readout of the coverage
+    graph (graph, the paper's GNN arm), the current node's
+    pre-message-passing features (node), the mean of covered nodes'
+    pre-message-passing features (pool), zeros (uncond, and envcond, which
+    also appends the previous reward), or a static embedding of the
+    program's text tokens (bow, bilstm).
 
     temporal_mode last_step returns the newest summary; autoregressive folds
-    summaries through an LSTM whose hidden state is F(h_t).
+    summaries through an LSTM whose hidden state is F(h_t). Its state is one
+    [h | c] tensor, and F is its h half.
 
-    Rollouts fold episodes as rows of one (K, H) state, stepping K episodes
+    Rollouts fold episodes as rows of one (K, 2H) state, stepping K episodes
     in lockstep (PolicyModel.run_episodes): each step builds the newest
     record's summary of every live episode with one summaries call and folds
     them with one fold call. The learner encodes nothing itself: it
@@ -168,11 +165,9 @@ class HistoryEncoder:
             params, f"{name}/actions", config.action_vocab + 1, config.action_width
         )
         self.dtype = params.dtype  # of the constant rows built beside the learned ones
-        if config.program_conditioning in ("bow", "bilstm"):
-            if config.token_vocab <= 0:
-                raise ValueError("bow/bilstm conditioning needs token_vocab > 0")
-            self.token_embed = Embedding(params, f"{name}/tokens", config.token_vocab, self.d)
-            if config.program_conditioning == "bilstm":
+        if config.conditioning in ("bow", "bilstm"):
+            self.token_embed = Embedding(params, f"{name}/tokens", TEXT_VOCAB, self.d)
+            if config.conditioning == "bilstm":
                 self.fwd = LSTMCell(params, f"{name}/prog_fwd", self.d, self.d)
                 self.bwd = LSTMCell(params, f"{name}/prog_bwd", self.d, self.d)
                 self.prog_out = Linear(params, f"{name}/prog_out", 2 * self.d, self.d)
@@ -182,7 +177,7 @@ class HistoryEncoder:
 
     def summary_width(self):
         w = self.d + self.config.action_width
-        if self.config.program_conditioning == "envcond":
+        if self.config.conditioning == "envcond":
             w += 1
         return w
 
@@ -206,7 +201,7 @@ class HistoryEncoder:
 
     def conditioning_rows(self, records, programs):
         """(R, d) conditioning parts; programs[i] is record i's static program."""
-        mode = self.config.program_conditioning
+        mode = self.config.conditioning
         R = len(records)
         if mode in ("uncond", "envcond"):
             return Tensor(np.zeros((R, self.d), dtype=self.dtype))
@@ -218,10 +213,8 @@ class HistoryEncoder:
                 slot.setdefault(id(p), (len(slot), p))
             table = concat([reshape(encode(p), (1, self.d)) for _, p in slot.values()], axis=0)
             return embed_lookup(table, [slot[id(p)][0] for p in programs])
-        # gnn: condition on the coverage graph per `conditioning`
         observations = [rec.observation for rec in records]
-        cond = self.config.conditioning
-        if cond == "graph":
+        if mode == "graph":
             return self.net.encode_batch(observations)
         # node / pool: pick pre-message-passing rows of the union and average
         # them per record; a record with no picked row (an empty graph, or
@@ -235,7 +228,7 @@ class HistoryEncoder:
         offset = 0
         for i in full:
             obs = observations[i]
-            if cond == "node":
+            if mode == "node":
                 if obs.current_node is None:
                     raise ValueError("node conditioning needs a designated current node")
                 rows = [obs.current_node]
@@ -261,20 +254,20 @@ class HistoryEncoder:
             return Tensor(np.zeros(self.d, dtype=self.dtype))
         embs = self.token_embed(np.asarray(tokens, dtype=np.intp))
         rows = [_row(slice_(embs, i, i + 1, axis=0)) for i in range(len(tokens))]
-        hf, cf = self.fwd.zero_state()
+        fwd = self.fwd.zero_state()
         for r in rows:
-            hf, cf = self.fwd(r, (hf, cf))
-        hb, cb = self.bwd.zero_state()
+            fwd = self.fwd(r, fwd)
+        bwd = self.bwd.zero_state()
         for r in reversed(rows):
-            hb, cb = self.bwd(r, (hb, cb))
-        return self.prog_out(concat([hf, hb], axis=0))
+            bwd = self.bwd(r, bwd)
+        return self.prog_out(concat([slice_(fwd, 0, self.d), slice_(bwd, 0, self.d)], axis=0))
 
     def summaries(self, records, programs):
         """(R, summary_width) summaries of `records`, built with one batched
         graph encode and one action lookup; programs[i] is the static program
         of record i's episode (None outside program environments)."""
         parts = [self.conditioning_rows(records, programs), self.action_rows(records)]
-        if self.config.program_conditioning == "envcond":
+        if self.config.conditioning == "envcond":
             parts.append(Tensor(np.asarray([[rec.reward] for rec in records], dtype=self.dtype)))
         return concat(parts, axis=1)
 
@@ -284,22 +277,19 @@ class HistoryEncoder:
     # -- temporal fold ------------------------------------------------------
 
     def init_state(self, rows=None):
-        """Zero fold state: (H,) parts, or (rows, H) parts that fold `rows`
-        sequences in parallel; None in last_step mode."""
+        """Zero fold state: the LSTM's (2H,) [h | c], or (rows, 2H) to fold
+        `rows` sequences in parallel; None in last_step mode."""
         if self.config.temporal_mode != "autoregressive":
             return None
-        state = self.cell.zero_state()
-        if rows is None:
-            return state
-        return tuple(Tensor(np.zeros((rows,) + part.data.shape, dtype=part.data.dtype))
-                     for part in state)
+        return self.cell.zero_state(rows)
 
     def fold(self, state, summ):
-        """Consume one summary; returns (F, new state). The state is an
-        (h, c) pair, or None in last_step mode, which keeps no state."""
+        """Consume one summary; returns (F, new state). The state is the
+        packed [h | c] tensor and F its h half, or None in last_step mode,
+        which keeps no state."""
         if self.config.temporal_mode == "autoregressive":
-            h, c = self.cell(summ, state)
-            return h, (h, c)
+            state = self.cell(summ, state)
+            return slice_(state, 0, self.config.recurrent_width, axis=state.data.ndim - 1), state
         return summ, None
 
 

@@ -13,7 +13,6 @@ from .core import (
     lstm_cell,
     matmul,
     mul,
-    neg,
     no_grad,
     reduce_mean,
     reduce_sum,

@@ -55,9 +55,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -66,15 +63,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x):
@@ -243,11 +231,6 @@ def sub(a, b):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
 
     return _emit(out, (a, b), backward)
-
-
-def neg(a):
-    a = as_tensor(a)
-    return _emit(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a, b):
@@ -515,7 +498,7 @@ def embed_lookup(table, ids):
     return _emit(out, (table,), backward)
 
 
-def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n, Wx):
+def gru_cell(x, h, Wx, Wh_zr, b_zr, Wh_n, b_n):
     """One gated-recurrent-unit step as a single tape op:
 
         z, r = sigmoid(x Wx_zr + h Wh_zr + b_zr) split in halves
@@ -523,23 +506,23 @@ def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n, Wx):
         h'   = (1 - z) * n + z * h
 
     x is (n_in,) or (rows, n_in) and h the matching (H,) or (rows, H). Wx is
-    [Wx_zr | Wx_n] as one (n_in, 3H) array (GRUCell.input_weight), which a
+    [Wx_zr | Wx_n], one (n_in, 3H) tensor (GRUCell.input_weight), which a
     caller that steps the cell several times with the same weights builds
-    once. Runs three products (x @ Wx, h @ Wh_zr, (r * h) @ Wh_n) and keeps
-    only the gates for its hand-written backward, where the composed ops
-    would record 17 nodes and their temporaries. The elementwise steps of
-    both passes run in place on the products' results, in the formula's
-    operand order, so they allocate almost nothing beyond the products."""
-    x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n = (
-        as_tensor(t) for t in (x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n))
-    n_in, H = Wx_n.data.shape
+    once, so its one gradient is split into the two halves once. Runs three
+    products (x @ Wx, h @ Wh_zr, (r * h) @ Wh_n) and keeps only the gates for
+    its hand-written backward, where the composed ops would record 17 nodes
+    and their temporaries. The elementwise steps of both passes run in place
+    on the products' results, in the formula's operand order, so they
+    allocate almost nothing beyond the products."""
+    x, h, Wx, Wh_zr, b_zr, Wh_n, b_n = (as_tensor(t) for t in (x, h, Wx, Wh_zr, b_zr, Wh_n, b_n))
+    n_in, H = Wx.data.shape[0], Wh_n.data.shape[0]
     if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != h.data.shape[:-1]
             or x.data.shape[-1] != n_in or h.data.shape[-1] != H):
         raise ShapeError("gru_cell", x.shape, h.shape)
-    if Wx.shape != (n_in, 3 * H):
+    if Wx.data.shape[1] != 3 * H:
         raise ShapeError("gru_cell", Wx.shape, (n_in, 3 * H))
     xd, hd = x.data.reshape(-1, n_in), h.data.reshape(-1, H)
-    xw = xd @ Wx
+    xw = xd @ Wx.data
     zr = hd @ Wh_zr.data
     zr += xw[:, : 2 * H]
     zr += b_zr.data
@@ -580,25 +563,23 @@ def gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n, Wx):
         drh *= r
         dh += drh
         dh += dzr @ Wh_zr.data.T
-        dWx = xd.T @ dxw
         dx = None
-        if x.requires_grad:  # the forward's Wx, shared by every call that was passed it
-            dx = (dxw @ Wx.T).reshape(x.data.shape)
+        if x.requires_grad:
+            dx = (dxw @ Wx.data.T).reshape(x.data.shape)
         return (
             dx,
             dh.reshape(h.data.shape),
-            dWx[:, : 2 * H],
+            xd.T @ dxw,
             hd.T @ dzr,
             dzr.sum(axis=0),
-            dWx[:, 2 * H :],
             rh.T @ dn,
             dn.sum(axis=0),
         )
 
-    return _emit(out.reshape(h.data.shape), (x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n), backward)
+    return _emit(out.reshape(h.data.shape), (x, h, Wx, Wh_zr, b_zr, Wh_n, b_n), backward)
 
 
-def lstm_cell(x, h, c, Wx, Wh, b):
+def lstm_cell(x, hc, Wx, Wh, b):
     """One long short-term-memory step as a single tape op:
 
         i, f, g, o = quarters of x Wx + h Wh + b, through sigmoid, sigmoid,
@@ -606,23 +587,23 @@ def lstm_cell(x, h, c, Wx, Wh, b):
         c' = f * c + i * g
         h' = o * tanh(c')
 
-    x is (n_in,) or (rows, n_in) and h, c the matching (H,) or (rows, H).
-    Returns h' and c' side by side as one (..., 2H) tensor, which LSTMCell
-    splits. The hand-written backward keeps only the gates and tanh(c'),
-    where the composed ops would record 17 nodes."""
-    x, h, c, Wx, Wh, b = (as_tensor(t) for t in (x, h, c, Wx, Wh, b))
+    x is (n_in,) or (rows, n_in). The state hc holds h and c side by side,
+    (2H,) or the matching (rows, 2H), and the result is the next state
+    [h' | c'] of the same shape. The hand-written backward keeps only the
+    gates and tanh(c'), where the composed ops would record 17 nodes."""
+    x, hc, Wx, Wh, b = (as_tensor(t) for t in (x, hc, Wx, Wh, b))
     n_in, H = Wx.data.shape[0], Wx.data.shape[1] // 4
-    if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != h.data.shape[:-1]
-            or c.data.shape != h.data.shape or x.data.shape[-1] != n_in
-            or h.data.shape[-1] != H):
-        raise ShapeError("lstm_cell", x.shape, h.shape)
-    a = x.data @ Wx.data + h.data @ Wh.data + b.data
+    if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != hc.data.shape[:-1]
+            or x.data.shape[-1] != n_in or hc.data.shape[-1] != 2 * H):
+        raise ShapeError("lstm_cell", x.shape, hc.shape)
+    h, c = hc.data[..., :H], hc.data[..., H:]
+    a = x.data @ Wx.data + h @ Wh.data + b.data
     with np.errstate(over="ignore"):  # an inf exp(-a) gives the exact limit 0, as in gru_cell
         i = 1.0 / (1.0 + np.exp(-a[..., :H]))
         f = 1.0 / (1.0 + np.exp(-a[..., H : 2 * H]))
         o = 1.0 / (1.0 + np.exp(-a[..., 3 * H :]))
     g = np.tanh(a[..., 2 * H : 3 * H])
-    c_new = f * c.data + i * g
+    c_new = f * c + i * g
     tc = np.tanh(c_new)
     out = np.concatenate([o * tc, c_new], axis=-1)
 
@@ -633,17 +614,19 @@ def lstm_cell(x, h, c, Wx, Wh, b):
         dc = gout[:, H:] + dh_new * o2 * (1.0 - tc2 * tc2)
         da = np.empty((gout.shape[0], 4 * H), dtype=i.dtype)
         da[:, :H] = dc * g2 * i2 * (1.0 - i2)
-        da[:, H : 2 * H] = dc * c.data.reshape(-1, H) * f2 * (1.0 - f2)
+        da[:, H : 2 * H] = dc * c.reshape(-1, H) * f2 * (1.0 - f2)
         da[:, 2 * H : 3 * H] = dc * i2 * (1.0 - g2 * g2)
         da[:, 3 * H :] = dh_new * tc2 * o2 * (1.0 - o2)
-        x2, h2 = x.data.reshape(-1, n_in), h.data.reshape(-1, H)
+        x2, h2 = x.data.reshape(-1, n_in), h.reshape(-1, H)
+        dhc = None
+        if hc.requires_grad:
+            dhc = np.concatenate([da @ Wh.data.T, dc * f2], axis=1).reshape(hc.data.shape)
         return (
             (da @ Wx.data.T).reshape(x.data.shape) if x.requires_grad else None,
-            (da @ Wh.data.T).reshape(h.data.shape) if h.requires_grad else None,
-            (dc * f2).reshape(c.data.shape),
+            dhc,
             x2.T @ da,
             h2.T @ da,
             da.sum(axis=0),
         )
 
-    return _emit(out, (x, h, c, Wx, Wh, b), backward)
+    return _emit(out, (x, hc, Wx, Wh, b), backward)

@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 
-from .core import Tensor, embed_lookup, gru_cell, lstm_cell, matmul, relu, slice_
+from .core import Tensor, concat, embed_lookup, gru_cell, lstm_cell, matmul, relu
 
 
 class ParamSet:
@@ -117,7 +117,8 @@ class MLP:
 class GRUCell:
     """Gated recurrent unit over (n_in,) or (rows, n_in) inputs. The update
     and reset gates share the Wx_zr/Wh_zr products; the whole step is the one
-    `gru_cell` tape op (see there for the formula)."""
+    `gru_cell` tape op (see there for the formula), which reads the input
+    weights as the one [Wx_zr | Wx_n] tensor of input_weight()."""
 
     def __init__(self, params, name, n_in, n_hidden):
         self.n_hidden = n_hidden
@@ -129,18 +130,19 @@ class GRUCell:
         self.b_n = params.get_or_init(f"{name}/b_n", (n_hidden,), init="zeros")
 
     def input_weight(self):
-        """[Wx_zr | Wx_n] as one array: the `Wx` of `gru_cell`, for a caller
-        that steps the cell several times before the weights change."""
-        return np.concatenate([self.Wx_zr.data, self.Wx_n.data], axis=1)
+        """[Wx_zr | Wx_n] as one concat tape op: the `Wx` of `gru_cell`, for
+        a caller to build once and pass to every step before the weights
+        change."""
+        return concat([self.Wx_zr, self.Wx_n], axis=1)
 
     def __call__(self, x, h, Wx):
-        return gru_cell(x, h, self.Wx_zr, self.Wh_zr, self.b_zr, self.Wx_n, self.Wh_n, self.b_n, Wx)
+        return gru_cell(x, h, Wx, self.Wh_zr, self.b_zr, self.Wh_n, self.b_n)
 
 
 class LSTMCell:
-    """LSTM with combined gate matmul; forget-gate bias starts at 1. The step
-    is the one `lstm_cell` tape op (see there for the formula), whose joint
-    [h | c] output is split into the (h, c) state."""
+    """LSTM with combined gate matmul; forget-gate bias starts at 1. The
+    state is one [h | c] tensor, and a step is the one `lstm_cell` tape op
+    (see there for the formula) from state to state."""
 
     def __init__(self, params, name, n_in, n_hidden):
         self.n_hidden = n_hidden
@@ -151,16 +153,14 @@ class LSTMCell:
         if fresh:
             self.b.data[n_hidden : 2 * n_hidden] = 1.0
 
-    def __call__(self, x, state):
-        h, c = state
-        H = self.n_hidden
-        hc = lstm_cell(x, h, c, self.Wx, self.Wh, self.b)
-        axis = hc.data.ndim - 1
-        return slice_(hc, 0, H, axis=axis), slice_(hc, H, 2 * H, axis=axis)
+    def __call__(self, x, hc):
+        return lstm_cell(x, hc, self.Wx, self.Wh, self.b)
 
-    def zero_state(self):
-        zeros = np.zeros(self.n_hidden, dtype=self.Wx.data.dtype)
-        return Tensor(zeros), Tensor(zeros.copy())
+    def zero_state(self, rows=None):
+        """The zero [h | c] state: (2H,), or (rows, 2H) for `rows` sequences
+        stepped in parallel."""
+        shape = (2 * self.n_hidden,) if rows is None else (rows, 2 * self.n_hidden)
+        return Tensor(np.zeros(shape, dtype=self.Wx.data.dtype))
 
 
 class Embedding:

@@ -9,6 +9,8 @@ from graphexplore.benchmarks import app_eval_set
 from graphexplore.envs.appgraph import AppEnv
 from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.episode import (
+    CONDITIONING,
+    TEMPORAL_MODES,
     CoverageRegressionError,
     EpisodeHistory,
     HistoryEncoder,
@@ -27,7 +29,7 @@ from graphexplore.graphnet import (
     GraphObservation,
     empty_observation,
 )
-from graphexplore.tensor import ParamSet, embed_lookup, no_grad
+from graphexplore.tensor import ParamSet, Tape, embed_lookup, no_grad, reduce_sum
 
 
 def obs_of(coverage, edges=(), feature_width=1, current=None, n_types=2):
@@ -159,18 +161,15 @@ def test_trajectory_batch_validation_and_dump(tmp_path):
 # ------------------------------------------------------------ history encoder
 
 
-def encoder_fixture(temporal="autoregressive", conditioning="graph", program="gnn", seed=0,
-                    dtype=np.float32, **kw):
+def encoder_fixture(temporal="autoregressive", conditioning="graph", seed=0, dtype=np.float32):
     params = ParamSet(seed=seed, dtype=dtype)
     net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=1, feature_width=1))
     config = HistoryEncoderConfig(
         temporal_mode=temporal,
         conditioning=conditioning,
-        program_conditioning=program,
         recurrent_width=5,
         action_width=3,
         action_vocab=4,
-        **kw,
     )
     enc = HistoryEncoder(params, "hist", config, net)
     return params, net, enc
@@ -227,7 +226,6 @@ def test_pool_equals_node_on_identical_embeddings():
         HistoryEncoderConfig(
             temporal_mode="last_step",
             conditioning="node",
-            program_conditioning="gnn",
             recurrent_width=5,
             action_width=3,
             action_vocab=4,
@@ -290,7 +288,7 @@ def test_encode_matches_incremental_fold():
 
 
 def test_envcond_appends_reward_and_zeroes_graph():
-    params, net, enc = encoder_fixture(program="envcond", temporal="last_step")
+    params, net, enc = encoder_fixture(conditioning="envcond", temporal="last_step")
     rec = StepRecord(action=1, observation=obs_of([1, 0, 1]), reward=0.25)
     with no_grad():
         s = enc.summary(rec, None)
@@ -300,7 +298,7 @@ def test_envcond_appends_reward_and_zeroes_graph():
 
 
 def test_bow_conditioning_static_program_embedding():
-    params, net, enc = encoder_fixture(program="bow", token_vocab=10, temporal="last_step")
+    params, net, enc = encoder_fixture(conditioning="bow", temporal="last_step")
     rec1 = StepRecord(action=1, observation=obs_of([1, 0]), reward=0.0)
     rec2 = StepRecord(action=1, observation=obs_of([1, 1]), reward=0.5)
     with no_grad():
@@ -339,13 +337,10 @@ def varied_records(seed):
     return records
 
 
-@pytest.mark.parametrize("conditioning,program", [
-    ("graph", "gnn"), ("node", "gnn"), ("pool", "gnn"),
-    ("graph", "uncond"), ("graph", "envcond"), ("graph", "bow"), ("graph", "bilstm"),
-])
-def test_summaries_rows_equal_per_record_summaries(conditioning, program):
-    _, _, enc = encoder_fixture(temporal="last_step", conditioning=conditioning,
-                                program=program, seed=6, token_vocab=10, dtype=np.float64)
+@pytest.mark.parametrize("conditioning", CONDITIONING)
+def test_summaries_rows_equal_per_record_summaries(conditioning):
+    _, _, enc = encoder_fixture(temporal="last_step", conditioning=conditioning, seed=6,
+                                dtype=np.float64)
     records = varied_records(seed=6)
     programs = [SimpleNamespace(token_ids=(1, 2, 3)), SimpleNamespace(token_ids=(4, 5))]
     per_record = [programs[i % 2] for i in range(len(records))]
@@ -375,7 +370,7 @@ def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
             kept = [row for row, e in enumerate(live) if t + 1 < len(sequences[e])]
             live = [live[row] for row in kept]
             if state is not None:
-                state = tuple(embed_lookup(part, kept) for part in state)
+                state = embed_lookup(state, kept)
         assert not live
         reference = {}
         for e, seq in enumerate(sequences):
@@ -387,6 +382,36 @@ def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
     for key, want in reference.items():
         assert lockstep[key].shape == (enc.output_width(),)
         assert np.allclose(lockstep[key], want, rtol=0.0, atol=1e-12), key
+
+
+@pytest.mark.parametrize("temporal", TEMPORAL_MODES)
+@pytest.mark.parametrize("conditioning", CONDITIONING)
+def test_conditioning_reads_only_its_own_parameters(temporal, conditioning):
+    # Two lockstep steps of 3 rows with programs given, the first on an
+    # empty graph too: only the graph arms reach the GraphNet (node and pool
+    # through its projection alone), and only the text arms reach their
+    # token encoders.
+    params, _, enc = encoder_fixture(temporal=temporal, conditioning=conditioning, seed=8,
+                                     dtype=np.float64)
+    records = varied_records(seed=8)
+    programs = [SimpleNamespace(token_ids=(1, 2, 3)), SimpleNamespace(token_ids=(4, 5)), None]
+    with Tape() as tape:
+        state, loss = enc.init_state(3), 0.0
+        for step in (records[0:3], records[1:4]):
+            F, state = enc.fold(state, enc.summaries(step, programs))
+            loss = reduce_sum(F) + loss
+    assert F.data.shape == (3, enc.output_width())
+    assert np.all(np.isfinite(F.data))
+    grads = params.gradients(tape, loss)
+    for name, g in grads.items():
+        if name.startswith("enc/"):
+            reached = (conditioning == "graph"
+                       or conditioning in ("node", "pool") and name.startswith("enc/project/"))
+            assert np.any(g.data != 0.0) if reached else not np.any(g.data), name
+    if conditioning == "bow":
+        assert np.any(grads["hist/tokens/table"].data != 0.0)
+    if conditioning == "bilstm":
+        assert all(np.any(g.data != 0.0) for name, g in grads.items() if name.startswith("hist/prog_"))
 
 
 def test_history_encoder_rejects_bad_enums():

@@ -1,11 +1,15 @@
 """Packaging metadata: every console script declared in pyproject.toml names
-an importable callable, no module under src/ keeps an import it does not use
-or imports inside a function, and every top-level function and class under
-src/, and every method of those classes, is referenced by the program or kept
-for a stated reason."""
+an importable callable, every module under src/ imports first in a fresh
+interpreter, no module under src/ keeps an import it does not use or imports
+inside a function, and every top-level function and class under src/, and
+every method of those classes, is referenced by the program or kept for a
+stated reason."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -26,6 +30,32 @@ def test_console_scripts_resolve_to_callables():
 
 
 SRC = PYPROJECT.parent / "src"
+
+
+FRESH_IMPORTS = """
+import importlib, sys
+for name in sys.argv[1:]:
+    for loaded in [m for m in sys.modules if m.startswith("graphexplore")]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except (ImportError, AttributeError) as e:
+        print(f"{name}: {e!r}")
+"""
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    # An import cycle fails whichever of its modules a caller imports first,
+    # so each module is imported with no module of the package loaded.
+    modules = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        modules.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", FRESH_IMPORTS, *modules], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ""
 
 
 def unused_imports(path):

@@ -42,7 +42,6 @@ from graphexplore.tensor.core import (
     gru_cell,
     log_softmax,
     lstm_cell,
-    neg,
     reshape,
 )
 
@@ -188,9 +187,6 @@ def _fd_case(op_name, rng):
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         other = Tensor(rng.normal(size=(2, 3)))
         return {"x": x}, lambda p: reduce_sum(concat([p["x"], other], axis=1) * w_for((2, 6), rng))
-    if op_name == "neg":
-        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        return {"x": x}, lambda p: reduce_sum(neg(p["x"]) * w_for((2, 3), rng))
     if op_name == "slice":
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         return {"x": x}, lambda p: reduce_sum(slice_(p["x"], 1, 4) * w_for((3, 3), rng))
@@ -256,11 +252,10 @@ def _fd_case(op_name, rng):
     if op_name == "gru_cell":
         return _gru_case(rng, scale=0.5)
     if op_name == "lstm_cell":
-        # Alternate (rows, H) and (H,) states; every one of the 6 inputs is
-        # checked, through both halves of the joint [h' | c'] output.
+        # Alternate (rows, 2H) and (2H,) states; every one of the 5 inputs is
+        # checked, through both halves of the [h | c] state and output.
         lead = (3,) if rng.integers(0, 2) else ()
-        shapes = {"x": lead + (3,), "h": lead + (2,), "c": lead + (2,), "Wx": (3, 8),
-                  "Wh": (2, 8), "b": (8,)}
+        shapes = {"x": lead + (3,), "hc": lead + (4,), "Wx": (3, 8), "Wh": (2, 8), "b": (8,)}
         params = {k: Tensor(rng.normal(size=shape), requires_grad=True)
                   for k, shape in shapes.items()}
         return params, lambda p: reduce_sum(lstm_cell(*(p[k] for k in shapes)) * w_for(lead + (4,), rng))
@@ -268,20 +263,13 @@ def _fd_case(op_name, rng):
 
 
 def _gru_case(rng, scale):
-    # Alternate (rows, H) and (H,) states; every one of the 8 inputs is checked.
+    # Alternate (rows, H) and (H,) states; every one of the 7 inputs is checked.
     lead = (3,) if rng.integers(0, 2) else ()
-    shapes = {"x": lead + (3,), "h": lead + (2,), "Wx_zr": (3, 4), "Wh_zr": (2, 4),
-              "b_zr": (4,), "Wx_n": (3, 2), "Wh_n": (2, 2), "b_n": (2,)}
+    shapes = {"x": lead + (3,), "h": lead + (2,), "Wx": (3, 6), "Wh_zr": (2, 4),
+              "b_zr": (4,), "Wh_n": (2, 2), "b_n": (2,)}
     params = {k: Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
               for k, shape in shapes.items()}
-    return params, lambda p: reduce_sum(gru(*(p[k] for k in shapes)) * w_for(lead + (2,), rng))
-
-
-def gru(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n):
-    """gru_cell with its Wx built from the Wx_zr and Wx_n it is passed, so
-    that perturbing them moves Wx too."""
-    return gru_cell(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n,
-                    np.concatenate([Wx_zr.data, Wx_n.data], axis=1))
+    return params, lambda p: reduce_sum(gru_cell(*(p[k] for k in shapes)) * w_for(lead + (2,), rng))
 
 
 _W_CACHE = {}
@@ -300,7 +288,6 @@ ALL_OPS = [
     "add",
     "mul",
     "sub",
-    "neg",
     "concat",
     "slice",
     "reshape",
@@ -364,7 +351,8 @@ def test_gru_cell_equals_composed_ops(lead):
         with Tape() as tape:
             out = step(x, h)
             loss = reduce_sum(out * weights)
-        assert len(tape) == (1 if step is fused else 17) + 2
+        # input_weight's concat and gru_cell, against 17 ops; the loss adds 2.
+        assert len(tape) == (2 if step is fused else 17) + 2
         grads = tape.gradients(loss, params=[*params.named().values(), x, h])
         results.append((out.data, [grads[t].data for t in [*params.named().values(), x, h]]))
     (want, want_grads), (got, got_grads) = results
@@ -374,11 +362,10 @@ def test_gru_cell_equals_composed_ops(lead):
         assert np.max(np.abs(g - w)) <= 1e-12
 
 
-def gru_reference(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n, g):
+def gru_reference(x, h, Wx, Wh_zr, b_zr, Wh_n, b_n, g):
     """gru_cell's forward and backward formulas on (rows, n) arrays, with a
-    fresh array for every intermediate: (output, the 8 input gradients)."""
+    fresh array for every intermediate: (output, the 7 input gradients)."""
     H = h.shape[1]
-    Wx = np.concatenate([Wx_zr, Wx_n], axis=1)
     xw = x @ Wx
     zr = 1.0 / (1.0 + np.exp(-(xw[:, : 2 * H] + h @ Wh_zr + b_zr)))
     z, r = zr[:, :H], zr[:, H:]
@@ -390,9 +377,8 @@ def gru_reference(x, h, Wx_zr, Wh_zr, b_zr, Wx_n, Wh_n, b_n, g):
     dzr = np.concatenate([g * (h - n), drh * h], axis=1) * zr * (1.0 - zr)
     dh = g * z + drh * r + dzr @ Wh_zr.T
     dxw = np.concatenate([dzr, dn], axis=1)
-    dWx = x.T @ dxw
-    return out, [dxw @ Wx.T, dh, dWx[:, : 2 * H], h.T @ dzr, dzr.sum(axis=0), dWx[:, 2 * H :],
-                 rh.T @ dn, dn.sum(axis=0)]
+    return out, [dxw @ Wx.T, dh, x.T @ dxw, h.T @ dzr, dzr.sum(axis=0), rh.T @ dn,
+                 dn.sum(axis=0)]
 
 
 @pytest.mark.parametrize("rows", [1, 36, 84, 2937])
@@ -403,11 +389,11 @@ def test_gru_cell_in_place_steps_equal_the_reference_bit_for_bit(rows):
     H = 64
     arrays = [rng.normal(size=(rows, H)), rng.normal(size=(rows, H))]
     arrays += [rng.normal(scale=0.2, size=shape)
-               for shape in ((H, 2 * H), (H, 2 * H), (2 * H,), (H, H), (H, H), (H,))]
+               for shape in ((H, 3 * H), (H, 2 * H), (2 * H,), (H, H), (H,))]
     g = rng.normal(size=(rows, H))
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape() as tape:
-        out = gru(*inputs)
+        out = gru_cell(*inputs)
         loss = reduce_sum(out * Tensor(g))
     grads = tape.gradients(loss, params=inputs)
     want, want_grads = gru_reference(*arrays, g)
@@ -425,33 +411,33 @@ def test_lstm_cell_equals_composed_ops(lead):
         p.data += np.random.default_rng(3).normal(scale=0.5, size=p.data.shape)
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=lead + (3,)), requires_grad=True)
-    h = Tensor(rng.normal(size=lead + (4,)), requires_grad=True)
-    c = Tensor(rng.normal(size=lead + (4,)), requires_grad=True)
-    w_h, w_c = Tensor(rng.normal(size=lead + (4,))), Tensor(rng.normal(size=lead + (4,)))
+    hc = Tensor(rng.normal(size=lead + (8,)), requires_grad=True)
+    weights = Tensor(rng.normal(size=lead + (8,)))
 
-    def composed(x, state):
-        h, c = state
+    def composed(x, hc):
         axis = len(lead)
+        h, c = slice_(hc, 0, 4, axis=axis), slice_(hc, 4, 8, axis=axis)
         gates = matmul(x, cell.Wx) + matmul(h, cell.Wh) + cell.b
         i = sigmoid(slice_(gates, 0, 4, axis=axis))
         f = sigmoid(slice_(gates, 4, 8, axis=axis))
         g = tanh(slice_(gates, 8, 12, axis=axis))
         o = sigmoid(slice_(gates, 12, 16, axis=axis))
         c_new = f * c + i * g
-        return o * tanh(c_new), c_new
+        return concat([o * tanh(c_new), c_new], axis=axis)
 
     results = []
     for step in (composed, cell):
         with Tape() as tape:
-            h_new, c_new = step(x, (h, c))
-            loss = reduce_sum(h_new * w_h) + reduce_sum(c_new * w_c)
-        # lstm_cell and the two slices that split its output, against 17 ops;
-        # the loss adds 5.
-        assert len(tape) == (3 if step is cell else 17) + 5
-        grads = tape.gradients(loss, params=[*params.named().values(), x, h, c])
-        results.append(([h_new.data, c_new.data],
-                        [grads[t].data for t in [*params.named().values(), x, h, c]]))
+            out = step(x, hc)
+            loss = reduce_sum(out * weights)
+        # The cell is one lstm_cell op, against the 17 ops of the formula
+        # between the slices and the concat that unpack and pack the state;
+        # the loss adds 2.
+        assert len(tape) == (1 if step is cell else 2 + 17 + 1) + 2
+        grads = tape.gradients(loss, params=[*params.named().values(), x, hc])
+        results.append(([out.data], [grads[t].data for t in [*params.named().values(), x, hc]]))
     (want, want_grads), (got, got_grads) = results
+    assert got[0].shape == lead + (8,)
     for g, w in zip(got + got_grads, want + want_grads):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-12
@@ -460,9 +446,9 @@ def test_lstm_cell_equals_composed_ops(lead):
 def test_lstm_cell_rejects_mismatched_state():
     cell = LSTMCell(ParamSet(seed=0), "lstm", 3, 2)
     with pytest.raises(ShapeError, match="lstm_cell"):
-        cell(Tensor(np.ones((4, 3))), (Tensor(np.ones((5, 2))), Tensor(np.ones((5, 2)))))
+        cell(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 4))))
     with pytest.raises(ShapeError, match="lstm_cell"):
-        cell(Tensor(np.ones((4, 3))), (Tensor(np.ones((4, 2))), Tensor(np.ones((4, 3)))))
+        cell(Tensor(np.ones((4, 3))), Tensor(np.ones((4, 3))))
 
 
 def test_gru_cell_rejects_mismatched_rows():
@@ -473,7 +459,7 @@ def test_gru_cell_rejects_mismatched_rows():
     with pytest.raises(ShapeError, match="gru_cell"):
         cell(Tensor(np.ones(3)), Tensor(np.ones((1, 2))), Wx)
     with pytest.raises(ShapeError, match="gru_cell"):
-        cell(Tensor(np.ones(3)), Tensor(np.ones(2)), Wx[:, :4])
+        cell(Tensor(np.ones(3)), Tensor(np.ones(2)), slice_(Wx, 0, 4, axis=1))
 
 
 def test_float32_gates_saturate_to_their_exact_limits_without_a_warning():
@@ -482,25 +468,26 @@ def test_float32_gates_saturate_to_their_exact_limits_without_a_warning():
     f32 = np.float32
     x = Tensor(np.array([[1.0], [-1.0]], dtype=f32), requires_grad=True)
     h = Tensor(np.full((2, 1), 0.3, dtype=f32), requires_grad=True)
-    c = Tensor(np.full((2, 1), 0.7, dtype=f32), requires_grad=True)
+    hc = Tensor(np.tile(np.array([0.3, 0.7], dtype=f32), (2, 1)), requires_grad=True)
+    c = hc.data[0, 1]
     # gru_cell: row 0 has z = 1 (h' = h), row 1 has z = 0 and r = 1 (h' = n).
-    gru_weights = [np.array(a, dtype=f32) for a in ([[100.0, -100.0]], [[0.0, 0.0]], [0.0, 0.0],
-                                                      [[0.5]], [[0.25]], [0.0])]
+    gru_weights = [np.array(a, dtype=f32) for a in ([[100.0, -100.0, 0.5]], [[0.0, 0.0]],
+                                                      [0.0, 0.0], [[0.25]], [0.0])]
     # lstm_cell gates (i, f, g, o): row 0 has i = 0, f = 1, o = 1; row 1 the opposite.
     lstm = [np.array(a, dtype=f32) for a in ([[-100.0, 100.0, 0.5, 100.0]], [[0.0] * 4], [0.0] * 4)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            h_gru = gru(x, h, *(Tensor(a, requires_grad=True) for a in gru_weights))
-            hc = lstm_cell(x, h, c, *(Tensor(a, requires_grad=True) for a in lstm))
-            loss = reduce_sum(h_gru) + reduce_sum(hc)
+            h_gru = gru_cell(x, h, *(Tensor(a, requires_grad=True) for a in gru_weights))
+            hc_new = lstm_cell(x, hc, *(Tensor(a, requires_grad=True) for a in lstm))
+            loss = reduce_sum(h_gru) + reduce_sum(hc_new)
         grads = tape.gradients(loss)
-    assert h_gru.data.dtype == hc.data.dtype == f32
+    assert h_gru.data.dtype == hc_new.data.dtype == f32
     assert h_gru.data[0, 0] == h.data[0, 0]
     assert h_gru.data[1, 0] == np.tanh(h.data[1, 0] * f32(0.25) + f32(-0.5))
     g = np.tanh(f32(0.5) * x.data[:, 0])  # the cell input's tanh gate per row
-    assert hc.data[0, 1] == c.data[0, 0] and hc.data[0, 0] == np.tanh(c.data[0, 0])
-    assert hc.data[1, 1] == g[1] and hc.data[1, 0] == 0.0
+    assert hc_new.data[0, 1] == c and hc_new.data[0, 0] == np.tanh(c)
+    assert hc_new.data[1, 1] == g[1] and hc_new.data[1, 0] == 0.0
     assert all(np.all(np.isfinite(grad.data)) for grad in grads.values())
 
 
