@@ -13,9 +13,18 @@ puts the depth-first walker nearest its reference mean.
 
 The constants below are fixed, not defaults: callers choose only how many
 evaluation mazes to run (`count`) and whether a maze env hides destinations.
+
+The two sets that one protocol pass scores twice (once per walker) are built
+once per process and per `count`, as tuples of immutable instances (Maze,
+TransitionGraph) that every caller shares: the protocol mazes
+(protocol_mazes) and the held-out apps (app_eval_set). maze_eval_env is not
+cached: training samples it with fresh seeds, so a cache there would grow
+without bound.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -43,14 +52,21 @@ def maze_eval_env(maze_seed, hide_destinations=False):
     return MazeEnv(maze, budget=MAZE_BUDGET, hide_destinations=hide_destinations)
 
 
+@functools.cache
+def protocol_mazes(count):
+    """The first `count` baseline mazes (seeds from MAZE_EVAL_SEED_BASE), as
+    a tuple built once per process."""
+    return tuple(generate_maze(MAZE_SIZE, MAZE_SIZE, MAZE_LOOP_PROB, MAZE_EVAL_SEED_BASE + i)
+                 for i in range(count))
+
+
 def maze_coverage(policy_factory, stream, count=MAZE_EVAL_COUNT, hide_destinations=False):
     """Mean coverage of a policy over the first `count` evaluation mazes."""
     covs = []
-    for i in range(count):
-        seed = MAZE_EVAL_SEED_BASE + i
-        env = maze_eval_env(seed, hide_destinations)
+    for i, maze in enumerate(protocol_mazes(count)):
+        env = MazeEnv(maze, budget=MAZE_BUDGET, hide_destinations=hide_destinations)
         _, traj = run_episode(env, policy_factory(), budget=MAZE_BUDGET,
-                              seed=episode_seed(seed, stream))
+                              seed=episode_seed(MAZE_EVAL_SEED_BASE + i, stream))
         covs.append(traj.final_coverage)
     return float(np.mean(covs))
 
@@ -71,11 +87,13 @@ APP_MIN_SCREENS = 15
 APP_ACTION_WIDTH = 10
 
 
+@functools.cache
 def app_eval_set(count=APP_EVAL_COUNT):
     """The fixed evaluation apps: walk seeds upward from APP_EVAL_SEED_BASE,
     keeping apps that actually have APP_MIN_SCREENS+ reachable screens (sparse
     draws whose start component is smaller are not representative apps).
-    Returns (apps, seeds); the seeds key per-episode randomness."""
+    Returns (apps, seeds) as tuples built once per process; the seeds key
+    per-episode randomness."""
     apps, seeds, seed = [], [], APP_EVAL_SEED_BASE
     while len(apps) < count:
         graph = er_app_for_seed(seed)
@@ -83,7 +101,7 @@ def app_eval_set(count=APP_EVAL_COUNT):
             apps.append(graph)
             seeds.append(seed)
         seed += 1
-    return apps, seeds
+    return tuple(apps), tuple(seeds)
 
 
 def app_coverage(policy_factory, stream):

@@ -14,7 +14,9 @@ flow).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,24 +25,34 @@ from ..graphnet import BELIEF_FEATURE_WIDTH, BeliefNodes, empty_observation
 NUM_EDGE_TYPES = 2  # 1 = experienced transition, 2 = synthetic reverse orientation
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionGraph:
     """Deterministic screen-transition map; immutable after construction.
 
     Screen ids and action keys are strings. At most one target per
     (screen, action); every screen is reachable from start (generate_er_app
-    keeps only the start screen's component).
+    keeps only the start screen's component). transitions is a read-only
+    view of a private copy, so the outgoing table built from it cannot go
+    stale.
     """
 
     screens: tuple
-    transitions: dict  # (src, action) -> dst
+    transitions: Mapping  # (src, action) -> dst
     start: str
 
     def __post_init__(self):
+        transitions = MappingProxyType(dict(self.transitions))
+        object.__setattr__(self, "transitions", transitions)
         by_screen = {s: [] for s in self.screens}
-        for (src, action), dst in self.transitions.items():
+        for (src, action), dst in transitions.items():
             by_screen[src].append((action, dst))
-        self._outgoing = {s: tuple(sorted(pairs)) for s, pairs in by_screen.items()}
+        object.__setattr__(self, "_outgoing",
+                           {s: tuple(sorted(pairs)) for s, pairs in by_screen.items()})
+
+    def __reduce__(self):
+        # A mappingproxy neither pickles nor deep-copies: copies and pickles
+        # go through the constructor with a plain dict.
+        return TransitionGraph, (self.screens, dict(self.transitions), self.start)
 
     def outgoing(self, screen):
         """Outgoing (action, target) pairs sorted by action key."""
@@ -55,13 +67,14 @@ class TransitionGraph:
 
 def er_adjacency(n, p, rng):
     """Erdos-Renyi adjacency list (list of neighbor lists): each of the
-    n(n-1)/2 undirected edges is drawn independently with probability p."""
+    n(n-1)/2 undirected edges is drawn independently with probability p, in
+    one rng.random call over the pairs i < j in row-major order."""
     adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                adj[i].append(j)
-                adj[j].append(i)
+    rows, cols = np.triu_indices(n, 1)
+    hits = rng.random(len(rows)) < p
+    for i, j in zip(rows[hits].tolist(), cols[hits].tolist()):
+        adj[i].append(j)
+        adj[j].append(i)
     return adj
 
 
@@ -110,6 +123,7 @@ class AppState(BeliefNodes):
 def initial_state(graph):
     state = AppState(current=graph.start)
     state.admit(graph.start)
+    state.mark_covered(graph.start)
     return state
 
 
@@ -126,6 +140,8 @@ def step(graph, state, action_index):
     newly = 0 if dst in state.node_ids else 1
     state.taken[(state.current, action)] = dst
     state.admit(dst)
+    if newly:
+        state.mark_covered(dst)
     state.link(state.current, dst, 1, 2)
     state.previous = state.current
     state.current = dst
@@ -137,7 +153,7 @@ def observe(state):
     carries the coverage bit (visited implies covered here); a synthetic
     reverse edge (type 2) backs any one-way experienced transition so messages
     flow both directions."""
-    return state.observation(np.ones(len(state.node_order)), state.current, NUM_EDGE_TYPES)
+    return state.observation(state.current, NUM_EDGE_TYPES)
 
 
 class AppEnv:

@@ -72,41 +72,45 @@ class Maze:
 
 def generate_maze(width, height, loop_prob, seed):
     """Randomized-DFS spanning tree over the cell grid, then each remaining
-    interior wall is removed independently with probability loop_prob."""
+    interior wall is removed independently with probability loop_prob.
+
+    The carving runs on Python lists, and the wall draws are taken as one
+    rng.random(m) after the DFS: the walls still closed then are exactly the
+    ones a wall-by-wall pass would test, in the same row-major order."""
     if width < 1 or height < 1:
         raise ValueError(f"maze dimensions must be >= 1, got {width}x{height}")
     if not (0.0 <= loop_prob <= 1.0):
         raise ValueError(f"loop_prob {loop_prob} outside [0, 1]")
     rng = np.random.default_rng(seed)
-    passages = np.zeros((height, width), dtype=np.uint8)
+    passages = [[0] * width for _ in range(height)]
     start = (int(rng.integers(height)), int(rng.integers(width)))
-    visited = np.zeros((height, width), dtype=bool)
-    visited[start] = True
+    visited = [[False] * width for _ in range(height)]
+    visited[start[0]][start[1]] = True
     stack = [start]
     while stack:
         r, c = stack[-1]
         options = []
         for d in DIRECTIONS:
             nr, nc = r + DELTAS[d][0], c + DELTAS[d][1]
-            if 0 <= nr < height and 0 <= nc < width and not visited[nr, nc]:
+            if 0 <= nr < height and 0 <= nc < width and not visited[nr][nc]:
                 options.append((d, nr, nc))
         if not options:
             stack.pop()
             continue
         d, nr, nc = options[int(rng.integers(len(options)))]
-        passages[r, c] |= 1 << d
-        passages[nr, nc] |= 1 << OPPOSITE[d]
-        visited[nr, nc] = True
+        passages[r][c] |= 1 << d
+        passages[nr][nc] |= 1 << OPPOSITE[d]
+        visited[nr][nc] = True
         stack.append((nr, nc))
     if loop_prob > 0.0:
-        for r in range(height):
-            for c in range(width):
-                for d in (E, S):  # each interior wall considered once
-                    nr, nc = r + DELTAS[d][0], c + DELTAS[d][1]
-                    if nr < height and nc < width and not passages[r, c] >> d & 1:
-                        if rng.random() < loop_prob:
-                            passages[r, c] |= 1 << d
-                            passages[nr, nc] |= 1 << OPPOSITE[d]
+        # Each interior wall once, as its cell's E or S side.
+        walls = [(r, c, d) for r in range(height) for c in range(width) for d in (E, S)
+                 if r + DELTAS[d][0] < height and c + DELTAS[d][1] < width
+                 and not passages[r][c] >> d & 1]
+        for (r, c, d), u in zip(walls, rng.random(len(walls)).tolist()):
+            if u < loop_prob:
+                passages[r][c] |= 1 << d
+                passages[r + DELTAS[d][0]][c + DELTAS[d][1]] |= 1 << OPPOSITE[d]
     return Maze(width=width, height=height, passages=passages, start=start)
 
 
@@ -130,6 +134,7 @@ def _visit(maze, state, cell):
     """First visit of `cell`: admit its neighbours and link each open side d
     both ways, typed d+1 outward and opposite+1 back."""
     state.visited.add(cell)
+    state.mark_covered(cell)
     for d, other in maze.exits(*cell):
         state.admit(other)
         state.link(cell, other, d + 1, OPPOSITE[d] + 1)
@@ -156,9 +161,7 @@ def observe(maze, state):
     passage incident to a visited cell, typed by compass direction. The one
     feature column marks the current node; the coverage bit rides in the
     observation's coverage mask."""
-    coverage = np.zeros(len(state.node_order))
-    coverage[[state.node_ids[cell] for cell in state.visited]] = 1.0
-    return state.observation(coverage, state.position, NUM_EDGE_TYPES)
+    return state.observation(state.position, NUM_EDGE_TYPES)
 
 
 # ----------------------------------------------------------------- rendering
@@ -244,6 +247,7 @@ class MazeEnv:
 
 
 def heldout_mazes(count=100):
-    """The fixed evaluation set of trained agents: seeds 7001..7000+count."""
-    return [generate_maze(MAZE_SIZE, MAZE_SIZE, MAZE_LOOP_PROB, seed)
-            for seed in range(7001, 7001 + count)]
+    """The fixed evaluation set of trained agents: seeds 7001..7000+count, as
+    a tuple."""
+    return tuple(generate_maze(MAZE_SIZE, MAZE_SIZE, MAZE_LOOP_PROB, seed)
+                 for seed in range(7001, 7001 + count))

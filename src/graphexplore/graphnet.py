@@ -80,6 +80,11 @@ class GraphObservation:
     both directions. They form a multiset: their order means nothing.
     current_node marks the agent's position when the environment has one
     (None otherwise).
+
+    A maze or app belief graph hands out its edges as a tuple and its
+    coverage as a read-only array, both shared by consecutive observations
+    until the graph changes (see BeliefNodes). Consumers must not write to
+    either.
     """
 
     node_count: int
@@ -97,7 +102,7 @@ def empty_observation(feature_width, num_edge_types):
     return GraphObservation(
         node_count=0,
         node_features=np.zeros((0, feature_width)),
-        edges=[],
+        edges=(),
         coverage=np.zeros(0),
         num_edge_types=num_edge_types,
     )
@@ -115,27 +120,52 @@ class BeliefNodes:
     A key (a maze cell, an app screen) gets the next node id when it is first
     admitted and keeps it, so coverage bits line up from one observation to
     the next. links holds at most one edge type per ordered node pair. Env
-    states extend this class."""
+    states extend this class.
+
+    Observations share what a step left unchanged: one edge tuple, rebuilt
+    only after link adds or retypes an edge, and one read-only coverage
+    array, rebuilt only after admit adds a node or mark_covered sets a bit."""
 
     node_ids: dict = field(default_factory=dict, kw_only=True)  # key -> node id
     node_order: list = field(default_factory=list, kw_only=True)  # node id -> key
     links: dict = field(default_factory=dict, kw_only=True)  # (u, v) -> edge type
+    covered: list = field(default_factory=list, kw_only=True)  # ids of covered nodes
+    # What the latest observation handed out, kept until it changes (None: stale).
+    _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _coverage: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def admit(self, key):
         if key not in self.node_ids:
             self.node_ids[key] = len(self.node_order)
             self.node_order.append(key)
+            self._coverage = None
+
+    def mark_covered(self, key):
+        """Set the coverage bit of admitted `key`, which must not be set yet."""
+        self.covered.append(self.node_ids[key])
+        self._coverage = None
 
     def link(self, a, b, k, back):
         """Edge a -> b of type k between admitted keys, backed by b -> a of
         type `back` unless b -> a is already an edge."""
         u, v = self.node_ids[a], self.node_ids[b]
-        self.links[(u, v)] = k
-        self.links.setdefault((v, u), back)
+        if self.links.get((u, v)) != k or (v, u) not in self.links:
+            self.links[(u, v)] = k
+            self.links.setdefault((v, u), back)
+            self._edges = None
 
-    def observation(self, coverage, current_key, num_edge_types):
-        """Observation of the graph with len(coverage) nodes and the agent on
-        `current_key`. The one feature column marks the current node."""
+    def observation(self, current_key, num_edge_types):
+        """Observation of the graph with the agent on `current_key`. The one
+        feature column marks the current node; it is the one array each
+        observation builds afresh."""
+        if self._edges is None:
+            self._edges = tuple((u, v, k) for (u, v), k in self.links.items())
+        if self._coverage is None:
+            coverage = np.zeros(len(self.node_order))
+            coverage[self.covered] = 1.0
+            coverage.flags.writeable = False
+            self._coverage = coverage
+        coverage = self._coverage
         n = len(coverage)
         current = self.node_ids[current_key]
         is_current = np.zeros((n, BELIEF_FEATURE_WIDTH))
@@ -143,7 +173,7 @@ class BeliefNodes:
         return GraphObservation(
             node_count=n,
             node_features=is_current,
-            edges=[(u, v, k) for (u, v), k in self.links.items()],
+            edges=self._edges,
             coverage=coverage,
             num_edge_types=num_edge_types,
             current_node=current,

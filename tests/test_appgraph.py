@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +89,59 @@ def test_er_app_all_screens_reachable():
         assert seen == set(g.screens)
 
 
+def app_digest():
+    """SHA-256 over what the app generators draw: er_app_for_seed on seeds
+    16001..16500 (the held-out set's range), and generate_er_app at the edge
+    cases p in {0, 1}, with n in {1, 2} and n = 7. Each entry also covers the
+    state its generator is left in; for er_app_for_seed that is the inner
+    generator, replayed from the seed it draws."""
+    digest = hashlib.sha256()
+
+    def add(graph, rng):
+        digest.update(repr((graph.screens, sorted(graph.transitions.items()), graph.start,
+                            rng.bit_generator.state)).encode())
+
+    for seed in range(16001, 16501):
+        outer = np.random.default_rng(seed)
+        n = int(outer.integers(15, 21))
+        inner = np.random.default_rng(int(outer.integers(2 ** 62)))
+        graph = generate_er_app(n, 0.1, inner)
+        assert graph == er_app_for_seed(seed)
+        add(graph, inner)
+    for n in (1, 2, 7):
+        for p in (0.0, 1.0):
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                add(generate_er_app(n, p, rng), rng)
+    return digest.hexdigest()
+
+
+def test_generated_apps_are_pinned():
+    # The held-out app set and the app sampler draw from these; a new digest
+    # changes every app.
+    assert app_digest() == "30d2c48e42f0a666c0906690a2573f0728fef87e13cadfe1cdd0ea6742351326"
+
+
+def test_transition_graph_is_immutable_and_copies_through_its_constructor():
+    # The held-out app set is built once per process and shared by every
+    # caller, so no caller may change a graph in it.
+    graph = generate_er_app(8, 0.4, seed=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.start = "0"
+    with pytest.raises(TypeError):
+        graph.transitions[(graph.start, "0")] = graph.start
+    for clone in (copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+        assert clone == graph and clone.transitions is not graph.transitions
+        assert all(clone.outgoing(s) == graph.outgoing(s) for s in graph.screens)
+        with pytest.raises(TypeError):
+            clone.transitions[(graph.start, "0")] = graph.start
+    # A graph keeps a private copy of the dict it was built from.
+    source = {("a", "0"): "b", ("b", "0"): "a"}
+    graph = TransitionGraph(screens=("a", "b"), transitions=source, start="a")
+    source[("a", "1")] = "a"
+    assert ("a", "1") not in graph.transitions and graph.outgoing("a") == (("0", "b"),)
+
+
 def test_er_app_rejects_bad_params():
     with pytest.raises(ValueError, match="at least one screen"):
         generate_er_app(0, 0.1, seed=0)
@@ -95,7 +153,7 @@ def test_heldout_er_apps_frozen_protocol():
     apps, seeds = app_eval_set(count=5)
     again, seeds2 = app_eval_set(count=5)
     assert seeds == seeds2 and all(a == b for a, b in zip(apps, again))
-    assert seeds[0] >= 16001 and sorted(seeds) == seeds
+    assert seeds[0] >= 16001 and sorted(seeds) == list(seeds)
     assert all(len(g.screens) >= 15 for g in apps)
 
 
@@ -181,7 +239,7 @@ def test_observation_tracks_experienced_subgraph():
     assert obs0.node_features.shape == (0, 1)  # the is-current column
     # before any step the belief graph is just the start screen
     pre = env.observe()
-    assert pre.node_count == 1 and pre.edges == [] and pre.coverage.tolist() == [1.0]
+    assert pre.node_count == 1 and pre.edges == () and pre.coverage.tolist() == [1.0]
     assert env.outgoing() == [(0, None)]  # untried action, unknown target
     obs1 = env.step(0)
     assert obs1.node_count == 2

@@ -3,6 +3,11 @@
 import numpy as np
 
 from graphexplore import benchmarks as bm
+from graphexplore.envs import maze
+
+# Every frozen set built once per process: the protocol mazes and the
+# held-out apps.
+FROZEN_SET_CACHES = (bm.protocol_mazes, bm.app_eval_set)
 
 
 def test_frozen_protocol_constants():
@@ -35,11 +40,22 @@ def test_smoke_means_are_reasonable():
     assert bm.random_baseline_coverage(count=50) == r
 
 
-def test_maze_baseline_means_frozen():
+def test_maze_baseline_means_frozen(monkeypatch):
     # The full 1000-maze protocol; these are the frozen published values
-    # (exact replay, not a tolerance band).
+    # (exact replay, not a tolerance band). The two protocols score one
+    # shared set: each maze is generated once, not once per protocol call.
+    bm.protocol_mazes.cache_clear()
+    seeds = []
+
+    def counting(width, height, loop_prob, seed):
+        seeds.append(seed)
+        return maze.generate_maze(width, height, loop_prob, seed)
+
+    monkeypatch.setattr(bm, "generate_maze", counting)
     assert bm.random_baseline_coverage() == 0.3023333333333333
     assert bm.randdfs_baseline_coverage() == 0.5132777777777778
+    assert seeds == list(range(bm.MAZE_EVAL_SEED_BASE,
+                               bm.MAZE_EVAL_SEED_BASE + bm.MAZE_EVAL_COUNT))
 
 
 def test_eval_env_distribution_matches_protocol():
@@ -77,3 +93,13 @@ def test_app_baseline_means_frozen():
     r = bm.app_random_coverage()
     assert r == 0.45146353629170966
     assert r < d
+
+
+def test_maze_eval_env_is_not_cached():
+    # Training samples eval envs with fresh seeds; a cache there would grow
+    # without bound.
+    before = [cache.cache_info().currsize for cache in FROZEN_SET_CACHES]
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        bm.maze_eval_env(int(rng.integers(2**62)))
+    assert [cache.cache_info().currsize for cache in FROZEN_SET_CACHES] == before

@@ -4,6 +4,8 @@ the walkers' one action source, outgoing(), lists exactly the actions
 action_mask() allows, belief-graph node ids never shift, and an episode's
 coverage is its reward sum: the covered units over the env's unit count."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,37 @@ def test_node_ids_never_shift(env, episode_seed):
         assert after[:len(before)] == before
         assert [env.state.node_ids[key] for key in after] == list(range(len(after)))
         before = list(after)
+
+
+@settings(max_examples=60, deadline=None)
+@given(env=walker_envs(), episode_seed=st.integers(0, 2**31 - 1))
+def test_observations_are_snapshots_that_share_what_a_step_left_unchanged(env, episode_seed):
+    # Consecutive observations share their edge tuple and coverage array until
+    # the belief graph changes. A later step must never reach back into an
+    # observation already handed out, and no consumer may write into one.
+    rng = np.random.default_rng(episode_seed)
+    env.reset(rng)
+    obs = env.observe()
+    recorded = []
+    for t in range(env.budget + 1):
+        if recorded:
+            prev = recorded[-1][0]
+            assert (obs.edges is prev.edges) == (obs.edges == prev.edges)
+            assert (obs.coverage is prev.coverage) == (
+                obs.coverage.shape == prev.coverage.shape
+                and np.array_equal(obs.coverage, prev.coverage))
+        recorded.append((obs, copy.deepcopy(obs)))
+        actions = [a for a, _ in env.outgoing()]
+        if t == env.budget or not actions:
+            break
+        obs = env.step(actions[int(rng.integers(len(actions)))])
+    for obs, snapshot in recorded:
+        assert obs.edges == snapshot.edges
+        assert np.array_equal(obs.coverage, snapshot.coverage)
+        assert np.array_equal(obs.node_features, snapshot.node_features)
+        assert (obs.node_count, obs.current_node) == (snapshot.node_count, snapshot.current_node)
+    with pytest.raises(ValueError, match="read-only"):
+        obs.coverage[0] = 1.0 - obs.coverage[0]
 
 
 def budget_against(draw, units):

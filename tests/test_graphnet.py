@@ -10,6 +10,7 @@ from graphexplore.graphnet import (
     BELIEF_FEATURE_WIDTH,
     BLOCK_NODES,
     MAX_EDGE_TYPES,
+    BeliefNodes,
     GraphNet,
     GraphNetConfig,
     GraphObservation,
@@ -53,6 +54,25 @@ def make_net(seed=0, dtype=np.float32, **kwargs):
     params = ParamSet(seed=seed, dtype=dtype)
     config = GraphNetConfig(**{"d": 8, "rounds": 2, "feature_width": 3, **kwargs})
     return params, GraphNet(params, "enc", config)
+
+
+def test_belief_observations_share_only_what_is_unchanged():
+    nodes = BeliefNodes()
+    nodes.admit("a")
+    nodes.mark_covered("a")
+    first = nodes.observation("a", 2)
+    assert nodes.observation("a", 2).coverage is first.coverage
+    nodes.admit("b")  # a new node, no bit set
+    second = nodes.observation("a", 2)
+    assert second.coverage.tolist() == [1.0, 0.0]
+    assert second.edges is first.edges and first.edges == ()
+    nodes.link("a", "b", 1, 2)
+    nodes.mark_covered("b")
+    third = nodes.observation("b", 2)
+    assert third.coverage.tolist() == [1.0, 1.0] and third.edges == ((0, 1, 1), (1, 0, 2))
+    nodes.link("a", "b", 1, 2)  # no change: the tuple stays
+    assert nodes.observation("b", 2).edges is third.edges
+    assert first.coverage.tolist() == [1.0] and second.edges == ()
 
 
 def test_pad_coverage_bit_masks():

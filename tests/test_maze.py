@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -165,6 +166,41 @@ def test_render_draws_walls_passages_and_marks():
     step(maze, state, E)
     step(maze, state, S)
     assert render_ascii(maze, state) == "#####\n#*.*#\n#.#.#\n#.#@#\n#####\n"
+
+
+# (width, height, loop_prob, seeds): degenerate sizes, no and all extra
+# openings, a non-square grid, and the frozen distribution on the held-out
+# and protocol seeds.
+MAZE_DIGEST_SETTINGS = (
+    (1, 1, 0.0, range(50)),
+    (1, 1, 1.0, range(50)),
+    (6, 6, 0.0, range(100)),
+    (6, 6, 1.0, range(100)),
+    (4, 7, 0.5, range(100)),
+    (6, 6, 0.18, range(7001, 7101)),
+    (6, 6, 0.18, range(8001, 9001)),
+)
+
+
+def maze_digest():
+    """SHA-256 over what generate_maze draws in MAZE_DIGEST_SETTINGS: each
+    maze's start and passages, and the generator state the draw leaves
+    behind (default_rng hands a Generator back unchanged, so the state is
+    readable after the call)."""
+    digest = hashlib.sha256()
+    for width, height, loop_prob, seeds in MAZE_DIGEST_SETTINGS:
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            maze = generate_maze(width, height, loop_prob, rng)
+            digest.update(repr((maze.start, maze.passages.tolist(),
+                                rng.bit_generator.state)).encode())
+    return digest.hexdigest()
+
+
+def test_generated_mazes_are_pinned():
+    # Training, held-out evaluation and the frozen protocols all run on these
+    # draws; a new digest changes every maze.
+    assert maze_digest() == "598d81e155e196a7353ae3f359aeae7931eab08a026865e48c28adbbf5430513"
 
 
 def test_heldout_set_is_stable():
