@@ -50,7 +50,6 @@ class KarelEnv:
             edges=self.graph.edges,
             coverage=self._mask.copy(),
             num_edge_types=NUM_EDGE_TYPES,
-            current_node=None,
         )
 
     def step(self, action):

@@ -117,14 +117,13 @@ def generate_maze(width, height, loop_prob, seed):
 @dataclass
 class MazeState(BeliefNodes):
     """Exploration state. Every seen cell is admitted as a node in discovery
-    order (start=0, then sightings in N,E,S,W order)."""
+    order (start=0, then sightings in N,E,S,W order); visited cells are covered."""
 
     position: tuple
-    visited: set
 
 
 def initial_state(maze):
-    state = MazeState(position=maze.start, visited=set())
+    state = MazeState(position=maze.start)
     state.admit(maze.start)
     _visit(maze, state, maze.start)
     return state
@@ -133,7 +132,6 @@ def initial_state(maze):
 def _visit(maze, state, cell):
     """First visit of `cell`: admit its neighbours and link each open side d
     both ways, typed d+1 outward and opposite+1 back."""
-    state.visited.add(cell)
     state.mark_covered(cell)
     for d, other in maze.exits(*cell):
         state.admit(other)
@@ -150,7 +148,7 @@ def step(maze, state, direction):
         raise ValueError(f"blocked direction {DIR_NAMES[direction]} from {(r, c)}")
     dest = (r + DELTAS[direction][0], c + DELTAS[direction][1])
     state.position = dest
-    if dest in state.visited:
+    if state.node_ids[dest] in state.covered:
         return state, 0
     _visit(maze, state, dest)
     return state, 1
@@ -178,7 +176,7 @@ def render_ascii(maze, state=None):
             if state is not None:
                 if (r, c) == state.position:
                     ch = "@"
-                elif (r, c) in state.visited:
+                elif state.node_ids.get((r, c)) in state.covered:
                     ch = "*"
             elif (r, c) == maze.start:
                 ch = "@"
@@ -229,7 +227,7 @@ class MazeEnv:
         return mask
 
     def fully_explored(self):
-        return len(self.state.visited) == self.maze.cells()
+        return len(self.state.covered) == self.maze.cells()
 
     # Walker hooks.
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs.karel.lang import TEXT_VOCAB
-from .graphnet import GraphObservation, union_observation
+from .graphnet import GraphObservation
 from .tensor import (
     Embedding,
     LSTMCell,
@@ -43,7 +43,6 @@ from .tensor import (
     no_grad,
     reduce_mean,
     reshape,
-    segment_aggregate,
     slice_,
 )
 
@@ -108,9 +107,10 @@ def episode_objective(history):
 
 
 TEMPORAL_MODES = ("last_step", "autoregressive")
-# graph, node and pool read the coverage graph; the program arms uncond,
-# envcond, bow and bilstm do not (bow and bilstm read the program's text).
-CONDITIONING = ("graph", "node", "pool", "uncond", "envcond", "bow", "bilstm")
+# The paper's program-conditioning arms. Only graph reads the coverage graph;
+# uncond and envcond condition on nothing (envcond appends the previous
+# reward), and bow and bilstm read the program's text.
+CONDITIONING = ("graph", "uncond", "envcond", "bow", "bilstm")
 
 
 @dataclass
@@ -135,12 +135,10 @@ class HistoryEncoder:
     """F(h_t): per-record summaries folded through time.
 
     Summary = [conditioning part, g_x(action)], where `conditioning` picks
-    the conditioning part: the full message-passing readout of the coverage
-    graph (graph, the paper's GNN arm), the current node's
-    pre-message-passing features (node), the mean of covered nodes'
-    pre-message-passing features (pool), zeros (uncond, and envcond, which
-    also appends the previous reward), or a static embedding of the
-    program's text tokens (bow, bilstm).
+    the conditioning part: the GraphNet encoding of the coverage graph
+    (graph, the paper's GNN arm; GraphNet.encode_batch), zeros (uncond, and
+    envcond, which also appends the previous reward), or a static embedding
+    of the program's text tokens (bow, bilstm).
 
     temporal_mode last_step returns the newest summary; autoregressive folds
     summaries through an LSTM whose hidden state is F(h_t). Its state is one
@@ -202,9 +200,8 @@ class HistoryEncoder:
     def conditioning_rows(self, records, programs):
         """(R, d) conditioning parts; programs[i] is record i's static program."""
         mode = self.config.conditioning
-        R = len(records)
         if mode in ("uncond", "envcond"):
-            return Tensor(np.zeros((R, self.d), dtype=self.dtype))
+            return Tensor(np.zeros((len(records), self.d), dtype=self.dtype))
         if mode in ("bow", "bilstm"):
             # One program vector per distinct program, broadcast to its records.
             encode = self._bow if mode == "bow" else self._bilstm
@@ -213,31 +210,7 @@ class HistoryEncoder:
                 slot.setdefault(id(p), (len(slot), p))
             table = concat([reshape(encode(p), (1, self.d)) for _, p in slot.values()], axis=0)
             return embed_lookup(table, [slot[id(p)][0] for p in programs])
-        observations = [rec.observation for rec in records]
-        if mode == "graph":
-            return self.net.encode_batch(observations)
-        # node / pool: pick pre-message-passing rows of the union and average
-        # them per record; a record with no picked row (an empty graph, or
-        # nothing covered) gets zeros.
-        full = [i for i, obs in enumerate(observations) if not obs.is_empty()]
-        if not full:
-            return Tensor(np.zeros((R, self.d), dtype=self.dtype))
-        union, _ = union_observation([observations[i] for i in full])
-        feats = self.net.project_features(union)
-        picked, owner = [], []
-        offset = 0
-        for i in full:
-            obs = observations[i]
-            if mode == "node":
-                if obs.current_node is None:
-                    raise ValueError("node conditioning needs a designated current node")
-                rows = [obs.current_node]
-            else:
-                rows = np.flatnonzero(np.asarray(obs.coverage) > 0)
-            picked.extend(offset + r for r in rows)
-            owner.extend([i] * len(rows))
-            offset += obs.node_count
-        return segment_aggregate(embed_lookup(feats, picked), owner, R, reduce="mean")
+        return self.net.encode_batch([rec.observation for rec in records])
 
     def _tokens(self, program):
         return [] if program is None else list(program.token_ids)

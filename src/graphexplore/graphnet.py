@@ -77,9 +77,9 @@ class GraphObservation:
     Edges are directed (u, v, k) with type k in 1..num_edge_types, and k at
     most MAX_EDGE_TYPES (GraphNet.propagate checks endpoints and types, and
     that no edge joins two graphs of a union); undirected environments insert
-    both directions. They form a multiset: their order means nothing.
-    current_node marks the agent's position when the environment has one
-    (None otherwise).
+    both directions. They form a multiset: their order means nothing. The
+    agent's position, where an environment has one, is a node feature: the
+    is-current column of a belief graph (BeliefNodes.observation).
 
     A maze or app belief graph hands out its edges as a tuple and its
     coverage as a read-only array, both shared by consecutive observations
@@ -92,7 +92,6 @@ class GraphObservation:
     edges: Sequence  # of (u, v, k), in no particular order; a union holds an (m, 3) int array
     coverage: np.ndarray  # (node_count,) of 0/1
     num_edge_types: int
-    current_node: int | None = None
 
     def is_empty(self):
         return self.node_count == 0
@@ -129,7 +128,7 @@ class BeliefNodes:
     node_ids: dict = field(default_factory=dict, kw_only=True)  # key -> node id
     node_order: list = field(default_factory=list, kw_only=True)  # node id -> key
     links: dict = field(default_factory=dict, kw_only=True)  # (u, v) -> edge type
-    covered: list = field(default_factory=list, kw_only=True)  # ids of covered nodes
+    covered: set = field(default_factory=set, kw_only=True)  # ids of covered nodes
     # What the latest observation handed out, kept until it changes (None: stale).
     _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _coverage: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -142,7 +141,7 @@ class BeliefNodes:
 
     def mark_covered(self, key):
         """Set the coverage bit of admitted `key`, which must not be set yet."""
-        self.covered.append(self.node_ids[key])
+        self.covered.add(self.node_ids[key])
         self._coverage = None
 
     def link(self, a, b, k, back):
@@ -162,21 +161,19 @@ class BeliefNodes:
             self._edges = tuple((u, v, k) for (u, v), k in self.links.items())
         if self._coverage is None:
             coverage = np.zeros(len(self.node_order))
-            coverage[self.covered] = 1.0
+            coverage[list(self.covered)] = 1.0
             coverage.flags.writeable = False
             self._coverage = coverage
         coverage = self._coverage
         n = len(coverage)
-        current = self.node_ids[current_key]
         is_current = np.zeros((n, BELIEF_FEATURE_WIDTH))
-        is_current[current, 0] = 1.0
+        is_current[self.node_ids[current_key], 0] = 1.0
         return GraphObservation(
             node_count=n,
             node_features=is_current,
             edges=self._edges,
             coverage=coverage,
             num_edge_types=num_edge_types,
-            current_node=current,
         )
 
 

@@ -392,31 +392,20 @@ def _scatter_rows(ids, values, shape):
     return out.astype(values.dtype, copy=False).reshape(shape)  # bincount sums in float64
 
 
-def segment_aggregate(values, segment_ids, num_segments, reduce="sum"):
-    """Per-segment sum or mean over the leading axis.
+def segment_aggregate(values, segment_ids, num_segments):
+    """Per-segment sum over the leading axis.
 
     values: (n, ...) tensor; segment_ids: int array of length n with entries in
-    [0, num_segments). Empty segments produce zeros for both reductions.
+    [0, num_segments). Empty segments produce zeros.
     """
     values = as_tensor(values)
     seg = np.asarray(segment_ids, dtype=np.intp)
     if seg.shape != (values.data.shape[0],):
         raise ShapeError("segment_aggregate", values.shape, seg.shape)
-    if reduce not in ("sum", "mean"):
-        raise ValueError(f"segment_aggregate: unknown reduction {reduce!r}")
     out = _scatter_rows(seg, values.data, (num_segments,) + values.data.shape[1:])
-    if reduce == "mean":
-        counts = np.bincount(seg, minlength=num_segments).astype(values.data.dtype)
-        safe = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (values.data.ndim - 1))
-        out = out / safe
 
-        def backward(g):
-            return (g[seg] / safe[seg],)
-
-    else:
-
-        def backward(g):
-            return (g[seg],)
+    def backward(g):
+        return (g[seg],)
 
     return _emit(out, (values,), backward)
 

@@ -242,9 +242,17 @@ def train(model, config, eval_envs=None, records_path=None, checkpoint_path=None
     every config.eval_every updates, and checkpoint the best eval model.
     Returns (model, records): one dict per update with `update`, the
     UpdateStats fields and `eval_coverage` (None off-cadence). With
-    records_path, each record is also streamed there as one JSON line."""
+    records_path, each record is also streamed there as one JSON line. A
+    checkpoint_path without an evaluation to pick the model by raises
+    ValueError before the first update."""
     if config.env_sampler is None:
         raise ValueError("config.env_sampler is required for training")
+    if checkpoint_path:
+        if not eval_envs:
+            raise ValueError("checkpoint_path needs eval_envs: evaluation picks the model it keeps")
+        if not 0 < config.eval_every <= config.total_updates:
+            raise ValueError(f"checkpoint_path needs an evaluation: eval_every {config.eval_every} "
+                             f"is not in 1..total_updates ({config.total_updates})")
     opt_state = OptimizerState(lr=config.learning_rate)
     records = []
     best = -1.0

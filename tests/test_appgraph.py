@@ -278,8 +278,8 @@ def test_observe_matches_a_from_scratch_rebuild(graph, choices):
         obs = env.observe()
         n = len(env.state.node_order)
         assert obs.node_count == n and np.array_equal(obs.coverage, np.ones(n))
-        assert obs.current_node == env.current_node()
-        assert obs.node_features[:, 0].tolist() == [float(i == obs.current_node) for i in range(n)]
+        current = env.current_node()
+        assert obs.node_features[:, 0].tolist() == [float(i == current) for i in range(n)]
         assert sorted(obs.edges) == sorted(app_reference_edges(env.state))
         width = graph.out_degree(env.state.current)
         if k == len(choices) or width == 0:

@@ -133,7 +133,7 @@ def test_observations_are_snapshots_that_share_what_a_step_left_unchanged(env, e
         assert obs.edges == snapshot.edges
         assert np.array_equal(obs.coverage, snapshot.coverage)
         assert np.array_equal(obs.node_features, snapshot.node_features)
-        assert (obs.node_count, obs.current_node) == (snapshot.node_count, snapshot.current_node)
+        assert obs.node_count == snapshot.node_count
     with pytest.raises(ValueError, match="read-only"):
         obs.coverage[0] = 1.0 - obs.coverage[0]
 
@@ -165,7 +165,7 @@ def episodes(draw):
 def units_of(env):
     """(covered units, total units) read from the env's own state."""
     if isinstance(env, MazeEnv):
-        return len(env.state.visited), env.maze.cells()
+        return len(env.state.covered), env.maze.cells()
     if isinstance(env, AppEnv):
         return len(env.state.node_order), len(env.graph.screens)
     return int(env._mask.sum()), env.units

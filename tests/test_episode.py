@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from graphexplore.agents import RandomPolicy
-from graphexplore.benchmarks import app_eval_set
-from graphexplore.envs.appgraph import AppEnv
 from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.episode import (
     CONDITIONING,
@@ -23,7 +21,6 @@ from graphexplore.episode import (
     run_episode,
 )
 from graphexplore.graphnet import (
-    BELIEF_FEATURE_WIDTH,
     GraphNet,
     GraphNetConfig,
     GraphObservation,
@@ -32,7 +29,7 @@ from graphexplore.graphnet import (
 from graphexplore.tensor import ParamSet, Tape, embed_lookup, no_grad, reduce_sum
 
 
-def obs_of(coverage, edges=(), feature_width=1, current=None, n_types=2):
+def obs_of(coverage, edges=(), feature_width=1, n_types=2):
     n = len(coverage)
     return GraphObservation(
         node_count=n,
@@ -40,7 +37,6 @@ def obs_of(coverage, edges=(), feature_width=1, current=None, n_types=2):
         edges=list(edges),
         coverage=np.asarray(coverage, dtype=np.float64),
         num_edge_types=n_types,
-        current_node=current,
     )
 
 
@@ -175,12 +171,12 @@ def encoder_fixture(temporal="autoregressive", conditioning="graph", seed=0, dty
     return params, net, enc
 
 
-def short_history(n_steps=3, current=0):
+def short_history(n_steps=3):
     masks = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]][: n_steps + 1]
-    records = [StepRecord(action=None, observation=obs_of(masks[0], current=current), reward=0.0)]
+    records = [StepRecord(action=None, observation=obs_of(masks[0]), reward=0.0)]
     for i in range(1, len(masks)):
         records.append(
-            StepRecord(action=i % 4, observation=obs_of(masks[i], current=current), reward=0.1)
+            StepRecord(action=i % 4, observation=obs_of(masks[i]), reward=0.1)
         )
     return EpisodeHistory(records=records, budget=8, normalizer=3.0)
 
@@ -214,56 +210,6 @@ def test_autoregressive_zero_weights_depend_only_on_bias():
         a = final_encoding(enc, short_history(n_steps=1))
         b = final_encoding(enc, short_history(n_steps=3))
     assert np.allclose(a, b)
-
-
-def test_pool_equals_node_on_identical_embeddings():
-    # All nodes share features and coverage, so the covered-mean equals any
-    # single node's row.
-    params, net, enc_pool = encoder_fixture(conditioning="pool", temporal="last_step")
-    enc_node = HistoryEncoder(
-        params,
-        "hist",
-        HistoryEncoderConfig(
-            temporal_mode="last_step",
-            conditioning="node",
-            recurrent_width=5,
-            action_width=3,
-            action_vocab=4,
-        ),
-        net,
-    )
-    obs = obs_of([1, 1, 1], current=1)
-    rec = StepRecord(action=2, observation=obs, reward=0.0)
-    with no_grad():
-        a = enc_pool.summary(rec, None)
-        b = enc_node.summary(rec, None)
-    assert a.data.shape == b.data.shape
-    assert np.allclose(a.data, b.data, atol=1e-12)
-
-
-def test_node_conditioning_requires_current_node():
-    params, net, enc = encoder_fixture(conditioning="node", temporal="last_step")
-    rec = StepRecord(action=1, observation=obs_of([1, 0], current=None), reward=0.0)
-    with pytest.raises(ValueError, match="current node"):
-        enc.summary(rec, None)
-
-
-def test_node_conditioning_encodes_an_app_episode():
-    # App observations name the agent's screen, as maze observations name its cell.
-    apps, seeds = app_eval_set(count=1)
-    env = AppEnv(apps[0], budget=15)
-    history, _ = run_episode(env, RandomPolicy(), budget=15, seed=seeds[0])
-    params = ParamSet(seed=0)
-    net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=1, feature_width=BELIEF_FEATURE_WIDTH))
-    config = HistoryEncoderConfig(conditioning="node", recurrent_width=5, action_width=3,
-                                  action_vocab=env.num_actions)
-    with no_grad():
-        out = final_encoding(HistoryEncoder(params, "hist", config, net), history)
-    assert out.shape == (5,)
-    assert np.all(np.isfinite(out))
-    last = history.last().observation
-    assert last.current_node == env.current_node()
-    assert last.node_features[last.current_node, -1] == 1.0
 
 
 def test_autoregressive_consumes_every_record():
@@ -330,8 +276,7 @@ def varied_records(seed):
     for i, n in enumerate((3, 1, 5, 4)):
         edges = [(u, v, int(rng.integers(1, 3))) for u in range(n) for v in range(n)
                  if u != v and rng.random() < 0.5]
-        obs = obs_of((rng.random(n) < 0.5).astype(float) if i != 1 else [0.0], edges=edges,
-                     current=int(rng.integers(n)))
+        obs = obs_of((rng.random(n) < 0.5).astype(float) if i != 1 else [0.0], edges=edges)
         obs.node_features = rng.normal(size=(n, 1))
         records.append(StepRecord(action=int(rng.integers(4)), observation=obs, reward=0.1 * i))
     return records
@@ -352,7 +297,7 @@ def test_summaries_rows_equal_per_record_summaries(conditioning):
 
 
 @pytest.mark.parametrize("temporal", ["autoregressive", "last_step"])
-@pytest.mark.parametrize("conditioning", ["graph", "node"])
+@pytest.mark.parametrize("conditioning", CONDITIONING)
 def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
     # The encoding of every prefix of several sequences, computed as
     # PolicyModel.run_episodes computes it: the sequences fold as rows of one
@@ -388,9 +333,8 @@ def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
 @pytest.mark.parametrize("conditioning", CONDITIONING)
 def test_conditioning_reads_only_its_own_parameters(temporal, conditioning):
     # Two lockstep steps of 3 rows with programs given, the first on an
-    # empty graph too: only the graph arms reach the GraphNet (node and pool
-    # through its projection alone), and only the text arms reach their
-    # token encoders.
+    # empty graph too: only the graph arm reaches the GraphNet, and only the
+    # text arms reach their token encoders.
     params, _, enc = encoder_fixture(temporal=temporal, conditioning=conditioning, seed=8,
                                      dtype=np.float64)
     records = varied_records(seed=8)
@@ -405,8 +349,7 @@ def test_conditioning_reads_only_its_own_parameters(temporal, conditioning):
     grads = params.gradients(tape, loss)
     for name, g in grads.items():
         if name.startswith("enc/"):
-            reached = (conditioning == "graph"
-                       or conditioning in ("node", "pool") and name.startswith("enc/project/"))
+            reached = conditioning == "graph"
             assert np.any(g.data != 0.0) if reached else not np.any(g.data), name
     if conditioning == "bow":
         assert np.any(grads["hist/tokens/table"].data != 0.0)

@@ -98,7 +98,7 @@ def test_observe_start_neighborhood():
     assert obs.node_count == 3
     assert sorted(obs.coverage) == [0.0, 0.0, 1.0]
     assert len(obs.edges) == 4  # 2 passages, both directions
-    assert obs.current_node == 0
+    assert obs.node_features[:, 0].tolist() == [1.0, 0.0, 0.0]  # the start is node 0
 
 
 def test_observe_full_coverage():
@@ -118,7 +118,7 @@ def test_observe_features_have_no_coordinates():
     state = initial_state(maze)
     obs = observe(maze, state)
     assert obs.node_features.shape == (obs.node_count, 1)
-    assert obs.node_features[obs.current_node, 0] == 1.0
+    assert obs.node_features[state.node_ids[state.position], 0] == 1.0
     assert obs.node_features[:, 0].sum() == 1.0
 
 
@@ -259,7 +259,6 @@ def test_deepcopy_of_a_mid_episode_env_steps_like_the_original():
         assert theirs.edges == mine.edges
         assert np.array_equal(theirs.coverage, mine.coverage)
         assert np.array_equal(theirs.node_features, mine.node_features)
-        assert theirs.current_node == mine.current_node
     # The copy has its own state: stepping it leaves the original alone.
     position = env.state.position
     twin.step(twin.outgoing()[0][0])
@@ -330,7 +329,7 @@ def test_incremental_observe_matches_a_from_scratch_rebuild(width, height, loop_
         assert sorted(obs.edges) == sorted(edges)
         assert len({(u, v) for u, v, _ in obs.edges}) == len(obs.edges)
         assert np.array_equal(obs.coverage, coverage)
-        assert obs.current_node == current == env.current_node()
+        assert current == env.current_node()
         features = np.zeros((len(coverage), 1))
         features[current, 0] = 1.0
         assert np.array_equal(obs.node_features, features)

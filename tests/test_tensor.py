@@ -66,7 +66,7 @@ def test_softmax_symmetry():
 
 
 def test_segment_sum_direct():
-    out = segment_aggregate(Tensor([1.0, 2.0, 3.0]), [0, 0, 1], 2, reduce="sum")
+    out = segment_aggregate(Tensor([1.0, 2.0, 3.0]), [0, 0, 1], 2)
     assert np.allclose(out.data, [3.0, 3.0])
 
 
@@ -74,7 +74,7 @@ def test_segment_sum_matches_loop():
     rng = np.random.default_rng(1)
     values = rng.normal(size=(20, 4))
     seg = rng.integers(0, 5, size=20)
-    out = segment_aggregate(Tensor(values), seg, 5, reduce="sum")
+    out = segment_aggregate(Tensor(values), seg, 5)
     expected = np.zeros((5, 4))
     for i in range(20):
         expected[seg[i]] += values[i]
@@ -82,11 +82,9 @@ def test_segment_sum_matches_loop():
 
 
 def test_segment_empty_segments_are_zero():
-    out = segment_aggregate(Tensor([[1.0, 2.0]]), [2], 4, reduce="sum")
+    out = segment_aggregate(Tensor([[1.0, 2.0]]), [2], 4)
     assert np.array_equal(out.data[0], [0.0, 0.0])
     assert np.array_equal(out.data[2], [1.0, 2.0])
-    out = segment_aggregate(Tensor([[1.0, 2.0]]), [2], 4, reduce="mean")
-    assert np.array_equal(out.data[0], [0.0, 0.0])
 
 
 def test_backward_square():
@@ -221,10 +219,8 @@ def _fd_case(op_name, rng):
     if op_name == "segment_aggregate":
         x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         seg = rng.integers(0, 3, size=6)
-        mode = ["sum", "mean"][int(rng.integers(0, 2))]
-        return {"x": x}, lambda p: reduce_sum(
-            segment_aggregate(p["x"], seg, 3, reduce=mode) * w_for((3, 2), rng)
-        )
+        return {"x": x}, lambda p: reduce_sum(segment_aggregate(p["x"], seg, 3)
+                                              * w_for((3, 2), rng))
     if op_name == "segment_softmax":
         x = Tensor(rng.normal(size=7), requires_grad=True)
         seg = rng.integers(0, 3, size=7)
@@ -491,15 +487,14 @@ def test_float32_gates_saturate_to_their_exact_limits_without_a_warning():
     assert all(np.all(np.isfinite(grad.data)) for grad in grads.values())
 
 
-@pytest.mark.parametrize("mode", ["sum", "mean"])
-def test_segment_aggregate_gradients_with_empty_segments(mode):
+def test_segment_aggregate_gradients_with_empty_segments():
     # Segments 1 and 4 receive no rows.
     rng = np.random.default_rng(3)
     seg = np.array([0, 2, 2, 3, 0, 3, 3])
     for _ in range(20):
         x = Tensor(rng.normal(size=(7, 2)), requires_grad=True)
         weights = Tensor(rng.normal(size=(5, 2)))
-        fn = lambda p: reduce_sum(segment_aggregate(p["x"], seg, 5, reduce=mode) * weights)  # noqa: E731
+        fn = lambda p: reduce_sum(segment_aggregate(p["x"], seg, 5) * weights)  # noqa: E731
         assert grad_check(fn, {"x": x}, eps=1e-5) < 1e-4
 
 

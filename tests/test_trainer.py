@@ -932,6 +932,24 @@ def test_train_checkpoint_loads_back_into_a_fresh_model(tmp_path, monkeypatch):
     assert all(np.array_equal(loaded[k], params[k]) for k in params)
 
 
+@pytest.mark.parametrize("eval_every, with_envs, match", [(1, False, "needs eval_envs"),
+                                                      (0, True, "eval_every 0"),
+                                                      (4, True, "eval_every 4")],
+                         ids=["no_eval_envs", "eval_every_zero", "eval_every_past_the_end"])
+def test_train_checkpoint_without_evaluation_raises_before_updating(
+        tmp_path, monkeypatch, eval_every, with_envs, match):
+    def no_rollouts(*args, **kw):
+        raise AssertionError("train collected rollouts before rejecting its arguments")
+
+    monkeypatch.setattr(trainer, "collect_rollouts", no_rollouts)
+    cfg = small_config(workers=1, total_updates=3, eval_every=eval_every)
+    path = tmp_path / "best.ckpt"
+    with pytest.raises(ValueError, match=match):
+        train(tiny_model(), cfg, eval_envs=heldout_envs(1) if with_envs else None,
+              checkpoint_path=str(path))
+    assert not path.exists()
+
+
 def test_train_writes_records_jsonl(tmp_path):
     model = tiny_model()
     cfg = small_config(workers=1, episodes_per_worker=1, total_updates=3, eval_every=2)
