@@ -1,7 +1,2 @@
 from .baselines import RandDfsPolicy, RandomPolicy, random_act
-from .policy import (
-    CategoricalHead,
-    GridAction,
-    GridDecoder,
-    ValueHead,
-)
+from .policy import CategoricalHead, ValueHead

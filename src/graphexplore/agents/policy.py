@@ -1,12 +1,10 @@
 """Learned policy heads on top of the history encoding F(h_t).
 
-Two action modes: a masked categorical over a fixed action set, and an
-autoregressive grid decoder (size prefix, then row-major cell tokens) for
-grid-world inputs. Both heads expose the same pair of entry points: act() for
-choosing one action per row of a (K, w) batch during lockstep rollouts, which
-also returns the taken actions' log-probabilities and the entropies as
-tensors (on the active tape, if any), and score() for re-evaluating given
-actions.
+The action head is a masked categorical over a fixed action set. It has two
+entry points: act() for choosing one action per row of a (K, w) batch during
+lockstep rollouts, which also returns the taken actions' log-probabilities
+and the entropies as tensors (on the active tape, if any), and score() for
+re-evaluating given actions.
 
 Masking uses a -1e30 logit offset: large enough that exp() underflows to an
 exact 0 probability, small enough that log-space arithmetic stays finite, so
@@ -16,15 +14,12 @@ entropy terms contribute exactly 0 instead of NaN.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..episode import TrajectoryBatch, advance_episode, begin_episode
 from ..tensor import (
-    Embedding,
     Linear,
-    LSTMCell,
     MLP,
     Tensor,
     concat,
@@ -35,16 +30,9 @@ from ..tensor import (
     no_grad,
     save_params,
     reshape,
-    slice_,
-    tanh,
 )
 
 MASK_OFFSET = -1e30
-
-
-def _pick(t, i):
-    """Scalar Tensor t[i] from a 1-D tensor."""
-    return reshape(slice_(t, i, i + 1), ())
 
 
 def masked_log_probs(logits, mask):
@@ -119,118 +107,6 @@ class CategoricalHead:
         return embed_lookup(reshape(log_probs, (-1,)), rows * self.n_actions + actions)
 
 
-class _Decoder:
-    """LSTM machinery of the grid head: the conditioning vector F seeds the
-    initial [h | c] state and rides along with every step's input."""
-
-    def __init__(self, params, name, in_width, hidden, n_rows, out_dim):
-        self.hidden = hidden
-        self.embed = Embedding(params, f"{name}/tok", n_rows, hidden)
-        self.init_h = Linear(params, f"{name}/init_h", in_width, hidden)
-        self.init_c = Linear(params, f"{name}/init_c", in_width, hidden)
-        self.cell = LSTMCell(params, f"{name}/cell", hidden + in_width, hidden)
-        self.out = Linear(params, f"{name}/out", hidden, out_dim)
-
-    def start(self, F):
-        return tanh(concat([self.init_h(F), self.init_c(F)], axis=0))
-
-    def advance(self, state, token_row, F):
-        """(h, next state) after feeding `token_row`'s embedding."""
-        x = concat([reshape(self.embed([token_row]), (self.hidden,)), F], axis=0)
-        state = self.cell(x, state)
-        return slice_(state, 0, self.hidden), state
-
-
-@dataclass(frozen=True)
-class GridAction:
-    """A decoded grid: side length and row-major cell token ids."""
-
-    size: int
-    tokens: tuple
-
-    def __str__(self):
-        return f"{self.size}x{self.size}:" + ",".join(str(t) for t in self.tokens)
-
-
-class GridDecoder:
-    """Grid head: one size-prefix token choosing the side length, then size^2
-    cell tokens. Exactly one hero token is enforced by masking: hero tokens are
-    masked out after one is placed, and everything else is masked out when the
-    last cell would otherwise leave the grid without a hero."""
-
-    def __init__(self, params, name, in_width, vocab, hero_ids, sizes=(4, 5, 6, 7, 8), hidden=32):
-        self.vocab = list(vocab)
-        self.hero_ids = frozenset(hero_ids)
-        if not self.hero_ids:
-            raise ValueError("grid decoder needs at least one hero token id")
-        self.sizes = tuple(sizes)
-        n_vocab = len(self.vocab)
-        # Embedding rows: cell tokens, then one row per size choice, then BOS.
-        self.bos_row = n_vocab + len(self.sizes)
-        self.dec = _Decoder(params, name, in_width, hidden, self.bos_row + 1, n_vocab)
-        self.size_out = Linear(params, f"{name}/size", hidden, len(self.sizes))
-
-    def _cell_mask(self, hero_done, cells_left):
-        mask = np.ones(len(self.vocab), dtype=bool)
-        if hero_done:
-            for h in self.hero_ids:
-                mask[h] = False
-        elif cells_left == 1:
-            mask[:] = False
-            for h in self.hero_ids:
-                mask[h] = True
-        return mask
-
-    def _walk(self, F, rng=None, mode="sample", forced=None):
-        h, state = self.dec.advance(self.dec.start(F), self.bos_row, F)
-        size_log_probs, size_probs = masked_log_probs(self.size_out(h), None)
-        if forced is not None:
-            size_idx = self.sizes.index(forced.size)
-        elif mode == "greedy":
-            size_idx = int(np.argmax(size_probs.data))
-        else:
-            size_idx = sample_index(size_probs.data, rng)
-        total_lp = _pick(size_log_probs, size_idx)
-        total_ent = entropy(size_log_probs)
-        size = self.sizes[size_idx]
-        prev = len(self.vocab) + size_idx  # the size token's embedding row
-        tokens = []
-        hero_done = False
-        for i in range(size * size):
-            h, state = self.dec.advance(state, prev, F)
-            mask = self._cell_mask(hero_done, size * size - i)
-            log_probs, probs = masked_log_probs(self.dec.out(h), mask)
-            if forced is not None:
-                tok = forced.tokens[i]
-            elif mode == "greedy":
-                tok = int(np.argmax(probs.data))
-            else:
-                tok = sample_index(probs.data, rng)
-            total_lp = total_lp + _pick(log_probs, tok)
-            total_ent = total_ent + entropy(log_probs)
-            hero_done = hero_done or tok in self.hero_ids
-            tokens.append(tok)
-            prev = tok
-        action = forced if forced is not None else GridAction(size=size, tokens=tuple(tokens))
-        return action, total_lp, total_ent
-
-    def act(self, F, rngs, mode="sample", masks=None):
-        """One grid per row of F (K, w), row k decoded with rngs[k]; masks
-        are unused, since the decoder masks its own tokens. Returns (K grids,
-        (K,) log-probabilities, (K,) entropies)."""
-        walks = [self._walk(reshape(slice_(F, k, k + 1, axis=0), F.data.shape[1:]),
-                            rng=rngs[k], mode=mode) for k in range(F.data.shape[0])]
-        return ([action for action, _, _ in walks],
-                concat([reshape(lp, (1,)) for _, lp, _ in walks]),
-                concat([reshape(ent, (1,)) for _, _, ent in walks]))
-
-    def score(self, F, action, mask=None):
-        if action.size not in self.sizes:
-            raise ValueError(f"size {action.size} not among {self.sizes}")
-        _, lp, ent = self._walk(F, forced=action)
-        return lp, ent
-
-
 class ValueHead:
     """Value estimate: (w,) -> scalar, or (D, w) -> (D,)."""
 
@@ -289,9 +165,8 @@ class PolicyModel:
         offset = 0
         with no_grad() if mode == "greedy" else nullcontext():
             while live:
-                histories = [trajs[k].history for k in live]
                 F, state = self.encoder.fold(state, self.encoder.summaries(
-                    [h.last() for h in histories], [h.program for h in histories]))
+                    [trajs[k].history.last() for k in live]))
                 masks = [envs[k].action_mask() for k in live]
                 actions, logprob, entropy = self.head.act(
                     F, [rngs[k] for k in live], mode=mode, masks=masks)

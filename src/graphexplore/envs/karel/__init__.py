@@ -6,22 +6,13 @@ from .lang import (
     ACTIONS,
     TESTS,
     TEXT_TOKENS,
-    TEXT_VOCAB,
     Cond,
     KarelProgram,
     Stmt,
     render_program,
     sample_program,
 )
-from .machine import (
-    CELL_TOKENS,
-    HERO_TOKEN_IDS,
-    CoverageReport,
-    KarelWorld,
-    execute,
-    tokens_to_world,
-    world_to_tokens,
-)
+from .machine import CoverageReport, KarelWorld, execute
 from .graph import (
     FEATURE_WIDTH,
     NODE_KINDS,

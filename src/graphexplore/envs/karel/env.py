@@ -13,20 +13,20 @@ import numpy as np
 
 from ...graphnet import GraphObservation
 from . import worlds
-from .machine import KarelWorld, execute, tokens_to_world
+from .machine import KarelWorld, execute
 from .graph import NUM_EDGE_TYPES, program_to_graph, mask_from_report
 
 
 class KarelEnv:
     """Constant-graph coverage environment over one program.
 
-    Actions are input worlds: either a KarelWorld or any object with `size`
-    and `tokens` fields (a grid decoder emission). Runtime faults during
-    execution are part of the semantics, not step failures; coverage earned
-    before the fault still counts. Implements the episode-loop part of the
-    env contract (graphexplore.episode); the walker hooks do not apply.
-    program (a KarelProgram) is also the static program that program
-    conditioning reads.
+    Actions are input worlds (KarelWorld); any other action raises
+    ValueError. Runtime faults during execution are part of the semantics,
+    not step failures; coverage earned before the fault still counts.
+    Implements the episode-loop part of the env contract
+    (graphexplore.episode); the walker hooks do not apply. program (a
+    KarelProgram) is also what the heuristic world policy screens worlds
+    against.
     """
 
     budget = 5  # proposed input worlds per episode
@@ -53,23 +53,17 @@ class KarelEnv:
         )
 
     def step(self, action):
-        world = self._to_world(action)
-        report = execute(self.program, world)
+        if not isinstance(action, KarelWorld):
+            raise ValueError(f"action must be a KarelWorld, got {type(action).__name__}")
+        report = execute(self.program, action)
         self._mask = np.maximum(self._mask, mask_from_report(self.graph, report))
         return self._observe()
-
-    def _to_world(self, action):
-        if isinstance(action, KarelWorld):
-            return action
-        if hasattr(action, "size") and hasattr(action, "tokens"):
-            return tokens_to_world(action.size, action.tokens)
-        raise ValueError(f"action must be a world or a grid emission, got {type(action).__name__}")
 
     def fully_explored(self):
         return float(self._mask.sum()) >= self.units
 
     def action_mask(self):
-        return None  # structured action space; masking lives in the decoder
+        return None  # every input world is a valid action
 
 
 def random_world_policy(config):

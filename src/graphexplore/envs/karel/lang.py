@@ -41,8 +41,8 @@ TESTS = (
     "noMarkersPresent",
 )
 
-# Source-text token vocabulary for bag-of-words / sequence program encoders.
-# All integer literals collapse onto the single <int> id.
+# Source-text token vocabulary of KarelProgram.token_ids, which the pinned
+# program digest hashes. All integer literals collapse onto the single <int> id.
 TEXT_TOKENS = (
     "def", "run", "(", ")", "{", "}",
     "move", "turnLeft", "turnRight", "putMarker", "pickMarker",
@@ -51,7 +51,6 @@ TEXT_TOKENS = (
     "markersPresent", "noMarkersPresent",
     "<int>",
 )
-TEXT_VOCAB = len(TEXT_TOKENS)
 _TEXT_IDS = {tok: i for i, tok in enumerate(TEXT_TOKENS)}
 _TEXT_TOKEN = re.compile(r"\w+|[(){}]")
 

@@ -23,27 +23,6 @@ _DELTA = {"N": (-1, 0), "E": (0, 1), "S": (1, 0), "W": (0, -1)}
 WALL = -1
 MAX_MARKERS = 9
 
-# One token per grid cell: the vocabulary of world_to_tokens and of the grid decoder head.
-# A hero token encodes facing; the cell under the hero holds no markers.
-CELL_TOKENS = (
-    "empty",
-    "wall",
-    "marker1",
-    "marker2",
-    "marker3",
-    "marker4",
-    "marker5",
-    "marker6",
-    "marker7",
-    "marker8",
-    "marker9",
-    "hero-N",
-    "hero-E",
-    "hero-S",
-    "hero-W",
-)
-HERO_TOKEN_IDS = tuple(CELL_TOKENS.index(f"hero-{f}") for f in FACINGS)
-
 
 @dataclass
 class KarelWorld:
@@ -101,43 +80,6 @@ def _cell_char(v):
     if v == 0:
         return "."
     return str(int(v))
-
-
-def world_to_tokens(world):
-    """Row-major CELL_TOKENS indices; the hero cell becomes its facing token."""
-    out = []
-    for i in range(world.side):
-        for j in range(world.side):
-            if (i, j) == world.hero:
-                out.append(CELL_TOKENS.index(f"hero-{world.facing}"))
-            else:
-                v = int(world.grid[i, j])
-                out.append(1 if v == WALL else (0 if v == 0 else CELL_TOKENS.index(f"marker{v}")))
-    return out
-
-
-def tokens_to_world(side, tokens):
-    """Inverse of world_to_tokens; exactly one hero token required."""
-    if len(tokens) != side * side:
-        raise ValueError(f"expected {side * side} tokens for side {side}, got {len(tokens)}")
-    grid = np.zeros((side, side), dtype=np.int8)
-    hero = None
-    facing = None
-    for idx, tok in enumerate(tokens):
-        name = CELL_TOKENS[tok]
-        i, j = divmod(idx, side)
-        if name.startswith("hero-"):
-            if hero is not None:
-                raise ValueError("more than one hero cell")
-            hero = (i, j)
-            facing = name[-1]
-        elif name == "wall":
-            grid[i, j] = WALL
-        elif name.startswith("marker"):
-            grid[i, j] = int(name[len("marker"):])
-    if hero is None:
-        raise ValueError("no hero cell")
-    return KarelWorld(grid, hero, facing)
 
 
 @dataclass

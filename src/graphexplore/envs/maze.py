@@ -162,32 +162,6 @@ def observe(maze, state):
     return state.observation(state.position, NUM_EDGE_TYPES)
 
 
-# ----------------------------------------------------------------- rendering
-
-
-def render_ascii(maze, state=None):
-    """(2h+1) x (2w+1) character grid: '#' walls, '.' open, '@' agent,
-    '*' visited cells."""
-    h, w = maze.height, maze.width
-    grid = [["#"] * (2 * w + 1) for _ in range(2 * h + 1)]
-    for r in range(h):
-        for c in range(w):
-            ch = "."
-            if state is not None:
-                if (r, c) == state.position:
-                    ch = "@"
-                elif state.node_ids.get((r, c)) in state.covered:
-                    ch = "*"
-            elif (r, c) == maze.start:
-                ch = "@"
-            grid[2 * r + 1][2 * c + 1] = ch
-            if maze.is_open(r, c, E):
-                grid[2 * r + 1][2 * c + 2] = "."
-            if maze.is_open(r, c, S):
-                grid[2 * r + 2][2 * c + 1] = "."
-    return "\n".join("".join(row) for row in grid) + "\n"
-
-
 # ------------------------------------------------------------ env interface
 
 

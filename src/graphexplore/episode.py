@@ -15,8 +15,9 @@ episode loop (run_episode, PolicyModel.run_episodes) reads:
   screens, Karel coverage units; at least 1), over which rewards and
   coverage are counted;
 - reset(rng) and step(action), each returning a GraphObservation;
-- action_mask(): (num_actions,) bool, or None for structured actions (Karel);
-- fully_explored(), and program if the env has one.
+- action_mask(): (num_actions,) bool, or None when every action is allowed
+  (Karel, whose actions are input worlds);
+- fully_explored().
 The walkers (agents.baselines) also read three hooks, which maze and app have:
 - current_node(): the stable node id of the agent's position;
 - outgoing(): [(action, destination id or None when unknown)] in ascending
@@ -26,30 +27,20 @@ The walkers (agents.baselines) also read three hooks, which maze and app have:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs.karel.lang import TEXT_VOCAB
 from .graphnet import GraphObservation
 from .tensor import (
     Embedding,
     LSTMCell,
-    Linear,
     Tensor,
     concat,
-    embed_lookup,
     no_grad,
-    reduce_mean,
     reshape,
     slice_,
 )
-
-
-def _row(t):
-    """(1, d) -> (d,)."""
-    return reshape(t, (t.data.shape[1],))
 
 
 @dataclass
@@ -67,7 +58,6 @@ class EpisodeHistory:
     records: list  # of StepRecord; records[0].action is None
     budget: int
     normalizer: float
-    program: object = None  # the KarelProgram under test, for program-conditioned envs
 
     def __len__(self):
         return len(self.records)
@@ -107,10 +97,9 @@ def episode_objective(history):
 
 
 TEMPORAL_MODES = ("last_step", "autoregressive")
-# The paper's program-conditioning arms. Only graph reads the coverage graph;
-# uncond and envcond condition on nothing (envcond appends the previous
-# reward), and bow and bilstm read the program's text.
-CONDITIONING = ("graph", "uncond", "envcond", "bow", "bilstm")
+# The conditioning arms. Only graph reads the coverage graph; uncond and
+# envcond condition on nothing (envcond appends the previous reward).
+CONDITIONING = ("graph", "uncond", "envcond")
 
 
 @dataclass
@@ -136,9 +125,8 @@ class HistoryEncoder:
 
     Summary = [conditioning part, g_x(action)], where `conditioning` picks
     the conditioning part: the GraphNet encoding of the coverage graph
-    (graph, the paper's GNN arm; GraphNet.encode_batch), zeros (uncond, and
-    envcond, which also appends the previous reward), or a static embedding
-    of the program's text tokens (bow, bilstm).
+    (graph, the paper's GNN arm; GraphNet.encode_batch), or zeros (uncond,
+    and envcond, which also appends the previous reward).
 
     temporal_mode last_step returns the newest summary; autoregressive folds
     summaries through an LSTM whose hidden state is F(h_t). Its state is one
@@ -163,12 +151,6 @@ class HistoryEncoder:
             params, f"{name}/actions", config.action_vocab + 1, config.action_width
         )
         self.dtype = params.dtype  # of the constant rows built beside the learned ones
-        if config.conditioning in ("bow", "bilstm"):
-            self.token_embed = Embedding(params, f"{name}/tokens", TEXT_VOCAB, self.d)
-            if config.conditioning == "bilstm":
-                self.fwd = LSTMCell(params, f"{name}/prog_fwd", self.d, self.d)
-                self.bwd = LSTMCell(params, f"{name}/prog_bwd", self.d, self.d)
-                self.prog_out = Linear(params, f"{name}/prog_out", 2 * self.d, self.d)
         width = self.summary_width()
         if config.temporal_mode == "autoregressive":
             self.cell = LSTMCell(params, f"{name}/fold", width, config.recurrent_width)
@@ -197,55 +179,22 @@ class HistoryEncoder:
                 raise ValueError(f"action {rec.action} outside [0, {null}) (action_vocab {null})")
         return self.actions(ids)
 
-    def conditioning_rows(self, records, programs):
-        """(R, d) conditioning parts; programs[i] is record i's static program."""
-        mode = self.config.conditioning
-        if mode in ("uncond", "envcond"):
-            return Tensor(np.zeros((len(records), self.d), dtype=self.dtype))
-        if mode in ("bow", "bilstm"):
-            # One program vector per distinct program, broadcast to its records.
-            encode = self._bow if mode == "bow" else self._bilstm
-            slot = {}
-            for p in programs:
-                slot.setdefault(id(p), (len(slot), p))
-            table = concat([reshape(encode(p), (1, self.d)) for _, p in slot.values()], axis=0)
-            return embed_lookup(table, [slot[id(p)][0] for p in programs])
-        return self.net.encode_batch([rec.observation for rec in records])
+    def conditioning_rows(self, records):
+        """(R, d) conditioning parts of `records`."""
+        if self.config.conditioning == "graph":
+            return self.net.encode_batch([rec.observation for rec in records])
+        return Tensor(np.zeros((len(records), self.d), dtype=self.dtype))
 
-    def _tokens(self, program):
-        return [] if program is None else list(program.token_ids)
-
-    def _bow(self, program):
-        tokens = self._tokens(program)
-        if not tokens:
-            return Tensor(np.zeros(self.d, dtype=self.dtype))
-        return reduce_mean(self.token_embed(np.asarray(tokens, dtype=np.intp)), axis=0)
-
-    def _bilstm(self, program):
-        tokens = self._tokens(program)
-        if not tokens:
-            return Tensor(np.zeros(self.d, dtype=self.dtype))
-        embs = self.token_embed(np.asarray(tokens, dtype=np.intp))
-        rows = [_row(slice_(embs, i, i + 1, axis=0)) for i in range(len(tokens))]
-        fwd = self.fwd.zero_state()
-        for r in rows:
-            fwd = self.fwd(r, fwd)
-        bwd = self.bwd.zero_state()
-        for r in reversed(rows):
-            bwd = self.bwd(r, bwd)
-        return self.prog_out(concat([slice_(fwd, 0, self.d), slice_(bwd, 0, self.d)], axis=0))
-
-    def summaries(self, records, programs):
+    def summaries(self, records):
         """(R, summary_width) summaries of `records`, built with one batched
-        graph encode and one action lookup; programs[i] is the static program
-        of record i's episode (None outside program environments)."""
-        parts = [self.conditioning_rows(records, programs), self.action_rows(records)]
+        graph encode and one action lookup."""
+        parts = [self.conditioning_rows(records), self.action_rows(records)]
         if self.config.conditioning == "envcond":
             parts.append(Tensor(np.asarray([[rec.reward] for rec in records], dtype=self.dtype)))
         return concat(parts, axis=1)
 
-    def summary(self, record, program=None):
-        return _row(self.summaries([record], [program]))
+    def summary(self, record):
+        return reshape(self.summaries([record]), (self.summary_width(),))
 
     # -- temporal fold ------------------------------------------------------
 
@@ -327,7 +276,6 @@ def begin_episode(env, rng, budget):
         records=[StepRecord(action=None, observation=obs0, reward=0.0)],
         budget=budget,
         normalizer=env.reward_normalizer,
-        program=getattr(env, "program", None),
     )
     traj = EpisodeTrajectory(history=history)
     traj.terminated_early = env.fully_explored()
@@ -364,16 +312,3 @@ def run_episode(env, policy, budget, seed):
         while not done:
             done = advance_episode(env, traj, policy(traj.history, env, rng))
     return traj.history, traj
-
-
-def dump_trajectories(path, batch):
-    """JSON-lines episode dump, one object per record: episode_id, t,
-    action_repr (None for record 0), reward, cumulative_coverage."""
-    with open(path, "w") as f:
-        for ep_id, ep in enumerate(batch.episodes):
-            cum = 0.0
-            for t, rec in enumerate(ep.history.records):
-                cum += rec.reward
-                action_repr = None if rec.action is None else str(rec.action)
-                f.write(json.dumps({"episode_id": ep_id, "t": t, "action_repr": action_repr,
-                                    "reward": rec.reward, "cumulative_coverage": cum}) + "\n")

@@ -14,7 +14,6 @@ from .core import (
     matmul,
     mul,
     no_grad,
-    reduce_mean,
     reduce_sum,
     relu,
     reshape,
@@ -22,7 +21,6 @@ from .core import (
     segment_softmax,
     slice_,
     sub,
-    tanh,
 )
 from .checkpoint import load_params, save_params
 from .nn import Embedding, GRUCell, Linear, LSTMCell, MLP, ParamSet

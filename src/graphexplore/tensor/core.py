@@ -306,16 +306,6 @@ def reshape(a, shape):
     return _emit(out.copy(), (a,), backward)
 
 
-def tanh(a):
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _emit(out, (a,), backward)
-
-
 def relu(a):
     a = as_tensor(a)
     out = np.maximum(a.data, 0.0)
@@ -361,19 +351,6 @@ def reduce_sum(a, axis=None):
         if axis is None:
             return (np.full_like(a.data, float(g)),)
         return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
-
-    return _emit(out, (a,), backward)
-
-
-def reduce_mean(a, axis=None):
-    a = as_tensor(a)
-    out = a.data.mean(axis=axis)
-    denom = a.data.size if axis is None else a.data.shape[axis]
-
-    def backward(g):
-        if axis is None:
-            return (np.full_like(a.data, float(g) / denom),)
-        return (np.broadcast_to(np.expand_dims(g / denom, axis), a.data.shape).copy(),)
 
     return _emit(out, (a,), backward)
 

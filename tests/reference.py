@@ -80,6 +80,16 @@ def sigmoid(a):
     return _emit(out, (a,), backward)
 
 
+def tanh(a):
+    a = as_tensor(a)
+    out = np.tanh(a.data)
+
+    def backward(g):
+        return (g * (1.0 - out * out),)
+
+    return _emit(out, (a,), backward)
+
+
 def softmax(a, axis=-1):
     a = as_tensor(a)
     if a.data.shape[axis] == 0:

@@ -1,8 +1,10 @@
 """Karel program coverage: properties of the DSL, worlds and the interpreter."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +20,6 @@ from graphexplore.envs.karel import (
     render_program,
     sample_program,
     sample_world,
-    tokens_to_world,
-    world_to_tokens,
 )
 from graphexplore.episode import run_episode
 
@@ -102,11 +102,13 @@ def test_world_policy_means_are_pinned():
     assert world_policy_mean(heuristic_world_policy) == 0.6370452069716775
 
 
-@settings(max_examples=50, deadline=None)
-@given(configs, seeds)
-def test_world_token_form_round_trips(config, seed):
-    world = sample_world(config, seed)
-    assert tokens_to_world(world.side, world_to_tokens(world)) == world
+@pytest.mark.parametrize("action", [3, SimpleNamespace(size=2, tokens=(0, 11, 0, 0))],
+                         ids=["int", "size-and-tokens"])
+def test_step_rejects_an_action_that_is_not_a_world(action):
+    env = KarelEnv(program_for(0))
+    env.reset()
+    with pytest.raises(ValueError, match=f"action must be a KarelWorld, got {type(action).__name__}$"):
+        env.step(action)
 
 
 @settings(max_examples=50, deadline=None)

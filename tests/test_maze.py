@@ -21,7 +21,6 @@ from graphexplore.envs.maze import (
     heldout_mazes,
     initial_state,
     observe,
-    render_ascii,
     step,
 )
 
@@ -139,33 +138,6 @@ def test_corner_cell_action_bound():
         state = initial_state(maze)
         state.position = (0, 0)
         assert len(maze.open_dirs(*state.position)) <= 2
-
-
-def test_render_1x1():
-    maze = generate_maze(1, 1, 0.0, seed=3)
-    text = render_ascii(maze)
-    assert text == "###\n#@#\n###\n"
-
-
-def test_render_open_2x2_all_visited():
-    maze = open_grid(2, 2)
-    state = initial_state(maze)
-    for d in (E, S, W):
-        step(maze, state, d)
-    text = render_ascii(maze, state)
-    marks = [ch for row in text.splitlines() for ch in row if ch in "@*"]
-    assert sorted(marks) == ["*", "*", "*", "@"]
-
-
-def test_render_draws_walls_passages_and_marks():
-    # The open 2x2 grid without its bottom passage: a U-shaped corridor.
-    passages = np.array([[1 << E | 1 << S, 1 << W | 1 << S], [1 << N, 1 << N]], dtype=np.uint8)
-    maze = Maze(width=2, height=2, passages=passages, start=(0, 0))
-    assert render_ascii(maze) == "#####\n#@..#\n#.#.#\n#.#.#\n#####\n"
-    state = initial_state(maze)
-    step(maze, state, E)
-    step(maze, state, S)
-    assert render_ascii(maze, state) == "#####\n#*.*#\n#.#.#\n#.#@#\n#####\n"
 
 
 # (width, height, loop_prob, seeds): degenerate sizes, no and all extra

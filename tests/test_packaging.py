@@ -1,9 +1,10 @@
 """Packaging metadata: every console script declared in pyproject.toml names
 an importable callable, every module under src/ imports first in a fresh
 interpreter, no module under src/ keeps an import it does not use or imports
-inside a function, and every top-level function and class under src/, and
-every method of those classes, is referenced by the program or kept for a
-stated reason."""
+inside a function, no module of the learned-agent stack imports an
+environment, and every top-level function and class under src/, and every
+method of those classes, is referenced by the program or kept for a stated
+reason."""
 
 import ast
 import importlib
@@ -102,16 +103,77 @@ def test_no_import_inside_a_function():
     assert [found for path in sorted(SRC.rglob("*.py")) for found in function_imports(path)] == []
 
 
+# The learned agent's modules (packages and modules under graphexplore/):
+# they read an environment only through the env contract of episode.py, so
+# none of them imports from graphexplore.envs.
+AGENT_STACK = ("tensor", "graphnet", "episode", "agents", "trainer")
+
+
+def imported_modules(package, node):
+    """Absolute names of the modules an import statement may read, for a
+    module of `package` (dotted): the imported module, and module.name for
+    each name a `from` import binds, since that name may be a submodule."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    module = node.module
+    if node.level:
+        parts = package.split(".")
+        module = ".".join(parts[:len(parts) - node.level + 1] + ([module] if module else []))
+    return {module} | {f"{module}.{alias.name}" for alias in node.names}
+
+
+def env_imports(root):
+    """The imports from graphexplore.envs in the AGENT_STACK modules of the
+    tree under `root` (the directory holding graphexplore/)."""
+    found = []
+    for path in sorted((root / "graphexplore").rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        if parts[1] not in AGENT_STACK:
+            continue
+        package = ".".join(parts[:-1])
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    name == "graphexplore.envs" or name.startswith("graphexplore.envs.")
+                    for name in imported_modules(package, node)):
+                found.append(f"{'.'.join(parts)} line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_learned_agent_stack_imports_no_environment():
+    assert env_imports(SRC) == []
+
+
+PLANTED_TREE = {
+    "__init__.py": "",
+    "episode.py": "from .envs.karel.lang import TEXT_TOKENS\nfrom .graphnet import GraphNet\n",
+    "agents/__init__.py": "from .policy import Head\n",
+    "agents/policy.py": "from .. import envs\nfrom ..episode import run\n",
+    "tensor/core.py": "import numpy as np\nimport graphexplore.envs.maze\n",
+    "trainer.py": "from graphexplore.envs import appgraph\nfrom .environment import x\n",
+    "benchmarks.py": "from .envs import maze\n",
+}
+
+
+def test_an_environment_import_planted_in_the_agent_stack_is_found(tmp_path):
+    # benchmarks is outside the stack, and `.environment` is not `.envs`.
+    for name, text in PLANTED_TREE.items():
+        path = tmp_path / "graphexplore" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert env_imports(tmp_path) == [
+        "graphexplore.agents.policy line 1: from .. import envs",
+        "graphexplore.episode line 1: from .envs.karel.lang import TEXT_TOKENS",
+        "graphexplore.tensor.core line 2: import graphexplore.envs.maze",
+        "graphexplore.trainer line 1: from graphexplore.envs import appgraph",
+    ]
+
+
 PERFBENCH = PYPROJECT.parent / "perfbench"
 
 # Top-level functions, classes and methods under src/ that nothing in src/ or
 # in perfbench's modules references, each kept for the reason given. Anything
 # else without a reference is dead code: delete it with its tests.
 KEPT = {
-    "envs.maze.render_ascii": "maze rendering of the trace CLI (ROADMAP item 5)",
-    "envs.karel.machine.world_to_tokens": "input of the Karel agent's grid encoder (ROADMAP item 4)",
-    "agents.policy.GridDecoder": "the Karel agent's action head (ROADMAP item 4)",
-    "episode.dump_trajectories": "the episode dump of the trace CLI (ROADMAP item 5)",
     "trainer.evaluate": "the held-out zero-shot and fine-tune protocols (ROADMAP item 1)",
 }
 

@@ -3,8 +3,6 @@ import pytest
 
 from graphexplore.agents.policy import (
     CategoricalHead,
-    GridAction,
-    GridDecoder,
     PolicyModel,
     ValueHead,
     masked_log_probs,
@@ -18,7 +16,7 @@ from graphexplore.episode import (
     episode_objective,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig
-from graphexplore.tensor import ParamSet, Tape, Tensor, no_grad, reduce_sum
+from graphexplore.tensor import ParamSet, Tape, Tensor, no_grad
 from reference import episode_outputs, replayed_masks
 
 
@@ -159,78 +157,6 @@ def test_categorical_score_matches_act():
         assert abs(float(ent.data) - act_ent.data[0]) < 1e-9
         assert act_lp.data[0] <= 0.0
         assert act_ent.data[0] >= 0.0
-
-
-# ---------------------------------------------------------------- grid head
-
-
-def grid_fixture(seed=0, sizes=(2, 3)):
-    params = ParamSet(seed=seed)
-    head = GridDecoder(
-        params, "policy", in_width=4, vocab=("empty", "wall", "hero"), hero_ids=(2,), sizes=sizes
-    )
-    F = Tensor(rng_of(seed + 50).normal(size=4))
-    return params, head, F
-
-
-def test_grid_exactly_one_hero_always():
-    _, head, F = grid_fixture(seed=13)
-    for seed in range(30):
-        [grid], _, _ = head.act(Tensor(F.data[None]), [rng_of(seed)])
-        assert grid.size in (2, 3)
-        assert len(grid.tokens) == grid.size * grid.size
-        assert sum(1 for t in grid.tokens if t == 2) == 1
-
-
-def test_grid_score_matches_act():
-    _, head, F = grid_fixture(seed=14)
-    for seed in range(8):
-        [grid], act_lp, act_ent = head.act(Tensor(F.data[None]), [rng_of(seed)])
-        with no_grad():
-            lp, ent = head.score(F, grid)
-        assert abs(float(lp.data) - act_lp.data[0]) < 1e-9
-        assert abs(float(ent.data) - act_ent.data[0]) < 1e-9
-
-
-def test_grid_act_on_a_tape_records_the_walk_it_scores():
-    # A sampled decode inside a Tape is its own forward pass: the gradients
-    # of its log-probability and entropy equal those of scoring the grid.
-    params, head, F = grid_fixture(seed=17)
-    with Tape() as tape:
-        [grid], lp, ent = head.act(Tensor(F.data[None]), [rng_of(3)])
-        loss = reduce_sum(lp + ent)
-    got = params.gradients(tape, loss)
-    with Tape() as tape:
-        lp, ent = head.score(F, grid)
-        loss = lp + ent
-    want = params.gradients(tape, loss)
-    assert any(np.any(g.data != 0.0) for g in want.values())
-    for name, g in want.items():
-        assert np.max(np.abs(got[name].data - g.data)) <= 1e-12, name
-
-
-def test_grid_two_heroes_scores_as_impossible():
-    _, head, F = grid_fixture(seed=15)
-    bad = GridAction(size=2, tokens=(2, 2, 0, 0))
-    with no_grad():
-        lp, _ = head.score(F, bad)
-    assert float(lp.data) < -1e29  # second hero carries an exactly-masked token
-
-
-def test_grid_rejects_unknown_size():
-    _, head, F = grid_fixture(seed=16)
-    with pytest.raises(ValueError, match="size"):
-        head.score(F, GridAction(size=9, tokens=tuple([2] + [0] * 80)))
-
-
-def test_grid_no_hero_rejected_by_construction():
-    with pytest.raises(ValueError, match="hero"):
-        GridDecoder(ParamSet(seed=0), "p", in_width=4, vocab=("a",), hero_ids=())
-
-
-def test_grid_action_repr():
-    a = GridAction(size=2, tokens=(0, 2, 1, 0))
-    assert str(a) == "2x2:0,2,1,0"
 
 
 # ------------------------------------------------------- learned rollouts

@@ -195,7 +195,7 @@ def reference_loss(model, batch, config, envs, seeds):
         state = model.encoder.init_state()
         for t, rec in enumerate(records[1:]):
             F, state = model.encoder.fold(
-                state, model.encoder.summary(records[t], ep.history.program))
+                state, model.encoder.summary(records[t]))
             logprob, entropy = model.head.score(F, rec.action, mask=masks[t])
             value = model.value_head(F)
             advantage = returns[t] - float(value.data)
