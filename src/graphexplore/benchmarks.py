@@ -47,9 +47,9 @@ def episode_seed(maze_seed, stream):
     return int(np.random.SeedSequence([maze_seed, stream]).generate_state(1)[0])
 
 
-def maze_eval_env(maze_seed, hide_destinations=False):
+def maze_eval_env(maze_seed):
     maze = generate_maze(MAZE_SIZE, MAZE_SIZE, MAZE_LOOP_PROB, maze_seed)
-    return MazeEnv(maze, budget=MAZE_BUDGET, hide_destinations=hide_destinations)
+    return MazeEnv(maze, budget=MAZE_BUDGET)
 
 
 @functools.cache

@@ -4,7 +4,9 @@ A TransitionGraph is a deterministic screen/action/target map. Episodes start
 knowing nothing: the observed subgraph holds only visited screens and the
 transitions actually taken, so the destination of an untried action is unknown
 until the agent commits to it. Coverage is visited screens over all screens;
-the evaluation protocol's budget is benchmarks.APP_BUDGET steps.
+the evaluation protocol's budget is benchmarks.APP_BUDGET steps. AppEnv is the
+one way to reset and step an app; it builds observations through the
+module-level observe, which perfbench traces as envs.observe.
 
 reverse_action models a tester's back button: immediately after a transition
 the environment can name the action at the new screen that returns to the
@@ -112,40 +114,11 @@ def generate_er_app(n, p, seed):
 @dataclass
 class AppState(BeliefNodes):
     """Exploration state. A screen is admitted as a node when it is first
-    visited, so node_order lists exactly the visited screens, in visit
-    order."""
+    visited, so node_ids holds exactly the visited screens, in visit order."""
 
     current: str
     taken: dict = field(default_factory=dict)  # (src, action) -> dst, first-take order
     previous: str = None  # the screen the latest step left
-
-
-def initial_state(graph):
-    state = AppState(current=graph.start)
-    state.admit(graph.start)
-    state.mark_covered(graph.start)
-    return state
-
-
-def step(graph, state, action_index):
-    """Take the action_index-th outgoing action of the current screen. Returns
-    1 if the target screen is newly visited, else 0."""
-    out = graph.outgoing(state.current)
-    if not 0 <= action_index < len(out):
-        raise ValueError(
-            f"invalid action {action_index} at screen {state.current!r} "
-            f"({len(out)} available)"
-        )
-    action, dst = out[action_index]
-    newly = 0 if dst in state.node_ids else 1
-    state.taken[(state.current, action)] = dst
-    state.admit(dst)
-    if newly:
-        state.mark_covered(dst)
-    state.link(state.current, dst, 1, 2)
-    state.previous = state.current
-    state.current = dst
-    return newly
 
 
 def observe(state):
@@ -181,14 +154,33 @@ class AppEnv:
         self.state = None
 
     def reset(self, rng):
-        self.state = initial_state(self.graph)
+        start = self.graph.start
+        self.state = AppState(current=start)
+        self.state.admit(start)
+        self.state.mark_covered(start)
         return empty_observation(BELIEF_FEATURE_WIDTH, NUM_EDGE_TYPES)
 
     def observe(self):
         return observe(self.state)
 
     def step(self, action_index):
-        step(self.graph, self.state, action_index)
+        """Take the action_index-th outgoing action of the current screen,
+        covering the target screen if it is new."""
+        state = self.state
+        out = self.graph.outgoing(state.current)
+        if not 0 <= action_index < len(out):
+            raise ValueError(
+                f"invalid action {action_index} at screen {state.current!r} "
+                f"({len(out)} available)"
+            )
+        action, dst = out[action_index]
+        state.taken[(state.current, action)] = dst
+        if dst not in state.node_ids:
+            state.admit(dst)
+            state.mark_covered(dst)
+        state.link(state.current, dst, 1, 2)
+        state.previous = state.current
+        state.current = dst
         return self.observe()
 
     def action_mask(self):
@@ -199,7 +191,7 @@ class AppEnv:
     def fully_explored(self):
         # A dead-end screen (the end of a one-way flow) also ends the
         # episode: no action can change anything further.
-        return len(self.state.node_order) == len(self.graph.screens) or (
+        return len(self.state.node_ids) == len(self.graph.screens) or (
             self.graph.out_degree(self.state.current) == 0
         )
 

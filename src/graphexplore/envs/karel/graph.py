@@ -2,9 +2,10 @@
 
 Nodes: a run root, one node per statement, one node per condition token
 (not() wrappers are their own nodes), and a true/false outcome anchor pair
-per condition site. Coverage units live on statement nodes and anchors; the
-root and condition nodes never carry coverage, so the sum of a coverage mask
-over nodes equals the number of covered units.
+per condition site. Coverage units live on statement nodes and anchors
+(KarelGraph.unit_nodes places them); the root and condition nodes never carry
+coverage, so the sum of a coverage mask over nodes equals the number of
+covered units.
 
 Directed edge types:
   1 ast-child       parent -> child (root->stmt, stmt->cond, not->inner,
@@ -54,8 +55,10 @@ class KarelGraph:
     node_kinds: tuple  # kind name per node, index order frozen
     features: np.ndarray  # (n, FEATURE_WIDTH) float64 one-hot rows
     edges: tuple  # (src, dst, type) triples
-    stmt_node: dict  # stmt_id -> node index
-    anchor_node: dict  # branch_id -> (true node index, false node index)
+    # Node of each coverage unit in report order: statement stmt_id at
+    # [stmt_id], then branch b's true and false anchors at
+    # [n_statements + 2b] and [n_statements + 2b + 1].
+    unit_nodes: np.ndarray  # (n_statements + 2 * n_branches,) intp
     n_statements: int
     n_branches: int
 
@@ -76,8 +79,8 @@ def program_to_graph(program):
     kinds = []
     features = []
     edges = []
-    stmt_node = {}
-    anchor_node = {}
+    stmt_nodes = [0] * program.n_statements
+    anchor_nodes = [0] * (2 * program.n_branches)
 
     def add_node(kind, repeat_count=0):
         kinds.append(kind)
@@ -95,7 +98,7 @@ def program_to_graph(program):
         prev = None
         for s in stmts:
             idx = add_node(s.kind, s.count)
-            stmt_node[s.stmt_id] = idx
+            stmt_nodes[s.stmt_id] = idx
             edges.append((parent, idx, 1))
             if prev is not None:
                 edges.append((prev, idx, 2))
@@ -114,7 +117,7 @@ def program_to_graph(program):
             edges.append((idx, f_idx, 1))
             edges.append((cond_idx, f_idx, 4))
             add_block(s.orelse, f_idx)
-            anchor_node[s.branch_id] = (t_idx, f_idx)
+            anchor_nodes[2 * s.branch_id:2 * s.branch_id + 2] = t_idx, f_idx
 
     root = add_node("run")
     add_block(program.body, root)
@@ -122,8 +125,7 @@ def program_to_graph(program):
         node_kinds=tuple(kinds),
         features=np.array(features) if features else np.zeros((0, FEATURE_WIDTH)),
         edges=tuple(edges),
-        stmt_node=stmt_node,
-        anchor_node=anchor_node,
+        unit_nodes=np.array(stmt_nodes + anchor_nodes, dtype=np.intp),
         n_statements=program.n_statements,
         n_branches=program.n_branches,
     )
@@ -139,9 +141,5 @@ def mask_from_report(graph, report):
     ):
         raise ValueError("report shape does not match graph")
     mask = np.zeros(graph.node_count)
-    for stmt_id, idx in graph.stmt_node.items():
-        mask[idx] = float(report.stmt_hit[stmt_id])
-    for branch_id, (t, f) in graph.anchor_node.items():
-        mask[t] = float(report.branch_hit[branch_id, 0])
-        mask[f] = float(report.branch_hit[branch_id, 1])
+    mask[graph.unit_nodes] = np.concatenate([report.stmt_hit, report.branch_hit.ravel()])
     return mask

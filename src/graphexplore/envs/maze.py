@@ -7,7 +7,9 @@ node identity is discovery order, and edges are typed by compass direction so
 the agent can tell which action leads along which edge.
 
 A Maze is immutable once built: its passage array is read-only and each
-cell's open directions are tabled at construction.
+cell's open directions are tabled at construction. MazeEnv is the one way to
+reset and step a maze; it builds observations through the module-level
+observe, which perfbench traces as envs.observe.
 """
 
 from __future__ import annotations
@@ -122,38 +124,6 @@ class MazeState(BeliefNodes):
     position: tuple
 
 
-def initial_state(maze):
-    state = MazeState(position=maze.start)
-    state.admit(maze.start)
-    _visit(maze, state, maze.start)
-    return state
-
-
-def _visit(maze, state, cell):
-    """First visit of `cell`: admit its neighbours and link each open side d
-    both ways, typed d+1 outward and opposite+1 back."""
-    state.mark_covered(cell)
-    for d, other in maze.exits(*cell):
-        state.admit(other)
-        state.link(cell, other, d + 1, OPPOSITE[d] + 1)
-
-
-def step(maze, state, direction):
-    """Move one cell along an open passage (in place). Returns (state, delta)
-    where delta is 1 when the destination was unvisited, else 0."""
-    r, c = state.position
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
-    if not maze.is_open(r, c, direction):
-        raise ValueError(f"blocked direction {DIR_NAMES[direction]} from {(r, c)}")
-    dest = (r + DELTAS[direction][0], c + DELTAS[direction][1])
-    state.position = dest
-    if state.node_ids[dest] in state.covered:
-        return state, 0
-    _visit(maze, state, dest)
-    return state, 1
-
-
 def observe(maze, state):
     """Belief graph: visited + frontier nodes, and both directions of every
     passage incident to a visited cell, typed by compass direction. The one
@@ -185,14 +155,36 @@ class MazeEnv:
         self.state = None
 
     def reset(self, rng):
-        self.state = initial_state(self.maze)
+        start = self.maze.start
+        self.state = MazeState(position=start)
+        self.state.admit(start)
+        self._visit(start)
         return empty_observation(BELIEF_FEATURE_WIDTH, NUM_EDGE_TYPES)
+
+    def _visit(self, cell):
+        """First visit of `cell`: cover it, admit its neighbours and link
+        each open side d both ways, typed d+1 outward and opposite+1 back."""
+        state = self.state
+        state.mark_covered(cell)
+        for d, other in self.maze.exits(*cell):
+            state.admit(other)
+            state.link(cell, other, d + 1, OPPOSITE[d] + 1)
 
     def observe(self):
         return observe(self.maze, self.state)
 
     def step(self, direction):
-        step(self.maze, self.state, direction)
+        """Move one cell along an open passage, visiting the destination if
+        it is new."""
+        r, c = self.state.position
+        if direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {direction!r}")
+        if not self.maze.is_open(r, c, direction):
+            raise ValueError(f"blocked direction {DIR_NAMES[direction]} from {(r, c)}")
+        dest = (r + DELTAS[direction][0], c + DELTAS[direction][1])
+        self.state.position = dest
+        if self.state.node_ids[dest] not in self.state.covered:
+            self._visit(dest)
         return self.observe()
 
     def action_mask(self):

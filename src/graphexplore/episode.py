@@ -37,7 +37,6 @@ from .tensor import (
     LSTMCell,
     Tensor,
     concat,
-    no_grad,
     reshape,
     slice_,
 )
@@ -308,7 +307,6 @@ def run_episode(env, policy, budget, seed):
     begin_episode / advance_episode bookkeeping."""
     rng = np.random.default_rng(seed)
     traj, done = begin_episode(env, rng, budget)
-    with no_grad():
-        while not done:
-            done = advance_episode(env, traj, policy(traj.history, env, rng))
+    while not done:
+        done = advance_episode(env, traj, policy(traj.history, env, rng))
     return traj.history, traj

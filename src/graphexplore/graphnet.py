@@ -125,8 +125,7 @@ class BeliefNodes:
     only after link adds or retypes an edge, and one read-only coverage
     array, rebuilt only after admit adds a node or mark_covered sets a bit."""
 
-    node_ids: dict = field(default_factory=dict, kw_only=True)  # key -> node id
-    node_order: list = field(default_factory=list, kw_only=True)  # node id -> key
+    node_ids: dict = field(default_factory=dict, kw_only=True)  # key -> node id, in id order
     links: dict = field(default_factory=dict, kw_only=True)  # (u, v) -> edge type
     covered: set = field(default_factory=set, kw_only=True)  # ids of covered nodes
     # What the latest observation handed out, kept until it changes (None: stale).
@@ -135,8 +134,7 @@ class BeliefNodes:
 
     def admit(self, key):
         if key not in self.node_ids:
-            self.node_ids[key] = len(self.node_order)
-            self.node_order.append(key)
+            self.node_ids[key] = len(self.node_ids)
             self._coverage = None
 
     def mark_covered(self, key):
@@ -160,7 +158,7 @@ class BeliefNodes:
         if self._edges is None:
             self._edges = tuple((u, v, k) for (u, v), k in self.links.items())
         if self._coverage is None:
-            coverage = np.zeros(len(self.node_order))
+            coverage = np.zeros(len(self.node_ids))
             coverage[list(self.covered)] = 1.0
             coverage.flags.writeable = False
             self._coverage = coverage

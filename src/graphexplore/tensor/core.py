@@ -343,14 +343,13 @@ def entropy(log_probs):
     return _emit(out, (lp,), backward)
 
 
-def reduce_sum(a, axis=None):
+def reduce_sum(a):
+    """Sum of every element of `a`."""
     a = as_tensor(a)
-    out = a.data.sum(axis=axis)
+    out = a.data.sum()
 
     def backward(g):
-        if axis is None:
-            return (np.full_like(a.data, float(g)),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
+        return (np.full_like(a.data, float(g)),)
 
     return _emit(out, (a,), backward)
 

@@ -15,9 +15,6 @@ from graphexplore.envs.appgraph import (
     TransitionGraph,
     er_app_for_seed,
     generate_er_app,
-    initial_state,
-    observe,
-    step,
 )
 from graphexplore.episode import EpisodeStepError, episode_objective, run_episode
 
@@ -173,28 +170,37 @@ def line_graph():
     )
 
 
+def fresh_env(graph):
+    env = AppEnv(graph, budget=15)
+    env.reset(np.random.default_rng(0))
+    return env
+
+
 def test_step_newly_visited_flags():
-    g = line_graph()
-    state = initial_state(g)
-    assert step(g, state, 0) == 1  # a -> b, fresh
-    assert step(g, state, 0) == 0  # b -(back)-> a, revisit (sorted: back, fwd)
-    assert step(g, state, 0) == 0  # a -> b again
-    assert state.current == "b"
+    # A step onto a fresh screen covers exactly one more screen; a revisit none.
+    env = fresh_env(line_graph())
+    env.step(0)  # a -> b, fresh
+    assert len(env.state.covered) == 2
+    env.step(0)  # b -(back)-> a, revisit (sorted: back, fwd)
+    assert len(env.state.covered) == 2
+    env.step(0)  # a -> b again
+    assert len(env.state.covered) == 2
+    assert env.state.current == "b"
 
 
 def test_step_self_loop_not_newly_visited():
     g = TransitionGraph(
         screens=("a",), transitions={("a", "again"): "a"}, start="a"
     )
-    state = initial_state(g)
-    assert step(g, state, 0) == 0
+    env = fresh_env(g)
+    env.step(0)
+    assert len(env.state.covered) == 1
 
 
 def test_step_invalid_action_errors():
     g = line_graph()
-    state = initial_state(g)
     with pytest.raises(ValueError, match="invalid action 1"):
-        step(g, state, 1)  # "a" has out-degree 1
+        fresh_env(g).step(1)  # "a" has out-degree 1
     env = AppEnv(g, budget=15)
     with pytest.raises(EpisodeStepError):
         run_episode(env, lambda h, e, r: 5, budget=15, seed=0)
@@ -276,7 +282,7 @@ def test_observe_matches_a_from_scratch_rebuild(graph, choices):
     env.reset(np.random.default_rng(0))
     for k in range(len(choices) + 1):
         obs = env.observe()
-        n = len(env.state.node_order)
+        n = len(env.state.node_ids)
         assert obs.node_count == n and np.array_equal(obs.coverage, np.ones(n))
         current = env.current_node()
         assert obs.node_features[:, 0].tolist() == [float(i == current) for i in range(n)]
@@ -362,4 +368,4 @@ def test_coverage_bounded_by_brute_force_optimum():
         for policy, ep_seed in ((RandomPolicy(), 0), (RandDfsPolicy(), 1)):
             env = AppEnv(g, budget=budget)
             run_episode(env, policy, budget=budget, seed=ep_seed)
-            assert len(env.state.node_order) <= oracle.best_coverage
+            assert len(env.state.node_ids) <= oracle.best_coverage

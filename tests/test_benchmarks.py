@@ -64,7 +64,7 @@ def test_eval_env_distribution_matches_protocol():
     env.reset(rng)
     assert env.maze.width == 6 and env.maze.height == 6
     assert env.budget == 36
-    env2 = bm.maze_eval_env(8001, hide_destinations=True)
+    env2 = maze.MazeEnv(env.maze, budget=bm.MAZE_BUDGET, hide_destinations=True)
     env2.reset(rng)
     assert env2.outgoing() and all(dest is None for _, dest in env2.outgoing())
 

@@ -90,21 +90,22 @@ def test_belief_edges_come_in_pairs_at_every_step(env, episode_seed):
 @settings(max_examples=60, deadline=None)
 @given(env=walker_envs(), episode_seed=st.integers(0, 2**31 - 1))
 def test_node_ids_never_shift(env, episode_seed):
-    # A belief graph only grows: each step's node order extends the previous
-    # one, so a node keeps its id for the whole episode. compute_reward
-    # checks that coverage never shrinks, not that ids stay put.
+    # A belief graph only grows: each step's keys extend the previous ones,
+    # in id order, so a node keeps its id for the whole episode.
+    # compute_reward checks that coverage never shrinks, not that ids stay put.
     rng = np.random.default_rng(episode_seed)
     env.reset(rng)
-    before = list(env.state.node_order)
+    before = list(env.state.node_ids)
     for _ in range(env.budget):
         actions = [a for a, _ in env.outgoing()]
         if not actions:
             break
         env.step(actions[int(rng.integers(len(actions)))])
-        after = env.state.node_order
+        node_ids = env.state.node_ids
+        after = list(node_ids)
         assert after[:len(before)] == before
-        assert [env.state.node_ids[key] for key in after] == list(range(len(after)))
-        before = list(after)
+        assert list(node_ids.values()) == list(range(len(node_ids)))
+        before = after
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,7 +168,7 @@ def units_of(env):
     if isinstance(env, MazeEnv):
         return len(env.state.covered), env.maze.cells()
     if isinstance(env, AppEnv):
-        return len(env.state.node_order), len(env.graph.screens)
+        return len(env.state.node_ids), len(env.graph.screens)
     return int(env._mask.sum()), env.units
 
 

@@ -120,6 +120,26 @@ def test_coverage_mask_sums_to_covered_units(program_seed, config, world_seed):
 
 
 @settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_each_coverage_unit_sits_on_its_statement_or_anchor_node(seed):
+    # mask_from_report writes report unit i to node unit_nodes[i]; the mask's
+    # sum cannot tell a misplaced unit from a placed one.
+    program = program_for(seed)
+    graph = program_to_graph(program)
+    units = graph.unit_nodes.tolist()
+    assert len(units) == program.n_statements + 2 * program.n_branches
+    assert len(set(units)) == len(units)
+    edges = set(graph.edges)
+    for stmt in preorder(program.body):
+        node = units[stmt.stmt_id]
+        assert graph.node_kinds[node] == stmt.kind
+        if stmt.branch_id >= 0:
+            t, f = units[program.n_statements + 2 * stmt.branch_id:][:2]
+            assert (graph.node_kinds[t], graph.node_kinds[f]) == ("true-anchor", "false-anchor")
+            assert {(node, t, 1), (node, f, 1)} <= edges
+
+
+@settings(max_examples=50, deadline=None)
 @given(seeds, configs, seeds, st.one_of(st.integers(1, 50), st.just(1000)))
 def test_execute_stays_within_its_step_cap(program_seed, config, world_seed, step_cap):
     program = program_for(program_seed)

@@ -19,9 +19,6 @@ from graphexplore.envs.maze import (
     W,
     generate_maze,
     heldout_mazes,
-    initial_state,
-    observe,
-    step,
 )
 
 
@@ -89,11 +86,16 @@ def test_generate_connected():
         assert len(seen) == 25
 
 
+def fresh_env(maze):
+    env = MazeEnv(maze, budget=maze.cells())
+    env.reset(np.random.default_rng(0))
+    return env
+
+
 def test_observe_start_neighborhood():
     # Start cell with exactly two open sides: 3 nodes, both directions per passage.
-    maze = open_grid(2, 2, start=(0, 0))
-    state = initial_state(maze)
-    obs = observe(maze, state)
+    env = fresh_env(open_grid(2, 2, start=(0, 0)))
+    obs = env.observe()
     assert obs.node_count == 3
     assert sorted(obs.coverage) == [0.0, 0.0, 1.0]
     assert len(obs.edges) == 4  # 2 passages, both directions
@@ -101,11 +103,10 @@ def test_observe_start_neighborhood():
 
 
 def test_observe_full_coverage():
-    maze = open_grid(2, 2)
-    state = initial_state(maze)
+    env = fresh_env(open_grid(2, 2))
     for d in (E, S, W):
-        step(maze, state, d)
-    obs = observe(maze, state)
+        env.step(d)
+    obs = env.observe()
     assert obs.node_count == 4
     assert np.all(obs.coverage == 1.0)
 
@@ -113,31 +114,30 @@ def test_observe_full_coverage():
 def test_observe_features_have_no_coordinates():
     # Feature width is exactly the is-current column: nothing in the schema
     # can carry (row, col).
-    maze = open_grid(3, 3, start=(1, 1))
-    state = initial_state(maze)
-    obs = observe(maze, state)
+    env = fresh_env(open_grid(3, 3, start=(1, 1)))
+    obs = env.observe()
     assert obs.node_features.shape == (obs.node_count, 1)
-    assert obs.node_features[state.node_ids[state.position], 0] == 1.0
+    assert obs.node_features[env.current_node(), 0] == 1.0
     assert obs.node_features[:, 0].sum() == 1.0
 
 
 def test_step_deltas_and_errors():
-    maze = open_grid(2, 2, start=(0, 0))
-    state = initial_state(maze)
-    _, delta = step(maze, state, E)
-    assert delta == 1
-    _, delta = step(maze, state, W)
-    assert delta == 0
+    # A step onto a fresh cell covers exactly one more cell; a revisit none.
+    env = fresh_env(open_grid(2, 2, start=(0, 0)))
+    covered = len(env.state.covered)
+    env.step(E)
+    assert len(env.state.covered) == covered + 1
+    env.step(W)
+    assert len(env.state.covered) == covered + 1
     with pytest.raises(ValueError, match="blocked"):
-        step(maze, state, N)
+        env.step(N)
 
 
 def test_corner_cell_action_bound():
     for seed in range(5):
-        maze = generate_maze(4, 4, 1.0, seed=seed)
-        state = initial_state(maze)
-        state.position = (0, 0)
-        assert len(maze.open_dirs(*state.position)) <= 2
+        env = fresh_env(generate_maze(4, 4, 1.0, seed=seed))
+        env.state.position = (0, 0)
+        assert env.action_mask().sum() <= 2
 
 
 # (width, height, loop_prob, seeds): degenerate sizes, no and all extra
