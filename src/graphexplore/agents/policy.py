@@ -4,7 +4,7 @@ The action head is a masked categorical over a fixed action set. It has two
 entry points: act() for choosing one action per row of a (K, w) batch during
 lockstep rollouts, which also returns the taken actions' log-probabilities
 and the entropies as tensors (on the active tape, if any), and score() for
-re-evaluating given actions.
+re-evaluating the given actions of the rows of a (D, w) batch.
 
 Masking uses a -1e30 logit offset: large enough that exp() underflows to an
 exact 0 probability, small enough that log-space arithmetic stays finite, so
@@ -93,22 +93,22 @@ class CategoricalHead:
             actions = [sample_index(p, rng) for p, rng in zip(probs.data, rngs)]
         return actions, self._taken(log_probs, actions), entropy(log_probs)
 
-    def score(self, F, action, mask=None):
-        """(log-probability of the taken action, entropy) per row: F is (w,)
-        with one action and an (A,) mask, or (D, w) with D actions and a
-        (D, A) mask."""
-        log_probs, _ = masked_log_probs(self.out(F), mask)
-        return self._taken(log_probs, action), entropy(log_probs)
+    def score(self, F, actions, masks=None):
+        """((D,) log-probabilities of the given actions, (D,) entropies) of
+        the rows of F (D, w): row k took actions[k] among the actions
+        masks[k] allows (None: any), as in act()."""
+        log_probs, _ = masked_log_probs(self.out(F), stack_masks(masks or ()))
+        return self._taken(log_probs, actions), entropy(log_probs)
 
     def _taken(self, log_probs, actions):
         """Entry actions[k] of row k of log_probs, gathered by one lookup."""
         actions = np.asarray(actions, dtype=np.intp)
-        rows = np.arange(actions.size).reshape(actions.shape)
-        return embed_lookup(reshape(log_probs, (-1,)), rows * self.n_actions + actions)
+        return embed_lookup(reshape(log_probs, (-1,)),
+                            np.arange(len(actions)) * self.n_actions + actions)
 
 
 class ValueHead:
-    """Value estimate: (w,) -> scalar, or (D, w) -> (D,)."""
+    """Value estimate: (D, w) -> (D,)."""
 
     def __init__(self, params, name, in_width, hidden=32):
         self.net = MLP(params, name, [in_width, hidden, 1])

@@ -39,13 +39,12 @@ class KarelEnv:
         self.reward_normalizer = float(max(self.units, 1))
         self._mask = np.zeros(self.graph.node_count)
 
-    def reset(self, rng=None):
+    def reset(self, rng):
         self._mask = np.zeros(self.graph.node_count)
         return self._observe()
 
     def _observe(self):
         return GraphObservation(
-            node_count=self.graph.node_count,
             node_features=self.graph.features.copy(),
             edges=self.graph.edges,
             coverage=self._mask.copy(),

@@ -24,7 +24,7 @@ WALL = -1
 MAX_MARKERS = 9
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality: a field-wise == would raise on the grid array
 class KarelWorld:
     """grid: int8 (side, side); -1 wall, 0 empty, k in 1..9 markers.
     hero: (row, col) on a non-wall cell. facing: one of 'NESW'."""
@@ -58,28 +58,6 @@ class KarelWorld:
 
     def copy(self):
         return KarelWorld(self.grid.copy(), self.hero, self.facing)
-
-    def __eq__(self, other):
-        if not isinstance(other, KarelWorld):
-            return NotImplemented
-        return (
-            np.array_equal(self.grid, other.grid)
-            and self.hero == other.hero
-            and self.facing == other.facing
-        )
-
-    def __str__(self):
-        rows = ["".join(_cell_char(v) for v in row) for row in self.grid]
-        r, c = self.hero
-        return "/".join(rows) + f" hero {r} {c} {self.facing}"
-
-
-def _cell_char(v):
-    if v == WALL:
-        return "#"
-    if v == 0:
-        return "."
-    return str(int(v))
 
 
 @dataclass

@@ -124,7 +124,7 @@ class MazeState(BeliefNodes):
     position: tuple
 
 
-def observe(maze, state):
+def observe(state):
     """Belief graph: visited + frontier nodes, and both directions of every
     passage incident to a visited cell, typed by compass direction. The one
     feature column marks the current node; the coverage bit rides in the
@@ -171,7 +171,7 @@ class MazeEnv:
             state.link(cell, other, d + 1, OPPOSITE[d] + 1)
 
     def observe(self):
-        return observe(self.maze, self.state)
+        return observe(self.state)
 
     def step(self, direction):
         """Move one cell along an open passage, visiting the destination if

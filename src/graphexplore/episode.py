@@ -32,14 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphnet import GraphObservation
-from .tensor import (
-    Embedding,
-    LSTMCell,
-    Tensor,
-    concat,
-    reshape,
-    slice_,
-)
+from .tensor import Embedding, LSTMCell, Tensor, concat, slice_
 
 
 @dataclass
@@ -193,24 +186,25 @@ class HistoryEncoder:
         return concat(parts, axis=1)
 
     def summary(self, record):
-        return reshape(self.summaries([record]), (self.summary_width(),))
+        """The (1, summary_width) summary of one record."""
+        return self.summaries([record])
 
     # -- temporal fold ------------------------------------------------------
 
-    def init_state(self, rows=None):
-        """Zero fold state: the LSTM's (2H,) [h | c], or (rows, 2H) to fold
-        `rows` sequences in parallel; None in last_step mode."""
+    def init_state(self, rows):
+        """Zero fold state: the LSTM's (rows, 2H) [h | c] of `rows` sequences
+        folded in parallel; None in last_step mode."""
         if self.config.temporal_mode != "autoregressive":
             return None
         return self.cell.zero_state(rows)
 
     def fold(self, state, summ):
-        """Consume one summary; returns (F, new state). The state is the
-        packed [h | c] tensor and F its h half, or None in last_step mode,
-        which keeps no state."""
+        """Consume one (rows, summary_width) batch of summaries; returns
+        (F, new state). The state is the packed (rows, 2H) [h | c] tensor and
+        F its h half, or None in last_step mode, which keeps no state."""
         if self.config.temporal_mode == "autoregressive":
             state = self.cell(summ, state)
-            return slice_(state, 0, self.config.recurrent_width, axis=state.data.ndim - 1), state
+            return slice_(state, 0, self.config.recurrent_width, axis=1), state
         return summ, None
 
 

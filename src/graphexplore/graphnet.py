@@ -87,11 +87,14 @@ class GraphObservation:
     either.
     """
 
-    node_count: int
     node_features: np.ndarray  # (node_count, d_in)
     edges: Sequence  # of (u, v, k), in no particular order; a union holds an (m, 3) int array
     coverage: np.ndarray  # (node_count,) of 0/1
     num_edge_types: int
+
+    @property
+    def node_count(self):
+        return len(self.coverage)
 
     def is_empty(self):
         return self.node_count == 0
@@ -99,7 +102,6 @@ class GraphObservation:
 
 def empty_observation(feature_width, num_edge_types):
     return GraphObservation(
-        node_count=0,
         node_features=np.zeros((0, feature_width)),
         edges=(),
         coverage=np.zeros(0),
@@ -162,15 +164,12 @@ class BeliefNodes:
             coverage[list(self.covered)] = 1.0
             coverage.flags.writeable = False
             self._coverage = coverage
-        coverage = self._coverage
-        n = len(coverage)
-        is_current = np.zeros((n, BELIEF_FEATURE_WIDTH))
+        is_current = np.zeros((len(self._coverage), BELIEF_FEATURE_WIDTH))
         is_current[self.node_ids[current_key], 0] = 1.0
         return GraphObservation(
-            node_count=n,
             node_features=is_current,
             edges=self._edges,
-            coverage=coverage,
+            coverage=self._coverage,
             num_edge_types=num_edge_types,
         )
 
@@ -222,19 +221,18 @@ class GraphNet:
         dtype."""
         return self.project(Tensor(pad_coverage_bit(obs, self.project.W.data.dtype)))
 
-    def propagate(self, h0, obs, node_counts=None):
+    def propagate(self, h0, obs, node_counts):
         """L message-passing rounds from initial node states h0 (n, d).
 
-        obs may be a disjoint union of graphs with node_counts[i] nodes each,
-        in order (one graph when node_counts is None); no edge may join two
-        of them. Messages are formed per node (see the module docstring), and
-        what is fixed for the encode is built once before the rounds: the
-        in-degree and edge-type counts, the in-edge count blocks and the
-        GRU's [Wx_zr | Wx_n]. A round is one graph_message op (one product
+        obs is a disjoint union of graphs with node_counts[i] nodes each, in
+        order ([n] for one graph); no edge may join two of them. Messages are
+        formed per node (see the module docstring), and what is fixed for the
+        encode is built once before the rounds: the in-degree and edge-type
+        counts, the in-edge count blocks and the GRU's [Wx_zr | Wx_n]. A round is one graph_message op (one product
         per block for the neighbour sums, then one (n, 2d + MAX_EDGE_TYPES)
         product with W) and one gru_cell op."""
         n = obs.node_count
-        graph_nodes = np.asarray([n] if node_counts is None else node_counts, dtype=np.intp)
+        graph_nodes = np.asarray(node_counts, dtype=np.intp)
         if graph_nodes.sum() != n:
             raise ValueError(f"node counts {graph_nodes.tolist()} do not add up to the {n} nodes")
         edges = np.asarray(obs.edges, dtype=np.intp).reshape(-1, 3)
@@ -333,7 +331,6 @@ def union_observation(observations):
     edges = [np.asarray(obs.edges, dtype=np.intp).reshape(-1, 3) + [off, off, 0]
              for obs, off in zip(observations, offsets)]
     union = GraphObservation(
-        node_count=int(sum(counts)),
         node_features=np.concatenate([obs.node_features for obs in observations], axis=0),
         edges=np.concatenate(edges, axis=0),
         coverage=np.concatenate([np.asarray(obs.coverage, dtype=np.float64)

@@ -247,19 +247,16 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """(m, k) @ (k, n) -> (m, n), or (m, k) @ (k,) -> (m,)."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.shape[-1] != bd.shape[0]:
+    if ad.ndim != 2 or bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
     out = ad @ bd
 
     def backward(g):
-        if ad.ndim == 1 and bd.ndim == 2:  # (k,) @ (k,n) -> (n,)
-            return (g @ bd.T, np.outer(ad, g))
-        if ad.ndim == 2 and bd.ndim == 1:  # (m,k) @ (k,) -> (m,)
+        if bd.ndim == 1:  # (m,k) @ (k,) -> (m,)
             return (np.outer(g, bd), ad.T @ g)
-        if ad.ndim == 1 and bd.ndim == 1:  # dot -> scalar
-            return (g * bd, g * ad)
         return (g @ bd.T, ad.T @ g)
 
     return _emit(out, (a, b), backward)
@@ -470,23 +467,22 @@ def gru_cell(x, h, Wx, Wh_zr, b_zr, Wh_n, b_n):
         n    = tanh(x Wx_n + (r * h) Wh_n + b_n)
         h'   = (1 - z) * n + z * h
 
-    x is (n_in,) or (rows, n_in) and h the matching (H,) or (rows, H). Wx is
-    [Wx_zr | Wx_n], one (n_in, 3H) tensor (GRUCell.input_weight), which a
-    caller that steps the cell several times with the same weights builds
-    once, so its one gradient is split into the two halves once. Runs three
-    products (x @ Wx, h @ Wh_zr, (r * h) @ Wh_n) and keeps only the gates for
-    its hand-written backward, where the composed ops would record 17 nodes
-    and their temporaries. The elementwise steps of both passes run in place
-    on the products' results, in the formula's operand order, so they
-    allocate almost nothing beyond the products."""
+    x is (rows, n_in) and h the matching (rows, H). Wx is [Wx_zr | Wx_n],
+    one (n_in, 3H) tensor (GRUCell.input_weight), which a caller that steps
+    the cell several times with the same weights builds once, so its one
+    gradient is split into the two halves once. Runs three products
+    (x @ Wx, h @ Wh_zr, (r * h) @ Wh_n) and keeps only the gates for its
+    hand-written backward, where the composed ops would record 17 nodes and
+    their temporaries. The elementwise steps of both passes run in place on
+    the products' results, in the formula's operand order, so they allocate
+    almost nothing beyond the products."""
     x, h, Wx, Wh_zr, b_zr, Wh_n, b_n = (as_tensor(t) for t in (x, h, Wx, Wh_zr, b_zr, Wh_n, b_n))
     n_in, H = Wx.data.shape[0], Wh_n.data.shape[0]
-    if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != h.data.shape[:-1]
-            or x.data.shape[-1] != n_in or h.data.shape[-1] != H):
+    xd, hd = x.data, h.data
+    if xd.ndim != 2 or hd.shape != (xd.shape[0], H) or xd.shape[1] != n_in:
         raise ShapeError("gru_cell", x.shape, h.shape)
     if Wx.data.shape[1] != 3 * H:
         raise ShapeError("gru_cell", Wx.shape, (n_in, 3 * H))
-    xd, hd = x.data.reshape(-1, n_in), h.data.reshape(-1, H)
     xw = xd @ Wx.data
     zr = hd @ Wh_zr.data
     zr += xw[:, : 2 * H]
@@ -509,7 +505,6 @@ def gru_cell(x, h, Wx, Wh_zr, b_zr, Wh_n, b_n):
     out += z * hd
 
     def backward(g):
-        g = g.reshape(hd.shape)
         dxw = np.empty((hd.shape[0], 3 * H), dtype=zr.dtype)
         dzr, dn = dxw[:, : 2 * H], dxw[:, 2 * H :]
         np.subtract(1.0, z, out=dn)
@@ -530,10 +525,10 @@ def gru_cell(x, h, Wx, Wh_zr, b_zr, Wh_n, b_n):
         dh += dzr @ Wh_zr.data.T
         dx = None
         if x.requires_grad:
-            dx = (dxw @ Wx.data.T).reshape(x.data.shape)
+            dx = dxw @ Wx.data.T
         return (
             dx,
-            dh.reshape(h.data.shape),
+            dh,
             xd.T @ dxw,
             hd.T @ dzr,
             dzr.sum(axis=0),
@@ -541,7 +536,7 @@ def gru_cell(x, h, Wx, Wh_zr, b_zr, Wh_n, b_n):
             dn.sum(axis=0),
         )
 
-    return _emit(out.reshape(h.data.shape), (x, h, Wx, Wh_zr, b_zr, Wh_n, b_n), backward)
+    return _emit(out, (x, h, Wx, Wh_zr, b_zr, Wh_n, b_n), backward)
 
 
 def lstm_cell(x, hc, Wx, Wh, b):
@@ -552,45 +547,42 @@ def lstm_cell(x, hc, Wx, Wh, b):
         c' = f * c + i * g
         h' = o * tanh(c')
 
-    x is (n_in,) or (rows, n_in). The state hc holds h and c side by side,
-    (2H,) or the matching (rows, 2H), and the result is the next state
-    [h' | c'] of the same shape. The hand-written backward keeps only the
-    gates and tanh(c'), where the composed ops would record 17 nodes."""
+    x is (rows, n_in). The state hc holds h and c side by side, the matching
+    (rows, 2H), and the result is the next state [h' | c'] of that shape.
+    The hand-written backward keeps only the gates and tanh(c'), where the
+    composed ops would record 17 nodes."""
     x, hc, Wx, Wh, b = (as_tensor(t) for t in (x, hc, Wx, Wh, b))
     n_in, H = Wx.data.shape[0], Wx.data.shape[1] // 4
-    if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != hc.data.shape[:-1]
-            or x.data.shape[-1] != n_in or hc.data.shape[-1] != 2 * H):
+    xd, hcd = x.data, hc.data
+    if xd.ndim != 2 or hcd.shape != (xd.shape[0], 2 * H) or xd.shape[1] != n_in:
         raise ShapeError("lstm_cell", x.shape, hc.shape)
-    h, c = hc.data[..., :H], hc.data[..., H:]
-    a = x.data @ Wx.data + h @ Wh.data + b.data
+    h, c = hcd[:, :H], hcd[:, H:]
+    a = xd @ Wx.data + h @ Wh.data + b.data
     with np.errstate(over="ignore"):  # an inf exp(-a) gives the exact limit 0, as in gru_cell
-        i = 1.0 / (1.0 + np.exp(-a[..., :H]))
-        f = 1.0 / (1.0 + np.exp(-a[..., H : 2 * H]))
-        o = 1.0 / (1.0 + np.exp(-a[..., 3 * H :]))
-    g = np.tanh(a[..., 2 * H : 3 * H])
+        i = 1.0 / (1.0 + np.exp(-a[:, :H]))
+        f = 1.0 / (1.0 + np.exp(-a[:, H : 2 * H]))
+        o = 1.0 / (1.0 + np.exp(-a[:, 3 * H :]))
+    g = np.tanh(a[:, 2 * H : 3 * H])
     c_new = f * c + i * g
     tc = np.tanh(c_new)
-    out = np.concatenate([o * tc, c_new], axis=-1)
+    out = np.concatenate([o * tc, c_new], axis=1)
 
     def backward(gout):
-        gout = gout.reshape(-1, 2 * H)
-        i2, f2, g2, o2, tc2 = (t.reshape(-1, H) for t in (i, f, g, o, tc))
         dh_new = gout[:, :H]
-        dc = gout[:, H:] + dh_new * o2 * (1.0 - tc2 * tc2)
+        dc = gout[:, H:] + dh_new * o * (1.0 - tc * tc)
         da = np.empty((gout.shape[0], 4 * H), dtype=i.dtype)
-        da[:, :H] = dc * g2 * i2 * (1.0 - i2)
-        da[:, H : 2 * H] = dc * c.reshape(-1, H) * f2 * (1.0 - f2)
-        da[:, 2 * H : 3 * H] = dc * i2 * (1.0 - g2 * g2)
-        da[:, 3 * H :] = dh_new * tc2 * o2 * (1.0 - o2)
-        x2, h2 = x.data.reshape(-1, n_in), h.reshape(-1, H)
+        da[:, :H] = dc * g * i * (1.0 - i)
+        da[:, H : 2 * H] = dc * c * f * (1.0 - f)
+        da[:, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
+        da[:, 3 * H :] = dh_new * tc * o * (1.0 - o)
         dhc = None
         if hc.requires_grad:
-            dhc = np.concatenate([da @ Wh.data.T, dc * f2], axis=1).reshape(hc.data.shape)
+            dhc = np.concatenate([da @ Wh.data.T, dc * f], axis=1)
         return (
-            (da @ Wx.data.T).reshape(x.data.shape) if x.requires_grad else None,
+            da @ Wx.data.T if x.requires_grad else None,
             dhc,
-            x2.T @ da,
-            h2.T @ da,
+            xd.T @ da,
+            h.T @ da,
             da.sum(axis=0),
         )
 

@@ -115,10 +115,10 @@ class MLP:
 
 
 class GRUCell:
-    """Gated recurrent unit over (n_in,) or (rows, n_in) inputs. The update
-    and reset gates share the Wx_zr/Wh_zr products; the whole step is the one
-    `gru_cell` tape op (see there for the formula), which reads the input
-    weights as the one [Wx_zr | Wx_n] tensor of input_weight()."""
+    """Gated recurrent unit over (rows, n_in) inputs and (rows, H) states. The
+    update and reset gates share the Wx_zr/Wh_zr products; the whole step is
+    the one `gru_cell` tape op (see there for the formula), which reads the
+    input weights as the one [Wx_zr | Wx_n] tensor of input_weight()."""
 
     def __init__(self, params, name, n_in, n_hidden):
         self.n_hidden = n_hidden
@@ -156,11 +156,10 @@ class LSTMCell:
     def __call__(self, x, hc):
         return lstm_cell(x, hc, self.Wx, self.Wh, self.b)
 
-    def zero_state(self, rows=None):
-        """The zero [h | c] state: (2H,), or (rows, 2H) for `rows` sequences
-        stepped in parallel."""
-        shape = (2 * self.n_hidden,) if rows is None else (rows, 2 * self.n_hidden)
-        return Tensor(np.zeros(shape, dtype=self.Wx.data.dtype))
+    def zero_state(self, rows):
+        """The zero (rows, 2H) [h | c] state of `rows` sequences stepped in
+        parallel."""
+        return Tensor(np.zeros((rows, 2 * self.n_hidden), dtype=self.Wx.data.dtype))
 
 
 class Embedding:

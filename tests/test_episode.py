@@ -35,7 +35,6 @@ def obs_of(coverage, edges=(), feature_width=1, n_types=2, current=None):
     if current is not None:
         features[current, 0] = 1.0
     return GraphObservation(
-        node_count=n,
         node_features=features,
         edges=list(edges),
         coverage=np.asarray(coverage, dtype=np.float64),
@@ -200,8 +199,8 @@ def test_last_step_mode_t1_equals_step_summary():
     h = EpisodeHistory(records=records, budget=8, normalizer=3.0)
     with no_grad():
         out = final_encoding(enc, h)
-        summ = enc.summary(h.records[-1])
-    assert np.allclose(out, summ.data, rtol=0.0, atol=1e-12)
+        summ = enc.summaries([h.records[-1]])
+    assert np.allclose(out, summ.data[0], rtol=0.0, atol=1e-12)
 
 
 def test_autoregressive_zero_weights_depend_only_on_bias():
@@ -234,20 +233,20 @@ def test_encode_matches_incremental_fold():
         rec.observation.node_features[min(t, 2), 0] = 1.0
     with no_grad():
         full = final_encoding(enc, h)
-        state = enc.init_state()
+        state = enc.init_state(1)
         for rec in h.records:
-            f, state = enc.fold(state, enc.summary(rec))
-    assert np.allclose(full, f.data, atol=1e-12)
+            f, state = enc.fold(state, enc.summaries([rec]))
+    assert np.allclose(full, f.data[0], atol=1e-12)
 
 
 def test_envcond_appends_reward_and_zeroes_graph():
     params, net, enc = encoder_fixture(conditioning="envcond", temporal="last_step")
     rec = StepRecord(action=1, observation=obs_of([1, 0, 1]), reward=0.25)
     with no_grad():
-        s = enc.summary(rec)
-    assert s.data.shape == (6 + 3 + 1,)
-    assert np.all(s.data[:6] == 0.0)
-    assert s.data[-1] == 0.25
+        s = enc.summaries([rec])
+    assert s.data.shape == (1, 6 + 3 + 1)
+    assert np.all(s.data[0, :6] == 0.0)
+    assert s.data[0, -1] == 0.25
 
 
 def test_fresh_encoder_output_width():
@@ -284,7 +283,7 @@ def test_summaries_rows_equal_per_record_summaries(conditioning):
     records = varied_records(seed=6)
     with no_grad():
         batched = enc.summaries(records).data
-        single = np.stack([enc.summary(r).data for r in records])
+        single = np.concatenate([enc.summaries([r]).data for r in records])
     assert batched.shape == (len(records), enc.summary_width())
     assert np.allclose(batched, single, rtol=0.0, atol=1e-12)
 
@@ -311,10 +310,10 @@ def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
         assert not live
         reference = {}
         for e, seq in enumerate(sequences):
-            state = enc.init_state()
+            state = enc.init_state(1)
             for t, rec in enumerate(seq):
-                f, state = enc.fold(state, enc.summary(rec))
-                reference[e, t] = f.data
+                f, state = enc.fold(state, enc.summaries([rec]))
+                reference[e, t] = f.data[0]
     assert lockstep.keys() == reference.keys() and len(reference) == 4 + 1 + 2
     for key, want in reference.items():
         assert lockstep[key].shape == (enc.output_width(),)

@@ -34,7 +34,6 @@ from reference import grad_check, sigmoid
 def make_obs(n, edges, num_edge_types=2, feature_width=3, coverage=None, seed=0):
     rng = np.random.default_rng(seed)
     return GraphObservation(
-        node_count=n,
         node_features=rng.normal(size=(n, feature_width)),
         edges=edges,
         coverage=np.zeros(n) if coverage is None else np.asarray(coverage, dtype=np.float64),
@@ -93,7 +92,7 @@ def test_single_node_matches_handrolled_gru():
     # One node, no edges: each round applies the GRU to (zero message, state).
     params, net = make_net()
     obs = make_obs(1, [])
-    out = net.propagate(net.project_features(obs), obs).data
+    out = net.propagate(net.project_features(obs), obs, [1]).data
 
     h = net.project_features(obs)
     zero = Tensor(np.zeros((1, net.config.d)))
@@ -106,18 +105,17 @@ def test_permutation_equivariance_of_node_embeddings():
     params, net = make_net(seed=4)
     edges = both_ways([(0, 1), (1, 2), (2, 3)]) + both_ways([(0, 3)], k=2)
     obs = make_obs(4, edges, coverage=[1, 0, 0, 1], seed=4)
-    out = net.propagate(net.project_features(obs), obs).data
+    out = net.propagate(net.project_features(obs), obs, [4]).data
 
     perm = np.array([2, 0, 3, 1])  # new index of each old node
     inv = np.argsort(perm)
     permuted = GraphObservation(
-        node_count=4,
         node_features=obs.node_features[inv],
         edges=[(perm[u], perm[v], k) for u, v, k in obs.edges],
         coverage=obs.coverage[inv],
         num_edge_types=obs.num_edge_types,
     )
-    out_perm = net.propagate(net.project_features(permuted), permuted).data
+    out_perm = net.propagate(net.project_features(permuted), permuted, [4]).data
     assert np.allclose(out_perm, out[inv], atol=1e-12)
 
 
@@ -133,7 +131,7 @@ def test_one_round_sees_one_hop_only():
     params, net = make_net(rounds=1)
     obs = make_obs(3, both_ways([(0, 1), (1, 2)]))
     obs.node_features = np.ones((3, 3))
-    out = net.propagate(net.project_features(obs), obs).data
+    out = net.propagate(net.project_features(obs), obs, [3]).data
     assert np.allclose(out[0], out[2], atol=1e-12)  # symmetric ends
     assert not np.allclose(out[0], out[1], atol=1e-6)
 
@@ -145,15 +143,14 @@ def test_receptive_field_limited_by_rounds():
         edges = both_ways([(0, 1), (1, 2), (2, 3), (3, 4)])
         base = make_obs(5, edges, seed=8)
         bumped = GraphObservation(
-            node_count=5,
             node_features=base.node_features.copy(),
             edges=edges,
             coverage=base.coverage,
             num_edge_types=base.num_edge_types,
         )
         bumped.node_features[0] += 1.0
-        a = net.propagate(net.project_features(base), base).data
-        b = net.propagate(net.project_features(bumped), bumped).data
+        a = net.propagate(net.project_features(base), base, [5]).data
+        b = net.propagate(net.project_features(bumped), bumped, [5]).data
         changed = ~np.all(np.isclose(a, b, atol=1e-12), axis=1)
         for v in range(5):
             if v > rounds:
@@ -165,7 +162,7 @@ def test_unknown_edge_type_errors():
     params, net = make_net()
     obs = make_obs(2, [(0, 1, 5)], num_edge_types=2)
     with pytest.raises(ValueError, match="edge type"):
-        net.propagate(net.project_features(obs), obs)
+        net.propagate(net.project_features(obs), obs, [2])
 
 
 @pytest.mark.parametrize("edge", [(0, 1, MAX_EDGE_TYPES + 1), (0, 2, MAX_EDGE_TYPES + 1)])
@@ -176,7 +173,7 @@ def test_edge_type_above_the_message_layer_width_errors(edge):
     params, net = make_net()
     obs = make_obs(3, [(1, 2, 1), edge], num_edge_types=MAX_EDGE_TYPES + 1)
     with pytest.raises(ValueError, match=f"MAX_EDGE_TYPES {MAX_EDGE_TYPES}"):
-        net.propagate(net.project_features(obs), obs)
+        net.propagate(net.project_features(obs), obs, [3])
 
 
 @pytest.mark.parametrize("edge", [(0, 2, 1), (2, 0, 1), (-1, 0, 1), (0, -1, 1)])
@@ -184,7 +181,7 @@ def test_edge_endpoint_outside_graph_errors(edge):
     params, net = make_net()
     obs = make_obs(2, [(0, 1, 1), edge])
     with pytest.raises(ValueError, match="endpoint"):
-        net.propagate(net.project_features(obs), obs)
+        net.propagate(net.project_features(obs), obs, [2])
 
 
 def edge_level_propagate(net, h0, obs):
@@ -316,7 +313,6 @@ def test_graph_vector_permutation_invariant():
     perm = np.array([3, 1, 0, 2])
     inv = np.argsort(perm)
     permuted = GraphObservation(
-        node_count=4,
         node_features=obs.node_features[inv],
         edges=[(perm[u], perm[v], k) for u, v, k in obs.edges],
         coverage=obs.coverage[inv],
@@ -362,8 +358,8 @@ def test_encode_deterministic():
     a = net.encode_batch([obs]).data
     b = net.encode_batch([obs]).data
     assert np.array_equal(a, b)
-    ha = net.propagate(net.project_features(obs), obs).data
-    hb = net.propagate(net.project_features(obs), obs).data
+    ha = net.propagate(net.project_features(obs), obs, [4]).data
+    hb = net.propagate(net.project_features(obs), obs, [4]).data
     assert np.array_equal(ha, hb)
 
 
@@ -376,7 +372,6 @@ def test_encoder_gradients_match_finite_differences():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
         edges = both_ways(pairs) + both_ways([(0, 1)], k=2)
         obs = GraphObservation(
-            node_count=n,
             node_features=rng.normal(size=(n, 2)),
             edges=edges,
             coverage=(rng.random(n) < 0.5).astype(np.float64),

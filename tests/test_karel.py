@@ -106,7 +106,7 @@ def test_world_policy_means_are_pinned():
                          ids=["int", "size-and-tokens"])
 def test_step_rejects_an_action_that_is_not_a_world(action):
     env = KarelEnv(program_for(0))
-    env.reset()
+    env.reset(np.random.default_rng(0))
     with pytest.raises(ValueError, match=f"action must be a KarelWorld, got {type(action).__name__}$"):
         env.step(action)
 

@@ -147,14 +147,15 @@ def test_categorical_greedy_deterministic():
 def test_categorical_score_matches_act():
     params = ParamSet(seed=4)
     head = CategoricalHead(params, "policy", in_width=5, n_actions=4)
-    F = Tensor(rng_of(6).normal(size=5))
+    F = Tensor(rng_of(6).normal(size=(1, 5)))
     mask = [True, True, False, True]
     for seed in range(10):
-        [action], act_lp, act_ent = head.act(Tensor(F.data[None]), [rng_of(seed)], masks=[mask])
+        [action], act_lp, act_ent = head.act(F, [rng_of(seed)], masks=[mask])
         with no_grad():
-            lp, ent = head.score(F, action, mask=mask)
-        assert abs(float(lp.data) - act_lp.data[0]) < 1e-9
-        assert abs(float(ent.data) - act_ent.data[0]) < 1e-9
+            lp, ent = head.score(F, [action], masks=[mask])
+        assert lp.data.shape == ent.data.shape == (1,)
+        assert abs(lp.data[0] - act_lp.data[0]) < 1e-9
+        assert abs(ent.data[0] - act_ent.data[0]) < 1e-9
         assert act_lp.data[0] <= 0.0
         assert act_ent.data[0] >= 0.0
 

@@ -104,7 +104,7 @@ def test_backward_softmax_sum_is_zero_grad():
 def test_backward_mlp_finite_difference():
     params = ParamSet(seed=7, dtype=np.float64)
     mlp = MLP(params, "net", [4, 8, 1])
-    x = np.random.default_rng(3).normal(size=4)
+    x = np.random.default_rng(3).normal(size=(1, 4))
 
     def fn(p):
         return reduce_sum(mlp(Tensor(x)))
@@ -132,7 +132,7 @@ def test_backward_unreferenced_param_gets_zeros():
 def test_backward_deterministic_bits():
     rng = np.random.default_rng(11)
     w = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
-    x = Tensor(rng.normal(size=6))
+    x = Tensor(rng.normal(size=(1, 6)))
 
     def run():
         with Tape() as tape:
@@ -149,6 +149,11 @@ def test_shape_mismatch_names_op_and_shapes():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
     msg = str(exc.value)
     assert "matmul" in msg and "(2, 3)" in msg and "(4, 2)" in msg
+    # A single vector on the left is not a row batch.
+    with pytest.raises(ShapeError) as exc:
+        matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    msg = str(exc.value)
+    assert "matmul" in msg and "(3,)" in msg and "(3, 2)" in msg
 
 
 def test_softmax_empty_axis_errors():
@@ -243,9 +248,9 @@ def _fd_case(op_name, rng):
     if op_name == "gru_cell":
         return _gru_case(rng, scale=0.5)
     if op_name == "lstm_cell":
-        # Alternate (rows, 2H) and (2H,) states; every one of the 5 inputs is
+        # Alternate 3-row and one-row states; every one of the 5 inputs is
         # checked, through both halves of the [h | c] state and output.
-        lead = (3,) if rng.integers(0, 2) else ()
+        lead = (3,) if rng.integers(0, 2) else (1,)
         shapes = {"x": lead + (3,), "hc": lead + (4,), "Wx": (3, 8), "Wh": (2, 8), "b": (8,)}
         params = {k: Tensor(rng.normal(size=shape), requires_grad=True)
                   for k, shape in shapes.items()}
@@ -254,8 +259,8 @@ def _fd_case(op_name, rng):
 
 
 def _gru_case(rng, scale):
-    # Alternate (rows, H) and (H,) states; every one of the 7 inputs is checked.
-    lead = (3,) if rng.integers(0, 2) else ()
+    # Alternate 3-row and one-row states; every one of the 7 inputs is checked.
+    lead = (3,) if rng.integers(0, 2) else (1,)
     shapes = {"x": lead + (3,), "h": lead + (2,), "Wx": (3, 6), "Wh_zr": (2, 4),
               "b_zr": (4,), "Wh_n": (2, 2), "b_n": (2,)}
     params = {k: Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
@@ -315,7 +320,7 @@ def test_finite_difference_sweep_covers_every_primitive():
     assert {"slice" if name == "slice_" else name for name in public} | reference_ops == set(ALL_OPS)
 
 
-@pytest.mark.parametrize("lead", [(5,), ()])
+@pytest.mark.parametrize("lead", [(5,), (1,)])
 def test_gru_cell_equals_composed_ops(lead):
     params = ParamSet(seed=2)
     cell = GRUCell(params, "gru", 3, 4)
@@ -327,9 +332,8 @@ def test_gru_cell_equals_composed_ops(lead):
     weights = Tensor(rng.normal(size=lead + (4,)))
 
     def composed(x, h):
-        axis = len(lead)
         zr = sigmoid(matmul(x, cell.Wx_zr) + matmul(h, cell.Wh_zr) + cell.b_zr)
-        z, r = slice_(zr, 0, 4, axis=axis), slice_(zr, 4, 8, axis=axis)
+        z, r = slice_(zr, 0, 4, axis=1), slice_(zr, 4, 8, axis=1)
         n = tanh(matmul(x, cell.Wx_n) + matmul(r * h, cell.Wh_n) + cell.b_n)
         return (1.0 - z) * n + z * h
 
@@ -392,7 +396,7 @@ def test_gru_cell_in_place_steps_equal_the_reference_bit_for_bit(rows):
         assert np.array_equal(grads[t].data, w)
 
 
-@pytest.mark.parametrize("lead", [(5,), ()])
+@pytest.mark.parametrize("lead", [(5,), (1,)])
 def test_lstm_cell_equals_composed_ops(lead):
     params = ParamSet(seed=2)
     cell = LSTMCell(params, "lstm", 3, 4)
@@ -405,15 +409,14 @@ def test_lstm_cell_equals_composed_ops(lead):
     weights = Tensor(rng.normal(size=lead + (8,)))
 
     def composed(x, hc):
-        axis = len(lead)
-        h, c = slice_(hc, 0, 4, axis=axis), slice_(hc, 4, 8, axis=axis)
+        h, c = slice_(hc, 0, 4, axis=1), slice_(hc, 4, 8, axis=1)
         gates = matmul(x, cell.Wx) + matmul(h, cell.Wh) + cell.b
-        i = sigmoid(slice_(gates, 0, 4, axis=axis))
-        f = sigmoid(slice_(gates, 4, 8, axis=axis))
-        g = tanh(slice_(gates, 8, 12, axis=axis))
-        o = sigmoid(slice_(gates, 12, 16, axis=axis))
+        i = sigmoid(slice_(gates, 0, 4, axis=1))
+        f = sigmoid(slice_(gates, 4, 8, axis=1))
+        g = tanh(slice_(gates, 8, 12, axis=1))
+        o = sigmoid(slice_(gates, 12, 16, axis=1))
         c_new = f * c + i * g
-        return concat([o * tanh(c_new), c_new], axis=axis)
+        return concat([o * tanh(c_new), c_new], axis=1)
 
     results = []
     for step in (composed, cell):
@@ -439,6 +442,8 @@ def test_lstm_cell_rejects_mismatched_state():
         cell(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 4))))
     with pytest.raises(ShapeError, match="lstm_cell"):
         cell(Tensor(np.ones((4, 3))), Tensor(np.ones((4, 3))))
+    with pytest.raises(ShapeError, match="lstm_cell"):  # a single vector is not a row batch
+        cell(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
 
 def test_gru_cell_rejects_mismatched_rows():
@@ -448,8 +453,10 @@ def test_gru_cell_rejects_mismatched_rows():
         cell(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))), Wx)
     with pytest.raises(ShapeError, match="gru_cell"):
         cell(Tensor(np.ones(3)), Tensor(np.ones((1, 2))), Wx)
+    with pytest.raises(ShapeError, match="gru_cell"):  # a single vector is not a row batch
+        cell(Tensor(np.ones(3)), Tensor(np.ones(2)), Wx)
     with pytest.raises(ShapeError, match="gru_cell"):
-        cell(Tensor(np.ones(3)), Tensor(np.ones(2)), slice_(Wx, 0, 4, axis=1))
+        cell(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 2))), slice_(Wx, 0, 4, axis=1))
 
 
 def test_float32_gates_saturate_to_their_exact_limits_without_a_warning():
@@ -591,7 +598,7 @@ def test_clip_global_norm_leaves_a_non_finite_norm_to_the_optimizer():
 def test_grad_check_quadratic():
     rng = np.random.default_rng(17)
     A = np.random.default_rng(18).normal(size=(4, 4))
-    x = Tensor(rng.normal(size=4), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
 
     def fn(p):
         return reduce_sum(matmul(matmul(p["x"], Tensor(A)), Tensor(A.T)) * p["x"])

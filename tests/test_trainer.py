@@ -22,7 +22,7 @@ from graphexplore.episode import (
     run_episode,
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig, GraphObservation
-from graphexplore.tensor import GradientError, OptimizerState, ParamSet, Tape, core
+from graphexplore.tensor import GradientError, OptimizerState, ParamSet, Tape, core, reduce_sum
 from graphexplore.trainer import (
     TrainConfig,
     UpdateStats,
@@ -180,9 +180,10 @@ def test_zero_advantage_kills_policy_term():
 
 
 def reference_loss(model, batch, config, envs, seeds):
-    """The A2C loss replayed one record at a time through the public
-    summary, fold, score and value calls, with each step's action mask
-    replayed on a fresh copy of the episode's env (envs[k], seeds[k])."""
+    """The A2C loss replayed one record at a time, each a one-row batch,
+    through the public summaries, fold, score and value calls, with each
+    step's action mask replayed on a fresh copy of the episode's env
+    (envs[k], seeds[k])."""
     total = None
     pol = val = ent = 0.0
     n_steps = 0
@@ -192,20 +193,21 @@ def reference_loss(model, batch, config, envs, seeds):
             continue
         returns = episode_returns(ep)
         masks = replayed_masks(env, seed, ep)
-        state = model.encoder.init_state()
+        state = model.encoder.init_state(1)
         for t, rec in enumerate(records[1:]):
             F, state = model.encoder.fold(
-                state, model.encoder.summary(records[t]))
-            logprob, entropy = model.head.score(F, rec.action, mask=masks[t])
+                state, model.encoder.summaries([records[t]]))
+            logprob, entropy = model.head.score(F, [rec.action], masks=[masks[t]])
             value = model.value_head(F)
-            advantage = returns[t] - float(value.data)
+            advantage = returns[t] - float(value.data[0])
             err = value - returns[t]
-            term = (logprob * (-advantage) + (err * err) * config.value_coef
-                    + entropy * (-config.entropy_coef))
+            term = (reduce_sum(logprob) * (-advantage)
+                    + reduce_sum(err * err) * config.value_coef
+                    + reduce_sum(entropy) * (-config.entropy_coef))
             total = term if total is None else total + term
-            pol += -advantage * float(logprob.data)
-            val += float(err.data) ** 2
-            ent += float(entropy.data)
+            pol += -advantage * float(logprob.data[0])
+            val += float(err.data[0]) ** 2
+            ent += float(entropy.data[0])
             n_steps += 1
     n_ep = len(batch.episodes)
     parts = {"policy_loss": pol / n_ep, "value_loss": val / n_ep, "entropy": ent / n_steps}
@@ -775,7 +777,6 @@ class BanditEnv:
 
     def _obs(self):
         return GraphObservation(
-            node_count=2,
             node_features=np.zeros((2, 1)),
             edges=[(0, 1, 1), (1, 0, 1)],
             coverage=np.array([1.0, 1.0]) if self.done else np.zeros(2),
