@@ -126,7 +126,7 @@ def observe(state):
     carries the coverage bit (visited implies covered here); a synthetic
     reverse edge (type 2) backs any one-way experienced transition so messages
     flow both directions."""
-    return state.observation(state.current, NUM_EDGE_TYPES)
+    return state.observation(state.current)
 
 
 class AppEnv:
@@ -158,7 +158,7 @@ class AppEnv:
         self.state = AppState(current=start)
         self.state.admit(start)
         self.state.mark_covered(start)
-        return empty_observation(BELIEF_FEATURE_WIDTH, NUM_EDGE_TYPES)
+        return empty_observation(BELIEF_FEATURE_WIDTH)
 
     def observe(self):
         return observe(self.state)

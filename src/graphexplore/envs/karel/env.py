@@ -14,7 +14,7 @@ import numpy as np
 from ...graphnet import GraphObservation
 from . import worlds
 from .machine import KarelWorld, execute
-from .graph import NUM_EDGE_TYPES, program_to_graph, mask_from_report
+from .graph import program_to_graph, mask_from_report
 
 
 class KarelEnv:
@@ -48,7 +48,6 @@ class KarelEnv:
             node_features=self.graph.features.copy(),
             edges=self.graph.edges,
             coverage=self._mask.copy(),
-            num_edge_types=NUM_EDGE_TYPES,
         )
 
     def step(self, action):

@@ -129,7 +129,7 @@ def observe(state):
     passage incident to a visited cell, typed by compass direction. The one
     feature column marks the current node; the coverage bit rides in the
     observation's coverage mask."""
-    return state.observation(state.position, NUM_EDGE_TYPES)
+    return state.observation(state.position)
 
 
 # ------------------------------------------------------------ env interface
@@ -159,7 +159,7 @@ class MazeEnv:
         self.state = MazeState(position=start)
         self.state.admit(start)
         self._visit(start)
-        return empty_observation(BELIEF_FEATURE_WIDTH, NUM_EDGE_TYPES)
+        return empty_observation(BELIEF_FEATURE_WIDTH)
 
     def _visit(self, cell):
         """First visit of `cell`: cover it, admit its neighbours and link

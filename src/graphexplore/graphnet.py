@@ -70,16 +70,17 @@ MAX_EDGE_TYPES = 8  # width of the message layer's edge-type input; environments
 BLOCK_NODES = 128
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphObservation:
-    """A (sub)graph plus coverage mask.
+    """A (sub)graph plus coverage mask. Observations compare by identity: the
+    array fields have no single truth value to compare by.
 
-    Edges are directed (u, v, k) with type k in 1..num_edge_types, and k at
-    most MAX_EDGE_TYPES (GraphNet.propagate checks endpoints and types, and
-    that no edge joins two graphs of a union); undirected environments insert
-    both directions. They form a multiset: their order means nothing. The
-    agent's position, where an environment has one, is a node feature: the
-    is-current column of a belief graph (BeliefNodes.observation).
+    Edges are directed (u, v, k) with type k in 1..MAX_EDGE_TYPES
+    (GraphNet.propagate checks endpoints and types, and that no edge joins
+    two graphs of a union); undirected environments insert both directions.
+    They form a multiset: their order means nothing. The agent's position,
+    where an environment has one, is a node feature: the is-current column of
+    a belief graph (BeliefNodes.observation).
 
     A maze or app belief graph hands out its edges as a tuple and its
     coverage as a read-only array, both shared by consecutive observations
@@ -90,7 +91,6 @@ class GraphObservation:
     node_features: np.ndarray  # (node_count, d_in)
     edges: Sequence  # of (u, v, k), in no particular order; a union holds an (m, 3) int array
     coverage: np.ndarray  # (node_count,) of 0/1
-    num_edge_types: int
 
     @property
     def node_count(self):
@@ -100,12 +100,11 @@ class GraphObservation:
         return self.node_count == 0
 
 
-def empty_observation(feature_width, num_edge_types):
+def empty_observation(feature_width):
     return GraphObservation(
         node_features=np.zeros((0, feature_width)),
         edges=(),
         coverage=np.zeros(0),
-        num_edge_types=num_edge_types,
     )
 
 
@@ -153,7 +152,7 @@ class BeliefNodes:
             self.links.setdefault((v, u), back)
             self._edges = None
 
-    def observation(self, current_key, num_edge_types):
+    def observation(self, current_key):
         """Observation of the graph with the agent on `current_key`. The one
         feature column marks the current node; it is the one array each
         observation builds afresh."""
@@ -170,7 +169,6 @@ class BeliefNodes:
             node_features=is_current,
             edges=self._edges,
             coverage=self._coverage,
-            num_edge_types=num_edge_types,
         )
 
 
@@ -241,10 +239,9 @@ class GraphNet:
         if len(edges):
             if edges[:, :2].min() < 0 or edges[:, :2].max() >= n:
                 raise ValueError(f"edge endpoint outside [0, {n})")
-            top = min(obs.num_edge_types, MAX_EDGE_TYPES)
-            if etype.min() < 1 or etype.max() > top:
-                raise ValueError(f"edge type outside 1..{top} (num_edge_types {obs.num_edge_types}, "
-                                 f"MAX_EDGE_TYPES {MAX_EDGE_TYPES}): {etype.min()}..{etype.max()}")
+            if etype.min() < 1 or etype.max() > MAX_EDGE_TYPES:
+                raise ValueError(f"edge type outside 1..MAX_EDGE_TYPES ({MAX_EDGE_TYPES}): "
+                                 f"{etype.min()}..{etype.max()}")
             crossing = np.flatnonzero(graph[src] != graph[dst])
             if len(crossing):
                 u, v, k = edges[crossing[0]].tolist()
@@ -320,12 +317,9 @@ def adjacency_blocks(src, dst, sizes, dtype):
 
 
 def union_observation(observations):
-    """Disjoint union of observations that share an edge-type count: node rows
-    stacked in order, edges offset into them. Returns (union, graph_ids) where
-    graph_ids[i] is the index of the observation node i came from."""
-    kinds = {obs.num_edge_types for obs in observations}
-    if len(kinds) != 1:
-        raise ValueError(f"observations mix edge-type counts {sorted(kinds)}")
+    """Disjoint union of observations: node rows stacked in order, edges
+    offset into them. Returns (union, graph_ids) where graph_ids[i] is the
+    index of the observation node i came from."""
     counts = [obs.node_count for obs in observations]
     offsets = np.cumsum([0] + counts[:-1])
     edges = [np.asarray(obs.edges, dtype=np.intp).reshape(-1, 3) + [off, off, 0]
@@ -335,6 +329,5 @@ def union_observation(observations):
         edges=np.concatenate(edges, axis=0),
         coverage=np.concatenate([np.asarray(obs.coverage, dtype=np.float64)
                                  for obs in observations]),
-        num_edge_types=kinds.pop(),
     )
     return union, np.repeat(np.arange(len(observations)), counts)

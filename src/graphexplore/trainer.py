@@ -18,15 +18,15 @@ backpropagate through the rollout's own forward (Mnih et al., 1602.01783).
 The update then releases the tape.
 
 `train` is the one training loop, returning (and optionally streaming as JSON
-lines) one record per update; `fine_tune` runs it on a copy of the model.
+lines) one record per update, and `zero_shot_coverage` is the held-out
+evaluation.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -204,37 +204,6 @@ def zero_shot_coverage(model, env_set, config):
     seeds = [int(np.random.SeedSequence([config.seed, 900_000 + i]).generate_state(1)[0])
              for i in range(len(env_set))]
     return model.run_episodes(env_set, seeds, mode="greedy").mean_coverage()
-
-
-def fine_tune(model, env, config):
-    """Continue RL on one environment from the given initialization: `train`
-    on a deep copy of the model (the caller's parameters never move), every
-    episode on its own copy of env, evaluating greedily on env every
-    config.eval_every updates. Returns the tuned model and the eval curve,
-    the non-None eval_coverage values of its records."""
-    # Every episode of a lockstep batch needs its own env; reset rebuilds all
-    # of a copy's state, so seeded results do not depend on the copying.
-    tuned, records = train(copy.deepcopy(model),
-                           replace(config, env_sampler=lambda rng: copy.deepcopy(env)),
-                           eval_envs=[env])
-    return tuned, [r["eval_coverage"] for r in records if r["eval_coverage"] is not None]
-
-
-def evaluate(model, env_set, protocol, config):
-    """Held-out evaluation. zero_shot: greedy episodes with frozen parameters.
-    fine_tune: per-environment RL continuation for config.total_updates
-    updates (no evaluation along the way), then a greedy episode; the
-    incoming model is never mutated."""
-    env_set = list(env_set)
-    if not env_set:
-        raise ValueError("empty environment set")
-    if protocol == "zero_shot":
-        return zero_shot_coverage(model, env_set, config)
-    if protocol == "fine_tune":
-        tune_config = replace(config, eval_every=0)
-        return float(np.mean([zero_shot_coverage(fine_tune(model, env, tune_config)[0], [env], config)
-                              for env in env_set]))
-    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def train(model, config, eval_envs=None, records_path=None, checkpoint_path=None):

@@ -12,10 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphexplore.agents import RandomPolicy
+from graphexplore.envs import appgraph, maze
 from graphexplore.envs.appgraph import AppEnv, generate_er_app
-from graphexplore.envs.karel import KarelEnv, WorldConfig, random_world_policy, sample_program
+from graphexplore.envs.karel import graph as karel_graph
+from graphexplore.envs.karel.env import KarelEnv, random_world_policy
+from graphexplore.envs.karel.lang import sample_program
+from graphexplore.envs.karel.worlds import WorldConfig
 from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.episode import run_episode
+from graphexplore.graphnet import MAX_EDGE_TYPES
 
 EPISODE_LOOP = ("budget", "reward_normalizer", "reset", "step", "action_mask",
                 "fully_explored")
@@ -28,6 +33,9 @@ ENVS = {
     "app": lambda: AppEnv(generate_er_app(6, 0.5, seed=2), budget=6),
     "karel": lambda: KarelEnv(sample_program(np.random.default_rng(0))),
 }
+# Each env module's declared edge-type alphabet.
+EDGE_TYPES = {MazeEnv: maze.NUM_EDGE_TYPES, AppEnv: appgraph.NUM_EDGE_TYPES,
+              KarelEnv: karel_graph.NUM_EDGE_TYPES}
 
 
 @pytest.mark.parametrize("kind", sorted(ENVS))
@@ -80,11 +88,27 @@ def test_belief_edges_come_in_pairs_at_every_step(env, episode_seed):
         assert len(pairs) == len(obs.edges)
         assert all((v, u) in pairs for u, v in pairs)
         assert all(0 <= u < obs.node_count and 0 <= v < obs.node_count for u, v in pairs)
-        assert all(1 <= k <= obs.num_edge_types for _, _, k in obs.edges)
+        assert all(1 <= k <= EDGE_TYPES[type(env)] for _, _, k in obs.edges)
         actions = [a for a, _ in env.outgoing()]
         if t == env.budget or not actions:
             break
         obs = env.step(actions[int(rng.integers(len(actions)))])
+
+
+def test_every_edge_alphabet_fits_the_message_layer():
+    assert all(1 <= k <= MAX_EDGE_TYPES for k in EDGE_TYPES.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(program_seed=st.integers(0, 2**31 - 1), episode_seed=st.integers(0, 2**31 - 1))
+def test_karel_edge_types_stay_in_its_alphabet(program_seed, episode_seed):
+    env = KarelEnv(sample_program(np.random.default_rng(program_seed)))
+    rng = np.random.default_rng(episode_seed)
+    policy = random_world_policy(WorldConfig())
+    obs = env.reset(rng)
+    for _ in range(2):
+        assert all(1 <= k <= karel_graph.NUM_EDGE_TYPES for _, _, k in obs.edges)
+        obs = env.step(policy(None, env, rng))
 
 
 @settings(max_examples=60, deadline=None)

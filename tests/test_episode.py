@@ -27,7 +27,7 @@ from graphexplore.graphnet import (
 from graphexplore.tensor import ParamSet, Tape, embed_lookup, no_grad, reduce_sum
 
 
-def obs_of(coverage, edges=(), feature_width=1, n_types=2, current=None):
+def obs_of(coverage, edges=(), feature_width=1, current=None):
     """Observation of len(coverage) nodes whose features are zero, except a
     one-hot is-current column 0 at node `current` when one is given."""
     n = len(coverage)
@@ -38,7 +38,6 @@ def obs_of(coverage, edges=(), feature_width=1, n_types=2, current=None):
         node_features=features,
         edges=list(edges),
         coverage=np.asarray(coverage, dtype=np.float64),
-        num_edge_types=n_types,
     )
 
 
@@ -91,7 +90,7 @@ def test_objective_full_coverage():
 
 def test_objective_empty_episode():
     h = EpisodeHistory(
-        records=[StepRecord(action=None, observation=empty_observation(1, 2), reward=0.0)],
+        records=[StepRecord(action=None, observation=empty_observation(1), reward=0.0)],
         budget=0,
         normalizer=5.0,
     )
@@ -266,7 +265,7 @@ def test_fresh_encoder_output_width():
 
 def varied_records(seed):
     rng = np.random.default_rng(seed)
-    records = [StepRecord(action=None, observation=empty_observation(1, 2), reward=0.0)]
+    records = [StepRecord(action=None, observation=empty_observation(1), reward=0.0)]
     for i, n in enumerate((3, 1, 5, 4)):
         edges = [(u, v, int(rng.integers(1, 3))) for u in range(n) for v in range(n)
                  if u != v and rng.random() < 0.5]

@@ -31,13 +31,12 @@ from graphexplore.tensor import (
 from reference import grad_check, sigmoid
 
 
-def make_obs(n, edges, num_edge_types=2, feature_width=3, coverage=None, seed=0):
+def make_obs(n, edges, feature_width=3, coverage=None, seed=0):
     rng = np.random.default_rng(seed)
     return GraphObservation(
         node_features=rng.normal(size=(n, feature_width)),
         edges=edges,
         coverage=np.zeros(n) if coverage is None else np.asarray(coverage, dtype=np.float64),
-        num_edge_types=num_edge_types,
     )
 
 
@@ -59,19 +58,24 @@ def test_belief_observations_share_only_what_is_unchanged():
     nodes = BeliefNodes()
     nodes.admit("a")
     nodes.mark_covered("a")
-    first = nodes.observation("a", 2)
-    assert nodes.observation("a", 2).coverage is first.coverage
+    first = nodes.observation("a")
+    assert nodes.observation("a").coverage is first.coverage
     nodes.admit("b")  # a new node, no bit set
-    second = nodes.observation("a", 2)
+    second = nodes.observation("a")
     assert second.coverage.tolist() == [1.0, 0.0]
     assert second.edges is first.edges and first.edges == ()
     nodes.link("a", "b", 1, 2)
     nodes.mark_covered("b")
-    third = nodes.observation("b", 2)
+    third = nodes.observation("b")
     assert third.coverage.tolist() == [1.0, 1.0] and third.edges == ((0, 1, 1), (1, 0, 2))
     nodes.link("a", "b", 1, 2)  # no change: the tuple stays
-    assert nodes.observation("b", 2).edges is third.edges
+    assert nodes.observation("b").edges is third.edges
     assert first.coverage.tolist() == [1.0] and second.edges == ()
+
+
+def test_observations_compare_by_identity():
+    a, b = make_obs(2, [(0, 1, 1)]), make_obs(2, [(0, 1, 1)])
+    assert (a == b) is False and (a == a) is True
 
 
 def test_pad_coverage_bit_masks():
@@ -113,7 +117,6 @@ def test_permutation_equivariance_of_node_embeddings():
         node_features=obs.node_features[inv],
         edges=[(perm[u], perm[v], k) for u, v, k in obs.edges],
         coverage=obs.coverage[inv],
-        num_edge_types=obs.num_edge_types,
     )
     out_perm = net.propagate(net.project_features(permuted), permuted, [4]).data
     assert np.allclose(out_perm, out[inv], atol=1e-12)
@@ -146,7 +149,6 @@ def test_receptive_field_limited_by_rounds():
             node_features=base.node_features.copy(),
             edges=edges,
             coverage=base.coverage,
-            num_edge_types=base.num_edge_types,
         )
         bumped.node_features[0] += 1.0
         a = net.propagate(net.project_features(base), base, [5]).data
@@ -158,21 +160,14 @@ def test_receptive_field_limited_by_rounds():
         assert changed[0]
 
 
-def test_unknown_edge_type_errors():
-    params, net = make_net()
-    obs = make_obs(2, [(0, 1, 5)], num_edge_types=2)
-    with pytest.raises(ValueError, match="edge type"):
-        net.propagate(net.project_features(obs), obs, [2])
-
-
 @pytest.mark.parametrize("edge", [(0, 1, MAX_EDGE_TYPES + 1), (0, 2, MAX_EDGE_TYPES + 1)])
 def test_edge_type_above_the_message_layer_width_errors(edge):
-    # An observation may declare more edge types than the message layer has
-    # type columns; an edge of such a type must not be counted under another
-    # node's or another type's column (or fail inside numpy for the last node).
+    # An edge of a type past the message layer's type columns must not be
+    # counted under another node's or another type's column (or fail inside
+    # numpy for the last node).
     params, net = make_net()
-    obs = make_obs(3, [(1, 2, 1), edge], num_edge_types=MAX_EDGE_TYPES + 1)
-    with pytest.raises(ValueError, match=f"MAX_EDGE_TYPES {MAX_EDGE_TYPES}"):
+    obs = make_obs(3, [(1, 2, 1), edge])
+    with pytest.raises(ValueError, match=rf"1\.\.MAX_EDGE_TYPES \({MAX_EDGE_TYPES}\)"):
         net.propagate(net.project_features(obs), obs, [3])
 
 
@@ -237,7 +232,7 @@ def test_node_level_propagate_equals_edge_level(graphs, seed):
     net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=3, feature_width=2))
     for p in params.named().values():  # nonzero biases
         p.data += np.random.default_rng(seed).normal(scale=0.3, size=p.data.shape)
-    observations = [make_obs(n, edges, num_edge_types=MAX_EDGE_TYPES, feature_width=2,
+    observations = [make_obs(n, edges, feature_width=2,
                              coverage=np.arange(n) % 2, seed=seed + i)
                     for i, (n, edges) in enumerate(graphs)]
     weights = Tensor(np.random.default_rng(seed + 1).normal(size=(len(graphs), 6)))
@@ -316,7 +311,6 @@ def test_graph_vector_permutation_invariant():
         node_features=obs.node_features[inv],
         edges=[(perm[u], perm[v], k) for u, v, k in obs.edges],
         coverage=obs.coverage[inv],
-        num_edge_types=obs.num_edge_types,
     )
     g2 = net.encode_batch([permuted]).data[0]
     assert np.allclose(g1, g2, atol=1e-9)
@@ -324,7 +318,7 @@ def test_graph_vector_permutation_invariant():
 
 def test_empty_graph_uses_learned_constant():
     params, net = make_net()
-    vectors = net.encode_batch([empty_observation(3, 2)])
+    vectors = net.encode_batch([empty_observation(3)])
     assert np.array_equal(vectors.data, net.empty_vec.data.reshape(1, 8))
 
 
@@ -332,7 +326,7 @@ def test_encode_batch_rows_equal_single_encodes():
     params, net = make_net(seed=8, dtype=np.float64)
     observations = [
         make_obs(4, both_ways([(0, 1), (1, 2), (2, 3)]), coverage=[1, 0, 0, 1], seed=1),
-        empty_observation(3, 2),
+        empty_observation(3),
         make_obs(1, [], coverage=[1], seed=2),
         make_obs(3, both_ways([(0, 2)], k=2), coverage=[0, 1, 0], seed=3),
     ]
@@ -375,7 +369,6 @@ def test_encoder_gradients_match_finite_differences():
             node_features=rng.normal(size=(n, 2)),
             edges=edges,
             coverage=(rng.random(n) < 0.5).astype(np.float64),
-            num_edge_types=2,
         )
 
         def fn(p):

@@ -8,19 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphexplore.envs.karel import (
-    TEXT_TOKENS,
-    KarelEnv,
-    WorldConfig,
-    execute,
-    heuristic_world_policy,
-    mask_from_report,
-    program_to_graph,
-    random_world_policy,
-    render_program,
-    sample_program,
-    sample_world,
-)
+from graphexplore.envs.karel.env import KarelEnv, heuristic_world_policy, random_world_policy
+from graphexplore.envs.karel.graph import mask_from_report, program_to_graph
+from graphexplore.envs.karel.lang import TEXT_TOKENS, render_program, sample_program
+from graphexplore.envs.karel.machine import execute
+from graphexplore.envs.karel.worlds import WorldConfig, sample_world
 from graphexplore.episode import run_episode
 
 seeds = st.integers(0, 2**32 - 1)

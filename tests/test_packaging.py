@@ -174,7 +174,7 @@ PERFBENCH = PYPROJECT.parent / "perfbench"
 # in perfbench's modules references, each kept for the reason given. Anything
 # else without a reference is dead code: delete it with its tests.
 KEPT = {
-    "trainer.evaluate": "the held-out zero-shot and fine-tune protocols (ROADMAP item 1)",
+    "trainer.train": "the training loop that ROADMAP items 1, 5, 11 and 12 extend",
 }
 
 

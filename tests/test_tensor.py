@@ -582,6 +582,15 @@ def test_clip_global_norm():
     assert same is small and abs(norm2 - 0.3) < 1e-12
 
 
+def test_clip_global_norm_clips_a_finite_float32_gradient_whose_square_overflows():
+    # 2e19 squared is past float32's largest value, about 3.4e38.
+    grads = {"w": Tensor(np.array([2e19, 1.0], dtype=np.float32))}
+    clipped, norm = clip_global_norm(grads, max_norm=1.0)
+    assert norm == pytest.approx(2e19, rel=1e-6)
+    assert clipped["w"].data.dtype == np.float32
+    assert float(np.linalg.norm(clipped["w"].data.astype(np.float64))) == pytest.approx(1.0)
+
+
 def test_clip_global_norm_leaves_a_non_finite_norm_to_the_optimizer():
     grads = {"a": Tensor(np.array([3.0, 4.0])), "b": Tensor(np.array([np.nan, 1.0]))}
     clipped, norm = clip_global_norm(grads, max_norm=1.0)

@@ -1,4 +1,4 @@
-"""Actor-critic trainer: rollout collection, update math, protocols."""
+"""Actor-critic trainer: rollout collection, update math, training loop, zero-shot evaluation."""
 
 import copy
 import json
@@ -30,8 +30,6 @@ from graphexplore.trainer import (
     batch_loss,
     collect_rollouts,
     episode_returns,
-    evaluate,
-    fine_tune,
     train,
     zero_shot_coverage,
     _episode_seeds,
@@ -780,7 +778,6 @@ class BanditEnv:
             node_features=np.zeros((2, 1)),
             edges=[(0, 1, 1), (1, 0, 1)],
             coverage=np.array([1.0, 1.0]) if self.done else np.zeros(2),
-            num_edge_types=1,
         )
 
     def reset(self, rng):
@@ -832,32 +829,10 @@ def test_zero_shot_leaves_params_unchanged():
     model = tiny_model()
     cfg = small_config()
     before = model.params.snapshot()
-    cov = evaluate(model, heldout_envs(), "zero_shot", cfg)
+    cov = zero_shot_coverage(model, heldout_envs(), cfg)
     assert 0.0 <= cov <= 1.0
     after = model.params.snapshot()
     assert all(np.array_equal(before[k], after[k]) for k in before)
-
-
-def test_fine_tune_zero_budget_equals_zero_shot():
-    model = tiny_model()
-    cfg = small_config()
-    z = evaluate(model, heldout_envs(), "zero_shot", cfg)
-    f = evaluate(model, heldout_envs(), "fine_tune", replace(cfg, total_updates=0))
-    assert f == pytest.approx(z)
-
-
-def test_fine_tune_never_mutates_caller_model():
-    model = tiny_model()
-    cfg = small_config(workers=1, episodes_per_worker=2)
-    before = model.params.snapshot()
-    env = heldout_envs(1)[0]
-    tuned, _ = fine_tune(model, env, cfg)
-    after = model.params.snapshot()
-    assert all(np.array_equal(before[k], after[k]) for k in before)
-    diff = any(
-        not np.array_equal(tuned.params.snapshot()[k], before[k]) for k in before
-    )
-    assert diff
 
 
 def test_update_on_deep_copy_trains_its_own_action_rows():
@@ -876,38 +851,21 @@ def test_update_on_deep_copy_trains_its_own_action_rows():
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
-def test_fine_tune_repeats_exactly_with_several_workers():
+def test_train_repeats_exactly_with_several_workers():
     runs = []
     for _ in range(2):
-        env = heldout_envs(1)[0]
-        tuned, curve = fine_tune(tiny_model(), env,
-                                 small_config(seed=3, workers=4, eval_every=1))
-        runs.append((curve, tuned.params.snapshot()))
-    assert len(runs[0][0]) == 2
+        trained, records = train(tiny_model(), small_config(seed=3, workers=4, eval_every=1),
+                                 eval_envs=heldout_envs(1))
+        runs.append((records, trained.params.snapshot()))
+    assert [r["eval_coverage"] is not None for r in runs[0][0]] == [True, True]
     assert runs[0][0] == runs[1][0]
     for name, value in runs[0][1].items():
         assert np.array_equal(value, runs[1][1][name]), name
 
 
-def test_fine_tune_with_several_workers():
-    model = tiny_model()
-    env = heldout_envs(1)[0]
-    for seed in range(10):
-        fine_tune(model, env, small_config(seed=seed, workers=4, total_updates=1))
-
-
 def test_zero_shot_on_no_environments_names_the_empty_set():
     with pytest.raises(ValueError, match="env_set is empty"):
         zero_shot_coverage(tiny_model(), [], small_config())
-
-
-def test_evaluate_validates_inputs():
-    model = tiny_model()
-    cfg = small_config()
-    with pytest.raises(ValueError, match="empty"):
-        evaluate(model, [], "zero_shot", cfg)
-    with pytest.raises(ValueError, match="protocol"):
-        evaluate(model, heldout_envs(1), "both", cfg)
 
 
 def test_train_checkpoint_loads_back_into_a_fresh_model(tmp_path, monkeypatch):
@@ -964,17 +922,3 @@ def test_train_writes_records_jsonl(tmp_path):
     assert records[0]["eval_coverage"] is None and records[2]["eval_coverage"] is None
     assert records[1]["eval_coverage"] is not None
     assert all(r["skip_reason"] == "" for r in records)
-
-
-def test_fine_tune_curve_is_the_eval_coverage_of_train_records():
-    model = tiny_model()
-    cfg = small_config(workers=2, total_updates=4, eval_every=2)
-    env = heldout_envs(1)[0]
-    tuned, curve = fine_tune(model, env, cfg)
-    trained, records = train(copy.deepcopy(model),
-                             replace(cfg, env_sampler=lambda rng: copy.deepcopy(env)),
-                             eval_envs=[env])
-    assert len(curve) == 2
-    assert curve == [r["eval_coverage"] for r in records if r["eval_coverage"] is not None]
-    for name, value in tuned.params.snapshot().items():
-        assert np.array_equal(value, trained.params[name].data), name
