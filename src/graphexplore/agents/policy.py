@@ -138,8 +138,8 @@ class PolicyModel:
         serves every live episode with one summaries call (one GraphNet pass
         over the union of their newest graphs), one fold of their history
         states as rows, one head call and one value call; the envs then step
-        one by one, and an episode that ends leaves the live set, its state
-        rows dropped by a gather.
+        one by one. An episode that goes on is observed for its next decision;
+        one that ends leaves the live set, its state rows dropped by a gather.
 
         mode is "sample" or "greedy". Either way the batch keeps the
         log-probability, entropy and value of every decision once, as
@@ -157,8 +157,9 @@ class PolicyModel:
                                  f"each episode needs its own env")
         rngs = [np.random.default_rng(seed) for seed in seeds]
         starts = [begin_episode(env, rng, env.budget) for env, rng in zip(envs, rngs)]
-        trajs = [traj for traj, _ in starts]
-        live = [k for k, (_, over) in enumerate(starts) if not over]
+        trajs = [traj for traj, _, _ in starts]
+        newest = [obs for _, obs, _ in starts]  # each episode's latest observation
+        live = [k for k, (_, _, over) in enumerate(starts) if not over]
         state = self.encoder.init_state(len(live))
         steps = []  # (logprob, entropy, value) rows of each step's live episodes
         rows = [[] for _ in envs]  # episode k's decisions: rows of the steps, stacked
@@ -166,7 +167,7 @@ class PolicyModel:
         with no_grad() if mode == "greedy" else nullcontext():
             while live:
                 F, state = self.encoder.fold(state, self.encoder.summaries(
-                    [trajs[k].history.last() for k in live]))
+                    [newest[k] for k in live], [trajs[k].history.last() for k in live]))
                 masks = [envs[k].action_mask() for k in live]
                 actions, logprob, entropy = self.head.act(
                     F, [rngs[k] for k in live], mode=mode, masks=masks)
@@ -176,6 +177,7 @@ class PolicyModel:
                 for row, (k, action) in enumerate(zip(live, actions)):
                     rows[k].append(offset + row)
                     if not advance_episode(envs[k], trajs[k], action):
+                        newest[k] = envs[k].observe()
                         kept.append(row)
                 offset += len(live)
                 if len(kept) < len(live):

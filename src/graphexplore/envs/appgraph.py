@@ -5,8 +5,9 @@ knowing nothing: the observed subgraph holds only visited screens and the
 transitions actually taken, so the destination of an untried action is unknown
 until the agent commits to it. Coverage is visited screens over all screens;
 the evaluation protocol's budget is benchmarks.APP_BUDGET steps. AppEnv is the
-one way to reset and step an app; it builds observations through the
-module-level observe, which perfbench traces as envs.observe.
+one way to reset and step an app; its step returns the visited-screen count
+and its observe, through the module-level observe that perfbench traces as
+envs.observe, builds the observations only the learned agent reads.
 
 reverse_action models a tester's back button: immediately after a transition
 the environment can name the action at the new screen that returns to the
@@ -131,9 +132,10 @@ def observe(state):
 
 class AppEnv:
     """Episode adapter over one fixed TransitionGraph, implementing the env
-    contract of graphexplore.episode, walker hooks included. The initial
-    observation is the empty graph; the start screen's coverage is earned by
-    the first step's reward. Rewards normalize by the screen count.
+    contract of graphexplore.episode, walker hooks included; a step returns
+    the count of visited screens. The initial observation is the empty
+    graph; the start screen's coverage is earned by the first step's reward.
+    Rewards normalize by the screen count.
 
     num_actions fixes the policy-facing action width (default and minimum:
     the graph's max out-degree): action i means the i-th entry of the current
@@ -181,7 +183,7 @@ class AppEnv:
         state.link(state.current, dst, 1, 2)
         state.previous = state.current
         state.current = dst
-        return self.observe()
+        return len(state.covered)
 
     def action_mask(self):
         mask = np.zeros(self.num_actions, dtype=bool)

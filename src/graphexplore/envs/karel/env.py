@@ -2,7 +2,7 @@
 
 Setting: the graph is the program's coverage graph and never grows; an action
 is a whole input world. Each step executes the fixed program on the proposed
-world and folds the resulting coverage bits into the accumulated mask, so the
+world and folds the report's unit hits into the accumulated ones, so the
 per-step reward is the newly covered unit count over the total unit count and
 the episode objective is joint coverage of the proposed input set.
 """
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...graphnet import GraphObservation
 from . import worlds
 from .machine import KarelWorld, execute
-from .graph import program_to_graph, mask_from_report
+from .graph import program_to_graph
 
 
 class KarelEnv:
@@ -24,8 +23,9 @@ class KarelEnv:
     ValueError. Runtime faults during execution are part of the semantics,
     not step failures; coverage earned before the fault still counts.
     Implements the episode-loop part of the env contract
-    (graphexplore.episode); the walker hooks do not apply. program (a
-    KarelProgram) is also what the heuristic world policy screens worlds
+    (graphexplore.episode); the walker hooks do not apply. A step returns
+    the covered-unit count; observe() puts the hits on their nodes. program
+    (a KarelProgram) is also what the heuristic world policy screens worlds
     against.
     """
 
@@ -37,28 +37,27 @@ class KarelEnv:
         self.units = program.n_statements + 2 * program.n_branches
         # degenerate unit-free programs keep reward arithmetic finite
         self.reward_normalizer = float(max(self.units, 1))
-        self._mask = np.zeros(self.graph.node_count)
 
     def reset(self, rng):
-        self._mask = np.zeros(self.graph.node_count)
-        return self._observe()
+        # The episode's accumulated unit hits, in report order, and their sum.
+        self._hits = np.zeros(self.units, dtype=np.int8)
+        self._covered = 0
+        return self.graph.observation(self._hits)
 
-    def _observe(self):
-        return GraphObservation(
-            node_features=self.graph.features.copy(),
-            edges=self.graph.edges,
-            coverage=self._mask.copy(),
-        )
+    def observe(self):
+        return self.graph.observation(self._hits)
 
     def step(self, action):
         if not isinstance(action, KarelWorld):
             raise ValueError(f"action must be a KarelWorld, got {type(action).__name__}")
         report = execute(self.program, action)
-        self._mask = np.maximum(self._mask, mask_from_report(self.graph, report))
-        return self._observe()
+        self._hits = np.maximum(self._hits, np.concatenate([report.stmt_hit,
+                                                            report.branch_hit.ravel()]))
+        self._covered = int(self._hits.sum())
+        return self._covered
 
     def fully_explored(self):
-        return float(self._mask.sum()) >= self.units
+        return self._covered >= self.units
 
     def action_mask(self):
         return None  # every input world is a valid action

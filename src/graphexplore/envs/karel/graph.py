@@ -4,8 +4,8 @@ Nodes: a run root, one node per statement, one node per condition token
 (not() wrappers are their own nodes), and a true/false outcome anchor pair
 per condition site. Coverage units live on statement nodes and anchors
 (KarelGraph.unit_nodes places them); the root and condition nodes never carry
-coverage, so the sum of a coverage mask over nodes equals the number of
-covered units.
+coverage, so the sum of an observation's coverage over nodes equals the
+number of covered units.
 
 Directed edge types:
   1 ast-child       parent -> child (root->stmt, stmt->cond, not->inner,
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...graphnet import GraphObservation
 from .lang import ACTIONS
 
 NUM_EDGE_TYPES = 4
@@ -65,6 +66,12 @@ class KarelGraph:
     @property
     def node_count(self):
         return len(self.node_kinds)
+
+    def observation(self, hits):
+        """The graph with the 0/1 unit `hits`, in report order, on their nodes."""
+        coverage = np.zeros(self.node_count)
+        coverage[self.unit_nodes] = hits
+        return GraphObservation(self.features.copy(), self.edges, coverage)
 
 
 def _feature_row(kind, repeat_count=0):
@@ -130,16 +137,3 @@ def program_to_graph(program):
         n_branches=program.n_branches,
     )
 
-
-def mask_from_report(graph, report):
-    """Per-node coverage bits for a report on the same program: statement
-    nodes take their statement bit, anchors take their outcome bit, all
-    other nodes stay zero. The mask sums to the report's covered-unit count."""
-    if (
-        len(report.stmt_hit) != graph.n_statements
-        or report.branch_hit.shape[0] != graph.n_branches
-    ):
-        raise ValueError("report shape does not match graph")
-    mask = np.zeros(graph.node_count)
-    mask[graph.unit_nodes] = np.concatenate([report.stmt_hit, report.branch_hit.ravel()])
-    return mask

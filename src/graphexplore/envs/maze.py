@@ -8,8 +8,9 @@ the agent can tell which action leads along which edge.
 
 A Maze is immutable once built: its passage array is read-only and each
 cell's open directions are tabled at construction. MazeEnv is the one way to
-reset and step a maze; it builds observations through the module-level
-observe, which perfbench traces as envs.observe.
+reset and step a maze; its step returns the visited-cell count and its
+observe, through the module-level observe that perfbench traces as
+envs.observe, builds the observations only the learned agent reads.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ class Maze:
     def __post_init__(self):
         # A read-only copy, so the direction table built from it cannot go stale.
         passages = np.array(self.passages, dtype=np.uint8)
+        if passages.shape != (self.height, self.width):
+            raise ValueError(f"passages shape {passages.shape} is not (height, width) "
+                             f"{(self.height, self.width)}")
+        if not (0 <= self.start[0] < self.height and 0 <= self.start[1] < self.width):
+            raise ValueError(f"start {self.start} outside the {self.height}x{self.width} grid")
+        for side, d in ((passages[0], N), (passages[:, -1], E), (passages[-1], S),
+                        (passages[:, 0], W)):
+            if (side >> d & 1).any():
+                raise ValueError(f"a border cell opens {DIR_NAMES[d]}, off the grid")
         passages.flags.writeable = False
         object.__setattr__(self, "passages", passages)
         # _dirs[r][c]: the open directions of (r, c), in N, E, S, W order.
@@ -138,9 +148,9 @@ def observe(state):
 class MazeEnv:
     """Episode adapter over one fixed Maze, implementing the env contract of
     graphexplore.episode, walker hooks included. Actions are directions N, E,
-    S, W (0..3). The initial observation is the empty graph; the start cell's
-    coverage is earned by the first step's reward. Rewards normalize by the
-    cell count."""
+    S, W (0..3); a step returns the count of visited cells. The initial
+    observation is the empty graph; the start cell's coverage is earned by
+    the first step's reward. Rewards normalize by the cell count."""
 
     num_actions = 4
 
@@ -185,7 +195,7 @@ class MazeEnv:
         self.state.position = dest
         if self.state.node_ids[dest] not in self.state.covered:
             self._visit(dest)
-        return self.observe()
+        return len(self.state.covered)
 
     def action_mask(self):
         mask = np.zeros(4, dtype=bool)

@@ -2,9 +2,9 @@
 the configurable history encoder F(h_t) that turns a history into the policy's
 input vector.
 
-Episode layout: record 0 is always (null action, initial observation, reward
-0). In environments that start with an empty belief graph, the first decision
-is made on that empty graph via the encoder's learned empty-graph vector; the
+Episode layout: record 0 is always (null action, 0 covered units, reward 0).
+In environments that start with an empty belief graph, the first decision is
+made on that empty graph via the encoder's learned empty-graph vector; the
 start position's coverage is then counted in the first step's reward, which
 keeps the reward sum exactly equal to the coverage objective.
 
@@ -14,7 +14,10 @@ episode loop (run_episode, PolicyModel.run_episodes) reads:
 - budget, and reward_normalizer: the instance's unit count (maze cells, app
   screens, Karel coverage units; at least 1), over which rewards and
   coverage are counted;
-- reset(rng) and step(action), each returning a GraphObservation;
+- reset(rng), returning the initial GraphObservation, and step(action),
+  returning the covered-unit count as an int, the one figure rewards read;
+- observe(): the current GraphObservation, read only by the learned agent
+  (PolicyModel.run_episodes), after each step of an episode that goes on;
 - action_mask(): (num_actions,) bool, or None when every action is allowed
   (Karel, whose actions are input worlds);
 - fully_explored().
@@ -31,17 +34,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphnet import GraphObservation
 from .tensor import Embedding, LSTMCell, Tensor, concat, slice_
 
 
 @dataclass
 class StepRecord:
-    """One history entry (x_t, G_t, c_t, r_t). action is the raw environment
-    action (None for the initial record)."""
+    """One history entry (x_t, c_t, r_t): the raw env action (None at record
+    0), the covered-unit count after it (0 at record 0) and its reward."""
 
     action: object
-    observation: GraphObservation
+    covered: int
     reward: float
 
 
@@ -51,9 +53,6 @@ class EpisodeHistory:
     budget: int
     normalizer: float
 
-    def __len__(self):
-        return len(self.records)
-
     def last(self):
         return self.records[-1]
 
@@ -62,27 +61,19 @@ class CoverageRegressionError(ValueError):
     pass
 
 
-def compute_reward(prev, nxt, normalizer):
-    """Newly covered node count over the normalizer. Node ids are stable, so a
-    step may only add nodes and switch coverage bits 0 -> 1; anything else
-    raises CoverageRegressionError naming the first regressed node. Every
-    step of every episode passes through this check."""
-    n_prev = prev.node_count
-    if nxt.node_count < n_prev:
-        raise CoverageRegressionError(f"node set shrank: {n_prev} -> {nxt.node_count}")
-    regressed = np.asarray(prev.coverage) > np.asarray(nxt.coverage)[:n_prev]
-    if regressed.any():
-        raise CoverageRegressionError(f"coverage regressed at node {int(np.argmax(regressed))}")
-    gained = float(np.asarray(nxt.coverage).sum() - np.asarray(prev.coverage).sum())
-    return gained / normalizer
+def compute_reward(prev, covered, normalizer):
+    """Newly covered units, `covered` less the previous record's `prev`, over
+    the normalizer. A count that drops raises CoverageRegressionError."""
+    if covered < prev:
+        raise CoverageRegressionError(f"covered units dropped: {prev} -> {covered}")
+    return (covered - prev) / normalizer
 
 
 def episode_objective(history):
     """The episode's coverage, and the program's one definition of it: the
-    covered units of the latest observation, Σ_v c_T(v), over the env's unit
-    count (its reward_normalizer, at least 1). Telescopes to the sum of
-    per-step rewards because record 0 has zero coverage."""
-    return float(np.sum(history.last().observation.coverage)) / history.normalizer
+    latest record's covered units over the env's unit count (reward_normalizer,
+    at least 1). Telescopes to the reward sum, as record 0 covers nothing."""
+    return history.last().covered / history.normalizer
 
 
 # --------------------------------------------------------- history encoding
@@ -171,23 +162,24 @@ class HistoryEncoder:
                 raise ValueError(f"action {rec.action} outside [0, {null}) (action_vocab {null})")
         return self.actions(ids)
 
-    def conditioning_rows(self, records):
-        """(R, d) conditioning parts of `records`."""
+    def conditioning_rows(self, observations):
+        """(R, d) conditioning parts of the R `observations`."""
         if self.config.conditioning == "graph":
-            return self.net.encode_batch([rec.observation for rec in records])
-        return Tensor(np.zeros((len(records), self.d), dtype=self.dtype))
+            return self.net.encode_batch(observations)
+        return Tensor(np.zeros((len(observations), self.d), dtype=self.dtype))
 
-    def summaries(self, records):
-        """(R, summary_width) summaries of `records`, built with one batched
-        graph encode and one action lookup."""
-        parts = [self.conditioning_rows(records), self.action_rows(records)]
+    def summaries(self, observations, records):
+        """(R, summary_width) summaries of `records`, record i seen with the
+        graph `observations[i]`, built with one batched graph encode and one
+        action lookup."""
+        parts = [self.conditioning_rows(observations), self.action_rows(records)]
         if self.config.conditioning == "envcond":
             parts.append(Tensor(np.asarray([[rec.reward] for rec in records], dtype=self.dtype)))
         return concat(parts, axis=1)
 
-    def summary(self, record):
+    def summary(self, observation, record):
         """The (1, summary_width) summary of one record."""
-        return self.summaries([record])
+        return self.summaries([observation], [record])
 
     # -- temporal fold ------------------------------------------------------
 
@@ -245,12 +237,6 @@ class TrajectoryBatch:
     def mean_coverage(self):
         return float(np.mean([ep.final_coverage for ep in self.episodes]))
 
-    def validate(self):
-        for ep in self.episodes:
-            if abs(sum(ep.rewards()) - ep.final_coverage) > 1e-9:
-                raise ValueError("reward sum does not telescope to final coverage")
-        return self
-
 
 class EpisodeStepError(RuntimeError):
     def __init__(self, step, cause):
@@ -259,35 +245,36 @@ class EpisodeStepError(RuntimeError):
 
 
 def begin_episode(env, rng, budget):
-    """Reset `env` with `rng`; returns (the trajectory holding record 0,
-    whether the episode is already over). An env that is fully explored on
-    arrival (e.g. a single-cell world whose start is covered by arrival)
-    needs no valid action, so the episode ends at t=0 and is marked
-    terminated early; so does one with no budget, unmarked."""
+    """Reset `env` with `rng`; returns (the trajectory holding record 0, the
+    initial observation, whether the episode is already over). An env that
+    is fully explored on arrival (e.g. a single-cell world whose start is
+    covered by arrival) needs no valid action, so the episode ends at t=0
+    and is marked terminated early; so does one with no budget, unmarked."""
     obs0 = env.reset(rng)
     history = EpisodeHistory(
-        records=[StepRecord(action=None, observation=obs0, reward=0.0)],
+        records=[StepRecord(action=None, covered=0, reward=0.0)],
         budget=budget,
         normalizer=env.reward_normalizer,
     )
     traj = EpisodeTrajectory(history=history)
     traj.terminated_early = env.fully_explored()
-    return traj, traj.terminated_early or budget < 1
+    return traj, obs0, traj.terminated_early or budget < 1
 
 
 def advance_episode(env, traj, action):
     """Take decision `action` in `env` and record it in `traj`: the step's
-    reward and whether the env is now fully explored. Returns True when the
-    episode is over: full coverage or the budget spent. A failing step
-    raises EpisodeStepError naming the step."""
+    covered-unit count and reward, and whether the env is now fully explored.
+    Returns True when the episode is over: full coverage or the budget spent.
+    A failing step, or a covered-unit count that drops, raises
+    EpisodeStepError naming the step."""
     history = traj.history
     t = len(history.records)
     try:
-        obs = env.step(action)
+        covered = env.step(action)
+        reward = compute_reward(history.last().covered, covered, history.normalizer)
     except Exception as e:
         raise EpisodeStepError(t, e) from e
-    reward = compute_reward(history.last().observation, obs, history.normalizer)
-    history.records.append(StepRecord(action=action, observation=obs, reward=reward))
+    history.records.append(StepRecord(action=action, covered=covered, reward=reward))
     traj.terminated_early = env.fully_explored()
     return traj.terminated_early or t >= history.budget
 
@@ -296,11 +283,13 @@ def run_episode(env, policy, budget, seed):
     """Roll one episode of a callable policy (baselines, Karel world
     policies): `policy(history, env, rng)` returns an action. Stops after the
     budget is spent or as soon as the environment reports full coverage
-    following a step. Returns (history, trajectory). The learned agent rolls
-    its episodes in lockstep through PolicyModel.run_episodes, on the same
-    begin_episode / advance_episode bookkeeping."""
+    following a step. Returns (history, trajectory). It never observes the
+    env: the policies it runs read the env's walker hooks or nothing. The
+    learned agent rolls its episodes in lockstep through
+    PolicyModel.run_episodes, on the same begin_episode / advance_episode
+    bookkeeping."""
     rng = np.random.default_rng(seed)
-    traj, done = begin_episode(env, rng, budget)
+    traj, _, done = begin_episode(env, rng, budget)
     while not done:
         done = advance_episode(env, traj, policy(traj.history, env, rng))
     return traj.history, traj

@@ -115,7 +115,7 @@ def collect_rollouts(model, env_sampler, config, round_index=0):
     with Tape() as tape:
         batch = model.run_episodes(envs, seeds, mode="sample")
     batch.tape = tape
-    return batch.validate()
+    return batch
 
 
 def episode_returns(episode):

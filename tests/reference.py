@@ -1,6 +1,6 @@
 """Test-only references: the finite-difference gradient check, the composed
 tape ops that the fused primitives are checked against, a rollout's
-per-episode policy outputs and action masks, the app belief graph's edges
+per-episode policy outputs and replayed inputs, the app belief graph's edges
 rebuilt from scratch, and exact coverage solvers on small graphs.
 
 Graphs in the solvers are plain adjacency lists (list of neighbor lists);
@@ -116,16 +116,19 @@ def episode_outputs(batch, k):
     return tuple(t.data[batch.rows[k]].tolist() for t in batch.outputs)
 
 
-def replayed_masks(env, seed, episode):
-    """The action mask before each decision of `episode`, replayed on a fresh
-    copy of `env` reset as PolicyModel.run_episodes resets it."""
+def replayed_inputs(env, seed, episode):
+    """(observations, masks): the observation and the action mask before
+    each decision of `episode`, replayed on a fresh copy of `env` reset as
+    PolicyModel.run_episodes resets it. observations[t] is what the agent saw
+    with records[t], the newest record at decision t."""
     env = copy.deepcopy(env)
-    env.reset(np.random.default_rng(seed))
+    observations = [env.reset(np.random.default_rng(seed))]
     masks = []
     for rec in episode.history.records[1:]:
         masks.append(env.action_mask())
         env.step(rec.action)
-    return masks
+        observations.append(env.observe())
+    return observations[:len(masks)], masks
 
 
 # ------------------------------------------------------- app belief graph

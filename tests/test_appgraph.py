@@ -247,7 +247,8 @@ def test_observation_tracks_experienced_subgraph():
     pre = env.observe()
     assert pre.node_count == 1 and pre.edges == () and pre.coverage.tolist() == [1.0]
     assert env.outgoing() == [(0, None)]  # untried action, unknown target
-    obs1 = env.step(0)
+    assert env.step(0) == 2  # visited screens
+    obs1 = env.observe()
     assert obs1.node_count == 2
     assert (0, 1, 1) in obs1.edges and (1, 0, 2) in obs1.edges
     assert obs1.coverage.tolist() == [1.0, 1.0]

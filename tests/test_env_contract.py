@@ -1,8 +1,10 @@
 """The env contract (graphexplore.episode): every environment has the
 members the episode loop reads, the maze and app envs have the walker hooks,
 the walkers' one action source, outgoing(), lists exactly the actions
-action_mask() allows, belief-graph node ids never shift, and an episode's
-coverage is its reward sum: the covered units over the env's unit count."""
+action_mask() allows, belief-graph node ids never shift, a step's
+covered-unit count is what observe() shows and only grows, the walkers
+never observe, and an episode's coverage is its reward sum: the covered
+units over the env's unit count."""
 
 import copy
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphexplore.agents import RandomPolicy
+from graphexplore.agents import RandDfsPolicy, RandomPolicy
 from graphexplore.envs import appgraph, maze
 from graphexplore.envs.appgraph import AppEnv, generate_er_app
 from graphexplore.envs.karel import graph as karel_graph
@@ -22,7 +24,7 @@ from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.episode import run_episode
 from graphexplore.graphnet import MAX_EDGE_TYPES
 
-EPISODE_LOOP = ("budget", "reward_normalizer", "reset", "step", "action_mask",
+EPISODE_LOOP = ("budget", "reward_normalizer", "reset", "step", "observe", "action_mask",
                 "fully_explored")
 WALKER_HOOKS = ("current_node", "outgoing", "reverse_action")
 DELETED = ("source", "_adopt", "valid_action_list", "covered_count", "num_edge_types",
@@ -92,7 +94,8 @@ def test_belief_edges_come_in_pairs_at_every_step(env, episode_seed):
         actions = [a for a, _ in env.outgoing()]
         if t == env.budget or not actions:
             break
-        obs = env.step(actions[int(rng.integers(len(actions)))])
+        env.step(actions[int(rng.integers(len(actions)))])
+        obs = env.observe()
 
 
 def test_every_edge_alphabet_fits_the_message_layer():
@@ -108,7 +111,8 @@ def test_karel_edge_types_stay_in_its_alphabet(program_seed, episode_seed):
     obs = env.reset(rng)
     for _ in range(2):
         assert all(1 <= k <= karel_graph.NUM_EDGE_TYPES for _, _, k in obs.edges)
-        obs = env.step(policy(None, env, rng))
+        env.step(policy(None, env, rng))
+        obs = env.observe()
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,7 +120,7 @@ def test_karel_edge_types_stay_in_its_alphabet(program_seed, episode_seed):
 def test_node_ids_never_shift(env, episode_seed):
     # A belief graph only grows: each step's keys extend the previous ones,
     # in id order, so a node keeps its id for the whole episode.
-    # compute_reward checks that coverage never shrinks, not that ids stay put.
+    # A step's count shows that coverage never shrinks, not that ids stay put.
     rng = np.random.default_rng(episode_seed)
     env.reset(rng)
     before = list(env.state.node_ids)
@@ -153,7 +157,8 @@ def test_observations_are_snapshots_that_share_what_a_step_left_unchanged(env, e
         actions = [a for a, _ in env.outgoing()]
         if t == env.budget or not actions:
             break
-        obs = env.step(actions[int(rng.integers(len(actions)))])
+        env.step(actions[int(rng.integers(len(actions)))])
+        obs = env.observe()
     for obs, snapshot in recorded:
         assert obs.edges == snapshot.edges
         assert np.array_equal(obs.coverage, snapshot.coverage)
@@ -193,7 +198,7 @@ def units_of(env):
         return len(env.state.covered), env.maze.cells()
     if isinstance(env, AppEnv):
         return len(env.state.node_ids), len(env.graph.screens)
-    return int(env._mask.sum()), env.units
+    return int(env._hits.sum()), env.units
 
 
 @settings(max_examples=80, deadline=None)
@@ -209,3 +214,85 @@ def test_coverage_is_the_reward_sum_and_the_covered_share_of_the_units(episode, 
     assert env.reward_normalizer == max(total, 1)
     assert sum(traj.rewards()) == pytest.approx(traj.final_coverage, abs=1e-12)
     assert traj.final_coverage == covered / max(total, 1) <= 1.0
+
+
+def node_keys(env):
+    """What each node id stands for, in id order: a maze cell, an app screen
+    or a Karel graph node."""
+    if isinstance(env, KarelEnv):
+        return list(enumerate(env.graph.node_kinds))
+    return list(env.state.node_ids)
+
+
+def explored_by_count(env, covered):
+    """fully_explored() as the env's unit count `covered` says it should be;
+    an app also ends on a dead-end screen."""
+    if isinstance(env, MazeEnv):
+        return covered == env.maze.cells()
+    if isinstance(env, AppEnv):
+        return covered == len(env.graph.screens) or not env.outgoing()
+    return covered == env.units
+
+
+@settings(max_examples=80, deadline=None)
+@given(episode=episodes(), episode_seed=st.integers(0, 2**31 - 1))
+def test_step_counts_what_observe_shows_and_coverage_only_grows(episode, episode_seed):
+    # The episode loop reads only the count; the learned agent reads only
+    # the observation. The two must agree at every step, and no coverage bit
+    # may switch off.
+    env, policy = episode
+    rng = np.random.default_rng(episode_seed)
+    env.reset(rng)
+    before, keys = env.observe().coverage, node_keys(env)
+    for _ in range(env.budget):
+        if env.fully_explored():
+            break
+        covered = env.step(policy(None, env, rng))
+        obs = env.observe()
+        assert type(covered) is int and covered == obs.coverage.sum()
+        assert len(obs.coverage) >= len(before)
+        assert not (before > obs.coverage[:len(before)]).any()
+        now = node_keys(env)
+        assert now[:len(keys)] == keys
+        assert env.fully_explored() == explored_by_count(env, covered)
+        before, keys = obs.coverage, now
+
+
+class Unobservable:
+    """An env mixin whose observe() fails: walkers must never call it."""
+
+    def observe(self):
+        raise AssertionError("a walker observed the env")
+
+
+class UnobservableMaze(Unobservable, MazeEnv):
+    pass
+
+
+class UnobservableApp(Unobservable, AppEnv):
+    pass
+
+
+class UnobservableKarel(Unobservable, KarelEnv):
+    pass
+
+
+WALKS = {
+    "maze-random": lambda: (UnobservableMaze(generate_maze(4, 4, 0.2, seed=3), budget=16),
+                            RandomPolicy()),
+    "maze-randdfs": lambda: (UnobservableMaze(generate_maze(4, 4, 0.2, seed=3), budget=16,
+                                              hide_destinations=True), RandDfsPolicy()),
+    "app-random": lambda: (UnobservableApp(generate_er_app(8, 0.4, seed=3), budget=8),
+                           RandomPolicy()),
+    "app-randdfs": lambda: (UnobservableApp(generate_er_app(8, 0.4, seed=3), budget=8),
+                            RandDfsPolicy()),
+    "karel-random": lambda: (UnobservableKarel(sample_program(np.random.default_rng(3))),
+                             random_world_policy(WorldConfig())),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+def test_walkers_never_observe(walk):
+    env, policy = WALKS[walk]()
+    history, traj = run_episode(env, policy, budget=env.budget, seed=0)
+    assert len(history.records) > 1 and traj.final_coverage > 0.0

@@ -10,10 +10,10 @@ from graphexplore.episode import (
     TEMPORAL_MODES,
     CoverageRegressionError,
     EpisodeHistory,
+    EpisodeStepError,
     HistoryEncoder,
     HistoryEncoderConfig,
     StepRecord,
-    TrajectoryBatch,
     compute_reward,
     episode_objective,
     run_episode,
@@ -42,55 +42,67 @@ def obs_of(coverage, edges=(), feature_width=1, current=None):
 
 
 def test_compute_reward_basic():
-    prev = obs_of([0] * 10)
-    nxt = obs_of([1, 1] + [0] * 8)
-    assert compute_reward(prev, nxt, 10.0) == pytest.approx(0.2)
+    assert compute_reward(0, 2, 10.0) == pytest.approx(0.2)
 
 
 def test_compute_reward_no_new_coverage():
-    a = obs_of([1, 0, 1])
-    assert compute_reward(a, a, 3.0) == 0.0
+    assert compute_reward(2, 2, 3.0) == 0.0
 
 
 def test_compute_reward_budget_normalizer():
-    prev = obs_of([1] * 4)
-    nxt = obs_of([1] * 4 + [1, 1, 1])  # 3 new cells discovered and visited
-    assert compute_reward(prev, nxt, 36.0) == pytest.approx(3 / 36)
+    assert compute_reward(4, 7, 36.0) == pytest.approx(3 / 36)  # 3 new cells visited
 
 
 def test_compute_reward_rejects_regression():
-    with pytest.raises(CoverageRegressionError):
-        compute_reward(obs_of([1, 1]), obs_of([1, 0]), 2.0)
-    with pytest.raises(CoverageRegressionError):
-        compute_reward(obs_of([1, 1]), obs_of([1]), 2.0)
+    with pytest.raises(CoverageRegressionError, match="covered units dropped: 2 -> 1$"):
+        compute_reward(2, 1, 2.0)
 
 
-def test_reward_and_history_checks_name_the_first_regressed_node():
-    # compute_reward runs at every step of every episode, so it is the one
-    # place a history's growth invariant is checked.
-    prev, nxt = obs_of([1, 0, 1, 1]), obs_of([1, 0, 0, 0, 1])
-    with pytest.raises(CoverageRegressionError, match="coverage regressed at node 2$"):
-        compute_reward(prev, nxt, 5.0)
-    with pytest.raises(CoverageRegressionError, match="node set shrank: 4 -> 2"):
-        compute_reward(prev, obs_of([1, 1]), 5.0)
+class DroppingEnv:
+    """Reports 2 covered units after its first step and 1 after its second."""
+
+    budget = 3
+    reward_normalizer = 2.0
+
+    def reset(self, rng):
+        self.counts = iter((2, 1, 1))
+        return empty_observation(1)
+
+    def step(self, action):
+        return next(self.counts)
+
+    def fully_explored(self):
+        return False
+
+    def action_mask(self):
+        return None
 
 
-def history_from_masks(masks, normalizer, budget=None):
-    records = [StepRecord(action=None, observation=obs_of(masks[0]), reward=0.0)]
-    for i in range(1, len(masks)):
-        r = compute_reward(records[-1].observation, obs_of(masks[i]), normalizer)
-        records.append(StepRecord(action=0, observation=obs_of(masks[i]), reward=r))
-    return EpisodeHistory(records=records, budget=budget or len(masks), normalizer=normalizer)
+def test_a_dropping_count_names_its_step():
+    # A regression is an env failure like any other: it names the step, so
+    # a rollout's caller sees which decision broke the env.
+    with pytest.raises(EpisodeStepError, match="step 2: covered units dropped: 2 -> 1$") as info:
+        run_episode(DroppingEnv(), lambda history, env, rng: 0, budget=3, seed=0)
+    assert info.value.step == 2
+    assert isinstance(info.value.__cause__, CoverageRegressionError)
+
+
+def history_from_counts(counts, normalizer):
+    records = [StepRecord(action=None, covered=counts[0], reward=0.0)]
+    for covered in counts[1:]:
+        r = compute_reward(records[-1].covered, covered, normalizer)
+        records.append(StepRecord(action=0, covered=covered, reward=r))
+    return EpisodeHistory(records=records, budget=len(counts), normalizer=normalizer)
 
 
 def test_objective_full_coverage():
-    h = history_from_masks([[0, 0, 0], [1, 1, 0], [1, 1, 1]], normalizer=3.0)
+    h = history_from_counts([0, 2, 3], normalizer=3.0)
     assert episode_objective(h) == pytest.approx(1.0)
 
 
 def test_objective_empty_episode():
     h = EpisodeHistory(
-        records=[StepRecord(action=None, observation=empty_observation(1), reward=0.0)],
+        records=[StepRecord(action=None, covered=0, reward=0.0)],
         budget=0,
         normalizer=5.0,
     )
@@ -112,7 +124,7 @@ def test_run_episode_budget_zero():
     history, traj = run_episode(env, RandomPolicy(), budget=0, seed=0)
     assert len(history.records) == 1
     assert history.records[0].action is None
-    assert history.records[0].observation.node_count == 0
+    assert history.records[0].covered == 0
     assert episode_objective(history) == 0.0
 
 
@@ -136,19 +148,6 @@ def test_run_episode_seed_determinism():
     assert runs[0] == runs[1]
 
 
-def test_trajectory_batch_validation():
-    env = MazeEnv(generate_maze(4, 4, 0.1, seed=2), budget=10)
-    episodes = []
-    for seed in range(3):
-        _, traj = run_episode(env, RandomPolicy(), budget=10, seed=seed)
-        episodes.append(traj)
-    batch = TrajectoryBatch(episodes=episodes)
-    assert batch.validate() is batch
-    episodes[1].history.records[1].reward += 0.5
-    with pytest.raises(ValueError, match="telescope"):
-        batch.validate()
-
-
 # ------------------------------------------------------------ history encoder
 
 
@@ -167,20 +166,17 @@ def encoder_fixture(temporal="autoregressive", conditioning="graph", seed=0, dty
 
 
 def short_history(n_steps=3):
+    """(observations, history) of a 3-node graph covered one node a step."""
     masks = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]][: n_steps + 1]
-    records = [StepRecord(action=None, observation=obs_of(masks[0]), reward=0.0)]
-    for i in range(1, len(masks)):
-        records.append(
-            StepRecord(action=i % 4, observation=obs_of(masks[i]), reward=0.1)
-        )
-    return EpisodeHistory(records=records, budget=8, normalizer=3.0)
+    records = [StepRecord(action=None, covered=0, reward=0.0)]
+    records += [StepRecord(action=i % 4, covered=i, reward=0.1) for i in range(1, len(masks))]
+    return [obs_of(m) for m in masks], EpisodeHistory(records=records, budget=8, normalizer=3.0)
 
 
-def final_encoding(enc, history):
+def final_encoding(enc, observations, records):
     """F of the whole history, as a rollout computes it: one summaries call
     for its records, folded one (1, w) row at a time."""
-    records = history.records
-    summaries = enc.summaries(records)
+    summaries = enc.summaries(observations, records)
     state = enc.init_state(1)
     for t in range(len(records)):
         F, state = enc.fold(state, embed_lookup(summaries, [t]))
@@ -193,12 +189,11 @@ def test_last_step_mode_t1_equals_step_summary():
     # encode of the last take different BLAS product shapes: in float32 they
     # differ in the last bit, so the check runs in float64 within 1e-12.
     params, net, enc = encoder_fixture(temporal="last_step", dtype=np.float64)
-    records = [StepRecord(None, obs_of([0, 0, 0], current=0), 0.0),
-               StepRecord(1, obs_of([1, 0, 0], current=0), 0.1)]
-    h = EpisodeHistory(records=records, budget=8, normalizer=3.0)
+    observations = [obs_of([0, 0, 0], current=0), obs_of([1, 0, 0], current=0)]
+    records = [StepRecord(None, 0, 0.0), StepRecord(1, 1, 0.1)]
     with no_grad():
-        out = final_encoding(enc, h)
-        summ = enc.summaries([h.records[-1]])
+        out = final_encoding(enc, observations, records)
+        summ = enc.summaries(observations[-1:], records[-1:])
     assert np.allclose(out, summ.data[0], rtol=0.0, atol=1e-12)
 
 
@@ -208,18 +203,19 @@ def test_autoregressive_zero_weights_depend_only_on_bias():
         if name.startswith("hist/fold/"):
             p.data[:] = 0.0
     with no_grad():
-        a = final_encoding(enc, short_history(n_steps=1))
-        b = final_encoding(enc, short_history(n_steps=3))
+        observations, h = short_history(n_steps=1)
+        a = final_encoding(enc, observations, h.records)
+        observations, h = short_history(n_steps=3)
+        b = final_encoding(enc, observations, h.records)
     assert np.allclose(a, b)
 
 
 def test_autoregressive_consumes_every_record():
     params, net, enc = encoder_fixture(seed=3)
-    full = short_history(n_steps=3)
-    truncated = EpisodeHistory(records=full.records[:-1], budget=8, normalizer=3.0)
+    observations, full = short_history(n_steps=3)
     with no_grad():
-        a = final_encoding(enc, full)
-        b = final_encoding(enc, truncated)
+        a = final_encoding(enc, observations, full.records)
+        b = final_encoding(enc, observations[:-1], full.records[:-1])
     assert not np.allclose(a, b)
 
 
@@ -227,22 +223,22 @@ def test_encode_matches_incremental_fold():
     # In float64 on nonzero node features (a one-hot is-current column), as
     # in test_last_step_mode_t1_equals_step_summary.
     params, net, enc = encoder_fixture(seed=4, dtype=np.float64)
-    h = short_history(n_steps=3)
-    for t, rec in enumerate(h.records):
-        rec.observation.node_features[min(t, 2), 0] = 1.0
+    observations, h = short_history(n_steps=3)
+    for t, obs in enumerate(observations):
+        obs.node_features[min(t, 2), 0] = 1.0
     with no_grad():
-        full = final_encoding(enc, h)
+        full = final_encoding(enc, observations, h.records)
         state = enc.init_state(1)
-        for rec in h.records:
-            f, state = enc.fold(state, enc.summaries([rec]))
+        for obs, rec in zip(observations, h.records):
+            f, state = enc.fold(state, enc.summaries([obs], [rec]))
     assert np.allclose(full, f.data[0], atol=1e-12)
 
 
 def test_envcond_appends_reward_and_zeroes_graph():
     params, net, enc = encoder_fixture(conditioning="envcond", temporal="last_step")
-    rec = StepRecord(action=1, observation=obs_of([1, 0, 1]), reward=0.25)
+    rec = StepRecord(action=1, covered=2, reward=0.25)
     with no_grad():
-        s = enc.summaries([rec])
+        s = enc.summaries([obs_of([1, 0, 1])], [rec])
     assert s.data.shape == (1, 6 + 3 + 1)
     assert np.all(s.data[0, :6] == 0.0)
     assert s.data[0, -1] == 0.25
@@ -257,33 +253,41 @@ def test_fresh_encoder_output_width():
         action_width=3,
         action_vocab=4,
     )
-    h = short_history(n_steps=2)
+    observations, h = short_history(n_steps=2)
     with no_grad():
-        out = final_encoding(HistoryEncoder(params, "hist", config, net), h)
+        out = final_encoding(HistoryEncoder(params, "hist", config, net), observations, h.records)
     assert out.shape == (5,)
 
 
-def varied_records(seed):
+def varied_steps(seed):
+    """(observation, record) pairs of an episode on graphs of varied shape."""
     rng = np.random.default_rng(seed)
-    records = [StepRecord(action=None, observation=empty_observation(1), reward=0.0)]
+    steps = [(empty_observation(1), StepRecord(action=None, covered=0, reward=0.0))]
     for i, n in enumerate((3, 1, 5, 4)):
         edges = [(u, v, int(rng.integers(1, 3))) for u in range(n) for v in range(n)
                  if u != v and rng.random() < 0.5]
         obs = obs_of((rng.random(n) < 0.5).astype(float) if i != 1 else [0.0], edges=edges)
         obs.node_features = rng.normal(size=(n, 1))
-        records.append(StepRecord(action=int(rng.integers(4)), observation=obs, reward=0.1 * i))
-    return records
+        rec = StepRecord(action=int(rng.integers(4)), covered=int(obs.coverage.sum()),
+                         reward=0.1 * i)
+        steps.append((obs, rec))
+    return steps
+
+
+def summaries_of(enc, steps):
+    """enc.summaries of (observation, record) pairs."""
+    return enc.summaries([obs for obs, _ in steps], [rec for _, rec in steps])
 
 
 @pytest.mark.parametrize("conditioning", CONDITIONING)
 def test_summaries_rows_equal_per_record_summaries(conditioning):
     _, _, enc = encoder_fixture(temporal="last_step", conditioning=conditioning, seed=6,
                                 dtype=np.float64)
-    records = varied_records(seed=6)
+    steps = varied_steps(seed=6)
     with no_grad():
-        batched = enc.summaries(records).data
-        single = np.concatenate([enc.summaries([r]).data for r in records])
-    assert batched.shape == (len(records), enc.summary_width())
+        batched = summaries_of(enc, steps).data
+        single = np.concatenate([summaries_of(enc, [step]).data for step in steps])
+    assert batched.shape == (len(steps), enc.summary_width())
     assert np.allclose(batched, single, rtol=0.0, atol=1e-12)
 
 
@@ -295,12 +299,12 @@ def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
     # state, one summaries call per step, and a finished sequence's rows are
     # dropped by a gather.
     _, _, enc = encoder_fixture(temporal=temporal, conditioning=conditioning, seed=7)
-    sequences = [varied_records(seed)[:n] for seed, n in ((7, 4), (8, 1), (9, 2))]
+    sequences = [varied_steps(seed)[:n] for seed, n in ((7, 4), (8, 1), (9, 2))]
     lockstep = {}
     with no_grad():
         live, state = [0, 1, 2], enc.init_state(3)
         for t in range(4):
-            F, state = enc.fold(state, enc.summaries([sequences[e][t] for e in live]))
+            F, state = enc.fold(state, summaries_of(enc, [sequences[e][t] for e in live]))
             lockstep.update(((e, t), F.data[row]) for row, e in enumerate(live))
             kept = [row for row, e in enumerate(live) if t + 1 < len(sequences[e])]
             live = [live[row] for row in kept]
@@ -310,8 +314,8 @@ def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
         reference = {}
         for e, seq in enumerate(sequences):
             state = enc.init_state(1)
-            for t, rec in enumerate(seq):
-                f, state = enc.fold(state, enc.summaries([rec]))
+            for t, step in enumerate(seq):
+                f, state = enc.fold(state, summaries_of(enc, [step]))
                 reference[e, t] = f.data[0]
     assert lockstep.keys() == reference.keys() and len(reference) == 4 + 1 + 2
     for key, want in reference.items():
@@ -326,11 +330,11 @@ def test_conditioning_reads_only_its_own_parameters(temporal, conditioning):
     # graph arm reaches the GraphNet.
     params, _, enc = encoder_fixture(temporal=temporal, conditioning=conditioning, seed=8,
                                      dtype=np.float64)
-    records = varied_records(seed=8)
+    steps = varied_steps(seed=8)
     with Tape() as tape:
         state, loss = enc.init_state(3), 0.0
-        for step in (records[0:3], records[1:4]):
-            F, state = enc.fold(state, enc.summaries(step))
+        for step in (steps[0:3], steps[1:4]):
+            F, state = enc.fold(state, summaries_of(enc, step))
             loss = reduce_sum(F) + loss
     assert F.data.shape == (3, enc.output_width())
     assert np.all(np.isfinite(F.data))
@@ -358,7 +362,7 @@ def test_action_rows_reject_actions_outside_the_vocabulary(action):
     # action_vocab is 4, so row 4 of the table is the null action: action 4
     # must not read it, -1 must not wrap onto it, and 5 names its cause.
     _, _, enc = encoder_fixture()
-    records = [StepRecord(None, obs_of([0]), 0.0), StepRecord(action, obs_of([1]), 0.0)]
+    records = [StepRecord(None, 0, 0.0), StepRecord(action, 1, 0.0)]
     assert enc.action_rows(records[:1]).shape == (1, 3)
     with pytest.raises(ValueError, match=rf"action {action} outside \[0, 4\)"):
         enc.action_rows(records)

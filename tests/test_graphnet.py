@@ -384,11 +384,10 @@ def maze_observations(rng, count):
     for _ in range(count):
         env = MazeEnv(generate_maze(6, 6, 0.2, int(rng.integers(2**31))), budget=40)
         env.reset(rng)
-        obs = env.observe()
         for _ in range(int(rng.integers(41))):
             exits = [d for d, _ in env.outgoing()]
-            obs = env.step(exits[int(rng.integers(len(exits)))])
-        observations.append(obs)
+            env.step(exits[int(rng.integers(len(exits)))])
+        observations.append(env.observe())
     return observations
 
 

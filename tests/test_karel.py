@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphexplore.envs.karel.env import KarelEnv, heuristic_world_policy, random_world_policy
-from graphexplore.envs.karel.graph import mask_from_report, program_to_graph
+from graphexplore.envs.karel.graph import program_to_graph
 from graphexplore.envs.karel.lang import TEXT_TOKENS, render_program, sample_program
 from graphexplore.envs.karel.machine import execute
 from graphexplore.envs.karel.worlds import WorldConfig, sample_world
@@ -107,28 +107,40 @@ def test_step_rejects_an_action_that_is_not_a_world(action):
 @given(seeds, configs, seeds)
 def test_coverage_mask_sums_to_covered_units(program_seed, config, world_seed):
     program = program_for(program_seed)
-    report = execute(program, sample_world(config, world_seed))
-    assert mask_from_report(program_to_graph(program), report).sum() == report.covered()
+    world = sample_world(config, world_seed)
+    env = KarelEnv(program)
+    env.reset(np.random.default_rng(0))
+    covered = env.step(world)
+    assert env.observe().coverage.sum() == covered == execute(program, world).covered()
 
 
 @settings(max_examples=50, deadline=None)
-@given(seeds)
-def test_each_coverage_unit_sits_on_its_statement_or_anchor_node(seed):
-    # mask_from_report writes report unit i to node unit_nodes[i]; the mask's
-    # sum cannot tell a misplaced unit from a placed one.
+@given(seeds, configs, seeds)
+def test_each_coverage_unit_sits_on_its_statement_or_anchor_node(seed, config, world_seed):
+    # KarelEnv.observe places each unit hit on its statement or anchor node;
+    # the coverage sum cannot tell a misplaced unit from a placed one.
     program = program_for(seed)
     graph = program_to_graph(program)
     units = graph.unit_nodes.tolist()
     assert len(units) == program.n_statements + 2 * program.n_branches
     assert len(set(units)) == len(units)
+    env = KarelEnv(program)
+    env.reset(np.random.default_rng(0))
+    world = sample_world(config, world_seed)
+    env.step(world)
+    coverage = env.observe().coverage
+    report = execute(program, world)
     edges = set(graph.edges)
     for stmt in preorder(program.body):
         node = units[stmt.stmt_id]
         assert graph.node_kinds[node] == stmt.kind
+        assert coverage[node] == report.stmt_hit[stmt.stmt_id]
         if stmt.branch_id >= 0:
             t, f = units[program.n_statements + 2 * stmt.branch_id:][:2]
             assert (graph.node_kinds[t], graph.node_kinds[f]) == ("true-anchor", "false-anchor")
             assert {(node, t, 1), (node, f, 1)} <= edges
+            assert coverage[[t, f]].tolist() == report.branch_hit[stmt.branch_id].tolist()
+    assert not coverage[np.setdiff1d(np.arange(graph.node_count), units)].any()
 
 
 @settings(max_examples=50, deadline=None)

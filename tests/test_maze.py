@@ -198,6 +198,31 @@ def test_env_mask_matches_valid_actions():
     assert np.flatnonzero(mask).tolist() == [d for d, _ in env.outgoing()]
 
 
+def test_maze_rejects_passages_of_another_shape():
+    with pytest.raises(ValueError, match=r"passages shape \(2, 1\) is not \(height, width\) \(1, 2\)"):
+        Maze(width=2, height=1, passages=[[0], [0]], start=(0, 0))
+
+
+@pytest.mark.parametrize("start", [(-1, 0), (0, 2), (1, 0), (0, -1)])
+def test_maze_rejects_a_start_off_the_grid(start):
+    with pytest.raises(ValueError, match=r"outside the 1x2 grid"):
+        Maze(width=2, height=1, passages=[[1 << E, 1 << W]], start=start)
+
+
+@pytest.mark.parametrize("d", DIRECTIONS)
+def test_maze_rejects_a_border_cell_that_opens_off_the_grid(d):
+    # On a 1x2 grid a cell opening N once let a step reach (-1, 0), whose
+    # negative index read row 0's table, and the env counted 3 cells of 2.
+    # Open d at each cell where d leads outside.
+    maze = open_grid(2, 1)
+    for c in range(2):
+        if not (0 <= DELTAS[d][0] < 1 and 0 <= c + DELTAS[d][1] < 2):
+            passages = maze.passages.copy()
+            passages[0, c] |= 1 << d
+            with pytest.raises(ValueError, match=f"a border cell opens {'NESW'[d]}, off the grid"):
+                Maze(width=2, height=1, passages=passages, start=(0, 0))
+
+
 def test_passages_are_read_only_once_built():
     passages = np.zeros((1, 2), dtype=np.uint8)
     passages[0, 0] |= 1 << E
@@ -227,7 +252,8 @@ def test_deepcopy_of_a_mid_episode_env_steps_like_the_original():
         assert np.array_equal(twin.action_mask(), env.action_mask())
         assert twin.outgoing() == env.outgoing()
         a = acts[int(rng.integers(len(acts)))]
-        mine, theirs = env.step(a), twin.step(a)
+        assert twin.step(a) == env.step(a)
+        mine, theirs = env.observe(), twin.observe()
         assert theirs.edges == mine.edges
         assert np.array_equal(theirs.coverage, mine.coverage)
         assert np.array_equal(theirs.node_features, mine.node_features)
@@ -313,4 +339,5 @@ def test_incremental_observe_matches_a_from_scratch_rebuild(width, height, loop_
             break
         d = exits[choices[k] % len(exits)][0]
         walk.append(d)
-        obs = env.step(d)
+        env.step(d)
+        obs = env.observe()

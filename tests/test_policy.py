@@ -17,7 +17,7 @@ from graphexplore.episode import (
 )
 from graphexplore.graphnet import GraphNet, GraphNetConfig
 from graphexplore.tensor import ParamSet, Tape, Tensor, no_grad
-from reference import episode_outputs, replayed_masks
+from reference import episode_outputs, replayed_inputs
 
 
 def rng_of(seed):
@@ -194,7 +194,6 @@ def test_run_episodes_runs_episode_with_masking():
     assert all(lp <= 0.0 for lp in logprobs)
     assert all(ent >= 0.0 for ent in entropies)
     assert episode_objective(history) > 0.0
-    batch.validate()
 
 
 def test_run_episodes_keeps_the_policy_outputs_of_each_decision():
@@ -210,9 +209,32 @@ def test_run_episodes_keeps_the_policy_outputs_of_each_decision():
     for env, seed, traj, own in zip(envs, seeds, batch.episodes, batch.rows):
         records = traj.history.records[1:]
         assert records and len(own) == len(records)
-        masks = replayed_masks(env, seed, traj)
+        _, masks = replayed_inputs(env, seed, traj)
         assert all(mask[rec.action] for mask, rec in zip(masks, records))
-    batch.validate()
+
+
+class CountingMaze(MazeEnv):
+    """A maze env that counts its observe() calls."""
+
+    observed = 0
+
+    def observe(self):
+        self.observed += 1
+        return super().observe()
+
+
+def test_run_episodes_observes_once_per_decision_of_an_episode_that_goes_on():
+    # The newest observation feeds the next decision, so an episode is
+    # observed after each step but its last; an episode with no decision
+    # is never observed (reset hands over the first observation).
+    model = make_learned_model(ParamSet(seed=27))
+    envs = [CountingMaze(generate_maze(4, 4, 0.1, seed=s), budget=8) for s in (2, 3)]
+    envs += [CountingMaze(generate_maze(2, 2, 1.0, 3), budget=40),  # covered early
+             CountingMaze(generate_maze(1, 1, 0.0, 0), budget=5)]  # no decision
+    batch = model.run_episodes(envs, [1, 2, 3, 4])
+    decisions = [len(traj.history.records) - 1 for traj in batch.episodes]
+    assert batch.episodes[2].terminated_early and decisions[3] == 0
+    assert [env.observed for env in envs] == [max(n - 1, 0) for n in decisions]
 
 
 def test_run_episodes_seed_determinism():
