@@ -7,6 +7,12 @@ program against a world yields a coverage report: one bit per statement
 and a true/false outcome pair per condition site. Runtime faults are data on
 the report, never exceptions: wall_crash, no_marker, marker_overflow,
 step_cap.
+
+execute walks the program tree on plain Python values. The grid becomes a
+flat list of ints with a one-cell wall border, so a move or a *IsClear test is
+one list read; the hero is one flat index plus a facing index 0..3 into NESW.
+Fuel is one unit per primitive action and one per condition check, spent
+before the action or check runs; not() and repeat iterations cost nothing.
 """
 
 from __future__ import annotations
@@ -15,10 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lang import ACTIONS
-
 FACINGS = "NESW"
-_DELTA = {"N": (-1, 0), "E": (0, 1), "S": (1, 0), "W": (0, -1)}
 
 WALL = -1
 MAX_MARKERS = 9
@@ -56,9 +59,6 @@ class KarelWorld:
     def side(self):
         return int(self.grid.shape[0])
 
-    def copy(self):
-        return KarelWorld(self.grid.copy(), self.hero, self.facing)
-
 
 @dataclass
 class CoverageReport:
@@ -69,7 +69,6 @@ class CoverageReport:
     branch_hit: np.ndarray  # (n_branches, 2) int8
     error: str = None  # wall_crash | no_marker | marker_overflow | step_cap | None
     steps: int = 0
-    world: KarelWorld = None  # state when execution stopped
 
     def covered(self):
         return int(self.stmt_hit.sum() + self.branch_hit.sum())
@@ -80,107 +79,92 @@ class _Halt(Exception):
         self.error = error
 
 
-class _Exec:
-    def __init__(self, world, step_cap):
-        self.world = world.copy()
-        self.step_cap = step_cap
-        self.steps = 0
-
-    def _spend(self):
-        if self.steps >= self.step_cap:
-            raise _Halt("step_cap")
-        self.steps += 1
-
-    def _ahead(self, turn=0):
-        f = FACINGS[(FACINGS.index(self.world.facing) + turn) % 4]
-        dr, dc = _DELTA[f]
-        return self.world.hero[0] + dr, self.world.hero[1] + dc
-
-    def _clear(self, turn):
-        r, c = self._ahead(turn)
-        side = self.world.side
-        return 0 <= r < side and 0 <= c < side and self.world.grid[r, c] != WALL
-
-    def eval_cond(self, cond):
-        if cond.name == "not":
-            return not self.eval_cond(cond.inner)
-        if cond.name == "frontIsClear":
-            return self._clear(0)
-        if cond.name == "leftIsClear":
-            return self._clear(-1)
-        if cond.name == "rightIsClear":
-            return self._clear(1)
-        here = self.world.grid[self.world.hero]
-        if cond.name == "markersPresent":
-            return here > 0
-        return here == 0  # noMarkersPresent
-
-    def do_action(self, kind):
-        self._spend()
-        w = self.world
-        if kind == "move":
-            r, c = self._ahead(0)
-            if not (0 <= r < w.side and 0 <= c < w.side) or w.grid[r, c] == WALL:
-                raise _Halt("wall_crash")
-            w.hero = (r, c)
-        elif kind == "turnLeft":
-            w.facing = FACINGS[(FACINGS.index(w.facing) - 1) % 4]
-        elif kind == "turnRight":
-            w.facing = FACINGS[(FACINGS.index(w.facing) + 1) % 4]
-        elif kind == "putMarker":
-            if w.grid[w.hero] >= MAX_MARKERS:
-                raise _Halt("marker_overflow")
-            w.grid[w.hero] += 1
-        else:  # pickMarker
-            if w.grid[w.hero] <= 0:
-                raise _Halt("no_marker")
-            w.grid[w.hero] -= 1
-
-
 def execute(program, world, step_cap=1000):
-    """Run the program on a copy of the world; never raises for runtime
-    faults. Fuel: one unit per primitive action and one per condition-site
-    evaluation (loop re-checks included); repeat iteration itself is free."""
-    stmt_hit = np.zeros(program.n_statements, dtype=np.int8)
-    branch_hit = np.zeros((program.n_branches, 2), dtype=np.int8)
-    ex = _Exec(world, step_cap)
-    error = None
+    """Run the program on a private copy of the world's cells; never raises
+    for runtime faults. Loop re-checks spend fuel like any condition check."""
+    side = world.side
+    width = side + 2
+    cells = [WALL] * (width + 1)
+    for row in world.grid.tolist():
+        cells += row
+        cells += (WALL, WALL)  # this row's east border, the next row's west border
+    cells += [WALL] * (width - 1)
+    ahead = (-width, 1, width, -1)  # flat offset one cell along each facing
+    pos = (world.hero[0] + 1) * width + world.hero[1] + 1
+    facing = FACINGS.index(world.facing)
+    steps = 0
+    stmt_hit = [0] * program.n_statements
+    branch_hit = [0] * (2 * program.n_branches)  # [true, false] per site, flattened
+
+    def holds(cond):
+        name = cond.name
+        if name == "not":
+            return not holds(cond.inner)
+        if name == "frontIsClear":
+            return cells[pos + ahead[facing]] != WALL
+        if name == "leftIsClear":
+            return cells[pos + ahead[(facing + 3) % 4]] != WALL
+        if name == "rightIsClear":
+            return cells[pos + ahead[(facing + 1) % 4]] != WALL
+        if name == "markersPresent":
+            return cells[pos] > 0
+        return cells[pos] == 0  # noMarkersPresent
 
     def check(stmt):
-        ex._spend()
-        taken = ex.eval_cond(stmt.cond)
-        branch_hit[stmt.branch_id, 0 if taken else 1] = 1
+        nonlocal steps
+        if steps >= step_cap:
+            raise _Halt("step_cap")
+        steps += 1
+        taken = holds(stmt.cond)
+        branch_hit[2 * stmt.branch_id + (not taken)] = 1
         return taken
 
-    def run_block(stmts):
+    def run(stmts):
+        nonlocal pos, facing, steps
         for s in stmts:
             stmt_hit[s.stmt_id] = 1
-            if s.kind in ACTIONS:
-                ex.do_action(s.kind)
-            elif s.kind == "if":
+            kind = s.kind
+            if kind == "if":
                 if check(s):
-                    run_block(s.body)
-            elif s.kind == "ifElse":
-                if check(s):
-                    run_block(s.body)
-                else:
-                    run_block(s.orelse)
-            elif s.kind == "while":
+                    run(s.body)
+            elif kind == "ifElse":
+                run(s.body if check(s) else s.orelse)
+            elif kind == "while":
                 while check(s):
-                    run_block(s.body)
-            else:  # repeat
+                    run(s.body)
+            elif kind == "repeat":
                 for _ in range(s.count):
-                    run_block(s.body)
+                    run(s.body)
+            else:  # a primitive action
+                if steps >= step_cap:
+                    raise _Halt("step_cap")
+                steps += 1
+                if kind == "move":
+                    dest = pos + ahead[facing]
+                    if cells[dest] == WALL:
+                        raise _Halt("wall_crash")
+                    pos = dest
+                elif kind == "turnLeft":
+                    facing = (facing + 3) % 4
+                elif kind == "turnRight":
+                    facing = (facing + 1) % 4
+                elif kind == "putMarker":
+                    if cells[pos] >= MAX_MARKERS:
+                        raise _Halt("marker_overflow")
+                    cells[pos] += 1
+                else:  # pickMarker
+                    if cells[pos] == 0:
+                        raise _Halt("no_marker")
+                    cells[pos] -= 1
 
+    error = None
     try:
-        run_block(program.body)
+        run(program.body)
     except _Halt as halt:
         error = halt.error
     return CoverageReport(
-        stmt_hit=stmt_hit,
-        branch_hit=branch_hit,
+        stmt_hit=np.array(stmt_hit, dtype=np.int8),
+        branch_hit=np.array(branch_hit, dtype=np.int8).reshape(-1, 2),
         error=error,
-        steps=ex.steps,
-        world=ex.world,
+        steps=steps,
     )
-

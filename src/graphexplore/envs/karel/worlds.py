@@ -17,7 +17,7 @@ class WorldConfig:
     marker_density: float = 0.1
     max_marker_count: int = 3
 
-    def validate(self):
+    def __post_init__(self):
         if self.grid_side < 1:
             raise ValueError(f"grid_side must be >= 1, got {self.grid_side}")
         if not (0.0 <= self.wall_density < 1.0):
@@ -28,30 +28,26 @@ class WorldConfig:
             raise ValueError(
                 f"max_marker_count must be in 1..{MAX_MARKERS}, got {self.max_marker_count}"
             )
-        return self
 
 
 def sample_world(config, seed):
     """Random world: iid walls, iid marker piles on open cells, hero uniform
     over open cells (its cell is cleared of markers so every sampled world is
     exactly representable as grid tokens)."""
-    config.validate()
     rng = np.random.default_rng(seed)
     side = config.grid_side
     grid = np.where(rng.random((side, side)) < config.wall_density, WALL, 0).astype(np.int8)
     if (grid == WALL).all():
         # a hero cell must exist; improbable draw, forced open
         grid[rng.integers(side), rng.integers(side)] = 0
-    open_cells = np.argwhere(grid != WALL)
+    open_cells = np.flatnonzero(grid != WALL)  # row-major
     marker_roll = rng.random(len(open_cells)) < config.marker_density
     counts = rng.integers(1, config.max_marker_count + 1, size=len(open_cells))
-    for (r, c), has, k in zip(open_cells, marker_roll, counts):
-        if has:
-            grid[r, c] = k
-    hr, hc = open_cells[rng.integers(len(open_cells))]
-    grid[hr, hc] = 0
+    grid.flat[open_cells[marker_roll]] = counts[marker_roll]
+    hero = open_cells[rng.integers(len(open_cells))]
+    grid.flat[hero] = 0
     facing = FACINGS[rng.integers(4)]
-    return KarelWorld(grid, (int(hr), int(hc)), facing)
+    return KarelWorld(grid, divmod(int(hero), side), facing)
 
 
 HEURISTIC_TRIES = 20

@@ -10,12 +10,14 @@ A Maze is immutable once built: its passage array is read-only and each
 cell's open directions are tabled at construction. MazeEnv is the one way to
 reset and step a maze; its step returns the visited-cell count and its
 observe, through the module-level observe that perfbench traces as
-envs.observe, builds the observations only the learned agent reads.
+envs.observe, builds the observations only the learned agent reads. A step
+admits and covers cells but links no edge: observe links the cells visited
+since the last observation, so walkers, which never observe, build no edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,16 +131,28 @@ def generate_maze(width, height, loop_prob, seed):
 @dataclass
 class MazeState(BeliefNodes):
     """Exploration state. Every seen cell is admitted as a node in discovery
-    order (start=0, then sightings in N,E,S,W order); visited cells are covered."""
+    order (start=0, then sightings in N,E,S,W order); visited cells are covered.
+    unlinked holds (cell, exits) for each cell visited since the last
+    observation, in visit order."""
 
     position: tuple
+    unlinked: list = field(default_factory=list)
 
 
 def observe(state):
     """Belief graph: visited + frontier nodes, and both directions of every
     passage incident to a visited cell, typed by compass direction. The one
     feature column marks the current node; the coverage bit rides in the
-    observation's coverage mask."""
+    observation's coverage mask.
+
+    The cells visited since the last observation are linked first, in visit
+    order: each open side d both ways, typed d+1 outward and opposite+1 back.
+    That is the order in which linking at each visit would fill links, so the
+    edge tuple is the same."""
+    for cell, exits in state.unlinked:
+        for d, other in exits:
+            state.link(cell, other, d + 1, OPPOSITE[d] + 1)
+    state.unlinked.clear()
     return state.observation(state.position)
 
 
@@ -150,7 +164,8 @@ class MazeEnv:
     graphexplore.episode, walker hooks included. Actions are directions N, E,
     S, W (0..3); a step returns the count of visited cells. The initial
     observation is the empty graph; the start cell's coverage is earned by
-    the first step's reward. Rewards normalize by the cell count."""
+    the first step's reward. Rewards normalize by the cell count. Belief
+    edges are linked when observed, not when stepped."""
 
     num_actions = 4
 
@@ -172,13 +187,14 @@ class MazeEnv:
         return empty_observation(BELIEF_FEATURE_WIDTH)
 
     def _visit(self, cell):
-        """First visit of `cell`: cover it, admit its neighbours and link
-        each open side d both ways, typed d+1 outward and opposite+1 back."""
+        """First visit of `cell`: cover it and admit its neighbours. Its
+        edges wait in state.unlinked until the next observe."""
         state = self.state
         state.mark_covered(cell)
-        for d, other in self.maze.exits(*cell):
+        exits = self.maze.exits(*cell)
+        for _, other in exits:
             state.admit(other)
-            state.link(cell, other, d + 1, OPPOSITE[d] + 1)
+        state.unlinked.append((cell, exits))
 
     def observe(self):
         return observe(self.state)

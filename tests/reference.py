@@ -1,7 +1,8 @@
 """Test-only references: the finite-difference gradient check, the composed
 tape ops that the fused primitives are checked against, a rollout's
 per-episode policy outputs and replayed inputs, the app belief graph's edges
-rebuilt from scratch, and exact coverage solvers on small graphs.
+rebuilt from scratch, the Karel interpreter on numpy grid cells, and exact
+coverage solvers on small graphs.
 
 Graphs in the solvers are plain adjacency lists (list of neighbor lists);
 converting from richer observation types is the caller's job.
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from graphexplore.envs.karel.lang import ACTIONS
+from graphexplore.envs.karel.machine import FACINGS, MAX_MARKERS, WALL, CoverageReport
 from graphexplore.tensor.core import Tape, _emit, as_tensor
 
 # ----------------------------------------------------------------- grad_check
@@ -144,6 +147,120 @@ def app_reference_edges(state):
     edges = [(u, v, 1) for u, v in sorted(forward)]
     edges.extend((v, u, 2) for u, v in sorted(forward) if (v, u) not in forward)
     return edges
+
+
+# ------------------------------------------------------- Karel interpreter
+
+_DELTA = {"N": (-1, 0), "E": (0, 1), "S": (1, 0), "W": (0, -1)}
+
+
+class _Halt(Exception):
+    def __init__(self, error):
+        self.error = error
+
+
+class _Exec:
+    """Hero pose and a private copy of the grid, stepped cell by cell on the
+    (side, side) numpy grid with explicit bounds checks."""
+
+    def __init__(self, world, step_cap):
+        self.grid = world.grid.copy()
+        self.hero = world.hero
+        self.facing = world.facing
+        self.step_cap = step_cap
+        self.steps = 0
+
+    def _spend(self):
+        if self.steps >= self.step_cap:
+            raise _Halt("step_cap")
+        self.steps += 1
+
+    def _ahead(self, turn=0):
+        f = FACINGS[(FACINGS.index(self.facing) + turn) % 4]
+        dr, dc = _DELTA[f]
+        return self.hero[0] + dr, self.hero[1] + dc
+
+    def _clear(self, turn):
+        r, c = self._ahead(turn)
+        side = self.grid.shape[0]
+        return 0 <= r < side and 0 <= c < side and self.grid[r, c] != WALL
+
+    def eval_cond(self, cond):
+        if cond.name == "not":
+            return not self.eval_cond(cond.inner)
+        if cond.name == "frontIsClear":
+            return self._clear(0)
+        if cond.name == "leftIsClear":
+            return self._clear(-1)
+        if cond.name == "rightIsClear":
+            return self._clear(1)
+        here = self.grid[self.hero]
+        if cond.name == "markersPresent":
+            return here > 0
+        return here == 0  # noMarkersPresent
+
+    def do_action(self, kind):
+        self._spend()
+        side = self.grid.shape[0]
+        if kind == "move":
+            r, c = self._ahead(0)
+            if not (0 <= r < side and 0 <= c < side) or self.grid[r, c] == WALL:
+                raise _Halt("wall_crash")
+            self.hero = (r, c)
+        elif kind == "turnLeft":
+            self.facing = FACINGS[(FACINGS.index(self.facing) - 1) % 4]
+        elif kind == "turnRight":
+            self.facing = FACINGS[(FACINGS.index(self.facing) + 1) % 4]
+        elif kind == "putMarker":
+            if self.grid[self.hero] >= MAX_MARKERS:
+                raise _Halt("marker_overflow")
+            self.grid[self.hero] += 1
+        else:  # pickMarker
+            if self.grid[self.hero] <= 0:
+                raise _Halt("no_marker")
+            self.grid[self.hero] -= 1
+
+
+def reference_execute(program, world, step_cap=1000):
+    """The coverage report of envs.karel.machine.execute, from an interpreter
+    that indexes the numpy grid and writes hits into numpy arrays as it goes.
+    Same fuel rules: one unit per primitive action and per condition check."""
+    stmt_hit = np.zeros(program.n_statements, dtype=np.int8)
+    branch_hit = np.zeros((program.n_branches, 2), dtype=np.int8)
+    ex = _Exec(world, step_cap)
+    error = None
+
+    def check(stmt):
+        ex._spend()
+        taken = ex.eval_cond(stmt.cond)
+        branch_hit[stmt.branch_id, 0 if taken else 1] = 1
+        return taken
+
+    def run_block(stmts):
+        for s in stmts:
+            stmt_hit[s.stmt_id] = 1
+            if s.kind in ACTIONS:
+                ex.do_action(s.kind)
+            elif s.kind == "if":
+                if check(s):
+                    run_block(s.body)
+            elif s.kind == "ifElse":
+                if check(s):
+                    run_block(s.body)
+                else:
+                    run_block(s.orelse)
+            elif s.kind == "while":
+                while check(s):
+                    run_block(s.body)
+            else:  # repeat
+                for _ in range(s.count):
+                    run_block(s.body)
+
+    try:
+        run_block(program.body)
+    except _Halt as halt:
+        error = halt.error
+    return CoverageReport(stmt_hit=stmt_hit, branch_hit=branch_hit, error=error, steps=ex.steps)
 
 
 # ------------------------------------------------------------- exact solvers

@@ -14,6 +14,7 @@ from graphexplore.envs.karel.lang import TEXT_TOKENS, render_program, sample_pro
 from graphexplore.envs.karel.machine import execute
 from graphexplore.envs.karel.worlds import WorldConfig, sample_world
 from graphexplore.episode import run_episode
+from reference import reference_execute
 
 seeds = st.integers(0, 2**32 - 1)
 configs = st.builds(
@@ -151,7 +152,55 @@ def test_execute_stays_within_its_step_cap(program_seed, config, world_seed, ste
     report = execute(program, world, step_cap=step_cap)
     assert report.steps <= step_cap
     assert report.error in (None, "wall_crash", "no_marker", "marker_overflow", "step_cap")
-    assert report.world is not None and report.world.side == world.side
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.builds(WorldConfig, grid_side=st.integers(1, 8), wall_density=st.floats(0.0, 0.95),
+                        marker_density=st.floats(0.0, 1.0), max_marker_count=st.integers(1, 9)),
+       seeds, st.one_of(st.integers(1, 50), st.just(1000)))
+def test_execute_matches_the_reference_interpreter(program_seed, config, world_seed, step_cap):
+    program = program_for(program_seed)
+    world = sample_world(config, world_seed)
+    report = execute(program, world, step_cap=step_cap)
+    want = reference_execute(program, world, step_cap=step_cap)
+    for name in ("stmt_hit", "branch_hit"):
+        got, ref = getattr(report, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape and np.array_equal(got, ref)
+    assert (report.error, report.steps) == (want.error, want.steps)
+
+
+def world_digest(config, count=200):
+    """SHA-256 over the grid bytes, hero and facing that sample_world draws
+    for seeds 0..count-1."""
+    digest = hashlib.sha256()
+    for seed in range(count):
+        world = sample_world(config, seed)
+        digest.update(world.grid.tobytes())
+        digest.update(repr((world.hero, world.facing)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("config, want", [
+    (WorldConfig(), "c468ed039208cb9f6d7992e225baa126470018149fe9a3df263eae5f2ad1488e"),
+    # 26 of the side-1 draws and 8 of the density-0.95 draws are all wall and
+    # take the forced-open branch.
+    (WorldConfig(grid_side=1), "0b9ab052e276d3fbbc2ecb994f90c8885d9d051577912ff87bb8c50152df8cc8"),
+    (WorldConfig(wall_density=0.95),
+     "69443a7b310e92d30b17854fde6c1c5410b968360e03185eba8ba8b51b054792"),
+    (WorldConfig(marker_density=1.0),
+     "72f6485662a8fe765da98bc6a7b7e428026cfe9e22573c035637a02c359731a5"),
+], ids=["default", "side-1", "walls-0.95", "markers-1.0"])
+def test_sampled_worlds_are_pinned(config, want):
+    # The Karel world policies and their pins draw from sample_world.
+    assert world_digest(config) == want
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_side", 0), ("wall_density", 1.0), ("marker_density", -0.1), ("max_marker_count", 10),
+])
+def test_world_config_rejects_a_bad_value_at_construction(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        WorldConfig(**{field: value})
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphexplore.agents import RandomPolicy
 from graphexplore.envs.maze import (
     DELTAS,
     DIRECTIONS,
     E,
+    MAZE_LOOP_PROB,
+    MAZE_SIZE,
     OPPOSITE,
     Maze,
     MazeEnv,
@@ -20,6 +23,7 @@ from graphexplore.envs.maze import (
     generate_maze,
     heldout_mazes,
 )
+from graphexplore.episode import run_episode
 
 
 def open_grid(w, h, start=(0, 0)):
@@ -341,3 +345,43 @@ def test_incremental_observe_matches_a_from_scratch_rebuild(width, height, loop_
         walk.append(d)
         env.step(d)
         obs = env.observe()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 7),
+    height=st.integers(1, 7),
+    loop_prob=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+    choices=st.lists(st.integers(0, 3), max_size=60),
+)
+def test_observing_after_unobserved_steps_matches_a_from_scratch_rebuild(width, height, loop_prob,
+                                                                         seed, choices):
+    # Edges are linked when observed; a twin observed after every step links
+    # them one visit at a time and must hand out the same edge tuple.
+    maze = generate_maze(width, height, loop_prob, seed)
+    env, twin = MazeEnv(maze, budget=len(choices)), MazeEnv(maze, budget=len(choices))
+    env.reset(np.random.default_rng(0))
+    twin.reset(np.random.default_rng(0))
+    walk = []
+    for choice in choices:
+        exits = maze.open_dirs(*env.state.position)
+        if not exits:
+            break
+        walk.append(exits[choice % len(exits)])
+        env.step(walk[-1])
+        twin.step(walk[-1])
+        twin.observe()
+    obs = env.observe()
+    edges, coverage, current, _ = reference_observation(maze, walk)
+    assert sorted(obs.edges) == sorted(edges)
+    assert obs.edges == twin.observe().edges
+    assert np.array_equal(obs.coverage, coverage)
+    assert current == env.current_node()
+
+
+def test_a_walker_episode_links_no_edge():
+    env = MazeEnv(generate_maze(MAZE_SIZE, MAZE_SIZE, MAZE_LOOP_PROB, 1), budget=36)
+    history, _ = run_episode(env, RandomPolicy(), budget=env.budget, seed=0)
+    assert len(history.records) == env.budget + 1 and len(env.state.covered) > 1
+    assert env.state.links == {}
