@@ -6,17 +6,21 @@ whose own walls stay unknown until visited. Observations carry no coordinates;
 node identity is discovery order, and edges are typed by compass direction so
 the agent can tell which action leads along which edge.
 
-A Maze is immutable once built: its passage array is read-only and each
-cell's open directions are tabled at construction. MazeEnv is the one way to
-reset and step a maze; its step returns the visited-cell count and its
-observe, through the module-level observe that perfbench traces as
-envs.observe, builds the observations only the learned agent reads. A step
-admits and covers cells but links no edge: observe links the cells visited
-since the last observation, so walkers, which never observe, build no edges.
+A Maze is immutable once built: its passage array is read-only and its
+table holds, for each cell, the open sides as exits and as a direction ->
+destination map, in entries built once per process and shared by every maze
+of the same grid shape. MazeEnv is the one way to reset and step a maze; its
+step is one table lookup and returns the visited-cell count, and its observe,
+through the module-level observe that perfbench traces as envs.observe,
+builds the observations only the learned agent reads. A step admits and
+covers cells but links no edge: observe links the cells visited since the
+last observation, so walkers, which never observe, build no edges.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +33,6 @@ DIR_NAMES = "NESW"
 DELTAS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 OPPOSITE = (S, W, N, E)
 NUM_EDGE_TYPES = 4  # edge type = direction + 1
-# Open directions of each possible uint8 passage mask.
-_DIRS_OF_MASK = tuple(tuple(d for d in DIRECTIONS if bits >> d & 1) for bits in range(256))
 
 # The frozen maze distribution of training, held-out evaluation and the
 # baseline protocols. The extra-opening probability was calibrated once so the
@@ -40,45 +42,75 @@ MAZE_SIZE = 6
 MAZE_LOOP_PROB = 0.18
 
 
+@functools.cache
+def _grid_cells(height, width):
+    """The cells of a height x width grid in row-major order, one tuple per
+    cell shared by every maze of that shape as its table's keys."""
+    return tuple(itertools.product(range(height), range(width)))
+
+
+@functools.cache
+def _cell_entry(height, width, cell, bits):
+    """(exits, destinations) of `cell` under passage mask `bits`: exits the
+    ((direction, neighbour), ...) of its open sides in N, E, S, W order,
+    destinations the dict of the same pairs. Checked to stay on the grid;
+    built once per process and shared by every maze that uses it."""
+    exits = []
+    for d in DIRECTIONS:
+        if bits >> d & 1:
+            other = (cell[0] + DELTAS[d][0], cell[1] + DELTAS[d][1])
+            if not (0 <= other[0] < height and 0 <= other[1] < width):
+                raise ValueError(f"a border cell opens {DIR_NAMES[d]}, off the grid")
+            exits.append((d, other))
+    exits = tuple(exits)
+    return exits, dict(exits)
+
+
 @dataclass(frozen=True)
 class Maze:
     width: int
     height: int
     passages: np.ndarray  # (height, width) uint8, bit d set = open toward DELTAS[d]
-    start: tuple
+    start: tuple  # (row, col), stored as two Python ints
+    # cell -> (exits, destinations); read-only, as mazes share the entries (see _cell_entry).
+    table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # A read-only copy, so the direction table built from it cannot go stale.
+        # A read-only copy, so the table built from it cannot go stale.
         passages = np.array(self.passages, dtype=np.uint8)
         if passages.shape != (self.height, self.width):
             raise ValueError(f"passages shape {passages.shape} is not (height, width) "
                              f"{(self.height, self.width)}")
-        if not (0 <= self.start[0] < self.height and 0 <= self.start[1] < self.width):
-            raise ValueError(f"start {self.start} outside the {self.height}x{self.width} grid")
-        for side, d in ((passages[0], N), (passages[:, -1], E), (passages[-1], S),
-                        (passages[:, 0], W)):
-            if (side >> d & 1).any():
-                raise ValueError(f"a border cell opens {DIR_NAMES[d]}, off the grid")
+        try:
+            r, c = self.start
+            start = (int(r), int(c))
+            integral = start == (r, c)
+        except (TypeError, ValueError, ArithmeticError):
+            integral = False
+        if not integral:
+            raise ValueError(f"start {self.start!r} is not a (row, col) pair of integers")
+        if not (0 <= start[0] < self.height and 0 <= start[1] < self.width):
+            raise ValueError(f"start {start} outside the {self.height}x{self.width} grid")
         passages.flags.writeable = False
         object.__setattr__(self, "passages", passages)
-        # _dirs[r][c]: the open directions of (r, c), in N, E, S, W order.
-        object.__setattr__(self, "_dirs", [[_DIRS_OF_MASK[bits] for bits in row]
-                                           for row in passages.tolist()])
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "table", {
+            cell: _cell_entry(self.height, self.width, cell, bits)
+            for cell, bits in zip(_grid_cells(self.height, self.width),
+                                  passages.ravel().tolist())})
 
     def __reduce__(self):
         # Copies and pickles go through the constructor, which re-freezes the
-        # passages and rebuilds the direction table.
+        # passages and rebuilds the table.
         return Maze, (self.width, self.height, self.passages, self.start)
 
-    def is_open(self, r, c, d):
-        return d in self._dirs[r][c]
-
     def open_dirs(self, r, c):
-        return list(self._dirs[r][c])
+        return list(self.table[r, c][1])
 
     def exits(self, r, c):
-        """[(direction, neighbour cell), ...] of the open sides of (r, c)."""
-        return [(d, (r + DELTAS[d][0], c + DELTAS[d][1])) for d in self._dirs[r][c]]
+        """((direction, neighbour cell), ...) of the open sides of (r, c), in
+        N, E, S, W order."""
+        return self.table[r, c][0]
 
     def cells(self):
         return self.width * self.height
@@ -201,17 +233,20 @@ class MazeEnv:
 
     def step(self, direction):
         """Move one cell along an open passage, visiting the destination if
-        it is new."""
-        r, c = self.state.position
-        if direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {direction!r}")
-        if not self.maze.is_open(r, c, direction):
-            raise ValueError(f"blocked direction {DIR_NAMES[direction]} from {(r, c)}")
-        dest = (r + DELTAS[direction][0], c + DELTAS[direction][1])
-        self.state.position = dest
-        if self.state.node_ids[dest] not in self.state.covered:
+        it is new: one lookup in the maze's table, whose destinations hold
+        exactly the open directions."""
+        state = self.state
+        try:
+            dest = self.maze.table[state.position][1][direction]
+        except (KeyError, TypeError):
+            if direction not in DIRECTIONS:
+                raise ValueError(f"unknown direction {direction!r}") from None
+            raise ValueError(f"blocked direction {DIR_NAMES[direction]} "
+                             f"from {state.position}") from None
+        state.position = dest
+        if state.node_ids[dest] not in state.covered:
             self._visit(dest)
-        return len(self.state.covered)
+        return len(state.covered)
 
     def action_mask(self):
         mask = np.zeros(4, dtype=bool)
@@ -227,10 +262,11 @@ class MazeEnv:
         return self.state.node_ids[self.state.position]
 
     def outgoing(self):
-        exits = self.maze.exits(*self.state.position)
+        exits = self.maze.table[self.state.position][0]
         if self.hide_destinations:
             return [(d, None) for d, _ in exits]
-        return [(d, self.state.node_ids[other]) for d, other in exits]
+        node_ids = self.state.node_ids
+        return [(d, node_ids[other]) for d, other in exits]
 
     def reverse_action(self, direction):
         return OPPOSITE[direction]

@@ -37,10 +37,12 @@ import numpy as np
 from .tensor import Embedding, LSTMCell, Tensor, concat, slice_
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """One history entry (x_t, c_t, r_t): the raw env action (None at record
-    0), the covered-unit count after it (0 at record 0) and its reward."""
+    0), the covered-unit count after it (0 at record 0) and its reward. An
+    episode keeps one per decision, so it has slots, not a per-instance
+    dict."""
 
     action: object
     covered: int
@@ -268,15 +270,16 @@ def advance_episode(env, traj, action):
     A failing step, or a covered-unit count that drops, raises
     EpisodeStepError naming the step."""
     history = traj.history
-    t = len(history.records)
+    records = history.records
+    t = len(records)
     try:
         covered = env.step(action)
-        reward = compute_reward(history.last().covered, covered, history.normalizer)
+        reward = compute_reward(records[-1].covered, covered, history.normalizer)
     except Exception as e:
         raise EpisodeStepError(t, e) from e
-    history.records.append(StepRecord(action=action, covered=covered, reward=reward))
-    traj.terminated_early = env.fully_explored()
-    return traj.terminated_early or t >= history.budget
+    records.append(StepRecord(action, covered, reward))
+    traj.terminated_early = done = env.fully_explored()
+    return done or t >= history.budget
 
 
 def run_episode(env, policy, budget, seed):

@@ -48,14 +48,11 @@ def maze_tree_adjacency(maze):
     for r in range(maze.height):
         for c in range(maze.width):
             u = r * maze.width + c
-            if maze.is_open(r, c, 1):  # E
-                v = r * maze.width + c + 1
-                adj[u].append(v)
-                adj[v].append(u)
-            if maze.is_open(r, c, 2):  # S
-                v = (r + 1) * maze.width + c
-                adj[u].append(v)
-                adj[v].append(u)
+            for d, (nr, nc) in maze.exits(r, c):
+                if d in (1, 2):  # E, S: each passage once
+                    v = nr * maze.width + nc
+                    adj[u].append(v)
+                    adj[v].append(u)
     return adj
 
 

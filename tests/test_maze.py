@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -69,10 +70,10 @@ def test_generate_deterministic_and_symmetric():
     assert np.array_equal(a.passages, b.passages) and a.start == b.start
     for r in range(6):
         for c in range(6):
-            if a.is_open(r, c, E):
-                assert a.is_open(r, c + 1, W)
-            if a.is_open(r, c, S):
-                assert a.is_open(r + 1, c, N)
+            if E in a.open_dirs(r, c):
+                assert W in a.open_dirs(r, c + 1)
+            if S in a.open_dirs(r, c):
+                assert N in a.open_dirs(r + 1, c)
 
 
 def test_generate_connected():
@@ -133,8 +134,11 @@ def test_step_deltas_and_errors():
     assert len(env.state.covered) == covered + 1
     env.step(W)
     assert len(env.state.covered) == covered + 1
-    with pytest.raises(ValueError, match="blocked"):
+    with pytest.raises(ValueError, match="blocked direction N from"):
         env.step(N)
+    for direction in (4, -1):
+        with pytest.raises(ValueError, match=f"unknown direction {direction}"):
+            env.step(direction)
 
 
 def test_corner_cell_action_bound():
@@ -202,6 +206,45 @@ def test_env_mask_matches_valid_actions():
     assert np.flatnonzero(mask).tolist() == [d for d, _ in env.outgoing()]
 
 
+@pytest.mark.parametrize("start, stored", [([1, 1], (1, 1)), ((0.0, 1.0), (0, 1)),
+                                           ((np.int64(2), np.uint8(0)), (2, 0))])
+def test_maze_stores_its_start_as_two_python_ints(start, stored):
+    # A list start once built, and reset then raised "unhashable type: 'list'".
+    maze = open_grid(3, 3, start=start)
+    assert maze.start == stored and [type(x) for x in maze.start] == [int, int]
+    env = fresh_env(maze)
+    assert env.state.position == stored and env.current_node() == 0
+
+
+@pytest.mark.parametrize("start", [(0.5, 1), (1, None), (1,), (1, 1, 1), "ab", 3,
+                                   (float("nan"), 0), (float("inf"), 0)])
+def test_maze_rejects_a_start_that_is_not_two_integers(start):
+    with pytest.raises(ValueError, match=r"is not a \(row, col\) pair of integers"):
+        open_grid(3, 3, start=start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 6),
+    height=st.integers(1, 6),
+    loop_prob=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_table_matches_the_passage_bits(width, height, loop_prob, seed):
+    maze = generate_maze(width, height, loop_prob, seed)
+    assert list(maze.table) == [(r, c) for r in range(height) for c in range(width)]
+    for (r, c), (exits, destinations) in maze.table.items():
+        bits = int(maze.passages[r, c])
+        want = tuple((d, (r + DELTAS[d][0], c + DELTAS[d][1]))
+                     for d in DIRECTIONS if bits >> d & 1)
+        assert exits == want and maze.exits(r, c) == want
+        assert list(destinations.items()) == list(want)
+        assert maze.open_dirs(r, c) == [d for d, _ in want]
+    for twin in (copy.deepcopy(maze), pickle.loads(pickle.dumps(maze))):
+        assert twin.table == maze.table
+        assert np.array_equal(twin.passages, maze.passages) and twin.start == maze.start
+
+
 def test_maze_rejects_passages_of_another_shape():
     with pytest.raises(ValueError, match=r"passages shape \(2, 1\) is not \(height, width\) \(1, 2\)"):
         Maze(width=2, height=1, passages=[[0], [0]], start=(0, 0))
@@ -239,7 +282,7 @@ def test_passages_are_read_only_once_built():
     # The maze keeps its own copy: the builder's array stays writable and
     # writing it does not reach the maze.
     passages[0, 0] = 0
-    assert maze.is_open(0, 0, E) and maze.open_dirs(0, 0) == [E]
+    assert maze.open_dirs(0, 0) == [E]
 
 
 def test_deepcopy_of_a_mid_episode_env_steps_like_the_original():
@@ -277,10 +320,9 @@ def reference_observation(maze, walk):
 
     def arrive(cell):
         node_ids.setdefault(cell, len(node_ids))
-        for d in DIRECTIONS:
-            if maze.is_open(*cell, d):
-                node_ids.setdefault((cell[0] + DELTAS[d][0], cell[1] + DELTAS[d][1]),
-                                    len(node_ids))
+        for d in maze.open_dirs(*cell):
+            node_ids.setdefault((cell[0] + DELTAS[d][0], cell[1] + DELTAS[d][1]),
+                                len(node_ids))
 
     pos = maze.start
     visited = {pos}
@@ -297,9 +339,7 @@ def reference_observation(maze, walk):
             continue
         u = node_ids[cell]
         coverage[u] = 1.0
-        for d in DIRECTIONS:
-            if not maze.is_open(*cell, d):
-                continue
+        for d in maze.open_dirs(*cell):
             other = (cell[0] + DELTAS[d][0], cell[1] + DELTAS[d][1])
             v = node_ids[other]
             edges.append((u, v, d + 1))
@@ -337,7 +377,7 @@ def test_incremental_observe_matches_a_from_scratch_rebuild(width, height, loop_
         assert np.array_equal(obs.node_features, features)
         pos = env.state.position
         exits = [(d, (pos[0] + DELTAS[d][0], pos[1] + DELTAS[d][1]))
-                 for d in DIRECTIONS if env.maze.is_open(*pos, d)]
+                 for d in env.maze.open_dirs(*pos)]
         assert env.outgoing() == [(d, None if hide else node_ids[cell]) for d, cell in exits]
         if k == len(choices) or not exits:
             break
