@@ -23,7 +23,7 @@ def random_act(actions, rng):
 class RandomPolicy:
     """run_episode adapter: random_act over the actions of env.outgoing()."""
 
-    def __call__(self, history, env, rng):
+    def __call__(self, env, rng):
         return random_act([a for a, _ in env.outgoing()], rng)
 
 
@@ -54,7 +54,7 @@ class RandDfsPolicy:
         self.last_action = None
         self.bouncing = False
 
-    def __call__(self, history, env, rng):
+    def __call__(self, env, rng):
         cur = env.current_node()
         if not self.frames:
             # First call, or a restart after the stack ran dry.

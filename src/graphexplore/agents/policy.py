@@ -182,8 +182,7 @@ class PolicyModel:
                 offset += len(live)
                 if len(kept) < len(live):
                     live = [live[row] for row in kept]
-                    if state is not None:
-                        state = embed_lookup(state, kept)
+                    state = embed_lookup(state, kept)
             outputs = tuple(concat(parts) for parts in zip(*steps)) if steps else None
         return TrajectoryBatch(episodes=trajs, outputs=outputs,
                                rows=[np.asarray(r, dtype=np.intp) for r in rows])

@@ -66,7 +66,7 @@ class KarelEnv:
 def random_world_policy(config):
     """Baseline: propose an iid world per step, program-blind."""
 
-    def policy(history, env, rng):
+    def policy(env, rng):
         return worlds.sample_world(config, int(rng.integers(2**62)))
 
     return policy
@@ -75,7 +75,7 @@ def random_world_policy(config):
 def heuristic_world_policy(config):
     """Baseline: propose worlds screened by the valid-execution heuristic."""
 
-    def policy(history, env, rng):
+    def policy(env, rng):
         seed = int(rng.integers(2**62))
         return worlds.valid_execution_heuristic(env.program, config, seed)
 

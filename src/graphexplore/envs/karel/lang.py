@@ -1,7 +1,7 @@
-"""Grid-robot DSL: the program AST, its canonical renderer, and the random
-program sampler that is the only source of programs.
+"""Grid-robot DSL: the program AST and the random program sampler that is
+the only source of programs.
 
-The concrete syntax is what render_program emits:
+In concrete syntax (the text the pinned program digest in the tests hashes):
 
     def run() {
       move
@@ -29,8 +29,7 @@ unconditional and owns no branch site.
 from __future__ import annotations
 
 import itertools
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 ACTIONS = ("move", "turnLeft", "turnRight", "putMarker", "pickMarker")
 TESTS = (
@@ -40,20 +39,6 @@ TESTS = (
     "markersPresent",
     "noMarkersPresent",
 )
-
-# Source-text token vocabulary of KarelProgram.token_ids, which the pinned
-# program digest hashes. All integer literals collapse onto the single <int> id.
-TEXT_TOKENS = (
-    "def", "run", "(", ")", "{", "}",
-    "move", "turnLeft", "turnRight", "putMarker", "pickMarker",
-    "if", "ifElse", "while", "repeat", "not",
-    "frontIsClear", "leftIsClear", "rightIsClear",
-    "markersPresent", "noMarkersPresent",
-    "<int>",
-)
-_TEXT_IDS = {tok: i for i, tok in enumerate(TEXT_TOKENS)}
-_TEXT_TOKEN = re.compile(r"\w+|[(){}]")
-
 
 @dataclass(frozen=True)
 class Cond:
@@ -77,44 +62,6 @@ class KarelProgram:
     body: tuple
     n_statements: int
     n_branches: int
-    token_ids: tuple = field(compare=False, default=())  # TEXT_TOKENS ids of the rendered text
-
-
-def _render_cond(cond):
-    if cond.name == "not":
-        return f"not({_render_cond(cond.inner)})"
-    return cond.name
-
-
-def _render_block(stmts, indent):
-    pad = "  " * indent
-    lines = []
-    for s in stmts:
-        if s.kind in ACTIONS:
-            lines.append(pad + s.kind)
-        elif s.kind == "repeat":
-            lines.append(pad + f"repeat ({s.count}) {{")
-            lines.extend(_render_block(s.body, indent + 1))
-            lines.append(pad + "}")
-        elif s.kind == "ifElse":
-            lines.append(pad + f"ifElse ({_render_cond(s.cond)}) {{")
-            lines.extend(_render_block(s.body, indent + 1))
-            lines.append(pad + "} {")
-            lines.extend(_render_block(s.orelse, indent + 1))
-            lines.append(pad + "}")
-        else:
-            lines.append(pad + f"{s.kind} ({_render_cond(s.cond)}) {{")
-            lines.extend(_render_block(s.body, indent + 1))
-            lines.append(pad + "}")
-    return lines
-
-
-def render_program(program):
-    """Canonical source text, the DSL's concrete syntax."""
-    lines = ["def run() {"]
-    lines.extend(_render_block(program.body, 1))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # The frozen program distribution: control nesting depth and statement budget.
@@ -167,7 +114,4 @@ def sample_program(rng):
         return tuple(stmts)
 
     # block(1) runs first, so the next unused ids are the counts
-    program = KarelProgram(block(1), next(stmt_ids), next(branch_ids))
-    tokens = _TEXT_TOKEN.findall(render_program(program))
-    return replace(program, token_ids=tuple(_TEXT_IDS["<int>" if tok.isdigit() else tok]
-                                            for tok in tokens))
+    return KarelProgram(block(1), next(stmt_ids), next(branch_ids))

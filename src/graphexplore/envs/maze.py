@@ -66,6 +66,26 @@ def _cell_entry(height, width, cell, bits):
     return exits, dict(exits)
 
 
+@functools.cache
+def _side_masks(cells):
+    """(E-bit mask, S-bit mask) of `cells` passage bytes packed into one int,
+    byte i holding cell i in row-major order."""
+    return int.from_bytes(b"\x02" * cells, "little"), int.from_bytes(b"\x04" * cells, "little")
+
+
+def _one_way(passages):
+    """Whether some open side's neighbour lacks the opposite side, on the
+    (height, width) uint8 passages of a grid with no side open off it. The
+    row-major bytes pack into one int x: cell i's E bit (bit 1) sits 10 bits
+    below cell i+1's W bit (bit 3), and its S bit (bit 2) 8 * width - 2 bits
+    below cell i+width's N bit (bit 0), so one shift and xor per axis compares
+    every pair. A last-column cell and the next row's first cell compare 0 with
+    0, as neither opens off the grid."""
+    x = int.from_bytes(passages.tobytes(), "little")
+    east, south = _side_masks(passages.size)
+    return bool((x ^ x >> 10) & east or (x ^ x >> (8 * passages.shape[1] - 2)) & south)
+
+
 @dataclass(frozen=True)
 class Maze:
     width: int
@@ -94,10 +114,15 @@ class Maze:
         passages.flags.writeable = False
         object.__setattr__(self, "passages", passages)
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "table", {
-            cell: _cell_entry(self.height, self.width, cell, bits)
-            for cell, bits in zip(_grid_cells(self.height, self.width),
-                                  passages.ravel().tolist())})
+        table = {cell: _cell_entry(self.height, self.width, cell, bits)
+                 for cell, bits in zip(_grid_cells(self.height, self.width),
+                                       passages.ravel().tolist())}
+        if _one_way(passages):
+            cell, d, other = next((cell, d, other) for cell, (exits, _) in table.items()
+                                  for d, other in exits if OPPOSITE[d] not in table[other][1])
+            raise ValueError(f"cell {cell} opens {DIR_NAMES[d]}, but its neighbour {other} "
+                             f"does not open {DIR_NAMES[OPPOSITE[d]]}")
+        object.__setattr__(self, "table", table)
 
     def __reduce__(self):
         # Copies and pickles go through the constructor, which re-freezes the

@@ -1,6 +1,6 @@
 """Coverage-episode machinery: rewards, objectives, interaction histories, and
-the configurable history encoder F(h_t) that turns a history into the policy's
-input vector.
+the history encoder F(h_t) that turns a history into the policy's input
+vector.
 
 Episode layout: record 0 is always (null action, 0 covered units, reward 0).
 In environments that start with an empty belief graph, the first decision is
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Embedding, LSTMCell, Tensor, concat, slice_
+from .tensor import Embedding, LSTMCell, concat, slice_
 
 
 @dataclass(slots=True)
@@ -81,12 +81,6 @@ def episode_objective(history):
 # --------------------------------------------------------- history encoding
 
 
-TEMPORAL_MODES = ("last_step", "autoregressive")
-# The conditioning arms. Only graph reads the coverage graph; uncond and
-# envcond condition on nothing (envcond appends the previous reward).
-CONDITIONING = ("graph", "uncond", "envcond")
-
-
 @dataclass
 class HistoryEncoderConfig:
     temporal_mode: str = "autoregressive"
@@ -95,27 +89,24 @@ class HistoryEncoderConfig:
     action_width: int = 16
     action_vocab: int = 0  # size of the action embedding table; must be >= 1
 
-    def validate(self):
-        if self.temporal_mode not in TEMPORAL_MODES:
-            raise ValueError(f"temporal_mode {self.temporal_mode!r} not in {TEMPORAL_MODES}")
-        if self.conditioning not in CONDITIONING:
-            raise ValueError(f"conditioning {self.conditioning!r} not in {CONDITIONING}")
+    def __post_init__(self):
+        # graph x autoregressive is the one arm; the last_step, uncond and
+        # envcond arms, with their tests, are in commit 8bb99df.
+        for name, kept in (("temporal_mode", "autoregressive"), ("conditioning", "graph")):
+            if getattr(self, name) != kept:
+                raise ValueError(f"{name} {getattr(self, name)!r}: only {kept!r} is kept; "
+                                 f"restore the other arms from commit 8bb99df")
         if self.action_vocab < 1:
             raise ValueError(f"action_vocab must be >= 1, got {self.action_vocab}")
-        return self
 
 
 class HistoryEncoder:
     """F(h_t): per-record summaries folded through time.
 
-    Summary = [conditioning part, g_x(action)], where `conditioning` picks
-    the conditioning part: the GraphNet encoding of the coverage graph
-    (graph, the paper's GNN arm; GraphNet.encode_batch), or zeros (uncond,
-    and envcond, which also appends the previous reward).
-
-    temporal_mode last_step returns the newest summary; autoregressive folds
-    summaries through an LSTM whose hidden state is F(h_t). Its state is one
-    [h | c] tensor, and F is its h half.
+    Summary = [GraphNet encoding of the coverage graph (the paper's GNN;
+    GraphNet.encode_batch), g_x(action)]. Summaries fold through an LSTM
+    whose hidden state is F(h_t); its state is one [h | c] tensor, and F is
+    its h half.
 
     Rollouts fold episodes as rows of one (K, 2H) state, stepping K episodes
     in lockstep (PolicyModel.run_episodes): each step builds the newest
@@ -125,31 +116,19 @@ class HistoryEncoder:
     """
 
     def __init__(self, params, name, config, graph_net):
-        config.validate()
         self.config = config
         self.net = graph_net
-        self.d = graph_net.config.d
         # The action table is an attribute, not captured in a closure, so a
         # deep copy of the model reads and trains its own copy of it. Row
         # [action_vocab] is the null action of record 0.
         self.actions = Embedding(
             params, f"{name}/actions", config.action_vocab + 1, config.action_width
         )
-        self.dtype = params.dtype  # of the constant rows built beside the learned ones
-        width = self.summary_width()
-        if config.temporal_mode == "autoregressive":
-            self.cell = LSTMCell(params, f"{name}/fold", width, config.recurrent_width)
-
-    def summary_width(self):
-        w = self.d + self.config.action_width
-        if self.config.conditioning == "envcond":
-            w += 1
-        return w
+        width = graph_net.config.d + config.action_width
+        self.cell = LSTMCell(params, f"{name}/fold", width, config.recurrent_width)
 
     def output_width(self):
-        if self.config.temporal_mode == "autoregressive":
-            return self.config.recurrent_width
-        return self.summary_width()
+        return self.config.recurrent_width
 
     # -- pieces -------------------------------------------------------------
 
@@ -164,42 +143,29 @@ class HistoryEncoder:
                 raise ValueError(f"action {rec.action} outside [0, {null}) (action_vocab {null})")
         return self.actions(ids)
 
-    def conditioning_rows(self, observations):
-        """(R, d) conditioning parts of the R `observations`."""
-        if self.config.conditioning == "graph":
-            return self.net.encode_batch(observations)
-        return Tensor(np.zeros((len(observations), self.d), dtype=self.dtype))
-
     def summaries(self, observations, records):
-        """(R, summary_width) summaries of `records`, record i seen with the
-        graph `observations[i]`, built with one batched graph encode and one
-        action lookup."""
-        parts = [self.conditioning_rows(observations), self.action_rows(records)]
-        if self.config.conditioning == "envcond":
-            parts.append(Tensor(np.asarray([[rec.reward] for rec in records], dtype=self.dtype)))
-        return concat(parts, axis=1)
+        """(R, d + action_width) summaries of `records`, record i seen with
+        the graph `observations[i]`, built with one batched graph encode and
+        one action lookup."""
+        return concat([self.net.encode_batch(observations), self.action_rows(records)], axis=1)
 
     def summary(self, observation, record):
-        """The (1, summary_width) summary of one record."""
+        """The (1, d + action_width) summary of one record."""
         return self.summaries([observation], [record])
 
     # -- temporal fold ------------------------------------------------------
 
     def init_state(self, rows):
         """Zero fold state: the LSTM's (rows, 2H) [h | c] of `rows` sequences
-        folded in parallel; None in last_step mode."""
-        if self.config.temporal_mode != "autoregressive":
-            return None
+        folded in parallel."""
         return self.cell.zero_state(rows)
 
     def fold(self, state, summ):
-        """Consume one (rows, summary_width) batch of summaries; returns
+        """Consume one (rows, d + action_width) batch of summaries; returns
         (F, new state). The state is the packed (rows, 2H) [h | c] tensor and
-        F its h half, or None in last_step mode, which keeps no state."""
-        if self.config.temporal_mode == "autoregressive":
-            state = self.cell(summ, state)
-            return slice_(state, 0, self.config.recurrent_width, axis=1), state
-        return summ, None
+        F its h half."""
+        state = self.cell(summ, state)
+        return slice_(state, 0, self.config.recurrent_width, axis=1), state
 
 
 # ------------------------------------------------------------ rollout loop
@@ -284,7 +250,7 @@ def advance_episode(env, traj, action):
 
 def run_episode(env, policy, budget, seed):
     """Roll one episode of a callable policy (baselines, Karel world
-    policies): `policy(history, env, rng)` returns an action. Stops after the
+    policies): `policy(env, rng)` returns an action. Stops after the
     budget is spent or as soon as the environment reports full coverage
     following a step. Returns (history, trajectory). It never observes the
     env: the policies it runs read the env's walker hooks or nothing. The
@@ -294,5 +260,5 @@ def run_episode(env, policy, budget, seed):
     rng = np.random.default_rng(seed)
     traj, _, done = begin_episode(env, rng, budget)
     while not done:
-        done = advance_episode(env, traj, policy(traj.history, env, rng))
+        done = advance_episode(env, traj, policy(env, rng))
     return traj.history, traj

@@ -49,7 +49,7 @@ def test_er_app_p_one_complete_graph_coverable_in_n_minus_one():
     assert len(g.screens) == n
     assert g.max_out_degree() == n - 1
 
-    def fresh_first(history, env, rng):
+    def fresh_first(env, rng):
         out = env_graph.outgoing(env.state.current)
         for i, (_, dst) in enumerate(out):
             if dst not in env.state.node_ids:
@@ -203,7 +203,7 @@ def test_step_invalid_action_errors():
         fresh_env(g).step(1)  # "a" has out-degree 1
     env = AppEnv(g, budget=15)
     with pytest.raises(EpisodeStepError):
-        run_episode(env, lambda h, e, r: 5, budget=15, seed=0)
+        run_episode(env, lambda e, r: 5, budget=15, seed=0)
 
 
 def test_budget_terminal():
@@ -214,7 +214,7 @@ def test_budget_terminal():
     )
     env = AppEnv(g, budget=15)
     # full coverage after step 1 ends the episode early
-    history, traj = run_episode(env, lambda h, e, r: 0, budget=15, seed=0)
+    history, traj = run_episode(env, lambda e, r: 0, budget=15, seed=0)
     assert len(history.records) - 1 == 1 and traj.terminated_early
     # with more screens than the budget can reach, exactly 15 steps run
     big = generate_er_app(40, 0.05, seed=11)
@@ -228,7 +228,7 @@ def test_reward_normalizer_is_screen_count():
     g = line_graph()
     env = AppEnv(g, budget=3)
     actions = iter([0, 1])  # a->b (only action), then b's sorted list: back, fwd
-    history, _ = run_episode(env, lambda h, e, r: next(actions), budget=3, seed=0)
+    history, _ = run_episode(env, lambda e, r: next(actions), budget=3, seed=0)
     rewards = [r.reward for r in history.records[1:]]
     # first step earns start + new screen, second earns the third screen
     assert rewards == pytest.approx([2 / 3, 1 / 3])
@@ -319,7 +319,7 @@ def test_dead_end_screen_ends_episode():
     env = AppEnv(g, budget=15)
     calls = []
 
-    def policy(history, env_, rng):
+    def policy(env_, rng):
         calls.append(env_.state.current)
         return 0
 

@@ -84,8 +84,8 @@ def test_randdfs_tree_revisits_only_backtrack():
             super().__init__()
             self.moves = []
 
-        def __call__(self, history, env, rng):
-            action = super().__call__(history, env, rng)
+        def __call__(self, env, rng):
+            action = super().__call__(env, rng)
             self.moves.append((env.current_node(), action))
             return action
 

@@ -111,7 +111,7 @@ def test_karel_edge_types_stay_in_its_alphabet(program_seed, episode_seed):
     obs = env.reset(rng)
     for _ in range(2):
         assert all(1 <= k <= karel_graph.NUM_EDGE_TYPES for _, _, k in obs.edges)
-        env.step(policy(None, env, rng))
+        env.step(policy(env, rng))
         obs = env.observe()
 
 
@@ -247,7 +247,7 @@ def test_step_counts_what_observe_shows_and_coverage_only_grows(episode, episode
     for _ in range(env.budget):
         if env.fully_explored():
             break
-        covered = env.step(policy(None, env, rng))
+        covered = env.step(policy(env, rng))
         obs = env.observe()
         assert type(covered) is int and covered == obs.coverage.sum()
         assert len(obs.coverage) >= len(before)

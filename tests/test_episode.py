@@ -6,8 +6,6 @@ import pytest
 from graphexplore.agents import RandomPolicy
 from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.episode import (
-    CONDITIONING,
-    TEMPORAL_MODES,
     CoverageRegressionError,
     EpisodeHistory,
     EpisodeStepError,
@@ -82,7 +80,7 @@ def test_a_dropping_count_names_its_step():
     # A regression is an env failure like any other: it names the step, so
     # a rollout's caller sees which decision broke the env.
     with pytest.raises(EpisodeStepError, match="step 2: covered units dropped: 2 -> 1$") as info:
-        run_episode(DroppingEnv(), lambda history, env, rng: 0, budget=3, seed=0)
+        run_episode(DroppingEnv(), lambda env, rng: 0, budget=3, seed=0)
     assert info.value.step == 2
     assert isinstance(info.value.__cause__, CoverageRegressionError)
 
@@ -151,16 +149,10 @@ def test_run_episode_seed_determinism():
 # ------------------------------------------------------------ history encoder
 
 
-def encoder_fixture(temporal="autoregressive", conditioning="graph", seed=0, dtype=np.float32):
+def encoder_fixture(seed=0, dtype=np.float32):
     params = ParamSet(seed=seed, dtype=dtype)
     net = GraphNet(params, "enc", GraphNetConfig(d=6, rounds=1, feature_width=1))
-    config = HistoryEncoderConfig(
-        temporal_mode=temporal,
-        conditioning=conditioning,
-        recurrent_width=5,
-        action_width=3,
-        action_vocab=4,
-    )
+    config = HistoryEncoderConfig(recurrent_width=5, action_width=3, action_vocab=4)
     enc = HistoryEncoder(params, "hist", config, net)
     return params, net, enc
 
@@ -181,20 +173,6 @@ def final_encoding(enc, observations, records):
     for t in range(len(records)):
         F, state = enc.fold(state, embed_lookup(summaries, [t]))
     return F.data[0]
-
-
-def test_last_step_mode_t1_equals_step_summary():
-    # The graphs carry a one-hot is-current column, so the GraphNet encodes
-    # nonzero features. The batched encode of both records and the single
-    # encode of the last take different BLAS product shapes: in float32 they
-    # differ in the last bit, so the check runs in float64 within 1e-12.
-    params, net, enc = encoder_fixture(temporal="last_step", dtype=np.float64)
-    observations = [obs_of([0, 0, 0], current=0), obs_of([1, 0, 0], current=0)]
-    records = [StepRecord(None, 0, 0.0), StepRecord(1, 1, 0.1)]
-    with no_grad():
-        out = final_encoding(enc, observations, records)
-        summ = enc.summaries(observations[-1:], records[-1:])
-    assert np.allclose(out, summ.data[0], rtol=0.0, atol=1e-12)
 
 
 def test_autoregressive_zero_weights_depend_only_on_bias():
@@ -220,8 +198,10 @@ def test_autoregressive_consumes_every_record():
 
 
 def test_encode_matches_incremental_fold():
-    # In float64 on nonzero node features (a one-hot is-current column), as
-    # in test_last_step_mode_t1_equals_step_summary.
+    # The graphs carry a one-hot is-current column, so the GraphNet encodes
+    # nonzero features. The batched encode of every record and the single
+    # encodes take different BLAS product shapes: in float32 they differ in
+    # the last bit, so the check runs in float64 within 1e-12.
     params, net, enc = encoder_fixture(seed=4, dtype=np.float64)
     observations, h = short_history(n_steps=3)
     for t, obs in enumerate(observations):
@@ -232,16 +212,6 @@ def test_encode_matches_incremental_fold():
         for obs, rec in zip(observations, h.records):
             f, state = enc.fold(state, enc.summaries([obs], [rec]))
     assert np.allclose(full, f.data[0], atol=1e-12)
-
-
-def test_envcond_appends_reward_and_zeroes_graph():
-    params, net, enc = encoder_fixture(conditioning="envcond", temporal="last_step")
-    rec = StepRecord(action=1, covered=2, reward=0.25)
-    with no_grad():
-        s = enc.summaries([obs_of([1, 0, 1])], [rec])
-    assert s.data.shape == (1, 6 + 3 + 1)
-    assert np.all(s.data[0, :6] == 0.0)
-    assert s.data[0, -1] == 0.25
 
 
 def test_fresh_encoder_output_width():
@@ -279,26 +249,22 @@ def summaries_of(enc, steps):
     return enc.summaries([obs for obs, _ in steps], [rec for _, rec in steps])
 
 
-@pytest.mark.parametrize("conditioning", CONDITIONING)
-def test_summaries_rows_equal_per_record_summaries(conditioning):
-    _, _, enc = encoder_fixture(temporal="last_step", conditioning=conditioning, seed=6,
-                                dtype=np.float64)
+def test_summaries_rows_equal_per_record_summaries():
+    _, _, enc = encoder_fixture(seed=6, dtype=np.float64)
     steps = varied_steps(seed=6)
     with no_grad():
         batched = summaries_of(enc, steps).data
         single = np.concatenate([summaries_of(enc, [step]).data for step in steps])
-    assert batched.shape == (len(steps), enc.summary_width())
+    assert batched.shape == (len(steps), 6 + 3)  # d + action_width
     assert np.allclose(batched, single, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("temporal", ["autoregressive", "last_step"])
-@pytest.mark.parametrize("conditioning", CONDITIONING)
-def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
+def test_prefix_encodings_rows_equal_per_record_fold():
     # The encoding of every prefix of several sequences, computed as
     # PolicyModel.run_episodes computes it: the sequences fold as rows of one
     # state, one summaries call per step, and a finished sequence's rows are
     # dropped by a gather.
-    _, _, enc = encoder_fixture(temporal=temporal, conditioning=conditioning, seed=7)
+    _, _, enc = encoder_fixture(seed=7)
     sequences = [varied_steps(seed)[:n] for seed, n in ((7, 4), (8, 1), (9, 2))]
     lockstep = {}
     with no_grad():
@@ -308,8 +274,7 @@ def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
             lockstep.update(((e, t), F.data[row]) for row, e in enumerate(live))
             kept = [row for row, e in enumerate(live) if t + 1 < len(sequences[e])]
             live = [live[row] for row in kept]
-            if state is not None:
-                state = embed_lookup(state, kept)
+            state = embed_lookup(state, kept)
         assert not live
         reference = {}
         for e, seq in enumerate(sequences):
@@ -323,13 +288,9 @@ def test_prefix_encodings_rows_equal_per_record_fold(temporal, conditioning):
         assert np.allclose(lockstep[key], want, rtol=0.0, atol=1e-12), key
 
 
-@pytest.mark.parametrize("temporal", TEMPORAL_MODES)
-@pytest.mark.parametrize("conditioning", CONDITIONING)
-def test_conditioning_reads_only_its_own_parameters(temporal, conditioning):
-    # Two lockstep steps of 3 rows, the first on an empty graph too: only the
-    # graph arm reaches the GraphNet.
-    params, _, enc = encoder_fixture(temporal=temporal, conditioning=conditioning, seed=8,
-                                     dtype=np.float64)
+def test_the_history_gradient_reaches_every_graph_net_parameter():
+    # Two lockstep steps of 3 rows, the first on an empty graph too.
+    params, _, enc = encoder_fixture(seed=8, dtype=np.float64)
     steps = varied_steps(seed=8)
     with Tape() as tape:
         state, loss = enc.init_state(3), 0.0
@@ -341,20 +302,20 @@ def test_conditioning_reads_only_its_own_parameters(temporal, conditioning):
     grads = params.gradients(tape, loss)
     for name, g in grads.items():
         if name.startswith("enc/"):
-            reached = conditioning == "graph"
-            assert np.any(g.data != 0.0) if reached else not np.any(g.data), name
+            assert np.any(g.data != 0.0), name
 
 
 def test_history_encoder_rejects_bad_enums():
-    params, net, _ = encoder_fixture()
-    with pytest.raises(ValueError, match="temporal_mode"):
-        HistoryEncoderConfig(temporal_mode="sometimes").validate()
-    # The error lists the arms that validate.
+    # Only graph x autoregressive is kept; the error names the commit that
+    # holds the deleted arms.
     with pytest.raises(ValueError, match=re.escape(
-            "conditioning 'bow' not in ('graph', 'uncond', 'envcond')")):
-        HistoryEncoderConfig(conditioning="bow").validate()
+            "temporal_mode 'last_step': only 'autoregressive' is kept; "
+            "restore the other arms from commit 8bb99df")):
+        HistoryEncoderConfig(temporal_mode="last_step", action_vocab=4)
+    with pytest.raises(ValueError, match=r"conditioning 'uncond': only 'graph' is kept; .* 8bb99df$"):
+        HistoryEncoderConfig(conditioning="uncond", action_vocab=4)
     with pytest.raises(ValueError, match="action_vocab"):
-        HistoryEncoderConfig(action_vocab=0).validate()
+        HistoryEncoderConfig(action_vocab=0)
 
 
 @pytest.mark.parametrize("action", [-1, 4, 5])

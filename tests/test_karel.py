@@ -1,6 +1,7 @@
 """Karel program coverage: properties of the DSL, worlds and the interpreter."""
 
 import hashlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from graphexplore.envs.karel.env import KarelEnv, heuristic_world_policy, random_world_policy
 from graphexplore.envs.karel.graph import program_to_graph
-from graphexplore.envs.karel.lang import TEXT_TOKENS, render_program, sample_program
+from graphexplore.envs.karel.lang import ACTIONS, sample_program
 from graphexplore.envs.karel.machine import execute
 from graphexplore.envs.karel.worlds import WorldConfig, sample_world
 from graphexplore.episode import run_episode
@@ -48,16 +49,59 @@ def test_statement_and_branch_ids_number_the_program_in_preorder(seed):
     assert all(s.branch_id == -1 for s, site in zip(stmts, is_site) if not site)
 
 
-@settings(max_examples=50, deadline=None)
-@given(seeds)
-def test_token_ids_map_the_source_tokens(seed):
-    program = program_for(seed)
-    text = render_program(program)
-    for punct in "(){}":
-        text = text.replace(punct, f" {punct} ")
-    reference = [TEXT_TOKENS.index("<int>" if tok.isdigit() else tok) for tok in text.split()]
-    assert list(program.token_ids) == reference
-    assert KarelEnv(program).program is program
+def _render_cond(cond):
+    if cond.name == "not":
+        return f"not({_render_cond(cond.inner)})"
+    return cond.name
+
+
+def _render_block(stmts, indent):
+    pad = "  " * indent
+    lines = []
+    for s in stmts:
+        if s.kind in ACTIONS:
+            lines.append(pad + s.kind)
+        elif s.kind == "repeat":
+            lines.append(pad + f"repeat ({s.count}) {{")
+            lines.extend(_render_block(s.body, indent + 1))
+            lines.append(pad + "}")
+        elif s.kind == "ifElse":
+            lines.append(pad + f"ifElse ({_render_cond(s.cond)}) {{")
+            lines.extend(_render_block(s.body, indent + 1))
+            lines.append(pad + "} {")
+            lines.extend(_render_block(s.orelse, indent + 1))
+            lines.append(pad + "}")
+        else:
+            lines.append(pad + f"{s.kind} ({_render_cond(s.cond)}) {{")
+            lines.extend(_render_block(s.body, indent + 1))
+            lines.append(pad + "}")
+    return lines
+
+
+def render_program(program):
+    """The program's source text in the DSL's concrete syntax (see lang)."""
+    lines = ["def run() {"]
+    lines.extend(_render_block(program.body, 1))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# The source-text token vocabulary the program digest hashes ids of; every
+# integer literal collapses onto the single <int> id.
+TEXT_TOKENS = (
+    "def", "run", "(", ")", "{", "}",
+    "move", "turnLeft", "turnRight", "putMarker", "pickMarker",
+    "if", "ifElse", "while", "repeat", "not",
+    "frontIsClear", "leftIsClear", "rightIsClear",
+    "markersPresent", "noMarkersPresent",
+    "<int>",
+)
+
+
+def token_ids(program):
+    """TEXT_TOKENS ids of the program's rendered source, one per word or bracket."""
+    return tuple(TEXT_TOKENS.index("<int>" if tok.isdigit() else tok)
+                 for tok in re.findall(r"\w+|[(){}]", render_program(program)))
 
 
 def program_digest(count):
@@ -70,7 +114,7 @@ def program_digest(count):
         program = sample_program(rng)
         ids = [(s.stmt_id, s.branch_id) for s in preorder(program.body)]
         digest.update(repr((render_program(program), ids, program.n_statements,
-                            program.n_branches, program.token_ids,
+                            program.n_branches, token_ids(program),
                             rng.bit_generator.state)).encode())
     return digest.hexdigest()
 

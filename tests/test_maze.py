@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,34 @@ def test_maze_rejects_a_border_cell_that_opens_off_the_grid(d):
             passages[0, c] |= 1 << d
             with pytest.raises(ValueError, match=f"a border cell opens {'NESW'[d]}, off the grid"):
                 Maze(width=2, height=1, passages=passages, start=(0, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(2, 6),
+    height=st.integers(1, 6),
+    loop_prob=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+    data=st.data(),
+)
+def test_maze_rejects_a_one_way_passage(width, height, loop_prob, seed, data):
+    # Maze(2, 1, [[1 << E, 0]], (0, 0)) once built: after step(E) the env had
+    # no exits, reverse_action still answered W, and step(W) raised "blocked
+    # direction W". Flipping one side between two cells of a generated maze
+    # leaves exactly one passage open one way, and the error names its cell.
+    maze = generate_maze(width, height, loop_prob, seed)
+    sides = [(r, c, d) for r in range(height) for c in range(width) for d in DIRECTIONS
+             if 0 <= r + DELTAS[d][0] < height and 0 <= c + DELTAS[d][1] < width]
+    r, c, d = data.draw(st.sampled_from(sides))
+    passages = maze.passages.copy()
+    passages[r, c] ^= 1 << d
+    cell, other = (r, c), (r + DELTAS[d][0], c + DELTAS[d][1])
+    if not passages[r, c] >> d & 1:  # the flip closed (r, c): its neighbour is one-way
+        cell, other, d = other, cell, OPPOSITE[d]
+    with pytest.raises(ValueError, match=re.escape(
+            f"cell {cell} opens {'NESW'[d]}, but its neighbour {other} "
+            f"does not open {'NESW'[OPPOSITE[d]]}")):
+        Maze(width=width, height=height, passages=passages, start=maze.start)
 
 
 def test_passages_are_read_only_once_built():

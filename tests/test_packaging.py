@@ -2,9 +2,9 @@
 an importable callable, every module under src/ imports first in a fresh
 interpreter, no module under src/ keeps an import it does not use or imports
 inside a function, no module of the learned-agent stack imports an
-environment, and every top-level function and class under src/, and every
-method of those classes, is referenced by the program or kept for a stated
-reason."""
+environment, and every top-level function and class under src/, every
+method of those classes and every field of its dataclasses is referenced by
+the program or kept for a stated reason."""
 
 import ast
 import importlib
@@ -145,7 +145,7 @@ def test_the_learned_agent_stack_imports_no_environment():
 
 PLANTED_TREE = {
     "__init__.py": "",
-    "episode.py": "from .envs.karel.lang import TEXT_TOKENS\nfrom .graphnet import GraphNet\n",
+    "episode.py": "from .envs.karel.lang import sample_program\nfrom .graphnet import GraphNet\n",
     "agents/__init__.py": "from .policy import Head\n",
     "agents/policy.py": "from .. import envs\nfrom ..episode import run\n",
     "tensor/core.py": "import numpy as np\nimport graphexplore.envs.maze\n",
@@ -162,7 +162,7 @@ def test_an_environment_import_planted_in_the_agent_stack_is_found(tmp_path):
         path.write_text(text)
     assert env_imports(tmp_path) == [
         "graphexplore.agents.policy line 1: from .. import envs",
-        "graphexplore.episode line 1: from .envs.karel.lang import TEXT_TOKENS",
+        "graphexplore.episode line 1: from .envs.karel.lang import sample_program",
         "graphexplore.tensor.core line 2: import graphexplore.envs.maze",
         "graphexplore.trainer line 1: from graphexplore.envs import appgraph",
     ]
@@ -170,11 +170,18 @@ def test_an_environment_import_planted_in_the_agent_stack_is_found(tmp_path):
 
 PERFBENCH = PYPROJECT.parent / "perfbench"
 
-# Top-level functions, classes and methods under src/ that nothing in src/ or
-# in perfbench's modules references, each kept for the reason given. Anything
-# else without a reference is dead code: delete it with its tests.
+# Top-level functions, classes, methods and dataclass fields under src/ that
+# nothing in src/ or in perfbench's modules references, each kept for the
+# reason given. Anything else without a reference is dead code: delete it with
+# its tests.
 KEPT = {
     "trainer.train": "the training loop that ROADMAP items 1, 5, 11 and 12 extend",
+    "envs.karel.machine.CoverageReport.steps": (
+        "the fuel count that test_execute_matches_the_reference_interpreter compares"),
+    "episode.HistoryEncoderConfig.temporal_mode": (
+        "validated only; perfbench's build_agent passes it (ROADMAP item 14)"),
+    "episode.HistoryEncoderConfig.conditioning": (
+        "validated only; perfbench's build_agent passes it (ROADMAP item 14)"),
 }
 
 
@@ -275,8 +282,34 @@ def unreferenced_definitions(modules, perfbench):
     return sorted(unreferenced)
 
 
+def dataclass_fields(module, tree):
+    """(qualified name, field name) of the fields of the module's top-level
+    dataclasses: the annotated names in the body of a class decorated
+    @dataclass, @dataclass(...) or @dataclasses.dataclass(...)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                for d in (dec.func if isinstance(dec, ast.Call) else dec
+                          for dec in node.decorator_list)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{module}.{node.name}.{item.target.id}", item.target.id
+
+
+def unread_fields(modules, perfbench):
+    """Fields of the dataclasses of `modules` (see dataclass_fields) whose
+    name no attribute load (`x.name`, not `x.name = ...`) in `modules` or
+    in the `perfbench` trees reads."""
+    trees = [tree for _, tree in modules] + list(perfbench)
+    loads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for module, tree in modules
+                  for name, field in dataclass_fields(module, tree) if field not in loads)
+
+
 def test_every_definition_is_referenced_or_kept_for_a_reason():
-    unreferenced = unreferenced_definitions(*program_trees())
+    modules, perfbench = program_trees()
+    unreferenced = unreferenced_definitions(modules, perfbench) + unread_fields(modules, perfbench)
     assert [name for name in unreferenced if name not in KEPT] == []
     assert [name for name in KEPT if name not in unreferenced] == [], "stale KEPT entries"
 
@@ -315,3 +348,43 @@ def test_a_method_read_only_as_an_attribute_of_something_else_is_unreferenced():
     perfbench = [ast.parse('PATCHED = ("by_name",)')]
     found = unreferenced_definitions([("planted", ast.parse(PLANTED))], perfbench)
     assert found == ["planted.Env.feature_width"]
+
+
+PLANTED_FIELDS = """
+from dataclasses import dataclass
+import dataclasses
+
+
+@dataclass
+class Config:
+    width: int
+    depth: int = 2
+    label: str = ""
+
+    def total(self):
+        return self.width * 2
+
+
+@dataclasses.dataclass(frozen=True)
+class Record:
+    steps: int
+
+
+class Plain:
+    size: int
+
+
+def run(config, record):
+    config.label = "run"
+    return config.total(), Plain.size
+"""
+
+
+def test_a_dataclass_field_that_is_only_written_is_unread():
+    # width is read through self and size is not a dataclass field; label is
+    # only written, and depth and steps are never touched.
+    found = unread_fields([("planted", ast.parse(PLANTED_FIELDS))], [])
+    assert found == ["planted.Config.depth", "planted.Config.label", "planted.Record.steps"]
+    # An attribute load in perfbench counts as a read.
+    found = unread_fields([("planted", ast.parse(PLANTED_FIELDS))], [ast.parse("cfg.depth")])
+    assert found == ["planted.Config.label", "planted.Record.steps"]

@@ -278,7 +278,7 @@ def test_batch_loss_names_why_a_batch_has_no_recorded_forward():
         with pytest.raises(ValueError, match="outputs were not recorded: a greedy rollout, "
                                              "or one outside a Tape"):
             batch_loss(model.run_episodes(envs(), [3, 4], mode=mode), cfg)
-    first_valid = lambda history, env, rng: int(np.flatnonzero(env.action_mask())[0])  # noqa: E731
+    first_valid = lambda env, rng: int(np.flatnonzero(env.action_mask())[0])  # noqa: E731
     _, scripted = run_episode(envs()[0], first_valid, budget=6, seed=9)
     rows = [np.arange(len(scripted.history.records) - 1)]
     with pytest.raises(ValueError, match="batch has no recorded forward: it holds no policy "
