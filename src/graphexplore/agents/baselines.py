@@ -2,10 +2,10 @@
 search.
 
 Both walk an environment through the walker hooks of the env contract
-(graphexplore.episode) and draw their actions from outgoing(). reverse_action
-is only queried right after the move it undoes (position-aware environments
-answer for their latest transition); the walker stores the answer as the
-frame's return ticket for when it backtracks later.
+(graphexplore.episode), comparing its position keys only for equality, and
+draw their actions from outgoing(). reverse_action is only queried right
+after the move it undoes (position-aware environments answer for their latest
+transition); the walker stores the answer as the frame's return ticket.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class RandomPolicy:
 
 @dataclass
 class _Frame:
-    node: int
-    untried: list  # (action, dest-or-None), consumed in random order
+    node: object  # the position key of current_node()
+    untried: list  # (action, dest-key-or-None), consumed in random order
     entry_action: object = None  # action that led here; None at the root
     return_action: object = None  # undoing action, resolved on arrival
 

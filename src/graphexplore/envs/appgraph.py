@@ -6,8 +6,9 @@ transitions actually taken, so the destination of an untried action is unknown
 until the agent commits to it. Coverage is visited screens over all screens;
 the evaluation protocol's budget is benchmarks.APP_BUDGET steps. AppEnv is the
 one way to reset and step an app; its step returns the visited-screen count
-and its observe, through the module-level observe that perfbench traces as
-envs.observe, builds the observations only the learned agent reads.
+and its walker hooks speak in screens. Its observe, through the module-level
+observe that perfbench traces as envs.observe, builds the belief graph only
+the learned agent reads, from the transitions first taken since the last one.
 
 reverse_action models a tester's back button: immediately after a transition
 the environment can name the action at the new screen that returns to the
@@ -113,21 +114,33 @@ def generate_er_app(n, p, seed):
 
 
 @dataclass
-class AppState(BeliefNodes):
-    """Exploration state. A screen is admitted as a node when it is first
-    visited, so node_ids holds exactly the visited screens, in visit order."""
+class AppState:
+    """Exploration state. unseen logs (src, dst) per first take of a transition,
+    after (None, start), until observe takes it into belief."""
 
     current: str
-    taken: dict = field(default_factory=dict)  # (src, action) -> dst, first-take order
     previous: str = None  # the screen the latest step left
+    visited: set = field(default_factory=set)
+    taken: dict = field(default_factory=dict)  # (src, action) -> dst, first-take order
+    unseen: list = field(default_factory=list)
+    belief: BeliefNodes = field(default_factory=BeliefNodes)
 
 
 def observe(state):
     """Belief graph: visited screens plus experienced transitions. Every node
     carries the coverage bit (visited implies covered here); a synthetic
     reverse edge (type 2) backs any one-way experienced transition so messages
-    flow both directions."""
-    return state.observation(state.current)
+    flow both directions. The arrivals logged since the last observation go in
+    first, in order: a new screen is admitted and covered, and src -> dst linked."""
+    belief = state.belief
+    for src, dst in state.unseen:
+        if dst not in belief.node_ids:
+            belief.admit(dst)
+            belief.mark_covered(dst)
+        if src is not None:
+            belief.link(src, dst, 1, 2)
+    state.unseen.clear()
+    return belief.observation(state.current)
 
 
 class AppEnv:
@@ -157,9 +170,7 @@ class AppEnv:
 
     def reset(self, rng):
         start = self.graph.start
-        self.state = AppState(current=start)
-        self.state.admit(start)
-        self.state.mark_covered(start)
+        self.state = AppState(current=start, visited={start}, unseen=[(None, start)])
         return empty_observation(BELIEF_FEATURE_WIDTH)
 
     def observe(self):
@@ -167,7 +178,7 @@ class AppEnv:
 
     def step(self, action_index):
         """Take the action_index-th outgoing action of the current screen,
-        covering the target screen if it is new."""
+        visiting the target screen if it is new, as only a first take can be."""
         state = self.state
         out = self.graph.outgoing(state.current)
         if not 0 <= action_index < len(out):
@@ -176,14 +187,13 @@ class AppEnv:
                 f"({len(out)} available)"
             )
         action, dst = out[action_index]
-        state.taken[(state.current, action)] = dst
-        if dst not in state.node_ids:
-            state.admit(dst)
-            state.mark_covered(dst)
-        state.link(state.current, dst, 1, 2)
+        if (state.current, action) not in state.taken:
+            state.taken[state.current, action] = dst
+            state.unseen.append((state.current, dst))
+            state.visited.add(dst)
         state.previous = state.current
         state.current = dst
-        return len(state.covered)
+        return len(state.visited)
 
     def action_mask(self):
         mask = np.zeros(self.num_actions, dtype=bool)
@@ -193,21 +203,19 @@ class AppEnv:
     def fully_explored(self):
         # A dead-end screen (the end of a one-way flow) also ends the
         # episode: no action can change anything further.
-        return len(self.state.node_ids) == len(self.graph.screens) or (
+        return len(self.state.visited) == len(self.graph.screens) or (
             self.graph.out_degree(self.state.current) == 0
         )
 
-    # Walker hooks.
+    # Walker hooks: positions are screens.
 
     def current_node(self):
-        return self.state.node_ids[self.state.current]
+        return self.state.current
 
     def outgoing(self):
-        pairs = []
-        for i, (action, dst) in enumerate(self.graph.outgoing(self.state.current)):
-            known = (self.state.current, action) in self.state.taken
-            pairs.append((i, self.state.node_ids[dst] if known else None))
-        return pairs
+        current, taken = self.state.current, self.state.taken
+        return [(i, dst if (current, action) in taken else None)
+                for i, (action, dst) in enumerate(self.graph.outgoing(current))]
 
     def reverse_action(self, action_index):
         """Index of the action at the current screen that returns to the

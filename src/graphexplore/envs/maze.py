@@ -10,11 +10,11 @@ A Maze is immutable once built: its passage array is read-only and its
 table holds, for each cell, the open sides as exits and as a direction ->
 destination map, in entries built once per process and shared by every maze
 of the same grid shape. MazeEnv is the one way to reset and step a maze; its
-step is one table lookup and returns the visited-cell count, and its observe,
-through the module-level observe that perfbench traces as envs.observe,
-builds the observations only the learned agent reads. A step admits and
-covers cells but links no edge: observe links the cells visited since the
-last observation, so walkers, which never observe, build no edges.
+step is one table lookup and returns the visited-cell count, and its walker
+hooks speak in cells. Its observe, through the module-level observe that
+perfbench traces as envs.observe, builds the belief graph only the learned
+agent reads, from the cells visited since the last observation, so walkers,
+which never observe, build none.
 """
 
 from __future__ import annotations
@@ -132,11 +132,6 @@ class Maze:
     def open_dirs(self, r, c):
         return list(self.table[r, c][1])
 
-    def exits(self, r, c):
-        """((direction, neighbour cell), ...) of the open sides of (r, c), in
-        N, E, S, W order."""
-        return self.table[r, c][0]
-
     def cells(self):
         return self.width * self.height
 
@@ -186,14 +181,15 @@ def generate_maze(width, height, loop_prob, seed):
 
 
 @dataclass
-class MazeState(BeliefNodes):
-    """Exploration state. Every seen cell is admitted as a node in discovery
-    order (start=0, then sightings in N,E,S,W order); visited cells are covered.
-    unlinked holds (cell, exits) for each cell visited since the last
-    observation, in visit order."""
+class MazeState:
+    """Exploration state: the agent's cell and the set of visited cells.
+    unseen logs (cell, exits) for each first visit, in visit order, until
+    observe takes it into belief, the learned agent's view of the maze."""
 
     position: tuple
-    unlinked: list = field(default_factory=list)
+    visited: set = field(default_factory=set)
+    unseen: list = field(default_factory=list)
+    belief: BeliefNodes = field(default_factory=BeliefNodes)
 
 
 def observe(state):
@@ -202,15 +198,19 @@ def observe(state):
     feature column marks the current node; the coverage bit rides in the
     observation's coverage mask.
 
-    The cells visited since the last observation are linked first, in visit
-    order: each open side d both ways, typed d+1 outward and opposite+1 back.
-    That is the order in which linking at each visit would fill links, so the
-    edge tuple is the same."""
-    for cell, exits in state.unlinked:
+    The cells visited since the last observation go in first, in visit
+    order: each is admitted and covered, then each open side d admits its
+    neighbour (N, E, S, W order) and links both ways, typed d+1 outward and
+    opposite+1 back, so ids and edges do not depend on when the env is observed."""
+    belief = state.belief
+    for cell, exits in state.unseen:
+        belief.admit(cell)
+        belief.mark_covered(cell)
         for d, other in exits:
-            state.link(cell, other, d + 1, OPPOSITE[d] + 1)
-    state.unlinked.clear()
-    return state.observation(state.position)
+            belief.admit(other)
+            belief.link(cell, other, d + 1, OPPOSITE[d] + 1)
+    state.unseen.clear()
+    return belief.observation(state.position)
 
 
 # ------------------------------------------------------------ env interface
@@ -221,15 +221,14 @@ class MazeEnv:
     graphexplore.episode, walker hooks included. Actions are directions N, E,
     S, W (0..3); a step returns the count of visited cells. The initial
     observation is the empty graph; the start cell's coverage is earned by
-    the first step's reward. Rewards normalize by the cell count. Belief
-    edges are linked when observed, not when stepped."""
+    the first step's reward. Rewards normalize by the cell count."""
 
     num_actions = 4
 
     def __init__(self, maze, budget, hide_destinations=False):
         self.maze = maze
         self.budget = budget
-        # hide_destinations withholds neighbor ids from outgoing(), so walker
+        # hide_destinations withholds neighbour cells from outgoing(), so walker
         # baselines must probe doors to learn where they lead. The benchmark
         # protocol evaluates the depth-first walker this way.
         self.hide_destinations = hide_destinations
@@ -239,19 +238,13 @@ class MazeEnv:
     def reset(self, rng):
         start = self.maze.start
         self.state = MazeState(position=start)
-        self.state.admit(start)
         self._visit(start)
         return empty_observation(BELIEF_FEATURE_WIDTH)
 
     def _visit(self, cell):
-        """First visit of `cell`: cover it and admit its neighbours. Its
-        edges wait in state.unlinked until the next observe."""
-        state = self.state
-        state.mark_covered(cell)
-        exits = self.maze.exits(*cell)
-        for _, other in exits:
-            state.admit(other)
-        state.unlinked.append((cell, exits))
+        """First visit of `cell`, logged for the next observe."""
+        self.state.visited.add(cell)
+        self.state.unseen.append((cell, self.maze.table[cell][0]))
 
     def observe(self):
         return observe(self.state)
@@ -269,9 +262,9 @@ class MazeEnv:
             raise ValueError(f"blocked direction {DIR_NAMES[direction]} "
                              f"from {state.position}") from None
         state.position = dest
-        if state.node_ids[dest] not in state.covered:
+        if dest not in state.visited:
             self._visit(dest)
-        return len(state.covered)
+        return len(state.visited)
 
     def action_mask(self):
         mask = np.zeros(4, dtype=bool)
@@ -279,19 +272,18 @@ class MazeEnv:
         return mask
 
     def fully_explored(self):
-        return len(self.state.covered) == self.maze.cells()
+        return len(self.state.visited) == self.maze.cells()
 
-    # Walker hooks.
+    # Walker hooks: positions are cells.
 
     def current_node(self):
-        return self.state.node_ids[self.state.position]
+        return self.state.position
 
     def outgoing(self):
         exits = self.maze.table[self.state.position][0]
         if self.hide_destinations:
             return [(d, None) for d, _ in exits]
-        node_ids = self.state.node_ids
-        return [(d, node_ids[other]) for d, other in exits]
+        return list(exits)
 
     def reverse_action(self, direction):
         return OPPOSITE[direction]

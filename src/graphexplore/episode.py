@@ -21,9 +21,10 @@ episode loop (run_episode, PolicyModel.run_episodes) reads:
 - action_mask(): (num_actions,) bool, or None when every action is allowed
   (Karel, whose actions are input worlds);
 - fully_explored().
-The walkers (agents.baselines) also read three hooks, which maze and app have:
-- current_node(): the stable node id of the agent's position;
-- outgoing(): [(action, destination id or None when unknown)] in ascending
+The walkers (agents.baselines) also read three hooks, which maze and app have;
+they speak in position keys (a maze cell, an app screen), not belief-graph ids:
+- current_node(): the key of the agent's position;
+- outgoing(): [(action, destination key or None when unknown)] in ascending
   action order, listing exactly the actions action_mask() allows;
 - reverse_action(a): the action undoing the latest step a, or None.
 """
@@ -83,11 +84,11 @@ def episode_objective(history):
 
 @dataclass
 class HistoryEncoderConfig:
+    action_vocab: int  # size of the action embedding table; must be >= 1
     temporal_mode: str = "autoregressive"
     conditioning: str = "graph"
     recurrent_width: int = 64
     action_width: int = 16
-    action_vocab: int = 0  # size of the action embedding table; must be >= 1
 
     def __post_init__(self):
         # graph x autoregressive is the one arm; the last_step, uncond and

@@ -119,16 +119,16 @@ class BeliefNodes:
     """A growing belief graph, the one builder of maze and app observations.
     A key (a maze cell, an app screen) gets the next node id when it is first
     admitted and keeps it, so coverage bits line up from one observation to
-    the next. links holds at most one edge type per ordered node pair. Env
-    states extend this class.
+    the next. links holds at most one edge type per ordered node pair. An
+    env state owns one as `belief`, which only the env's observe builds.
 
     Observations share what a step left unchanged: one edge tuple, rebuilt
     only after link adds or retypes an edge, and one read-only coverage
     array, rebuilt only after admit adds a node or mark_covered sets a bit."""
 
-    node_ids: dict = field(default_factory=dict, kw_only=True)  # key -> node id, in id order
-    links: dict = field(default_factory=dict, kw_only=True)  # (u, v) -> edge type
-    covered: set = field(default_factory=set, kw_only=True)  # ids of covered nodes
+    node_ids: dict = field(default_factory=dict)  # key -> node id, in id order
+    links: dict = field(default_factory=dict)  # (u, v) -> edge type
+    covered: set = field(default_factory=set)  # ids of covered nodes
     # What the latest observation handed out, kept until it changes (None: stale).
     _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _coverage: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -202,7 +202,6 @@ class GraphNet:
         if config.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {config.rounds}")
         self.config = config
-        self.name = name
         d = config.d
         in_width = config.feature_width + 1  # + coverage bit
         self.project = Linear(params, f"{name}/project", in_width, d)

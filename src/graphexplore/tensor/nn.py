@@ -121,7 +121,6 @@ class GRUCell:
     input weights as the one [Wx_zr | Wx_n] tensor of input_weight()."""
 
     def __init__(self, params, name, n_in, n_hidden):
-        self.n_hidden = n_hidden
         self.Wx_zr = params.get_or_init(f"{name}/Wx_zr", (n_in, 2 * n_hidden))
         self.Wh_zr = params.get_or_init(f"{name}/Wh_zr", (n_hidden, 2 * n_hidden))
         self.b_zr = params.get_or_init(f"{name}/b_zr", (2 * n_hidden,), init="zeros")

@@ -41,6 +41,11 @@ from .tensor import (
     reduce_sum,
 )
 
+# Loss weights of the entropy bonus and the value error; the clipped gradient norm.
+ENTROPY_COEF = 0.01
+VALUE_COEF = 0.5
+CLIP_NORM = 1.0
+
 
 @dataclass
 class TrainConfig:
@@ -55,21 +60,16 @@ class TrainConfig:
     workers: int = 32
     episodes_per_worker: int = 1
     learning_rate: float = 1e-3
-    entropy_coef: float = 0.01
-    value_coef: float = 0.5
-    clip_norm: float = 1.0
     total_updates: int = 100
     eval_every: int = 10
 
     def __post_init__(self):
         for name, low in (("workers", 1), ("episodes_per_worker", 1), ("total_updates", 0),
-                          ("eval_every", 0), ("entropy_coef", 0), ("value_coef", 0)):
+                          ("eval_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        # A zero clip norm scales every gradient to zero, so nothing would train.
-        for name in ("learning_rate", "clip_norm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -123,7 +123,7 @@ def episode_returns(episode):
     return np.cumsum(episode.rewards()[::-1])[::-1].tolist()
 
 
-def batch_loss(batch, config):
+def batch_loss(batch):
     """Actor-critic loss over the batch (per-episode sums, averaged over
     episodes), built on the batch's tape from the log-probability, entropy
     and value tensors that its rollout (PolicyModel.run_episodes in sample
@@ -156,8 +156,8 @@ def batch_loss(batch, config):
         err = value - returns
         terms = (
             logprob * -advantage
-            + (err * err) * config.value_coef
-            + entropy * (-config.entropy_coef)
+            + (err * err) * VALUE_COEF
+            + entropy * (-ENTROPY_COEF)
         )
         n_ep = len(batch.episodes)
         loss = reduce_sum(terms) * (1.0 / n_ep)
@@ -176,9 +176,9 @@ def a2c_update(model, batch, config, opt_state):
     rollout forward, and the batch's tape is released afterwards, so a batch
     serves one update. Returns (model, UpdateStats); a non-finite loss or
     gradient skips the step, leaves every parameter untouched and names the
-    cause in skip_reason."""
+    cause in skip_reason. It reads no field of `config`."""
     try:
-        loss, parts = batch_loss(batch, config)
+        loss, parts = batch_loss(batch)
         mean_return = float(np.mean([sum(ep.rewards()) for ep in batch.episodes]))
         if not np.isfinite(loss.data):
             return model, UpdateStats(mean_return, 0.0, 0.0, 0.0, 0.0,
@@ -186,7 +186,7 @@ def a2c_update(model, batch, config, opt_state):
         grads = model.params.gradients(batch.tape, loss)
     finally:
         batch.tape = None
-    grads, norm = clip_global_norm(grads, config.clip_norm)
+    grads, norm = clip_global_norm(grads, CLIP_NORM)
     try:
         optimizer_step(model.params.named(), grads, opt_state)
     except GradientError as e:

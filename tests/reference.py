@@ -140,10 +140,13 @@ def replayed_inputs(env, seed, episode):
 def app_reference_edges(state):
     """Edges of an app belief graph rebuilt from the taken transitions: one
     type-1 edge per experienced (src, dst) screen pair, plus a type-2 reverse
-    (dst, src) where that reverse was never taken."""
+    (dst, src) where that reverse was never taken. Node ids are those of the
+    state's belief graph, which must have been observed since the last
+    step."""
+    node_ids = state.belief.node_ids
     forward = set()
     for (src, _), dst in state.taken.items():
-        forward.add((state.node_ids[src], state.node_ids[dst]))
+        forward.add((node_ids[src], node_ids[dst]))
     edges = [(u, v, 1) for u, v in sorted(forward)]
     edges.extend((v, u, 2) for u, v in sorted(forward) if (v, u) not in forward)
     return edges

@@ -17,6 +17,7 @@ from graphexplore.envs.appgraph import (
     generate_er_app,
 )
 from graphexplore.episode import EpisodeStepError, episode_objective, run_episode
+from graphexplore.graphnet import BeliefNodes
 
 from reference import app_reference_edges, brute_force_coverage
 
@@ -52,7 +53,7 @@ def test_er_app_p_one_complete_graph_coverable_in_n_minus_one():
     def fresh_first(env, rng):
         out = env_graph.outgoing(env.state.current)
         for i, (_, dst) in enumerate(out):
-            if dst not in env.state.node_ids:
+            if dst not in env.state.visited:
                 return i
         raise AssertionError("no fresh screen available")
 
@@ -176,15 +177,21 @@ def fresh_env(graph):
     return env
 
 
+def covered_nodes(env):
+    """The covered-node count of the env's belief graph, observed now."""
+    env.observe()
+    return len(env.state.belief.covered)
+
+
 def test_step_newly_visited_flags():
     # A step onto a fresh screen covers exactly one more screen; a revisit none.
     env = fresh_env(line_graph())
     env.step(0)  # a -> b, fresh
-    assert len(env.state.covered) == 2
+    assert covered_nodes(env) == 2
     env.step(0)  # b -(back)-> a, revisit (sorted: back, fwd)
-    assert len(env.state.covered) == 2
+    assert covered_nodes(env) == 2
     env.step(0)  # a -> b again
-    assert len(env.state.covered) == 2
+    assert covered_nodes(env) == 2
     assert env.state.current == "b"
 
 
@@ -194,7 +201,7 @@ def test_step_self_loop_not_newly_visited():
     )
     env = fresh_env(g)
     env.step(0)
-    assert len(env.state.covered) == 1
+    assert covered_nodes(env) == 1
 
 
 def test_step_invalid_action_errors():
@@ -255,7 +262,7 @@ def test_observation_tracks_experienced_subgraph():
     assert obs1.node_features.tolist() == [[0.0], [1.0]]  # current marker on the landing screen
     # back at "a" the tried action now shows its destination
     env.step(0)
-    assert env.outgoing() == [(0, 1)]
+    assert env.outgoing() == [(0, "b")]
     # width = per-graph max out-degree (screen "b" has two actions)
     assert env.action_mask().tolist() == [True, False]
 
@@ -283,9 +290,10 @@ def test_observe_matches_a_from_scratch_rebuild(graph, choices):
     env.reset(np.random.default_rng(0))
     for k in range(len(choices) + 1):
         obs = env.observe()
-        n = len(env.state.node_ids)
+        node_ids = env.state.belief.node_ids
+        n = len(node_ids)
         assert obs.node_count == n and np.array_equal(obs.coverage, np.ones(n))
-        current = env.current_node()
+        current = node_ids[env.current_node()]
         assert obs.node_features[:, 0].tolist() == [float(i == current) for i in range(n)]
         assert sorted(obs.edges) == sorted(app_reference_edges(env.state))
         width = graph.out_degree(env.state.current)
@@ -347,6 +355,16 @@ def test_reverse_action_back_button():
     assert env.reverse_action(0) is None  # no edge back to "a"
 
 
+def test_a_walker_episode_links_no_edge():
+    # Walkers never observe, so the belief graph stays empty: no node, no
+    # coverage bit and no edge.
+    for policy in (RandomPolicy(), RandDfsPolicy()):
+        env = AppEnv(generate_er_app(8, 0.4, seed=3), budget=8)
+        history, _ = run_episode(env, policy, budget=env.budget, seed=0)
+        assert len(history.records) > 1 and len(env.state.visited) > 1
+        assert env.state.belief == BeliefNodes()
+
+
 def test_randdfs_covers_small_apps():
     for seed in (0, 1, 2):
         g = generate_er_app(8, 0.4, seed=seed)
@@ -369,4 +387,4 @@ def test_coverage_bounded_by_brute_force_optimum():
         for policy, ep_seed in ((RandomPolicy(), 0), (RandDfsPolicy(), 1)):
             env = AppEnv(g, budget=budget)
             run_episode(env, policy, budget=budget, seed=ep_seed)
-            assert len(env.state.node_ids) <= oracle.best_coverage
+            assert len(env.state.visited) <= oracle.best_coverage

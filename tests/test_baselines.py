@@ -48,7 +48,7 @@ def maze_tree_adjacency(maze):
     for r in range(maze.height):
         for c in range(maze.width):
             u = r * maze.width + c
-            for d, (nr, nc) in maze.exits(r, c):
+            for d, (nr, nc) in maze.table[r, c][0]:
                 if d in (1, 2):  # E, S: each passage once
                     v = nr * maze.width + nc
                     adj[u].append(v)
@@ -156,7 +156,7 @@ def test_randdfs_cannot_undo_a_one_way_probe_onto_the_stack():
         transitions={("a", "go"): "b", ("a", "side"): "d", ("b", "on"): "c", ("c", "jump"): "a"},
         start="a",
     )
-    with pytest.raises(ValueError, match="cannot return from node 0: action 0 is irreversible"):
+    with pytest.raises(ValueError, match="cannot return from node a: action 0 is irreversible"):
         run_episode(AppEnv(g, budget=20), RandDfsPolicy(), budget=20, seed=1)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from graphexplore import benchmarks as bm
+from graphexplore.agents import RandDfsPolicy
 from graphexplore.envs import maze
 
 # Every frozen set built once per process: the protocol mazes and the
@@ -56,6 +57,14 @@ def test_maze_baseline_means_frozen(monkeypatch):
     assert bm.randdfs_baseline_coverage() == 0.5132777777777778
     assert seeds == list(range(bm.MAZE_EVAL_SEED_BASE,
                                bm.MAZE_EVAL_SEED_BASE + bm.MAZE_EVAL_COUNT))
+
+
+def test_randdfs_with_visible_destinations_is_pinned():
+    # The depth-first walker seeing where each door leads, as the learned
+    # agent's belief graph shows it, on the 1,000 protocol mazes: the
+    # comparison value of ROADMAP item 1, computed, not a frozen protocol.
+    coverage = bm.maze_coverage(RandDfsPolicy, bm.POLICY_STREAM["randdfs"])
+    assert coverage == 0.7954444444444445
 
 
 def test_eval_env_distribution_matches_protocol():

@@ -3,8 +3,8 @@ members the episode loop reads, the maze and app envs have the walker hooks,
 the walkers' one action source, outgoing(), lists exactly the actions
 action_mask() allows, belief-graph node ids never shift, a step's
 covered-unit count is what observe() shows and only grows, the walkers
-never observe, and an episode's coverage is its reward sum: the covered
-units over the env's unit count."""
+never observe and act the same when the env is observed, and an episode's
+coverage is its reward sum: the covered units over the env's unit count."""
 
 import copy
 
@@ -118,18 +118,20 @@ def test_karel_edge_types_stay_in_its_alphabet(program_seed, episode_seed):
 @settings(max_examples=60, deadline=None)
 @given(env=walker_envs(), episode_seed=st.integers(0, 2**31 - 1))
 def test_node_ids_never_shift(env, episode_seed):
-    # A belief graph only grows: each step's keys extend the previous ones,
-    # in id order, so a node keeps its id for the whole episode.
+    # A belief graph only grows: each observation's keys extend the previous
+    # ones, in id order, so a node keeps its id for the whole episode.
     # A step's count shows that coverage never shrinks, not that ids stay put.
     rng = np.random.default_rng(episode_seed)
     env.reset(rng)
-    before = list(env.state.node_ids)
+    env.observe()
+    before = list(env.state.belief.node_ids)
     for _ in range(env.budget):
         actions = [a for a, _ in env.outgoing()]
         if not actions:
             break
         env.step(actions[int(rng.integers(len(actions)))])
-        node_ids = env.state.node_ids
+        env.observe()
+        node_ids = env.state.belief.node_ids
         after = list(node_ids)
         assert after[:len(before)] == before
         assert list(node_ids.values()) == list(range(len(node_ids)))
@@ -195,9 +197,9 @@ def episodes(draw):
 def units_of(env):
     """(covered units, total units) read from the env's own state."""
     if isinstance(env, MazeEnv):
-        return len(env.state.covered), env.maze.cells()
+        return len(env.state.visited), env.maze.cells()
     if isinstance(env, AppEnv):
-        return len(env.state.node_ids), len(env.graph.screens)
+        return len(env.state.visited), len(env.graph.screens)
     return int(env._hits.sum()), env.units
 
 
@@ -221,7 +223,7 @@ def node_keys(env):
     or a Karel graph node."""
     if isinstance(env, KarelEnv):
         return list(enumerate(env.graph.node_kinds))
-    return list(env.state.node_ids)
+    return list(env.state.belief.node_ids)
 
 
 def explored_by_count(env, covered):
@@ -296,3 +298,23 @@ def test_walkers_never_observe(walk):
     env, policy = WALKS[walk]()
     history, traj = run_episode(env, policy, budget=env.budget, seed=0)
     assert len(history.records) > 1 and traj.final_coverage > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(env=walker_envs(), walker=st.sampled_from([RandomPolicy, RandDfsPolicy]),
+       episode_seed=st.integers(0, 2**31 - 1))
+def test_a_walker_acts_the_same_whether_or_not_the_env_is_observed(env, walker, episode_seed):
+    # The walker hooks read only the env's own facts, never the belief graph
+    # that observe builds, so observing before every decision changes no
+    # action and no covered-unit count.
+    twin = copy.deepcopy(env)
+    plain, _ = run_episode(env, walker(), budget=env.budget, seed=episode_seed)
+    inner = walker()
+
+    def observing(env_, rng):
+        env_.observe()
+        return inner(env_, rng)
+
+    observed, _ = run_episode(twin, observing, budget=twin.budget, seed=episode_seed)
+    assert ([(rec.action, rec.covered) for rec in observed.records]
+            == [(rec.action, rec.covered) for rec in plain.records])

@@ -318,6 +318,13 @@ def test_history_encoder_rejects_bad_enums():
         HistoryEncoderConfig(action_vocab=0)
 
 
+def test_history_encoder_config_requires_the_action_vocabulary():
+    # A default of 0 once failed its own check, so the bare config could not
+    # be built; the field is required, and leaving it out names it.
+    with pytest.raises(TypeError, match="action_vocab"):
+        HistoryEncoderConfig()
+
+
 @pytest.mark.parametrize("action", [-1, 4, 5])
 def test_action_rows_reject_actions_outside_the_vocabulary(action):
     # action_vocab is 4, so row 4 of the table is the null action: action 4

@@ -26,6 +26,7 @@ from graphexplore.envs.maze import (
     heldout_mazes,
 )
 from graphexplore.episode import run_episode
+from graphexplore.graphnet import BeliefNodes
 
 
 def open_grid(w, h, start=(0, 0)):
@@ -123,18 +124,24 @@ def test_observe_features_have_no_coordinates():
     env = fresh_env(open_grid(3, 3, start=(1, 1)))
     obs = env.observe()
     assert obs.node_features.shape == (obs.node_count, 1)
-    assert obs.node_features[env.current_node(), 0] == 1.0
+    assert obs.node_features[env.state.belief.node_ids[env.current_node()], 0] == 1.0
     assert obs.node_features[:, 0].sum() == 1.0
+
+
+def covered_nodes(env):
+    """The covered-node count of the env's belief graph, observed now."""
+    env.observe()
+    return len(env.state.belief.covered)
 
 
 def test_step_deltas_and_errors():
     # A step onto a fresh cell covers exactly one more cell; a revisit none.
     env = fresh_env(open_grid(2, 2, start=(0, 0)))
-    covered = len(env.state.covered)
+    covered = covered_nodes(env)
     env.step(E)
-    assert len(env.state.covered) == covered + 1
+    assert covered_nodes(env) == covered + 1
     env.step(W)
-    assert len(env.state.covered) == covered + 1
+    assert covered_nodes(env) == covered + 1
     with pytest.raises(ValueError, match="blocked direction N from"):
         env.step(N)
     for direction in (4, -1):
@@ -214,7 +221,9 @@ def test_maze_stores_its_start_as_two_python_ints(start, stored):
     maze = open_grid(3, 3, start=start)
     assert maze.start == stored and [type(x) for x in maze.start] == [int, int]
     env = fresh_env(maze)
-    assert env.state.position == stored and env.current_node() == 0
+    env.observe()
+    assert env.state.position == env.current_node() == stored
+    assert env.state.belief.node_ids[stored] == 0
 
 
 @pytest.mark.parametrize("start", [(0.5, 1), (1, None), (1,), (1, 1, 1), "ab", 3,
@@ -238,7 +247,7 @@ def test_table_matches_the_passage_bits(width, height, loop_prob, seed):
         bits = int(maze.passages[r, c])
         want = tuple((d, (r + DELTAS[d][0], c + DELTAS[d][1]))
                      for d in DIRECTIONS if bits >> d & 1)
-        assert exits == want and maze.exits(r, c) == want
+        assert exits == want
         assert list(destinations.items()) == list(want)
         assert maze.open_dirs(r, c) == [d for d, _ in want]
     for twin in (copy.deepcopy(maze), pickle.loads(pickle.dumps(maze))):
@@ -400,14 +409,15 @@ def test_incremental_observe_matches_a_from_scratch_rebuild(width, height, loop_
         assert sorted(obs.edges) == sorted(edges)
         assert len({(u, v) for u, v, _ in obs.edges}) == len(obs.edges)
         assert np.array_equal(obs.coverage, coverage)
-        assert current == env.current_node()
+        assert env.state.belief.node_ids == node_ids
+        assert current == env.state.belief.node_ids[env.current_node()]
         features = np.zeros((len(coverage), 1))
         features[current, 0] = 1.0
         assert np.array_equal(obs.node_features, features)
         pos = env.state.position
         exits = [(d, (pos[0] + DELTAS[d][0], pos[1] + DELTAS[d][1]))
                  for d in env.maze.open_dirs(*pos)]
-        assert env.outgoing() == [(d, None if hide else node_ids[cell]) for d, cell in exits]
+        assert env.outgoing() == [(d, None if hide else cell) for d, cell in exits]
         if k == len(choices) or not exits:
             break
         d = exits[choices[k] % len(exits)][0]
@@ -446,11 +456,13 @@ def test_observing_after_unobserved_steps_matches_a_from_scratch_rebuild(width, 
     assert sorted(obs.edges) == sorted(edges)
     assert obs.edges == twin.observe().edges
     assert np.array_equal(obs.coverage, coverage)
-    assert current == env.current_node()
+    assert current == env.state.belief.node_ids[env.current_node()]
 
 
 def test_a_walker_episode_links_no_edge():
+    # Walkers never observe, so the belief graph stays empty: no node, no
+    # coverage bit and no edge.
     env = MazeEnv(generate_maze(MAZE_SIZE, MAZE_SIZE, MAZE_LOOP_PROB, 1), budget=36)
     history, _ = run_episode(env, RandomPolicy(), budget=env.budget, seed=0)
-    assert len(history.records) == env.budget + 1 and len(env.state.covered) > 1
-    assert env.state.links == {}
+    assert len(history.records) == env.budget + 1 and len(env.state.visited) > 1
+    assert env.state.belief == BeliefNodes()

@@ -76,10 +76,6 @@ def small_config(**kw):
 def test_config_validation():
     with pytest.raises(ValueError, match="workers"):
         TrainConfig(seed=0, workers=0)
-    with pytest.raises(ValueError, match="entropy_coef"):
-        TrainConfig(seed=0, entropy_coef=-0.1)
-    with pytest.raises(ValueError, match="value_coef"):
-        TrainConfig(seed=0, value_coef=-1)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -88,8 +84,6 @@ def test_config_validation():
     ("eval_every", -1),
     ("learning_rate", -1.0),
     ("learning_rate", 0.0),
-    ("clip_norm", 0.0),
-    ("clip_norm", -1.0),
 ])
 def test_config_rejects_settings_that_cannot_train(field, value):
     with pytest.raises(ValueError, match=field):
@@ -146,7 +140,6 @@ def test_hand_example_returns_and_advantages():
     # sampled policy walk east with probability 1 - 1e-20.
     model = tiny_model(zero_value=True)
     model.params["pi/logits/b"].data[1] = 50.0
-    cfg = small_config(workers=1)
     maze = Maze(width=3, height=1,
                 passages=np.array([[2, 2 | 8, 8]], dtype=np.uint8), start=(0, 0))
     env = MazeEnv(maze, budget=2)
@@ -156,7 +149,7 @@ def test_hand_example_returns_and_advantages():
     assert traj.rewards() == [pytest.approx(2 / 3), pytest.approx(1 / 3)]
     returns = episode_returns(traj)
     assert returns == [pytest.approx(1.0), pytest.approx(1 / 3)]
-    _, parts = batch_loss(batch, cfg)
+    _, parts = batch_loss(batch)
     assert parts["value_loss"] == pytest.approx(1.0**2 + (1 / 3)**2)
 
 
@@ -164,12 +157,11 @@ def test_zero_advantage_kills_policy_term():
     # All-zero rewards + zero value head: advantages vanish so the policy
     # component contributes nothing.
     model = tiny_model(zero_value=True)
-    cfg = small_config()
     maze = generate_maze(2, 2, 1.0, seed=0)
     batch = recorded_batch(model, [MazeEnv(maze, budget=3)], [1])
     for rec in batch.episodes[0].history.records:
         rec.reward = 0.0
-    _, parts = batch_loss(batch, cfg)
+    _, parts = batch_loss(batch)
     assert parts["policy_loss"] == 0.0
     assert parts["value_loss"] == 0.0
 
@@ -177,7 +169,7 @@ def test_zero_advantage_kills_policy_term():
 # ------------------------------------------------- batched learner step
 
 
-def reference_loss(model, batch, config, envs, seeds):
+def reference_loss(model, batch, envs, seeds):
     """The A2C loss replayed one record at a time, each a one-row batch,
     through the public summaries, fold, score and value calls, with each
     step's observation and action mask replayed on a fresh copy of the
@@ -200,8 +192,8 @@ def reference_loss(model, batch, config, envs, seeds):
             advantage = returns[t] - float(value.data[0])
             err = value - returns[t]
             term = (reduce_sum(logprob) * (-advantage)
-                    + reduce_sum(err * err) * config.value_coef
-                    + reduce_sum(entropy) * (-config.entropy_coef))
+                    + reduce_sum(err * err) * trainer.VALUE_COEF
+                    + reduce_sum(entropy) * (-trainer.ENTROPY_COEF))
             total = term if total is None else total + term
             pol += -advantage * float(logprob.data[0])
             val += float(err.data[0]) ** 2
@@ -255,12 +247,11 @@ def test_batch_loss_matches_per_record_reference(kind):
     # The loss built from the rollout's own recorded forward, and its
     # gradients, equal a per-record replay through the public encoder calls.
     model = tiny_model(seed=11, n_actions=4 if kind == "maze" else 7, dtype=np.float64)
-    cfg = small_config()
     batch, envs = mixed_batch(kind, model)
-    loss, parts = batch_loss(batch, cfg)
+    loss, parts = batch_loss(batch)
     grads = model.params.gradients(batch.tape, loss)
     with Tape() as tape:
-        ref_loss, ref_parts = reference_loss(model, batch, cfg, envs, range(len(envs)))
+        ref_loss, ref_parts = reference_loss(model, batch, envs, range(len(envs)))
     ref_grads = model.params.gradients(tape, ref_loss)
     assert abs(float(loss.data) - float(ref_loss.data)) <= 1e-9
     for name in ref_grads:
@@ -277,20 +268,20 @@ def test_batch_loss_names_why_a_batch_has_no_recorded_forward():
     for mode in ("greedy", "sample"):  # neither inside a Tape
         with pytest.raises(ValueError, match="outputs were not recorded: a greedy rollout, "
                                              "or one outside a Tape"):
-            batch_loss(model.run_episodes(envs(), [3, 4], mode=mode), cfg)
+            batch_loss(model.run_episodes(envs(), [3, 4], mode=mode))
     first_valid = lambda env, rng: int(np.flatnonzero(env.action_mask())[0])  # noqa: E731
     _, scripted = run_episode(envs()[0], first_valid, budget=6, seed=9)
     rows = [np.arange(len(scripted.history.records) - 1)]
     with pytest.raises(ValueError, match="batch has no recorded forward: it holds no policy "
                                          "outputs"):
-        batch_loss(TrajectoryBatch(episodes=[scripted], rows=rows, tape=Tape()), cfg)
+        batch_loss(TrajectoryBatch(episodes=[scripted], rows=rows, tape=Tape()))
     recorded = recorded_batch(model, envs())
     with pytest.raises(ValueError, match="batch has 3 episodes but rows for 2"):
-        batch_loss(replace(recorded, episodes=recorded.episodes + [scripted]), cfg)
+        batch_loss(replace(recorded, episodes=recorded.episodes + [scripted]))
     a2c_update(model, recorded, cfg, OptimizerState(lr=cfg.learning_rate))
     with pytest.raises(ValueError, match="an update already backpropagated through its tape "
                                          "and released it"):
-        batch_loss(recorded, cfg)
+        batch_loss(recorded)
 
 
 def test_a_batch_serves_one_update():
@@ -321,12 +312,11 @@ def test_greedy_rollouts_record_nothing_on_an_open_tape():
 
 def test_batch_loss_rejects_batches_without_decisions():
     model = tiny_model()
-    cfg = small_config()
     with pytest.raises(ValueError, match="empty batch"):
-        batch_loss(TrajectoryBatch(episodes=[]), cfg)
+        batch_loss(TrajectoryBatch(episodes=[]))
     batch = recorded_batch(model, [MazeEnv(generate_maze(1, 1, 0.0, 0), budget=5)])
     with pytest.raises(ValueError, match="no decisions"):
-        batch_loss(batch, cfg)
+        batch_loss(batch)
 
 
 # ------------------------------------------------------------------ collection
