@@ -3,9 +3,11 @@ search.
 
 Both walk an environment through the walker hooks of the env contract
 (graphexplore.episode), comparing its position keys only for equality, and
-draw their actions from outgoing(). reverse_action is only queried right
-after the move it undoes (position-aware environments answer for their latest
-transition); the walker stores the answer as the frame's return ticket.
+draw their actions from outgoing(). Their rng is run_episode's
+graphexplore.episode.Draws: each choice among k actions is one below(k).
+reverse_action is only queried right after the move it undoes
+(position-aware environments answer for their latest transition); the
+walker stores the answer as the frame's return ticket.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from dataclasses import dataclass
 
 
 def random_act(actions, rng):
-    """Uniform choice from a sequence of valid actions."""
+    """Uniform choice from a sequence of valid actions, by rng.below (a
+    graphexplore.episode.Draws)."""
     if not actions:
         raise ValueError("no valid actions to choose from")
-    return actions[int(rng.integers(len(actions)))]
+    return actions[rng.below(len(actions))]
 
 
 class RandomPolicy:
@@ -101,7 +104,7 @@ class RandDfsPolicy:
             i for i, (_, dest) in enumerate(top.untried) if dest is None or dest not in self.on_stack
         ]
         if candidates:
-            action, _ = top.untried.pop(candidates[int(rng.integers(len(candidates)))])
+            action, _ = top.untried.pop(candidates[rng.below(len(candidates))])
             return action
         if top.entry_action is None:  # root exhausted
             self._pop()

@@ -131,15 +131,15 @@ class PolicyModel:
 
     def run_episodes(self, envs, seeds, mode="sample"):
         """Roll one episode per env in lockstep and return the
-        TrajectoryBatch of their K episodes in env order. Episode k resets
-        envs[k] with, and draws its actions from, its own
-        default_rng(seeds[k]) and runs until full coverage or envs[k].budget
-        decisions, so it takes the same actions in any batch. Each step
-        serves every live episode with one summaries call (one GraphNet pass
-        over the union of their newest graphs), one fold of their history
-        states as rows, one head call and one value call; the envs then step
-        one by one. An episode that goes on is observed for its next decision;
-        one that ends leaves the live set, its state rows dropped by a gather.
+        TrajectoryBatch of their K episodes in env order. Episode k draws
+        its actions from its own default_rng(seeds[k]) and runs until full
+        coverage or envs[k].budget decisions, so it takes the same actions
+        in any batch. Each step serves every live episode with one summaries
+        call (one GraphNet pass over the union of their newest graphs), one
+        fold of their history states as rows, one head call and one value
+        call; the envs then step one by one. An episode that goes on is
+        observed for its next decision; one that ends leaves the live set,
+        its state rows dropped by a gather.
 
         mode is "sample" or "greedy". Either way the batch keeps the
         log-probability, entropy and value of every decision once, as
@@ -156,7 +156,7 @@ class PolicyModel:
                 raise ValueError(f"envs {j} and {k} are the same object; "
                                  f"each episode needs its own env")
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        starts = [begin_episode(env, rng, env.budget) for env, rng in zip(envs, rngs)]
+        starts = [begin_episode(env, env.budget) for env in envs]
         trajs = [traj for traj, _, _ in starts]
         newest = [obs for _, obs, _ in starts]  # each episode's latest observation
         live = [k for k, (_, _, over) in enumerate(starts) if not over]

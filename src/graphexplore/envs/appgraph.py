@@ -168,7 +168,7 @@ class AppEnv:
         self.reward_normalizer = float(len(graph.screens))
         self.state = None
 
-    def reset(self, rng):
+    def reset(self):
         start = self.graph.start
         self.state = AppState(current=start, visited={start}, unseen=[(None, start)])
         return empty_observation(BELIEF_FEATURE_WIDTH)

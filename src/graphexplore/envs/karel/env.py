@@ -23,10 +23,10 @@ class KarelEnv:
     ValueError. Runtime faults during execution are part of the semantics,
     not step failures; coverage earned before the fault still counts.
     Implements the episode-loop part of the env contract
-    (graphexplore.episode); the walker hooks do not apply. A step returns
-    the covered-unit count; observe() puts the hits on their nodes. program
-    (a KarelProgram) is also what the heuristic world policy screens worlds
-    against.
+    (graphexplore.episode); the walker hooks do not apply, and reset()
+    draws nothing, so it takes no rng. A step returns the covered-unit
+    count; observe() puts the hits on their nodes. program (a KarelProgram)
+    is also what the heuristic world policy screens worlds against.
     """
 
     budget = 5  # proposed input worlds per episode
@@ -38,7 +38,7 @@ class KarelEnv:
         # degenerate unit-free programs keep reward arithmetic finite
         self.reward_normalizer = float(max(self.units, 1))
 
-    def reset(self, rng):
+    def reset(self):
         # The episode's accumulated unit hits, in report order, and their sum.
         self._hits = np.zeros(self.units, dtype=np.int8)
         self._covered = 0
@@ -64,10 +64,13 @@ class KarelEnv:
 
 
 def random_world_policy(config):
-    """Baseline: propose an iid world per step, program-blind."""
+    """Baseline: propose an iid world per step, program-blind. Like the
+    heuristic, a run_episode policy: rng is the episode's
+    graphexplore.episode.Draws, and each step seeds its world with one
+    below(2**62)."""
 
     def policy(env, rng):
-        return worlds.sample_world(config, int(rng.integers(2**62)))
+        return worlds.sample_world(config, rng.below(2**62))
 
     return policy
 
@@ -76,7 +79,6 @@ def heuristic_world_policy(config):
     """Baseline: propose worlds screened by the valid-execution heuristic."""
 
     def policy(env, rng):
-        seed = int(rng.integers(2**62))
-        return worlds.valid_execution_heuristic(env.program, config, seed)
+        return worlds.valid_execution_heuristic(env.program, config, rng.below(2**62))
 
     return policy

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import grid_cell
+
 FACINGS = "NESW"
 
 WALL = -1
@@ -30,7 +32,8 @@ MAX_MARKERS = 9
 @dataclass(eq=False)  # identity equality: a field-wise == would raise on the grid array
 class KarelWorld:
     """grid: int8 (side, side); -1 wall, 0 empty, k in 1..9 markers.
-    hero: (row, col) on a non-wall cell. facing: one of 'NESW'."""
+    hero: (row, col) integers on a non-wall cell, stored as two Python ints.
+    facing: one of the letters 'N', 'E', 'S', 'W'."""
 
     grid: np.ndarray
     hero: tuple
@@ -45,15 +48,16 @@ class KarelWorld:
         bad = (self.grid < WALL) | (self.grid > MAX_MARKERS)
         if bad.any():
             raise ValueError("grid cells must be -1 (wall) or 0..9 (markers)")
-        r, c = self.hero
+        hero = grid_cell(self.hero, "hero")
         side = self.grid.shape[0]
-        if not (0 <= r < side and 0 <= c < side):
-            raise ValueError(f"hero {self.hero} out of bounds for side {side}")
-        if self.grid[r, c] == WALL:
-            raise ValueError(f"hero {self.hero} stands on a wall")
-        if self.facing not in FACINGS:
-            raise ValueError(f"facing must be one of {FACINGS!r}, got {self.facing!r}")
-        self.hero = (int(r), int(c))
+        if not (0 <= hero[0] < side and 0 <= hero[1] < side):
+            raise ValueError(f"hero {hero} out of bounds for side {side}")
+        if self.grid[hero] == WALL:
+            raise ValueError(f"hero {hero} stands on a wall")
+        # A membership test on the string itself would pass "", "NE" or "NESW".
+        if self.facing not in tuple(FACINGS):
+            raise ValueError(f"facing must be one of {tuple(FACINGS)}, got {self.facing!r}")
+        self.hero = hero
 
     @property
     def side(self):

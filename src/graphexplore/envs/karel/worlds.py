@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...episode import Draws
 from .machine import FACINGS, MAX_MARKERS, WALL, KarelWorld, execute
 
 
@@ -55,12 +56,13 @@ HEURISTIC_TRIES = 20
 
 def valid_execution_heuristic(program, config, seed):
     """Resample worlds until one executes without a runtime fault; if none of
-    HEURISTIC_TRIES does, return the first try with the most covered units."""
-    rng = np.random.default_rng(seed)
+    HEURISTIC_TRIES does, return the first try with the most covered units.
+    Each try's world seed is the next below(2**62) of Draws(seed)."""
+    rng = Draws(seed)
     best = None
     best_score = -1
     for _ in range(HEURISTIC_TRIES):
-        world = sample_world(config, rng.integers(2**62))
+        world = sample_world(config, rng.below(2**62))
         report = execute(program, world)
         if report.error is None:
             return world

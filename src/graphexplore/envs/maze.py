@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphnet import BELIEF_FEATURE_WIDTH, BeliefNodes, empty_observation
+from . import grid_cell
 
 N, E, S, W = 0, 1, 2, 3
 DIRECTIONS = (N, E, S, W)
@@ -101,14 +102,7 @@ class Maze:
         if passages.shape != (self.height, self.width):
             raise ValueError(f"passages shape {passages.shape} is not (height, width) "
                              f"{(self.height, self.width)}")
-        try:
-            r, c = self.start
-            start = (int(r), int(c))
-            integral = start == (r, c)
-        except (TypeError, ValueError, ArithmeticError):
-            integral = False
-        if not integral:
-            raise ValueError(f"start {self.start!r} is not a (row, col) pair of integers")
+        start = grid_cell(self.start, "start")
         if not (0 <= start[0] < self.height and 0 <= start[1] < self.width):
             raise ValueError(f"start {start} outside the {self.height}x{self.width} grid")
         passages.flags.writeable = False
@@ -235,7 +229,7 @@ class MazeEnv:
         self.reward_normalizer = float(maze.cells())
         self.state = None
 
-    def reset(self, rng):
+    def reset(self):
         start = self.maze.start
         self.state = MazeState(position=start)
         self._visit(start)

@@ -14,8 +14,9 @@ episode loop (run_episode, PolicyModel.run_episodes) reads:
 - budget, and reward_normalizer: the instance's unit count (maze cells, app
   screens, Karel coverage units; at least 1), over which rewards and
   coverage are counted;
-- reset(rng), returning the initial GraphObservation, and step(action),
-  returning the covered-unit count as an int, the one figure rewards read;
+- reset(), returning the initial GraphObservation (no env draws at random,
+  so reset takes no rng), and step(action), returning the covered-unit
+  count as an int, the one figure rewards read;
 - observe(): the current GraphObservation, read only by the learned agent
   (PolicyModel.run_episodes), after each step of an episode that goes on;
 - action_mask(): (num_actions,) bool, or None when every action is allowed
@@ -27,6 +28,10 @@ they speak in position keys (a maze cell, an app screen), not belief-graph ids:
 - outgoing(): [(action, destination key or None when unknown)] in ascending
   action order, listing exactly the actions action_mask() allows;
 - reverse_action(a): the action undoing the latest step a, or None.
+run_episode hands its policy (a walker or a Karel world policy) a Draws, not
+a numpy Generator: Draws(seed).below(n) gives int(default_rng(seed).integers(n))
+draw for draw, without numpy's per-call cost. The learned agent keeps one
+default_rng(seed) per episode.
 """
 
 from __future__ import annotations
@@ -213,13 +218,13 @@ class EpisodeStepError(RuntimeError):
         self.step = step
 
 
-def begin_episode(env, rng, budget):
-    """Reset `env` with `rng`; returns (the trajectory holding record 0, the
-    initial observation, whether the episode is already over). An env that
-    is fully explored on arrival (e.g. a single-cell world whose start is
-    covered by arrival) needs no valid action, so the episode ends at t=0
-    and is marked terminated early; so does one with no budget, unmarked."""
-    obs0 = env.reset(rng)
+def begin_episode(env, budget):
+    """Reset `env`; returns (the trajectory holding record 0, the initial
+    observation, whether the episode is already over). An env that is fully
+    explored on arrival (e.g. a single-cell world whose start is covered by
+    arrival) needs no valid action, so the episode ends at t=0 and is marked
+    terminated early; so does one with no budget, unmarked."""
+    obs0 = env.reset()
     history = EpisodeHistory(
         records=[StepRecord(action=None, covered=0, reward=0.0)],
         budget=budget,
@@ -249,17 +254,72 @@ def advance_episode(env, traj, action):
     return done or t >= history.budget
 
 
+# Words read from PCG64 per random_raw call: a maze episode of 36 steps
+# uses about 18, a Karel episode 5.
+DRAW_BLOCK = 32
+
+
+class Draws:
+    """Bounded integer draws from the PCG64 stream of `seed`, bit for bit
+    those of numpy's Generator: Draws(seed).below(n) returns what
+    int(np.random.default_rng(seed).integers(n)) would, draw for draw, at a
+    fraction of the per-call cost. Both run Lemire's multiply-and-reject
+    method (arXiv 1805.10941) over the same 64-bit words: n == 1 uses none;
+    n <= 2**32 draws 32-bit halves, the low half first, the high half kept
+    for the next such draw (PCG64's next_uint32); a larger n draws whole
+    words, leaving a kept half alone."""
+
+    def __init__(self, seed):
+        bits = np.random.PCG64(seed)
+
+        def words():
+            while True:
+                yield from bits.random_raw(DRAW_BLOCK).tolist()
+
+        self._word = words().__next__
+        self._half = None  # the high half of a word whose low half is drawn
+
+    def below(self, n):
+        """A uniform int in [0, n), for 1 <= n <= 2**63 (numpy's int64
+        bounds); any other n raises ValueError."""
+        if n <= 1 << 32:
+            if n == 1:
+                return 0
+            if n < 1:
+                raise ValueError(f"below(n) needs 1 <= n <= 2**63, got {n}")
+            while True:
+                half = self._half
+                if half is None:
+                    word = self._word()
+                    half, self._half = word & 0xFFFFFFFF, word >> 32
+                else:
+                    self._half = None
+                m = half * n
+                low = m & 0xFFFFFFFF
+                # Reject low < 2**32 % n; that bound is below n, so a low of
+                # n or more skips the modulo, as numpy's does.
+                if low >= n or low >= (1 << 32) % n:
+                    return m >> 32
+        if n > 1 << 63:
+            raise ValueError(f"below(n) needs 1 <= n <= 2**63, got {n}")
+        while True:
+            m = self._word() * n
+            low = m & 0xFFFFFFFFFFFFFFFF
+            if low >= n or low >= (1 << 64) % n:
+                return m >> 64
+
+
 def run_episode(env, policy, budget, seed):
     """Roll one episode of a callable policy (baselines, Karel world
-    policies): `policy(env, rng)` returns an action. Stops after the
-    budget is spent or as soon as the environment reports full coverage
-    following a step. Returns (history, trajectory). It never observes the
-    env: the policies it runs read the env's walker hooks or nothing. The
-    learned agent rolls its episodes in lockstep through
-    PolicyModel.run_episodes, on the same begin_episode / advance_episode
-    bookkeeping."""
-    rng = np.random.default_rng(seed)
-    traj, _, done = begin_episode(env, rng, budget)
+    policies): `policy(env, rng)` returns an action, rng being the episode's
+    Draws(seed). Stops after the budget is spent or as soon as the
+    environment reports full coverage following a step. Returns (history,
+    trajectory). It never observes the env: the policies it runs read the
+    env's walker hooks or nothing. The learned agent rolls its episodes in
+    lockstep through PolicyModel.run_episodes, on the same begin_episode /
+    advance_episode bookkeeping."""
+    rng = Draws(seed)
+    traj, _, done = begin_episode(env, budget)
     while not done:
         done = advance_episode(env, traj, policy(env, rng))
     return traj.history, traj

@@ -119,13 +119,13 @@ def episode_outputs(batch, k):
     return tuple(t.data[batch.rows[k]].tolist() for t in batch.outputs)
 
 
-def replayed_inputs(env, seed, episode):
+def replayed_inputs(env, episode):
     """(observations, masks): the observation and the action mask before
-    each decision of `episode`, replayed on a fresh copy of `env` reset as
-    PolicyModel.run_episodes resets it. observations[t] is what the agent saw
-    with records[t], the newest record at decision t."""
+    each decision of `episode`, replayed on a fresh copy of `env`.
+    observations[t] is what the agent saw with records[t], the newest record
+    at decision t."""
     env = copy.deepcopy(env)
-    observations = [env.reset(np.random.default_rng(seed))]
+    observations = [env.reset()]
     masks = []
     for rec in episode.history.records[1:]:
         masks.append(env.action_mask())

@@ -173,7 +173,7 @@ def line_graph():
 
 def fresh_env(graph):
     env = AppEnv(graph, budget=15)
-    env.reset(np.random.default_rng(0))
+    env.reset()
     return env
 
 
@@ -246,8 +246,7 @@ def test_reward_normalizer_is_screen_count():
 def test_observation_tracks_experienced_subgraph():
     g = line_graph()
     env = AppEnv(g, budget=5)
-    rng = np.random.default_rng(0)
-    obs0 = env.reset(rng)
+    obs0 = env.reset()
     assert obs0.node_count == 0  # setting 1: starts empty
     assert obs0.node_features.shape == (0, 1)  # the is-current column
     # before any step the belief graph is just the start screen
@@ -287,7 +286,7 @@ HAND_APP = TransitionGraph(
 )
 def test_observe_matches_a_from_scratch_rebuild(graph, choices):
     env = AppEnv(graph, budget=len(choices))
-    env.reset(np.random.default_rng(0))
+    env.reset()
     for k in range(len(choices) + 1):
         obs = env.observe()
         node_ids = env.state.belief.node_ids
@@ -305,7 +304,7 @@ def test_observe_matches_a_from_scratch_rebuild(graph, choices):
 def test_action_mask_pads_to_width():
     g = line_graph()
     env = AppEnv(g, budget=5, num_actions=4)
-    env.reset(np.random.default_rng(0))
+    env.reset()
     assert env.action_mask().tolist() == [True, False, False, False]
     env.step(0)  # at "b", out-degree 2
     assert env.action_mask().tolist() == [True, True, False, False]
@@ -339,7 +338,7 @@ def test_dead_end_screen_ends_episode():
 def test_reverse_action_back_button():
     g = line_graph()
     env = AppEnv(g, budget=5)
-    env.reset(np.random.default_rng(0))
+    env.reset()
     assert env.reverse_action(0) is None  # nothing to undo yet
     env.step(0)  # a -> b
     back = env.reverse_action(0)
@@ -350,7 +349,7 @@ def test_reverse_action_back_button():
         start="a",
     )
     env = AppEnv(one_way, budget=5)
-    env.reset(np.random.default_rng(0))
+    env.reset()
     env.step(0)
     assert env.reverse_action(0) is None  # no edge back to "a"
 

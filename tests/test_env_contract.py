@@ -21,7 +21,7 @@ from graphexplore.envs.karel.env import KarelEnv, random_world_policy
 from graphexplore.envs.karel.lang import sample_program
 from graphexplore.envs.karel.worlds import WorldConfig
 from graphexplore.envs.maze import MazeEnv, generate_maze
-from graphexplore.episode import run_episode
+from graphexplore.episode import Draws, run_episode
 from graphexplore.graphnet import MAX_EDGE_TYPES
 
 EPISODE_LOOP = ("budget", "reward_normalizer", "reset", "step", "observe", "action_mask",
@@ -43,7 +43,7 @@ EDGE_TYPES = {MazeEnv: maze.NUM_EDGE_TYPES, AppEnv: appgraph.NUM_EDGE_TYPES,
 @pytest.mark.parametrize("kind", sorted(ENVS))
 def test_env_has_the_contract_members_and_none_of_the_deleted(kind):
     env = ENVS[kind]()
-    env.reset(np.random.default_rng(0))
+    env.reset()
     assert [name for name in EPISODE_LOOP if not hasattr(env, name)] == []
     hooks = [name for name in WALKER_HOOKS if callable(getattr(env, name, None))]
     assert hooks == ([] if kind == "karel" else list(WALKER_HOOKS))
@@ -68,7 +68,7 @@ def test_outgoing_lists_exactly_the_masked_actions_at_every_step(env, episode_se
     # The walkers draw from outgoing() and the learned agent from the mask;
     # the frozen baseline values rest on the two agreeing, in ascending order.
     rng = np.random.default_rng(episode_seed)
-    env.reset(rng)
+    env.reset()
     for _ in range(env.budget):
         actions = [a for a, _ in env.outgoing()]
         assert actions == np.flatnonzero(env.action_mask()).tolist()
@@ -83,7 +83,7 @@ def test_belief_edges_come_in_pairs_at_every_step(env, episode_seed):
     # Messages flow both ways along every edge of a maze or app belief graph,
     # and its edge map holds one type per ordered pair.
     rng = np.random.default_rng(episode_seed)
-    env.reset(rng)
+    env.reset()
     obs = env.observe()
     for t in range(env.budget + 1):
         pairs = {(u, v) for u, v, _ in obs.edges}
@@ -106,9 +106,9 @@ def test_every_edge_alphabet_fits_the_message_layer():
 @given(program_seed=st.integers(0, 2**31 - 1), episode_seed=st.integers(0, 2**31 - 1))
 def test_karel_edge_types_stay_in_its_alphabet(program_seed, episode_seed):
     env = KarelEnv(sample_program(np.random.default_rng(program_seed)))
-    rng = np.random.default_rng(episode_seed)
+    rng = Draws(episode_seed)
     policy = random_world_policy(WorldConfig())
-    obs = env.reset(rng)
+    obs = env.reset()
     for _ in range(2):
         assert all(1 <= k <= karel_graph.NUM_EDGE_TYPES for _, _, k in obs.edges)
         env.step(policy(env, rng))
@@ -122,7 +122,7 @@ def test_node_ids_never_shift(env, episode_seed):
     # ones, in id order, so a node keeps its id for the whole episode.
     # A step's count shows that coverage never shrinks, not that ids stay put.
     rng = np.random.default_rng(episode_seed)
-    env.reset(rng)
+    env.reset()
     env.observe()
     before = list(env.state.belief.node_ids)
     for _ in range(env.budget):
@@ -145,7 +145,7 @@ def test_observations_are_snapshots_that_share_what_a_step_left_unchanged(env, e
     # the belief graph changes. A later step must never reach back into an
     # observation already handed out, and no consumer may write into one.
     rng = np.random.default_rng(episode_seed)
-    env.reset(rng)
+    env.reset()
     obs = env.observe()
     recorded = []
     for t in range(env.budget + 1):
@@ -243,8 +243,8 @@ def test_step_counts_what_observe_shows_and_coverage_only_grows(episode, episode
     # the observation. The two must agree at every step, and no coverage bit
     # may switch off.
     env, policy = episode
-    rng = np.random.default_rng(episode_seed)
-    env.reset(rng)
+    rng = Draws(episode_seed)
+    env.reset()
     before, keys = env.observe().coverage, node_keys(env)
     for _ in range(env.budget):
         if env.fully_explored():

@@ -2,11 +2,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from graphexplore.agents import RandomPolicy
 from graphexplore.envs.maze import MazeEnv, generate_maze
 from graphexplore.episode import (
+    DRAW_BLOCK,
     CoverageRegressionError,
+    Draws,
     EpisodeHistory,
     EpisodeStepError,
     HistoryEncoder,
@@ -62,7 +66,7 @@ class DroppingEnv:
     budget = 3
     reward_normalizer = 2.0
 
-    def reset(self, rng):
+    def reset(self):
         self.counts = iter((2, 1, 1))
         return empty_observation(1)
 
@@ -144,6 +148,32 @@ def test_run_episode_seed_determinism():
         history, _ = run_episode(env, RandomPolicy(), budget=36, seed=123)
         runs.append([rec.action for rec in history.records[1:]])
     assert runs[0] == runs[1]
+
+
+# The bounds the walkers and world policies draw below, numpy's edge cases
+# (2**32 takes a raw 32-bit half; 2**63, above int64's largest value, is the
+# largest bound it accepts), and two bounds that reject a quarter of their
+# 32-bit halves or 64-bit words.
+DRAW_BOUNDS = (1, *range(2, 13), 2**32, 2**32 + 1, 2**62, 2**63 - 1, 2**63,
+               3 * 2**30, 3 * 2**61)
+
+
+@given(seed=st.integers(0, 2**63), bounds=st.lists(st.sampled_from(DRAW_BOUNDS),
+                                                   min_size=4 * DRAW_BLOCK))
+def test_draws_give_numpy_bounded_integers_draw_for_draw(seed, bounds):
+    # Each n > 1 takes at least half a word: more than a block in all, so a
+    # refill falls inside the sequence.
+    assume(sum(n > 1 for n in bounds) > 2 * DRAW_BLOCK)
+    draws, rng = Draws(seed), np.random.default_rng(seed)
+    assert [draws.below(n) for n in bounds] == [int(rng.integers(n)) for n in bounds]
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**63 + 1])
+def test_draws_reject_bounds_numpy_rejects(n):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).integers(n)
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        Draws(0).below(n)
 
 
 # ------------------------------------------------------------ history encoder

@@ -383,7 +383,7 @@ def maze_observations(rng, count):
     observations = []
     for _ in range(count):
         env = MazeEnv(generate_maze(6, 6, 0.2, int(rng.integers(2**31))), budget=40)
-        env.reset(rng)
+        env.reset()
         for _ in range(int(rng.integers(41))):
             exits = [d for d, _ in env.outgoing()]
             env.step(exits[int(rng.integers(len(exits)))])

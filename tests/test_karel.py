@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from graphexplore.envs.karel.env import KarelEnv, heuristic_world_policy, random_world_policy
 from graphexplore.envs.karel.graph import program_to_graph
 from graphexplore.envs.karel.lang import ACTIONS, sample_program
-from graphexplore.envs.karel.machine import execute
+from graphexplore.envs.karel.machine import KarelWorld, execute
 from graphexplore.envs.karel.worlds import WorldConfig, sample_world
 from graphexplore.episode import run_episode
 from reference import reference_execute
@@ -143,7 +143,7 @@ def test_world_policy_means_are_pinned():
                          ids=["int", "size-and-tokens"])
 def test_step_rejects_an_action_that_is_not_a_world(action):
     env = KarelEnv(program_for(0))
-    env.reset(np.random.default_rng(0))
+    env.reset()
     with pytest.raises(ValueError, match=f"action must be a KarelWorld, got {type(action).__name__}$"):
         env.step(action)
 
@@ -154,7 +154,7 @@ def test_coverage_mask_sums_to_covered_units(program_seed, config, world_seed):
     program = program_for(program_seed)
     world = sample_world(config, world_seed)
     env = KarelEnv(program)
-    env.reset(np.random.default_rng(0))
+    env.reset()
     covered = env.step(world)
     assert env.observe().coverage.sum() == covered == execute(program, world).covered()
 
@@ -170,7 +170,7 @@ def test_each_coverage_unit_sits_on_its_statement_or_anchor_node(seed, config, w
     assert len(units) == program.n_statements + 2 * program.n_branches
     assert len(set(units)) == len(units)
     env = KarelEnv(program)
-    env.reset(np.random.default_rng(0))
+    env.reset()
     world = sample_world(config, world_seed)
     env.step(world)
     coverage = env.observe().coverage
@@ -245,6 +245,21 @@ def test_sampled_worlds_are_pinned(config, want):
 def test_world_config_rejects_a_bad_value_at_construction(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         WorldConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("facing", ""), ("facing", "NE"), ("facing", "SW"), ("facing", "NESW"), ("facing", "n"),
+    ("facing", 0), ("hero", (0.5, 1)), ("hero", (1,)), ("hero", (0, 0, 0)), ("hero", None),
+])
+def test_world_rejects_a_facing_or_hero_that_is_not_one(field, value):
+    fields = {"grid": np.zeros((2, 2), dtype=np.int8), "hero": (0, 1), "facing": "N"}
+    with pytest.raises(ValueError, match=f"^{field} "):
+        KarelWorld(**{**fields, field: value})
+
+
+def test_world_stores_its_hero_as_two_python_ints():
+    world = KarelWorld(np.zeros((3, 3), dtype=np.int8), (np.int64(2), 1.0), "W")
+    assert world.hero == (2, 1) and all(type(x) is int for x in world.hero)
 
 
 @settings(max_examples=30, deadline=None)

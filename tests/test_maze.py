@@ -95,7 +95,7 @@ def test_generate_connected():
 
 def fresh_env(maze):
     env = MazeEnv(maze, budget=maze.cells())
-    env.reset(np.random.default_rng(0))
+    env.reset()
     return env
 
 
@@ -200,15 +200,14 @@ def test_heldout_set_is_stable():
 
 def test_env_reset_returns_empty_graph():
     env = MazeEnv(generate_maze(4, 4, 0.1, seed=5), budget=16)
-    rng = np.random.default_rng(0)
-    obs = env.reset(rng)
+    obs = env.reset()
     assert obs.node_count == 0
     assert env.reward_normalizer == 16.0
 
 
 def test_env_mask_matches_valid_actions():
     env = MazeEnv(generate_maze(4, 4, 0.0, seed=6), budget=16)
-    env.reset(np.random.default_rng(0))
+    env.reset()
     mask = env.action_mask()
     assert np.flatnonzero(mask).tolist() == env.maze.open_dirs(*env.state.position)
     assert np.flatnonzero(mask).tolist() == [d for d, _ in env.outgoing()]
@@ -325,7 +324,7 @@ def test_passages_are_read_only_once_built():
 
 def test_deepcopy_of_a_mid_episode_env_steps_like_the_original():
     env = MazeEnv(generate_maze(5, 5, 0.3, seed=3), budget=40)
-    env.reset(np.random.default_rng(0))
+    env.reset()
     rng = np.random.default_rng(1)
     for _ in range(6):
         acts = [d for d, _ in env.outgoing()]
@@ -399,7 +398,7 @@ def test_incremental_observe_matches_a_from_scratch_rebuild(width, height, loop_
                                                              choices):
     env = MazeEnv(generate_maze(width, height, loop_prob, seed), budget=len(choices),
                   hide_destinations=hide)
-    env.reset(np.random.default_rng(0))
+    env.reset()
     walk = []
     obs = env.observe()
     for k in range(len(choices) + 1):
@@ -440,8 +439,8 @@ def test_observing_after_unobserved_steps_matches_a_from_scratch_rebuild(width, 
     # them one visit at a time and must hand out the same edge tuple.
     maze = generate_maze(width, height, loop_prob, seed)
     env, twin = MazeEnv(maze, budget=len(choices)), MazeEnv(maze, budget=len(choices))
-    env.reset(np.random.default_rng(0))
-    twin.reset(np.random.default_rng(0))
+    env.reset()
+    twin.reset()
     walk = []
     for choice in choices:
         exits = maze.open_dirs(*env.state.position)

@@ -206,10 +206,10 @@ def test_run_episodes_keeps_the_policy_outputs_of_each_decision():
     # The episodes' rows partition the rows of the stacked outputs.
     rows = np.concatenate(batch.rows)
     assert sorted(rows.tolist()) == list(range(len(batch.outputs[0].data)))
-    for env, seed, traj, own in zip(envs, seeds, batch.episodes, batch.rows):
+    for env, traj, own in zip(envs, batch.episodes, batch.rows):
         records = traj.history.records[1:]
         assert records and len(own) == len(records)
-        _, masks = replayed_inputs(env, seed, traj)
+        _, masks = replayed_inputs(env, traj)
         assert all(mask[rec.action] for mask, rec in zip(masks, records))
 
 

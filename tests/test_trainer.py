@@ -169,20 +169,20 @@ def test_zero_advantage_kills_policy_term():
 # ------------------------------------------------- batched learner step
 
 
-def reference_loss(model, batch, envs, seeds):
+def reference_loss(model, batch, envs):
     """The A2C loss replayed one record at a time, each a one-row batch,
     through the public summaries, fold, score and value calls, with each
     step's observation and action mask replayed on a fresh copy of the
-    episode's env (envs[k], seeds[k])."""
+    episode's env envs[k]."""
     total = None
     pol = val = ent = 0.0
     n_steps = 0
-    for env, seed, ep in zip(envs, seeds, batch.episodes):
+    for env, ep in zip(envs, batch.episodes):
         records = ep.history.records
         if len(records) < 2:
             continue
         returns = episode_returns(ep)
-        observations, masks = replayed_inputs(env, seed, ep)
+        observations, masks = replayed_inputs(env, ep)
         state = model.encoder.init_state(1)
         for t, rec in enumerate(records[1:]):
             F, state = model.encoder.fold(
@@ -230,7 +230,7 @@ def mixed_batch(kind, model):
                  UnmaskedApp(generate_er_app(8, p=1.0, seed=5), budget=6, num_actions=7)]
     batch = recorded_batch(model, envs)
     episodes = batch.episodes
-    replayed = [replayed_inputs(env, seed, ep) for seed, (env, ep) in enumerate(zip(envs, episodes))]
+    replayed = [replayed_inputs(env, ep) for env, ep in zip(envs, episodes)]
     masks = [ep_masks for _, ep_masks in replayed]
     assert any(ep.terminated_early and len(ep.history.records) > 2 for ep in episodes)
     assert any(len(ep.history.records) < 2 for ep in episodes)
@@ -251,7 +251,7 @@ def test_batch_loss_matches_per_record_reference(kind):
     loss, parts = batch_loss(batch)
     grads = model.params.gradients(batch.tape, loss)
     with Tape() as tape:
-        ref_loss, ref_parts = reference_loss(model, batch, envs, range(len(envs)))
+        ref_loss, ref_parts = reference_loss(model, batch, envs)
     ref_grads = model.params.gradients(tape, ref_loss)
     assert abs(float(loss.data) - float(ref_loss.data)) <= 1e-9
     for name in ref_grads:
@@ -770,7 +770,7 @@ class BanditEnv:
             coverage=np.array([1.0, 1.0]) if self.done else np.zeros(2),
         )
 
-    def reset(self, rng):
+    def reset(self):
         self.done = False
         return self.observe()
 
