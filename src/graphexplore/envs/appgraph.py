@@ -1,26 +1,26 @@
 """Screen-transition exploration over synthetic apps sampled as random graphs.
 
-A TransitionGraph is a deterministic screen/action/target map. Episodes start
-knowing nothing: the observed subgraph holds only visited screens and the
-transitions actually taken, so the destination of an untried action is unknown
-until the agent commits to it. Coverage is visited screens over all screens;
-the evaluation protocol's budget is benchmarks.APP_BUDGET steps. AppEnv is the
-one way to reset and step an app; its step returns the visited-screen count
-and its walker hooks speak in screens. Its observe, through the module-level
-observe that perfbench traces as envs.observe, builds the belief graph only
-the learned agent reads, from the transitions first taken since the last one.
+A TransitionGraph is a deterministic screen/slot/target map: screens are
+0..m-1, and action slot i of a screen leads to one fixed screen. Episodes
+start knowing nothing: the observed subgraph holds only visited screens and
+the transitions actually taken, so the destination of an untried slot is
+unknown until the agent commits to it. Coverage is visited screens over all
+screens; the evaluation protocol's budget is benchmarks.APP_BUDGET steps.
+AppEnv is the one way to reset and step an app; an action is a slot index,
+its step returns the visited-screen count and its walker hooks speak in
+screens. Its observe, through the module-level observe that perfbench traces
+as envs.observe, builds the belief graph only the learned agent reads, from
+the transitions first taken since the last one.
 
 reverse_action models a tester's back button: immediately after a transition
-the environment can name the action at the new screen that returns to the
+the environment can name the slot at the new screen that returns to the
 previous one (or None when the graph has no such edge, as in a one-way
 flow).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -31,42 +31,34 @@ NUM_EDGE_TYPES = 2  # 1 = experienced transition, 2 = synthetic reverse orientat
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Deterministic screen-transition map; immutable after construction.
+    """Deterministic screen-transition map of screens 0..m-1, where m is
+    len(slots): slots[s][i] is the screen that action slot i of screen s
+    leads to. Tuples of ints all through, so a graph is immutable as built;
+    anything else, a target or start that is no screen included, raises
+    ValueError naming where it sits. generate_er_app keeps only the start
+    screen's component, so every screen of its graphs is reachable."""
 
-    Screen ids and action keys are strings. At most one target per
-    (screen, action); every screen is reachable from start (generate_er_app
-    keeps only the start screen's component). transitions is a read-only
-    view of a private copy, so the outgoing table built from it cannot go
-    stale.
-    """
-
-    screens: tuple
-    transitions: Mapping  # (src, action) -> dst
-    start: str
+    slots: tuple  # of tuples of target screens
+    start: int
 
     def __post_init__(self):
-        transitions = MappingProxyType(dict(self.transitions))
-        object.__setattr__(self, "transitions", transitions)
-        by_screen = {s: [] for s in self.screens}
-        for (src, action), dst in transitions.items():
-            by_screen[src].append((action, dst))
-        object.__setattr__(self, "_outgoing",
-                           {s: tuple(sorted(pairs)) for s, pairs in by_screen.items()})
+        if type(self.slots) is not tuple or any(type(row) is not tuple for row in self.slots):
+            raise ValueError(f"slots must be a tuple of tuples, got {self.slots!r}")
+        m = len(self.slots)
+        if type(self.start) is not int or not 0 <= self.start < m:
+            raise ValueError(f"start {self.start!r} is not a screen in 0..{m - 1}")
+        for s, row in enumerate(self.slots):
+            for i, dst in enumerate(row):
+                if type(dst) is not int or not 0 <= dst < m:
+                    raise ValueError(f"screen {s} slot {i}: target {dst!r} is not a screen "
+                                     f"in 0..{m - 1}")
 
-    def __reduce__(self):
-        # A mappingproxy neither pickles nor deep-copies: copies and pickles
-        # go through the constructor with a plain dict.
-        return TransitionGraph, (self.screens, dict(self.transitions), self.start)
-
-    def outgoing(self, screen):
-        """Outgoing (action, target) pairs sorted by action key."""
-        return self._outgoing[screen]
-
-    def out_degree(self, screen):
-        return len(self._outgoing[screen])
+    @property
+    def screens(self):
+        return range(len(self.slots))
 
     def max_out_degree(self):
-        return max((len(p) for p in self._outgoing.values()), default=0)
+        return max(map(len, self.slots), default=0)
 
 
 def er_adjacency(n, p, rng):
@@ -85,8 +77,9 @@ def er_adjacency(n, p, rng):
 def generate_er_app(n, p, seed):
     """Synthetic app: undirected edges drawn independently with probability p
     over n screens, restricted to the connected component of a uniformly
-    chosen start screen. Action k at a screen leads to its k-th smallest
-    neighbor, and both directions of an edge are actions."""
+    chosen start screen. The component's screens are renumbered 0..m-1 in
+    ascending order, slot k of a screen leads to its k-th smallest
+    neighbor, and both directions of an edge are slots."""
     if n < 1:
         raise ValueError(f"need at least one screen, got n={n}")
     if not 0.0 <= p <= 1.0:
@@ -102,12 +95,10 @@ def generate_er_app(n, p, seed):
             if v not in component:
                 component.add(v)
                 queue.append(v)
-    transitions = {}
-    for u in component:
-        for k, v in enumerate(sorted(adj[u])):
-            transitions[(str(u), str(k))] = str(v)
-    screens = tuple(sorted(str(u) for u in component))
-    return TransitionGraph(screens=screens, transitions=transitions, start=str(start))
+    order = sorted(component)
+    screen = {u: j for j, u in enumerate(order)}
+    slots = tuple(tuple(screen[v] for v in sorted(adj[u])) for u in order)
+    return TransitionGraph(slots=slots, start=screen[start])
 
 
 # ------------------------------------------------------------------ episodes
@@ -118,10 +109,10 @@ class AppState:
     """Exploration state. unseen logs (src, dst) per first take of a transition,
     after (None, start), until observe takes it into belief."""
 
-    current: str
-    previous: str = None  # the screen the latest step left
+    current: int
+    previous: int = None  # the screen the latest step left
     visited: set = field(default_factory=set)
-    taken: dict = field(default_factory=dict)  # (src, action) -> dst, first-take order
+    taken: set = field(default_factory=set)  # (screen, slot) pairs taken
     unseen: list = field(default_factory=list)
     belief: BeliefNodes = field(default_factory=BeliefNodes)
 
@@ -151,8 +142,8 @@ class AppEnv:
     Rewards normalize by the screen count.
 
     num_actions fixes the policy-facing action width (default and minimum:
-    the graph's max out-degree): action i means the i-th entry of the current
-    screen's sorted outgoing list, with the mask covering i >= out-degree."""
+    the graph's max out-degree): action i is slot i of the current screen,
+    with the mask covering i >= its out-degree."""
 
     def __init__(self, graph, budget, num_actions=None):
         if num_actions is None:
@@ -165,7 +156,7 @@ class AppEnv:
         self.graph = graph
         self.budget = budget
         self.num_actions = num_actions
-        self.reward_normalizer = float(len(graph.screens))
+        self.reward_normalizer = float(len(graph.slots))
         self.state = None
 
     def reset(self):
@@ -177,18 +168,18 @@ class AppEnv:
         return observe(self.state)
 
     def step(self, action_index):
-        """Take the action_index-th outgoing action of the current screen,
-        visiting the target screen if it is new, as only a first take can be."""
+        """Take slot action_index of the current screen, visiting the target
+        screen if it is new, as only a first take can be."""
         state = self.state
-        out = self.graph.outgoing(state.current)
-        if not 0 <= action_index < len(out):
+        row = self.graph.slots[state.current]
+        if not 0 <= action_index < len(row):
             raise ValueError(
-                f"invalid action {action_index} at screen {state.current!r} "
-                f"({len(out)} available)"
+                f"invalid action {action_index} at screen {state.current} "
+                f"({len(row)} available)"
             )
-        action, dst = out[action_index]
-        if (state.current, action) not in state.taken:
-            state.taken[state.current, action] = dst
+        dst = row[action_index]
+        if (state.current, action_index) not in state.taken:
+            state.taken.add((state.current, action_index))
             state.unseen.append((state.current, dst))
             state.visited.add(dst)
         state.previous = state.current
@@ -197,15 +188,14 @@ class AppEnv:
 
     def action_mask(self):
         mask = np.zeros(self.num_actions, dtype=bool)
-        mask[: self.graph.out_degree(self.state.current)] = True
+        mask[: len(self.graph.slots[self.state.current])] = True
         return mask
 
     def fully_explored(self):
         # A dead-end screen (the end of a one-way flow) also ends the
         # episode: no action can change anything further.
-        return len(self.state.visited) == len(self.graph.screens) or (
-            self.graph.out_degree(self.state.current) == 0
-        )
+        return (len(self.state.visited) == len(self.graph.slots)
+                or not self.graph.slots[self.state.current])
 
     # Walker hooks: positions are screens.
 
@@ -214,18 +204,14 @@ class AppEnv:
 
     def outgoing(self):
         current, taken = self.state.current, self.state.taken
-        return [(i, dst if (current, action) in taken else None)
-                for i, (action, dst) in enumerate(self.graph.outgoing(current))]
+        return [(i, dst if (current, i) in taken else None)
+                for i, dst in enumerate(self.graph.slots[current])]
 
     def reverse_action(self, action_index):
-        """Index of the action at the current screen that returns to the
-        screen the latest step came from; None when no edge leads back."""
-        if self.state.previous is None:
-            return None
-        for i, (_, dst) in enumerate(self.graph.outgoing(self.state.current)):
-            if dst == self.state.previous:
-                return i
-        return None
+        """The first slot of the current screen that returns to the screen
+        the latest step came from; None when no slot leads back."""
+        row = self.graph.slots[self.state.current]
+        return row.index(self.state.previous) if self.state.previous in row else None
 
 
 def er_app_for_seed(seed):

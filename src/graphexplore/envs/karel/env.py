@@ -24,9 +24,10 @@ class KarelEnv:
     not step failures; coverage earned before the fault still counts.
     Implements the episode-loop part of the env contract
     (graphexplore.episode); the walker hooks do not apply, and reset()
-    draws nothing, so it takes no rng. A step returns the covered-unit
-    count; observe() puts the hits on their nodes. program (a KarelProgram)
-    is also what the heuristic world policy screens worlds against.
+    draws nothing, so it takes no rng. A step folds the report's hit vector
+    into the episode's and returns the covered-unit count; observe() puts
+    the hits in their nodes' coverage column. program (a KarelProgram) is
+    also what the heuristic world policy screens worlds against.
     """
 
     budget = 5  # proposed input worlds per episode
@@ -51,8 +52,7 @@ class KarelEnv:
         if not isinstance(action, KarelWorld):
             raise ValueError(f"action must be a KarelWorld, got {type(action).__name__}")
         report = execute(self.program, action)
-        self._hits = np.maximum(self._hits, np.concatenate([report.stmt_hit,
-                                                            report.branch_hit.ravel()]))
+        self._hits = np.maximum(self._hits, report.hits)
         self._covered = int(self._hits.sum())
         return self._covered
 

@@ -4,8 +4,8 @@ Nodes: a run root, one node per statement, one node per condition token
 (not() wrappers are their own nodes), and a true/false outcome anchor pair
 per condition site. Coverage units live on statement nodes and anchors
 (KarelGraph.unit_nodes places them); the root and condition nodes never carry
-coverage, so the sum of an observation's coverage over nodes equals the
-number of covered units.
+coverage, so the sum of an observation's coverage column equals the number of
+covered units.
 
 Directed edge types:
   1 ast-child       parent -> child (root->stmt, stmt->cond, not->inner,
@@ -48,13 +48,13 @@ NODE_KINDS = (
     "false-anchor",
 )
 _REPEAT_BUCKETS = 5  # counts 1,2,3,4,>=5
-FEATURE_WIDTH = len(NODE_KINDS) + _REPEAT_BUCKETS
+FEATURE_WIDTH = len(NODE_KINDS) + _REPEAT_BUCKETS  # raw width, before the coverage bit
 
 
 @dataclass
 class KarelGraph:
     node_kinds: tuple  # kind name per node, index order frozen
-    features: np.ndarray  # (n, FEATURE_WIDTH) float64 one-hot rows
+    features: np.ndarray  # (n, FEATURE_WIDTH + 1) float64 one-hot rows, coverage bit 0
     edges: tuple  # (src, dst, type) triples
     # Node of each coverage unit in report order: statement stmt_id at
     # [stmt_id], then branch b's true and false anchors at
@@ -68,14 +68,15 @@ class KarelGraph:
         return len(self.node_kinds)
 
     def observation(self, hits):
-        """The graph with the 0/1 unit `hits`, in report order, on their nodes."""
-        coverage = np.zeros(self.node_count)
-        coverage[self.unit_nodes] = hits
-        return GraphObservation(self.features.copy(), self.edges, coverage)
+        """The graph with the 0/1 unit `hits`, in report order, in the
+        coverage column of their nodes."""
+        features = self.features.copy()
+        features[self.unit_nodes, -1] = hits
+        return GraphObservation(features, self.edges)
 
 
 def _feature_row(kind, repeat_count=0):
-    row = np.zeros(FEATURE_WIDTH)
+    row = np.zeros(FEATURE_WIDTH + 1)
     row[NODE_KINDS.index(kind)] = 1.0
     if kind == "repeat":
         row[len(NODE_KINDS) + min(repeat_count, _REPEAT_BUCKETS) - 1] = 1.0
@@ -130,7 +131,7 @@ def program_to_graph(program):
     add_block(program.body, root)
     return KarelGraph(
         node_kinds=tuple(kinds),
-        features=np.array(features) if features else np.zeros((0, FEATURE_WIDTH)),
+        features=np.array(features) if features else np.zeros((0, FEATURE_WIDTH + 1)),
         edges=tuple(edges),
         unit_nodes=np.array(stmt_nodes + anchor_nodes, dtype=np.intp),
         n_statements=program.n_statements,

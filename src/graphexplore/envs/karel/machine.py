@@ -2,9 +2,10 @@
 
 A world is a square grid of cells (wall, or 0..9 markers) plus a hero pose
 (row, col, facing). The border beyond the grid is solid wall. Executing a
-program against a world yields a coverage report: one bit per statement
-(marked when the statement is entered, so a crashing statement still counts)
-and a true/false outcome pair per condition site. Runtime faults are data on
+program against a world yields a coverage report: one 0/1 hit vector over the
+program's coverage units in report order, first one unit per statement
+(marked when the statement is entered, so a crashing statement still counts),
+then a true/false outcome pair per condition site. Runtime faults are data on
 the report, never exceptions: wall_crash, no_marker, marker_overflow,
 step_cap.
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import grid_cell
+from .. import grid_cell, integer_cells
 
 FACINGS = "NESW"
 
@@ -40,14 +41,12 @@ class KarelWorld:
     facing: str
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=np.int8)
+        # -1 (wall) or 0..9 (markers), checked before the int8 cast.
+        self.grid = np.asarray(integer_cells(self.grid, WALL, MAX_MARKERS, "grid"), dtype=np.int8)
         if self.grid.ndim != 2 or self.grid.shape[0] != self.grid.shape[1]:
             raise ValueError(f"grid must be square, got shape {self.grid.shape}")
         if self.grid.shape[0] < 1:
             raise ValueError("grid must have at least one cell")
-        bad = (self.grid < WALL) | (self.grid > MAX_MARKERS)
-        if bad.any():
-            raise ValueError("grid cells must be -1 (wall) or 0..9 (markers)")
         hero = grid_cell(self.hero, "hero")
         side = self.grid.shape[0]
         if not (0 <= hero[0] < side and 0 <= hero[1] < side):
@@ -66,16 +65,17 @@ class KarelWorld:
 
 @dataclass
 class CoverageReport:
-    """stmt_hit[i] is 1 iff statement with pre-order id i was entered.
-    branch_hit[b] is an [taken_true, taken_false] pair for condition site b."""
+    """hits: (n_statements + 2 * n_branches,) int8 in report order. hits[i]
+    is 1 iff the statement with pre-order id i was entered, and
+    hits[n_statements + 2b] and hits[n_statements + 2b + 1] iff condition
+    site b came out true and false."""
 
-    stmt_hit: np.ndarray
-    branch_hit: np.ndarray  # (n_branches, 2) int8
+    hits: np.ndarray
     error: str = None  # wall_crash | no_marker | marker_overflow | step_cap | None
     steps: int = 0
 
     def covered(self):
-        return int(self.stmt_hit.sum() + self.branch_hit.sum())
+        return int(self.hits.sum())
 
 
 class _Halt(Exception):
@@ -97,8 +97,8 @@ def execute(program, world, step_cap=1000):
     pos = (world.hero[0] + 1) * width + world.hero[1] + 1
     facing = FACINGS.index(world.facing)
     steps = 0
-    stmt_hit = [0] * program.n_statements
-    branch_hit = [0] * (2 * program.n_branches)  # [true, false] per site, flattened
+    hits = [0] * (program.n_statements + 2 * program.n_branches)
+    outcomes = program.n_statements  # the true unit of branch site 0
 
     def holds(cond):
         name = cond.name
@@ -120,13 +120,13 @@ def execute(program, world, step_cap=1000):
             raise _Halt("step_cap")
         steps += 1
         taken = holds(stmt.cond)
-        branch_hit[2 * stmt.branch_id + (not taken)] = 1
+        hits[outcomes + 2 * stmt.branch_id + (not taken)] = 1
         return taken
 
     def run(stmts):
         nonlocal pos, facing, steps
         for s in stmts:
-            stmt_hit[s.stmt_id] = 1
+            hits[s.stmt_id] = 1
             kind = s.kind
             if kind == "if":
                 if check(s):
@@ -166,9 +166,4 @@ def execute(program, world, step_cap=1000):
         run(program.body)
     except _Halt as halt:
         error = halt.error
-    return CoverageReport(
-        stmt_hit=np.array(stmt_hit, dtype=np.int8),
-        branch_hit=np.array(branch_hit, dtype=np.int8).reshape(-1, 2),
-        error=error,
-        steps=steps,
-    )
+    return CoverageReport(hits=np.array(hits, dtype=np.int8), error=error, steps=steps)

@@ -17,8 +17,10 @@ episode loop (run_episode, PolicyModel.run_episodes) reads:
 - reset(), returning the initial GraphObservation (no env draws at random,
   so reset takes no rng), and step(action), returning the covered-unit
   count as an int, the one figure rewards read;
-- observe(): the current GraphObservation, read only by the learned agent
-  (PolicyModel.run_episodes), after each step of an episode that goes on;
+- observe(): the current GraphObservation, whose feature array ends in the
+  coverage bit, so its last column sums to step's count; read only by the
+  learned agent (PolicyModel.run_episodes), after each step of an episode
+  that goes on;
 - action_mask(): (num_actions,) bool, or None when every action is allowed
   (Karel, whose actions are input worlds);
 - fully_explored().

@@ -3,9 +3,9 @@ messages into a node summed (as in Li et al.'s gated graph networks), attention
 readout to a fixed-width graph vector, and the belief-graph observations the
 maze and app environments hand to it.
 
-The encoder consumes a GraphObservation: the currently known subgraph together
-with a per-node coverage bit. The coverage bit is appended to the raw node
-features before any learned transformation, so the same encoder weights serve
+The encoder consumes a GraphObservation: the currently known subgraph, whose
+node features end in a per-node coverage bit. The bit is a feature column like
+any other before any learned transformation, so the same encoder weights serve
 both "what does the graph look like" and "what is left to visit". Edges are an
 unordered collection of (u, v, k): propagate reads them only through per-node
 counts, so its result depends on the edge multiset, not on the order in which
@@ -72,46 +72,44 @@ BLOCK_NODES = 128
 
 @dataclass(eq=False)
 class GraphObservation:
-    """A (sub)graph plus coverage mask. Observations compare by identity: the
-    array fields have no single truth value to compare by.
+    """A (sub)graph whose node features end in the coverage bit. Observations
+    compare by identity: the feature array has no single truth value to
+    compare by.
 
-    Edges are directed (u, v, k) with type k in 1..MAX_EDGE_TYPES
-    (GraphNet.propagate checks endpoints and types, and that no edge joins
-    two graphs of a union); undirected environments insert both directions.
-    They form a multiset: their order means nothing. The agent's position,
-    where an environment has one, is a node feature: the is-current column of
-    a belief graph (BeliefNodes.observation).
+    node_features holds an environment's raw feature columns, then one 0/1
+    column: whether the node is covered. Edges are directed (u, v, k) with
+    type k in 1..MAX_EDGE_TYPES (GraphNet.propagate checks endpoints and
+    types, and that no edge joins two graphs of a union); undirected
+    environments insert both directions. They form a multiset: their order
+    means nothing. The agent's position, where an environment has one, is a
+    raw feature: the is-current column of a belief graph
+    (BeliefNodes.observation).
 
-    A maze or app belief graph hands out its edges as a tuple and its
-    coverage as a read-only array, both shared by consecutive observations
-    until the graph changes (see BeliefNodes). Consumers must not write to
-    either.
+    A maze or app belief graph hands out its edges as a tuple, shared by
+    consecutive observations until the graph changes (see BeliefNodes), and
+    a fresh feature array per observation.
     """
 
-    node_features: np.ndarray  # (node_count, d_in)
+    node_features: np.ndarray  # (node_count, raw width + 1); the last column is the coverage bit
     edges: Sequence  # of (u, v, k), in no particular order; a union holds an (m, 3) int array
-    coverage: np.ndarray  # (node_count,) of 0/1
 
     @property
     def node_count(self):
-        return len(self.coverage)
+        return len(self.node_features)
 
     def is_empty(self):
         return self.node_count == 0
 
 
 def empty_observation(feature_width):
-    return GraphObservation(
-        node_features=np.zeros((0, feature_width)),
-        edges=(),
-        coverage=np.zeros(0),
-    )
+    """The graph of no nodes, for raw features `feature_width` wide."""
+    return GraphObservation(node_features=np.zeros((0, feature_width + 1)), edges=())
 
 
 # ------------------------------------------- belief graphs of maze and app
 
 
-BELIEF_FEATURE_WIDTH = 1  # a belief graph's one feature column: is the node current
+BELIEF_FEATURE_WIDTH = 1  # a belief graph's one raw feature column: is the node current
 
 
 @dataclass
@@ -122,26 +120,22 @@ class BeliefNodes:
     the next. links holds at most one edge type per ordered node pair. An
     env state owns one as `belief`, which only the env's observe builds.
 
-    Observations share what a step left unchanged: one edge tuple, rebuilt
-    only after link adds or retypes an edge, and one read-only coverage
-    array, rebuilt only after admit adds a node or mark_covered sets a bit."""
+    Observations share one edge tuple until link adds or retypes an edge;
+    each builds its own [is-current | covered] feature array."""
 
     node_ids: dict = field(default_factory=dict)  # key -> node id, in id order
     links: dict = field(default_factory=dict)  # (u, v) -> edge type
     covered: set = field(default_factory=set)  # ids of covered nodes
-    # What the latest observation handed out, kept until it changes (None: stale).
+    # The edges the latest observation handed out, kept until they change (None: stale).
     _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _coverage: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def admit(self, key):
         if key not in self.node_ids:
             self.node_ids[key] = len(self.node_ids)
-            self._coverage = None
 
     def mark_covered(self, key):
         """Set the coverage bit of admitted `key`, which must not be set yet."""
         self.covered.add(self.node_ids[key])
-        self._coverage = None
 
     def link(self, a, b, k, back):
         """Edge a -> b of type k between admitted keys, backed by b -> a of
@@ -153,37 +147,21 @@ class BeliefNodes:
             self._edges = None
 
     def observation(self, current_key):
-        """Observation of the graph with the agent on `current_key`. The one
-        feature column marks the current node; it is the one array each
-        observation builds afresh."""
+        """Observation of the graph with the agent on `current_key`: node
+        features [is-current | covered], built afresh."""
         if self._edges is None:
             self._edges = tuple((u, v, k) for (u, v), k in self.links.items())
-        if self._coverage is None:
-            coverage = np.zeros(len(self.node_ids))
-            coverage[list(self.covered)] = 1.0
-            coverage.flags.writeable = False
-            self._coverage = coverage
-        is_current = np.zeros((len(self._coverage), BELIEF_FEATURE_WIDTH))
-        is_current[self.node_ids[current_key], 0] = 1.0
-        return GraphObservation(
-            node_features=is_current,
-            edges=self._edges,
-            coverage=self._coverage,
-        )
-
-
-def pad_coverage_bit(obs, dtype=np.float64):
-    """Node features with the coverage bit appended as one extra column, in
-    `dtype`. Features and coverage are 0/1 values, exact in any float dtype."""
-    col = np.asarray(obs.coverage).reshape(-1, 1)
-    return np.concatenate([obs.node_features, col], axis=1, dtype=dtype)
+        features = np.zeros((len(self.node_ids), BELIEF_FEATURE_WIDTH + 1))
+        features[self.node_ids[current_key], 0] = 1.0
+        features[list(self.covered), -1] = 1.0
+        return GraphObservation(node_features=features, edges=self._edges)
 
 
 @dataclass
 class GraphNetConfig:
     d: int = 64
     rounds: int = 5
-    feature_width: int = 1  # raw width, before the coverage bit
+    feature_width: int = 1  # raw width: node features hold one more column, the coverage bit
 
 
 class GraphNet:
@@ -203,8 +181,7 @@ class GraphNet:
             raise ValueError(f"rounds must be >= 1, got {config.rounds}")
         self.config = config
         d = config.d
-        in_width = config.feature_width + 1  # + coverage bit
-        self.project = Linear(params, f"{name}/project", in_width, d)
+        self.project = Linear(params, f"{name}/project", config.feature_width + 1, d)
         self.message = Linear(params, f"{name}/message/l0", 2 * d + MAX_EDGE_TYPES, d)
         self.gru = GRUCell(params, f"{name}/gru", d, d)
         self.w_att = params.get_or_init(f"{name}/readout/W_att", (d,), init="normal")
@@ -213,10 +190,10 @@ class GraphNet:
     # -- stages ------------------------------------------------------------
 
     def project_features(self, obs):
-        """Raw features + coverage bit, linearly mapped to width d. These are
-        the pre-message-passing node states (round 0), in the parameters'
-        dtype."""
-        return self.project(Tensor(pad_coverage_bit(obs, self.project.W.data.dtype)))
+        """Node features, coverage bit included, linearly mapped to width d.
+        These are the pre-message-passing node states (round 0), in the
+        parameters' dtype, to which the features are cast first."""
+        return self.project(Tensor(obs.node_features.astype(self.project.W.data.dtype)))
 
     def propagate(self, h0, obs, node_counts):
         """L message-passing rounds from initial node states h0 (n, d).
@@ -326,7 +303,5 @@ def union_observation(observations):
     union = GraphObservation(
         node_features=np.concatenate([obs.node_features for obs in observations], axis=0),
         edges=np.concatenate(edges, axis=0),
-        coverage=np.concatenate([np.asarray(obs.coverage, dtype=np.float64)
-                                 for obs in observations]),
     )
     return union, np.repeat(np.arange(len(observations)), counts)

@@ -137,16 +137,15 @@ def replayed_inputs(env, episode):
 # ------------------------------------------------------- app belief graph
 
 
-def app_reference_edges(state):
-    """Edges of an app belief graph rebuilt from the taken transitions: one
+def app_reference_edges(env):
+    """Edges of an app env's belief graph rebuilt from the taken slots: one
     type-1 edge per experienced (src, dst) screen pair, plus a type-2 reverse
     (dst, src) where that reverse was never taken. Node ids are those of the
-    state's belief graph, which must have been observed since the last
-    step."""
-    node_ids = state.belief.node_ids
+    env's belief graph, which must have been observed since the last step."""
+    node_ids = env.state.belief.node_ids
     forward = set()
-    for (src, _), dst in state.taken.items():
-        forward.add((node_ids[src], node_ids[dst]))
+    for src, slot in env.state.taken:
+        forward.add((node_ids[src], node_ids[env.graph.slots[src][slot]]))
     edges = [(u, v, 1) for u, v in sorted(forward)]
     edges.extend((v, u, 2) for u, v in sorted(forward) if (v, u) not in forward)
     return edges
@@ -226,7 +225,8 @@ class _Exec:
 
 def reference_execute(program, world, step_cap=1000):
     """The coverage report of envs.karel.machine.execute, from an interpreter
-    that indexes the numpy grid and writes hits into numpy arrays as it goes.
+    that indexes the numpy grid and writes hits into numpy arrays as it goes,
+    statements and branch outcomes apart, joined in report order at the end.
     Same fuel rules: one unit per primitive action and per condition check."""
     stmt_hit = np.zeros(program.n_statements, dtype=np.int8)
     branch_hit = np.zeros((program.n_branches, 2), dtype=np.int8)
@@ -263,7 +263,8 @@ def reference_execute(program, world, step_cap=1000):
         run_block(program.body)
     except _Halt as halt:
         error = halt.error
-    return CoverageReport(stmt_hit=stmt_hit, branch_hit=branch_hit, error=error, steps=ex.steps)
+    return CoverageReport(hits=np.concatenate([stmt_hit, branch_hit.ravel()]), error=error,
+                          steps=ex.steps)
 
 
 # ------------------------------------------------------------- exact solvers

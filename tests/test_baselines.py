@@ -136,28 +136,20 @@ def test_randdfs_hidden_loopy_maze_completes():
 
 
 def test_randdfs_cannot_backtrack_over_a_one_way_entry():
-    # a -x-> b is one-way and b's only action loops, so once b's loop is
-    # tried the walker must back out of b and has no return ticket. Seed 1
-    # takes x first; taking y first covers all three screens on reaching b,
-    # which ends the episode before the loop is tried.
-    g = TransitionGraph(
-        screens=("a", "b", "c"),
-        transitions={("a", "x"): "b", ("a", "y"): "c", ("b", "loop"): "b", ("c", "back"): "a"},
-        start="a",
-    )
+    # 0 -> 1 (slot 0) is one-way and screen 1's only slot loops, so once the
+    # loop is tried the walker must back out of 1 and has no return ticket.
+    # Seed 1 takes slot 0 first; taking slot 1 (to 2) first covers all three
+    # screens on reaching 1, which ends the episode before the loop is tried.
+    g = TransitionGraph(slots=((1, 2), (1,), (0,)), start=0)
     with pytest.raises(ValueError, match="cannot backtrack: action 0 is irreversible"):
         run_episode(AppEnv(g, budget=20), RandDfsPolicy(), budget=20, seed=1)
 
 
 def test_randdfs_cannot_undo_a_one_way_probe_onto_the_stack():
-    # a -go-> b -on-> c -jump-> a: the probe from c lands on the stack root,
-    # which has no edge back to c. Seed 1 takes go first (side is a dead end).
-    g = TransitionGraph(
-        screens=("a", "b", "c", "d"),
-        transitions={("a", "go"): "b", ("a", "side"): "d", ("b", "on"): "c", ("c", "jump"): "a"},
-        start="a",
-    )
-    with pytest.raises(ValueError, match="cannot return from node a: action 0 is irreversible"):
+    # 0 -> 1 -> 2 -> 0: the probe from 2 lands on the stack root, which has
+    # no edge back to 2. Seed 1 takes slot 0 first (slot 1, to 3, is a dead end).
+    g = TransitionGraph(slots=((1, 3), (2,), (0,), ()), start=0)
+    with pytest.raises(ValueError, match="cannot return from node 0: action 0 is irreversible"):
         run_episode(AppEnv(g, budget=20), RandDfsPolicy(), budget=20, seed=1)
 
 

@@ -141,9 +141,9 @@ def test_node_ids_never_shift(env, episode_seed):
 @settings(max_examples=60, deadline=None)
 @given(env=walker_envs(), episode_seed=st.integers(0, 2**31 - 1))
 def test_observations_are_snapshots_that_share_what_a_step_left_unchanged(env, episode_seed):
-    # Consecutive observations share their edge tuple and coverage array until
-    # the belief graph changes. A later step must never reach back into an
-    # observation already handed out, and no consumer may write into one.
+    # Consecutive observations share their edge tuple until the belief graph
+    # changes, and each has its own feature array. A later step must never
+    # reach back into an observation already handed out.
     rng = np.random.default_rng(episode_seed)
     env.reset()
     obs = env.observe()
@@ -152,9 +152,7 @@ def test_observations_are_snapshots_that_share_what_a_step_left_unchanged(env, e
         if recorded:
             prev = recorded[-1][0]
             assert (obs.edges is prev.edges) == (obs.edges == prev.edges)
-            assert (obs.coverage is prev.coverage) == (
-                obs.coverage.shape == prev.coverage.shape
-                and np.array_equal(obs.coverage, prev.coverage))
+            assert obs.node_features is not prev.node_features
         recorded.append((obs, copy.deepcopy(obs)))
         actions = [a for a, _ in env.outgoing()]
         if t == env.budget or not actions:
@@ -163,11 +161,8 @@ def test_observations_are_snapshots_that_share_what_a_step_left_unchanged(env, e
         obs = env.observe()
     for obs, snapshot in recorded:
         assert obs.edges == snapshot.edges
-        assert np.array_equal(obs.coverage, snapshot.coverage)
         assert np.array_equal(obs.node_features, snapshot.node_features)
         assert obs.node_count == snapshot.node_count
-    with pytest.raises(ValueError, match="read-only"):
-        obs.coverage[0] = 1.0 - obs.coverage[0]
 
 
 def budget_against(draw, units):
@@ -245,19 +240,19 @@ def test_step_counts_what_observe_shows_and_coverage_only_grows(episode, episode
     env, policy = episode
     rng = Draws(episode_seed)
     env.reset()
-    before, keys = env.observe().coverage, node_keys(env)
+    before, keys = env.observe().node_features[:, -1], node_keys(env)
     for _ in range(env.budget):
         if env.fully_explored():
             break
         covered = env.step(policy(env, rng))
-        obs = env.observe()
-        assert type(covered) is int and covered == obs.coverage.sum()
-        assert len(obs.coverage) >= len(before)
-        assert not (before > obs.coverage[:len(before)]).any()
+        coverage = env.observe().node_features[:, -1]
+        assert type(covered) is int and covered == coverage.sum()
+        assert len(coverage) >= len(before)
+        assert not (before > coverage[:len(before)]).any()
         now = node_keys(env)
         assert now[:len(keys)] == keys
         assert env.fully_explored() == explored_by_count(env, covered)
-        before, keys = obs.coverage, now
+        before, keys = coverage, now
 
 
 class Unobservable:

@@ -30,17 +30,15 @@ from graphexplore.tensor import ParamSet, Tape, embed_lookup, no_grad, reduce_su
 
 
 def obs_of(coverage, edges=(), feature_width=1, current=None):
-    """Observation of len(coverage) nodes whose features are zero, except a
-    one-hot is-current column 0 at node `current` when one is given."""
+    """Observation of len(coverage) nodes whose raw features are zero, except
+    a one-hot is-current column 0 at node `current` when one is given, with
+    `coverage` as the last column."""
     n = len(coverage)
-    features = np.zeros((n, feature_width))
+    features = np.zeros((n, feature_width + 1))
     if current is not None:
         features[current, 0] = 1.0
-    return GraphObservation(
-        node_features=features,
-        edges=list(edges),
-        coverage=np.asarray(coverage, dtype=np.float64),
-    )
+    features[:, -1] = coverage
+    return GraphObservation(node_features=features, edges=list(edges))
 
 
 def test_compute_reward_basic():
@@ -267,8 +265,8 @@ def varied_steps(seed):
         edges = [(u, v, int(rng.integers(1, 3))) for u in range(n) for v in range(n)
                  if u != v and rng.random() < 0.5]
         obs = obs_of((rng.random(n) < 0.5).astype(float) if i != 1 else [0.0], edges=edges)
-        obs.node_features = rng.normal(size=(n, 1))
-        rec = StepRecord(action=int(rng.integers(4)), covered=int(obs.coverage.sum()),
+        obs.node_features[:, 0] = rng.normal(size=n)
+        rec = StepRecord(action=int(rng.integers(4)), covered=int(obs.node_features[:, -1].sum()),
                          reward=0.1 * i)
         steps.append((obs, rec))
     return steps

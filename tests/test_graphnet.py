@@ -16,7 +16,6 @@ from graphexplore.graphnet import (
     GraphObservation,
     block_sizes,
     empty_observation,
-    pad_coverage_bit,
 )
 from graphexplore.tensor import (
     ParamSet,
@@ -32,12 +31,18 @@ from reference import grad_check, sigmoid
 
 
 def make_obs(n, edges, feature_width=3, coverage=None, seed=0):
+    """n nodes of normal raw features, then the coverage column (zero unless
+    given)."""
     rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, feature_width))
     return GraphObservation(
-        node_features=rng.normal(size=(n, feature_width)),
+        node_features=np.column_stack([raw, np.zeros(n) if coverage is None else coverage]),
         edges=edges,
-        coverage=np.zeros(n) if coverage is None else np.asarray(coverage, dtype=np.float64),
     )
+
+
+def with_features(obs, node_features):
+    return GraphObservation(node_features=node_features, edges=obs.edges)
 
 
 def both_ways(pairs, k=1):
@@ -55,22 +60,25 @@ def make_net(seed=0, dtype=np.float32, **kwargs):
 
 
 def test_belief_observations_share_only_what_is_unchanged():
+    # Features are [is-current | covered], built afresh per observation; the
+    # edge tuple is shared until an edge changes.
     nodes = BeliefNodes()
     nodes.admit("a")
     nodes.mark_covered("a")
     first = nodes.observation("a")
-    assert nodes.observation("a").coverage is first.coverage
+    assert nodes.observation("a").node_features is not first.node_features
     nodes.admit("b")  # a new node, no bit set
     second = nodes.observation("a")
-    assert second.coverage.tolist() == [1.0, 0.0]
+    assert second.node_features.tolist() == [[1.0, 1.0], [0.0, 0.0]]
     assert second.edges is first.edges and first.edges == ()
     nodes.link("a", "b", 1, 2)
     nodes.mark_covered("b")
     third = nodes.observation("b")
-    assert third.coverage.tolist() == [1.0, 1.0] and third.edges == ((0, 1, 1), (1, 0, 2))
+    assert third.node_features.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+    assert third.edges == ((0, 1, 1), (1, 0, 2))
     nodes.link("a", "b", 1, 2)  # no change: the tuple stays
     assert nodes.observation("b").edges is third.edges
-    assert first.coverage.tolist() == [1.0] and second.edges == ()
+    assert first.node_features.tolist() == [[1.0, 1.0]] and second.edges == ()
 
 
 def test_observations_compare_by_identity():
@@ -78,18 +86,28 @@ def test_observations_compare_by_identity():
     assert (a == b) is False and (a == a) is True
 
 
-def test_pad_coverage_bit_masks():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_projection_reads_the_coverage_bit_as_its_last_input_row(dtype):
+    # Features are cast to the parameters' dtype before the product, and
+    # setting a node's coverage bit adds the last row of the projection.
+    params, net = make_net(dtype=dtype)
     obs = make_obs(4, [], coverage=[0, 0, 0, 0])
-    padded = pad_coverage_bit(obs)
-    assert padded.shape == (4, 4)
-    assert np.array_equal(padded[:, -1], np.zeros(4))
-    obs.coverage = np.ones(4)
-    assert np.array_equal(pad_coverage_bit(obs)[:, -1], np.ones(4))
+    covered = obs.node_features.copy()
+    covered[[1, 3], -1] = 1.0
+    a = net.project_features(obs).data
+    b = net.project_features(with_features(obs, covered)).data
+    assert a.dtype == b.dtype == dtype and a.shape == (4, 8)
+    W = net.project.W.data
+    assert np.array_equal(a, obs.node_features.astype(dtype) @ W + net.project.b.data)
+    assert np.allclose(b - a, np.outer([0, 1, 0, 1], W[-1]), atol=1e-6)
 
 
-def test_pad_coverage_bit_width_contract():
-    obs = make_obs(2, [], feature_width=7)
-    assert pad_coverage_bit(obs).shape[1] == 8
+@pytest.mark.parametrize("width", [3, 5])
+def test_projection_rejects_features_of_the_wrong_width(width):
+    # The net reads 3 raw columns plus the coverage bit: 4 in all.
+    params, net = make_net()
+    with pytest.raises(ValueError):
+        net.project_features(with_features(make_obs(2, []), np.zeros((2, width))))
 
 
 def test_single_node_matches_handrolled_gru():
@@ -116,7 +134,6 @@ def test_permutation_equivariance_of_node_embeddings():
     permuted = GraphObservation(
         node_features=obs.node_features[inv],
         edges=[(perm[u], perm[v], k) for u, v, k in obs.edges],
-        coverage=obs.coverage[inv],
     )
     out_perm = net.propagate(net.project_features(permuted), permuted, [4]).data
     assert np.allclose(out_perm, out[inv], atol=1e-12)
@@ -133,7 +150,7 @@ def test_one_round_sees_one_hop_only():
     # middle node (degree 2) even with identical starting features.
     params, net = make_net(rounds=1)
     obs = make_obs(3, both_ways([(0, 1), (1, 2)]))
-    obs.node_features = np.ones((3, 3))
+    obs.node_features = np.ones((3, 4))
     out = net.propagate(net.project_features(obs), obs, [3]).data
     assert np.allclose(out[0], out[2], atol=1e-12)  # symmetric ends
     assert not np.allclose(out[0], out[1], atol=1e-6)
@@ -145,11 +162,7 @@ def test_receptive_field_limited_by_rounds():
         params, net = make_net(rounds=rounds)
         edges = both_ways([(0, 1), (1, 2), (2, 3), (3, 4)])
         base = make_obs(5, edges, seed=8)
-        bumped = GraphObservation(
-            node_features=base.node_features.copy(),
-            edges=edges,
-            coverage=base.coverage,
-        )
+        bumped = with_features(base, base.node_features.copy())
         bumped.node_features[0] += 1.0
         a = net.propagate(net.project_features(base), base, [5]).data
         b = net.propagate(net.project_features(bumped), bumped, [5]).data
@@ -310,7 +323,6 @@ def test_graph_vector_permutation_invariant():
     permuted = GraphObservation(
         node_features=obs.node_features[inv],
         edges=[(perm[u], perm[v], k) for u, v, k in obs.edges],
-        coverage=obs.coverage[inv],
     )
     g2 = net.encode_batch([permuted]).data[0]
     assert np.allclose(g1, g2, atol=1e-9)
@@ -365,10 +377,10 @@ def test_encoder_gradients_match_finite_differences():
         n = 5
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
         edges = both_ways(pairs) + both_ways([(0, 1)], k=2)
+        raw = rng.normal(size=(n, 2))
         obs = GraphObservation(
-            node_features=rng.normal(size=(n, 2)),
+            node_features=np.column_stack([raw, rng.random(n) < 0.5]).astype(np.float64),
             edges=edges,
-            coverage=(rng.random(n) < 0.5).astype(np.float64),
         )
 
         def fn(p):

@@ -156,7 +156,7 @@ def test_coverage_mask_sums_to_covered_units(program_seed, config, world_seed):
     env = KarelEnv(program)
     env.reset()
     covered = env.step(world)
-    assert env.observe().coverage.sum() == covered == execute(program, world).covered()
+    assert env.observe().node_features[:, -1].sum() == covered == execute(program, world).covered()
 
 
 @settings(max_examples=50, deadline=None)
@@ -173,18 +173,23 @@ def test_each_coverage_unit_sits_on_its_statement_or_anchor_node(seed, config, w
     env.reset()
     world = sample_world(config, world_seed)
     env.step(world)
-    coverage = env.observe().coverage
+    features = env.observe().node_features
+    coverage = features[:, -1]
+    # The kind and repeat columns are the graph's, which observe leaves as built.
+    assert np.array_equal(features[:, :-1], env.graph.features[:, :-1])
+    assert not env.graph.features[:, -1].any()
     report = execute(program, world)
     edges = set(graph.edges)
     for stmt in preorder(program.body):
         node = units[stmt.stmt_id]
         assert graph.node_kinds[node] == stmt.kind
-        assert coverage[node] == report.stmt_hit[stmt.stmt_id]
+        assert coverage[node] == report.hits[stmt.stmt_id]
         if stmt.branch_id >= 0:
-            t, f = units[program.n_statements + 2 * stmt.branch_id:][:2]
+            first = program.n_statements + 2 * stmt.branch_id
+            t, f = units[first:first + 2]
             assert (graph.node_kinds[t], graph.node_kinds[f]) == ("true-anchor", "false-anchor")
             assert {(node, t, 1), (node, f, 1)} <= edges
-            assert coverage[[t, f]].tolist() == report.branch_hit[stmt.branch_id].tolist()
+            assert coverage[[t, f]].tolist() == report.hits[first:first + 2].tolist()
     assert not coverage[np.setdiff1d(np.arange(graph.node_count), units)].any()
 
 
@@ -207,9 +212,9 @@ def test_execute_matches_the_reference_interpreter(program_seed, config, world_s
     world = sample_world(config, world_seed)
     report = execute(program, world, step_cap=step_cap)
     want = reference_execute(program, world, step_cap=step_cap)
-    for name in ("stmt_hit", "branch_hit"):
-        got, ref = getattr(report, name), getattr(want, name)
-        assert got.dtype == ref.dtype and got.shape == ref.shape and np.array_equal(got, ref)
+    got, ref = report.hits, want.hits
+    assert got.dtype == ref.dtype == np.int8 and got.shape == ref.shape
+    assert np.array_equal(got, ref)
     assert (report.error, report.steps) == (want.error, want.steps)
 
 
@@ -257,6 +262,14 @@ def test_world_rejects_a_facing_or_hero_that_is_not_one(field, value):
         KarelWorld(**{**fields, field: value})
 
 
+@pytest.mark.parametrize("value", [255, 259, 1.5, 10, -2, np.nan, np.inf])
+def test_world_rejects_a_grid_cell_that_is_not_a_wall_or_a_marker_count(value):
+    # The int8 cast once stored 255 as a wall, 259 as 3 markers and 1.5 as 1.
+    grid = np.array([[0, 0], [0, value]])
+    with pytest.raises(ValueError, match=r"^grid cell \(1, 1\) holds .*, not an integer in -1\.\.9$"):
+        KarelWorld(grid, (0, 0), "N")
+
+
 def test_world_stores_its_hero_as_two_python_ints():
     world = KarelWorld(np.zeros((3, 3), dtype=np.int8), (np.int64(2), 1.0), "W")
     assert world.hero == (2, 1) and all(type(x) is int for x in world.hero)
@@ -270,10 +283,8 @@ def test_final_coverage_is_the_joint_coverage_of_the_proposed_worlds(program_see
     env = KarelEnv(program)
     history, traj = run_episode(env, random_world_policy(config), budget=env.budget,
                                 seed=episode_seed)
-    stmt_hit = np.zeros(program.n_statements, dtype=bool)
-    branch_hit = np.zeros((program.n_branches, 2), dtype=bool)
-    for report in (execute(program, rec.action) for rec in history.records[1:]):
-        stmt_hit |= report.stmt_hit.astype(bool)
-        branch_hit |= report.branch_hit.astype(bool)
     units = program.n_statements + 2 * program.n_branches
-    assert traj.final_coverage == (stmt_hit.sum() + branch_hit.sum()) / max(units, 1)
+    hit = np.zeros(units, dtype=bool)
+    for report in (execute(program, rec.action) for rec in history.records[1:]):
+        hit |= report.hits.astype(bool)
+    assert traj.final_coverage == hit.sum() / max(units, 1)

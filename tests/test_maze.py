@@ -104,7 +104,7 @@ def test_observe_start_neighborhood():
     env = fresh_env(open_grid(2, 2, start=(0, 0)))
     obs = env.observe()
     assert obs.node_count == 3
-    assert sorted(obs.coverage) == [0.0, 0.0, 1.0]
+    assert sorted(obs.node_features[:, 1]) == [0.0, 0.0, 1.0]
     assert len(obs.edges) == 4  # 2 passages, both directions
     assert obs.node_features[:, 0].tolist() == [1.0, 0.0, 0.0]  # the start is node 0
 
@@ -115,15 +115,15 @@ def test_observe_full_coverage():
         env.step(d)
     obs = env.observe()
     assert obs.node_count == 4
-    assert np.all(obs.coverage == 1.0)
+    assert np.all(obs.node_features[:, 1] == 1.0)
 
 
 def test_observe_features_have_no_coordinates():
-    # Feature width is exactly the is-current column: nothing in the schema
-    # can carry (row, col).
+    # Feature width is exactly the is-current column and the coverage bit:
+    # nothing in the schema can carry (row, col).
     env = fresh_env(open_grid(3, 3, start=(1, 1)))
     obs = env.observe()
-    assert obs.node_features.shape == (obs.node_count, 1)
+    assert obs.node_features.shape == (obs.node_count, 2)
     assert obs.node_features[env.state.belief.node_ids[env.current_node()], 0] == 1.0
     assert obs.node_features[:, 0].sum() == 1.0
 
@@ -259,6 +259,16 @@ def test_maze_rejects_passages_of_another_shape():
         Maze(width=2, height=1, passages=[[0], [0]], start=(0, 0))
 
 
+@pytest.mark.parametrize("value", [264, 8.5, 24, -248, 16, np.nan])
+def test_maze_rejects_a_passage_value_that_is_not_a_side_mask(value):
+    # Cell (0, 1) opens W (8) back to (0, 0). The uint8 cast once stored 264,
+    # 8.5 and -248 as 8 and built the maze, and kept the stray bit of 24.
+    passages = np.array([[1 << E, value]])
+    with pytest.raises(ValueError, match=r"^passages cell \(0, 1\) holds .*, not an integer "
+                                         r"in 0\.\.15$"):
+        Maze(width=2, height=1, passages=passages, start=(0, 0))
+
+
 @pytest.mark.parametrize("start", [(-1, 0), (0, 2), (1, 0), (0, -1)])
 def test_maze_rejects_a_start_off_the_grid(start):
     with pytest.raises(ValueError, match=r"outside the 1x2 grid"):
@@ -339,7 +349,6 @@ def test_deepcopy_of_a_mid_episode_env_steps_like_the_original():
         assert twin.step(a) == env.step(a)
         mine, theirs = env.observe(), twin.observe()
         assert theirs.edges == mine.edges
-        assert np.array_equal(theirs.coverage, mine.coverage)
         assert np.array_equal(theirs.node_features, mine.node_features)
     # The copy has its own state: stepping it leaves the original alone.
     position = env.state.position
@@ -407,11 +416,11 @@ def test_incremental_observe_matches_a_from_scratch_rebuild(width, height, loop_
         # belief graph holds at most one edge per (u, v).
         assert sorted(obs.edges) == sorted(edges)
         assert len({(u, v) for u, v, _ in obs.edges}) == len(obs.edges)
-        assert np.array_equal(obs.coverage, coverage)
         assert env.state.belief.node_ids == node_ids
         assert current == env.state.belief.node_ids[env.current_node()]
-        features = np.zeros((len(coverage), 1))
+        features = np.zeros((len(coverage), 2))
         features[current, 0] = 1.0
+        features[:, 1] = coverage
         assert np.array_equal(obs.node_features, features)
         pos = env.state.position
         exits = [(d, (pos[0] + DELTAS[d][0], pos[1] + DELTAS[d][1]))
@@ -454,7 +463,7 @@ def test_observing_after_unobserved_steps_matches_a_from_scratch_rebuild(width, 
     edges, coverage, current, _ = reference_observation(maze, walk)
     assert sorted(obs.edges) == sorted(edges)
     assert obs.edges == twin.observe().edges
-    assert np.array_equal(obs.coverage, coverage)
+    assert np.array_equal(obs.node_features[:, 1], coverage)
     assert current == env.state.belief.node_ids[env.current_node()]
 
 

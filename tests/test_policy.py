@@ -269,8 +269,7 @@ def test_run_episodes_rejects_a_shared_env():
 def test_run_episodes_names_a_mask_narrower_than_the_head():
     # Without num_actions an AppEnv's mask is as wide as the graph's largest
     # out-degree (1 here), not the head's 4 actions.
-    graph = TransitionGraph(screens=("a", "b"), transitions={("a", "go"): "b", ("b", "back"): "a"},
-                            start="a")
+    graph = TransitionGraph(slots=((1,), (0,)), start=0)
     model = make_learned_model(ParamSet(seed=26))
     with pytest.raises(ValueError, match="action mask width 1 does not match the head width 4"):
         model.run_episodes([AppEnv(graph, budget=3)], [0])

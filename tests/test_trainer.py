@@ -765,9 +765,8 @@ class BanditEnv:
 
     def observe(self):
         return GraphObservation(
-            node_features=np.zeros((2, 1)),
+            node_features=np.array([[0.0, float(self.done)]] * 2),  # no raw feature, coverage
             edges=[(0, 1, 1), (1, 0, 1)],
-            coverage=np.array([1.0, 1.0]) if self.done else np.zeros(2),
         )
 
     def reset(self):
